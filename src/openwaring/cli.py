@@ -6,8 +6,10 @@ record), bounds, catalecticant, apolar, essential, base-points, and bench
 JSON record with all numbers as strings, so `verify` round-trips exactly
 what `decompose` emits.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 retry
-budget exhausted (retriable).
+Exit codes: 0 success, 1 verification failure (the checker rejected the
+result), 2 invalid input, 3 retry budget exhausted (retriable), 4 internal
+error (``ConsistencyError`` or another package error that is neither invalid
+input nor retry exhaustion; the message names its class).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_RETRY_EXHAUSTED = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +446,11 @@ def _cmd_bench(args) -> int:
                                     precision_bits=args.precision_bits,
                                     max_retries=args.max_retries)
                     counts.append(dec.term_count)
-                except RetryBudgetError:
+                except InvalidInputError:
+                    raise
+                except OpenWaringError:
+                    # retry exhaustion and internal errors count against
+                    # the cell; the sweep goes on
                     failures += 1
             mx = max(counts) if counts else 0
             mean = sum(counts) / len(counts) if counts else 0.0
@@ -481,8 +488,8 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except OpenWaringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def main() -> None:

@@ -10,6 +10,13 @@ Two kinds of scalars flow through the package:
 
 Mixed arithmetic promotes to ``AppComplex`` at the larger of the two
 precisions.  All values are immutable.
+
+Rounding contract: an ``AppComplex`` operation whose operands carry
+``bits`` (the larger tag; ints and Fractions take the other operand's tag
+and are first rounded to nearest at it) runs mpmath's libmp kernel at
+``bits + GUARD_BITS`` and rounds each part to nearest at ``bits``.  Negation
+and conjugation are exact.  ``abs`` returns the kernel's result at
+``bits + GUARD_BITS`` without the second rounding.
 """
 
 from __future__ import annotations
@@ -17,6 +24,10 @@ from __future__ import annotations
 import mpmath
 from fractions import Fraction
 from mpmath import mpf, mpc, workprec
+from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpc_add, mpc_div,
+                          mpc_mpf_div, mpc_mul, mpc_pow_int, mpc_sub,
+                          mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_neg,
+                          mpf_pos, mpf_pow_int, round_nearest)
 
 from .errors import ConsistencyError, InvalidInputError
 
@@ -28,18 +39,56 @@ MIN_PRECISION_BITS = 64
 #: extra working bits used inside iterative kernels before rounding back
 GUARD_BITS = 32
 
+_RND = round_nearest
+_CZERO = (fzero, fzero)
+_new = object.__new__
+
+_tolerances = {}
+
 
 def tolerance(precision_bits: int):
     """Residual acceptance threshold 2**(-precision_bits/2) as an mpf."""
-    with workprec(64):
-        return mpf(2) ** (-(precision_bits // 2))
+    tol = _tolerances.get(precision_bits)
+    if tol is None:
+        with workprec(64):
+            tol = _tolerances[precision_bits] = mpf(2) ** (-(precision_bits // 2))
+    return tol
+
+
+def _make_mpf(v):
+    x = _new(mpf)
+    x._mpf_ = v
+    return x
+
+
+def _make_mpc(v):
+    z = _new(mpc)
+    z._mpc_ = v
+    return z
+
+
+def _raw_mpf(x, bits):
+    """x rounded to nearest at ``bits``, as a raw libmp tuple; Fractions
+    round numerator and denominator first, as ``mpf(p) / mpf(q)`` does."""
+    if isinstance(x, Fraction):
+        return mpf_div(mpf_pos(from_int(x.numerator), bits, _RND),
+                       mpf_pos(from_int(x.denominator), bits, _RND), bits, _RND)
+    if isinstance(x, int):
+        return mpf_pos(from_int(x), bits, _RND)
+    if type(x) is mpf:
+        return mpf_pos(x._mpf_, bits, _RND)
+    with workprec(bits):
+        return mpf(x)._mpf_
 
 
 def _to_mpf(x, bits):
-    with workprec(bits):
-        if isinstance(x, Fraction):
-            return mpf(x.numerator) / mpf(x.denominator)
-        return mpf(x)
+    return _make_mpf(_raw_mpf(x, bits))
+
+
+def _check_precision(precision_bits):
+    if precision_bits < MIN_PRECISION_BITS:
+        raise InvalidInputError(
+            f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}")
 
 
 class AppComplex:
@@ -53,90 +102,111 @@ class AppComplex:
     __slots__ = ("real", "imag", "precision_bits")
 
     def __init__(self, real=0, imag=0, precision_bits=DEFAULT_PRECISION_BITS):
-        if precision_bits < MIN_PRECISION_BITS:
-            raise InvalidInputError(
-                f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}")
-        object.__setattr__(self, "precision_bits", int(precision_bits))
-        object.__setattr__(self, "real", _to_mpf(real, precision_bits))
-        object.__setattr__(self, "imag", _to_mpf(imag, precision_bits))
+        _check_precision(precision_bits)
+        bits = int(precision_bits)
+        _set_bits(self, bits)
+        _set_real(self, _to_mpf(real, bits))
+        _set_imag(self, _to_mpf(imag, bits))
 
     def __setattr__(self, name, value):
         raise AttributeError("AppComplex is immutable")
 
     @classmethod
     def from_mpc(cls, z, precision_bits):
+        _check_precision(precision_bits)
+        if isinstance(z, mpc):
+            return _rounded(z._mpc_, int(precision_bits))
         # constructors round to the ambient precision, so pin it first
         with workprec(precision_bits):
             z = mpc(z)
         return cls(z.real, z.imag, precision_bits)
 
     def to_mpc(self):
-        with workprec(self.precision_bits):
-            return mpc(self.real, self.imag)
+        return _make_mpc((self.real._mpf_, self.imag._mpf_))
 
     def __complex__(self):
         return complex(self.real, self.imag)
 
-    def _coerce(self, other):
+    def _binop(self, other, kernel, reflected=False):
         if isinstance(other, AppComplex):
-            return other, max(self.precision_bits, other.precision_bits)
-        if isinstance(other, (int, Fraction)):
-            return AppComplex(other, 0, self.precision_bits), self.precision_bits
-        return None, None
-
-    def _binop(self, other, op):
-        rhs, bits = self._coerce(other)
-        if rhs is None:
+            bits = max(self.precision_bits, other.precision_bits)
+            rhs = (other.real._mpf_, other.imag._mpf_)
+        elif isinstance(other, (int, Fraction)):
+            bits = self.precision_bits
+            rhs = (_raw_mpf(other, bits), fzero)
+        else:
             return NotImplemented
-        with workprec(bits + GUARD_BITS):
-            out = op(self.to_mpc(), rhs.to_mpc())
-        return AppComplex.from_mpc(out, bits)
+        lhs = (self.real._mpf_, self.imag._mpf_)
+        if reflected:
+            lhs, rhs = rhs, lhs
+        return _rounded(kernel(lhs, rhs, bits + GUARD_BITS, _RND), bits)
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, mpc_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, mpc_sub)
 
     def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
+        return self._binop(other, mpc_sub, True)
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
+        return self._binop(other, mpc_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
+        return self._binop(other, mpc_div)
 
     def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
+        return self._binop(other, mpc_div, True)
 
     def __neg__(self):
-        # mpf negation rounds at the ambient precision, so pin it
-        with workprec(self.precision_bits):
-            return AppComplex(-self.real, -self.imag, self.precision_bits)
+        bits = self.precision_bits
+        return _wrap(mpf_neg(self.real._mpf_, bits, _RND),
+                     mpf_neg(self.imag._mpf_, bits, _RND), bits)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        with workprec(self.precision_bits + GUARD_BITS):
-            out = self.to_mpc() ** e
-        return AppComplex.from_mpc(out, self.precision_bits)
+        bits = self.precision_bits
+        return _rounded(mpc_pow_int((self.real._mpf_, self.imag._mpf_), e,
+                                    bits + GUARD_BITS, _RND), bits)
 
     def conjugate(self):
-        with workprec(self.precision_bits):
-            return AppComplex(self.real, -self.imag, self.precision_bits)
+        bits = self.precision_bits
+        return _wrap(self.real._mpf_, mpf_neg(self.imag._mpf_, bits, _RND), bits)
 
     def __abs__(self):
-        with workprec(self.precision_bits + GUARD_BITS):
-            return abs(self.to_mpc())
+        return _make_mpf(mpc_abs((self.real._mpf_, self.imag._mpf_),
+                                 self.precision_bits + GUARD_BITS, _RND))
 
     def __repr__(self):
         return (f"AppComplex({mpmath.nstr(self.real, 12)}, "
                 f"{mpmath.nstr(self.imag, 12)}, bits={self.precision_bits})")
+
+
+# the slots' own setters, which bypass the immutability guard
+_set_real = AppComplex.real.__set__
+_set_imag = AppComplex.imag.__set__
+_set_bits = AppComplex.precision_bits.__set__
+
+
+def _wrap(re, im, bits):
+    """An AppComplex from raw parts already rounded at ``bits``."""
+    z = _new(AppComplex)
+    _set_real(z, _make_mpf(re))
+    _set_imag(z, _make_mpf(im))
+    _set_bits(z, bits)
+    return z
+
+
+def _rounded(parts, bits):
+    """An AppComplex from raw parts, each rounded to nearest at ``bits``."""
+    re, im = parts
+    return _wrap(mpf_pos(re, bits, _RND), mpf_pos(im, bits, _RND), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +215,6 @@ class AppComplex:
 
 def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction))
-
-
-def scalar_abs(x):
-    """|x| as a Fraction (exact input) or mpf."""
-    if is_exact_scalar(x):
-        return abs(Fraction(x))
-    return abs(x)
 
 
 def scalar_is_zero(x, tol=0) -> bool:
@@ -182,16 +245,6 @@ def max_abs_of(values):
         if fe > m:
             m = fe
     return m
-
-
-def as_app_complex(x, precision_bits=DEFAULT_PRECISION_BITS) -> AppComplex:
-    if isinstance(x, AppComplex):
-        return x
-    return AppComplex(x, 0, precision_bits)
-
-
-def scalar_precision(x) -> int:
-    return x.precision_bits if isinstance(x, AppComplex) else DEFAULT_PRECISION_BITS
 
 
 def values_precision(values, default=DEFAULT_PRECISION_BITS) -> int:
@@ -369,6 +422,14 @@ def squarefree_decomposition(p: UniPoly):
 # root finding
 
 
+def _horner(coeffs, x, prec):
+    """p(x) on raw libmp tuples, as ``acc * x + c`` from ``mpc(0)``."""
+    acc = _CZERO
+    for c in reversed(coeffs):
+        acc = mpc_add(mpc_mul(acc, x, prec, _RND), c, prec, _RND)
+    return acc
+
+
 def _aberth(coeffs, work_bits, max_iters=400):
     """Aberth–Ehrlich simultaneous iteration on an mpc coefficient list.
 
@@ -377,6 +438,7 @@ def _aberth(coeffs, work_bits, max_iters=400):
     Returns a list of deg(p) approximations.
     """
     n = len(coeffs) - 1
+    wb = work_bits
     with workprec(work_bits):
         cs = [mpc(c) for c in coeffs]
         lead = cs[-1]
@@ -390,82 +452,85 @@ def _aberth(coeffs, work_bits, max_iters=400):
         two_pi = 2 * mpmath.pi
         z = [r * mpmath.exp(mpc(0, two_pi * k / n + mpf(1) / 2)) for k in range(n)]
 
-        stop = mpf(2) ** (-(work_bits - 8))
+        stop = (mpf(2) ** (-(work_bits - 8)))._mpf_
+        tiny = mpc(mpf(2) ** (-work_bits), 0)._mpc_
 
-        def peval(poly, x):
-            acc = mpc(0)
-            for c in reversed(poly):
-                acc = acc * x + c
-            return acc
-
+        # the loop below is mpc arithmetic on raw tuples, with the kernels
+        # and operand order the mpc operators use (``1 / diff`` is
+        # mpc_mpf_div, ``1 - x`` is mpc_sub((1, 0), x), ``1 + |z|`` is
+        # mpf_add(|z|, 1))
+        monic = [c._mpc_ for c in monic]
+        dmonic = [c._mpc_ for c in dmonic]
+        z = [w._mpc_ for w in z]
+        one = (fone, fzero)
         for _ in range(max_iters):
-            max_step = mpf(0)
+            max_step = fzero
             for k in range(n):
-                pv = peval(monic, z[k])
-                dv = peval(dmonic, z[k])
-                if pv == 0:
+                zk = z[k]
+                pv = _horner(monic, zk, wb)
+                dv = _horner(dmonic, zk, wb)
+                if pv == _CZERO:
                     continue
-                if dv == 0:
+                if dv == _CZERO:
                     # nudge deterministically off a critical point
-                    z[k] = z[k] + (abs(z[k]) + 1) * mpf(2) ** (-work_bits // 4)
-                    max_step = mpf(1)
+                    w = _make_mpc(zk)
+                    z[k] = (w + (abs(w) + 1) * mpf(2) ** (-work_bits // 4))._mpc_
+                    max_step = fone
                     continue
-                newt = pv / dv
-                s = mpc(0)
+                newt = mpc_div(pv, dv, wb, _RND)
+                s = _CZERO
                 for j in range(n):
                     if j != k:
-                        diff = z[k] - z[j]
-                        if diff == 0:
-                            diff = mpc(mpf(2) ** (-work_bits), 0)
-                        s += 1 / diff
-                denom = 1 - newt * s
-                if denom == 0:
+                        diff = mpc_sub(zk, z[j], wb, _RND)
+                        if diff == _CZERO:
+                            diff = tiny
+                        s = mpc_add(s, mpc_mpf_div(fone, diff, wb, _RND), wb, _RND)
+                denom = mpc_sub(one, mpc_mul(newt, s, wb, _RND), wb, _RND)
+                if denom == _CZERO:
                     step = newt
                 else:
-                    step = newt / denom
-                z[k] = z[k] - step
-                rel = abs(step) / (1 + abs(z[k]))
-                if rel > max_step:
+                    step = mpc_div(newt, denom, wb, _RND)
+                zk = z[k] = mpc_sub(zk, step, wb, _RND)
+                rel = mpf_div(mpc_abs(step, wb, _RND),
+                              mpf_add(mpc_abs(zk, wb, _RND), fone, wb, _RND),
+                              wb, _RND)
+                if mpf_gt(rel, max_step):
                     max_step = rel
-            if max_step <= stop:
+            if mpf_le(max_step, stop):
                 break
-        return [mpc(w) for w in z]
+        return [mpc(_make_mpc(w)) for w in z]
 
 
 def _newton_polish(coeffs, roots, work_bits, steps=6):
     with workprec(work_bits):
         cs = [mpc(c) for c in coeffs]
-        dcs = [k * cs[k] for k in range(1, len(cs))]
-
-        def peval(poly, x):
-            acc = mpc(0)
-            for c in reversed(poly):
-                acc = acc * x + c
-            return acc
+        dcs = [(k * cs[k])._mpc_ for k in range(1, len(cs))]
+        cs = [c._mpc_ for c in cs]
 
         out = []
         for z in roots:
-            w = mpc(z)
+            w = mpc(z)._mpc_
             for _ in range(steps):
-                dv = peval(dcs, w)
-                if dv == 0:
+                dv = _horner(dcs, w, work_bits)
+                if dv == _CZERO:
                     break
-                w = w - peval(cs, w) / dv
-            out.append(w)
+                w = mpc_sub(w, mpc_div(_horner(cs, w, work_bits), dv,
+                                       work_bits, _RND), work_bits, _RND)
+            out.append(_make_mpc(w))
         return out
 
 
 def _coeffs_to_mpc(p: UniPoly, bits):
-    with workprec(bits):
-        out = []
-        for c in p.coeffs:
-            if isinstance(c, Fraction):
-                out.append(mpc(mpf(c.numerator) / mpf(c.denominator)))
-            elif isinstance(c, AppComplex):
-                out.append(c.to_mpc())
-            else:
+    out = []
+    for c in p.coeffs:
+        if isinstance(c, Fraction):
+            out.append(_make_mpc((_raw_mpf(c, bits), fzero)))
+        elif isinstance(c, AppComplex):
+            out.append(c.to_mpc())
+        else:
+            with workprec(bits):
                 out.append(mpc(c))
-        return out
+    return out
 
 
 def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -529,17 +594,21 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
     # residual certificate
     tol = tolerance(precision_bits)
     scale = p.max_abs()
-    with workprec(precision_bits + GUARD_BITS):
-        cs = _coeffs_to_mpc(p, precision_bits + GUARD_BITS)
-        for r in roots:
-            z = r.to_mpc()
-            acc = mpc(0)
-            for c in reversed(cs):
-                acc = acc * z + c
-            bound = tol * scale * max(mpf(1), abs(z)) ** p.degree
-            if abs(acc) > bound:
-                raise ConsistencyError(
-                    "root residual exceeds the acceptance threshold")
+    cert = precision_bits + GUARD_BITS
+    cs = [c._mpc_ for c in _coeffs_to_mpc(p, cert)]
+    with workprec(cert):
+        tol_scale = (tol * scale)._mpf_
+    for r in roots:
+        z = (r.real._mpf_, r.imag._mpf_)
+        acc = _horner(cs, z, cert)
+        size = mpc_abs(z, cert, _RND)
+        # max(mpf(1), |z|) ** deg * tol * scale, as the mpf operators round it
+        size = size if mpf_gt(size, fone) else fone
+        bound = mpf_mul(tol_scale, mpf_pow_int(size, p.degree, cert, _RND),
+                        cert, _RND)
+        if mpf_gt(mpc_abs(acc, cert, _RND), bound):
+            raise ConsistencyError(
+                "root residual exceeds the acceptance threshold")
 
     def _key(r):
         return (r.real, r.imag)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from openwaring import cli
 from openwaring.cli import run
+from openwaring.errors import ConsistencyError, NoFitError
 
 
 def run_capture(capsys, argv):
@@ -154,3 +156,42 @@ class TestOtherCommands:
     def test_missing_file(self, capsys):
         code, _, err = run_capture(capsys, ["verify", "/nonexistent.json"])
         assert code == 2
+
+
+class TestInternalErrors:
+    def test_consistency_error_exits_four(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ConsistencyError("root residual exceeds the acceptance threshold")
+        monkeypatch.setattr(cli, "decompose", broken)
+        code, out, err = run_capture(capsys, [
+            "decompose", "-n", "3", "x0*x1^2 + x1*x2^2"])
+        assert code == cli.EXIT_INTERNAL_ERROR == 4
+        assert out == ""
+        assert "ConsistencyError" in err
+        assert "root residual exceeds the acceptance threshold" in err
+
+    def test_other_package_errors_exit_four(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise NoFitError("target is not in the span")
+        monkeypatch.setattr(cli, "decompose", broken)
+        code, _, err = run_capture(capsys, ["decompose", "-n", "2", "x0^3 + x1^3"])
+        assert code == 4 and "NoFitError" in err
+
+    def test_bench_counts_an_internal_error_and_finishes(self, capsys, monkeypatch):
+        real = cli.decompose
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            if len(calls) == 1:
+                raise ConsistencyError("root residual exceeds the acceptance threshold")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, "decompose", fails_once)
+        code, out, _ = run_capture(capsys, [
+            "bench", "--n-min", "2", "--n-max", "3", "--d-min", "3",
+            "--d-max", "3", "--trials", "2", "--seed", "3"])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [("2", "3"), ("3", "3")]
+        assert [int(r[-1]) for r in rows] == [1, 0]
+        assert len(calls) == 4

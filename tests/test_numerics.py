@@ -1,14 +1,16 @@
+import operator
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mpf
+from mpmath import mpc, mpf, workprec
 
-from openwaring import InvalidInputError
-from openwaring.numerics import (AppComplex, UniPoly, is_squarefree,
-                                 squarefree_decomposition, squarefree_part,
-                                 univariate_roots)
+from openwaring import ConsistencyError, InvalidInputError
+from openwaring.numerics import (GUARD_BITS, AppComplex, UniPoly, _aberth,
+                                 _coeffs_to_mpc, _newton_polish,
+                                 is_squarefree, squarefree_decomposition,
+                                 squarefree_part, univariate_roots)
 
 
 def poly(*coeffs):
@@ -150,3 +152,241 @@ class TestRoots:
         a = univariate_roots(p, 256)
         b = univariate_roots(p, 256)
         assert [(x.real, x.imag) for x in a] == [(x.real, x.imag) for x in b]
+
+
+# ---------------------------------------------------------------------------
+# AppComplex and the root-finding loops run libmp kernels on raw tuples; the
+# references below are the mpc-object formulas they replace, and results
+# must agree bit for bit.
+
+
+def ref_mpf(x, bits):
+    with workprec(bits):
+        if isinstance(x, Fraction):
+            return mpf(x.numerator) / mpf(x.denominator)
+        return mpf(x)
+
+
+def ref_mpc(x):
+    with workprec(x.precision_bits):
+        return mpc(x.real, x.imag)
+
+
+def ref_round(z, bits):
+    with workprec(bits):
+        z = mpc(z)
+        return (mpf(z.real)._mpf_, mpf(z.imag)._mpf_, bits)
+
+
+def ref_binop(x, y, op):
+    """x op y as (mpc at max bits + GUARD_BITS), rounded at max bits."""
+    if isinstance(y, AppComplex):
+        bits = max(x.precision_bits, y.precision_bits)
+        yv = ref_mpc(y)
+    else:
+        bits = x.precision_bits
+        with workprec(bits):
+            yv = mpc(ref_mpf(y, bits), 0)
+    with workprec(bits + GUARD_BITS):
+        out = op(ref_mpc(x), yv)
+    return ref_round(out, bits)
+
+
+def raw(x):
+    return (x.real._mpf_, x.imag._mpf_, x.precision_bits)
+
+
+def random_mpf(rng, bits):
+    kind = rng.random()
+    if kind < 0.15:
+        return mpf(0)
+    # tiny and huge exponents as well as ordinary ones
+    exp = rng.choice([0, -5, 7, -10**6, 10**6, rng.randint(-3000, 3000)])
+    with workprec(bits + 64):
+        m = mpf(rng.getrandbits(bits + 40) | 1) * mpf(2) ** (exp - bits)
+    return -m if rng.random() < 0.5 else m
+
+
+def random_app(rng, bits):
+    return AppComplex(random_mpf(rng, bits), random_mpf(rng, bits), bits)
+
+
+def random_operand(rng, bits):
+    kind = rng.random()
+    if kind < 0.25:
+        return rng.randint(-10**rng.randint(0, 400), 10**rng.randint(0, 400))
+    if kind < 0.5:
+        return Fraction(rng.randint(-10**80, 10**80),
+                        rng.randint(1, 10**rng.randint(1, 400)))
+    return random_app(rng, bits)
+
+
+BINOPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+PRECISIONS = (64, 256, 1088)
+
+
+class TestKernelEquivalence:
+    def test_construction_rounds_like_mpf(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            bits = rng.choice(PRECISIONS)
+            x = rng.choice([random_operand(rng, bits), random_mpf(rng, 2 * bits)])
+            if isinstance(x, AppComplex):
+                x = x.real
+            want = ref_mpf(x, bits)._mpf_
+            assert AppComplex(x, x, bits).real._mpf_ == want
+            assert AppComplex(0, x, bits).imag._mpf_ == want
+
+    def test_binary_operators_both_orders(self):
+        rng = random.Random(12)
+        for _ in range(400):
+            x = random_app(rng, rng.choice(PRECISIONS))
+            y = random_operand(rng, rng.choice(PRECISIONS))
+            for op in BINOPS:
+                for a, b in ((x, y), (y, x)):
+                    try:
+                        want = (ref_binop(a, b, op) if isinstance(a, AppComplex)
+                                else ref_binop(b, a, lambda u, v: op(v, u)))
+                    except ZeroDivisionError:
+                        with pytest.raises(ZeroDivisionError):
+                            op(a, b)
+                        continue
+                    assert raw(op(a, b)) == want, (op, a, b)
+
+    def test_operations_round_twice_through_the_guard_bits(self):
+        # 1 + 2^-bits + 2^-(bits+40) lies just above the midpoint between 1
+        # and the next value at `bits`: one rounding would go up, but the
+        # rounding at bits + GUARD_BITS lands on the midpoint, which then
+        # rounds to even
+        for bits in PRECISIONS:
+            with workprec(bits):
+                y = AppComplex(mpf(2) ** -bits + mpf(2) ** -(bits + 40), 0, bits)
+            assert (AppComplex(1, 0, bits) + y).real == 1
+            assert (y + 1).real == 1
+            assert ref_binop(y, 1, operator.add)[0] == mpf(1)._mpf_
+
+    def test_unary_operations(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            x = random_app(rng, rng.choice(PRECISIONS))
+            bits = x.precision_bits
+            with workprec(bits):
+                assert raw(-x) == ((-x.real)._mpf_, (-x.imag)._mpf_, bits)
+                assert raw(x.conjugate()) == (x.real._mpf_, (-x.imag)._mpf_, bits)
+            with workprec(bits + GUARD_BITS):
+                assert abs(x)._mpf_ == abs(ref_mpc(x))._mpf_
+                e = rng.randint(0, 9)
+                assert raw(x ** e) == ref_round(ref_mpc(x) ** e, bits)
+
+    def test_from_mpc_rounds_once(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            z = mpc(random_mpf(rng, 1200), random_mpf(rng, 1200))
+            bits = rng.choice(PRECISIONS)
+            assert raw(AppComplex.from_mpc(z, bits)) == ref_round(z, bits)
+            assert AppComplex.from_mpc(z, bits).to_mpc()._mpc_ == ref_round(z, bits)[:2]
+
+
+def ref_aberth(coeffs, work_bits, max_iters=400):
+    n = len(coeffs) - 1
+    with workprec(work_bits):
+        cs = [mpc(c) for c in coeffs]
+        lead = cs[-1]
+        monic = [c / lead for c in cs]
+        dmonic = [k * monic[k] for k in range(1, n + 1)]
+        r = abs(monic[0]) ** (mpf(1) / n)
+        if r == 0 or r < mpf(2) ** (-work_bits // 2):
+            r = mpf(1) / 2
+        two_pi = 2 * mpmath.pi
+        z = [r * mpmath.exp(mpc(0, two_pi * k / n + mpf(1) / 2)) for k in range(n)]
+        stop = mpf(2) ** (-(work_bits - 8))
+
+        def peval(poly, x):
+            acc = mpc(0)
+            for c in reversed(poly):
+                acc = acc * x + c
+            return acc
+
+        for _ in range(max_iters):
+            max_step = mpf(0)
+            for k in range(n):
+                pv = peval(monic, z[k])
+                dv = peval(dmonic, z[k])
+                if pv == 0:
+                    continue
+                if dv == 0:
+                    z[k] = z[k] + (abs(z[k]) + 1) * mpf(2) ** (-work_bits // 4)
+                    max_step = mpf(1)
+                    continue
+                newt = pv / dv
+                s = mpc(0)
+                for j in range(n):
+                    if j != k:
+                        diff = z[k] - z[j]
+                        if diff == 0:
+                            diff = mpc(mpf(2) ** (-work_bits), 0)
+                        s += 1 / diff
+                denom = 1 - newt * s
+                step = newt if denom == 0 else newt / denom
+                z[k] = z[k] - step
+                rel = abs(step) / (1 + abs(z[k]))
+                if rel > max_step:
+                    max_step = rel
+            if max_step <= stop:
+                break
+        return [mpc(w) for w in z]
+
+
+def ref_newton_polish(coeffs, roots, work_bits, steps=6):
+    with workprec(work_bits):
+        cs = [mpc(c) for c in coeffs]
+        dcs = [k * cs[k] for k in range(1, len(cs))]
+
+        def peval(poly, x):
+            acc = mpc(0)
+            for c in reversed(poly):
+                acc = acc * x + c
+            return acc
+
+        out = []
+        for z in roots:
+            w = mpc(z)
+            for _ in range(steps):
+                dv = peval(dcs, w)
+                if dv == 0:
+                    break
+                w = w - peval(cs, w) / dv
+            out.append(w)
+        return out
+
+
+class TestRootLoopEquivalence:
+    def test_aberth_and_polish_match_the_mpc_loop(self):
+        rng = random.Random(15)
+        for _ in range(14):
+            deg = rng.randint(2, 10)
+            bits = rng.choice([128, 256, 512, 1088])
+            work = bits + 2 * GUARD_BITS
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                      for _ in range(deg)] + [Fraction(rng.randint(1, 9))]
+            coeffs[0] = coeffs[0] or Fraction(1)
+            if rng.random() < 0.5:
+                p = UniPoly([AppComplex(c, rng.randint(-3, 3), bits + 40)
+                             for c in coeffs])
+            else:
+                p = UniPoly(coeffs)
+            cs = _coeffs_to_mpc(p, work)
+            got = _aberth(cs, work)
+            want = ref_aberth(cs, work)
+            assert [w._mpc_ for w in got] == [w._mpc_ for w in want]
+            got = _newton_polish(cs, got, work)
+            want = ref_newton_polish(cs, want, work)
+            assert [w._mpc_ for w in got] == [w._mpc_ for w in want]
+
+    def test_wandering_quadratic_still_fails_at_768_bits(self):
+        # t^2 - 66.8125 t + 33.15625 does not converge within the Aberth
+        # iteration cap at 768 bits; the residual certificate rejects it
+        p = UniPoly([Fraction(1061, 32), Fraction(-1069, 16), 1])
+        with pytest.raises(ConsistencyError,
+                           match="root residual exceeds the acceptance threshold"):
+            univariate_roots(p, 768)
