@@ -5,6 +5,12 @@ The degree-e piece of the annihilator is computed as the left kernel of the
 catalecticant matrix of the contraction pairing.  Everything stays in exact
 rational arithmetic when the input form is rational; forms with approximate
 coefficients go through thresholded complex elimination instead.
+
+The plane-curve resultant machinery lives here too: ``_resultant_charts``
+walks coordinate charts of a pair of ternary curves and eliminates the last
+variable by a Sylvester resultant, ``_shared_roots`` pairs the roots of two
+univariates, and ``_curve_pair_candidates`` (for ``base_points``) and
+``decompose.conic_intersection`` build their intersections on them.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ from . import linalg
 from .errors import (ConsistencyError, DegenerateSystemError,
                      InvalidInputError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
-                       UniPoly, is_exact_scalar, scalar_is_zero, tolerance,
-                       univariate_roots)
+                       UniPoly, is_exact_scalar, max_abs_of, scalar_is_zero,
+                       squarefree_part, tolerance, univariate_roots)
 from .poly import (DualOp, Form, LinearForm, change_coordinates, evaluate,
-                   monomials_of_degree)
+                   linear_power, monomials_of_degree)
 
 DEFAULT_SEED = 1729
 DEFAULT_MAX_RETRIES = 64
@@ -261,8 +267,6 @@ def base_points(f: Form, e: int, precision_bits=DEFAULT_PRECISION_BITS,
         raise DegenerateSystemError(
             "a single curve cuts out a positive-dimensional zero set")
 
-    from .decompose import _curve_pair_candidates  # shared resultant machinery
-
     rng = random.Random(seed)
     zero_resultants = 0
     for attempt in range(max_retries):
@@ -286,9 +290,10 @@ def base_points(f: Form, e: int, precision_bits=DEFAULT_PRECISION_BITS,
 
 
 def _combine_ops(basis, weights):
+    """sum w_i * basis_i over rational weights, or None when it is zero."""
     out = None
     for op, w in zip(basis, weights):
-        if is_exact_scalar(w) and w == 0:
+        if w == 0:
             continue
         term = op.scale(w)
         out = term if out is None else out + term
@@ -315,6 +320,243 @@ def _proportional_ops(a: DualOp, b: DualOp, precision_bits) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# plane-curve resultants
+
+
+def _dual_as_unipoly_coeffs(op: DualOp):
+    """Write a ternary dual form as a polynomial in l2 whose coefficients
+    are UniPolys in t, after the substitution l0 = 1, l1 = t."""
+    e = op.degree
+    out = []
+    for k in range(e + 1):
+        coeffs = [Fraction(0)] * (e - k + 1)
+        for expo, c in op.coeffs.items():
+            if expo[2] == k:
+                coeffs[expo[1]] = c
+        out.append(UniPoly(coeffs))
+    return out
+
+
+def _sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
+    """Resultant in l2 of two polynomials with UniPoly-in-t coefficients,
+    computed as a Sylvester determinant by evaluation/interpolation."""
+    ep = len(p_coeffs) - 1
+    eq = len(q_coeffs) - 1
+    size = ep + eq
+    rows = []
+    for shift in range(eq):
+        row = [UniPoly([])] * size
+        for j, c in enumerate(reversed(p_coeffs)):
+            row[shift + j] = c
+        rows.append(row)
+    for shift in range(ep):
+        row = [UniPoly([])] * size
+        for j, c in enumerate(reversed(q_coeffs)):
+            row[shift + j] = c
+        rows.append(row)
+    # the resultant of two forms is homogeneous of degree ep*eq in the
+    # remaining variables, so ep*eq + 1 nodes pin it down
+    deg_bound = ep * eq
+    nodes = [Fraction(k) for k in range(deg_bound + 1)]
+    values = []
+    exact = all(c.is_exact() for c in p_coeffs + q_coeffs)
+    for t in nodes:
+        m = [[c(t) for c in row] for row in rows]
+        if exact:
+            values.append(linalg.rational_det(m))
+        else:
+            values.append(_complex_det(m, precision_bits))
+    return _lagrange_interpolate(nodes, values)
+
+
+def _complex_det(rows, precision_bits):
+    bits = precision_bits + GUARD_BITS
+    m = linalg._unwrap(rows, bits)
+    n = len(m)
+    with workprec(bits):
+        det = 1
+        for c in range(n):
+            best, best_abs = None, mpf(0)
+            for i in range(c, n):
+                if abs(m[i][c]) > best_abs:
+                    best, best_abs = i, abs(m[i][c])
+            if best is None or best_abs == 0:
+                return AppComplex(0, 0, precision_bits)
+            if best != c:
+                m[c], m[best] = m[best], m[c]
+                det = -det
+            det = det * m[c][c]
+            for i in range(c + 1, n):
+                if m[i][c] == 0:
+                    continue
+                fct = m[i][c] / m[c][c]
+                for j in range(c, n):
+                    m[i][j] -= fct * m[c][j]
+        return AppComplex.from_mpc(det, precision_bits)
+
+
+def _lagrange_interpolate(nodes, values):
+    acc = UniPoly([])
+    for i, (xi, yi) in enumerate(zip(nodes, values)):
+        if is_exact_scalar(yi) and yi == 0:
+            continue
+        basis = UniPoly([Fraction(1)])
+        denom = Fraction(1)
+        for j, xj in enumerate(nodes):
+            if j == i:
+                continue
+            basis = basis * UniPoly([-xj, Fraction(1)])
+            denom *= xi - xj
+        acc = acc + basis.scale(yi / denom)
+    return acc
+
+
+def _coordinate_changes(n, count, rng=None):
+    """Deterministic sequence: identity, then ``count`` invertible integer
+    matrices drawn from ``rng`` (a fixed seed by default)."""
+    ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    yield ident
+    rng = rng or random.Random(0x5EED + n)
+    produced = 0
+    while produced < count:
+        M = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        if linalg.rational_det(M) != 0:
+            produced += 1
+            yield M
+
+
+def _leading_ok(coeffs_l2, tol_scale):
+    lead = coeffs_l2[-1]
+    if lead.is_zero():
+        return False
+    if lead.degree != 0:
+        return False
+    c = lead.coeffs[0]
+    if is_exact_scalar(c):
+        return c != 0
+    return not scalar_is_zero(c, tol_scale)
+
+
+def _resultant_charts(D0: DualOp, D1: DualOp, changes, tol, precision_bits,
+                      shared: Exception):
+    """Charts of a pair of ternary curves of equal degree, one per change T
+    whose l2-leading coefficients are nonzero constants.
+
+    Yields ``(T, p, q, R, r_scale)``: the curves in the chart as polynomials
+    in l2 over t (``_dual_as_unipoly_coeffs``), their resultant R(t) and the
+    scale below which a coefficient of R counts as zero.  Raises ``shared``
+    when R vanishes, i.e. the curves share a component."""
+    e = D0.degree
+    for T in changes:
+        d0 = change_coordinates(D0, T)
+        d1 = change_coordinates(D1, T)
+        p = _dual_as_unipoly_coeffs(d0)
+        q = _dual_as_unipoly_coeffs(d1)
+        if not (_leading_ok(p, tol * d0.norm1()) and _leading_ok(q, tol * d1.norm1())):
+            continue
+        R = _sylvester_resultant(p, q, precision_bits)
+        r_scale = tol * max(mpf(1), mpf(1) * (d0.norm1() * d1.norm1()) ** e)
+        if R.is_zero() or all(scalar_is_zero(c, r_scale) for c in R.coeffs):
+            raise shared
+        yield T, p, q, R, r_scale
+
+
+def _chart_point(T, t, l2, precision_bits):
+    """The point (1, t, l2) of a chart, mapped back through T."""
+    inner = ProjPoint((AppComplex(1, 0, precision_bits), t, l2), precision_bits)
+    return ProjPoint(linalg.mat_vec(T, inner.coords), precision_bits)
+
+
+def _trim_leading(values, precision_bits):
+    """UniPoly from evaluated coefficients, with numerically-zero leading
+    entries removed so the stated degree is meaningful."""
+    vals = list(values)
+    scale = mpf(1) * max_abs_of(vals) if vals else mpf(0)
+    tol = tolerance(precision_bits) * scale
+    while vals and scalar_is_zero(vals[-1], tol):
+        vals.pop()
+    return UniPoly(vals)
+
+
+def _shared_roots(pa: UniPoly, pb: UniPoly, precision_bits):
+    """Roots of pa that are roots of pb too, within 2^-(bits/3).
+
+    A side of degree < 1 poses no condition, so the other side's roots come
+    back whole; none come back when root finding rejects a side."""
+    try:
+        ra = univariate_roots(pa, precision_bits) if pa.degree >= 1 else None
+        rb = univariate_roots(pb, precision_bits) if pb.degree >= 1 else None
+    except InvalidInputError:
+        return []
+    if ra is None:
+        return rb or []
+    if rb is None:
+        return ra
+    with workprec(precision_bits):
+        sep = mpf(2) ** (-(precision_bits // 3))
+        return [x for x in ra if any(abs(x.to_mpc() - y.to_mpc()) <= sep for y in rb)]
+
+
+def _back_substitute_l2(p_coeffs, q_coeffs, t, precision_bits):
+    """Common l2-root of the two polynomials at parameter t, via the linear
+    combination eliminating the top power; None when ambiguous.
+
+    The elimination denominator must be comfortably nonzero (a quarter of
+    the working bits) or the division would eat the precision budget;
+    otherwise the roots of both quadratics are paired directly."""
+    a = [c(t) for c in p_coeffs]
+    b = [c(t) for c in q_coeffs]
+    if len(a) == 3 and len(b) == 3:
+        mu = b[2] * a[1] - a[2] * b[1]
+        nu = b[2] * a[0] - a[2] * b[0]
+        thresh = mpf(2) ** (-(precision_bits // 4)) * max(
+            mpf(1), mpf(1) * max_abs_of(a) * max_abs_of(b))
+        if not scalar_is_zero(mu, thresh):
+            return -nu / mu
+    pa = _trim_leading(a, precision_bits)
+    pb = _trim_leading(b, precision_bits)
+    if pa.degree < 1 or pb.degree < 1:
+        return None
+    matches = _shared_roots(pa, pb, precision_bits)
+    return matches[0] if len(matches) == 1 else None
+
+
+def _curve_pair_candidates(D0: DualOp, D1: DualOp, precision_bits, rng):
+    """Candidate common zeros of two ternary curves of equal degree.
+
+    Unlike conic_intersection this tolerates tangency (the squarefree part
+    of the resultant is used) since the caller certifies candidates against
+    a whole linear system anyway.  Raises DegenerateSystemError when the
+    curves share a component or no chart separates the points.
+    """
+    e = D0.degree
+    tol = tolerance(precision_bits)
+    changes = list(_coordinate_changes(3, 3, random.Random(rng.randrange(1 << 30))))
+    for T, p, q, R, _ in _resultant_charts(
+            D0, D1, changes, tol, precision_bits,
+            DegenerateSystemError("curve pair shares a component")):
+        if R.degree < e * e:
+            continue
+        if R.is_exact():
+            R = squarefree_part(R)
+        roots = univariate_roots(R, precision_bits)
+        with workprec(precision_bits):
+            sep = mpf(2) ** (-(precision_bits // 4))
+            uniq = []
+            for r in roots:
+                if all(abs(r.to_mpc() - u.to_mpc()) > sep for u in uniq):
+                    uniq.append(r)
+        pts = []
+        for t in uniq:
+            pa = _trim_leading([c(t) for c in p], precision_bits)
+            pb = _trim_leading([c(t) for c in q], precision_bits)
+            pts += [_chart_point(T, t, l2, precision_bits)
+                    for l2 in _shared_roots(pa, pb, precision_bits)]
+        return _sorted_points(pts)
+    raise DegenerateSystemError("no usable chart for the curve pair")
+
+
+# ---------------------------------------------------------------------------
 # power witness (base point <=> some contraction is a pure power)
 
 
@@ -327,7 +569,6 @@ def power_witness(f: Form, l: LinearForm, e: int,
         raise InvalidInputError("e must not exceed the degree of f")
     if l.num_vars != f.num_vars:
         raise InvalidInputError("mismatched number of variables")
-    from .poly import linear_power
     n = f.num_vars
     cat = catalecticant(f, d - e)
     target_form = linear_power(l, e)

@@ -31,7 +31,8 @@ from .decompose import (Decomposition, ForbiddenSet, absorb_coefficients,
 from .errors import (InvalidInputError, OpenWaringError, OutOfDomainError,
                      RetryBudgetError)
 from .numerics import AppComplex, DEFAULT_PRECISION_BITS, is_exact_scalar
-from .poly import Form, LinearForm, parse_form, render_form
+from .poly import (Form, LinearForm, _render_monomial, monomials_of_degree,
+                   parse_form, render_form)
 from .verify import check_decomposition
 
 EXIT_OK = 0
@@ -111,16 +112,38 @@ def decomposition_record(f: Form, dec: Decomposition, V: ForbiddenSet,
     }
 
 
+_REQUIRED = object()
+
+
+def _field(record, key, read, default=_REQUIRED):
+    """``read(record[key])``; a missing key or a value that ``read`` cannot
+    take raises InvalidInputError naming the field."""
+    if key in record:
+        value = record[key]
+    elif default is _REQUIRED:
+        raise InvalidInputError(f"record has no {key!r} field")
+    else:
+        value = default
+    try:
+        return read(value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(
+            f"record field {key!r} is malformed ({type(exc).__name__}: {exc})") from exc
+
+
 def decomposition_from_record(record: dict):
-    bits = int(record["precision_bits"])
-    n = int(record["num_vars"])
-    f = parse_form(record["form"], n)
-    V = ForbiddenSet(n, tuple(parse_form(g, n, var="l")
-                              for g in record.get("avoid", [])))
-    terms = tuple(_term_from_json(t, bits) for t in record["terms"])
-    dec = Decomposition(int(record["degree"]), n, terms,
-                        bool(record["exact"]),
-                        tuple(record.get("algorithm_trace", [])))
+    if not isinstance(record, dict):
+        raise InvalidInputError("record must be a JSON object")
+    bits = _field(record, "precision_bits", int)
+    n = _field(record, "num_vars", int)
+    f = _field(record, "form", lambda text: parse_form(text, n))
+    V = _field(record, "avoid", lambda avoid: ForbiddenSet(
+        n, tuple(parse_form(g, n, var="l") for g in avoid)), [])
+    terms = _field(record, "terms",
+                   lambda ts: tuple(_term_from_json(t, bits) for t in ts))
+    dec = Decomposition(_field(record, "degree", int), n, terms,
+                        _field(record, "exact", bool),
+                        _field(record, "algorithm_trace", tuple, []))
     return f, dec, V, bits
 
 
@@ -272,7 +295,10 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.record) as fh:
-        record = json.load(fh)
+        try:
+            record = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"record is not valid JSON: {exc}") from exc
     f, dec, V, bits = decomposition_from_record(record)
     if args.avoid:
         with open(args.avoid) as fh:
@@ -333,8 +359,8 @@ def _cmd_catalecticant(args) -> int:
         out = {
             "command": "catalecticant",
             "e": args.e,
-            "rows": [_expo_str(r, "d") for r in cat.row_labels],
-            "cols": [_expo_str(c, "x") for c in cat.col_labels],
+            "rows": [_render_monomial(r, "d") for r in cat.row_labels],
+            "cols": [_render_monomial(c, "x") for c in cat.col_labels],
             "entries": [[_coord_to_json(x, args.precision_bits) for x in row]
                         for row in cat.entries],
             "rank": rank,
@@ -343,23 +369,13 @@ def _cmd_catalecticant(args) -> int:
     else:
         print(f"catalecticant e={args.e}: "
               f"{len(cat.row_labels)} x {len(cat.col_labels)}, rank {rank}")
-        header = " ".join(f"{_expo_str(c, 'x'):>10}" for c in cat.col_labels)
+        header = " ".join(f"{_render_monomial(c, 'x'):>10}" for c in cat.col_labels)
         print(f"{'':>10} {header}")
         for lbl, row in zip(cat.row_labels, cat.entries):
             vals = " ".join(f"{str(x) if is_exact_scalar(x) else '~':>10}"
                             for x in row)
-            print(f"{_expo_str(lbl, 'd'):>10} {vals}")
+            print(f"{_render_monomial(lbl, 'd'):>10} {vals}")
     return EXIT_OK
-
-
-def _expo_str(expo, var):
-    parts = []
-    for i, e in enumerate(expo):
-        if e == 1:
-            parts.append(f"{var}{i}")
-        elif e > 1:
-            parts.append(f"{var}{i}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 def _cmd_apolar(args) -> int:
@@ -415,7 +431,6 @@ def _cmd_base_points(args) -> int:
 
 
 def _random_essential_form(rng, n, d):
-    from .poly import monomials_of_degree
     while True:
         coeffs = {}
         for expo in monomials_of_degree(n, d):
@@ -430,6 +445,14 @@ def _random_essential_form(rng, n, d):
 
 
 def _cmd_bench(args) -> int:
+    if args.n_min < 1 or args.d_min < 1:
+        raise InvalidInputError("bench needs --n-min >= 1 and --d-min >= 1")
+    if args.d_min <= 1 <= args.d_max and max(args.n_min, 2) <= args.n_max:
+        # a linear form has one essential variable, so no random form of
+        # such a cell is ever accepted
+        raise InvalidInputError(
+            "bench cannot draw a degree-1 form with two or more essential "
+            "variables; use --d-min >= 2 or --n-max 1")
     print("n,d,trials,max_terms,mean_terms,bound,failures")
     for n in range(args.n_min, args.n_max + 1):
         for d in range(args.d_min, args.d_max + 1):
@@ -477,6 +500,8 @@ def run(argv=None) -> int:
             raise InvalidInputError("precision must be at least 64 bits")
         if getattr(args, "seed", 0) < 0:
             raise InvalidInputError("seed must be non-negative")
+        if getattr(args, "max_retries", 1) < 1:
+            raise InvalidInputError("max-retries must be at least 1")
         return _COMMANDS[args.command](args)
     except RetryBudgetError as exc:
         print(f"error (retriable): {exc}", file=sys.stderr)

@@ -21,20 +21,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from mpmath import mpf, workprec
 
 from . import linalg
-from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, ProjPoint,
-                        apolar_component, base_points, essential_split,
-                        essential_variables, restrict_to_prefix)
+from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
+                        base_points, essential_split, essential_variables,
+                        restrict_to_prefix, _back_substitute_l2,
+                        _binary_dual_roots, _chart_point, _combine_ops,
+                        _coordinate_changes, _dedupe_points,
+                        _resultant_charts, _sorted_points)
 from .errors import (CommonComponentError, ConsistencyError,
                      DegenerateSystemError, InvalidInputError, NoFitError,
                      NonTransversalError, ParseError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
                        UniPoly, is_exact_scalar, is_squarefree, max_abs_of,
-                       scalar_is_zero, squarefree_part, tolerance,
-                       univariate_roots)
+                       scalar_is_zero, tolerance, univariate_roots)
 from .poly import (DualOp, Form, LinearForm, change_coordinates, contract,
                    dual_power, evaluate, linear_power, monomials_of_degree,
                    parse_form, render_form, _substitute)
@@ -320,121 +323,7 @@ def _proportional_linear(a: LinearForm, b: LinearForm, precision_bits) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# conic intersection and curve-pair candidates
-
-
-def _dual_as_unipoly_coeffs(op: DualOp):
-    """Write a ternary dual form as a polynomial in l2 whose coefficients
-    are UniPolys in t, after the substitution l0 = 1, l1 = t."""
-    e = op.degree
-    out = []
-    for k in range(e + 1):
-        coeffs = [Fraction(0)] * (e - k + 1)
-        for expo, c in op.coeffs.items():
-            if expo[2] == k:
-                coeffs[expo[1]] = c
-        out.append(UniPoly(coeffs))
-    return out
-
-
-def _sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
-    """Resultant in l2 of two polynomials with UniPoly-in-t coefficients,
-    computed as a Sylvester determinant by evaluation/interpolation."""
-    ep = len(p_coeffs) - 1
-    eq = len(q_coeffs) - 1
-    size = ep + eq
-    rows = []
-    for shift in range(eq):
-        row = [UniPoly([])] * size
-        for j, c in enumerate(reversed(p_coeffs)):
-            row[shift + j] = c
-        rows.append(row)
-    for shift in range(ep):
-        row = [UniPoly([])] * size
-        for j, c in enumerate(reversed(q_coeffs)):
-            row[shift + j] = c
-        rows.append(row)
-    # the resultant of two forms is homogeneous of degree ep*eq in the
-    # remaining variables, so ep*eq + 1 nodes pin it down
-    deg_bound = ep * eq
-    nodes = [Fraction(k) for k in range(deg_bound + 1)]
-    values = []
-    exact = all(c.is_exact() for c in p_coeffs + q_coeffs)
-    for t in nodes:
-        m = [[c(t) for c in row] for row in rows]
-        if exact:
-            values.append(linalg.rational_det(m))
-        else:
-            values.append(_complex_det(m, precision_bits))
-    return _lagrange_interpolate(nodes, values)
-
-
-def _complex_det(rows, precision_bits):
-    bits = precision_bits + GUARD_BITS
-    m = linalg._unwrap(rows, bits)
-    n = len(m)
-    with workprec(bits):
-        det = 1
-        for c in range(n):
-            best, best_abs = None, mpf(0)
-            for i in range(c, n):
-                if abs(m[i][c]) > best_abs:
-                    best, best_abs = i, abs(m[i][c])
-            if best is None or best_abs == 0:
-                return AppComplex(0, 0, precision_bits)
-            if best != c:
-                m[c], m[best] = m[best], m[c]
-                det = -det
-            det = det * m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] == 0:
-                    continue
-                fct = m[i][c] / m[c][c]
-                for j in range(c, n):
-                    m[i][j] -= fct * m[c][j]
-        return AppComplex.from_mpc(det, precision_bits)
-
-
-def _lagrange_interpolate(nodes, values):
-    acc = UniPoly([])
-    for i, (xi, yi) in enumerate(zip(nodes, values)):
-        if is_exact_scalar(yi) and yi == 0:
-            continue
-        basis = UniPoly([Fraction(1)])
-        denom = Fraction(1)
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            basis = basis * UniPoly([-xj, Fraction(1)])
-            denom *= xi - xj
-        acc = acc + basis.scale(yi / denom)
-    return acc
-
-
-def _coordinate_changes(n, count):
-    """Deterministic sequence: identity, then fixed pseudo-random invertible
-    integer matrices."""
-    ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    yield ident
-    rng = random.Random(0x5EED + n)
-    produced = 0
-    while produced < count:
-        M = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        if linalg.rational_det(M) != 0:
-            produced += 1
-            yield M
-
-
-def _leading_ok(coeffs_l2, tol_scale):
-    lead = coeffs_l2[-1]
-    if lead.is_zero():
-        return False
-    if lead.degree != 0:
-        return False
-    c = lead.coeffs[0]
-    if is_exact_scalar(c):
-        return c != 0
-    return not scalar_is_zero(c, tol_scale)
+# conic intersection
 
 
 def conic_intersection(D0: DualOp, D1: DualOp,
@@ -455,19 +344,9 @@ def conic_intersection(D0: DualOp, D1: DualOp,
         raise InvalidInputError("conics must be nonzero")
     tol = tolerance(precision_bits)
     saw_repeated = False
-    for T in _coordinate_changes(3, 6):
-        d0 = change_coordinates(D0, T)
-        d1 = change_coordinates(D1, T)
-        p = _dual_as_unipoly_coeffs(d0)
-        q = _dual_as_unipoly_coeffs(d1)
-        scale0 = tol * d0.norm1()
-        scale1 = tol * d1.norm1()
-        if not (_leading_ok(p, scale0) and _leading_ok(q, scale1)):
-            continue
-        R = _sylvester_resultant(p, q, precision_bits)
-        r_scale = tol * max(mpf(1), mpf(1) * (d0.norm1() * d1.norm1()) ** 2)
-        if R.is_zero() or all(scalar_is_zero(c, r_scale) for c in R.coeffs):
-            raise CommonComponentError("the conics share a component")
+    for T, p, q, R, r_scale in _resultant_charts(
+            D0, D1, _coordinate_changes(3, 6), tol, precision_bits,
+            CommonComponentError("the conics share a component")):
         if R.degree < 4 or scalar_is_zero(R.coeffs[4] if R.degree == 4 else Fraction(0),
                                           r_scale):
             continue  # an intersection escaped to infinity; move the chart
@@ -486,148 +365,21 @@ def conic_intersection(D0: DualOp, D1: DualOp,
             saw_repeated = True
             continue
         pts = []
-        ok = True
         for t in roots:
             l2 = _back_substitute_l2(p, q, t, precision_bits)
             if l2 is None:
-                ok = False
                 break
-            inner = ProjPoint((AppComplex(1, 0, precision_bits), t, l2),
-                              precision_bits)
-            outer = ProjPoint(linalg.mat_vec(T, inner.coords), precision_bits)
-            pts.append(outer)
-        if not ok:
-            continue
-        for pt in pts:
-            for op in (D0, D1):
-                val = evaluate(op, pt.coords)
-                if abs(val) > tol * op.norm1():
-                    raise ConsistencyError("intersection point residual too large")
-        return _sorted_proj(pts)
+            pts.append(_chart_point(T, t, l2, precision_bits))
+        else:
+            for pt in pts:
+                for op in (D0, D1):
+                    val = evaluate(op, pt.coords)
+                    if abs(val) > tol * op.norm1():
+                        raise ConsistencyError("intersection point residual too large")
+            return _sorted_points(pts)
     if saw_repeated:
         raise NonTransversalError("the conics meet with multiplicity")
     raise DegenerateSystemError("no usable chart found for the conic pair")
-
-
-def _trim_leading(values, precision_bits):
-    """UniPoly from evaluated coefficients, with numerically-zero leading
-    entries removed so the stated degree is meaningful."""
-    vals = list(values)
-    scale = mpf(1) * max_abs_of(vals) if vals else mpf(0)
-    tol = tolerance(precision_bits) * scale
-    while vals and scalar_is_zero(vals[-1], tol):
-        vals.pop()
-    return UniPoly(vals)
-
-
-def _back_substitute_l2(p_coeffs, q_coeffs, t, precision_bits):
-    """Common l2-root of the two polynomials at parameter t, via the linear
-    combination eliminating the top power; None when ambiguous.
-
-    The elimination denominator must be comfortably nonzero (a quarter of
-    the working bits) or the division would eat the precision budget;
-    otherwise the roots of both quadratics are paired directly."""
-    a = [c(t) for c in p_coeffs]
-    b = [c(t) for c in q_coeffs]
-    if len(a) == 3 and len(b) == 3:
-        mu = b[2] * a[1] - a[2] * b[1]
-        nu = b[2] * a[0] - a[2] * b[0]
-        thresh = mpf(2) ** (-(precision_bits // 4)) * max(
-            mpf(1), mpf(1) * max_abs_of(a) * max_abs_of(b))
-        if not scalar_is_zero(mu, thresh):
-            return -nu / mu
-    # fall back to pairing roots of both univariates
-    pa = _trim_leading(a, precision_bits)
-    pb = _trim_leading(b, precision_bits)
-    if pa.degree < 1 or pb.degree < 1:
-        return None
-    try:
-        ra = univariate_roots(pa, precision_bits)
-        rb = univariate_roots(pb, precision_bits)
-    except InvalidInputError:
-        return None
-    with workprec(precision_bits):
-        sep = mpf(2) ** (-(precision_bits // 3))
-        matches = [x for x in ra if any(abs(x.to_mpc() - y.to_mpc()) <= sep for y in rb)]
-        if len(matches) == 1:
-            return matches[0]
-    return None
-
-
-def _sorted_proj(points):
-    def key(p):
-        return tuple((c.real, c.imag) for c in p.coords)
-    return sorted(points, key=key)
-
-
-def _curve_pair_candidates(D0: DualOp, D1: DualOp, precision_bits, rng):
-    """Candidate common zeros of two ternary curves of equal degree.
-
-    Unlike conic_intersection this tolerates tangency (the squarefree part
-    of the resultant is used) since the caller certifies candidates against
-    a whole linear system anyway.  Raises DegenerateSystemError when the
-    curves share a component or no chart separates the points.
-    """
-    e = D0.degree
-    tol = tolerance(precision_bits)
-    changes = [next(_coordinate_changes(3, 1))]
-    local = random.Random(rng.randrange(1 << 30))
-    for _ in range(3):
-        while True:
-            M = [[Fraction(local.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
-            if linalg.rational_det(M) != 0:
-                changes.append(M)
-                break
-    for T in changes:
-        d0 = change_coordinates(D0, T)
-        d1 = change_coordinates(D1, T)
-        p = _dual_as_unipoly_coeffs(d0)
-        q = _dual_as_unipoly_coeffs(d1)
-        if not (_leading_ok(p, tol * d0.norm1()) and _leading_ok(q, tol * d1.norm1())):
-            continue
-        R = _sylvester_resultant(p, q, precision_bits)
-        r_scale = tol * max(mpf(1), mpf(1) * (d0.norm1() * d1.norm1()) ** e)
-        if R.is_zero() or all(scalar_is_zero(c, r_scale) for c in R.coeffs):
-            raise DegenerateSystemError("curve pair shares a component")
-        if R.degree < e * e:
-            continue
-        if R.is_exact():
-            R = squarefree_part(R)
-        roots = univariate_roots(R, precision_bits)
-        pts = []
-        with workprec(precision_bits):
-            sep = mpf(2) ** (-(precision_bits // 4))
-            uniq = []
-            for r in roots:
-                if all(abs(r.to_mpc() - u.to_mpc()) > sep for u in uniq):
-                    uniq.append(r)
-        for t in uniq:
-            for l2 in _common_roots_at(p, q, t, precision_bits):
-                inner = ProjPoint((AppComplex(1, 0, precision_bits), t, l2),
-                                  precision_bits)
-                pts.append(ProjPoint(linalg.mat_vec(T, inner.coords),
-                                     precision_bits))
-        return _sorted_proj(pts)
-    raise DegenerateSystemError("no usable chart for the curve pair")
-
-
-def _common_roots_at(p_coeffs, q_coeffs, t, precision_bits):
-    pa = _trim_leading([c(t) for c in p_coeffs], precision_bits)
-    pb = _trim_leading([c(t) for c in q_coeffs], precision_bits)
-    if pa.degree < 1 and pb.degree < 1:
-        return []
-    try:
-        ra = univariate_roots(pa, precision_bits) if pa.degree >= 1 else []
-        rb = univariate_roots(pb, precision_bits) if pb.degree >= 1 else []
-    except InvalidInputError:
-        return []
-    if pa.degree < 1:
-        return rb
-    if pb.degree < 1:
-        return ra
-    with workprec(precision_bits):
-        sep = mpf(2) ** (-(precision_bits // 3))
-        return [x for x in ra if any(abs(x.to_mpc() - y.to_mpc()) <= sep for y in rb)]
 
 
 # ---------------------------------------------------------------------------
@@ -728,11 +480,8 @@ def _merge_proportional(terms, d, precision_bits):
     return out
 
 
-def _check_reconstruction(f, terms, precision_bits):
-    total = Form(f.num_vars, f.degree, {})
-    for c, l in terms:
-        total = total + linear_power(l, f.degree).scale(c)
-    delta = total - f
+def _check_reconstruction(f, dec: Decomposition, precision_bits):
+    delta = dec.reconstruct() - f
     scale = max(mpf(1), mpf(1) * f.norm1())
     if not delta.is_zero(tolerance(precision_bits) * scale):
         raise ConsistencyError("reconstruction drifted beyond tolerance")
@@ -747,24 +496,47 @@ def _forced_single_term(coeff, l, V, ctx, label):
     return [(coeff, l)]
 
 
-def _dispatch(f: Form, V: ForbiddenSet, ctx: _Ctx):
+def _fit_points(f: Form, pts, V: ForbiddenSet, ctx: _Ctx, note):
+    """Terms of f on the linear forms of the given points, dropping zero
+    coefficients; None when a form is forbidden or f does not fit."""
+    lfs = [p.to_linear_form() for p in pts]
+    if any(is_forbidden(lf, V, ctx.tol) for lf in lfs):
+        return None
+    try:
+        cs = fit_coefficients(f, lfs, ctx.precision_bits)
+    except NoFitError:
+        return None
+    ctx.note(note)
+    return [(c, lf) for c, lf in zip(cs, lfs)
+            if not (is_exact_scalar(c) and c == 0)]
+
+
+def _dispatch(f: Form, V: ForbiddenSet, ctx: _Ctx, essential=None, need=None):
     """Route an essential or non-essential form to its algorithm, peeling
-    off non-essential variables first.  Returns a list of terms."""
+    off non-essential variables first.  Returns a list of terms.
+
+    ``essential`` replaces the shape dispatch on the essential core (the
+    single-shape entry points pass theirs; the degree and zero checks belong
+    to the shape dispatch); ``need`` is ``(count, message)`` when that step
+    takes only one essential variable count."""
     n = f.num_vars
-    d = f.degree
-    if d < 1:
-        raise InvalidInputError("degree must be at least 1")
-    if f.is_zero():
-        raise InvalidInputError("cannot decompose the zero form")
+    if essential is None:
+        if f.degree < 1:
+            raise InvalidInputError("degree must be at least 1")
+        if f.is_zero():
+            raise InvalidInputError("cannot decompose the zero form")
+        essential = _dispatch_essential
     m = essential_variables(f, ctx.precision_bits)
+    if need is not None and m != need[0]:
+        raise InvalidInputError(f"{need[1]}, found {m}")
     if m == n:
-        return _dispatch_essential(f, V, ctx)
+        return essential(f, V, ctx)
     ctx.note(f"essential-split: {n} -> {m}")
     M, g = essential_split(f, ctx.precision_bits)
     Minv = linalg.invert_matrix(M, ctx.precision_bits, ctx.tol)
     A = linalg.transpose(Minv)
     Vr = _restrict_forbidden(V, A, m, ctx.precision_bits, hard=False)
-    sub = _dispatch_essential(g, Vr, ctx)
+    sub = essential(g, Vr, ctx)
     return _map_terms_back(sub, A, n)
 
 
@@ -813,11 +585,7 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
             continue
         if any(_linear_divides(alpha, g, ctx.precision_bits) for g in V.constraints):
             continue
-        lform = contract(dual_power(alpha, 1), f)
-        coords = [Fraction(0)] * n
-        for expo, c in lform.coeffs.items():
-            coords[expo.index(1)] = c
-        L = LinearForm(coords)
+        L = LinearForm.from_form(contract(dual_power(alpha, 1), f))
         if L.is_zero(ctx.tol * scale * a_norm) or is_forbidden(L, V, ctx.tol):
             continue
         chosen = (alpha, c2, L)
@@ -859,14 +627,6 @@ def _binary_squarefree_exact(op: DualOp) -> bool:
     return p.degree < 1 or is_squarefree(p)
 
 
-def _binary_points_of(op: DualOp, ctx: _Ctx):
-    from .apolarity import _binary_dual_roots, _dedupe_points
-    pts = _binary_dual_roots(op, ctx.precision_bits)
-    if len(_dedupe_points(pts, ctx.precision_bits)) != len(pts):
-        return None
-    return pts
-
-
 def _binary_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     """Sylvester-style decomposition of a binary form of any degree."""
     d = f.degree
@@ -883,19 +643,10 @@ def _binary_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     def attempt_with(op, note):
         if op.is_exact() and not _binary_squarefree_exact(op):
             return None
-        pts = _binary_points_of(op, ctx)
-        if pts is None:
+        pts = _binary_dual_roots(op, ctx.precision_bits)
+        if len(_dedupe_points(pts, ctx.precision_bits)) != len(pts):
             return None
-        lfs = [p.to_linear_form() for p in pts]
-        if any(is_forbidden(lf, V, ctx.tol) for lf in lfs):
-            return None
-        try:
-            cs = fit_coefficients(f, lfs, ctx.precision_bits)
-        except NoFitError:
-            return None
-        ctx.note(note)
-        return [(c, lf) for c, lf in zip(cs, lfs)
-                if not (is_exact_scalar(c) and c == 0)]
+        return _fit_points(f, pts, V, ctx, note)
 
     result = attempt_with(generator, f"binary: generator of degree {gen_e}")
     if result is not None:
@@ -906,13 +657,8 @@ def _binary_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         raise ConsistencyError("degree-d annihilator of a binary form is never zero")
     for attempt, height in ctx.heights():
         weights = [Fraction(ctx.rng.randint(-height, height)) for _ in comp_d]
-        op = None
-        for w, basis_op in zip(weights, comp_d):
-            if w == 0:
-                continue
-            piece = basis_op.scale(w)
-            op = piece if op is None else op + piece
-        if op is None or op.is_zero():
+        op = _combine_ops(comp_d, weights)
+        if op is None:
             continue
         result = attempt_with(op, f"binary: sampled degree-{d} element "
                                    f"(attempt {attempt})")
@@ -931,8 +677,8 @@ def _ternary_good(f: Form, V: ForbiddenSet, ctx: _Ctx):
     for attempt, height in ctx.heights():
         w0 = [Fraction(ctx.rng.randint(-height, height)) for _ in basis]
         w1 = [Fraction(ctx.rng.randint(-height, height)) for _ in basis]
-        D0 = _combine(basis, w0)
-        D1 = _combine(basis, w1)
+        D0 = _combine_ops(basis, w0)
+        D1 = _combine_ops(basis, w1)
         if D0 is None or D1 is None:
             continue
         try:
@@ -941,29 +687,11 @@ def _ternary_good(f: Form, V: ForbiddenSet, ctx: _Ctx):
             continue
         if len(pts) != 4:
             continue
-        lfs = [p.to_linear_form() for p in pts]
-        if any(is_forbidden(lf, V, ctx.tol) for lf in lfs):
-            continue
-        try:
-            cs = fit_coefficients(f, lfs, ctx.precision_bits)
-        except NoFitError:
-            continue
-        ctx.note(f"ternary: pencil attempt {attempt} succeeded")
-        return [(c, lf) for c, lf in zip(cs, lfs)
-                if not (is_exact_scalar(c) and c == 0)]
+        terms = _fit_points(f, pts, V, ctx,
+                            f"ternary: pencil attempt {attempt} succeeded")
+        if terms is not None:
+            return terms
     raise RetryBudgetError("pencil sampling exhausted its retry budget", ctx.trace)
-
-
-def _combine(basis, weights):
-    out = None
-    for op, w in zip(basis, weights):
-        if w == 0:
-            continue
-        piece = op.scale(w)
-        out = piece if out is None else out + piece
-    if out is None or out.is_zero():
-        return None
-    return out
 
 
 def _ternary_cubic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
@@ -1062,7 +790,7 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         li = lifted[i][1]
         dots = []
         for op in kernel:
-            coords = _dual_coords(op)
+            coords = LinearForm.from_form(op).coords
             s = None
             for b, x in zip(coords, li.coords):
                 piece = b * x
@@ -1072,10 +800,10 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         pick = next((k for k, s in enumerate(dots) if scalar_is_zero(s, dot_scale)),
                     None)
         if pick is not None:
-            beta = _dual_coords(kernel[pick])
+            beta = LinearForm.from_form(kernel[pick]).coords
         else:
-            c0 = _dual_coords(kernel[0])
-            c1 = _dual_coords(kernel[1])
+            c0 = LinearForm.from_form(kernel[0]).coords
+            c1 = LinearForm.from_form(kernel[1]).coords
             beta = [dots[1] * a - dots[0] * b for a, b in zip(c0, c1)]
         T.remove(i)
         ctx.note(f"inductive: |T| -> {len(T)}")
@@ -1085,7 +813,7 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         ctx.note("inductive: remainder vanished")
         return head
 
-    beta = _dual_coords(kernel[0])
+    beta = LinearForm.from_form(kernel[0]).coords
     M, A = _hyperplane_change(beta, ctx.precision_bits)
     h = change_coordinates(F2, M)
     if not h.is_exact():
@@ -1098,13 +826,6 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     ctx.note(f"inductive: remainder in {n - 1} vars, |T|={len(T)}")
     sub2 = _dispatch(g2, Vr, ctx)
     return head + _map_terms_back(sub2, A, n)
-
-
-def _dual_coords(op: DualOp):
-    coords = [Fraction(0)] * op.num_vars
-    for expo, c in op.coeffs.items():
-        coords[expo.index(1)] = c
-    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -1121,9 +842,10 @@ def _run(f, V, seed, precision_bits, max_retries, runner):
     ctx = _Ctx(random.Random(seed), precision_bits, max_retries)
     terms = runner(f, V, ctx)
     terms = _merge_proportional(terms, f.degree, precision_bits)
-    _check_reconstruction(f, terms, precision_bits)
-    return Decomposition(f.degree, f.num_vars, tuple(terms),
-                         _terms_are_exact(terms), tuple(ctx.trace))
+    dec = Decomposition(f.degree, f.num_vars, tuple(terms),
+                        _terms_are_exact(terms), tuple(ctx.trace))
+    _check_reconstruction(f, dec, precision_bits)
+    return dec
 
 
 def decompose(f: Form, V: ForbiddenSet | None = None, seed=DEFAULT_SEED,
@@ -1144,20 +866,8 @@ def decompose_quadratic(f: Form, V: ForbiddenSet | None = None,
     """Exact decomposition of a quadratic form: as many terms as its rank."""
     if f.degree != 2:
         raise InvalidInputError("decompose_quadratic needs degree 2")
-
-    def runner(g, W, ctx):
-        n = g.num_vars
-        m = essential_variables(g, ctx.precision_bits)
-        if m == n:
-            return _quadratic_essential(g, W, ctx)
-        ctx.note(f"essential-split: {n} -> {m}")
-        M, core = essential_split(g, ctx.precision_bits)
-        A = linalg.transpose(linalg.invert_matrix(M, ctx.precision_bits, ctx.tol))
-        Wr = _restrict_forbidden(W, A, m, ctx.precision_bits, hard=False)
-        sub = _quadratic_essential(core, Wr, ctx)
-        return _map_terms_back(sub, A, n)
-
-    return _run(f, V, seed, precision_bits, max_retries, runner)
+    return _run(f, V, seed, precision_bits, max_retries,
+                partial(_dispatch, essential=_quadratic_essential))
 
 
 def decompose_binary(f: Form, V: ForbiddenSet | None = None, seed=DEFAULT_SEED,
@@ -1165,23 +875,9 @@ def decompose_binary(f: Form, V: ForbiddenSet | None = None, seed=DEFAULT_SEED,
                      max_retries=DEFAULT_MAX_RETRIES) -> Decomposition:
     """Decomposition of a form with two essential variables into at most
     deg(f) powers."""
-
-    def runner(g, W, ctx):
-        n = g.num_vars
-        m = essential_variables(g, ctx.precision_bits)
-        if m != 2:
-            raise InvalidInputError(
-                f"decompose_binary needs two essential variables, found {m}")
-        if n == 2:
-            return _binary_essential(g, W, ctx)
-        ctx.note(f"essential-split: {n} -> 2")
-        M, core = essential_split(g, ctx.precision_bits)
-        A = linalg.transpose(linalg.invert_matrix(M, ctx.precision_bits, ctx.tol))
-        Wr = _restrict_forbidden(W, A, 2, ctx.precision_bits, hard=False)
-        sub = _binary_essential(core, Wr, ctx)
-        return _map_terms_back(sub, A, n)
-
-    return _run(f, V, seed, precision_bits, max_retries, runner)
+    return _run(f, V, seed, precision_bits, max_retries,
+                partial(_dispatch, essential=_binary_essential,
+                        need=(2, "decompose_binary needs two essential variables")))
 
 
 def decompose_ternary_cubic(f: Form, V: ForbiddenSet | None = None,

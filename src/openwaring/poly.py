@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import (InvalidInputError, NonHomogeneousError, ParseError)
+from .linalg import rational_det
 from .numerics import is_exact_scalar, max_abs_of, scalar_is_zero
 
 
@@ -300,7 +301,6 @@ def change_coordinates(f, matrix):
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InvalidInputError("matrix shape must match the number of variables")
     if all(is_exact_scalar(x) for row in matrix for x in row):
-        from .linalg import rational_det
         if rational_det(matrix) == 0:
             raise InvalidInputError("coordinate change matrix is singular")
     return _substitute(f, matrix)

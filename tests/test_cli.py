@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +199,100 @@ class TestInternalErrors:
         assert [(r[0], r[1]) for r in rows] == [("2", "3"), ("3", "3")]
         assert [int(r[-1]) for r in rows] == [1, 0]
         assert len(calls) == 4
+
+
+def run_in_subprocess(argv, timeout=60):
+    """The CLI in a fresh interpreter, killed after ``timeout`` seconds, for
+    inputs that could loop forever."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "openwaring.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("grid", [
+        ("2", "2", "1", "1"),   # a degree-1 form never has two essential variables
+        ("1", "3", "1", "2"),
+        ("0", "1", "2", "2"),
+        ("2", "2", "0", "2"),
+        ("-1", "2", "-2", "3"),
+    ])
+    def test_bench_rejects_grids_it_cannot_fill(self, grid):
+        n_min, n_max, d_min, d_max = grid
+        proc = run_in_subprocess([
+            "bench", "--n-min", n_min, "--n-max", n_max, "--d-min", d_min,
+            "--d-max", d_max, "--trials", "1"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: bench")
+
+    def test_bench_accepts_linear_forms_in_one_variable(self):
+        proc = run_in_subprocess([
+            "bench", "--n-min", "1", "--n-max", "1", "--d-min", "1",
+            "--d-max", "2", "--trials", "1"])
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[1:] == ["1,1,1,1,1.00,1,0",
+                                                "1,2,1,1,1.00,1,0"]
+
+    @pytest.mark.parametrize("command", [
+        ["decompose", "-n", "3", "x0*x1^2 + x1*x2^2"],
+        ["base-points", "-n", "3", "-e", "2", "x0*x1^2 + x1*x2^2"],
+        ["bench", "--n-min", "3", "--n-max", "3", "--d-min", "3", "--d-max", "3",
+         "--trials", "1"],
+    ])
+    @pytest.mark.parametrize("retries", ["0", "-3"])
+    def test_max_retries_below_one_is_invalid_input(self, capsys, command, retries):
+        code, out, err = run_capture(capsys, command + ["--max-retries", retries])
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: max-retries must be at least 1"
+
+    @pytest.fixture
+    def record(self, tmp_path, capsys):
+        path = tmp_path / "dec.json"
+        code, _, _ = run_capture(capsys, [
+            "decompose", "-n", "2", "x0^3 + x1^3", "--format", "structured",
+            "-o", str(path)])
+        assert code == 0
+        return path
+
+    def verify(self, capsys, path, text):
+        path.write_text(text)
+        return run_capture(capsys, ["verify", str(path)])
+
+    def test_verify_empty_record(self, capsys, record):
+        code, out, err = self.verify(capsys, record, "{}")
+        assert (code, out) == (2, "")
+        assert err.strip() == "error: record has no 'precision_bits' field"
+
+    def test_verify_non_json(self, capsys, record):
+        code, out, err = self.verify(capsys, record, "terms: 2\n")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: record is not valid JSON")
+
+    def test_verify_non_object(self, capsys, record):
+        code, _, err = self.verify(capsys, record, "[1, 2]")
+        assert code == 2 and "JSON object" in err
+
+    @pytest.mark.parametrize("bits", ["many", None, [256]])
+    def test_verify_bad_precision(self, capsys, record, bits):
+        data = json.loads(record.read_text())
+        data["precision_bits"] = bits
+        code, out, err = self.verify(capsys, record, json.dumps(data))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: record field 'precision_bits' is malformed")
+
+    def test_verify_bad_term(self, capsys, record):
+        data = json.loads(record.read_text())
+        del data["terms"][0]["coords"]
+        code, _, err = self.verify(capsys, record, json.dumps(data))
+        assert code == 2
+        assert err.startswith("error: record field 'terms' is malformed (KeyError")
+
+    def test_verify_missing_exact_flag(self, capsys, record):
+        data = json.loads(record.read_text())
+        del data["exact"]
+        code, _, err = self.verify(capsys, record, json.dumps(data))
+        assert code == 2 and "'exact'" in err

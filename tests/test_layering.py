@@ -1,0 +1,82 @@
+"""The package's import structure: every package-internal import sits at
+module level, and the modules import each other without a cycle."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = "openwaring"
+SOURCE = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+MODULES = sorted(p.stem for p in SOURCE.glob("*.py"))
+
+
+def _internal_imports(tree):
+    """(node, target module, in a function) for each import of a module of
+    the package; ``from . import x`` targets the module x."""
+    def walk(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            inner = in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            if isinstance(child, ast.ImportFrom):
+                if child.level:
+                    if child.module:
+                        targets = [child.module.split(".")[0]]
+                    else:
+                        targets = [a.name for a in child.names]
+                elif (child.module or "").split(".")[0] == PACKAGE:
+                    parts = child.module.split(".")
+                    targets = ([parts[1]] if len(parts) > 1
+                               else [a.name for a in child.names])
+                else:
+                    targets = []
+                for t in targets:
+                    if t in MODULES:
+                        yield child, t, inner
+            elif isinstance(child, ast.Import):
+                for a in child.names:
+                    parts = a.name.split(".")
+                    if parts[0] == PACKAGE and len(parts) > 1 and parts[1] in MODULES:
+                        yield child, parts[1], inner
+            yield from walk(child, inner)
+    yield from walk(tree, False)
+
+
+def _parsed():
+    return {m: ast.parse((SOURCE / f"{m}.py").read_text(), f"{m}.py")
+            for m in MODULES}
+
+
+def test_sources_found():
+    assert {"apolarity", "decompose", "poly", "cli"} <= set(MODULES)
+
+
+def test_no_package_import_inside_a_function():
+    offenders = [f"{m}.py:{node.lineno} imports {target}"
+                 for m, tree in _parsed().items()
+                 for node, target, in_function in _internal_imports(tree)
+                 if in_function]
+    assert offenders == []
+
+
+def test_module_import_graph_has_no_cycle():
+    graph = {m: sorted({t for _, t, _ in _internal_imports(tree) if t != m})
+             for m, tree in _parsed().items()}
+    state = {}  # module -> "open" while on the DFS path, "done" after
+
+    def visit(m, path):
+        state[m] = "open"
+        for t in graph[m]:
+            if state.get(t) == "open":
+                cycle = path[path.index(t):] + [t]
+                raise AssertionError("import cycle: " + " -> ".join(cycle))
+            if t not in state:
+                visit(t, path + [t])
+        state[m] = "done"
+
+    for m in MODULES:
+        if m not in state:
+            visit(m, [m])
+
+
+def test_apolarity_stays_below_the_pipeline():
+    tree = _parsed()["apolarity"]
+    assert "decompose" not in {t for _, t, _ in _internal_imports(tree)}
