@@ -5,11 +5,10 @@ from .apolarity import (CatMatrix, ProjPoint, apolar_component, base_points,
                         catalecticant, essential_split, essential_variables,
                         power_witness)
 from .bounds import BoundTable, bbs_bound, improved_bound, recursion_bound
-from .decompose import (Decomposition, ForbiddenSet, absorb_coefficients,
-                        conic_intersection, decompose, decompose_binary,
-                        decompose_inductive, decompose_quadratic,
-                        decompose_ternary_cubic, fit_coefficients,
-                        is_forbidden)
+from .decompose import (absorb_coefficients, conic_intersection, decompose,
+                        decompose_binary, decompose_inductive,
+                        decompose_quadratic, decompose_ternary_cubic,
+                        fit_coefficients)
 from .errors import (CommonComponentError, ConsistencyError,
                      DegenerateSystemError, InvalidInputError, NoFitError,
                      NonHomogeneousError, NonTransversalError,
@@ -20,7 +19,9 @@ from .numerics import (AppComplex, Rational, UniPoly, is_squarefree,
 from .poly import (DualOp, Form, LinearForm, change_coordinates, contract,
                    evaluate, evaluate_dual, linear_power, parse_form,
                    render_form)
-from .verify import VerifyReport, catalecticant_lower_bound, check_decomposition
+from .verify import (Decomposition, ForbiddenSet, VerifyReport,
+                     catalecticant_lower_bound, check_decomposition,
+                     is_forbidden)
 
 __version__ = "0.1.0"
 

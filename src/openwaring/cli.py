@@ -1,10 +1,11 @@
 """Command-line surface.
 
-Subcommands: decompose (pipeline + auto-verify), verify (re-check a stored
-record), bounds, catalecticant, apolar, essential, base-points, and bench
-(grid sweep emitting CSV).  Structured output is a single self-describing
-JSON record with all numbers as strings, so `verify` round-trips exactly
-what `decompose` emits.
+Subcommands: decompose (pipeline; prints the verifier's report that the
+pipeline attached, re-checking only when --absorb changes the terms),
+verify (re-check a stored record from scratch), bounds, catalecticant,
+apolar, essential, base-points, and bench (grid sweep emitting CSV).
+Structured output is a single self-describing JSON record with all numbers
+as strings, so `verify` round-trips exactly what `decompose` emits.
 
 Exit codes: 0 success, 1 verification failure (the checker rejected the
 result), 2 invalid input, 3 retry budget exhausted (retriable), 4 internal
@@ -23,17 +24,17 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf, workprec
 
-from .apolarity import (DEFAULT_SEED, apolar_component, base_points,
-                        catalecticant, essential_split, essential_variables)
+from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
+                        base_points, catalecticant, essential_split,
+                        essential_variables)
 from .bounds import bbs_bound, improved_bound, recursion_bound
-from .decompose import (Decomposition, ForbiddenSet, absorb_coefficients,
-                        decompose)
+from .decompose import absorb_coefficients, decompose
 from .errors import (InvalidInputError, OpenWaringError, OutOfDomainError,
                      RetryBudgetError)
 from .numerics import AppComplex, DEFAULT_PRECISION_BITS, is_exact_scalar
 from .poly import (Form, LinearForm, _render_monomial, monomials_of_degree,
                    parse_form, render_form)
-from .verify import check_decomposition
+from .verify import Decomposition, ForbiddenSet, check_decomposition
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -200,7 +201,7 @@ def _add_common(p, with_form=True):
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
                    dest="precision_bits", help="working precision in bits")
-    p.add_argument("--max-retries", type=int, default=64)
+    p.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
     p.add_argument("--format", choices=("human", "structured"),
                    default="human", dest="output_format")
 
@@ -264,7 +265,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
                    dest="precision_bits")
-    p.add_argument("--max-retries", type=int, default=64)
+    p.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
     return parser
 
 
@@ -277,9 +278,11 @@ def _cmd_decompose(args) -> int:
     V = _load_avoid(args, args.num_vars)
     dec = decompose(f, V, seed=args.seed, precision_bits=args.precision_bits,
                     max_retries=args.max_retries)
+    report = dec.report
     if args.absorb:
         dec = absorb_coefficients(dec, args.precision_bits)
-    report = check_decomposition(f, dec, V, precision_bits=args.precision_bits)
+        report = check_decomposition(f, dec, V,
+                                     precision_bits=args.precision_bits)
     record = decomposition_record(f, dec, V, report, args.seed,
                                   args.precision_bits)
     payload = json.dumps(record, indent=2)
@@ -447,6 +450,8 @@ def _random_essential_form(rng, n, d):
 def _cmd_bench(args) -> int:
     if args.n_min < 1 or args.d_min < 1:
         raise InvalidInputError("bench needs --n-min >= 1 and --d-min >= 1")
+    if args.trials < 1:
+        raise InvalidInputError("trials must be at least 1")
     if args.d_min <= 1 <= args.d_max and max(args.n_min, 2) <= args.n_max:
         # a linear form has one essential variable, so no random form of
         # such a cell is ever accepted

@@ -11,7 +11,9 @@ the carried index set until the remainder lives in a hyperplane, and
 recurses there.
 
 Every random choice is drawn from a seeded generator passed down the whole
-call tree, so identical (input, seed) pairs replay identically.  Exact
+call tree, so identical (input, seed) pairs replay identically.  Each
+result is certified once by the independent verifier, whose report the
+returned decomposition carries.  Exact
 rational arithmetic is used wherever the inputs allow; complex scalars at a
 fixed bit precision take over once roots enter.
 """
@@ -19,7 +21,7 @@ fixed bit precision take over once roots enter.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 
@@ -34,126 +36,17 @@ from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
                         _resultant_charts, _sorted_points)
 from .errors import (CommonComponentError, ConsistencyError,
                      DegenerateSystemError, InvalidInputError, NoFitError,
-                     NonTransversalError, ParseError, RetryBudgetError)
+                     NonTransversalError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
                        UniPoly, is_exact_scalar, is_squarefree, max_abs_of,
                        scalar_is_zero, tolerance, univariate_roots)
 from .poly import (DualOp, Form, LinearForm, change_coordinates, contract,
                    dual_power, evaluate, linear_power, monomials_of_degree,
-                   parse_form, render_form, _substitute)
+                   _substitute)
+from .verify import (Decomposition, ForbiddenSet, check_decomposition,
+                     is_forbidden)
 
 _MAX_HEIGHT = 1 << 14
-
-
-# ---------------------------------------------------------------------------
-# forbidden sets
-
-
-class ForbiddenSet:
-    """Finite list of nonzero homogeneous constraints on linear forms.
-
-    A linear form l is forbidden exactly when some constraint vanishes at
-    its coordinate vector; nonzero constraints keep the forbidden set a
-    proper closed subset.
-    """
-
-    __slots__ = ("num_vars", "constraints")
-
-    def __init__(self, num_vars, constraints=()):
-        constraints = tuple(constraints)
-        for g in constraints:
-            if not isinstance(g, Form):
-                raise InvalidInputError("constraints must be Form instances")
-            if g.num_vars != num_vars:
-                raise InvalidInputError("constraint has the wrong number of variables")
-            if g.degree < 1 or g.is_zero():
-                raise InvalidInputError("constraints must be nonzero of degree >= 1")
-        object.__setattr__(self, "num_vars", int(num_vars))
-        object.__setattr__(self, "constraints", constraints)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ForbiddenSet is immutable")
-
-    @classmethod
-    def empty(cls, num_vars):
-        return cls(num_vars, ())
-
-    def is_empty(self):
-        return not self.constraints
-
-    def with_constraint(self, g: Form):
-        return ForbiddenSet(self.num_vars, self.constraints + (g,))
-
-    @classmethod
-    def from_text(cls, text: str, num_vars: int):
-        """One constraint per line, grammar variables l0..l{n-1}."""
-        constraints = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                constraints.append(parse_form(line, num_vars, var="l"))
-            except ParseError as exc:
-                raise ParseError(f"avoid-file line {lineno}: {exc}") from exc
-        return cls(num_vars, constraints)
-
-    def to_text(self) -> str:
-        return "\n".join(render_form(g, var="l") for g in self.constraints)
-
-    def __repr__(self):
-        return f"ForbiddenSet({self.num_vars}, {len(self.constraints)} constraints)"
-
-
-def is_forbidden(l: LinearForm, V: ForbiddenSet, tol=None) -> bool:
-    """Membership of l in the forbidden set.
-
-    Exact zero test when both l and the constraints are rational; for
-    approximate data the test is conservative, flagging l whenever any
-    constraint value is within tolerance of zero.
-    """
-    if l.num_vars != V.num_vars:
-        raise InvalidInputError("mismatched number of variables")
-    if not V.constraints:
-        return False
-    if tol is None:
-        tol = tolerance(DEFAULT_PRECISION_BITS)
-    l_scale = max_abs_of(l.coords)
-    for g in V.constraints:
-        val = evaluate(g, l.coords)
-        if is_exact_scalar(val):
-            if val == 0:
-                return True
-        else:
-            bound = tol * g.norm1() * max(mpf(1), mpf(1) * l_scale) ** g.degree
-            if abs(val) <= bound:
-                return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# decompositions
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Presentation of a form as sum c_i * l_i^degree."""
-
-    degree: int
-    num_vars: int
-    terms: tuple
-    exact: bool
-    trace: tuple = ()
-
-    @property
-    def term_count(self) -> int:
-        return len(self.terms)
-
-    def reconstruct(self) -> Form:
-        total = Form(self.num_vars, self.degree, {})
-        for c, l in self.terms:
-            total = total + linear_power(l, self.degree).scale(c)
-        return total
 
 
 def _terms_are_exact(terms) -> bool:
@@ -480,13 +373,6 @@ def _merge_proportional(terms, d, precision_bits):
     return out
 
 
-def _check_reconstruction(f, dec: Decomposition, precision_bits):
-    delta = dec.reconstruct() - f
-    scale = max(mpf(1), mpf(1) * f.norm1())
-    if not delta.is_zero(tolerance(precision_bits) * scale):
-        raise ConsistencyError("reconstruction drifted beyond tolerance")
-
-
 def _forced_single_term(coeff, l, V, ctx, label):
     if is_forbidden(l, V, ctx.tol):
         raise InvalidInputError(
@@ -511,21 +397,22 @@ def _fit_points(f: Form, pts, V: ForbiddenSet, ctx: _Ctx, note):
             if not (is_exact_scalar(c) and c == 0)]
 
 
-def _dispatch(f: Form, V: ForbiddenSet, ctx: _Ctx, essential=None, need=None):
+def _dispatch(f: Form, V: ForbiddenSet, ctx: _Ctx):
     """Route an essential or non-essential form to its algorithm, peeling
-    off non-essential variables first.  Returns a list of terms.
+    off non-essential variables first.  Returns a list of terms."""
+    if f.degree < 1:
+        raise InvalidInputError("degree must be at least 1")
+    if f.is_zero():
+        raise InvalidInputError("cannot decompose the zero form")
+    return _peel(f, V, ctx, _dispatch_essential)
 
-    ``essential`` replaces the shape dispatch on the essential core (the
-    single-shape entry points pass theirs; the degree and zero checks belong
-    to the shape dispatch); ``need`` is ``(count, message)`` when that step
-    takes only one essential variable count."""
+
+def _peel(f: Form, V: ForbiddenSet, ctx: _Ctx, essential, need=None):
+    """Run the step ``essential`` on the essential core of f and map its
+    terms back; the single-shape entry points pass their own step.
+    ``need`` is ``(count, message)`` when that step takes only one
+    essential variable count."""
     n = f.num_vars
-    if essential is None:
-        if f.degree < 1:
-            raise InvalidInputError("degree must be at least 1")
-        if f.is_zero():
-            raise InvalidInputError("cannot decompose the zero form")
-        essential = _dispatch_essential
     m = essential_variables(f, ctx.precision_bits)
     if need is not None and m != need[0]:
         raise InvalidInputError(f"{need[1]}, found {m}")
@@ -844,8 +731,10 @@ def _run(f, V, seed, precision_bits, max_retries, runner):
     terms = _merge_proportional(terms, f.degree, precision_bits)
     dec = Decomposition(f.degree, f.num_vars, tuple(terms),
                         _terms_are_exact(terms), tuple(ctx.trace))
-    _check_reconstruction(f, dec, precision_bits)
-    return dec
+    report = check_decomposition(f, dec, V, precision_bits=precision_bits)
+    if not report.residual_ok:
+        raise ConsistencyError("reconstruction drifted beyond tolerance")
+    return replace(dec, report=report)
 
 
 def decompose(f: Form, V: ForbiddenSet | None = None, seed=DEFAULT_SEED,
@@ -854,7 +743,8 @@ def decompose(f: Form, V: ForbiddenSet | None = None, seed=DEFAULT_SEED,
     """Full pipeline: essential split, dispatch by shape, verified terms.
 
     The term count never exceeds the recursion bound at the essential
-    variable count, and no term lies in the forbidden set.
+    variable count, and no term lies in the forbidden set; the result
+    carries the verifier's report.
     """
     return _run(f, V, seed, precision_bits, max_retries, _dispatch)
 
@@ -867,7 +757,7 @@ def decompose_quadratic(f: Form, V: ForbiddenSet | None = None,
     if f.degree != 2:
         raise InvalidInputError("decompose_quadratic needs degree 2")
     return _run(f, V, seed, precision_bits, max_retries,
-                partial(_dispatch, essential=_quadratic_essential))
+                partial(_peel, essential=_quadratic_essential))
 
 
 def decompose_binary(f: Form, V: ForbiddenSet | None = None, seed=DEFAULT_SEED,
@@ -876,7 +766,7 @@ def decompose_binary(f: Form, V: ForbiddenSet | None = None, seed=DEFAULT_SEED,
     """Decomposition of a form with two essential variables into at most
     deg(f) powers."""
     return _run(f, V, seed, precision_bits, max_retries,
-                partial(_dispatch, essential=_binary_essential,
+                partial(_peel, essential=_binary_essential,
                         need=(2, "decompose_binary needs two essential variables")))
 
 
@@ -888,11 +778,10 @@ def decompose_ternary_cubic(f: Form, V: ForbiddenSet | None = None,
     degree-2 annihilator is base-point free."""
     if f.num_vars != 3 or f.degree != 3:
         raise InvalidInputError("decompose_ternary_cubic needs n=3, d=3")
-    if essential_variables(f, precision_bits) != 3:
-        raise InvalidInputError(
-            "decompose_ternary_cubic needs all three variables essential")
     return _run(f, V, seed, precision_bits, max_retries,
-                _ternary_cubic_essential)
+                partial(_peel, essential=_ternary_cubic_essential,
+                        need=(3, "decompose_ternary_cubic needs all three "
+                                 "variables essential")))
 
 
 def decompose_inductive(f: Form, V: ForbiddenSet | None = None,
@@ -904,7 +793,7 @@ def decompose_inductive(f: Form, V: ForbiddenSet | None = None,
     n, d = f.num_vars, f.degree
     if n < 3 or d < 3 or (n == 3 and d == 3):
         raise InvalidInputError("decompose_inductive needs n,d >= 3 beyond (3,3)")
-    if essential_variables(f, precision_bits) != n:
-        raise InvalidInputError("decompose_inductive needs all variables essential")
     return _run(f, V, seed, precision_bits, max_retries,
-                _inductive_essential)
+                partial(_peel, essential=_inductive_essential,
+                        need=(n, "decompose_inductive needs all variables "
+                                 "essential")))

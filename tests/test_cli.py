@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from openwaring import cli
+from openwaring import cli, verify
 from openwaring.cli import run
 from openwaring.errors import ConsistencyError, NoFitError
 
@@ -96,6 +97,44 @@ class TestVerifyCommand:
         record_path.write_text(json.dumps(record))
         code, _, _ = run_capture(capsys, ["verify", str(record_path)])
         assert code == 1
+
+
+class TestVerifierCalls:
+    """The CLI certifies each result once: `decompose` reuses the report
+    the pipeline attached, unless --absorb changed the terms."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        real = verify.check_decomposition
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+        for module in (cli, importlib.import_module("openwaring.decompose")):
+            monkeypatch.setattr(module, "check_decomposition", counted)
+        return seen
+
+    ARGV = ["decompose", "-n", "3", "x0*x1^2 + x1*x2^2", "--format", "structured"]
+
+    def test_decompose_checks_once(self, capsys, calls):
+        code, out, _ = run_capture(capsys, self.ARGV)
+        assert code == 0 and json.loads(out)["verified"] is True
+        assert len(calls) == 1
+
+    def test_absorb_checks_the_new_terms(self, capsys, calls):
+        code, out, _ = run_capture(capsys, self.ARGV + ["--absorb"])
+        assert code == 0 and json.loads(out)["verified"] is True
+        assert len(calls) == 2
+        assert calls[0][1].terms != calls[1][1].terms
+
+    def test_verify_checks_once(self, tmp_path, capsys, calls):
+        path = tmp_path / "dec.json"
+        assert run_capture(capsys, self.ARGV + ["-o", str(path)])[0] == 0
+        calls.clear()
+        code, out, _ = run_capture(capsys, ["verify", str(path)])
+        assert code == 0 and "verified: yes" in out
+        assert len(calls) == 1
 
 
 class TestOtherCommands:
@@ -235,6 +274,14 @@ class TestInputChecks:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1:] == ["1,1,1,1,1.00,1,0",
                                                 "1,2,1,1,1.00,1,0"]
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_bench_rejects_trials_below_one(self, capsys, trials):
+        code, out, err = run_capture(capsys, [
+            "bench", "--n-min", "3", "--n-max", "3", "--d-min", "3",
+            "--d-max", "3", "--trials", trials])
+        assert (code, out) == (2, "")
+        assert err.strip() == "error: trials must be at least 1"
 
     @pytest.mark.parametrize("command", [
         ["decompose", "-n", "3", "x0*x1^2 + x1*x2^2"],

@@ -1,12 +1,14 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mpf
 
-from openwaring import (AppComplex, CommonComponentError, Decomposition,
-                        DualOp, ForbiddenSet, Form, InvalidInputError,
-                        LinearForm, NoFitError, absorb_coefficients,
+from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
+                        Decomposition, DualOp, ForbiddenSet, Form,
+                        InvalidInputError, LinearForm, NoFitError,
+                        absorb_coefficients,
                         base_points, catalecticant_lower_bound,
                         check_decomposition, conic_intersection, decompose,
                         decompose_binary, decompose_inductive,
@@ -436,3 +438,64 @@ class TestDispatcher:
         assert a.trace == b.trace
         assert [(repr(c), [repr(x) for x in l.coords]) for c, l in a.terms] == \
             [(repr(c), [repr(x) for x in l.coords]) for c, l in b.terms]
+
+
+class TestCertificate:
+    """`decompose` returns the verifier's report on its own result."""
+
+    ROUTES = [
+        # (form, n, forbidden set, trace entry that marks the route)
+        ("x0^2 + 2*x1^2 - x2^2", 3, None, "dispatch: quadratic(m=3)"),
+        ("x0^3 - 2*x0*x1^2 + x1^3", 2, None, "dispatch: binary(d=3)"),
+        ("x0*x1^2 + x1*x2^2", 3, None, "perturbing by a cube"),
+        ("x0^3 + 2*x1^3 - x2^3 + x0*x1*x2 + x1^2*x2", 3, None,
+         "ternary: base-point free"),
+        ("x0^3+x1^3+x2^3+x3^3+x0*x1*x2", 4, None, "dispatch: inductive(n=4,d=3)"),
+        ("x0^3 + 3*x0^2*x1 + 3*x0*x1^2 + x1^3 + x2^3", 3, None,
+         "essential-split: 3 -> 2"),
+        ("x0^2*x1+x1^2*x2+x2^2*x3+x3^2*x0", 4, "l0\nl1 + 2*l3",
+         "dispatch: inductive(n=4,d=3)"),
+    ]
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize("text,n,avoid,route", ROUTES)
+    def test_report_is_a_fresh_check(self, text, n, avoid, route, bits):
+        f = parse_form(text, n)
+        V = ForbiddenSet.from_text(avoid, n) if avoid else ForbiddenSet.empty(n)
+        dec = decompose(f, V, precision_bits=bits)
+        assert any(route in t for t in dec.trace)
+        fresh = check_decomposition(f, dec, V, precision_bits=bits)
+        for fld in dataclasses.fields(fresh):
+            mine = getattr(dec.report, fld.name)
+            theirs = getattr(fresh, fld.name)
+            assert type(mine) is type(theirs), fld.name
+            assert mine == theirs, fld.name
+        assert dec.report.passed and dec.report.residual_ok
+        assert dec.report.exact == dec.exact
+
+    def test_report_does_not_take_part_in_equality(self):
+        dec = decompose(parse_form("x0^3 + x1^3", 2))
+        assert dec.report is not None
+        assert dataclasses.replace(dec, report=None) == dec
+
+    def test_wrappers_carry_the_report(self):
+        f = parse_form("x0*x1^2 + x1*x2^2", 3)
+        for run in (decompose_ternary_cubic, decompose):
+            dec = run(f, seed=4)
+            assert dec.report == check_decomposition(f, dec)
+
+    def test_failed_reconstruction_raises(self, monkeypatch):
+        import sys
+        dmod = sys.modules["openwaring.decompose"]
+        real_merge = dmod._merge_proportional
+        monkeypatch.setattr(dmod, "_merge_proportional",
+                            lambda terms, d, bits: real_merge(terms, d, bits)[1:])
+        for text, n in (("x0^2 + 2*x1^2 - x2^2", 3),
+                        ("x0^3 - 2*x0*x1^2 + x1^3", 2)):
+            with pytest.raises(ConsistencyError,
+                               match="reconstruction drifted beyond tolerance"):
+                decompose(parse_form(text, n))
+
+    def test_absorbed_decomposition_has_no_report(self):
+        dec = absorb_coefficients(decompose(parse_form("x0^3 + 2*x1^3", 2)))
+        assert dec.report is None

@@ -80,3 +80,11 @@ def test_module_import_graph_has_no_cycle():
 def test_apolarity_stays_below_the_pipeline():
     tree = _parsed()["apolarity"]
     assert "decompose" not in {t for _, t, _ in _internal_imports(tree)}
+
+
+def test_verify_stays_below_the_pipeline():
+    # the checker certifies the pipeline's results, so it must not share
+    # code with the pipeline or the command line
+    tree = _parsed()["verify"]
+    assert {"decompose", "cli"}.isdisjoint(
+        t for _, t, _ in _internal_imports(tree))

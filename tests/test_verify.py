@@ -23,6 +23,22 @@ class TestCheckDecomposition:
         rep = check_decomposition(f, dec)
         assert not rep.passed and rep.residual > 0
 
+    def test_residual_ok_is_the_reconstruction_test_alone(self):
+        # reconstructs exactly, but with a forbidden term and past the bound
+        f = parse_form("x0^2", 2)
+        terms = ((Fraction(2), LinearForm([1, 0])),
+                 (Fraction(1), LinearForm([0, 1])),
+                 (Fraction(-1), LinearForm([0, 1])),
+                 (Fraction(-1), LinearForm([1, 0])))
+        rep = check_decomposition(f, Decomposition(2, 2, terms, True),
+                                  ForbiddenSet.from_text("l1", 2))
+        assert rep.residual_ok and rep.residual == 0
+        assert rep.forbidden_violations == (0, 3)
+        assert rep.term_count > rep.bound_value
+        assert not rep.passed
+        missing = check_decomposition(f, Decomposition(2, 2, terms[:1], True))
+        assert not missing.residual_ok and not missing.passed
+
     def test_term_permutation_invariance(self):
         f = parse_form("x0^3 + x1^3", 2)
         t1 = (Fraction(1), LinearForm([1, 0]))
