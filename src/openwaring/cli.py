@@ -452,6 +452,9 @@ def _cmd_bench(args) -> int:
         raise InvalidInputError("bench needs --n-min >= 1 and --d-min >= 1")
     if args.trials < 1:
         raise InvalidInputError("trials must be at least 1")
+    if args.n_min > args.n_max or args.d_min > args.d_max:
+        raise InvalidInputError(
+            "bench grid is empty; use --n-min <= --n-max and --d-min <= --d-max")
     if args.d_min <= 1 <= args.d_max and max(args.n_min, 2) <= args.n_max:
         # a linear form has one essential variable, so no random form of
         # such a cell is ever accepted

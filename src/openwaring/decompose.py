@@ -646,6 +646,8 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
                           * sum(abs(a) for a in alpha)):
             raise ConsistencyError("lifted term is annihilated by alpha")
         lifted.append((c / (d * dot), l))
+    # w * l^d of each lifted term, subtracted from f on every pass below
+    lifted_powers = [linear_power(l, d).scale(w) for w, l in lifted]
 
     T = list(range(len(lifted)))
     beta = [Fraction(a) for a in alpha]
@@ -655,8 +657,7 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     while True:
         F2 = f
         for i in T:
-            w, l = lifted[i]
-            F2 = F2 - linear_power(l, d).scale(w)
+            F2 = F2 - lifted_powers[i]
         if not F2.is_exact():
             F2 = F2.cleaned(ctx.tol * scale * mpf(2) ** (-GUARD_BITS))
         if F2.is_zero(ctx.tol * scale):

@@ -228,31 +228,48 @@ def dual_power(alpha, e: int) -> DualOp:
 
 
 def linear_power(l: LinearForm, d: int) -> Form:
-    """(l_0 x_0 + ... + l_{n-1} x_{n-1})^d by multinomial expansion."""
+    """(l_0 x_0 + ... + l_{n-1} x_{n-1})^d by the multinomial formula: the
+    coefficient of x^e is d!/(e_0!...e_{n-1}!) * l_0^e_0 ... l_{n-1}^e_{n-1},
+    with the multinomials taken from a table per (n, d) and each l_i^k
+    computed once."""
     return _power_of_linear(l.coords, d, Form)
+
+
+@lru_cache(maxsize=None)
+def _multinomials(num_vars: int, degree: int):
+    """d!/(e_0!...e_{n-1}!) as Fractions, in `monomials_of_degree` order."""
+    top = factorial(degree)
+    out = []
+    for expo in monomials_of_degree(num_vars, degree):
+        m = top
+        for e in expo:
+            m //= factorial(e)
+        out.append(Fraction(m))
+    return tuple(out)
 
 
 def _power_of_linear(coords, d, cls):
     if d < 0:
         raise InvalidInputError("exponent must be non-negative")
     n = len(coords)
+    # powers[i][e] = coords[i] ** e, or None for an exact zero coordinate
+    powers = []
+    for x in coords:
+        if is_exact_scalar(x) and x == 0:
+            powers.append(None)
+        else:
+            powers.append([None] + [x ** e for e in range(1, d + 1)])
     out = {}
-    for expo in monomials_of_degree(n, d):
-        c = Fraction(factorial(d))
-        for e in expo:
-            c /= factorial(e)
-        val = c
-        skip = False
-        for x, e in zip(coords, expo):
+    for expo, val in zip(monomials_of_degree(n, d), _multinomials(n, d)):
+        for pw, e in zip(powers, expo):
             if e == 0:
                 continue
-            if is_exact_scalar(x) and x == 0:
-                skip = True
+            if pw is None:
                 break
-            val = val * x ** e
-        if skip or (is_exact_scalar(val) and val == 0):
-            continue
-        out[expo] = val
+            val = val * pw[e]
+        else:
+            if not (is_exact_scalar(val) and val == 0):
+                out[expo] = val
     return cls(n, d, out)
 
 
@@ -261,13 +278,16 @@ def _substitute(f, matrix):
     n = f.num_vars
     cls = type(f)
     lin = [LinearForm(matrix[i]) for i in range(n)]
+    pieces = {}  # (i, e) -> (sum_j matrix[i][j] x_j)^e
     out = cls(n, f.degree, {})
     for expo, c in f.coeffs.items():
         term = None
         for i, e in enumerate(expo):
             if e == 0:
                 continue
-            piece = _power_of_linear(lin[i].coords, e, cls)
+            piece = pieces.get((i, e))
+            if piece is None:
+                piece = pieces[(i, e)] = _power_of_linear(lin[i].coords, e, cls)
             term = piece if term is None else _multiply(term, piece)
         if term is None:
             term = cls(n, 0, {(0,) * n: Fraction(1)})

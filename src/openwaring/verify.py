@@ -5,27 +5,36 @@ lower bounds.
 reconstruction, avoidance of the `ForbiddenSet`, and the term bound.  The
 pipeline attaches its report to every result it returns; `openwaring verify`
 recomputes it from a stored record.  The reconstruction here deliberately
-does not share code with the pipeline, nor does this module import it:
-powers of linear forms are expanded by repeated sparse multiplication rather
-than the multinomial formula, so a bug in one expansion cannot hide in the
+does not share code with the pipeline, nor does this module import it or
+the power and substitution code of `poly`: each c*l^d is expanded on a
+monomial tree of its own (every degree-d monomial is its parent times one
+coordinate), exact terms on integers over a common denominator and the
+others on raw libmp tuples, so a bug in one expansion cannot hide in the
 other.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import (from_rational, fzero, mpc_abs, mpc_add, mpc_mul,
+                          mpc_mul_int, mpc_sub, mpf_gt, round_nearest)
 
 from .apolarity import catalecticant, essential_variables
 from .bounds import recursion_bound
 from .errors import InvalidInputError, ParseError
-from .numerics import (DEFAULT_PRECISION_BITS, is_exact_scalar, max_abs_of,
-                       tolerance)
+from .numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS, is_exact_scalar,
+                       max_abs_of, tolerance)
 from .poly import Form, LinearForm, evaluate, parse_form, render_form
+
+_RND = round_nearest
+_CZERO = (fzero, fzero)
 
 
 class ForbiddenSet:
@@ -151,26 +160,51 @@ class Decomposition:
         return len(self.terms)
 
 
-def _expand_power(coords, d, n):
-    """(sum_i coords[i] x_i)^d by repeated sparse multiplication."""
-    acc = {(0,) * n: Fraction(1)}
-    base = {}
-    for i, c in enumerate(coords):
-        if is_exact_scalar(c) and c == 0:
-            continue
-        base[tuple(1 if j == i else 0 for j in range(n))] = c
+@lru_cache(maxsize=None)
+def _monomial_tree(n, d):
+    """The monomials of degree <= d in n variables as a tree rooted at 1.
+
+    Each node is its parent times one variable whose index is at least the
+    parent's last one, so every monomial appears once.  Returns ``steps``,
+    one ``(parent node, variable)`` per node after the root in creation
+    order, and ``leaves``, one ``(exponent vector, multinomial)`` per
+    degree-d monomial; the leaves are the last ``len(leaves)`` nodes, in
+    that order.
+    """
+    steps = []
+    level = [((0,) * n, 0)]  # (exponent vector, lowest variable allowed)
+    node = 0
     for _ in range(d):
-        nxt = {}
-        for ea, ca in acc.items():
-            for eb, cb in base.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                val = nxt.get(key, Fraction(0)) + ca * cb
-                if is_exact_scalar(val) and val == 0:
-                    nxt.pop(key, None)
-                else:
-                    nxt[key] = val
-        acc = nxt
-    return acc
+        nxt = []
+        for parent, (expo, low) in enumerate(level, node):
+            for i in range(low, n):
+                steps.append((parent, i))
+                nxt.append((expo[:i] + (expo[i] + 1,) + expo[i + 1:], i))
+        node += len(level)
+        level = nxt
+    top = math.factorial(d)
+    leaves = []
+    for expo, _ in level:
+        m = top
+        for e in expo:
+            m //= math.factorial(e)
+        leaves.append((expo, m))
+    return tuple(steps), tuple(leaves)
+
+
+def _expand_tree(root, coords, steps, mul):
+    """root * (coords monomial) at every node of the tree, via ``mul``."""
+    vals = [root]
+    for parent, i in steps:
+        vals.append(mul(vals[parent], coords[i]))
+    return vals
+
+
+def _raw_mpc(x, wp):
+    """A scalar as a raw libmp complex tuple; rationals rounded at ``wp``."""
+    if is_exact_scalar(x):
+        return (from_rational(x.numerator, x.denominator, wp, _RND), fzero)
+    return (x.real._mpf_, x.imag._mpf_)
 
 
 def check_decomposition(f: Form, dec: Decomposition,
@@ -181,7 +215,9 @@ def check_decomposition(f: Form, dec: Decomposition,
 
     Rational data is compared exactly; otherwise the residual is the max
     coefficient mismatch normalized by the 1-norm of f, accepted below
-    ``tol`` (default 2^-(precision/2)).
+    ``tol`` (default 2^-(precision/2)).  Each c*l^d is expanded on the
+    monomial tree: exact terms on integers over a common denominator,
+    approximate ones on raw complex tuples at precision + GUARD_BITS.
     """
     if V is None:
         V = ForbiddenSet.empty(f.num_vars)
@@ -193,45 +229,79 @@ def check_decomposition(f: Form, dec: Decomposition,
         tol = tolerance(precision_bits)
 
     n, d = f.num_vars, f.degree
-    total = {}
+    wp = precision_bits + GUARD_BITS
+    steps, leaves = _monomial_tree(n, d)
+    first = len(steps) + 1 - len(leaves)
+    mults = [m for _, m in leaves]
+
+    def cmul(z, w):
+        return mpc_mul(z, w, wp, _RND)
+
+    # sum of the exact terms: num[k] / den; of the others: approx[k]
+    num = [0] * len(leaves)
+    den = 1
+    approx = None
     for c, l in dec.terms:
+        if l.num_vars != n:
+            raise InvalidInputError(
+                "decomposition term has the wrong number of variables")
         if l.is_zero():
             raise InvalidInputError("decomposition contains a zero linear form")
-        for expo, v in _expand_power(l.coords, d, n).items():
-            s = total.get(expo, Fraction(0)) + c * v
-            if is_exact_scalar(s) and s == 0:
-                total.pop(expo, None)
-            else:
-                total[expo] = s
+        coords = l.coords
+        if is_exact_scalar(c) and all(map(is_exact_scalar, coords)):
+            # c * l^d = (a / b) * (sum_i p_i x_i)^d with integers p_i
+            lcm = math.lcm(*(x.denominator for x in coords))
+            ints = [x.numerator * (lcm // x.denominator) for x in coords]
+            factor = Fraction(c) / lcm ** d
+            b = factor.denominator
+            g = math.gcd(den, b)
+            if g != b:
+                widen = b // g
+                num = [v * widen for v in num]
+                den *= widen
+            vals = _expand_tree(factor.numerator * (den // b), ints, steps,
+                                operator.mul)
+            num = [v + m * w for v, m, w in zip(num, mults, vals[first:])]
+        else:
+            if approx is None:
+                approx = [_CZERO] * len(leaves)
+            vals = _expand_tree(_raw_mpc(c, wp),
+                                [_raw_mpc(x, wp) for x in coords], steps, cmul)
+            approx = [mpc_add(v, mpc_mul_int(w, m, wp, _RND), wp, _RND)
+                      for v, m, w in zip(approx, mults, vals[first:])]
 
-    all_exact = (f.is_exact() and dec.exact
-                 and all(is_exact_scalar(v) for v in total.values()))
+    all_exact = f.is_exact() and dec.exact and approx is None
     norm = f.norm1()
     scale = norm if (not is_exact_scalar(norm) or norm > 0) else Fraction(1)
-
-    deltas = dict(total)
-    for expo, v in f.coeffs.items():
-        s = deltas.get(expo, Fraction(0)) - v
-        if is_exact_scalar(s) and s == 0:
-            deltas.pop(expo, None)
-        else:
-            deltas[expo] = s
+    index = {expo: k for k, (expo, _) in enumerate(leaves)}
 
     if all_exact:
-        residual = Fraction(0)
-        for v in deltas.values():
-            if abs(v) > residual:
-                residual = abs(v)
-        residual = residual / scale
+        target = [Fraction(0)] * len(leaves)
+        for expo, v in f.coeffs.items():
+            target[index[expo]] = v
+        common = math.lcm(den, *(v.denominator for v in target))
+        widen = common // den
+        worst = max((abs(v * widen - t.numerator * (common // t.denominator))
+                     for v, t in zip(num, target)), default=0)
+        residual = Fraction(worst, common) / scale
         residual_ok = residual == 0
     else:
-        residual = mpf(0)
-        for v in deltas.values():
-            mag = abs(Fraction(v)) if is_exact_scalar(v) else abs(v)
-            mag = mpf(1) * mag
-            if mag > residual:
-                residual = mag
-        residual = residual / (mpf(1) * scale)
+        deltas = [Fraction(v, den) for v in num]
+        rest = approx or [_CZERO] * len(leaves)
+        for expo, v in f.coeffs.items():
+            k = index[expo]
+            if is_exact_scalar(v):
+                deltas[k] -= v
+            else:
+                rest[k] = mpc_sub(rest[k], _raw_mpc(v, wp), wp, _RND)
+        worst = fzero
+        for q, z in zip(deltas, rest):
+            if q:
+                z = mpc_add(z, _raw_mpc(q, wp), wp, _RND)
+            mag = mpc_abs(z, wp, _RND)
+            if mpf_gt(mag, worst):
+                worst = mag
+        residual = mpf(worst) / (mpf(1) * scale)
         residual_ok = residual <= tol
 
     violations = tuple(i for i, (c, l) in enumerate(dec.terms)

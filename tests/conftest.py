@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 
-from openwaring import ForbiddenSet, Form, LinearForm, essential_variables
+from openwaring import (ForbiddenSet, Form, LinearForm, VerifyReport,
+                        essential_variables, is_forbidden, recursion_bound)
+from openwaring.numerics import (DEFAULT_PRECISION_BITS, is_exact_scalar,
+                                 tolerance)
 from openwaring.poly import monomials_of_degree
 
 
@@ -44,3 +48,89 @@ def random_linear_form(rng, n, lo=-6, hi=6):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# ---------------------------------------------------------------------------
+# The certificate as it was before the monomial tree: powers of linear forms
+# by repeated sparse multiplication, summed as scalars at the terms' own
+# precision.  Kept as a reference for `check_decomposition`.
+
+
+def reference_expand_power(coords, d, n):
+    """(sum_i coords[i] x_i)^d by repeated sparse multiplication."""
+    acc = {(0,) * n: Fraction(1)}
+    base = {}
+    for i, c in enumerate(coords):
+        if is_exact_scalar(c) and c == 0:
+            continue
+        base[tuple(1 if j == i else 0 for j in range(n))] = c
+    for _ in range(d):
+        nxt = {}
+        for ea, ca in acc.items():
+            for eb, cb in base.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                val = nxt.get(key, Fraction(0)) + ca * cb
+                if is_exact_scalar(val) and val == 0:
+                    nxt.pop(key, None)
+                else:
+                    nxt[key] = val
+        acc = nxt
+    return acc
+
+
+def reference_check(f, dec, V=None, precision_bits=DEFAULT_PRECISION_BITS):
+    if V is None:
+        V = ForbiddenSet.empty(f.num_vars)
+    tol = tolerance(precision_bits)
+    n, d = f.num_vars, f.degree
+    total = {}
+    for c, l in dec.terms:
+        for expo, v in reference_expand_power(l.coords, d, n).items():
+            s = total.get(expo, Fraction(0)) + c * v
+            if is_exact_scalar(s) and s == 0:
+                total.pop(expo, None)
+            else:
+                total[expo] = s
+    all_exact = (f.is_exact() and dec.exact
+                 and all(is_exact_scalar(v) for v in total.values()))
+    norm = f.norm1()
+    scale = norm if (not is_exact_scalar(norm) or norm > 0) else Fraction(1)
+    deltas = dict(total)
+    for expo, v in f.coeffs.items():
+        s = deltas.get(expo, Fraction(0)) - v
+        if is_exact_scalar(s) and s == 0:
+            deltas.pop(expo, None)
+        else:
+            deltas[expo] = s
+    if all_exact:
+        residual = max((abs(v) for v in deltas.values()), default=Fraction(0))
+        residual = residual / scale
+        residual_ok = residual == 0
+    else:
+        residual = mpf(0)
+        for v in deltas.values():
+            mag = mpf(1) * (abs(Fraction(v)) if is_exact_scalar(v) else abs(v))
+            if mag > residual:
+                residual = mag
+        residual = residual / (mpf(1) * scale)
+        residual_ok = residual <= tol
+    violations = tuple(i for i, (c, l) in enumerate(dec.terms)
+                       if is_forbidden(l, V, tol))
+    bound_value = recursion_bound(
+        max(essential_variables(f, precision_bits), 1), d, "improved")
+    passed = residual_ok and not violations and dec.term_count <= bound_value
+    return VerifyReport(residual, dec.term_count, bound_value, violations,
+                        all_exact, passed, residual_ok)
+
+
+def assert_same_verdict(report, ref, precision_bits=DEFAULT_PRECISION_BITS):
+    """Every field equal; the residual exactly on exact data and within the
+    tolerance otherwise."""
+    for name in ("passed", "residual_ok", "exact", "bound_value",
+                 "term_count", "forbidden_violations"):
+        assert getattr(report, name) == getattr(ref, name), name
+    assert type(report.residual) is type(ref.residual)
+    if ref.exact:
+        assert report.residual == ref.residual
+    else:
+        assert abs(report.residual - ref.residual) <= tolerance(precision_bits)

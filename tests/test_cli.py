@@ -257,6 +257,8 @@ class TestInputChecks:
         ("0", "1", "2", "2"),
         ("2", "2", "0", "2"),
         ("-1", "2", "-2", "3"),
+        ("3", "2", "3", "3"),   # empty grids
+        ("3", "3", "4", "3"),
     ])
     def test_bench_rejects_grids_it_cannot_fill(self, grid):
         n_min, n_max, d_min, d_max = grid

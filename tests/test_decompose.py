@@ -15,8 +15,8 @@ from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         decompose_quadratic, decompose_ternary_cubic,
                         essential_variables, fit_coefficients, is_forbidden,
                         linear_power, parse_form, recursion_bound)
-from conftest import (random_essential_form, random_form, random_hyperplanes,
-                      random_linear_form)
+from conftest import (assert_same_verdict, random_essential_form, random_form,
+                      random_hyperplanes, random_linear_form, reference_check)
 
 
 def gram_rank(f):
@@ -472,6 +472,15 @@ class TestCertificate:
             assert mine == theirs, fld.name
         assert dec.report.passed and dec.report.residual_ok
         assert dec.report.exact == dec.exact
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize("text,n,avoid,route", ROUTES)
+    def test_report_agrees_with_the_reference_certificate(self, text, n, avoid,
+                                                          route, bits):
+        f = parse_form(text, n)
+        V = ForbiddenSet.from_text(avoid, n) if avoid else ForbiddenSet.empty(n)
+        dec = decompose(f, V, precision_bits=bits)
+        assert_same_verdict(dec.report, reference_check(f, dec, V, bits), bits)
 
     def test_report_does_not_take_part_in_equality(self):
         dec = decompose(parse_form("x0^3 + x1^3", 2))

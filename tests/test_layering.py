@@ -88,3 +88,29 @@ def test_verify_stays_below_the_pipeline():
     tree = _parsed()["verify"]
     assert {"decompose", "cli"}.isdisjoint(
         t for _, t, _ in _internal_imports(tree))
+
+
+#: the pipeline's code for powers of linear forms and substitutions
+POLY_EXPANSIONS = {"linear_power", "dual_power", "_power_of_linear",
+                   "_substitute", "_multiply", "change_coordinates"}
+
+
+def test_verify_expands_powers_on_its_own():
+    # the certificate must not reach the expansions it certifies, neither by
+    # importing them from poly nor through an imported poly module
+    tree = _parsed()["verify"]
+    imported = set()
+    poly_aliases = set()
+    for node, target, _ in _internal_imports(tree):
+        if target != "poly":
+            continue
+        module = getattr(node, "module", None) or ""
+        if module.split(".")[-1] == "poly":  # from .poly import ...
+            imported |= {a.name for a in node.names}
+        else:  # from . import poly, import openwaring.poly as p
+            poly_aliases |= {a.asname or a.name.split(".")[-1]
+                             for a in node.names}
+    reached = {n.attr for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+               and n.value.id in poly_aliases}
+    assert POLY_EXPANSIONS.isdisjoint(imported | reached)

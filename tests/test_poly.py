@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy
 
-from openwaring import (DualOp, Form, InvalidInputError, LinearForm,
-                        NonHomogeneousError, ParseError, change_coordinates,
-                        contract, evaluate_dual, linear_power, parse_form,
-                        render_form)
-from openwaring.linalg import rational_inverse
+from openwaring import (AppComplex, DualOp, Form, InvalidInputError,
+                        LinearForm, NonHomogeneousError, ParseError,
+                        change_coordinates, contract, evaluate_dual,
+                        linear_power, parse_form, render_form)
+from openwaring.linalg import rational_det, rational_inverse
+from openwaring.numerics import is_exact_scalar
+from openwaring.poly import _multiply, dual_power, monomials_of_degree
 from conftest import random_form, random_linear_form
 
 
@@ -203,3 +206,121 @@ class TestParseRender:
     def test_whitespace_insensitive(self):
         assert parse_form(" x0 * x1 ^ 2".replace(" ", ""), 2) == \
             parse_form("x0*x1^2", 2)
+
+
+# ---------------------------------------------------------------------------
+# `_power_of_linear` takes its multinomials from a table per shape and each
+# coordinate power once, and `_substitute` builds each (variable, exponent)
+# piece once per call; the references below are the per-monomial formulas
+# they replace, and results must agree bit for bit, in coefficient order.
+
+
+def ref_power_of_linear(coords, d, cls):
+    if d < 0:
+        raise InvalidInputError("exponent must be non-negative")
+    n = len(coords)
+    out = {}
+    for expo in monomials_of_degree(n, d):
+        c = Fraction(factorial(d))
+        for e in expo:
+            c /= factorial(e)
+        val = c
+        skip = False
+        for x, e in zip(coords, expo):
+            if e == 0:
+                continue
+            if is_exact_scalar(x) and x == 0:
+                skip = True
+                break
+            val = val * x ** e
+        if skip or (is_exact_scalar(val) and val == 0):
+            continue
+        out[expo] = val
+    return cls(n, d, out)
+
+
+def ref_substitute(f, matrix):
+    n = f.num_vars
+    cls = type(f)
+    lin = [LinearForm(matrix[i]) for i in range(n)]
+    out = cls(n, f.degree, {})
+    for expo, c in f.coeffs.items():
+        term = None
+        for i, e in enumerate(expo):
+            if e == 0:
+                continue
+            piece = ref_power_of_linear(lin[i].coords, e, cls)
+            term = piece if term is None else _multiply(term, piece)
+        if term is None:
+            term = cls(n, 0, {(0,) * n: Fraction(1)})
+        out = out + term.scale(c)
+    return out
+
+
+def raw_scalar(x):
+    if isinstance(x, AppComplex):
+        return ("AppComplex", x.real._mpf_, x.imag._mpf_, x.precision_bits)
+    return (type(x).__name__, x)
+
+
+def layout(p):
+    """Everything a later step can see of a Form or DualOp, in dict order."""
+    return (type(p).__name__, p.num_vars, p.degree,
+            [(e, raw_scalar(c)) for e, c in p.coeffs.items()])
+
+
+BIT_SIZES = (64, 256, 1088)
+
+
+def random_scalar(rng, bits):
+    kind = rng.random()
+    if kind < 0.2:
+        return Fraction(0)
+    if kind < 0.5:
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+    if kind < 0.6:
+        return AppComplex(0, 0, bits)
+    num = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+    return AppComplex(num, rng.choice([0, num / 7, -num]), bits)
+
+
+def random_coords(rng, n, bits):
+    coords = [random_scalar(rng, bits) for _ in range(n)]
+    if all(is_exact_scalar(x) and x == 0 for x in coords):
+        coords[rng.randrange(n)] = Fraction(rng.randint(1, 9))
+    return coords
+
+
+class TestPowerTablesKeepEveryBit:
+    @pytest.mark.parametrize("bits", BIT_SIZES)
+    def test_linear_and_dual_power(self, bits):
+        rng = random.Random(bits)
+        for n in range(1, 9):
+            for d in range(0, 7):
+                coords = random_coords(rng, n, bits)
+                l = LinearForm(coords)
+                assert layout(linear_power(l, d)) == layout(
+                    ref_power_of_linear(l.coords, d, Form)), (n, d)
+                alpha = [rng.randint(-3, 3) if is_exact_scalar(x) else x
+                         for x in coords]
+                assert layout(dual_power(alpha, d)) == layout(
+                    ref_power_of_linear(tuple(alpha), d, DualOp)), (n, d)
+
+    @pytest.mark.parametrize("bits", BIT_SIZES)
+    @pytest.mark.parametrize("cls", [Form, DualOp])
+    def test_change_coordinates(self, cls, bits):
+        rng = random.Random(7 * bits + (cls is DualOp))
+        for n in range(1, 5):
+            for d in range(0, 5):
+                coeffs = {e: random_scalar(rng, bits)
+                          for e in monomials_of_degree(n, d)
+                          if rng.random() < 0.6}
+                f = cls(n, d, coeffs)
+                while True:
+                    m = [random_coords(rng, n, bits) for _ in range(n)]
+                    if not all(is_exact_scalar(x) for row in m for x in row):
+                        break
+                    if rational_det(m) != 0:
+                        break
+                assert layout(change_coordinates(f, m)) == layout(
+                    ref_substitute(f, m)), (n, d)
