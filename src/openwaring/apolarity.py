@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from mpmath import mpf, workprec
+from mpmath import mpf, nstr, workprec
 
 from . import linalg
 from .errors import (ConsistencyError, DegenerateSystemError,
@@ -86,9 +86,8 @@ class ProjPoint:
         return max(abs(a - b) for a, b in zip(self.coords, other.coords))
 
     def __repr__(self):
-        import mpmath
         rendered = ":".join(
-            f"{mpmath.nstr(c.real, 8)}{'+' + mpmath.nstr(c.imag, 8) + 'j' if c.imag != 0 else ''}"
+            f"{nstr(c.real, 8)}{'+' + nstr(c.imag, 8) + 'j' if c.imag != 0 else ''}"
             for c in self.coords)
         return f"[{rendered}]"
 
@@ -193,14 +192,21 @@ def restrict_to_prefix(h, m: int, precision_bits=DEFAULT_PRECISION_BITS):
 # base points
 
 
+def _binary_coeffs(op: DualOp):
+    """Coefficients of a binary dual form dehomogenized at l0 = 1, lowest
+    power of l1 first."""
+    coeffs = [Fraction(0)] * (op.degree + 1)
+    for expo, c in op.coeffs.items():
+        coeffs[expo[1]] = c
+    return coeffs
+
+
 def _binary_dual_roots(op: DualOp, precision_bits):
     """Projective zeros [l0:l1] of a binary dual form, with multiplicity.
 
     A degree drop of the dehomogenization (exact, or below tolerance for
     approximate coefficients) contributes the point at infinity [0:1]."""
-    coeffs = [Fraction(0)] * (op.degree + 1)
-    for expo, c in op.coeffs.items():
-        coeffs[expo[1]] = c
+    coeffs = _binary_coeffs(op)
     tol_lead = tolerance(precision_bits) * op.max_abs()
     while coeffs and scalar_is_zero(coeffs[-1], tol_lead):
         coeffs.pop()
@@ -365,34 +371,8 @@ def _sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
         if exact:
             values.append(linalg.rational_det(m))
         else:
-            values.append(_complex_det(m, precision_bits))
+            values.append(linalg.complex_det(m, precision_bits))
     return _lagrange_interpolate(nodes, values)
-
-
-def _complex_det(rows, precision_bits):
-    bits = precision_bits + GUARD_BITS
-    m = linalg._unwrap(rows, bits)
-    n = len(m)
-    with workprec(bits):
-        det = 1
-        for c in range(n):
-            best, best_abs = None, mpf(0)
-            for i in range(c, n):
-                if abs(m[i][c]) > best_abs:
-                    best, best_abs = i, abs(m[i][c])
-            if best is None or best_abs == 0:
-                return AppComplex(0, 0, precision_bits)
-            if best != c:
-                m[c], m[best] = m[best], m[c]
-                det = -det
-            det = det * m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] == 0:
-                    continue
-                fct = m[i][c] / m[c][c]
-                for j in range(c, n):
-                    m[i][j] -= fct * m[c][j]
-        return AppComplex.from_mpc(det, precision_bits)
 
 
 def _lagrange_interpolate(nodes, values):
@@ -497,6 +477,18 @@ def _shared_roots(pa: UniPoly, pb: UniPoly, precision_bits):
         return [x for x in ra if any(abs(x.to_mpc() - y.to_mpc()) <= sep for y in rb)]
 
 
+def _distinct_roots(roots, precision_bits):
+    """The roots in order, leaving out each one within 2^-(bits/4) of a
+    root already kept."""
+    with workprec(precision_bits):
+        sep = mpf(2) ** (-(precision_bits // 4))
+        uniq = []
+        for r in roots:
+            if all(abs(r.to_mpc() - u.to_mpc()) > sep for u in uniq):
+                uniq.append(r)
+    return uniq
+
+
 def _back_substitute_l2(p_coeffs, q_coeffs, t, precision_bits):
     """Common l2-root of the two polynomials at parameter t, via the linear
     combination eliminating the top power; None when ambiguous.
@@ -539,15 +531,9 @@ def _curve_pair_candidates(D0: DualOp, D1: DualOp, precision_bits, rng):
             continue
         if R.is_exact():
             R = squarefree_part(R)
-        roots = univariate_roots(R, precision_bits)
-        with workprec(precision_bits):
-            sep = mpf(2) ** (-(precision_bits // 4))
-            uniq = []
-            for r in roots:
-                if all(abs(r.to_mpc() - u.to_mpc()) > sep for u in uniq):
-                    uniq.append(r)
         pts = []
-        for t in uniq:
+        for t in _distinct_roots(univariate_roots(R, precision_bits),
+                                 precision_bits):
             pa = _trim_leading([c(t) for c in p], precision_bits)
             pb = _trim_leading([c(t) for c in q], precision_bits)
             pts += [_chart_point(T, t, l2, precision_bits)

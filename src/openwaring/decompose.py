@@ -31,9 +31,9 @@ from . import linalg
 from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
                         base_points, essential_split, essential_variables,
                         restrict_to_prefix, _back_substitute_l2,
-                        _binary_dual_roots, _chart_point, _combine_ops,
-                        _coordinate_changes, _dedupe_points,
-                        _resultant_charts, _sorted_points)
+                        _binary_coeffs, _binary_dual_roots, _chart_point,
+                        _combine_ops, _coordinate_changes, _dedupe_points,
+                        _distinct_roots, _resultant_charts, _sorted_points)
 from .errors import (CommonComponentError, ConsistencyError,
                      DegenerateSystemError, InvalidInputError, NoFitError,
                      NonTransversalError, RetryBudgetError)
@@ -247,14 +247,7 @@ def conic_intersection(D0: DualOp, D1: DualOp,
             saw_repeated = True
             continue
         roots = univariate_roots(R, precision_bits)
-        with workprec(precision_bits):
-            sep = mpf(2) ** (-(precision_bits // 4))
-            distinct = True
-            for i in range(len(roots)):
-                for j in range(i + 1, len(roots)):
-                    if abs(roots[i].to_mpc() - roots[j].to_mpc()) <= sep:
-                        distinct = False
-        if not distinct:
+        if len(_distinct_roots(roots, precision_bits)) != len(roots):
             saw_repeated = True
             continue
         pts = []
@@ -504,10 +497,7 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
 def _binary_squarefree_exact(op: DualOp) -> bool:
     """Squarefree test for a rational binary dual form, point at infinity
     included."""
-    coeffs = [Fraction(0)] * (op.degree + 1)
-    for expo, c in op.coeffs.items():
-        coeffs[expo[1]] = c
-    p = UniPoly(coeffs)
+    p = UniPoly(_binary_coeffs(op))
     inf_mult = op.degree - max(p.degree, 0)
     if inf_mult > 1:
         return False
@@ -638,10 +628,7 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
 
     lifted = []
     for c, l in sub:
-        dot = None
-        for a, x in zip(alpha, l.coords):
-            piece = a * x
-            dot = piece if dot is None else dot + piece
+        dot = linalg.dot(alpha, l.coords)
         if scalar_is_zero(dot, ctx.tol * max(mpf(1), mpf(1) * max_abs_of(l.coords))
                           * sum(abs(a) for a in alpha)):
             raise ConsistencyError("lifted term is annihilated by alpha")
@@ -676,14 +663,8 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
             break
         i = T[0]
         li = lifted[i][1]
-        dots = []
-        for op in kernel:
-            coords = LinearForm.from_form(op).coords
-            s = None
-            for b, x in zip(coords, li.coords):
-                piece = b * x
-                s = piece if s is None else s + piece
-            dots.append(s)
+        dots = [linalg.dot(LinearForm.from_form(op).coords, li.coords)
+                for op in kernel]
         dot_scale = ctx.tol * max(mpf(1), mpf(1) * max_abs_of(li.coords))
         pick = next((k for k, s in enumerate(dots) if scalar_is_zero(s, dot_scale)),
                     None)

@@ -1,9 +1,11 @@
 """Exact rational and arbitrary-precision complex linear algebra.
 
-The rational routines run fraction-free (Bareiss) elimination on an
+Every exact routine (rank, kernel, solve, determinant, inverse) reads its
+answer off one fraction-free Gauss-Jordan reduction (Bareiss) of an
 integer-cleared copy of the matrix, so no rank decision ever depends on
-rounding.  The complex routines use partial pivoting with a relative
-magnitude threshold for rank decisions.
+rounding.  On the complex side, ``complex_echelon`` (partial pivoting with
+a relative magnitude threshold for rank decisions) serves rank, kernel and
+determinant.
 
 Matrices are plain lists of row lists; vectors are lists.
 """
@@ -11,7 +13,7 @@ Matrices are plain lists of row lists; vectors are lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from mpmath import mpc, mpf, workprec
 
@@ -24,57 +26,56 @@ from .numerics import AppComplex, GUARD_BITS, is_exact_scalar, values_precision
 
 
 def _clear_denominators(row):
+    """(d, d * row) for a Fraction row, d its least common denominator."""
     denom = 1
     for x in row:
         denom = denom * x.denominator // gcd(denom, x.denominator)
-    return [int(x * denom) for x in row]
+    return denom, [x.numerator * (denom // x.denominator) for x in row]
 
 
-def _bareiss_echelon(rows):
-    """Integer fraction-free echelon form.
+def _reduce(rows):
+    """Fraction-free Gauss-Jordan reduction of a rational matrix.
 
-    Returns (echelon, pivot_cols); ``echelon`` rows are integer lists and
-    pivot_cols[i] is the pivot column of row i.
+    Returns (reduced, pivot_cols, sign, denoms).  ``reduced`` holds the
+    nonzero integer rows of the reduction of the cleared rows d_i * row_i
+    (``denoms`` lists the d_i); row i has its pivot in column pivot_cols[i]
+    and zeros in every other pivot column, and every pivot equals the last
+    one.  ``sign`` is the parity of the row swaps.  Each division by the
+    previous pivot is exact (Bareiss).
     """
-    m = [list(r) for r in rows]
+    denoms, m = [], []
+    for row in rows:
+        d, ints = _clear_denominators([Fraction(x) for x in row])
+        denoms.append(d)
+        m.append(ints)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     piv_cols = []
-    prev = 1
+    sign = prev = 1
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        piv_cols.append(c)
-        r += 1
         if r == nrows:
             break
-    return m[:r], piv_cols
-
-
-def rational_echelon(rows):
-    """Echelon form of a Fraction matrix via Bareiss; returns
-    (echelon_rows as Fractions, pivot_cols)."""
-    if not rows:
-        return [], []
-    int_rows = [_clear_denominators([Fraction(x) for x in row]) for row in rows]
-    ech, piv = _bareiss_echelon(int_rows)
-    return [[Fraction(x) for x in row] for row in ech], piv
+        k = next((i for i in range(r, nrows) if m[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            m[r], m[k] = m[k], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i in range(nrows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        piv_cols.append(c)
+        r += 1
+    return m[:r], piv_cols, sign, denoms
 
 
 def rational_rank(rows) -> int:
-    return len(rational_echelon(rows)[1])
+    return len(_reduce(rows)[1])
 
 
 def rational_kernel(rows):
@@ -85,18 +86,15 @@ def rational_kernel(rows):
     if not rows:
         return []
     ncols = len(rows[0])
-    ech, piv = rational_echelon(rows)
-    piv_set = set(piv)
-    free = [c for c in range(ncols) if c not in piv_set]
+    red, piv, _, _ = _reduce(rows)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in piv:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        # back-substitute pivot entries from the bottom up
-        for i in range(len(piv) - 1, -1, -1):
-            pc = piv[i]
-            s = sum((ech[i][j] * v[j] for j in range(pc + 1, ncols)), Fraction(0))
-            v[pc] = -s / ech[i][pc]
+        for row, pc in zip(red, piv):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -106,16 +104,13 @@ def rational_solve(rows, rhs):
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    ech, piv = rational_echelon(aug)
+    red, piv, _, _ = _reduce([list(row) + [b] for row, b in zip(rows, rhs)])
     # a pivot in the rhs column means inconsistency
     if ncols in piv:
         return None
     x = [Fraction(0)] * ncols
-    for i in range(len(piv) - 1, -1, -1):
-        pc = piv[i]
-        s = sum((ech[i][j] * x[j] for j in range(pc + 1, ncols)), Fraction(0))
-        x[pc] = (ech[i][ncols] - s) / ech[i][pc]
+    for row, pc in zip(red, piv):
+        x[pc] = Fraction(row[ncols], row[pc])
     return x
 
 
@@ -125,51 +120,21 @@ def rational_det(rows) -> Fraction:
         raise InvalidInputError("determinant needs a square matrix")
     if n == 0:
         return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] == 0:
-                continue
-            f = m[i][c] * inv
-            for j in range(c, n):
-                m[i][j] -= f * m[c][j]
-    return det
+    red, piv, sign, denoms = _reduce(rows)
+    if len(piv) < n:
+        return Fraction(0)
+    return Fraction(sign * red[-1][-1], prod(denoms))
 
 
 def rational_inverse(rows):
+    # the cleared rows of [A | I] are [D A | D], D the row denominators,
+    # and they reduce to [p I | p A^-1]
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    # Gauss-Jordan; exact arithmetic so plain elimination is fine here
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if aug[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise InvalidInputError("matrix is singular")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    red, piv, _, _ = _reduce(aug)
+    if piv != list(range(n)):
+        raise InvalidInputError("matrix is singular")
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(red)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +165,8 @@ def _matrix_bits(rows, precision_bits):
 def complex_echelon(rows, precision_bits, tol):
     """Row echelon with partial pivoting; pivots below tol*scale count as 0.
 
-    Returns (echelon mpc rows, pivot_cols, scale).
+    Returns (echelon mpc rows, pivot_cols, scale, sign), sign being the
+    parity of the row swaps.
     """
     bits = _matrix_bits(rows, precision_bits) + GUARD_BITS
     m = _unwrap(rows, bits)
@@ -214,6 +180,7 @@ def complex_echelon(rows, precision_bits, tol):
                     scale = abs(x)
         thresh = tol * scale if scale > 0 else tol
         piv_cols = []
+        sign = 1
         r = 0
         for c in range(ncols):
             best, best_abs = None, thresh
@@ -223,7 +190,9 @@ def complex_echelon(rows, precision_bits, tol):
                     best, best_abs = i, a
             if best is None:
                 continue
-            m[r], m[best] = m[best], m[r]
+            if best != r:
+                m[r], m[best] = m[best], m[r]
+                sign = -sign
             for i in range(r + 1, nrows):
                 if m[i][c] == 0:
                     continue
@@ -235,11 +204,27 @@ def complex_echelon(rows, precision_bits, tol):
             r += 1
             if r == nrows:
                 break
-        return m[:r], piv_cols, scale
+        return m[:r], piv_cols, scale, sign
 
 
 def complex_rank(rows, precision_bits, tol) -> int:
     return len(complex_echelon(rows, precision_bits, tol)[1])
+
+
+def complex_det(rows, precision_bits):
+    """Determinant of an approximate square matrix: the signed product of
+    the pivots of ``complex_echelon`` with no threshold."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise InvalidInputError("determinant needs a square matrix")
+    ech, piv, _, sign = complex_echelon(rows, precision_bits, 0)
+    if len(piv) < n:
+        return AppComplex(0, 0, precision_bits)
+    with workprec(_matrix_bits(rows, precision_bits) + GUARD_BITS):
+        det = sign
+        for i, row in enumerate(ech):
+            det = det * row[i]
+    return AppComplex.from_mpc(det, precision_bits)
 
 
 def complex_kernel(rows, precision_bits, tol):
@@ -248,7 +233,7 @@ def complex_kernel(rows, precision_bits, tol):
         return []
     ncols = len(rows[0])
     bits = _matrix_bits(rows, precision_bits)
-    ech, piv, _ = complex_echelon(rows, precision_bits, tol)
+    ech, piv, _, _ = complex_echelon(rows, precision_bits, tol)
     piv_set = set(piv)
     free = [c for c in range(ncols) if c not in piv_set]
     basis = []
@@ -363,7 +348,7 @@ def kernel_basis(rows, precision_bits, tol):
     if not rows:
         return []
     if matrix_is_exact(rows):
-        return rational_kernel([[Fraction(x) for x in row] for row in rows])
+        return rational_kernel(rows)
     return complex_kernel(rows, precision_bits, tol)
 
 
@@ -371,7 +356,7 @@ def matrix_rank(rows, precision_bits, tol) -> int:
     if not rows or not rows[0]:
         return 0
     if matrix_is_exact(rows):
-        return rational_rank([[Fraction(x) for x in row] for row in rows])
+        return rational_rank(rows)
     return complex_rank(rows, precision_bits, tol)
 
 
@@ -385,15 +370,18 @@ def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
+def dot(u, v):
+    """sum u_i * v_i, added left to right onto the first product;
+    Fraction(0) for empty vectors."""
+    s = None
+    for a, b in zip(u, v):
+        term = a * b
+        s = term if s is None else s + term
+    return s if s is not None else Fraction(0)
+
+
 def mat_vec(rows, vec):
-    out = []
-    for row in rows:
-        s = None
-        for a, b in zip(row, vec):
-            term = a * b
-            s = term if s is None else s + term
-        out.append(s if s is not None else Fraction(0))
-    return out
+    return [dot(row, vec) for row in rows]
 
 
 def complete_to_basis(columns_tail):

@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from mpmath import nstr
+
 from .errors import (InvalidInputError, NonHomogeneousError, ParseError)
 from .linalg import rational_det
 from .numerics import is_exact_scalar, max_abs_of, scalar_is_zero
@@ -456,9 +458,8 @@ def _render_monomial(expo, var):
 def _render_scalar(c):
     if isinstance(c, Fraction):
         return str(c)
-    import mpmath
-    re_s = mpmath.nstr(c.real, 12)
-    im_s = mpmath.nstr(c.imag, 12)
+    re_s = nstr(c.real, 12)
+    im_s = nstr(c.imag, 12)
     return f"({re_s}{'+' if c.imag >= 0 else ''}{im_s}j)"
 
 

@@ -1,5 +1,5 @@
-"""The package's import structure: every package-internal import sits at
-module level, and the modules import each other without a cycle."""
+"""The package's import structure: every import sits at module level, and
+the modules import each other without a cycle."""
 
 import ast
 from pathlib import Path
@@ -10,34 +10,27 @@ MODULES = sorted(p.stem for p in SOURCE.glob("*.py"))
 
 
 def _internal_imports(tree):
-    """(node, target module, in a function) for each import of a module of
-    the package; ``from . import x`` targets the module x."""
-    def walk(node, in_function):
-        for child in ast.iter_child_nodes(node):
-            inner = in_function or isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            if isinstance(child, ast.ImportFrom):
-                if child.level:
-                    if child.module:
-                        targets = [child.module.split(".")[0]]
-                    else:
-                        targets = [a.name for a in child.names]
-                elif (child.module or "").split(".")[0] == PACKAGE:
-                    parts = child.module.split(".")
-                    targets = ([parts[1]] if len(parts) > 1
-                               else [a.name for a in child.names])
-                else:
-                    targets = []
-                for t in targets:
-                    if t in MODULES:
-                        yield child, t, inner
-            elif isinstance(child, ast.Import):
-                for a in child.names:
-                    parts = a.name.split(".")
-                    if parts[0] == PACKAGE and len(parts) > 1 and parts[1] in MODULES:
-                        yield child, parts[1], inner
-            yield from walk(child, inner)
-    yield from walk(tree, False)
+    """(node, target module) for each import of a module of the package;
+    ``from . import x`` targets the module x."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                targets = ([node.module.split(".")[0]] if node.module
+                           else [a.name for a in node.names])
+            elif (node.module or "").split(".")[0] == PACKAGE:
+                parts = node.module.split(".")
+                targets = ([parts[1]] if len(parts) > 1
+                           else [a.name for a in node.names])
+            else:
+                targets = []
+            for t in targets:
+                if t in MODULES:
+                    yield node, t
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == PACKAGE and len(parts) > 1 and parts[1] in MODULES:
+                    yield node, parts[1]
 
 
 def _parsed():
@@ -49,16 +42,20 @@ def test_sources_found():
     assert {"apolarity", "decompose", "poly", "cli"} <= set(MODULES)
 
 
-def test_no_package_import_inside_a_function():
-    offenders = [f"{m}.py:{node.lineno} imports {target}"
+def test_no_import_inside_a_function():
+    # of any module, the package's own or another
+    offenders = [f"{m}.py:{node.lineno}"
                  for m, tree in _parsed().items()
-                 for node, target, in_function in _internal_imports(tree)
-                 if in_function]
+                 for func in ast.walk(tree)
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.Lambda))
+                 for node in ast.walk(func)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert offenders == []
 
 
 def test_module_import_graph_has_no_cycle():
-    graph = {m: sorted({t for _, t, _ in _internal_imports(tree) if t != m})
+    graph = {m: sorted({t for _, t in _internal_imports(tree) if t != m})
              for m, tree in _parsed().items()}
     state = {}  # module -> "open" while on the DFS path, "done" after
 
@@ -79,7 +76,7 @@ def test_module_import_graph_has_no_cycle():
 
 def test_apolarity_stays_below_the_pipeline():
     tree = _parsed()["apolarity"]
-    assert "decompose" not in {t for _, t, _ in _internal_imports(tree)}
+    assert "decompose" not in {t for _, t in _internal_imports(tree)}
 
 
 def test_verify_stays_below_the_pipeline():
@@ -87,7 +84,7 @@ def test_verify_stays_below_the_pipeline():
     # code with the pipeline or the command line
     tree = _parsed()["verify"]
     assert {"decompose", "cli"}.isdisjoint(
-        t for _, t, _ in _internal_imports(tree))
+        t for _, t in _internal_imports(tree))
 
 
 #: the pipeline's code for powers of linear forms and substitutions
@@ -101,7 +98,7 @@ def test_verify_expands_powers_on_its_own():
     tree = _parsed()["verify"]
     imported = set()
     poly_aliases = set()
-    for node, target, _ in _internal_imports(tree):
+    for node, target in _internal_imports(tree):
         if target != "poly":
             continue
         module = getattr(node, "module", None) or ""

@@ -1,0 +1,355 @@
+"""Exact and approximate linear algebra: properties against sympy, and the
+routines the single fraction-free reduction replaced, kept as references."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from mpmath import mpf, workprec
+
+from openwaring import InvalidInputError
+from openwaring.linalg import (_unwrap, complex_det, complex_echelon, dot,
+                               mat_vec, matrix_rank, rational_det,
+                               rational_inverse, rational_kernel,
+                               rational_rank, rational_solve)
+from openwaring.numerics import GUARD_BITS, AppComplex, tolerance
+
+# ---------------------------------------------------------------------------
+# The elimination routines as they were before the fraction-free
+# Gauss-Jordan reduction: Bareiss echelon form with Fraction
+# back-substitution, Fraction elimination for the determinant and the
+# inverse, and the complex determinant of the resultant code.
+
+
+def reference_echelon(rows):
+    int_rows = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        denom = 1
+        for x in row:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        int_rows.append([int(x * denom) for x in row])
+    m = int_rows
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    piv_cols = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [[Fraction(x) for x in row] for row in m[:r]], piv_cols
+
+
+def reference_kernel(rows):
+    ncols = len(rows[0])
+    ech, piv = reference_echelon(rows)
+    basis = []
+    for fc in [c for c in range(ncols) if c not in piv]:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i in range(len(piv) - 1, -1, -1):
+            pc = piv[i]
+            s = sum((ech[i][j] * v[j] for j in range(pc + 1, ncols)), Fraction(0))
+            v[pc] = -s / ech[i][pc]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(rows, rhs):
+    ncols = len(rows[0])
+    ech, piv = reference_echelon([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in piv:
+        return None
+    x = [Fraction(0)] * ncols
+    for i in range(len(piv) - 1, -1, -1):
+        pc = piv[i]
+        s = sum((ech[i][j] * x[j] for j in range(pc + 1, ncols)), Fraction(0))
+        x[pc] = (ech[i][ncols] - s) / ech[i][pc]
+    return x
+
+
+def reference_det(rows):
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        pivot_row = None
+        for i in range(c, n):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = Fraction(1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] == 0:
+                continue
+            f = m[i][c] * inv
+            for j in range(c, n):
+                m[i][j] -= f * m[c][j]
+    return det
+
+
+def reference_inverse(rows):
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        pivot_row = None
+        for i in range(c, n):
+            if aug[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            raise InvalidInputError("matrix is singular")
+        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
+        inv = Fraction(1) / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def reference_complex_det(rows, precision_bits):
+    bits = precision_bits + GUARD_BITS
+    m = _unwrap(rows, bits)
+    n = len(m)
+    with workprec(bits):
+        det = 1
+        for c in range(n):
+            best, best_abs = None, mpf(0)
+            for i in range(c, n):
+                if abs(m[i][c]) > best_abs:
+                    best, best_abs = i, abs(m[i][c])
+            if best is None or best_abs == 0:
+                return AppComplex(0, 0, precision_bits)
+            if best != c:
+                m[c], m[best] = m[best], m[c]
+                det = -det
+            det = det * m[c][c]
+            for i in range(c + 1, n):
+                if m[i][c] == 0:
+                    continue
+                fct = m[i][c] / m[c][c]
+                for j in range(c, n):
+                    m[i][j] -= fct * m[c][j]
+        return AppComplex.from_mpc(det, precision_bits)
+
+
+# ---------------------------------------------------------------------------
+# rational matrices up to 8 x 9: dense, sparse, of low rank, with zero rows
+
+ENTRIES = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def matrices(draw, square=False):
+    nrows = draw(st.integers(1, 8))
+    ncols = nrows if square else draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["dense", "sparse", "low rank"]))
+    if kind == "low rank":
+        k = draw(st.integers(0, min(nrows, ncols) - 1))
+        left = draw(st.lists(st.lists(ENTRIES, min_size=k, max_size=k),
+                             min_size=nrows, max_size=nrows))
+        right = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                              min_size=k, max_size=k))
+        rows = [[sum((a * right[t][j] for t, a in enumerate(row)), Fraction(0))
+                 for j in range(ncols)] for row in left]
+    else:
+        entry = ENTRIES if kind == "dense" else st.one_of(st.just(Fraction(0)),
+                                                          ENTRIES)
+        rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        rows[i] = [Fraction(0)] * ncols
+    return rows
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in rows])
+
+
+def to_fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def apply(rows, vec):
+    return [sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in rows]
+
+
+def assert_all_fractions(values):
+    assert all(type(x) is Fraction for x in values)
+
+
+class TestRational:
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_rank(self, rows):
+        rank = to_sympy(rows).rank()
+        assert rational_rank(rows) == rank
+        assert matrix_rank(rows, 256, tolerance(256)) == rank
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_kernel(self, rows):
+        ncols = len(rows[0])
+        _, pivots = to_sympy(rows).rref()
+        free = [c for c in range(ncols) if c not in pivots]
+        basis = rational_kernel(rows)
+        assert len(basis) == ncols - len(pivots)
+        for fc, v in zip(free, basis):
+            assert_all_fractions(v)
+            assert apply(rows, v) == [0] * len(rows)
+            assert [v[c] for c in free] == [int(c == fc) for c in free]
+        assert basis == reference_kernel(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(), st.data())
+    def test_solve_consistent(self, rows, data):
+        x0 = data.draw(st.lists(ENTRIES, min_size=len(rows[0]),
+                                max_size=len(rows[0])))
+        rhs = apply(rows, x0)
+        x = rational_solve(rows, rhs)
+        assert x is not None
+        assert_all_fractions(x)
+        assert apply(rows, x) == rhs
+        assert x == reference_solve(rows, rhs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(), st.data())
+    def test_solve_any_rhs(self, rows, data):
+        rhs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+        a = to_sympy(rows)
+        consistent = a.row_join(to_sympy([[b] for b in rhs])).rank() == a.rank()
+        x = rational_solve(rows, rhs)
+        assert (x is not None) == consistent
+        if x is not None:
+            assert apply(rows, x) == rhs
+        assert x == reference_solve(rows, rhs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(square=True))
+    def test_det(self, rows):
+        det = rational_det(rows)
+        assert type(det) is Fraction
+        assert det == to_fraction(to_sympy(rows).det())
+        assert det == reference_det(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(square=True))
+    def test_inverse(self, rows):
+        a = to_sympy(rows)
+        if a.det() == 0:
+            with pytest.raises(InvalidInputError, match="matrix is singular"):
+                rational_inverse(rows)
+            return
+        inv = rational_inverse(rows)
+        for row in inv:
+            assert_all_fractions(row)
+        assert inv == [[to_fraction(x) for x in a.inv().row(i)]
+                       for i in range(len(rows))]
+        assert inv == reference_inverse(rows)
+
+    def test_empty_determinant_is_one(self):
+        assert rational_det([]) == 1
+        assert type(rational_det([])) is Fraction
+
+    def test_determinant_needs_a_square_matrix(self):
+        with pytest.raises(InvalidInputError,
+                           match="determinant needs a square matrix"):
+            rational_det([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(InvalidInputError,
+                           match="determinant needs a square matrix"):
+            complex_det([[AppComplex(1, 0, 64), 2]], 64)
+
+    def test_singular_inverse(self):
+        with pytest.raises(InvalidInputError, match="matrix is singular"):
+            rational_inverse([[Fraction(1, 2), 1], [1, 2]])
+
+
+# ---------------------------------------------------------------------------
+# the complex determinant, raw tuple for raw tuple
+
+
+def app(re, im, bits):
+    return AppComplex(Fraction(re), Fraction(im), bits)
+
+
+def complex_cases(bits):
+    swaps = [[app(Fraction((2 * i + 5 * j) % 7 + 1, 3), Fraction(i - 2 * j, 7), bits)
+              for j in range(4)] for i in range(4)]
+    zero_pivot = [[0, app(1, Fraction(1, 3), bits), 2],
+                  [0, app(Fraction(2, 3), 0, bits), Fraction(1, 3)],
+                  [app(5, -1, bits), 6, app(Fraction(1, 7), 2, bits)]]
+    zero_column = [[0, app(1, 1, bits)], [0, app(Fraction(1, 3), 0, bits)]]
+    singular = [[app(1, 0, bits), 2, 3], [2, app(4, 0, bits), 5],
+                [1, 2, app(7, 0, bits)]]
+    permutation = [[0, app(1, 0, bits), 0], [app(1, 0, bits), 0, 0],
+                   [0, 0, app(1, 0, bits)]]
+    rng = random.Random(7)
+    dense = [[app(Fraction(rng.randint(-50, 50), rng.choice([3, 7, 11])),
+                  Fraction(rng.randint(-50, 50), rng.choice([3, 7, 11])), bits)
+              for _ in range(6)] for _ in range(6)]
+    return {"swaps": swaps, "zero pivot": zero_pivot, "zero column": zero_column,
+            "singular": singular, "permutation": permutation, "dense": dense,
+            "empty": []}
+
+
+def raw(z):
+    return (z.real._mpf_, z.imag._mpf_, z.precision_bits)
+
+
+class TestComplexDet:
+    @pytest.mark.parametrize("bits", [64, 256, 1088])
+    @pytest.mark.parametrize("case", ["swaps", "zero pivot", "zero column",
+                                      "singular", "permutation", "dense",
+                                      "empty"])
+    def test_matches_the_old_elimination(self, bits, case):
+        rows = complex_cases(bits)[case]
+        det = complex_det(rows, bits)
+        assert type(det) is AppComplex
+        assert raw(det) == raw(reference_complex_det(rows, bits))
+
+    def test_swaps_are_counted(self):
+        rows = complex_cases(256)["swaps"]
+        assert complex_echelon(rows, 256, 0)[3] == -1
+        assert raw(complex_det(complex_cases(256)["permutation"], 256)) == raw(
+            AppComplex(-1, 0, 256))
+
+    def test_singular_is_exactly_zero(self):
+        for case in ("zero column", "singular"):
+            assert raw(complex_det(complex_cases(128)[case], 128)) == raw(
+                AppComplex(0, 0, 128))
+
+
+def test_dot_and_mat_vec():
+    assert dot([], []) == 0 and type(dot([], [])) is Fraction
+    assert dot([1, 2], [Fraction(1, 2), 3]) == Fraction(13, 2)
+    assert mat_vec([[1, 0], [2, 3]], [Fraction(1, 3), 1]) == [
+        Fraction(1, 3), Fraction(11, 3)]
