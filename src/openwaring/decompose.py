@@ -571,7 +571,23 @@ def _ternary_good(f: Form, V: ForbiddenSet, ctx: _Ctx):
     raise RetryBudgetError("pencil sampling exhausted its retry budget", ctx.trace)
 
 
+def _power_of_two_near(r) -> Fraction:
+    """The power of two nearest to r > 0 on a log scale."""
+    if not is_exact_scalar(r):
+        man, exp = mpf(r).man_exp
+        r = man * Fraction(2) ** exp
+    r = Fraction(r)
+    k = r.numerator.bit_length() - r.denominator.bit_length()
+    if Fraction(2) ** k > r:
+        k -= 1
+    if r * r >= Fraction(2) ** (2 * k + 1):
+        k += 1
+    return Fraction(2) ** k
+
+
 def _ternary_cubic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
+    # the perturbing cube w * l^3 is scaled to f (w a power of two), so that
+    # f stays well above the tolerance of f + w * l^3 at any scale of f
     bp_seed = ctx.rng.randrange(1 << 30)
     bp = base_points(f, 2, ctx.precision_bits, seed=bp_seed,
                      max_retries=ctx.max_retries)
@@ -584,7 +600,9 @@ def _ternary_cubic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         l = LinearForm([Fraction(c) for c in coords])
         if is_forbidden(l, V, ctx.tol):
             continue
-        f2 = f + linear_power(l, 3)
+        cube = linear_power(l, 3)
+        w = _power_of_two_near(f.norm1() / cube.norm1())
+        f2 = f + cube.scale(w)
         if f2.is_zero() or essential_variables(f2, ctx.precision_bits) != 3:
             continue
         bp2 = base_points(f2, 2, ctx.precision_bits,
@@ -594,7 +612,7 @@ def _ternary_cubic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
             continue
         ctx.note(f"ternary: perturbation l=({','.join(str(c) for c in coords)})")
         good = _ternary_good(f2, V, ctx)
-        return good + [(Fraction(-1), l)]
+        return good + [(-w, l)]
     raise RetryBudgetError("perturbation sampling exhausted its retry budget",
                            ctx.trace)
 

@@ -101,6 +101,8 @@ def rational_kernel(rows):
 
 def rational_solve(rows, rhs):
     """One exact solution of A x = b, or None when inconsistent."""
+    if len(rhs) != len(rows):
+        raise InvalidInputError("right-hand side length must match the rows")
     if not rows:
         return None
     ncols = len(rows[0])
@@ -130,6 +132,8 @@ def rational_inverse(rows):
     # the cleared rows of [A | I] are [D A | D], D the row denominators,
     # and they reduce to [p I | p A^-1]
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise InvalidInputError("inverse needs a square matrix")
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     red, piv, _, _ = _reduce(aug)
     if piv != list(range(n)):

@@ -13,12 +13,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm, prod
+from operator import add
 
 from mpmath import nstr
 
 from .errors import (InvalidInputError, NonHomogeneousError, ParseError)
-from .linalg import rational_det
+from .linalg import _clear_denominators, rational_det
 from .numerics import is_exact_scalar, max_abs_of, scalar_is_zero
 
 
@@ -276,48 +277,135 @@ def _power_of_linear(coords, d, cls):
 
 
 def _substitute(f, matrix):
-    """Substitute x_i -> sum_j matrix[i][j] x_j; no invertibility demanded."""
+    """Substitute x_i -> sum_j matrix[i][j] x_j; no invertibility demanded.
+
+    Each monomial c * x^e of f contributes c * prod_i (row_i . x)^e_i, the
+    products taken left to right over the variables, each (i, e_i) power
+    expanded once per call; the contributions are summed in f's order into
+    one dict.  A coefficient that cancels to an exact zero is dropped and,
+    if it comes back, re-inserted at the end, so the key order is that of
+    adding up the contributions as Forms.
+
+    Exact input (every coefficient of f and every matrix entry rational)
+    runs on integers over one common denominator: row i is cleared to
+    d_i * row_i, every contribution is scaled to the least common
+    denominator L of the c * prod_i d_i^-e_i, and each summed integer s
+    becomes Fraction(s, L) at the end.  Other input sums c * v as given.
+    """
     n = f.num_vars
-    cls = type(f)
-    lin = [LinearForm(matrix[i]) for i in range(n)]
-    pieces = {}  # (i, e) -> (sum_j matrix[i][j] x_j)^e
-    out = cls(n, f.degree, {})
-    for expo, c in f.coeffs.items():
+    rows = [matrix[i] for i in range(n)]
+    if f.is_exact() and all(is_exact_scalar(x) for row in rows for x in row):
+        out = _substitute_exact(f.coeffs, rows)
+    else:
+        out = _substitute_approx(f, rows)
+    return type(f)(n, f.degree, out)
+
+
+def _expansions(coeffs, power, product, unit):
+    """(c, prod_i power(i, e_i)) for each monomial c * x^e of f, in f's
+    order: the product taken left to right over the variables, each
+    power(i, e) built once, and ``unit`` for the constant monomial."""
+    pieces = {}
+    for expo, c in coeffs.items():
         term = None
         for i, e in enumerate(expo):
             if e == 0:
                 continue
             piece = pieces.get((i, e))
             if piece is None:
-                piece = pieces[(i, e)] = _power_of_linear(lin[i].coords, e, cls)
-            term = piece if term is None else _multiply(term, piece)
-        if term is None:
-            term = cls(n, 0, {(0,) * n: Fraction(1)})
-        out = out + term.scale(c)
+                piece = pieces[(i, e)] = power(i, e)
+            term = piece if term is None else product(term, piece)
+        yield c, unit if term is None else term
+
+
+def _substitute_exact(coeffs, rows):
+    cleared = [_clear_denominators(row) for row in rows]
+    dens = [c.denominator * prod(d ** e for (d, _), e in zip(cleared, expo))
+            for expo, c in coeffs.items()]
+    common = lcm(*dens)
+    # every integer below is the rational value times a positive constant,
+    # so it cancels exactly when the Fraction sum would
+    out = {}
+    for (c, term), den in zip(_expansions(
+            coeffs, lambda i, e: _integer_power(cleared[i][1], e),
+            _integer_product, {(0,) * len(rows): 1}), dens):
+        scale = c.numerator * (common // den)
+        for t, v in term.items():
+            s = out.get(t, 0) + scale * v
+            if s:
+                out[t] = s
+            else:
+                del out[t]
+    return {t: Fraction(s, common) for t, s in out.items()}
+
+
+def _integer_power(ints, d):
+    """(ints . x)^d for an integer vector, keyed like `_power_of_linear`."""
+    powers = [[1, x] + [x ** e for e in range(2, d + 1)] if x else None
+              for x in ints]
+    out = {}
+    for expo, m in zip(monomials_of_degree(len(ints), d),
+                       _multinomials(len(ints), d)):
+        val = m.numerator
+        for pw, e in zip(powers, expo):
+            if e:
+                if pw is None:
+                    break
+                val *= pw[e]
+        else:
+            out[expo] = val
     return out
 
 
-def _multiply(f, g):
-    """Sparse product of two homogeneous polynomials of the same kind."""
-    cls = type(f)
-    n = f.num_vars
+def _integer_product(a, b):
+    """`_product` on integer coefficient dicts."""
     out = {}
-    for a, u in f.coeffs.items():
-        for b, v in g.coeffs.items():
-            t = tuple(a[i] + b[i] for i in range(n))
+    for x, u in a.items():
+        for y, v in b.items():
+            t = tuple(map(add, x, y))
+            s = out.get(t, 0) + u * v
+            if s:
+                out[t] = s
+            else:
+                del out[t]
+    return out
+
+
+def _substitute_approx(f, rows):
+    lin = [LinearForm(row).coords for row in rows]
+    out = {}
+    for c, term in _expansions(
+            f.coeffs, lambda i, e: _power_of_linear(lin[i], e, type(f)).coeffs,
+            _product, {(0,) * f.num_vars: Fraction(1)}):
+        for t, v in term.items():
+            s = out.get(t, Fraction(0)) + c * v
+            if is_exact_scalar(s) and s == 0:
+                out.pop(t, None)
+            else:
+                out[t] = s
+    return out
+
+
+def _product(a, b):
+    """Sparse product of two coefficient dicts of homogeneous polynomials."""
+    out = {}
+    for x, u in a.items():
+        for y, v in b.items():
+            t = tuple(map(add, x, y))
             s = out.get(t, Fraction(0)) + u * v
             if is_exact_scalar(s) and s == 0:
                 out.pop(t, None)
             else:
                 out[t] = s
-    return cls(n, f.degree + g.degree, out)
+    return out
 
 
 def change_coordinates(f, matrix):
     """Substitute x_i -> sum_j M[i][j] x_j; M must be invertible.
 
     Works for Form and DualOp alike.  Invertibility is checked by exact
-    determinant for rational matrices.
+    determinant for rational matrices.  Rational f and M run on integers
+    over one common denominator (see `_substitute`).
     """
     n = f.num_vars
     if len(matrix) != n or any(len(row) != n for row in matrix):

@@ -15,6 +15,7 @@ from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         decompose_quadratic, decompose_ternary_cubic,
                         essential_variables, fit_coefficients, is_forbidden,
                         linear_power, parse_form, recursion_bound)
+from openwaring.decompose import _power_of_two_near
 from conftest import (assert_same_verdict, random_essential_form, random_form,
                       random_hyperplanes, random_linear_form, reference_check)
 
@@ -179,6 +180,40 @@ class TestTernaryCubic:
         dec = decompose_ternary_cubic(f, V, seed=4)
         rep = check_decomposition(f, dec, V)
         assert rep.passed and dec.term_count == 5
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("scale", [Fraction(1, 10**3), Fraction(1, 10**6),
+                                       Fraction(1, 10**9), Fraction(10**6),
+                                       Fraction(10**12)])
+    def test_perturbing_cube_scales_with_the_form(self, scale, bits):
+        # an unscaled cube once buried small forms below the tolerance: at 64
+        # bits 10^-6 drifted (ConsistencyError) and 10^-9 ran out of retries
+        f = parse_form("x0*x1^2 + x1*x2^2", 3).scale(scale)
+        dec = decompose(f, precision_bits=bits)
+        assert dec.term_count == 5
+        assert any("perturbation" in t for t in dec.trace)
+        assert dec.report.passed
+        assert check_decomposition(f, dec, precision_bits=bits).passed
+        assert reference_check(f, dec, precision_bits=bits).passed
+        c, l = dec.terms[-1]
+        w = -c
+        assert type(w) is Fraction and w > 0 and l.is_exact()
+        assert w.numerator & (w.numerator - 1) == 0
+        assert w.denominator & (w.denominator - 1) == 0
+        ratio = f.norm1() / linear_power(l, 3).norm1()
+        assert ratio / 2 ** Fraction(1, 2) <= w <= ratio * 2 ** Fraction(1, 2)
+
+    def test_power_of_two_near(self):
+        # nearest on a log scale: the boundary between 2^k and 2^(k+1) is
+        # 2^(k+1/2), and approximate ratios are read exactly
+        for r, w in ((Fraction(1), 1), (Fraction(8), 8), (Fraction(3), 4),
+                     (Fraction(5, 2), 2), (Fraction(1, 3), Fraction(1, 4)),
+                     (Fraction(2, 6859), Fraction(1, 4096)),
+                     (mpf("0.3"), Fraction(1, 4)),
+                     (mpf(2) ** -300, Fraction(1, 2**300)),
+                     (Fraction(141421, 100000), 1), (Fraction(141422, 100000), 2)):
+            assert _power_of_two_near(r) == w
+            assert type(_power_of_two_near(r)) is Fraction
 
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):

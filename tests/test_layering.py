@@ -87,15 +87,21 @@ def test_verify_stays_below_the_pipeline():
         t for _, t in _internal_imports(tree))
 
 
-#: the pipeline's code for powers of linear forms and substitutions
+#: the pipeline's code for powers of linear forms and substitutions,
+#: with the integer expansion that rational substitutions run on
 POLY_EXPANSIONS = {"linear_power", "dual_power", "_power_of_linear",
-                   "_substitute", "_multiply", "change_coordinates"}
+                   "_substitute", "_expansions", "_substitute_exact",
+                   "_integer_power", "_integer_product", "_substitute_approx",
+                   "_product", "change_coordinates"}
 
 
 def test_verify_expands_powers_on_its_own():
     # the certificate must not reach the expansions it certifies, neither by
     # importing them from poly nor through an imported poly module
-    tree = _parsed()["verify"]
+    parsed = _parsed()
+    assert POLY_EXPANSIONS <= {n.name for n in parsed["poly"].body
+                               if isinstance(n, ast.FunctionDef)}
+    tree = parsed["verify"]
     imported = set()
     poly_aliases = set()
     for node, target in _internal_imports(tree):

@@ -292,6 +292,22 @@ class TestRational:
         with pytest.raises(InvalidInputError, match="matrix is singular"):
             rational_inverse([[Fraction(1, 2), 1], [1, 2]])
 
+    def test_inverse_needs_a_square_matrix(self):
+        with pytest.raises(InvalidInputError,
+                           match="inverse needs a square matrix"):
+            rational_inverse([[1, 2, 3], [4, 5, 7]])
+        with pytest.raises(InvalidInputError,
+                           match="inverse needs a square matrix"):
+            rational_inverse([[1, 2], [3]])
+
+    def test_solve_needs_one_rhs_entry_per_row(self):
+        for rows, rhs in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 2]),
+                          ([], [1])):
+            with pytest.raises(InvalidInputError,
+                               match="right-hand side length must match"):
+                rational_solve(rows, rhs)
+        assert rational_solve([], []) is None
+
 
 # ---------------------------------------------------------------------------
 # the complex determinant, raw tuple for raw tuple

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from openwaring import (AppComplex, DualOp, Form, InvalidInputError,
                         LinearForm, NonHomogeneousError, ParseError,
@@ -11,7 +12,7 @@ from openwaring import (AppComplex, DualOp, Form, InvalidInputError,
                         linear_power, parse_form, render_form)
 from openwaring.linalg import rational_det, rational_inverse
 from openwaring.numerics import is_exact_scalar
-from openwaring.poly import _multiply, dual_power, monomials_of_degree
+from openwaring.poly import _substitute, dual_power, monomials_of_degree
 from conftest import random_form, random_linear_form
 
 
@@ -211,8 +212,11 @@ class TestParseRender:
 # ---------------------------------------------------------------------------
 # `_power_of_linear` takes its multinomials from a table per shape and each
 # coordinate power once, and `_substitute` builds each (variable, exponent)
-# piece once per call; the references below are the per-monomial formulas
-# they replace, and results must agree bit for bit, in coefficient order.
+# piece once per call, runs rational input on integers over one common
+# denominator and adds every other contribution straight into one dict; the
+# references below are the per-monomial formulas, Fraction arithmetic and
+# Form sums they replace, and results must agree bit for bit, in
+# coefficient order.
 
 
 def ref_power_of_linear(coords, d, cls):
@@ -239,6 +243,21 @@ def ref_power_of_linear(coords, d, cls):
     return cls(n, d, out)
 
 
+def ref_multiply(f, g):
+    cls = type(f)
+    n = f.num_vars
+    out = {}
+    for a, u in f.coeffs.items():
+        for b, v in g.coeffs.items():
+            t = tuple(a[i] + b[i] for i in range(n))
+            s = out.get(t, Fraction(0)) + u * v
+            if is_exact_scalar(s) and s == 0:
+                out.pop(t, None)
+            else:
+                out[t] = s
+    return cls(n, f.degree + g.degree, out)
+
+
 def ref_substitute(f, matrix):
     n = f.num_vars
     cls = type(f)
@@ -250,7 +269,7 @@ def ref_substitute(f, matrix):
             if e == 0:
                 continue
             piece = ref_power_of_linear(lin[i].coords, e, cls)
-            term = piece if term is None else _multiply(term, piece)
+            term = piece if term is None else ref_multiply(term, piece)
         if term is None:
             term = cls(n, 0, {(0,) * n: Fraction(1)})
         out = out + term.scale(c)
@@ -324,3 +343,105 @@ class TestPowerTablesKeepEveryBit:
                         break
                 assert layout(change_coordinates(f, m)) == layout(
                     ref_substitute(f, m)), (n, d)
+
+
+def random_rational(rng, small=False):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    if small:
+        return Fraction(rng.choice((-1, 1)))
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
+                    rng.choice((1, 2, 3, 4, 6, 9, 10, 35)))
+
+
+def rational_matrix(rng, n, small=False):
+    """Mixed denominators (and some plain ints), zero entries, and now and
+    then a singular row: zero, or a multiple of an earlier row."""
+    m = [[random_rational(rng, small) for _ in range(n)] for _ in range(n)]
+    for row in m:
+        for j, x in enumerate(row):
+            if x.denominator == 1 and rng.random() < 0.3:
+                row[j] = int(x)
+    if n > 1 and rng.random() < 0.3:
+        i = rng.randrange(1, n)
+        m[i] = [x * rng.choice((0, 1, Fraction(-2, 3))) for x in m[rng.randrange(i)]]
+    return m
+
+
+def sparse_coeffs(rng, n, d, scalar, cap=10):
+    monos = list(monomials_of_degree(n, d))
+    chosen = rng.sample(monos, min(cap, len(monos)))
+    return {e: scalar() for e in monos if e in chosen}
+
+
+class TestSubstituteKeepsEveryBit:
+    @pytest.mark.parametrize("cls", [Form, DualOp])
+    def test_exact_input_on_integers(self, cls):
+        rng = random.Random(11 + (cls is DualOp))
+        for n in range(1, 7):
+            for d in range(0, 7):
+                for small in (False, True):
+                    f = cls(n, d, sparse_coeffs(
+                        rng, n, d, lambda: random_rational(rng, small)
+                        * rng.randint(1, 2)))
+                    m = rational_matrix(rng, n, small)
+                    got = _substitute(f, m)
+                    assert all(isinstance(c, Fraction) for c in got.coeffs.values())
+                    assert layout(got) == layout(ref_substitute(f, m)), (n, d)
+
+    def test_cancelled_coefficient_returns_at_the_end(self):
+        # 2(x1-x0)^2 + 2(x1-x0)x0 - x0^2: the x0^2 coefficient cancels on the
+        # second monomial and comes back on the third, after x0*x1 and x1^2
+        f = Form(2, 2, {(2, 0): Fraction(2), (1, 1): Fraction(2),
+                        (0, 2): Fraction(-1)})
+        m = [[-1, 1], [1, 0]]
+        got = _substitute(f, m)
+        assert list(got.coeffs.items()) == [
+            ((1, 1), Fraction(-2)), ((0, 2), Fraction(2)), ((2, 0), Fraction(-1))]
+        assert layout(got) == layout(ref_substitute(f, m))
+
+    @pytest.mark.parametrize("bits", BIT_SIZES)
+    @pytest.mark.parametrize("kind", ["approximate", "exact form", "exact matrix"])
+    def test_approximate_input(self, kind, bits):
+        rng = random.Random(bits + len(kind))
+
+        def approximate():
+            num = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+            return AppComplex(num, rng.choice([0, num / 3, -num]), bits)
+
+        form_scalar = (lambda: random_rational(rng)) if kind == "exact form" \
+            else approximate
+        for cls in (Form, DualOp):
+            for n in range(1, 5):
+                for d in range(0, 6):
+                    f = cls(n, d, sparse_coeffs(rng, n, d, form_scalar))
+                    if kind == "exact matrix":
+                        m = rational_matrix(rng, n)
+                    else:
+                        m = [[Fraction(0) if rng.random() < 0.2 else approximate()
+                              for _ in range(n)] for _ in range(n)]
+                    assert layout(_substitute(f, m)) == layout(
+                        ref_substitute(f, m)), (cls, n, d)
+
+
+@st.composite
+def rational_substitutions(draw):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 4))
+    rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    coeffs = {e: draw(rational) for e in monomials_of_degree(n, d)
+              if draw(st.booleans())}
+    m = [[draw(rational) for _ in range(n)] for _ in range(n)]
+    return Form(n, d, coeffs), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_substitutions())
+def test_substitute_matches_sympy(case):
+    f, m = case
+    xs = _sympy_vars(f.num_vars)
+    images = {x: sum((sympy.Rational(c.numerator, c.denominator) * y
+                      for c, y in zip(row, xs)), sympy.Integer(0))
+              for x, row in zip(xs, m)}
+    expected = sympy.expand(to_sympy(f, xs).xreplace(images))
+    assert sympy.expand(to_sympy(_substitute(f, m), xs) - expected) == 0
