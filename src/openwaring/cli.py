@@ -16,6 +16,7 @@ input nor retry exhaustion; the message names its class).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -224,7 +225,9 @@ def _load_avoid(args, num_vars) -> ForbiddenSet:
     return ForbiddenSet.empty(num_vars)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="openwaring",
         description="Waring decompositions avoiding forbidden linear forms")

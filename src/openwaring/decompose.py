@@ -177,9 +177,11 @@ def fit_coefficients(f: Form, points, precision_bits=DEFAULT_PRECISION_BITS):
     for p in points:
         if p.num_vars != n:
             raise InvalidInputError("point has the wrong number of variables")
+    scales = [_coords_scale(p) for p in points]
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            if _proportional_linear(points[i], points[j], precision_bits):
+            if _proportional_linear(points[i], points[j], precision_bits,
+                                    scales[i], scales[j]):
                 raise InvalidInputError("points must be pairwise non-proportional")
     monos = monomials_of_degree(n, d)
     powers = [linear_power(p, d) for p in points]
@@ -200,9 +202,17 @@ def fit_coefficients(f: Form, points, precision_bits=DEFAULT_PRECISION_BITS):
     return [Fraction(0) if scalar_is_zero(c, snap) else c for c in sol]
 
 
-def _proportional_linear(a: LinearForm, b: LinearForm, precision_bits) -> bool:
-    tol = tolerance(precision_bits) * max(mpf(1), mpf(1) * max_abs_of(a.coords)) \
-        * max(mpf(1), mpf(1) * max_abs_of(b.coords))
+def _coords_scale(l: LinearForm):
+    """max(1, max |coord|) as an mpf, the scale of l in proportionality tests."""
+    return max(mpf(1), mpf(1) * max_abs_of(l.coords))
+
+
+def _proportional_linear(a: LinearForm, b: LinearForm, precision_bits,
+                         a_scale, b_scale) -> bool:
+    """Whether every 2x2 cross product of a and b vanishes: exactly when it
+    is rational, else within tolerance(bits) * a_scale * b_scale, built only
+    once a cross product is inexact.  The scales come from _coords_scale."""
+    tol = None
     n = a.num_vars
     for i in range(n):
         for j in range(i + 1, n):
@@ -210,7 +220,10 @@ def _proportional_linear(a: LinearForm, b: LinearForm, precision_bits) -> bool:
             if is_exact_scalar(cross):
                 if cross != 0:
                     return False
-            elif not scalar_is_zero(cross, tol):
+                continue
+            if tol is None:
+                tol = tolerance(precision_bits) * a_scale * b_scale
+            if not scalar_is_zero(cross, tol):
                 return False
     return True
 
@@ -339,16 +352,19 @@ def _merge_proportional(terms, d, precision_bits):
     """Fold proportional linear forms into single terms and drop the terms
     whose coefficient became (numerically) zero."""
     merged = []
+    scales = []
     for c, l in terms:
         if l.is_zero():
             raise ConsistencyError("zero linear form in a decomposition")
+        l_scale = _coords_scale(l)
         hit = None
         for idx, (c0, l0) in enumerate(merged):
-            if _proportional_linear(l, l0, precision_bits):
+            if _proportional_linear(l, l0, precision_bits, l_scale, scales[idx]):
                 hit = idx
                 break
         if hit is None:
             merged.append((c, l))
+            scales.append(l_scale)
             continue
         c0, l0 = merged[hit]
         j = max(range(l0.num_vars), key=lambda i: mpf(1) * max_abs_of([l0.coords[i]]))

@@ -26,7 +26,7 @@ from fractions import Fraction
 from mpmath import mpf, mpc, workprec
 from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpc_add, mpc_div,
                           mpc_mpf_div, mpc_mul, mpc_pow_int, mpc_sub,
-                          mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_neg,
+                          mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
                           mpf_pos, mpf_pow_int, round_nearest)
 
 from .errors import ConsistencyError, InvalidInputError
@@ -423,11 +423,41 @@ def squarefree_decomposition(p: UniPoly):
 
 
 def _horner(coeffs, x, prec):
-    """p(x) on raw libmp tuples, as ``acc * x + c`` from ``mpc(0)``."""
-    acc = _CZERO
-    for c in reversed(coeffs):
+    """p(x) on raw libmp tuples, as ``acc * x + c`` from ``mpc(0)``.
+
+    ``coeffs`` is nonempty.  The first step ``0 * x + c`` is taken as
+    ``0 + c``: for finite x the product is exactly zero, so skipping the
+    multiplication leaves every bit of the result as it was.
+    """
+    acc = mpc_add(_CZERO, coeffs[-1], prec, _RND)
+    for c in reversed(coeffs[:-1]):
         acc = mpc_add(mpc_mul(acc, x, prec, _RND), c, prec, _RND)
     return acc
+
+
+def _clearly_moved(step, z, work_bits):
+    """Whether the exponents alone put |step| / (1 + |z|) above 16 times
+    ``_aberth``'s ``stop = 2**(8 - work_bits)``.
+
+    ``top(x) = exp + bc`` bounds a nonzero part by 2**(top-1) <= |x| <
+    2**top, so |step| >= 2**(max top(step) - 1) and 1 + |z| <
+    2**(max(top(z), 0) + 2), and the quotient exceeds
+    2**(top(step) - max(top(z), 0) - 3).  False when step is zero or a
+    part is not finite (inf or nan), where these bounds say nothing.
+    """
+    (_, ma, ea, ba), (_, mb, eb, bb) = step
+    (_, mc, ec, bc), (_, md, ed, bd) = z
+    if (not ma and ea) or (not mb and eb) or (not mc and ec) or (not md and ed):
+        return False
+    if ma:
+        ts = max(ea + ba, eb + bb) if mb else ea + ba
+    elif mb:
+        ts = eb + bb
+    else:
+        return False
+    # a zero part of z has exp + bc == 0, which max(..., 0) absorbs;
+    # ts - tz - 3 >= (8 - work_bits) + 4 is a margin of 4 bits over stop
+    return ts - max(ec + bc, ed + bd, 0) >= 15 - work_bits
 
 
 def _aberth(coeffs, work_bits, max_iters=400):
@@ -436,6 +466,15 @@ def _aberth(coeffs, work_bits, max_iters=400):
     ``coeffs`` is ascending with nonzero leading and constant terms.
     Deterministic: fixed initial points on a circle with an angular offset.
     Returns a list of deg(p) approximations.
+
+    A sweep ends the iteration only if no root was nudged and every
+    root's ``rel = |step| / (1 + |z_k|)`` is at most ``stop``.  Work is
+    skipped only where it cannot change a bit: once one root fails, the
+    sweep's verdict is fixed and the later roots take their update without
+    computing ``rel``; and ``rel`` is not computed when the exponents of
+    ``step`` and ``z_k`` already put it above ``stop`` by 4 bits
+    (``_clearly_moved``), a factor of 16 that the few roundings of ``rel``
+    at ``work_bits``, each off by a few units in the last place, cannot close.
     """
     n = len(coeffs) - 1
     wb = work_bits
@@ -464,7 +503,7 @@ def _aberth(coeffs, work_bits, max_iters=400):
         z = [w._mpc_ for w in z]
         one = (fone, fzero)
         for _ in range(max_iters):
-            max_step = fzero
+            settled = True
             for k in range(n):
                 zk = z[k]
                 pv = _horner(monic, zk, wb)
@@ -475,7 +514,7 @@ def _aberth(coeffs, work_bits, max_iters=400):
                     # nudge deterministically off a critical point
                     w = _make_mpc(zk)
                     z[k] = (w + (abs(w) + 1) * mpf(2) ** (-work_bits // 4))._mpc_
-                    max_step = fone
+                    settled = False
                     continue
                 newt = mpc_div(pv, dv, wb, _RND)
                 s = _CZERO
@@ -491,12 +530,12 @@ def _aberth(coeffs, work_bits, max_iters=400):
                 else:
                     step = mpc_div(newt, denom, wb, _RND)
                 zk = z[k] = mpc_sub(zk, step, wb, _RND)
-                rel = mpf_div(mpc_abs(step, wb, _RND),
-                              mpf_add(mpc_abs(zk, wb, _RND), fone, wb, _RND),
-                              wb, _RND)
-                if mpf_gt(rel, max_step):
-                    max_step = rel
-            if mpf_le(max_step, stop):
+                if settled and (_clearly_moved(step, zk, wb) or mpf_gt(
+                        mpf_div(mpc_abs(step, wb, _RND),
+                                mpf_add(mpc_abs(zk, wb, _RND), fone, wb, _RND),
+                                wb, _RND), stop)):
+                    settled = False
+            if settled:
                 break
         return [mpc(_make_mpc(w)) for w in z]
 

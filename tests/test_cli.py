@@ -201,6 +201,39 @@ class TestOtherCommands:
         assert code == 2
 
 
+class TestParserCache:
+    def test_back_to_back_runs_match_fresh_parsers(self, tmp_path, capsys,
+                                                   monkeypatch):
+        record = tmp_path / "dec.json"
+        argvs = [
+            ["decompose", "-n", "2", "x0^3 - 2*x0*x1^2 + x1^3",
+             "--format", "structured", "-o", str(record)],
+            ["verify", str(record), "--format", "structured"],
+            ["decompose", "-n", "2", "x0^3", "--precision", "many"],
+            ["bounds", "3", "3"],
+            ["bounds", "--help"],
+        ]
+
+        def outputs():
+            got = []
+            for argv in argvs:
+                try:
+                    code = run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                got.append((code, captured.out, captured.err))
+            return got
+
+        assert cli.build_parser() is cli.build_parser()
+        cached = outputs()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.build_parser() is not cli.build_parser()
+        assert outputs() == cached
+        assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0]
+        assert "invalid int value: 'many'" in cached[2][2]
+
+
 class TestInternalErrors:
     def test_consistency_error_exits_four(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -15,7 +15,8 @@ from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         decompose_quadratic, decompose_ternary_cubic,
                         essential_variables, fit_coefficients, is_forbidden,
                         linear_power, parse_form, recursion_bound)
-from openwaring.decompose import _power_of_two_near
+from openwaring.decompose import _merge_proportional, _power_of_two_near
+from openwaring.numerics import is_exact_scalar, max_abs_of, scalar_is_zero, tolerance
 from conftest import (assert_same_verdict, random_essential_form, random_form,
                       random_hyperplanes, random_linear_form, reference_check)
 
@@ -543,3 +544,101 @@ class TestCertificate:
     def test_absorbed_decomposition_has_no_report(self):
         dec = absorb_coefficients(decompose(parse_form("x0^3 + 2*x1^3", 2)))
         assert dec.report is None
+
+
+def ref_proportional_linear(a, b, precision_bits):
+    tol = tolerance(precision_bits) * max(mpf(1), mpf(1) * max_abs_of(a.coords)) \
+        * max(mpf(1), mpf(1) * max_abs_of(b.coords))
+    n = a.num_vars
+    for i in range(n):
+        for j in range(i + 1, n):
+            cross = a.coords[i] * b.coords[j] - a.coords[j] * b.coords[i]
+            if is_exact_scalar(cross):
+                if cross != 0:
+                    return False
+            elif not scalar_is_zero(cross, tol):
+                return False
+    return True
+
+
+def ref_merge_proportional(terms, d, precision_bits):
+    """The merge with a tolerance built from both forms on every test."""
+    merged = []
+    for c, l in terms:
+        hit = None
+        for idx, (c0, l0) in enumerate(merged):
+            if ref_proportional_linear(l, l0, precision_bits):
+                hit = idx
+                break
+        if hit is None:
+            merged.append((c, l))
+            continue
+        c0, l0 = merged[hit]
+        j = max(range(l0.num_vars), key=lambda i: mpf(1) * max_abs_of([l0.coords[i]]))
+        lam = l.coords[j] / l0.coords[j]
+        merged[hit] = (c0 + c * lam ** d, l0)
+    out = []
+    drop = mpf(2) ** (-(precision_bits * 3) // 4)
+    scale = max([mpf(1)] + [mpf(1) * max_abs_of([c]) for c, _ in merged])
+    for c, l in merged:
+        if is_exact_scalar(c) and c == 0:
+            continue
+        if not is_exact_scalar(c) and scalar_is_zero(c, drop * scale):
+            continue
+        out.append((c, l))
+    return out
+
+
+def raw_scalar(x):
+    if is_exact_scalar(x):
+        return Fraction(x)
+    return (x.real._mpf_, x.imag._mpf_, x.precision_bits)
+
+
+def raw_terms(terms):
+    return [(raw_scalar(c), [raw_scalar(x) for x in l.coords]) for c, l in terms]
+
+
+class TestMergeProportional:
+    BITS = 256
+
+    def app(self, rng, x):
+        return AppComplex(x, Fraction(rng.randint(-9, 9), rng.randint(1, 9)), self.BITS)
+
+    def term_list(self, rng, kind):
+        """Terms in 3 variables, some proportional to earlier ones: exact
+        multiples, approximate multiples and multiples nudged out of
+        proportion by 2^-40."""
+        terms = []
+        for _ in range(rng.randint(3, 9)):
+            if terms and rng.random() < 0.6:
+                c0, l0 = rng.choice(terms)
+                lam = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+                if kind != "exact" and rng.random() < 0.6:
+                    lam = self.app(rng, lam)
+                coords = [lam * x for x in l0.coords]
+                if rng.random() < 0.2:
+                    coords[0] = coords[0] + Fraction(1, 2 ** 40)
+                # sometimes the multiple cancels the earlier term exactly
+                c = -c0 / lam ** 3 if rng.random() < 0.3 else Fraction(rng.randint(1, 9))
+                terms.append((c, LinearForm(coords)))
+                continue
+            coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
+            coords[rng.randrange(3)] = Fraction(rng.randint(1, 5))
+            if kind == "approximate" or (kind == "mixed" and rng.random() < 0.5):
+                coords = [self.app(rng, x) for x in coords]
+            terms.append((Fraction(rng.randint(-9, 9) or 1), LinearForm(coords)))
+        return terms
+
+    @pytest.mark.parametrize("kind, seed", [("exact", 1), ("approximate", 2),
+                                            ("mixed", 3)])
+    def test_matches_the_tolerance_built_on_every_test(self, kind, seed):
+        rng = random.Random(seed)
+        sizes = []
+        for _ in range(40):
+            terms = self.term_list(rng, kind)
+            got = _merge_proportional(terms, 3, self.BITS)
+            assert raw_terms(got) == raw_terms(ref_merge_proportional(terms, 3, self.BITS))
+            sizes.append((len(terms), len(got)))
+        # the lists do merge and drop terms
+        assert any(after < before for before, after in sizes)

@@ -1,14 +1,18 @@
+import collections
 import operator
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpc, mpf, workprec
+from mpmath.libmp import (finf, fnan, fninf, fone, from_man_exp, fzero,
+                          mpc_abs, mpf_add, mpf_div, mpf_gt, round_nearest)
 
-from openwaring import ConsistencyError, InvalidInputError
+from openwaring import ConsistencyError, InvalidInputError, numerics
 from openwaring.numerics import (GUARD_BITS, AppComplex, UniPoly, _aberth,
-                                 _coeffs_to_mpc, _newton_polish,
+                                 _clearly_moved, _coeffs_to_mpc, _newton_polish,
                                  is_squarefree, squarefree_decomposition,
                                  squarefree_part, univariate_roots)
 
@@ -360,21 +364,36 @@ def ref_newton_polish(coeffs, roots, work_bits, steps=6):
         return out
 
 
+WANDERING = UniPoly([Fraction(1061, 32), Fraction(-1069, 16), 1])
+
+
+def root_loop_cases():
+    """(polynomial, bits): the wandering quadratic t^2 - 66.8125 t +
+    33.15625, which takes 165 sweeps at 256 bits and runs to the iteration
+    cap at 768; t^2 - 1, whose iterates land
+    exactly on a root (the ``pv == 0`` branch); and 40 random polynomials
+    of degree 2-10 with rational or AppComplex coefficients."""
+    cases = [(WANDERING, 256), (WANDERING, 768), (poly(-1, 0, 1), 128)]
+    rng = random.Random(15)
+    for i in range(40):
+        deg = rng.randint(2, 10)
+        bits = (64, 128, 256, 512, 768, 1088)[i % 6]
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(deg)] + [Fraction(rng.randint(1, 9))]
+        coeffs[0] = coeffs[0] or Fraction(1)
+        if i % 2:
+            p = UniPoly([AppComplex(c, rng.randint(-3, 3), bits + 40)
+                         for c in coeffs])
+        else:
+            p = UniPoly(coeffs)
+        cases.append((p, bits))
+    return cases
+
+
 class TestRootLoopEquivalence:
     def test_aberth_and_polish_match_the_mpc_loop(self):
-        rng = random.Random(15)
-        for _ in range(14):
-            deg = rng.randint(2, 10)
-            bits = rng.choice([128, 256, 512, 1088])
+        for p, bits in root_loop_cases():
             work = bits + 2 * GUARD_BITS
-            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                      for _ in range(deg)] + [Fraction(rng.randint(1, 9))]
-            coeffs[0] = coeffs[0] or Fraction(1)
-            if rng.random() < 0.5:
-                p = UniPoly([AppComplex(c, rng.randint(-3, 3), bits + 40)
-                             for c in coeffs])
-            else:
-                p = UniPoly(coeffs)
             cs = _coeffs_to_mpc(p, work)
             got = _aberth(cs, work)
             want = ref_aberth(cs, work)
@@ -386,7 +405,115 @@ class TestRootLoopEquivalence:
     def test_wandering_quadratic_still_fails_at_768_bits(self):
         # t^2 - 66.8125 t + 33.15625 does not converge within the Aberth
         # iteration cap at 768 bits; the residual certificate rejects it
-        p = UniPoly([Fraction(1061, 32), Fraction(-1069, 16), 1])
         with pytest.raises(ConsistencyError,
                            match="root residual exceeds the acceptance threshold"):
-            univariate_roots(p, 768)
+            univariate_roots(WANDERING, 768)
+
+    def test_aberth_skips_the_magnitudes_once_a_sweep_is_decided(self, monkeypatch):
+        # every sweep on the wandering quadratic moves a root by far more
+        # than ``stop``, so the exponent test decides it without an mpc_abs
+        counts = collections.Counter()
+        inside = [False]
+
+        def counting(name, kernel):
+            def wrapped(*args):
+                if inside[0]:
+                    counts[name] += 1
+                return kernel(*args)
+            return wrapped
+
+        def aberth(*args):
+            inside[0] = True
+            try:
+                return real_aberth(*args)
+            finally:
+                inside[0] = False
+
+        real_aberth = numerics._aberth
+        monkeypatch.setattr(numerics, "mpc_abs", counting("abs", numerics.mpc_abs))
+        monkeypatch.setattr(numerics, "mpc_mul", counting("mul", numerics.mpc_mul))
+        monkeypatch.setattr(numerics, "_clearly_moved",
+                            counting("exponent test", numerics._clearly_moved))
+        monkeypatch.setattr(numerics, "_aberth", aberth)
+        with pytest.raises(ConsistencyError,
+                           match="root residual exceeds the acceptance threshold"):
+            univariate_roots(WANDERING, 768)
+        # two roots, 400 sweeps: the loop that computes every rel makes
+        # 1600 mpc_abs calls, and Horner from mpc(0) makes 4800 mpc_mul;
+        # the first root of each sweep decides it, so the second is not tested
+        assert counts["abs"] <= 4
+        assert counts["exponent test"] <= 400
+        assert counts["mul"] <= 4 * 2 * 400
+
+
+def raw_parts(draw, bits, top):
+    """A raw mpf at ``bits`` with exp + bc == top, zero, or far below top."""
+    kind = draw(st.sampled_from(("top", "top", "zero", "below")))
+    if kind == "zero":
+        return fzero
+    if kind == "below":
+        top -= draw(st.integers(1, 3000))
+    man = draw(st.one_of(st.integers(1, 2 ** bits - 1),
+                         st.sampled_from((1, 2 ** bits - 1))))
+    man = -man if draw(st.booleans()) else man
+    return from_man_exp(man, top - man.bit_length(), bits, round_nearest)
+
+
+@st.composite
+def raw_complex(draw, bits, top):
+    """A raw mpc of two ``raw_parts``; half the time the real part is
+    replaced by one with exp + bc == top exactly."""
+    parts = [raw_parts(draw, bits, top), raw_parts(draw, bits, top)]
+    if draw(st.booleans()):
+        first = from_man_exp(draw(st.integers(1, 2 ** bits - 1)), 0,
+                             bits, round_nearest)
+        parts[0] = (first[0], first[1], top - first[3], first[3])
+    return tuple(parts)
+
+
+@st.composite
+def step_and_root(draw):
+    bits = draw(st.integers(96, 1120))
+    tz = draw(st.one_of(st.integers(-40, 40), st.integers(-3000, 3000)))
+    # most draws sit near the exponent test's cut, ts - max(tz, 0) = 15 - bits
+    ts = draw(st.one_of(
+        st.integers(-8, 8).map(lambda o: max(tz, 0) + 15 - bits + o),
+        st.integers(-4000, 4000)))
+    return bits, draw(raw_complex(bits, ts)), draw(raw_complex(bits, tz))
+
+
+_CZERO_RAW = (fzero, fzero)
+
+
+class TestExponentTest:
+    @settings(max_examples=400, deadline=None)
+    @given(step_and_root())
+    # the cut with |step| at its lower bound and |z| as large as its top allows
+    @example((128, ((0, 1, -109, 1), fzero),
+              ((0, 2 ** 128 - 1, -123, 128), (0, 2 ** 128 - 1, -123, 128))))
+    def test_declared_moves_exceed_stop(self, case):
+        bits, step, z = case
+        if not _clearly_moved(step, z, bits):
+            return
+        # rel and stop exactly as _aberth computes them
+        rel = mpf_div(mpc_abs(step, bits, round_nearest),
+                      mpf_add(mpc_abs(z, bits, round_nearest), fone, bits,
+                              round_nearest), bits, round_nearest)
+        stop = from_man_exp(1, 8 - bits)
+        assert mpf_gt(rel, stop)
+
+    def test_cut_sits_where_the_bounds_clear_stop_by_four_bits(self):
+        bits = 256
+        # z = 0: 1 + |z| = 1 < 2^2, so |step| >= 2^(top - 1) must reach
+        # 2^4 * 2^2 * stop = 2^(14 - bits), a top of 15 - bits
+        assert _clearly_moved(((0, 1, 14 - bits, 1), fzero), _CZERO_RAW, bits)
+        assert not _clearly_moved(((0, 1, 13 - bits, 1), fzero), _CZERO_RAW, bits)
+        # a nonzero imaginary part counts as much as a real one
+        assert _clearly_moved((fzero, (1, 1, 14 - bits, 1)), _CZERO_RAW, bits)
+
+    def test_zero_and_non_finite_parts_decide_nothing(self):
+        big = (0, 1, 10, 1)
+        assert not _clearly_moved((fzero, fzero), (big, fzero), 128)
+        for bad in (finf, fninf, fnan):
+            assert not _clearly_moved((bad, big), (big, fzero), 128)
+            assert not _clearly_moved((big, fzero), (fzero, bad), 128)
