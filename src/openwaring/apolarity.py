@@ -155,8 +155,13 @@ def essential_split(f: Form, precision_bits=DEFAULT_PRECISION_BITS):
 
     M is exact rational for rational f.
     """
+    return _essential_split(f, essential_variables(f, precision_bits),
+                            precision_bits)
+
+
+def _essential_split(f: Form, m: int, precision_bits):
+    """``essential_split`` of f, given m = essential_variables(f)."""
     n = f.num_vars
-    m = essential_variables(f, precision_bits)
     if m == n:
         ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         return ident, f

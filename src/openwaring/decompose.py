@@ -29,11 +29,11 @@ from mpmath import mpf, workprec
 
 from . import linalg
 from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
-                        base_points, essential_split, essential_variables,
-                        restrict_to_prefix, _back_substitute_l2,
-                        _binary_coeffs, _binary_dual_roots, _chart_point,
-                        _combine_ops, _coordinate_changes, _dedupe_points,
-                        _distinct_roots, _resultant_charts, _sorted_points)
+                        base_points, essential_variables, restrict_to_prefix,
+                        _back_substitute_l2, _binary_coeffs,
+                        _binary_dual_roots, _chart_point, _combine_ops,
+                        _coordinate_changes, _dedupe_points, _distinct_roots,
+                        _essential_split, _resultant_charts, _sorted_points)
 from .errors import (CommonComponentError, ConsistencyError,
                      DegenerateSystemError, InvalidInputError, NoFitError,
                      NonTransversalError, RetryBudgetError)
@@ -156,7 +156,30 @@ def _restrict_forbidden(V: ForbiddenSet, A, m, precision_bits, hard=True):
 
 
 def _map_terms_back(terms, A, n):
-    return [(c, LinearForm(linalg.mat_vec(A, _pad(l.coords, n)))) for c, l in terms]
+    """Each term (c, l) as (c, A l), with l padded to n coordinates.
+
+    With A and l rational, A l is summed on integers over the product of
+    the two common denominators, and each coordinate is one Fraction: the
+    values ``linalg.mat_vec`` gives.  Any approximate entry takes
+    ``mat_vec`` itself, which keeps ``linalg.dot``'s operand order.
+    """
+    exact = all(isinstance(a, (int, Fraction)) for row in A for a in row)
+    if exact:
+        width = len(A[0])
+        den_a, flat = linalg._clear_denominators([a for row in A for a in row])
+        rows = [flat[i:i + width] for i in range(0, len(flat), width)]
+    out = []
+    for c, l in terms:
+        v = _pad(l.coords, n)
+        if exact and all(isinstance(x, (int, Fraction)) for x in v):
+            den_v, ints = linalg._clear_denominators(v)
+            den = den_a * den_v
+            coords = [Fraction(sum(a * x for a, x in zip(row, ints)), den)
+                      for row in rows]
+        else:
+            coords = linalg.mat_vec(A, v)
+        out.append((c, LinearForm(coords)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +451,7 @@ def _peel(f: Form, V: ForbiddenSet, ctx: _Ctx, essential, need=None):
     if m == n:
         return essential(f, V, ctx)
     ctx.note(f"essential-split: {n} -> {m}")
-    M, g = essential_split(f, ctx.precision_bits)
+    M, g = _essential_split(f, m, ctx.precision_bits)
     Minv = linalg.invert_matrix(M, ctx.precision_bits, ctx.tol)
     A = linalg.transpose(Minv)
     Vr = _restrict_forbidden(V, A, m, ctx.precision_bits, hard=False)

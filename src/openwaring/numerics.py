@@ -13,10 +13,22 @@ precisions.  All values are immutable.
 
 Rounding contract: an ``AppComplex`` operation whose operands carry
 ``bits`` (the larger tag; ints and Fractions take the other operand's tag
-and are first rounded to nearest at it) runs mpmath's libmp kernel at
-``bits + GUARD_BITS`` and rounds each part to nearest at ``bits``.  Negation
-and conjugation are exact.  ``abs`` returns the kernel's result at
-``bits + GUARD_BITS`` without the second rounding.
+and are first rounded to nearest at it) computes at ``bits + GUARD_BITS``
+and rounds each part to nearest at ``bits``.  Negation and conjugation are
+exact.  ``abs`` and ``**`` run mpmath's libmp ``mpc_abs`` and
+``mpc_pow_int``; ``abs`` returns the result at ``bits + GUARD_BITS``
+without the second rounding.
+
+``+ - * /`` and the root finder's loops run this module's raw-tuple
+kernels (``_cadd``, ``_csub``, ``_cmul``, ``_cdiv``, ``_cinv``, ``_pos``).
+They reproduce libmp's round-to-nearest ``mpc_add``, ``mpc_sub``,
+``mpc_mul``, ``mpc_div``, ``mpc_mpf_div`` and ``mpf_pos`` bit for bit: the
+same exact products, the same sticky bit in division, the same
+``prec + 10`` round-down intermediates in complex division, and the same
+shortcut in addition, which for operands far apart perturbs the larger one
+instead of rounding the exact sum (not always correctly rounded).  Only
+the call layers and libmp's log-based bit counts are gone; inf and nan
+parts go to libmp itself.
 """
 
 from __future__ import annotations
@@ -91,6 +103,162 @@ def _check_precision(precision_bits):
             f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}")
 
 
+# ---------------------------------------------------------------------------
+# raw-tuple kernels: libmp's algorithms on (sign, man, exp, bc) tuples, with
+# int.bit_length for bit counts.  Each returns the tuple libmp returns.
+
+
+def _sum(ssign, sman, sexp, tsign, tman, texp, prec, down=False):
+    """libmp's ``mpf_add`` of two finite values (man 0 for zero), rounded
+    at ``prec`` to nearest (ties to even), or toward zero if ``down``.
+
+    Like libmp, when the exponents differ by more than 100 and the smaller
+    operand lies more than prec + 4 bits below the larger, the larger one
+    is only nudged by one unit prec + 4 bits down before rounding, which
+    is not always the correctly rounded sum.  With tman 0 this is libmp's
+    ``normalize`` of s: the rounding, with trailing zero bits stripped.
+    """
+    if not tman:
+        sign, man, exp = ssign, sman, sexp
+    elif not sman:
+        sign, man, exp = tsign, tman, texp
+    else:
+        offset = sexp - texp
+        if offset >= 0:
+            if offset > 100 and (sman.bit_length() + offset
+                                 - tman.bit_length() > prec + 4):
+                tman = 1
+                offset = prec + 4
+            sman <<= offset
+            exp = sexp - offset
+        else:
+            if offset < -100 and (tman.bit_length() - offset
+                                  - sman.bit_length() > prec + 4):
+                sman = 1
+                offset = -prec - 4
+            tman <<= -offset
+            exp = texp + offset
+        if ssign == tsign:
+            sign, man = ssign, sman + tman
+        else:
+            man = sman - tman
+            sign = ssign
+            if man < 0:
+                sign, man = tsign, -man
+    if not man:
+        return fzero
+    n = man.bit_length() - prec
+    if n > 0:
+        if down:
+            man >>= n
+        else:
+            t = man >> (n - 1)
+            # up on more than half a unit, or on half a unit with t >> 1 odd
+            if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+                man = (t >> 1) + 1
+            else:
+                man = t >> 1
+        exp += n
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        man >>= z
+        exp += z
+    return sign, man, exp, man.bit_length()
+
+
+def _quo(sign, sman, sexp, tman, texp, prec):
+    """libmp's ``mpf_div`` at round_nearest of a finite value by a finite
+    one: a quotient with at least prec + 5 bits and a sticky bit for a
+    nonzero remainder, then rounded."""
+    if not tman:
+        raise ZeroDivisionError
+    if tman == 1 or not sman:
+        return _sum(sign, sman, sexp - texp, 0, 0, 0, prec)
+    extra = max(prec - sman.bit_length() + tman.bit_length() + 5, 5)
+    quot, rem = divmod(sman << extra, tman)
+    if rem:
+        quot = (quot << 1) + 1
+        extra += 1
+    return _sum(sign, quot, sexp - texp - extra, 0, 0, 0, prec)
+
+
+def _nonfinite(*zs):
+    """Whether a part of the raw mpcs is inf or nan: man 0 with an exp."""
+    for (_, am, ae, _), (_, bm, be, _) in zs:
+        if not am and ae or not bm and be:
+            return True
+    return False
+
+
+def _pos(x, prec):
+    """libmp's ``mpf_pos`` at round_nearest: x rounded at ``prec``."""
+    sign, man, exp, bc = x
+    if not man or bc <= prec:
+        return x
+    return _sum(sign, man, exp, 0, 0, 0, prec)
+
+
+def _cadd(z, w, prec):
+    """libmp's ``mpc_add`` at round_nearest."""
+    (asg, am, ae, _), (bsg, bm, be, _) = z
+    (csg, cm, ce, _), (dsg, dm, de, _) = w
+    if not (am and bm and cm and dm) and _nonfinite(z, w):
+        return mpc_add(z, w, prec, _RND)
+    return (_sum(asg, am, ae, csg, cm, ce, prec),
+            _sum(bsg, bm, be, dsg, dm, de, prec))
+
+
+def _csub(z, w, prec):
+    """libmp's ``mpc_sub`` at round_nearest."""
+    (asg, am, ae, _), (bsg, bm, be, _) = z
+    (csg, cm, ce, _), (dsg, dm, de, _) = w
+    if not (am and bm and cm and dm) and _nonfinite(z, w):
+        return mpc_sub(z, w, prec, _RND)
+    return (_sum(asg, am, ae, 1 ^ csg, cm, ce, prec),
+            _sum(bsg, bm, be, 1 ^ dsg, dm, de, prec))
+
+
+def _cmul(z, w, prec):
+    """libmp's ``mpc_mul`` at round_nearest: (ac - bd) + (ad + bc)i from
+    exact products, each part rounded once."""
+    (asg, am, ae, _), (bsg, bm, be, _) = z
+    (csg, cm, ce, _), (dsg, dm, de, _) = w
+    if not (am and bm and cm and dm) and _nonfinite(z, w):
+        return mpc_mul(z, w, prec, _RND)
+    return (_sum(asg ^ csg, am * cm, ae + ce, 1 ^ bsg ^ dsg, bm * dm, be + de,
+                 prec),
+            _sum(asg ^ dsg, am * dm, ae + de, bsg ^ csg, bm * cm, be + ce,
+                 prec))
+
+
+def _cdiv(z, w, prec):
+    """libmp's ``mpc_div`` at round_nearest: (ac + bd) / m + (bc - ad) / m i
+    with m = c^2 + d^2, each of m and the numerators rounded down at
+    prec + 10 first."""
+    (asg, am, ae, _), (bsg, bm, be, _) = z
+    (csg, cm, ce, _), (dsg, dm, de, _) = w
+    if not (am and bm and cm and dm) and _nonfinite(z, w):
+        return mpc_div(z, w, prec, _RND)
+    wp = prec + 10
+    _, mm, me, _ = _sum(0, cm * cm, ce + ce, 0, dm * dm, de + de, wp, True)
+    tsg, tm, te, _ = _sum(asg ^ csg, am * cm, ae + ce, bsg ^ dsg, bm * dm,
+                          be + de, wp, True)
+    usg, um, ue, _ = _sum(bsg ^ csg, bm * cm, be + ce, 1 ^ asg ^ dsg, am * dm,
+                          ae + de, wp, True)
+    return _quo(tsg, tm, te, mm, me, prec), _quo(usg, um, ue, mm, me, prec)
+
+
+def _cinv(z, prec):
+    """1 / z as libmp's ``mpc_mpf_div(fone, z)`` at round_nearest: a / m -
+    b / m i with m = a^2 + b^2 rounded down at prec + 10."""
+    (asg, am, ae, _), (bsg, bm, be, _) = z
+    if not (am and bm) and _nonfinite(z):
+        return mpc_mpf_div(fone, z, prec, _RND)
+    _, mm, me, _ = _sum(0, am * am, ae + ae, 0, bm * bm, be + be, prec + 10,
+                        True)
+    return _quo(asg, am, ae, mm, me, prec), _quo(1 ^ bsg, bm, be, mm, me, prec)
+
+
 class AppComplex:
     """Arbitrary-precision complex scalar with an explicit precision tag.
 
@@ -139,29 +307,29 @@ class AppComplex:
         lhs = (self.real._mpf_, self.imag._mpf_)
         if reflected:
             lhs, rhs = rhs, lhs
-        return _rounded(kernel(lhs, rhs, bits + GUARD_BITS, _RND), bits)
+        return _rounded(kernel(lhs, rhs, bits + GUARD_BITS), bits)
 
     def __add__(self, other):
-        return self._binop(other, mpc_add)
+        return self._binop(other, _cadd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, mpc_sub)
+        return self._binop(other, _csub)
 
     def __rsub__(self, other):
-        return self._binop(other, mpc_sub, True)
+        return self._binop(other, _csub, True)
 
     def __mul__(self, other):
-        return self._binop(other, mpc_mul)
+        return self._binop(other, _cmul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binop(other, mpc_div)
+        return self._binop(other, _cdiv)
 
     def __rtruediv__(self, other):
-        return self._binop(other, mpc_div, True)
+        return self._binop(other, _cdiv, True)
 
     def __neg__(self):
         bits = self.precision_bits
@@ -206,7 +374,7 @@ def _wrap(re, im, bits):
 def _rounded(parts, bits):
     """An AppComplex from raw parts, each rounded to nearest at ``bits``."""
     re, im = parts
-    return _wrap(mpf_pos(re, bits, _RND), mpf_pos(im, bits, _RND), bits)
+    return _wrap(_pos(re, bits), _pos(im, bits), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +593,15 @@ def squarefree_decomposition(p: UniPoly):
 def _horner(coeffs, x, prec):
     """p(x) on raw libmp tuples, as ``acc * x + c`` from ``mpc(0)``.
 
-    ``coeffs`` is nonempty.  The first step ``0 * x + c`` is taken as
-    ``0 + c``: for finite x the product is exactly zero, so skipping the
-    multiplication leaves every bit of the result as it was.
+    ``coeffs`` is nonempty.  The first step ``0 * x + c`` is taken as the
+    rounding of c: for finite x the product is exactly zero, so skipping
+    the multiplication and the addition of zero leaves every bit of the
+    result as it was.
     """
-    acc = mpc_add(_CZERO, coeffs[-1], prec, _RND)
+    re, im = coeffs[-1]
+    acc = (_pos(re, prec), _pos(im, prec))
     for c in reversed(coeffs[:-1]):
-        acc = mpc_add(mpc_mul(acc, x, prec, _RND), c, prec, _RND)
+        acc = _cadd(_cmul(acc, x, prec), c, prec)
     return acc
 
 
@@ -494,10 +664,11 @@ def _aberth(coeffs, work_bits, max_iters=400):
         stop = (mpf(2) ** (-(work_bits - 8)))._mpf_
         tiny = mpc(mpf(2) ** (-work_bits), 0)._mpc_
 
-        # the loop below is mpc arithmetic on raw tuples, with the kernels
-        # and operand order the mpc operators use (``1 / diff`` is
-        # mpc_mpf_div, ``1 - x`` is mpc_sub((1, 0), x), ``1 + |z|`` is
-        # mpf_add(|z|, 1))
+        # the loop below is the mpc operators' arithmetic on raw tuples, in
+        # their operand order, run by this module's kernels (``1 / diff``
+        # is mpc_mpf_div, ``1 - x`` is mpc_sub((1, 0), x), ``1 + |z|`` is
+        # mpf_add(|z|, 1)); the sum s starts from its first term, which
+        # adding to mpc(0) would only round again at work_bits
         monic = [c._mpc_ for c in monic]
         dmonic = [c._mpc_ for c in dmonic]
         z = [w._mpc_ for w in z]
@@ -516,20 +687,23 @@ def _aberth(coeffs, work_bits, max_iters=400):
                     z[k] = (w + (abs(w) + 1) * mpf(2) ** (-work_bits // 4))._mpc_
                     settled = False
                     continue
-                newt = mpc_div(pv, dv, wb, _RND)
-                s = _CZERO
+                newt = _cdiv(pv, dv, wb)
+                s = None
                 for j in range(n):
                     if j != k:
-                        diff = mpc_sub(zk, z[j], wb, _RND)
+                        diff = _csub(zk, z[j], wb)
                         if diff == _CZERO:
                             diff = tiny
-                        s = mpc_add(s, mpc_mpf_div(fone, diff, wb, _RND), wb, _RND)
-                denom = mpc_sub(one, mpc_mul(newt, s, wb, _RND), wb, _RND)
+                        inv = _cinv(diff, wb)
+                        s = inv if s is None else _cadd(s, inv, wb)
+                if s is None:
+                    s = _CZERO
+                denom = _csub(one, _cmul(newt, s, wb), wb)
                 if denom == _CZERO:
                     step = newt
                 else:
-                    step = mpc_div(newt, denom, wb, _RND)
-                zk = z[k] = mpc_sub(zk, step, wb, _RND)
+                    step = _cdiv(newt, denom, wb)
+                zk = z[k] = _csub(zk, step, wb)
                 if settled and (_clearly_moved(step, zk, wb) or mpf_gt(
                         mpf_div(mpc_abs(step, wb, _RND),
                                 mpf_add(mpc_abs(zk, wb, _RND), fone, wb, _RND),
@@ -546,6 +720,8 @@ def _newton_polish(coeffs, roots, work_bits, steps=6):
         dcs = [(k * cs[k])._mpc_ for k in range(1, len(cs))]
         cs = [c._mpc_ for c in cs]
 
+        # a step that returns its root unchanged would repeat itself, so the
+        # polish stops there with the bits the remaining steps would give
         out = []
         for z in roots:
             w = mpc(z)._mpc_
@@ -553,8 +729,11 @@ def _newton_polish(coeffs, roots, work_bits, steps=6):
                 dv = _horner(dcs, w, work_bits)
                 if dv == _CZERO:
                     break
-                w = mpc_sub(w, mpc_div(_horner(cs, w, work_bits), dv,
-                                       work_bits, _RND), work_bits, _RND)
+                nxt = _csub(w, _cdiv(_horner(cs, w, work_bits), dv, work_bits),
+                            work_bits)
+                if nxt == w:
+                    break
+                w = nxt
             out.append(_make_mpc(w))
         return out
 

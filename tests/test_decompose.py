@@ -15,7 +15,9 @@ from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         decompose_quadratic, decompose_ternary_cubic,
                         essential_variables, fit_coefficients, is_forbidden,
                         linear_power, parse_form, recursion_bound)
-from openwaring.decompose import _merge_proportional, _power_of_two_near
+from openwaring import linalg
+from openwaring.decompose import (_map_terms_back, _merge_proportional, _pad,
+                                  _power_of_two_near)
 from openwaring.numerics import is_exact_scalar, max_abs_of, scalar_is_zero, tolerance
 from conftest import (assert_same_verdict, random_essential_form, random_form,
                       random_hyperplanes, random_linear_form, reference_check)
@@ -642,3 +644,38 @@ class TestMergeProportional:
             sizes.append((len(terms), len(got)))
         # the lists do merge and drop terms
         assert any(after < before for before, after in sizes)
+
+
+class TestMapTermsBack:
+    BITS = 256
+
+    def scalar(self, rng, approximate):
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        if approximate:
+            return AppComplex(x, Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                              self.BITS)
+        return x
+
+    @pytest.mark.parametrize("kind, seed", [("exact", 1), ("approximate", 2),
+                                            ("mixed", 3), ("approximate A", 4)])
+    def test_matches_mat_vec(self, kind, seed):
+        # rational A and terms on integers give the Fractions mat_vec gives;
+        # any approximate entry keeps mat_vec's rounding bit for bit
+        rng = random.Random(seed)
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            A = [[self.scalar(rng, kind == "approximate A" and rng.random() < 0.3)
+                  for _ in range(n)] for _ in range(n)]
+            terms = []
+            for _ in range(rng.randint(1, 5)):
+                approx = (kind == "approximate"
+                          or (kind == "mixed" and rng.random() < 0.5))
+                coords = [self.scalar(rng, approx and rng.random() < 0.7)
+                          for _ in range(rng.randint(1, n))]
+                terms.append((self.scalar(rng, approx), LinearForm(coords)))
+            want = [(c, LinearForm(linalg.mat_vec(A, _pad(l.coords, n))))
+                    for c, l in terms]
+            got = _map_terms_back(terms, A, n)
+            assert raw_terms(got) == raw_terms(want)
+            assert [type(x) for _, l in got for x in l.coords] == \
+                [type(x) for _, l in want for x in l.coords]

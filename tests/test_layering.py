@@ -1,5 +1,6 @@
 """The package's import structure: every import sits at module level, and
-the modules import each other without a cycle."""
+the modules import each other without a cycle; the certificate shares no
+expansion or arithmetic kernel with the pipeline it checks."""
 
 import ast
 from pathlib import Path
@@ -95,25 +96,72 @@ POLY_EXPANSIONS = {"linear_power", "dual_power", "_power_of_linear",
                    "_product", "change_coordinates"}
 
 
+def _names_reached(tree, target):
+    """Names a module imports from the package module ``target``, and the
+    attributes it reads off any alias of that module."""
+    imported = set()
+    aliases = set()
+    for node, t in _internal_imports(tree):
+        if t != target:
+            continue
+        module = getattr(node, "module", None) or ""
+        if module.split(".")[-1] == target:  # from .target import ...
+            imported |= {a.name for a in node.names}
+        else:  # from . import target, import openwaring.target as p
+            aliases |= {a.asname or a.name.split(".")[-1] for a in node.names}
+    return imported | {n.attr for n in ast.walk(tree)
+                       if isinstance(n, ast.Attribute)
+                       and isinstance(n.value, ast.Name)
+                       and n.value.id in aliases}
+
+
+def _defined(tree):
+    return {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
 def test_verify_expands_powers_on_its_own():
     # the certificate must not reach the expansions it certifies, neither by
     # importing them from poly nor through an imported poly module
     parsed = _parsed()
-    assert POLY_EXPANSIONS <= {n.name for n in parsed["poly"].body
-                               if isinstance(n, ast.FunctionDef)}
-    tree = parsed["verify"]
-    imported = set()
-    poly_aliases = set()
-    for node, target in _internal_imports(tree):
-        if target != "poly":
-            continue
-        module = getattr(node, "module", None) or ""
-        if module.split(".")[-1] == "poly":  # from .poly import ...
-            imported |= {a.name for a in node.names}
-        else:  # from . import poly, import openwaring.poly as p
-            poly_aliases |= {a.asname or a.name.split(".")[-1]
-                             for a in node.names}
-    reached = {n.attr for n in ast.walk(tree)
-               if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
-               and n.value.id in poly_aliases}
-    assert POLY_EXPANSIONS.isdisjoint(imported | reached)
+    assert POLY_EXPANSIONS <= _defined(parsed["poly"])
+    assert POLY_EXPANSIONS.isdisjoint(_names_reached(parsed["verify"], "poly"))
+
+
+#: the raw-tuple kernels that reproduce libmp's complex arithmetic
+KERNELS = {"_sum", "_quo", "_pos", "_cadd", "_csub", "_cmul", "_cdiv", "_cinv"}
+
+#: the libmp functions the kernels replace on the pipeline's hot path
+LIBMP_ARITHMETIC = {"mpc_add", "mpc_sub", "mpc_mul", "mpc_div", "mpc_mpf_div"}
+
+#: the root finder's loops and AppComplex's operators, which run on KERNELS
+KERNEL_CALLERS = {"_horner", "_aberth", "_newton_polish", "univariate_roots",
+                  "AppComplex._binop", "AppComplex.__add__",
+                  "AppComplex.__sub__", "AppComplex.__rsub__",
+                  "AppComplex.__mul__", "AppComplex.__truediv__",
+                  "AppComplex.__rtruediv__"}
+
+
+def test_verify_reconstructs_on_libmp():
+    # the certificate's arithmetic stays independent of the pipeline's
+    parsed = _parsed()
+    assert KERNELS <= _defined(parsed["numerics"])
+    assert KERNELS.isdisjoint(_names_reached(parsed["verify"], "numerics"))
+
+
+def test_no_second_arithmetic_path_beside_the_kernels():
+    # the kernels' callers name none of libmp's complex arithmetic, so no
+    # libmp path survives next to them
+    tree = _parsed()["numerics"]
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            functions.update((f"{cls.name}.{n.name}", n) for n in cls.body
+                             if isinstance(n, ast.FunctionDef))
+    assert KERNEL_CALLERS <= set(functions)
+    named = {name: {n.id for n in ast.walk(functions[name])
+                    if isinstance(n, ast.Name)}
+             | {n.attr for n in ast.walk(functions[name])
+                if isinstance(n, ast.Attribute)}
+             for name in KERNEL_CALLERS}
+    assert {name: ids & LIBMP_ARITHMETIC for name, ids in named.items()
+            if ids & LIBMP_ARITHMETIC} == {}

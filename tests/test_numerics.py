@@ -8,11 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpc, mpf, workprec
 from mpmath.libmp import (finf, fnan, fninf, fone, from_man_exp, fzero,
-                          mpc_abs, mpf_add, mpf_div, mpf_gt, round_nearest)
+                          mpc_abs, mpc_add, mpc_div, mpc_mpf_div, mpc_mul,
+                          mpc_sub, mpf_add, mpf_div, mpf_gt, mpf_pos,
+                          round_nearest)
 
 from openwaring import ConsistencyError, InvalidInputError, numerics
 from openwaring.numerics import (GUARD_BITS, AppComplex, UniPoly, _aberth,
-                                 _clearly_moved, _coeffs_to_mpc, _newton_polish,
+                                 _cadd, _cdiv, _cinv, _clearly_moved, _cmul,
+                                 _coeffs_to_mpc, _csub, _newton_polish, _pos,
                                  is_squarefree, squarefree_decomposition,
                                  squarefree_part, univariate_roots)
 
@@ -159,9 +162,9 @@ class TestRoots:
 
 
 # ---------------------------------------------------------------------------
-# AppComplex and the root-finding loops run libmp kernels on raw tuples; the
-# references below are the mpc-object formulas they replace, and results
-# must agree bit for bit.
+# AppComplex and the root-finding loops run raw-tuple kernels that reproduce
+# libmp's; the references below are the mpc-object formulas they replace,
+# and results must agree bit for bit.
 
 
 def ref_mpf(x, bits):
@@ -289,6 +292,106 @@ class TestKernelEquivalence:
             bits = rng.choice(PRECISIONS)
             assert raw(AppComplex.from_mpc(z, bits)) == ref_round(z, bits)
             assert AppComplex.from_mpc(z, bits).to_mpc()._mpc_ == ref_round(z, bits)[:2]
+
+
+# ---------------------------------------------------------------------------
+# the raw-tuple kernels against the libmp functions they reproduce
+
+
+@st.composite
+def kernel_part(draw, prec, anchor):
+    """A raw mpf for the kernels at ``prec``: zero, or an odd mantissa of up
+    to twice prec bits (an unrounded product) or one bit more than prec (a
+    tie when rounded), at an exponent near ``anchor`` or more than 100 bits
+    off it, where libmp's addition takes its shortcut."""
+    if draw(st.integers(0, 7)) == 0:
+        return fzero
+    bits = draw(st.sampled_from((1, prec - 1, prec, prec + 1, 2 * prec,
+                                 2 * prec + 2)))
+    man = draw(st.one_of(st.integers(1, 2 ** bits - 1),
+                         st.just(2 ** bits - 1))) | 1
+    off = draw(st.one_of(st.integers(-8, 8), st.integers(101, prec + 200),
+                         st.integers(-prec - 200, -101),
+                         st.integers(-3000, 3000)))
+    return from_man_exp(-man if draw(st.booleans()) else man, anchor + off)
+
+
+@st.composite
+def kernel_operands(draw):
+    """(prec, z, w): two raw mpcs; half the time the real part of w is half
+    a unit in the last place of a prec-bit real part of z, so that their
+    sum or difference is a tie."""
+    prec = draw(st.integers(64, 1120)) + draw(st.sampled_from((0, GUARD_BITS)))
+    anchor = draw(st.integers(-300, 300))
+    parts = [draw(kernel_part(prec, anchor)) for _ in range(4)]
+    if draw(st.booleans()):
+        man = draw(st.integers(2 ** (prec - 1), 2 ** prec - 1)) | 1
+        sign = draw(st.integers(0, 1))
+        parts[0] = (sign, man, anchor, prec)
+        parts[2] = (draw(st.integers(0, 1)), 1, anchor - 1, 1)
+    return prec, (parts[0], parts[1]), (parts[2], parts[3])
+
+
+def assert_kernels_match_libmp(prec, z, w):
+    for kernel, libmp in ((_cadd, mpc_add), (_csub, mpc_sub), (_cmul, mpc_mul),
+                          (_cdiv, mpc_div)):
+        try:
+            want = libmp(z, w, prec, round_nearest)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                kernel(z, w, prec)
+        else:
+            assert kernel(z, w, prec) == want, kernel.__name__
+    for x in (z, w):
+        try:
+            want = mpc_mpf_div(fone, x, prec, round_nearest)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _cinv(x, prec)
+        else:
+            assert _cinv(x, prec) == want
+        for part in x:
+            assert _pos(part, prec) == mpf_pos(part, prec, round_nearest)
+
+
+# prec 64: z's real part is 2^128 - 2^64 + 2^63 - 1, a 128-bit product whose
+# low half lies just below a half unit; w's real part sits 101 bits below
+# its exponent and 69 bits below its top, so libmp only nudges z's real
+# part and rounds down, where the exact sum crosses the half unit
+SHORTCUT = (64, ((0, 2 ** 128 - 2 ** 63 - 1, 0, 128), fzero),
+            ((0, 2 ** 159 + 1, -101, 160), fzero))
+# prec 64: (2^63 + 1) + 1/2 lies half way between two 64-bit values
+TIE = (64, ((0, 2 ** 63 + 1, 0, 64), (1, 3, 5, 2)), ((0, 1, -1, 1), fzero))
+
+
+class TestRawKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_operands())
+    @example(SHORTCUT)
+    @example(TIE)
+    # zero parts on either side, and an exact quotient (w = 1)
+    @example((96, (fzero, (1, 5, -3, 3)), ((0, 1, 0, 1), fzero)))
+    def test_kernels_match_libmp(self, case):
+        assert_kernels_match_libmp(*case)
+
+    def test_the_shortcut_example_is_not_correctly_rounded(self):
+        prec, (s, _), (t, _) = SHORTCUT
+        exact = mpf_pos(mpf_add(s, t), prec, round_nearest)
+        assert _cadd((s, fzero), (t, fzero), prec)[0] != exact
+        assert _cadd((s, fzero), (t, fzero), prec)[0] == \
+            mpf_add(s, t, prec, round_nearest)
+
+    def test_the_tie_example_rounds_to_even(self):
+        # (2^63 + 1) + 1/2 goes up to 2^63 + 2, (2^63 + 1) - 1/2 down to 2^63
+        prec, (s, _), (t, _) = TIE
+        assert _cadd((s, fzero), (t, fzero), prec)[0] == from_man_exp(2 ** 63 + 2, 0)
+        assert _csub((s, fzero), (t, fzero), prec)[0] == from_man_exp(2 ** 63, 0)
+
+    def test_inf_and_nan_go_to_libmp(self):
+        big = (0, 3, 10, 2)
+        for bad in (finf, fninf, fnan):
+            for z, w in (((bad, fzero), (big, big)), ((big, big), (fone, bad))):
+                assert_kernels_match_libmp(128, z, w)
 
 
 def ref_aberth(coeffs, work_bits, max_iters=400):
@@ -431,7 +534,7 @@ class TestRootLoopEquivalence:
 
         real_aberth = numerics._aberth
         monkeypatch.setattr(numerics, "mpc_abs", counting("abs", numerics.mpc_abs))
-        monkeypatch.setattr(numerics, "mpc_mul", counting("mul", numerics.mpc_mul))
+        monkeypatch.setattr(numerics, "_cmul", counting("mul", numerics._cmul))
         monkeypatch.setattr(numerics, "_clearly_moved",
                             counting("exponent test", numerics._clearly_moved))
         monkeypatch.setattr(numerics, "_aberth", aberth)
@@ -439,7 +542,7 @@ class TestRootLoopEquivalence:
                            match="root residual exceeds the acceptance threshold"):
             univariate_roots(WANDERING, 768)
         # two roots, 400 sweeps: the loop that computes every rel makes
-        # 1600 mpc_abs calls, and Horner from mpc(0) makes 4800 mpc_mul;
+        # 1600 mpc_abs calls, and Horner from mpc(0) makes 4800 products;
         # the first root of each sweep decides it, so the second is not tested
         assert counts["abs"] <= 4
         assert counts["exponent test"] <= 400
