@@ -3,12 +3,13 @@ them avoiding a forbidden closed set.
 
 The dispatcher peels off the essential variables, then routes by shape:
 single-term cases, the binary algorithm (annihilator generators and their
-roots), the quadratic recursion (exact over the rationals), the ternary
-cubic pipeline (pencils of conics, with a cubing perturbation when the
-degree-2 annihilator has a base point), and the general inductive step,
-which contracts by a generic degree-1 operator, lifts the terms, shrinks
-the carried index set until the remainder lives in a hyperplane, and
-recurses there.
+roots), the quadratic step (Lagrange reduction on the Hessian in the form's
+own coordinates, exact over the rationals), the ternary cubic pipeline
+(pencils of conics, with a cubing perturbation when the degree-2
+annihilator has a base point), and the general inductive step, which
+contracts by a generic degree-1 operator, lifts the terms, shrinks the
+carried index set until the remainder lives in a hyperplane, and recurses
+there.
 
 Every random choice is drawn from a seeded generator passed down the whole
 call tree, so identical (input, seed) pairs replay identically.  Each
@@ -23,13 +24,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from mpmath import mpf, workprec
 
 from . import linalg
 from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
-                        base_points, essential_variables, restrict_to_prefix,
+                        base_points, catalecticant, essential_variables,
+                        restrict_to_prefix,
                         _back_substitute_l2, _binary_coeffs,
                         _binary_dual_roots, _chart_point, _combine_ops,
                         _coordinate_changes, _dedupe_points, _distinct_roots,
@@ -81,10 +83,6 @@ class _Ctx:
             v = tuple(self.rng.randint(-height, height) for _ in range(n))
             if any(v):
                 return v
-
-
-def _constant_value(form):
-    return form.coeffs.get((0,) * form.num_vars, Fraction(0))
 
 
 def _pad(coords, n):
@@ -226,15 +224,17 @@ def fit_coefficients(f: Form, points, precision_bits=DEFAULT_PRECISION_BITS):
 
 
 def _coords_scale(l: LinearForm):
-    """max(1, max |coord|) as an mpf, the scale of l in proportionality tests."""
-    return max(mpf(1), mpf(1) * max_abs_of(l.coords))
+    """The scale of l in proportionality tests, max(1, max |coord|) as an
+    mpf, as a call that computes it the first time it is made."""
+    return cache(lambda: max(mpf(1), mpf(1) * max_abs_of(l.coords)))
 
 
 def _proportional_linear(a: LinearForm, b: LinearForm, precision_bits,
                          a_scale, b_scale) -> bool:
     """Whether every 2x2 cross product of a and b vanishes: exactly when it
-    is rational, else within tolerance(bits) * a_scale * b_scale, built only
-    once a cross product is inexact.  The scales come from _coords_scale."""
+    is rational, else within tolerance(bits) * a_scale() * b_scale(), built
+    only once a cross product is inexact.  The scales come from
+    _coords_scale."""
     tol = None
     n = a.num_vars
     for i in range(n):
@@ -245,7 +245,7 @@ def _proportional_linear(a: LinearForm, b: LinearForm, precision_bits,
                     return False
                 continue
             if tol is None:
-                tol = tolerance(precision_bits) * a_scale * b_scale
+                tol = tolerance(precision_bits) * a_scale() * b_scale()
             if not scalar_is_zero(cross, tol):
                 return False
     return True
@@ -485,49 +485,83 @@ def _dispatch_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
 
 
 def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
-    """Exact recursion: peel off one square, restrict to the annihilating
-    hyperplane, recurse; exactly one rational term per essential variable
-    when f is rational."""
+    """Lagrange reduction on the Hessian H of f, in f's own coordinates:
+    exactly one rational term per essential variable when f is rational.
+
+    Each square draws alpha over the live coordinates, embedded as v, and
+    takes the term (1 / (2c), Hv) with c = v^T H v; H -= (Hv)(Hv)^T / c
+    leaves the remainder, which v annihilates.  The last live coordinate
+    where alpha != 0 then dies, so the live block of H is the remainder on
+    the hyperplane basis of ``complete_to_basis([alpha])``, the forbidden
+    set is restricted to that basis, and the last coordinate q left gives
+    (H_qq / 2, H[:, q] / H_qq).
+    """
     n = f.num_vars
-    scale = max(mpf(1), mpf(1) * f.max_abs())
-    if f.is_zero(ctx.tol * scale):
-        return []
-    if n == 1:
-        return _forced_single_term(f.coeffs[(2,)], LinearForm((Fraction(1),)),
-                                   V, ctx, "final quadratic variable")
-    chosen = None
-    for attempt, height in ctx.heights():
-        alpha = ctx.int_vector(n, height)
-        c2 = _constant_value(contract(dual_power(alpha, 2), f))
-        a_norm = sum(abs(a) for a in alpha)
-        if scalar_is_zero(c2, ctx.tol * scale * a_norm * a_norm):
-            continue
-        if any(_linear_divides(alpha, g, ctx.precision_bits) for g in V.constraints):
-            continue
-        L = LinearForm.from_form(contract(dual_power(alpha, 1), f))
-        if L.is_zero(ctx.tol * scale * a_norm) or is_forbidden(L, V, ctx.tol):
-            continue
-        chosen = (alpha, c2, L)
-        break
-    if chosen is None:
-        raise RetryBudgetError("quadratic step found no usable direction",
-                               ctx.trace)
-    alpha, c2, L = chosen
-    coeff = 1 / (2 * c2) if not is_exact_scalar(c2) else Fraction(1, 2) / c2
-    term = (coeff, L)
-    F2 = f - linear_power(L, 2).scale(coeff)
-    if not F2.is_exact():
-        F2 = F2.cleaned(ctx.tol * scale * mpf(2) ** (-GUARD_BITS))
-    if F2.is_zero(ctx.tol * scale):
-        return [term]
-    M, A = _hyperplane_change([Fraction(a) for a in alpha], ctx.precision_bits)
-    h = change_coordinates(F2, M)
-    g = restrict_to_prefix(h, n - 1, ctx.precision_bits)
-    if essential_variables(g, ctx.precision_bits) != n - 1:
-        raise ConsistencyError("quadratic remainder has unexpected rank")
-    Vr = _restrict_forbidden(V, A, n - 1, ctx.precision_bits)
-    sub = _quadratic_essential(g, Vr, ctx)
-    return [term] + _map_terms_back(sub, A, n)
+    H = [list(row) for row in catalecticant(f, 1).entries]
+    live = list(range(n))
+    exact = f.is_exact()
+    terms = []
+    while True:
+        # exact scalars are tested for exact zero, so rational f needs no scale
+        tol = 0 if exact else ctx.tol * max(
+            mpf(1), mpf(1) * max_abs_of(_live_coefficients(H, live)))
+        if all(scalar_is_zero(c, tol) for c in _live_coefficients(H, live)):
+            return terms
+        if len(live) == 1:
+            q = live[0]
+            c = H[q][q] / 2
+            _forced_single_term(c, LinearForm((1,)), V, ctx,
+                                "final quadratic variable")
+            terms.append((c, LinearForm([row[q] / H[q][q] for row in H])))
+            return terms
+        chosen = None
+        for _, height in ctx.heights():
+            alpha = ctx.int_vector(len(live), height)
+            v = [(j, a) for j, a in zip(live, alpha) if a]
+            w = [sum(row[j] * a for j, a in v) for row in H]
+            c2 = sum(w[j] * a for j, a in v)
+            a_norm = sum(abs(a) for a in alpha)
+            if scalar_is_zero(c2, tol * a_norm * a_norm):
+                continue
+            if any(_linear_divides(alpha, g, ctx.precision_bits)
+                   for g in V.constraints):
+                continue
+            L = LinearForm([w[j] for j in live])
+            if L.is_zero(tol * a_norm) or is_forbidden(L, V, ctx.tol):
+                continue
+            chosen = (alpha, c2, w)
+            break
+        if chosen is None:
+            raise RetryBudgetError("quadratic step found no usable direction",
+                                   ctx.trace)
+        alpha, c2, w = chosen
+        coeff = 1 / (2 * c2) if not is_exact_scalar(c2) else Fraction(1, 2) / c2
+        terms.append((coeff, LinearForm(w)))
+        for row, wi in zip(H, w):
+            u = wi / c2
+            for j in live:
+                row[j] = row[j] - u * w[j]
+        if all(scalar_is_zero(c, tol) for c in _live_coefficients(H, live)):
+            return terms
+        del live[max(k for k, a in enumerate(alpha) if a)]
+        m = len(live)
+        if linalg.matrix_rank([[H[i][j] for j in live] for i in live],
+                              ctx.precision_bits, ctx.tol) != m:
+            raise ConsistencyError("quadratic remainder has unexpected rank")
+        A = None
+        if V.constraints:
+            _, A = _hyperplane_change([Fraction(a) for a in alpha],
+                                      ctx.precision_bits)
+        V = _restrict_forbidden(V, A, m, ctx.precision_bits)
+
+
+def _live_coefficients(H, live):
+    """The coefficients of the quadratic form x^T H x / 2 on the live
+    coordinates: H_ii / 2 on each square, H_ij on each product."""
+    for k, i in enumerate(live):
+        yield H[i][i] / 2
+        for j in live[k + 1:]:
+            yield H[i][j]
 
 
 # --- binary ---

@@ -19,16 +19,17 @@ exact.  ``abs`` and ``**`` run mpmath's libmp ``mpc_abs`` and
 ``mpc_pow_int``; ``abs`` returns the result at ``bits + GUARD_BITS``
 without the second rounding.
 
-``+ - * /`` and the root finder's loops run this module's raw-tuple
-kernels (``_cadd``, ``_csub``, ``_cmul``, ``_cdiv``, ``_cinv``, ``_pos``).
+``+ - * /``, the rounding of int, Fraction and mpf operands (``_raw_mpf``)
+and the root finder's loops run this module's raw-tuple kernels
+(``_cadd``, ``_csub``, ``_cmul``, ``_cdiv``, ``_cinv``, ``_pos``, ``_quo``).
 They reproduce libmp's round-to-nearest ``mpc_add``, ``mpc_sub``,
-``mpc_mul``, ``mpc_div``, ``mpc_mpf_div`` and ``mpf_pos`` bit for bit: the
-same exact products, the same sticky bit in division, the same
-``prec + 10`` round-down intermediates in complex division, and the same
-shortcut in addition, which for operands far apart perturbs the larger one
-instead of rounding the exact sum (not always correctly rounded).  Only
-the call layers and libmp's log-based bit counts are gone; inf and nan
-parts go to libmp itself.
+``mpc_mul``, ``mpc_div``, ``mpc_mpf_div``, ``mpf_pos`` and ``mpf_div`` bit
+for bit: the same exact products, the same sticky bit in division, the
+same ``prec + 10`` round-down intermediates in complex division, and the
+same shortcut in addition, which for operands far apart perturbs the
+larger one instead of rounding the exact sum (not always correctly
+rounded).  Only the call layers and libmp's log-based bit counts are gone;
+inf and nan parts go to libmp itself.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from __future__ import annotations
 import mpmath
 from fractions import Fraction
 from mpmath import mpf, mpc, workprec
-from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpc_add, mpc_div,
+from mpmath.libmp import (fone, fzero, mpc_abs, mpc_add, mpc_div,
                           mpc_mpf_div, mpc_mul, mpc_pow_int, mpc_sub,
                           mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
-                          mpf_pos, mpf_pow_int, round_nearest)
+                          mpf_pow_int, round_nearest)
 
 from .errors import ConsistencyError, InvalidInputError
 
@@ -81,14 +82,18 @@ def _make_mpc(v):
 
 def _raw_mpf(x, bits):
     """x rounded to nearest at ``bits``, as a raw libmp tuple; Fractions
-    round numerator and denominator first, as ``mpf(p) / mpf(q)`` does."""
+    round numerator and denominator first, as ``mpf(p) / mpf(q)`` does.
+    Ints, Fractions and mpfs run on the kernels below: libmp's
+    ``mpf_pos(from_int(x))`` and ``mpf_div``, bit for bit."""
     if isinstance(x, Fraction):
-        return mpf_div(mpf_pos(from_int(x.numerator), bits, _RND),
-                       mpf_pos(from_int(x.denominator), bits, _RND), bits, _RND)
+        p, q = x.numerator, x.denominator
+        sign, man, exp, _ = _sum(int(p < 0), abs(p), 0, 0, 0, 0, bits)
+        _, qman, qexp, _ = _sum(0, q, 0, 0, 0, 0, bits)
+        return _quo(sign, man, exp, qman, qexp, bits)
     if isinstance(x, int):
-        return mpf_pos(from_int(x), bits, _RND)
+        return _sum(int(x < 0), abs(x), 0, 0, 0, 0, bits)
     if type(x) is mpf:
-        return mpf_pos(x._mpf_, bits, _RND)
+        return _pos(x._mpf_, bits)
     with workprec(bits):
         return mpf(x)._mpf_
 

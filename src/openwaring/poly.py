@@ -417,7 +417,10 @@ def change_coordinates(f, matrix):
 
 
 def evaluate(f, coords):
-    """Value of a Form/DualOp at a coordinate vector."""
+    """Value of a Form/DualOp at a coordinate vector.
+
+    A coordinate with exponent 1 is multiplied in as it is: for rational
+    and ``AppComplex`` coordinates ``x ** 1`` is x itself."""
     if len(coords) != f.num_vars:
         raise InvalidInputError("mismatched number of variables")
     total = Fraction(0)
@@ -430,7 +433,7 @@ def evaluate(f, coords):
             if is_exact_scalar(x) and x == 0:
                 skip = True
                 break
-            val = val * x ** e
+            val = val * (x if e == 1 else x ** e)
         if not skip:
             total = total + val
     return total

@@ -106,14 +106,16 @@ def is_forbidden(l: LinearForm, V: ForbiddenSet, tol=None) -> bool:
         return False
     if tol is None:
         tol = tolerance(DEFAULT_PRECISION_BITS)
-    l_scale = max_abs_of(l.coords)
+    l_scale = None  # max(1, max |l_i|), built at the first inexact value
     for g in V.constraints:
         val = evaluate(g, l.coords)
         if is_exact_scalar(val):
             if val == 0:
                 return True
         else:
-            bound = tol * g.norm1() * max(mpf(1), mpf(1) * l_scale) ** g.degree
+            if l_scale is None:
+                l_scale = max(mpf(1), mpf(1) * max_abs_of(l.coords))
+            bound = tol * g.norm1() * l_scale ** g.degree
             if abs(val) <= bound:
                 return True
     return False

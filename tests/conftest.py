@@ -6,9 +6,16 @@ from mpmath import mpf
 
 from openwaring import (ForbiddenSet, Form, LinearForm, VerifyReport,
                         essential_variables, is_forbidden, recursion_bound)
-from openwaring.numerics import (DEFAULT_PRECISION_BITS, is_exact_scalar,
+from openwaring.apolarity import restrict_to_prefix
+from openwaring.decompose import (_forced_single_term, _hyperplane_change,
+                                  _linear_divides, _map_terms_back,
+                                  _restrict_forbidden)
+from openwaring.errors import ConsistencyError, RetryBudgetError
+from openwaring.numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS,
+                                 is_exact_scalar, max_abs_of, scalar_is_zero,
                                  tolerance)
-from openwaring.poly import monomials_of_degree
+from openwaring.poly import (change_coordinates, contract, dual_power,
+                             linear_power, monomials_of_degree)
 
 
 def random_form(rng, n, d, lo=-9, hi=9):
@@ -134,3 +141,95 @@ def assert_same_verdict(report, ref, precision_bits=DEFAULT_PRECISION_BITS):
         assert report.residual == ref.residual
     else:
         assert abs(report.residual - ref.residual) <= tolerance(precision_bits)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation and the forbidden-set test as they were before their trims:
+# every coordinate raised to its exponent, 1 included, and the scale of l
+# built before the first constraint.  Kept as references for
+# `poly.evaluate` and `verify.is_forbidden`.
+
+
+def reference_evaluate(f, coords):
+    total = Fraction(0)
+    for expo, c in f.coeffs.items():
+        val = c
+        skip = False
+        for x, e in zip(coords, expo):
+            if e == 0:
+                continue
+            if is_exact_scalar(x) and x == 0:
+                skip = True
+                break
+            val = val * x ** e
+        if not skip:
+            total = total + val
+    return total
+
+
+def reference_is_forbidden(l, V, tol=None):
+    if not V.constraints:
+        return False
+    if tol is None:
+        tol = tolerance(DEFAULT_PRECISION_BITS)
+    l_scale = max_abs_of(l.coords)
+    for g in V.constraints:
+        val = reference_evaluate(g, l.coords)
+        if is_exact_scalar(val):
+            if val == 0:
+                return True
+        else:
+            bound = tol * g.norm1() * max(mpf(1), mpf(1) * l_scale) ** g.degree
+            if abs(val) <= bound:
+                return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# The quadratic step as it was before the Hessian reduction: peel off one
+# square, change coordinates to the hyperplane alpha annihilates, rebuild
+# the restricted form and recurse, mapping the terms back level by level.
+# Kept as a reference for `decompose._quadratic_essential`.
+
+
+def reference_quadratic_essential(f, V, ctx):
+    n = f.num_vars
+    scale = max(mpf(1), mpf(1) * f.max_abs())
+    if f.is_zero(ctx.tol * scale):
+        return []
+    if n == 1:
+        return _forced_single_term(f.coeffs[(2,)], LinearForm((Fraction(1),)),
+                                   V, ctx, "final quadratic variable")
+    chosen = None
+    for attempt, height in ctx.heights():
+        alpha = ctx.int_vector(n, height)
+        c2 = contract(dual_power(alpha, 2), f).coeffs.get((0,) * n, Fraction(0))
+        a_norm = sum(abs(a) for a in alpha)
+        if scalar_is_zero(c2, ctx.tol * scale * a_norm * a_norm):
+            continue
+        if any(_linear_divides(alpha, g, ctx.precision_bits) for g in V.constraints):
+            continue
+        L = LinearForm.from_form(contract(dual_power(alpha, 1), f))
+        if L.is_zero(ctx.tol * scale * a_norm) or is_forbidden(L, V, ctx.tol):
+            continue
+        chosen = (alpha, c2, L)
+        break
+    if chosen is None:
+        raise RetryBudgetError("quadratic step found no usable direction",
+                               ctx.trace)
+    alpha, c2, L = chosen
+    coeff = 1 / (2 * c2) if not is_exact_scalar(c2) else Fraction(1, 2) / c2
+    term = (coeff, L)
+    F2 = f - linear_power(L, 2).scale(coeff)
+    if not F2.is_exact():
+        F2 = F2.cleaned(ctx.tol * scale * mpf(2) ** (-GUARD_BITS))
+    if F2.is_zero(ctx.tol * scale):
+        return [term]
+    M, A = _hyperplane_change([Fraction(a) for a in alpha], ctx.precision_bits)
+    h = change_coordinates(F2, M)
+    g = restrict_to_prefix(h, n - 1, ctx.precision_bits)
+    if essential_variables(g, ctx.precision_bits) != n - 1:
+        raise ConsistencyError("quadratic remainder has unexpected rank")
+    Vr = _restrict_forbidden(V, A, n - 1, ctx.precision_bits)
+    sub = reference_quadratic_essential(g, Vr, ctx)
+    return [term] + _map_terms_back(sub, A, n)

@@ -1,14 +1,17 @@
 import dataclasses
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         Decomposition, DualOp, ForbiddenSet, Form,
                         InvalidInputError, LinearForm, NoFitError,
-                        absorb_coefficients,
+                        OpenWaringError, RetryBudgetError, absorb_coefficients,
                         base_points, catalecticant_lower_bound,
                         check_decomposition, conic_intersection, decompose,
                         decompose_binary, decompose_inductive,
@@ -19,8 +22,10 @@ from openwaring import linalg
 from openwaring.decompose import (_map_terms_back, _merge_proportional, _pad,
                                   _power_of_two_near)
 from openwaring.numerics import is_exact_scalar, max_abs_of, scalar_is_zero, tolerance
+from openwaring.poly import monomials_of_degree
 from conftest import (assert_same_verdict, random_essential_form, random_form,
-                      random_hyperplanes, random_linear_form, reference_check)
+                      random_hyperplanes, random_linear_form, reference_check,
+                      reference_quadratic_essential)
 
 
 def gram_rank(f):
@@ -679,3 +684,157 @@ class TestMapTermsBack:
             assert raw_terms(got) == raw_terms(want)
             assert [type(x) for _, l in got for x in l.coords] == \
                 [type(x) for _, l in want for x in l.coords]
+
+
+# ---------------------------------------------------------------------------
+# the quadratic step as Lagrange reduction on the Hessian
+
+
+DECOMPOSE = importlib.import_module("openwaring.decompose")
+
+
+def random_quadratic(rng, n, r):
+    """A nonzero sum of r rational squares in n variables (rank r when the
+    linear forms come out independent, which they nearly always do)."""
+    while True:
+        f = Form(n, 2, {})
+        for _ in range(r):
+            l = LinearForm([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in range(n)])
+            c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            f = f + linear_power(l, 2).scale(c)
+        if not f.is_zero():
+            return f
+
+
+def outcome(monkeypatch, step, entry, f, V, **kw):
+    """What ``entry`` returns with ``step`` as the quadratic step: every
+    term bit for bit with the type of each scalar, and the trace; or the
+    error class and text."""
+    monkeypatch.setattr(DECOMPOSE, "_quadratic_essential", step)
+    try:
+        dec = entry(f, V, **kw)
+    except OpenWaringError as exc:
+        return type(exc), str(exc)
+    return (raw_terms(dec.terms),
+            [type(x) for c, l in dec.terms for x in (c,) + l.coords], dec.trace)
+
+
+def step_outcome(step, f, V, seed, bits=256, max_retries=64):
+    """The step run on its own: its terms, trace and the random generator's
+    state afterwards, or the error class and text."""
+    ctx = DECOMPOSE._Ctx(random.Random(seed), bits, max_retries)
+    try:
+        terms = step(f, V, ctx)
+    except OpenWaringError as exc:
+        return type(exc), str(exc), ctx.trace, ctx.rng.getstate()
+    return raw_terms(terms), ctx.trace, ctx.rng.getstate()
+
+
+class TestQuadraticHessianReduction:
+    """`_quadratic_essential` against the recursive step it replaced
+    (`conftest.reference_quadratic_essential`): on rational input, the same
+    Fractions, term order, trace, random stream and errors."""
+
+    NEW = staticmethod(DECOMPOSE._quadratic_essential)
+    OLD = staticmethod(reference_quadratic_essential)
+
+    def assert_same(self, monkeypatch, f, V, **kw):
+        for entry in (decompose, decompose_quadratic):
+            want = outcome(monkeypatch, self.OLD, entry, f, V, **kw)
+            got = outcome(monkeypatch, self.NEW, entry, f, V, **kw)
+            assert got == want, (entry.__name__, f, V)
+        return got
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_rank_with_and_without_hyperplanes(self, monkeypatch, n):
+        rng = random.Random(100 + n)
+        for r in range(1, n + 1):
+            f = random_quadratic(rng, n, r)
+            for count in (0, (n + r) % 4):
+                V = random_hyperplanes(rng, n, count) if count else None
+                self.assert_same(monkeypatch, f, V, seed=rng.randrange(1 << 30))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_the_step_alone_keeps_the_random_stream(self, n):
+        rng = random.Random(200 + n)
+        for trial in range(3):
+            f = random_essential_form(rng, n, 2, -4, 4)
+            V = random_hyperplanes(rng, n, trial, -2, 2)
+            want = step_outcome(self.OLD, f, V, trial)
+            assert step_outcome(self.NEW, f, V, trial) == want
+            assert len(want[0]) == n
+
+    @pytest.mark.parametrize("text, n", [("x0^2 + x1^2", 3),
+                                         ("x0*x1 - x2^2 + x1*x2", 5)])
+    def test_rank_guard_on_a_form_that_is_not_essential(self, text, n):
+        # the dispatcher only passes essential forms; given one of lower
+        # rank, the remainder's rank gives it away after the first square
+        f = parse_form(text, n)
+        want = step_outcome(self.OLD, f, ForbiddenSet.empty(n), 3)
+        assert want[:2] == (ConsistencyError,
+                            "quadratic remainder has unexpected rank")
+        assert step_outcome(self.NEW, f, ForbiddenSet.empty(n), 3) == want
+
+    @pytest.mark.parametrize("text, n, avoid", [
+        ("x0*x1 + x1^2", 3, "l2"),
+        ("x0^2 - 3*x0*x1 + 2*x2^2", 4, "l3\nl0 + l1"),
+        ("x0^2 + x1^2 + x2^2", 5, "l0 - l1\nl3 + 2*l4\nl4"),
+    ])
+    def test_forbidden_essential_subspace_raises_the_same_error(
+            self, monkeypatch, text, n, avoid):
+        # every listed set vanishes on the span of the forms' linear terms
+        got = self.assert_same(monkeypatch, parse_form(text, n),
+                               ForbiddenSet.from_text(avoid, n), seed=5)
+        assert got[0] is InvalidInputError
+        assert "contains the essential coordinate subspace" in got[1]
+
+    def test_retry_budget_error_at_one_attempt(self, monkeypatch):
+        # one attempt per square: the drawn direction is dropped whenever
+        # its square vanishes or its linear form lies on a coordinate
+        # hyperplane, and then the budget is spent
+        f = parse_form("x0*x1 + x2^2 - x1*x3", 4)
+        V = ForbiddenSet.from_text("l0\nl1\nl2\nl3", 4)
+        seen = set()
+        for seed in range(12):
+            got = self.assert_same(monkeypatch, f, V, seed=seed, max_retries=1)
+            seen.add(got[0] if isinstance(got[0], type) else "ok")
+        assert seen == {RetryBudgetError, "ok"}
+
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_approximate_quadratics_give_one_term_per_variable(self, bits):
+        rng = random.Random(bits)
+        for n in range(3, 7):
+            f = random_essential_form(rng, n, 2)
+            g = Form(n, 2, {e: AppComplex(c, Fraction(rng.randint(-3, 3), 7), bits)
+                            for e, c in f.coeffs.items()})
+            for entry in (decompose, decompose_quadratic):
+                dec = entry(g, seed=n, precision_bits=bits)
+                assert dec.term_count == n
+                assert check_decomposition(g, dec, precision_bits=bits).passed
+            # the step on its own finds as many terms as the recursion did
+            V = ForbiddenSet.empty(n)
+            assert len(step_outcome(self.NEW, g, V, n, bits)[0]) == \
+                len(step_outcome(self.OLD, g, V, n, bits)[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(st.sampled_from(
+            [e for e in monomials_of_degree(n, 2)]),
+            st.integers(-6, 6).filter(bool), min_size=1),
+        st.integers(0, 1 << 20))))
+    def test_terms_rebuild_the_form_in_sympy(self, case):
+        n, coeffs, seed = case
+        f = Form(n, 2, {e: Fraction(c) for e, c in coeffs.items()})
+        dec = decompose_quadratic(f, seed=seed)
+        xs = sympy.symbols(f"x0:{n}")
+        target = sum(c * sympy.prod(x ** k for x, k in zip(xs, e))
+                     for e, c in coeffs.items())
+        rebuilt = sum(sympy.Rational(c.numerator, c.denominator)
+                      * sum(sympy.Rational(a.numerator, a.denominator) * x
+                            for a, x in zip(l.coords, xs)) ** 2
+                      for c, l in dec.terms)
+        assert dec.exact
+        assert sympy.expand(rebuilt - target) == 0
+        assert dec.term_count == sympy.hessian(target, xs).rank()

@@ -158,10 +158,28 @@ def test_no_second_arithmetic_path_beside_the_kernels():
             functions.update((f"{cls.name}.{n.name}", n) for n in cls.body
                              if isinstance(n, ast.FunctionDef))
     assert KERNEL_CALLERS <= set(functions)
-    named = {name: {n.id for n in ast.walk(functions[name])
-                    if isinstance(n, ast.Name)}
-             | {n.attr for n in ast.walk(functions[name])
-                if isinstance(n, ast.Attribute)}
-             for name in KERNEL_CALLERS}
+    named = {name: _names_in(functions[name]) for name in KERNEL_CALLERS}
     assert {name: ids & LIBMP_ARITHMETIC for name, ids in named.items()
             if ids & LIBMP_ARITHMETIC} == {}
+
+
+def _names_in(node):
+    """Every name and attribute a piece of code mentions."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+#: what a coordinate change per square needs: a change of basis, the
+#: restriction to the hyperplane, the rebuilt catalecticant, the square
+#: and its contraction, and the map of the terms back
+PER_SQUARE_CHANGE = {"change_coordinates", "restrict_to_prefix",
+                     "essential_variables", "contract", "linear_power",
+                     "_map_terms_back"}
+
+
+def test_quadratic_step_changes_no_coordinates():
+    # the quadratic step reduces the Hessian in the form's own coordinates
+    step = next(n for n in _parsed()["decompose"].body
+                if isinstance(n, ast.FunctionDef)
+                and n.name == "_quadratic_essential")
+    assert _names_in(step) & PER_SQUARE_CHANGE == set()

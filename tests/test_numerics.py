@@ -7,17 +7,18 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpc, mpf, workprec
-from mpmath.libmp import (finf, fnan, fninf, fone, from_man_exp, fzero,
-                          mpc_abs, mpc_add, mpc_div, mpc_mpf_div, mpc_mul,
-                          mpc_sub, mpf_add, mpf_div, mpf_gt, mpf_pos,
+from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
+                          fzero, mpc_abs, mpc_add, mpc_div, mpc_mpf_div,
+                          mpc_mul, mpc_sub, mpf_add, mpf_div, mpf_gt, mpf_pos,
                           round_nearest)
 
 from openwaring import ConsistencyError, InvalidInputError, numerics
 from openwaring.numerics import (GUARD_BITS, AppComplex, UniPoly, _aberth,
                                  _cadd, _cdiv, _cinv, _clearly_moved, _cmul,
                                  _coeffs_to_mpc, _csub, _newton_polish, _pos,
-                                 is_squarefree, squarefree_decomposition,
-                                 squarefree_part, univariate_roots)
+                                 _raw_mpf, is_squarefree,
+                                 squarefree_decomposition, squarefree_part,
+                                 univariate_roots)
 
 
 def poly(*coeffs):
@@ -362,6 +363,54 @@ SHORTCUT = (64, ((0, 2 ** 128 - 2 ** 63 - 1, 0, 128), fzero),
             ((0, 2 ** 159 + 1, -101, 160), fzero))
 # prec 64: (2^63 + 1) + 1/2 lies half way between two 64-bit values
 TIE = (64, ((0, 2 ** 63 + 1, 0, 64), (1, 3, 5, 2)), ((0, 1, -1, 1), fzero))
+
+
+def libmp_raw_mpf(x, bits):
+    """An int or Fraction rounded by libmp itself: ``mpf_pos`` of the int,
+    or ``mpf_div`` of the rounded numerator and denominator."""
+    if isinstance(x, Fraction):
+        return mpf_div(mpf_pos(from_int(x.numerator), bits, round_nearest),
+                       mpf_pos(from_int(x.denominator), bits, round_nearest),
+                       bits, round_nearest)
+    return mpf_pos(from_int(x), bits, round_nearest)
+
+
+def sized_int(draw, size):
+    """A signed int of exactly ``size`` bits, often with a run of equal low
+    bits (an exact value, or a tie on rounding)."""
+    man = draw(st.integers(1 << (size - 1), (1 << size) - 1))
+    if size > 2 and draw(st.booleans()):
+        low = draw(st.integers(1, size - 1))
+        man = (man >> low << low) | draw(st.sampled_from((0, 1 << (low - 1))))
+    return -man if draw(st.booleans()) else man
+
+
+class TestRawMpf:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from((53, 64, 256, 1088)), st.data())
+    def test_ints_and_fractions_match_libmp(self, bits, data):
+        p = sized_int(data.draw, data.draw(st.integers(1, 3000)))
+        q = abs(sized_int(data.draw, data.draw(st.integers(1, 3000))))
+        for x in (p, Fraction(p, q)):
+            assert _raw_mpf(x, bits) == libmp_raw_mpf(x, bits), (x, bits)
+
+    @pytest.mark.parametrize("bits", [53, 64, 256, 1088])
+    def test_every_size_and_edge(self, bits):
+        rng = random.Random(bits)
+        values = [0, 1, -1, Fraction(0), Fraction(1, 3), Fraction(-2, 3)]
+        for size in range(1, 3001, 7):
+            top = 1 << size
+            for man in (top - 1, top >> 1, (top >> 1) + 1,
+                        rng.randrange(top >> 1, top)):
+                values += [man, -man, (top << 1) | 1,
+                           top | (1 << max(size - bits, 0))]
+                values += [Fraction(man, rng.randrange(1, top) | 1),
+                           Fraction(-rng.randrange(1, 1 << 40), man)]
+        for x in values:
+            assert _raw_mpf(x, bits) == libmp_raw_mpf(x, bits), (x, bits)
+        for x in values[:200:3]:
+            y = mpf(x) if isinstance(x, int) else mpf(x.numerator) / x.denominator
+            assert _raw_mpf(y, bits) == mpf_pos(y._mpf_, bits, round_nearest)
 
 
 class TestRawKernels:

@@ -12,8 +12,9 @@ from openwaring import (AppComplex, DualOp, Form, InvalidInputError,
                         linear_power, parse_form, render_form)
 from openwaring.linalg import rational_det, rational_inverse
 from openwaring.numerics import is_exact_scalar
-from openwaring.poly import _substitute, dual_power, monomials_of_degree
-from conftest import random_form, random_linear_form
+from openwaring.poly import (_substitute, dual_power, evaluate,
+                             monomials_of_degree)
+from conftest import random_form, random_linear_form, reference_evaluate
 
 
 def _sympy_vars(n):
@@ -343,6 +344,35 @@ class TestPowerTablesKeepEveryBit:
                         break
                 assert layout(change_coordinates(f, m)) == layout(
                     ref_substitute(f, m)), (n, d)
+
+
+def scalar_of_kind(rng, kind, bits):
+    """A random scalar: rational for "exact", AppComplex for "approximate",
+    either for "mixed"."""
+    x = random_scalar(rng, bits)
+    if kind == "exact" and not is_exact_scalar(x):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if kind == "approximate" and is_exact_scalar(x):
+        return AppComplex(x, Fraction(rng.randint(-9, 9), 5), bits)
+    return x
+
+
+class TestEvaluateKeepsEveryBit:
+    @pytest.mark.parametrize("bits", BIT_SIZES)
+    @pytest.mark.parametrize("kind", ["exact", "approximate", "mixed"])
+    def test_matches_the_reference(self, kind, bits):
+        # a coordinate with exponent 1 is multiplied in without ** 1
+        rng = random.Random(f"{kind}/{bits}")
+        for _ in range(40):
+            n, d = rng.randint(1, 5), rng.randint(0, 5)
+            cls = rng.choice((Form, DualOp))
+            f = cls(n, d, sparse_coeffs(
+                rng, n, d, lambda: scalar_of_kind(rng, kind, bits)))
+            coords = [scalar_of_kind(rng, kind, bits) for _ in range(n)]
+            if rng.random() < 0.3:
+                coords[rng.randrange(n)] = Fraction(0)
+            assert raw_scalar(evaluate(f, coords)) == raw_scalar(
+                reference_evaluate(f, coords)), (f, coords)
 
 
 def random_rational(rng, small=False):

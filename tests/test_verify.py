@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from openwaring import (AppComplex, Decomposition, ForbiddenSet, Form,
                         InvalidInputError, LinearForm,
                         catalecticant_lower_bound, check_decomposition,
-                        decompose, parse_form)
+                        decompose, is_forbidden, parse_form)
+from openwaring.numerics import tolerance
 from conftest import (assert_same_verdict, random_form, random_hyperplanes,
-                      reference_check)
+                      reference_check, reference_is_forbidden)
 
 
 class TestCheckDecomposition:
@@ -200,6 +201,39 @@ class TestMonomialTreeCertificate:
         dec = Decomposition(2, 2, ((Fraction(1), LinearForm([1, 0, 0])),), True)
         with pytest.raises(InvalidInputError):
             check_decomposition(f, dec)
+
+
+class TestIsForbidden:
+    @pytest.mark.parametrize("bits", [64, 256, 1088])
+    @pytest.mark.parametrize("kind", ["exact", "approximate", "mixed"])
+    def test_matches_the_reference(self, kind, bits):
+        # the scale of l is built only once a constraint value is inexact
+        rng = random.Random(f"{kind}/{bits}")
+
+        def scalar(x):
+            if kind == "approximate" or (kind == "mixed" and rng.random() < 0.5):
+                return AppComplex(x, 0, bits)
+            return x
+
+        flagged = 0
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            constraints = []
+            for _ in range(rng.randint(0, 3)):
+                g = random_form(rng, n, rng.randint(1, 3), -3, 3)
+                constraints.append(Form(n, g.degree, {
+                    e: scalar(c) for e, c in g.coeffs.items()}))
+            V = ForbiddenSet(n, constraints)
+            coords = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                      for _ in range(n)]
+            if not any(coords):
+                coords[0] = Fraction(1)
+            l = LinearForm([scalar(x) for x in coords])
+            for tol in (None, tolerance(bits)):
+                want = reference_is_forbidden(l, V, tol)
+                assert is_forbidden(l, V, tol) == want
+                flagged += want
+        assert flagged
 
 
 class TestLowerBound:
