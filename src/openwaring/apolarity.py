@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from mpmath import mpf, nstr, workprec
+from mpmath import mpc, mpf, nstr, workprec
 
 from . import linalg
 from .errors import (ConsistencyError, DegenerateSystemError,
@@ -153,44 +153,83 @@ def essential_split(f: Form, precision_bits=DEFAULT_PRECISION_BITS):
     """Invertible M such that change_coordinates(f, M) uses only the first
     m = essential_variables(f) variables, plus that restriction g.
 
-    M is exact rational for rational f.
+    M = [e_keep | K]: the standard vectors of the coordinates ``keep`` of
+    ``_essential_split``, then its left-kernel basis K.  M is exact
+    rational for rational f.
     """
-    return _essential_split(f, essential_variables(f, precision_bits),
-                            precision_bits)
+    n = f.num_vars
+    kernel, keep, _, g = _essential_split(
+        f, essential_variables(f, precision_bits), precision_bits)
+    units = [[Fraction(int(i == k)) for i in range(n)] for k in keep]
+    return linalg.transpose(units + kernel), g
 
 
 def _essential_split(f: Form, m: int, precision_bits):
-    """``essential_split`` of f, given m = essential_variables(f)."""
+    """(K, keep, A, g) for f with m = essential_variables(f).
+
+    K is the left-kernel basis of the first catalecticant, the operators of
+    degree one that annihilate f; ``(keep, A) = _subspace_lift(K)``, and g
+    is f on the coordinates ``keep``, the others set to zero.
+    """
     n = f.num_vars
-    if m == n:
-        ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        return ident, f
-    cat = catalecticant(f, 1)
-    # columns j > m of M must lie in the left kernel of the first catalecticant
-    rows = [list(r) for r in cat.entries]
-    left_kernel = linalg.kernel_basis(linalg.transpose(rows), precision_bits,
-                                      tolerance(precision_bits))
-    if len(left_kernel) != n - m:
+    cols = linalg.transpose([list(r) for r in catalecticant(f, 1).entries])
+    kernel = linalg.kernel_basis(cols, precision_bits, tolerance(precision_bits))
+    if len(kernel) != n - m:
         raise ConsistencyError("left kernel dimension disagrees with the rank")
-    matrix = linalg.complete_to_basis([list(v) for v in left_kernel])
-    h = change_coordinates(f, matrix)
-    g = restrict_to_prefix(h, m, precision_bits)
-    return matrix, g
+    # a kernel vector's products with the columns are the coefficients of
+    # its contraction with f, which g leaves out
+    tol = tolerance(precision_bits) * f.max_abs()
+    if not all(scalar_is_zero(x, tol) for v in kernel for x in linalg.mat_vec(cols, v)):
+        raise ConsistencyError("polynomial is not supported on the first variables")
+    keep, A = _subspace_lift(n, kernel, precision_bits)
+    return kernel, keep, A, _project(f, keep)
 
 
-def restrict_to_prefix(h, m: int, precision_bits=DEFAULT_PRECISION_BITS):
-    """Drop the trailing variables of a polynomial supported on its first m
-    variables (coefficients touching the tail must vanish within tolerance)."""
-    tol = tolerance(precision_bits) * (h.max_abs() if h.coeffs else Fraction(0))
-    out = {}
-    for expo, c in h.coeffs.items():
-        if any(expo[m:]):
-            if not scalar_is_zero(c, tol):
-                raise ConsistencyError(
-                    "polynomial is not supported on the first variables")
-            continue
-        out[expo[:m]] = c
-    return type(h)(m, h.degree, out)
+def _subspace_lift(n, columns, precision_bits):
+    """(keep, A) for independent columns C_j in echelon form from the end.
+
+    Each C_j has its last nonzero coordinate F_j where the other columns
+    vanish: a ``kernel_basis`` basis, whose F_j are its free coordinates,
+    or a single vector.  ``keep`` lists the coordinates outside the F_j in
+    increasing order, so M = [e_keep | C] is invertible, and A, the first
+    len(keep) columns of M^-T, is written down: A[keep_k][k] = 1 and
+    A[F_j][k] = -(C_j[keep_k] * (1 / C_j[F_j])).  A maps coordinates on the
+    subspace e_keep back to ambient linear forms.
+
+    Approximate columns give AppComplex entries at the columns' matrix
+    precision, computed as mpc with GUARD_BITS more: the rounding of an
+    inverse by Gauss-Jordan elimination when C is one column.
+    """
+    last = [max((i for i, c in enumerate(col) if not scalar_is_zero(c)), default=None)
+            for col in columns]
+    if None in last or len(set(last)) != len(last):
+        raise InvalidInputError("coordinate change matrix is singular")
+    keep = [i for i in range(n) if i not in last]
+    exact = linalg.matrix_is_exact(columns)
+    bits = linalg._matrix_bits(columns, precision_bits) + GUARD_BITS
+    if exact:
+        one, cols = Fraction(1), [[Fraction(c) for c in col] for col in columns]
+    else:
+        one, cols = mpc(1), linalg._unwrap(columns, bits)
+    A = [[one * 0] * len(keep) for _ in range(n)]
+    with workprec(bits):
+        for k, i in enumerate(keep):
+            A[i][k] = one
+        for col, p in zip(cols, last):
+            inv = 1 / col[p]
+            A[p] = [-(col[i] * inv) for i in keep]
+    if not exact:
+        A = [[AppComplex.from_mpc(x, bits - GUARD_BITS) for x in row] for row in A]
+    return keep, A
+
+
+def _project(f, keep):
+    """f with every variable outside ``keep`` set to zero, as a polynomial
+    in the variables ``keep``, in that order."""
+    drop = [i for i in range(f.num_vars) if i not in keep]
+    return type(f)(len(keep), f.degree,
+                   {tuple(expo[i] for i in keep): c for expo, c in f.coeffs.items()
+                    if not any(expo[i] for i in drop)})
 
 
 # ---------------------------------------------------------------------------

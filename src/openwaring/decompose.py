@@ -31,20 +31,19 @@ from mpmath import mpf, workprec
 from . import linalg
 from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
                         base_points, catalecticant, essential_variables,
-                        restrict_to_prefix,
                         _back_substitute_l2, _binary_coeffs,
                         _binary_dual_roots, _chart_point, _combine_ops,
                         _coordinate_changes, _dedupe_points, _distinct_roots,
-                        _essential_split, _resultant_charts, _sorted_points)
+                        _essential_split, _project, _resultant_charts,
+                        _sorted_points, _subspace_lift)
 from .errors import (CommonComponentError, ConsistencyError,
                      DegenerateSystemError, InvalidInputError, NoFitError,
                      NonTransversalError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
                        UniPoly, is_exact_scalar, is_squarefree, max_abs_of,
                        scalar_is_zero, tolerance, univariate_roots)
-from .poly import (DualOp, Form, LinearForm, change_coordinates, contract,
-                   dual_power, evaluate, linear_power, monomials_of_degree,
-                   _substitute)
+from .poly import (DualOp, Form, LinearForm, contract, dual_power, evaluate,
+                   linear_power, monomials_of_degree, _substitute)
 from .verify import (Decomposition, ForbiddenSet, check_decomposition,
                      is_forbidden)
 
@@ -85,10 +84,6 @@ class _Ctx:
                 return v
 
 
-def _pad(coords, n):
-    return tuple(coords) + (Fraction(0),) * (n - len(coords))
-
-
 def _linear_divides(alpha, g: Form, precision_bits) -> bool:
     """Whether the linear function sum alpha_i l_i divides the constraint g,
     i.e. the hyperplane it cuts out is contained in V(g).
@@ -114,33 +109,24 @@ def _linear_divides(alpha, g: Form, precision_bits) -> bool:
 
 
 def _hyperplane_change(beta, precision_bits):
-    """(M, A) with M invertible, last column proportional to beta, A = M^-T.
+    """``_subspace_lift`` of the single column beta: keep is every
+    coordinate but beta's last nonzero one, and A maps a linear form in the
+    coordinates keep to the ambient one that beta annihilates.
 
-    A maps padded hyperplane coordinates back to ambient linear forms.
+    A remainder R whose contraction by beta is zero is ``_project(R, keep)``
+    in those coordinates.
     """
-    M = linalg.complete_to_basis([list(beta)])
-    Minv = linalg.invert_matrix(M, precision_bits, tolerance(precision_bits))
-    return M, linalg.transpose(Minv)
-
-
-def _project_prefix(g, m):
-    """Set the trailing variables of g to zero and drop them (no vanishing
-    requirement: this is evaluation, not a support assertion)."""
-    out = {}
-    for expo, c in g.coeffs.items():
-        if any(expo[m:]):
-            continue
-        out[expo[:m]] = c
-    return type(g)(m, g.degree, out)
+    return _subspace_lift(len(beta), [list(beta)], precision_bits)
 
 
 def _restrict_forbidden(V: ForbiddenSet, A, m, precision_bits, hard=True):
-    """Forbidden set seen from hyperplane coordinates b: constraints
-    g(A (b, 0)).  A vanishing restriction means every decomposition inside
-    the subspace is forbidden; ``hard`` controls the error class."""
+    """Forbidden set seen from the m subspace coordinates b of the n x m
+    lift A: constraints g(A b).  A vanishing restriction means every
+    decomposition inside the subspace is forbidden; ``hard`` controls the
+    error class."""
     out = []
     for g in V.constraints:
-        sub = _project_prefix(_substitute(g, A), m)
+        sub = _substitute(g, A)
         tol = tolerance(precision_bits) * g.norm1()
         if sub.is_zero() or (not sub.is_exact() and sub.is_zero(tol)):
             if hard:
@@ -153,8 +139,8 @@ def _restrict_forbidden(V: ForbiddenSet, A, m, precision_bits, hard=True):
     return ForbiddenSet(m, out)
 
 
-def _map_terms_back(terms, A, n):
-    """Each term (c, l) as (c, A l), with l padded to n coordinates.
+def _map_terms_back(terms, A):
+    """Each term (c, l) as (c, A l), A an n x m lift.
 
     With A and l rational, A l is summed on integers over the product of
     the two common denominators, and each coordinate is one Fraction: the
@@ -168,7 +154,7 @@ def _map_terms_back(terms, A, n):
         rows = [flat[i:i + width] for i in range(0, len(flat), width)]
     out = []
     for c, l in terms:
-        v = _pad(l.coords, n)
+        v = l.coords
         if exact and all(isinstance(x, (int, Fraction)) for x in v):
             den_v, ints = linalg._clear_denominators(v)
             den = den_a * den_v
@@ -451,12 +437,10 @@ def _peel(f: Form, V: ForbiddenSet, ctx: _Ctx, essential, need=None):
     if m == n:
         return essential(f, V, ctx)
     ctx.note(f"essential-split: {n} -> {m}")
-    M, g = _essential_split(f, m, ctx.precision_bits)
-    Minv = linalg.invert_matrix(M, ctx.precision_bits, ctx.tol)
-    A = linalg.transpose(Minv)
+    _, _, A, g = _essential_split(f, m, ctx.precision_bits)
     Vr = _restrict_forbidden(V, A, m, ctx.precision_bits, hard=False)
     sub = essential(g, Vr, ctx)
-    return _map_terms_back(sub, A, n)
+    return _map_terms_back(sub, A)
 
 
 def _dispatch_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
@@ -491,10 +475,11 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     Each square draws alpha over the live coordinates, embedded as v, and
     takes the term (1 / (2c), Hv) with c = v^T H v; H -= (Hv)(Hv)^T / c
     leaves the remainder, which v annihilates.  The last live coordinate
-    where alpha != 0 then dies, so the live block of H is the remainder on
-    the hyperplane basis of ``complete_to_basis([alpha])``, the forbidden
-    set is restricted to that basis, and the last coordinate q left gives
-    (H_qq / 2, H[:, q] / H_qq).
+    where alpha != 0 then dies: the live block of H is the Hessian of the
+    remainder on the coordinates ``_hyperplane_change(alpha)`` keeps (the
+    remainder with the dropped one set to zero, as ``_project`` gives it),
+    and the forbidden set is restricted through that change's lift.  The
+    last coordinate q left gives (H_qq / 2, H[:, q] / H_qq).
     """
     n = f.num_vars
     H = [list(row) for row in catalecticant(f, 1).entries]
@@ -714,8 +699,8 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     ctx.note(f"inductive(n={n},d={d}): alpha=({','.join(str(a) for a in alpha)})")
 
     alpha_constraint = LinearForm([Fraction(a) for a in alpha]).to_form()
-    fprime = contract(dual_power(alpha, 1), f)
-    sub = _dispatch(fprime, V.with_constraint(alpha_constraint), ctx)
+    # fprime is the contraction by alpha, already tested essential
+    sub = _dispatch_essential(fprime, V.with_constraint(alpha_constraint), ctx)
 
     lifted = []
     for c, l in sub:
@@ -773,19 +758,20 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         ctx.note("inductive: remainder vanished")
         return head
 
-    beta = LinearForm.from_form(kernel[0]).coords
-    M, A = _hyperplane_change(beta, ctx.precision_bits)
-    h = change_coordinates(F2, M)
-    if not h.is_exact():
-        h = h.cleaned(ctx.tol * max(mpf(1), mpf(1) * h.max_abs())
-                      * mpf(2) ** (-GUARD_BITS))
-    g2 = restrict_to_prefix(h, n - 1, ctx.precision_bits)
+    if not contract(kernel[0], F2).is_zero(ctx.tol * F2.max_abs()):
+        raise ConsistencyError("polynomial is not supported on the first variables")
+    keep, A = _hyperplane_change(LinearForm.from_form(kernel[0]).coords,
+                                 ctx.precision_bits)
+    g2 = _project(F2, keep)
+    if not g2.is_exact():
+        g2 = g2.cleaned(ctx.tol * max(mpf(1), mpf(1) * g2.max_abs())
+                        * mpf(2) ** (-GUARD_BITS))
     if essential_variables(g2, ctx.precision_bits) != n - 1:
         raise ConsistencyError("remainder is not essential in the hyperplane")
     Vr = _restrict_forbidden(V, A, n - 1, ctx.precision_bits)
     ctx.note(f"inductive: remainder in {n - 1} vars, |T|={len(T)}")
-    sub2 = _dispatch(g2, Vr, ctx)
-    return head + _map_terms_back(sub2, A, n)
+    sub2 = _dispatch_essential(g2, Vr, ctx)
+    return head + _map_terms_back(sub2, A)
 
 
 # ---------------------------------------------------------------------------

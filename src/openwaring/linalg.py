@@ -1,11 +1,13 @@
 """Exact rational and arbitrary-precision complex linear algebra.
 
-Every exact routine (rank, kernel, solve, determinant, inverse) reads its
-answer off one fraction-free Gauss-Jordan reduction (Bareiss) of an
-integer-cleared copy of the matrix, so no rank decision ever depends on
-rounding.  On the complex side, ``complex_echelon`` (partial pivoting with
-a relative magnitude threshold for rank decisions) serves rank, kernel and
-determinant.
+Every exact routine (rank, kernel, solve, determinant) reads its answer off
+one fraction-free Gauss-Jordan reduction (Bareiss) of an integer-cleared
+copy of the matrix, so no rank decision ever depends on rounding.  On the
+complex side, ``complex_echelon`` (partial pivoting with a relative
+magnitude threshold for rank decisions) serves rank, kernel and
+determinant.  There is no matrix inverse: the pipeline restricts forms only
+to subspaces whose lift back is written down from the spanning columns
+(``apolarity._subspace_lift``).
 
 Matrices are plain lists of row lists; vectors are lists.
 """
@@ -17,7 +19,7 @@ from math import gcd, prod
 
 from mpmath import mpc, mpf, workprec
 
-from .errors import ConsistencyError, InvalidInputError
+from .errors import InvalidInputError
 from .numerics import AppComplex, GUARD_BITS, is_exact_scalar, values_precision
 
 
@@ -126,19 +128,6 @@ def rational_det(rows) -> Fraction:
     if len(piv) < n:
         return Fraction(0)
     return Fraction(sign * red[-1][-1], prod(denoms))
-
-
-def rational_inverse(rows):
-    # the cleared rows of [A | I] are [D A | D], D the row denominators,
-    # and they reduce to [p I | p A^-1]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InvalidInputError("inverse needs a square matrix")
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    red, piv, _, _ = _reduce(aug)
-    if piv != list(range(n)):
-        raise InvalidInputError("matrix is singular")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(red)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,32 +302,6 @@ def complex_solve_lstsq(rows, rhs, precision_bits):
         return [AppComplex.from_mpc(v, bits - GUARD_BITS) for v in x], resid
 
 
-def complex_inverse(rows, precision_bits, tol):
-    n = len(rows)
-    bits = _matrix_bits(rows, precision_bits) + GUARD_BITS
-    m = _unwrap(rows, bits)
-    with workprec(bits):
-        scale = max((abs(x) for row in m for x in row), default=mpf(0))
-        thresh = tol * scale if scale > 0 else tol
-        aug = [m[i] + [mpc(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for c in range(n):
-            best, best_abs = None, thresh
-            for i in range(c, n):
-                if abs(aug[i][c]) > best_abs:
-                    best, best_abs = i, abs(aug[i][c])
-            if best is None:
-                raise InvalidInputError("matrix is numerically singular")
-            aug[c], aug[best] = aug[best], aug[c]
-            inv = 1 / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-        return [[AppComplex.from_mpc(x, bits - GUARD_BITS) for x in row[n:]]
-                for row in aug]
-
-
 # ---------------------------------------------------------------------------
 # kind-dispatching front ends
 
@@ -364,12 +327,6 @@ def matrix_rank(rows, precision_bits, tol) -> int:
     return complex_rank(rows, precision_bits, tol)
 
 
-def invert_matrix(rows, precision_bits, tol):
-    if matrix_is_exact(rows):
-        return rational_inverse(rows)
-    return complex_inverse(rows, precision_bits, tol)
-
-
 def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
@@ -386,36 +343,3 @@ def dot(u, v):
 
 def mat_vec(rows, vec):
     return [dot(row, vec) for row in rows]
-
-
-def complete_to_basis(columns_tail):
-    """Complete the given independent columns to an invertible matrix.
-
-    ``columns_tail`` is a list of column vectors that will occupy the LAST
-    positions; earlier positions are filled greedily with standard basis
-    vectors.  Rational input gives an exact rational matrix.
-    """
-    if not columns_tail:
-        raise InvalidInputError("need at least one column")
-    n = len(columns_tail[0])
-    k = len(columns_tail)
-    exact = all(is_exact_scalar(x) for col in columns_tail for x in col)
-    chosen = []
-    for i in range(n):
-        if len(chosen) == n - k:
-            break
-        e = [Fraction(1 if j == i else 0) for j in range(n)]
-        candidate_cols = chosen + [e] + columns_tail
-        rows = transpose(candidate_cols)
-        if exact:
-            ok = rational_rank(rows) == len(candidate_cols)
-        else:
-            ok = complex_rank(rows, values_precision(
-                [x for col in columns_tail for x in col]),
-                mpf(2) ** (-64)) == len(candidate_cols)
-        if ok:
-            chosen.append(e)
-    if len(chosen) != n - k:
-        raise ConsistencyError("could not complete columns to a basis")
-    cols = chosen + list(columns_tail)
-    return transpose(cols)

@@ -277,7 +277,8 @@ def _power_of_linear(coords, d, cls):
 
 
 def _substitute(f, matrix):
-    """Substitute x_i -> sum_j matrix[i][j] x_j; no invertibility demanded.
+    """Substitute x_i -> sum_j matrix[i][j] x_j; no invertibility demanded,
+    and an n x m matrix gives a polynomial in m variables.
 
     Each monomial c * x^e of f contributes c * prod_i (row_i . x)^e_i, the
     products taken left to right over the variables, each (i, e_i) power
@@ -292,13 +293,12 @@ def _substitute(f, matrix):
     denominator L of the c * prod_i d_i^-e_i, and each summed integer s
     becomes Fraction(s, L) at the end.  Other input sums c * v as given.
     """
-    n = f.num_vars
-    rows = [matrix[i] for i in range(n)]
+    rows = [matrix[i] for i in range(f.num_vars)]
     if f.is_exact() and all(is_exact_scalar(x) for row in rows for x in row):
         out = _substitute_exact(f.coeffs, rows)
     else:
         out = _substitute_approx(f, rows)
-    return type(f)(n, f.degree, out)
+    return type(f)(len(rows[0]), f.degree, out)
 
 
 def _expansions(coeffs, power, product, unit):
@@ -328,7 +328,7 @@ def _substitute_exact(coeffs, rows):
     out = {}
     for (c, term), den in zip(_expansions(
             coeffs, lambda i, e: _integer_power(cleared[i][1], e),
-            _integer_product, {(0,) * len(rows): 1}), dens):
+            _integer_product, {(0,) * len(rows[0]): 1}), dens):
         scale = c.numerator * (common // den)
         for t, v in term.items():
             s = out.get(t, 0) + scale * v
@@ -376,7 +376,7 @@ def _substitute_approx(f, rows):
     out = {}
     for c, term in _expansions(
             f.coeffs, lambda i, e: _power_of_linear(lin[i], e, type(f)).coeffs,
-            _product, {(0,) * f.num_vars: Fraction(1)}):
+            _product, {(0,) * len(rows[0]): Fraction(1)}):
         for t, v in term.items():
             s = out.get(t, Fraction(0)) + c * v
             if is_exact_scalar(s) and s == 0:

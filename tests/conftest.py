@@ -2,20 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
+from mpmath import mpc, mpf, workprec
 
 from openwaring import (ForbiddenSet, Form, LinearForm, VerifyReport,
                         essential_variables, is_forbidden, recursion_bound)
-from openwaring.apolarity import restrict_to_prefix
-from openwaring.decompose import (_forced_single_term, _hyperplane_change,
-                                  _linear_divides, _map_terms_back,
-                                  _restrict_forbidden)
-from openwaring.errors import ConsistencyError, RetryBudgetError
+from openwaring import linalg
+from openwaring.apolarity import catalecticant
+from openwaring.decompose import _forced_single_term, _linear_divides
+from openwaring.errors import (ConsistencyError, InvalidInputError,
+                               RetryBudgetError)
 from openwaring.numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS,
-                                 is_exact_scalar, max_abs_of, scalar_is_zero,
-                                 tolerance)
-from openwaring.poly import (change_coordinates, contract, dual_power,
-                             linear_power, monomials_of_degree)
+                                 AppComplex, is_exact_scalar, max_abs_of,
+                                 scalar_is_zero, tolerance, values_precision)
+from openwaring.poly import (_substitute, change_coordinates, contract,
+                             dual_power, linear_power, monomials_of_degree)
 
 
 def random_form(rng, n, d, lo=-9, hi=9):
@@ -225,11 +225,144 @@ def reference_quadratic_essential(f, V, ctx):
         F2 = F2.cleaned(ctx.tol * scale * mpf(2) ** (-GUARD_BITS))
     if F2.is_zero(ctx.tol * scale):
         return [term]
-    M, A = _hyperplane_change([Fraction(a) for a in alpha], ctx.precision_bits)
+    M, A = reference_hyperplane_change([Fraction(a) for a in alpha],
+                                       ctx.precision_bits)
     h = change_coordinates(F2, M)
-    g = restrict_to_prefix(h, n - 1, ctx.precision_bits)
+    g = reference_restrict_to_prefix(h, n - 1, ctx.precision_bits)
     if essential_variables(g, ctx.precision_bits) != n - 1:
         raise ConsistencyError("quadratic remainder has unexpected rank")
-    Vr = _restrict_forbidden(V, A, n - 1, ctx.precision_bits)
+    Vr = reference_restrict_forbidden(V, A, n - 1, ctx.precision_bits)
     sub = reference_quadratic_essential(g, Vr, ctx)
-    return [term] + _map_terms_back(sub, A, n)
+    return [term] + reference_map_terms_back(sub, A, n)
+
+
+# ---------------------------------------------------------------------------
+# Subspace restrictions as they were before the written-down lift: complete
+# the columns to an invertible M with greedily chosen standard vectors,
+# invert M (over the rationals, or by complex Gauss-Jordan elimination),
+# change the coordinates of the whole form by M and drop the trailing
+# variables.  Kept as references for `apolarity._essential_split`,
+# `apolarity._subspace_lift` and `decompose._hyperplane_change`.
+
+
+def reference_complete_to_basis(columns_tail):
+    n = len(columns_tail[0])
+    k = len(columns_tail)
+    exact = all(is_exact_scalar(x) for col in columns_tail for x in col)
+    chosen = []
+    for i in range(n):
+        if len(chosen) == n - k:
+            break
+        e = [Fraction(1 if j == i else 0) for j in range(n)]
+        candidate_cols = chosen + [e] + columns_tail
+        rows = linalg.transpose(candidate_cols)
+        if exact:
+            ok = linalg.rational_rank(rows) == len(candidate_cols)
+        else:
+            ok = linalg.complex_rank(rows, values_precision(
+                [x for col in columns_tail for x in col]),
+                mpf(2) ** (-64)) == len(candidate_cols)
+        if ok:
+            chosen.append(e)
+    if len(chosen) != n - k:
+        raise ConsistencyError("could not complete columns to a basis")
+    return linalg.transpose(chosen + list(columns_tail))
+
+
+def reference_rational_inverse(rows):
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    red, piv, _, _ = linalg._reduce(aug)
+    if piv != list(range(n)):
+        raise InvalidInputError("matrix is singular")
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(red)]
+
+
+def reference_complex_inverse(rows, precision_bits, tol):
+    n = len(rows)
+    bits = linalg._matrix_bits(rows, precision_bits) + GUARD_BITS
+    m = linalg._unwrap(rows, bits)
+    with workprec(bits):
+        scale = max((abs(x) for row in m for x in row), default=mpf(0))
+        thresh = tol * scale if scale > 0 else tol
+        aug = [m[i] + [mpc(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        for c in range(n):
+            best, best_abs = None, thresh
+            for i in range(c, n):
+                if abs(aug[i][c]) > best_abs:
+                    best, best_abs = i, abs(aug[i][c])
+            if best is None:
+                raise InvalidInputError("matrix is numerically singular")
+            aug[c], aug[best] = aug[best], aug[c]
+            inv = 1 / aug[c][c]
+            aug[c] = [x * inv for x in aug[c]]
+            for i in range(n):
+                if i != c and aug[i][c] != 0:
+                    f = aug[i][c]
+                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+        return [[AppComplex.from_mpc(x, bits - GUARD_BITS) for x in row[n:]]
+                for row in aug]
+
+
+def reference_invert_matrix(rows, precision_bits, tol):
+    if linalg.matrix_is_exact(rows):
+        return reference_rational_inverse(rows)
+    return reference_complex_inverse(rows, precision_bits, tol)
+
+
+def reference_restrict_to_prefix(h, m, precision_bits=DEFAULT_PRECISION_BITS):
+    tol = tolerance(precision_bits) * (h.max_abs() if h.coeffs else Fraction(0))
+    out = {}
+    for expo, c in h.coeffs.items():
+        if any(expo[m:]):
+            if not scalar_is_zero(c, tol):
+                raise ConsistencyError(
+                    "polynomial is not supported on the first variables")
+            continue
+        out[expo[:m]] = c
+    return type(h)(m, h.degree, out)
+
+
+def reference_essential_split(f, m, precision_bits=DEFAULT_PRECISION_BITS):
+    """(M, g) of the split: the greedy basis and the restriction."""
+    n = f.num_vars
+    if m == n:
+        ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        return ident, f
+    rows = [list(r) for r in catalecticant(f, 1).entries]
+    left_kernel = linalg.kernel_basis(linalg.transpose(rows), precision_bits,
+                                      tolerance(precision_bits))
+    if len(left_kernel) != n - m:
+        raise ConsistencyError("left kernel dimension disagrees with the rank")
+    matrix = reference_complete_to_basis([list(v) for v in left_kernel])
+    h = change_coordinates(f, matrix)
+    return matrix, reference_restrict_to_prefix(h, m, precision_bits)
+
+
+def reference_hyperplane_change(beta, precision_bits):
+    """(M, A): M invertible with last column beta, and A = M^-T."""
+    M = reference_complete_to_basis([list(beta)])
+    Minv = reference_invert_matrix(M, precision_bits, tolerance(precision_bits))
+    return M, linalg.transpose(Minv)
+
+
+def reference_restrict_forbidden(V, A, m, precision_bits):
+    """Constraints g(A (b, 0)) for the square A of the reference change."""
+    out = []
+    for g in V.constraints:
+        full = _substitute(g, A)
+        sub = type(full)(m, full.degree, {expo[:m]: c for expo, c in full.coeffs.items()
+                                          if not any(expo[m:])})
+        tol = tolerance(precision_bits) * g.norm1()
+        if sub.is_zero() or (not sub.is_exact() and sub.is_zero(tol)):
+            raise ConsistencyError(
+                "constraint restricts to zero on a hyperplane chosen to avoid it")
+        out.append(sub)
+    return ForbiddenSet(m, out)
+
+
+def reference_map_terms_back(terms, A, n):
+    """Each term (c, l) as (c, A l), l padded with zeros to n coordinates."""
+    pad = (Fraction(0),)
+    return [(c, LinearForm(linalg.mat_vec(A, l.coords + pad * (n - l.num_vars))))
+            for c, l in terms]

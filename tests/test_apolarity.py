@@ -1,16 +1,25 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from openwaring import (DegenerateSystemError, DualOp, Form, InvalidInputError,
-                        LinearForm, apolar_component, base_points,
-                        catalecticant, change_coordinates, contract,
-                        essential_split, essential_variables, linear_power,
-                        parse_form, power_witness)
-from openwaring.linalg import rational_rank
-from conftest import random_form, random_essential_form, random_linear_form
+from openwaring import (AppComplex, ConsistencyError, DegenerateSystemError,
+                        DualOp, Form, InvalidInputError, LinearForm,
+                        apolar_component, base_points, catalecticant,
+                        change_coordinates, contract, essential_split,
+                        essential_variables, linear_power, parse_form,
+                        power_witness)
+from openwaring import linalg
+from openwaring.decompose import _hyperplane_change
+from openwaring.linalg import rational_det, rational_rank
+from openwaring.numerics import DEFAULT_PRECISION_BITS, tolerance
+from openwaring.poly import monomials_of_degree
+from conftest import (random_form, random_essential_form, random_linear_form,
+                      reference_essential_split, reference_hyperplane_change,
+                      reference_rational_inverse)
 
 
 def sympy_catalecticant_rank(f, e):
@@ -239,3 +248,144 @@ class TestPowerWitness:
                 coords = [Fraction(round(float(c.real))) for c in p.coords]
                 w = power_witness(f, LinearForm(coords), 2)
                 assert w is not None
+
+
+# ---------------------------------------------------------------------------
+# restrictions to subspaces: the lift written down from the columns, against
+# the basis completion, inverse and substitution it replaced
+
+
+APOLARITY = importlib.import_module("openwaring.apolarity")
+
+
+def raw(x):
+    if isinstance(x, AppComplex):
+        return (x.real._mpf_, x.imag._mpf_, x.precision_bits)
+    return (type(x), x)
+
+
+def raw_matrix(rows):
+    return [[raw(x) for x in row] for row in rows]
+
+
+@st.composite
+def non_essential_forms(draw):
+    """g(Tx): a rational form g in k < n variables, seen in n variables
+    through an invertible integer matrix T."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    d = draw(st.integers(1, 4 if n <= 4 else 3))
+    coeff = st.fractions(-9, 9, max_denominator=4)
+    g = {}
+    for expo in monomials_of_degree(k, d):
+        c = draw(coeff)
+        if c:
+            g[expo + (0,) * (n - k)] = c
+    assume(g)
+    T = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    assume(rational_det(T) != 0)
+    return change_coordinates(Form(n, d, g), [[Fraction(x) for x in row]
+                                              for row in T])
+
+
+class TestSubspaceLift:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(non_essential_forms())
+    def test_split_matches_the_basis_completion(self, f):
+        m = essential_variables(f)
+        M, g = essential_split(f)
+        M_ref, g_ref = reference_essential_split(f, m)
+        assert raw_matrix(M) == raw_matrix(M_ref)
+        assert list(g.coeffs) == list(g_ref.coeffs)
+        assert [raw(c) for c in g.coeffs.values()] == \
+            [raw(c) for c in g_ref.coeffs.values()]
+        _, keep, A, g_split = APOLARITY._essential_split(f, m, DEFAULT_PRECISION_BITS)
+        assert g_split == g and len(keep) == m
+        inverse = reference_rational_inverse(M_ref)
+        assert raw_matrix(A) == [[raw(inverse[k][p]) for k in range(m)]
+                                 for p in range(f.num_vars)]
+
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_approximate_hyperplane_lifts(self, bits):
+        # the kernel vectors the inductive step restricts by: approximate
+        # entries, exact zeros where the operator has no term
+        rng = random.Random(bits)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            beta = [Fraction(0) if rng.random() < 0.3 else
+                    AppComplex(Fraction(rng.randint(-99, 99), rng.randint(1, 9)),
+                               Fraction(rng.randint(-99, 99), rng.randint(1, 9)),
+                               bits) for _ in range(n)]
+            last = rng.randrange(n)
+            beta[last] = (AppComplex(1, 0, bits) if rng.random() < 0.5 else
+                          AppComplex(rng.randint(1, 9), rng.randint(-9, 9), bits))
+            beta[last + 1:] = [Fraction(0)] * (n - last - 1)
+            keep, A = _hyperplane_change(beta, bits)
+            assert keep == [i for i in range(n) if i != last]
+            _, A_ref = reference_hyperplane_change(beta, bits)
+            assert raw_matrix(A) == raw_matrix([row[:n - 1] for row in A_ref])
+
+    def test_rational_hyperplane_lifts(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            beta = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+            if not any(beta):
+                continue
+            _, A = _hyperplane_change(beta, DEFAULT_PRECISION_BITS)
+            _, A_ref = reference_hyperplane_change(beta, DEFAULT_PRECISION_BITS)
+            assert raw_matrix(A) == raw_matrix([row[:n - 1] for row in A_ref])
+
+    def test_columns_need_their_own_last_coordinate(self):
+        for columns in ([[1, 2, 0], [Fraction(3), 1, 0]], [[0, 0, 0]]):
+            with pytest.raises(InvalidInputError,
+                               match="^coordinate change matrix is singular$"):
+                APOLARITY._subspace_lift(3, columns, DEFAULT_PRECISION_BITS)
+
+    @pytest.mark.parametrize("form, n, bits", [("x0^2 + 2*x0*x1 + x1^2", 3, 256),
+                                               ("x0*x1^2 - x2^3", 5, 256),
+                                               ("x0*x1^2 - x2^3", 5, 64)])
+    def test_a_kernel_vector_that_does_not_annihilate_is_caught(
+            self, monkeypatch, form, n, bits):
+        f = parse_form(form, n)
+        m = essential_variables(f)
+        real_kernel = linalg.kernel_basis
+
+        def perturbed(rows, precision_bits, tol):
+            kernel = real_kernel(rows, precision_bits, tol)
+            # x0 is no free coordinate of these kernels, so the nudged
+            # vectors keep their echelon form
+            kernel[-1][0] += Fraction(1, 3)
+            return kernel
+
+        monkeypatch.setattr(linalg, "kernel_basis", perturbed)
+        with pytest.raises(ConsistencyError) as got:
+            essential_split(f, bits)
+        with pytest.raises(ConsistencyError) as want:
+            reference_essential_split(f, m, bits)
+        assert str(got.value) == str(want.value) == \
+            "polynomial is not supported on the first variables"
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_approximate_kernels_are_checked_within_tolerance(self, monkeypatch, bits):
+        # x0^2 + x1^2 in three variables, with approximate coefficients:
+        # the kernel is e2; a nudge below tolerance(bits) * max|f| passes,
+        # one above it does not
+        f = Form(3, 2, {(2, 0, 0): AppComplex(1, 0, bits),
+                        (0, 2, 0): AppComplex(1, 0, bits)})
+        real_kernel = linalg.kernel_basis
+        for nudge, fails in ((tolerance(bits) / 8, False), (tolerance(bits) * 8, True)):
+            def perturbed(rows, precision_bits, tol, nudge=nudge):
+                kernel = real_kernel(rows, precision_bits, tol)
+                kernel[0][0] = kernel[0][0] + AppComplex(nudge, 0, bits)
+                return kernel
+
+            monkeypatch.setattr(linalg, "kernel_basis", perturbed)
+            if fails:
+                with pytest.raises(ConsistencyError,
+                                   match="polynomial is not supported"):
+                    essential_split(f, bits)
+            else:
+                M, g = essential_split(f, bits)
+                assert g.num_vars == 2 and set(g.coeffs) == {(2, 0), (0, 2)}

@@ -171,6 +171,34 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["essential_variables"] == 1
 
+    #: the records of the split as the basis completion and inverse gave
+    #: them: a square with a kernel vector that is no standard vector, a
+    #: form in two of four variables, and an essential form
+    ESSENTIAL_RECORDS = [
+        ("3", "x0^2 + 2*x0*x1 + x1^2",
+         {"command": "essential", "essential_variables": 1,
+          "matrix": [["1/1", "-1/1", "0/1"], ["0/1", "1/1", "0/1"],
+                     ["0/1", "0/1", "1/1"]],
+          "restricted_form": "x0^2"}),
+        ("4", "x0*x1",
+         {"command": "essential", "essential_variables": 2,
+          "matrix": [["1/1", "0/1", "0/1", "0/1"], ["0/1", "1/1", "0/1", "0/1"],
+                     ["0/1", "0/1", "1/1", "0/1"], ["0/1", "0/1", "0/1", "1/1"]],
+          "restricted_form": "x0*x1"}),
+        ("3", "x0*x1^2 + x1*x2^2",
+         {"command": "essential", "essential_variables": 3,
+          "matrix": [["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"],
+                     ["0/1", "0/1", "1/1"]],
+          "restricted_form": "x0*x1^2 + x1*x2^2"}),
+    ]
+
+    @pytest.mark.parametrize("n, form, record", ESSENTIAL_RECORDS)
+    def test_essential_record_is_unchanged(self, capsys, n, form, record):
+        code, out, err = run_capture(capsys, [
+            "essential", "-n", n, form, "--format", "structured"])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(record, indent=2) + "\n"
+
     def test_base_points(self, capsys):
         code, out, _ = run_capture(capsys, [
             "base-points", "-n", "3", "-e", "2", "x0*x1^2 + x1*x2^2",

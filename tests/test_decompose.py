@@ -19,13 +19,13 @@ from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         essential_variables, fit_coefficients, is_forbidden,
                         linear_power, parse_form, recursion_bound)
 from openwaring import linalg
-from openwaring.decompose import (_map_terms_back, _merge_proportional, _pad,
+from openwaring.decompose import (_map_terms_back, _merge_proportional,
                                   _power_of_two_near)
 from openwaring.numerics import is_exact_scalar, max_abs_of, scalar_is_zero, tolerance
 from openwaring.poly import monomials_of_degree
 from conftest import (assert_same_verdict, random_essential_form, random_form,
                       random_hyperplanes, random_linear_form, reference_check,
-                      reference_quadratic_essential)
+                      reference_map_terms_back, reference_quadratic_essential)
 
 
 def gram_rank(f):
@@ -350,17 +350,40 @@ class TestInductive:
         rep = check_decomposition(f, dec)
         assert rep.passed
 
+    def test_remainder_must_be_annihilated_by_its_kernel(self, rng, monkeypatch):
+        # the remainder is projected to the hyperplane only once its
+        # degree-one annihilator is checked to contract it to zero
+        f = random_essential_form(rng, 4, 3)
+        dec = decompose_inductive(f, seed=17)
+        assert any(t.startswith("inductive: remainder in") for t in dec.trace)
+        dmod = importlib.import_module("openwaring.decompose")
+        real = dmod.apolar_component
+
+        def nudged(g, e, precision_bits):
+            ops = real(g, e, precision_bits)
+            if e != 1 or not ops:
+                return ops
+            return [ops[0] + DualOp(g.num_vars, 1, {(1,) + (0,) * (g.num_vars - 1):
+                                                    Fraction(1, 3)})] + ops[1:]
+
+        monkeypatch.setattr(dmod, "apolar_component", nudged)
+        with pytest.raises(ConsistencyError,
+                           match="^polynomial is not supported on the first variables$"):
+            decompose_inductive(f, seed=17)
+
     def test_carried_set_shrinks_when_remainder_degenerates(self, rng,
                                                             monkeypatch):
         # Instrumented run: pad the inner decomposition with extra lifted
         # terms so the remainder collapses to a single d-th power inside the
-        # contraction hyperplane.  The carried index set must then shrink,
-        # monotonically, and the final answer must still verify.
+        # contraction hyperplane (the step hands the contraction, already
+        # tested essential, to _dispatch_essential).  The carried index set
+        # must then shrink, monotonically, and the final answer must still
+        # verify.
         import sys
         dmod = sys.modules["openwaring.decompose"]
 
         f = random_essential_form(rng, 4, 3)
-        real_dispatch = dmod._dispatch
+        real_dispatch = dmod._dispatch_essential
         state = {"armed": True}
 
         def padded_dispatch(g, W, ctx):
@@ -402,9 +425,9 @@ class TestInductive:
             extras.append((Fraction(-3) * dot0, l0))
             return inner + extras
 
-        monkeypatch.setattr(dmod, "_dispatch", padded_dispatch)
+        monkeypatch.setattr(dmod, "_dispatch_essential", padded_dispatch)
         dec = decompose_inductive(f, seed=31)
-        monkeypatch.setattr(dmod, "_dispatch", real_dispatch)
+        monkeypatch.setattr(dmod, "_dispatch_essential", real_dispatch)
         # the padding deliberately wrecks term economy, so only the
         # reconstruction and the shrink behaviour are asserted here
         rep = check_decomposition(f, dec)
@@ -665,25 +688,31 @@ class TestMapTermsBack:
                                             ("mixed", 3), ("approximate A", 4)])
     def test_matches_mat_vec(self, kind, seed):
         # rational A and terms on integers give the Fractions mat_vec gives;
-        # any approximate entry keeps mat_vec's rounding bit for bit
+        # any approximate entry keeps mat_vec's rounding bit for bit, and an
+        # n x m lift gives what the square change it is the first m columns
+        # of gave on terms padded with zeros
         rng = random.Random(seed)
         for _ in range(30):
             n = rng.randint(2, 6)
+            m = rng.randint(1, n)
             A = [[self.scalar(rng, kind == "approximate A" and rng.random() < 0.3)
-                  for _ in range(n)] for _ in range(n)]
+                  for _ in range(m)] for _ in range(n)]
+            # a lift's rows are rational or approximate throughout
+            full = [row + [self.scalar(rng, not all(map(is_exact_scalar, row)))
+                           for _ in range(n - m)] for row in A]
             terms = []
             for _ in range(rng.randint(1, 5)):
                 approx = (kind == "approximate"
                           or (kind == "mixed" and rng.random() < 0.5))
                 coords = [self.scalar(rng, approx and rng.random() < 0.7)
-                          for _ in range(rng.randint(1, n))]
+                          for _ in range(m)]
                 terms.append((self.scalar(rng, approx), LinearForm(coords)))
-            want = [(c, LinearForm(linalg.mat_vec(A, _pad(l.coords, n))))
-                    for c, l in terms]
-            got = _map_terms_back(terms, A, n)
-            assert raw_terms(got) == raw_terms(want)
-            assert [type(x) for _, l in got for x in l.coords] == \
-                [type(x) for _, l in want for x in l.coords]
+            want = [(c, LinearForm(linalg.mat_vec(A, l.coords))) for c, l in terms]
+            got = _map_terms_back(terms, A)
+            for ref in (want, reference_map_terms_back(terms, full, n)):
+                assert raw_terms(got) == raw_terms(ref)
+                assert [type(x) for _, l in got for x in l.coords] == \
+                    [type(x) for _, l in ref for x in l.coords]
 
 
 # ---------------------------------------------------------------------------

@@ -183,3 +183,29 @@ def test_quadratic_step_changes_no_coordinates():
                 if isinstance(n, ast.FunctionDef)
                 and n.name == "_quadratic_essential")
     assert _names_in(step) & PER_SQUARE_CHANGE == set()
+
+
+#: a restriction to a subspace by completing a basis, inverting it and
+#: substituting the whole form
+RESTRICTION_BY_INVERSE = {"complete_to_basis", "invert_matrix",
+                          "restrict_to_prefix"}
+
+#: the steps that restrict a form to a subspace and lift its terms back
+SUBSPACE_STEPS = {"_essential_split", "_peel", "_hyperplane_change",
+                  "_inductive_essential"}
+
+
+def test_subspace_restrictions_are_projections():
+    # the subspaces are spanned by standard vectors and columns in echelon
+    # form from the end, so the lift is written down and the restricted
+    # form is a projection
+    parsed = _parsed()
+    functions = {(m, n.name): n for m in ("decompose", "apolarity")
+                 for n in ast.walk(parsed[m]) if isinstance(n, ast.FunctionDef)}
+    assert {key: names for key, node in functions.items()
+            if (names := _names_in(node) & RESTRICTION_BY_INVERSE)} == {}
+    steps = {name: node for (_, name), node in functions.items()
+             if name in SUBSPACE_STEPS}
+    assert set(steps) == SUBSPACE_STEPS
+    assert {name for name, node in steps.items()
+            if "change_coordinates" in _names_in(node)} == set()

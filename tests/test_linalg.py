@@ -13,15 +13,14 @@ from mpmath import mpf, workprec
 from openwaring import InvalidInputError
 from openwaring.linalg import (_unwrap, complex_det, complex_echelon, dot,
                                mat_vec, matrix_rank, rational_det,
-                               rational_inverse, rational_kernel,
-                               rational_rank, rational_solve)
+                               rational_kernel, rational_rank, rational_solve)
 from openwaring.numerics import GUARD_BITS, AppComplex, tolerance
 
 # ---------------------------------------------------------------------------
 # The elimination routines as they were before the fraction-free
 # Gauss-Jordan reduction: Bareiss echelon form with Fraction
-# back-substitution, Fraction elimination for the determinant and the
-# inverse, and the complex determinant of the resultant code.
+# back-substitution, Fraction elimination for the determinant, and the
+# complex determinant of the resultant code.
 
 
 def reference_echelon(rows):
@@ -111,28 +110,6 @@ def reference_det(rows):
             for j in range(c, n):
                 m[i][j] -= f * m[c][j]
     return det
-
-
-def reference_inverse(rows):
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if aug[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise InvalidInputError("matrix is singular")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def reference_complex_det(rows, precision_bits):
@@ -261,21 +238,6 @@ class TestRational:
         assert det == to_fraction(to_sympy(rows).det())
         assert det == reference_det(rows)
 
-    @settings(max_examples=60, deadline=None)
-    @given(matrices(square=True))
-    def test_inverse(self, rows):
-        a = to_sympy(rows)
-        if a.det() == 0:
-            with pytest.raises(InvalidInputError, match="matrix is singular"):
-                rational_inverse(rows)
-            return
-        inv = rational_inverse(rows)
-        for row in inv:
-            assert_all_fractions(row)
-        assert inv == [[to_fraction(x) for x in a.inv().row(i)]
-                       for i in range(len(rows))]
-        assert inv == reference_inverse(rows)
-
     def test_empty_determinant_is_one(self):
         assert rational_det([]) == 1
         assert type(rational_det([])) is Fraction
@@ -287,18 +249,6 @@ class TestRational:
         with pytest.raises(InvalidInputError,
                            match="determinant needs a square matrix"):
             complex_det([[AppComplex(1, 0, 64), 2]], 64)
-
-    def test_singular_inverse(self):
-        with pytest.raises(InvalidInputError, match="matrix is singular"):
-            rational_inverse([[Fraction(1, 2), 1], [1, 2]])
-
-    def test_inverse_needs_a_square_matrix(self):
-        with pytest.raises(InvalidInputError,
-                           match="inverse needs a square matrix"):
-            rational_inverse([[1, 2, 3], [4, 5, 7]])
-        with pytest.raises(InvalidInputError,
-                           match="inverse needs a square matrix"):
-            rational_inverse([[1, 2], [3]])
 
     def test_solve_needs_one_rhs_entry_per_row(self):
         for rows, rhs in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 2]),
