@@ -3,8 +3,10 @@ and base-point detection for apolar linear systems.
 
 The degree-e piece of the annihilator is computed as the left kernel of the
 catalecticant matrix of the contraction pairing.  Everything stays in exact
-rational arithmetic when the input form is rational; forms with approximate
-coefficients go through thresholded complex elimination instead.
+rational arithmetic when the input form is rational (the first
+catalecticant, behind the essential-variable count and split, on
+integers); forms with approximate coefficients go through thresholded
+complex elimination instead.
 
 The plane-curve resultant machinery lives here too: ``_resultant_charts``
 walks coordinate charts of a pair of ternary curves and eliminates the last
@@ -18,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from mpmath import mpc, mpf, nstr, workprec
 
@@ -141,12 +143,46 @@ def apolar_component(f: Form, e: int,
 
 def essential_variables(f, precision_bits=DEFAULT_PRECISION_BITS) -> int:
     """Rank of the first catalecticant: the minimal number of variables f
-    can be written in after a linear change of coordinates."""
+    can be written in after a linear change of coordinates.
+
+    For rational f the rank is read off the integer rows of
+    ``_first_catalecticant_rows``, transposed to one row per variable: the
+    catalecticant up to the scale L and its zero columns.  Approximate f
+    takes the thresholded rank of ``catalecticant(f, 1)``.
+    """
     if f.is_zero():
         raise InvalidInputError("the zero form has no essential variable count")
     if f.degree == 0:
         return 0
+    if f.is_exact():
+        return linalg.rational_rank(linalg.transpose(_first_catalecticant_rows(f)))
     return catalecticant(f, 1).rank(precision_bits)
+
+
+def _first_catalecticant_rows(f: Form):
+    """The transpose of the first catalecticant of a rational f of positive
+    degree, on integers.
+
+    One row per degree-(d-1) monomial b of some first partial of f, in
+    order of first occurrence; its entry i is k * c * L, where c is the
+    coefficient of x^(b+e_i), k = (b+e_i)_i and L the least common
+    denominator of f's coefficients.  The zero rows are left out.  Neither
+    the scale L nor the missing zero rows change the rank or the reduced
+    row echelon form, so the kernel is the catalecticant's, bit for bit.
+    """
+    n = f.num_vars
+    L = lcm(*(c.denominator for c in f.coeffs.values()))
+    rows = {}
+    for expo, c in f.coeffs.items():
+        scaled = c.numerator * (L // c.denominator)
+        for i, k in enumerate(expo):
+            if k:
+                b = expo[:i] + (k - 1,) + expo[i + 1:]
+                row = rows.get(b)
+                if row is None:
+                    row = rows[b] = [0] * n
+                row[i] = k * scaled
+    return list(rows.values())
 
 
 def essential_split(f: Form, precision_bits=DEFAULT_PRECISION_BITS):
@@ -168,18 +204,35 @@ def _essential_split(f: Form, m: int, precision_bits):
     """(K, keep, A, g) for f with m = essential_variables(f).
 
     K is the left-kernel basis of the first catalecticant, the operators of
-    degree one that annihilate f; ``(keep, A) = _subspace_lift(K)``, and g
-    is f on the coordinates ``keep``, the others set to zero.
+    degree one that annihilate f: the right kernel of its transpose, whose
+    rows rational f takes from ``_first_catalecticant_rows``.  A kernel
+    vector's products with those rows are the coefficients of its
+    contraction with f, which g leaves out, so each must vanish: exactly,
+    on integers, for rational f (the vector cleared of its denominators,
+    its zero entries skipped), and within tolerance otherwise.
+    ``(keep, A) = _subspace_lift(K)``, and g is f on the coordinates
+    ``keep``, the others set to zero.
     """
     n = f.num_vars
-    cols = linalg.transpose([list(r) for r in catalecticant(f, 1).entries])
-    kernel = linalg.kernel_basis(cols, precision_bits, tolerance(precision_bits))
+    # degree 0 has no first catalecticant, which ``catalecticant`` reports
+    exact = f.degree > 0 and f.is_exact()
+    if exact:
+        rows = _first_catalecticant_rows(f)
+    else:
+        rows = linalg.transpose([list(r) for r in catalecticant(f, 1).entries])
+    kernel = linalg.kernel_basis(rows, precision_bits, tolerance(precision_bits))
     if len(kernel) != n - m:
         raise ConsistencyError("left kernel dimension disagrees with the rank")
-    # a kernel vector's products with the columns are the coefficients of
-    # its contraction with f, which g leaves out
-    tol = tolerance(precision_bits) * f.max_abs()
-    if not all(scalar_is_zero(x, tol) for v in kernel for x in linalg.mat_vec(cols, v)):
+    if exact:
+        cleared = [linalg._clear_denominators(v)[1] for v in kernel]
+        supports = [[(i, x) for i, x in enumerate(v) if x] for v in cleared]
+        annihilates = not any(sum(row[i] * x for i, x in support)
+                              for support in supports for row in rows)
+    else:
+        tol = tolerance(precision_bits) * f.max_abs()
+        annihilates = all(scalar_is_zero(x, tol)
+                          for v in kernel for x in linalg.mat_vec(rows, v))
+    if not annihilates:
         raise ConsistencyError("polynomial is not supported on the first variables")
     keep, A = _subspace_lift(n, kernel, precision_bits)
     return kernel, keep, A, _project(f, keep)

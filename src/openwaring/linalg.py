@@ -2,8 +2,10 @@
 
 Every exact routine (rank, kernel, solve, determinant) reads its answer off
 one fraction-free Gauss-Jordan reduction (Bareiss) of an integer-cleared
-copy of the matrix, so no rank decision ever depends on rounding.  On the
-complex side, ``complex_echelon`` (partial pivoting with a relative
+copy of the matrix, so no rank decision ever depends on rounding.  Entries
+are ints or Fractions, each read through its ``numerator`` and
+``denominator``: an integer row is taken as it is, with no Fraction built.
+On the complex side, ``complex_echelon`` (partial pivoting with a relative
 magnitude threshold for rank decisions) serves rank, kernel and
 determinant.  There is no matrix inverse: the pipeline restricts forms only
 to subspaces whose lift back is written down from the spanning columns
@@ -28,7 +30,8 @@ from .numerics import AppComplex, GUARD_BITS, is_exact_scalar, values_precision
 
 
 def _clear_denominators(row):
-    """(d, d * row) for a Fraction row, d its least common denominator."""
+    """(d, d * row) for a row of ints and Fractions, d its least common
+    denominator."""
     denom = 1
     for x in row:
         denom = denom * x.denominator // gcd(denom, x.denominator)
@@ -36,7 +39,8 @@ def _clear_denominators(row):
 
 
 def _reduce(rows):
-    """Fraction-free Gauss-Jordan reduction of a rational matrix.
+    """Fraction-free Gauss-Jordan reduction of a matrix of ints and
+    Fractions; integer rows are taken as they are.
 
     Returns (reduced, pivot_cols, sign, denoms).  ``reduced`` holds the
     nonzero integer rows of the reduction of the cleared rows d_i * row_i
@@ -47,7 +51,7 @@ def _reduce(rows):
     """
     denoms, m = [], []
     for row in rows:
-        d, ints = _clear_denominators([Fraction(x) for x in row])
+        d, ints = _clear_denominators(row)
         denoms.append(d)
         m.append(ints)
     nrows = len(m)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -329,9 +330,7 @@ def reference_essential_split(f, m, precision_bits=DEFAULT_PRECISION_BITS):
     if m == n:
         ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         return ident, f
-    rows = [list(r) for r in catalecticant(f, 1).entries]
-    left_kernel = linalg.kernel_basis(linalg.transpose(rows), precision_bits,
-                                      tolerance(precision_bits))
+    left_kernel = reference_first_kernel(f, precision_bits)
     if len(left_kernel) != n - m:
         raise ConsistencyError("left kernel dimension disagrees with the rank")
     matrix = reference_complete_to_basis([list(v) for v in left_kernel])
@@ -366,3 +365,53 @@ def reference_map_terms_back(terms, A, n):
     pad = (Fraction(0),)
     return [(c, LinearForm(linalg.mat_vec(A, l.coords + pad * (n - l.num_vars))))
             for c, l in terms]
+
+
+# ---------------------------------------------------------------------------
+# The exact elimination and the first catalecticant's kernel as they were
+# before integer rows: every entry wrapped in a Fraction before its row is
+# cleared, and the kernel taken from the transpose of the Fraction
+# `CatMatrix`.  Kept as references for `linalg._reduce` and
+# `apolarity._essential_split`.
+
+
+def reference_reduce(rows):
+    denoms, m = [], []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        d = 1
+        for x in row:
+            d = d * x.denominator // math.gcd(d, x.denominator)
+        denoms.append(d)
+        m.append([x.numerator * (d // x.denominator) for x in row])
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    piv_cols = []
+    sign = prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        k = next((i for i in range(r, nrows) if m[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            m[r], m[k] = m[k], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i in range(nrows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        piv_cols.append(c)
+        r += 1
+    return m[:r], piv_cols, sign, denoms
+
+
+def reference_first_kernel(f, precision_bits=DEFAULT_PRECISION_BITS):
+    """Left-kernel basis of the Fraction first catalecticant of f."""
+    rows = [list(r) for r in catalecticant(f, 1).entries]
+    return linalg.kernel_basis(linalg.transpose(rows), precision_bits,
+                               tolerance(precision_bits))

@@ -10,16 +10,16 @@ from openwaring import (AppComplex, ConsistencyError, DegenerateSystemError,
                         DualOp, Form, InvalidInputError, LinearForm,
                         apolar_component, base_points, catalecticant,
                         change_coordinates, contract, essential_split,
-                        essential_variables, linear_power, parse_form,
-                        power_witness)
+                        check_decomposition, decompose, essential_variables,
+                        linear_power, parse_form, power_witness)
 from openwaring import linalg
 from openwaring.decompose import _hyperplane_change
 from openwaring.linalg import rational_det, rational_rank
 from openwaring.numerics import DEFAULT_PRECISION_BITS, tolerance
 from openwaring.poly import monomials_of_degree
 from conftest import (random_form, random_essential_form, random_linear_form,
-                      reference_essential_split, reference_hyperplane_change,
-                      reference_rational_inverse)
+                      reference_essential_split, reference_first_kernel,
+                      reference_hyperplane_change, reference_rational_inverse)
 
 
 def sympy_catalecticant_rank(f, e):
@@ -289,6 +289,59 @@ def non_essential_forms(draw):
                                               for row in T])
 
 
+@st.composite
+def sparse_rational_forms(draw):
+    """A rational form on a few of its monomials, so that its first
+    catalecticant has zero rows and columns, with mixed and sometimes large
+    denominators."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    support = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)),
+                            min_size=1, max_size=6, unique=True))
+    coeff = st.one_of(st.integers(-9, 9).map(Fraction),
+                      st.fractions(-99, 99, max_denominator=60),
+                      st.fractions(max_denominator=10**15)).filter(bool)
+    return Form(n, d, {expo: draw(coeff) for expo in support})
+
+
+class TestFirstCatalecticantRows:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.one_of(sparse_rational_forms(), non_essential_forms()))
+    def test_rank_kernel_and_split_match_the_fraction_catalecticant(self, f):
+        m = sympy.Matrix(catalecticant(f, 1).entries).rank()
+        assert essential_variables(f) == m
+        kernel = APOLARITY._essential_split(f, m, DEFAULT_PRECISION_BITS)[0]
+        assert raw_matrix(kernel) == raw_matrix(reference_first_kernel(f))
+        M, g = essential_split(f)
+        M_ref, g_ref = reference_essential_split(f, m)
+        assert raw_matrix(M) == raw_matrix(M_ref)
+        assert [(e, raw(c)) for e, c in g.coeffs.items()] == \
+            [(e, raw(c)) for e, c in g_ref.coeffs.items()]
+
+    @pytest.mark.parametrize("form, n", [("1/3*x0^2 + 2/5*x0*x1 + 3/20*x1^2 + x2^2", 4),
+                                         ("x0^3 - 2/7*x0*x1*x2 + 5*x2^3", 3)])
+    def test_rational_input_builds_no_fraction_catalecticant(
+            self, monkeypatch, form, n):
+        f = parse_form(form, n)
+        dec = decompose(f)
+        calls = []
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(APOLARITY, "catalecticant",
+                            counted("catalecticant", APOLARITY.catalecticant))
+        monkeypatch.setattr(linalg, "mat_vec", counted("mat_vec", linalg.mat_vec))
+        essential_variables(f)
+        essential_split(f)
+        assert check_decomposition(f, dec).passed
+        assert calls == []
+
+
 class TestSubspaceLift:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
@@ -345,7 +398,9 @@ class TestSubspaceLift:
 
     @pytest.mark.parametrize("form, n, bits", [("x0^2 + 2*x0*x1 + x1^2", 3, 256),
                                                ("x0*x1^2 - x2^3", 5, 256),
-                                               ("x0*x1^2 - x2^3", 5, 64)])
+                                               ("x0*x1^2 - x2^3", 5, 64),
+                                               ("1/3*x0^2 + 2/5*x0*x1 + 3/20*x1^2",
+                                                4, 256)])
     def test_a_kernel_vector_that_does_not_annihilate_is_caught(
             self, monkeypatch, form, n, bits):
         f = parse_form(form, n)

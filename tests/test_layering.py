@@ -127,6 +127,14 @@ def test_verify_expands_powers_on_its_own():
     assert POLY_EXPANSIONS.isdisjoint(_names_reached(parsed["verify"], "poly"))
 
 
+def test_verify_reads_apolarity_through_public_names():
+    # the certificate takes the essential variable count, and the integer
+    # rank behind it, only from apolarity's public functions
+    names = _names_reached(_parsed()["verify"], "apolarity")
+    assert "essential_variables" in names
+    assert {n for n in names if n.startswith("_")} == set()
+
+
 #: the raw-tuple kernels that reproduce libmp's complex arithmetic
 KERNELS = {"_sum", "_quo", "_pos", "_cadd", "_csub", "_cmul", "_cdiv", "_cinv"}
 

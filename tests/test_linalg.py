@@ -10,11 +10,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf, workprec
 
-from openwaring import InvalidInputError
+from openwaring import InvalidInputError, linalg
 from openwaring.linalg import (_unwrap, complex_det, complex_echelon, dot,
                                mat_vec, matrix_rank, rational_det,
                                rational_kernel, rational_rank, rational_solve)
 from openwaring.numerics import GUARD_BITS, AppComplex, tolerance
+from conftest import reference_reduce
 
 # ---------------------------------------------------------------------------
 # The elimination routines as they were before the fraction-free
@@ -167,6 +168,30 @@ def matrices(draw, square=False):
     return rows
 
 
+@st.composite
+def int_and_fraction_matrices(draw):
+    """The matrices above as rows of plain ints (12 clears every
+    denominator of ENTRIES), as ints mixed with Fractions, or with each row
+    scaled by a large denominator."""
+    rows = draw(matrices())
+    kind = draw(st.sampled_from(["ints", "mixed", "large"]))
+    if kind == "ints":
+        scale = draw(st.integers(1, 10**12))
+        return [[int(x * 12 * scale) for x in row] for row in rows]
+    if kind == "mixed":
+        return [[int(x) if x.denominator == 1 and draw(st.booleans()) else x
+                 for x in row] for row in rows]
+    scales = draw(st.lists(st.fractions(max_denominator=10**18).filter(bool),
+                           min_size=len(rows), max_size=len(rows)))
+    return [[x * s for x in row] for row, s in zip(rows, scales)]
+
+
+def typed(x):
+    if isinstance(x, (list, tuple)):
+        return [typed(y) for y in x]
+    return (type(x), x)
+
+
 def to_sympy(rows):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                          for row in rows])
@@ -237,6 +262,31 @@ class TestRational:
         assert type(det) is Fraction
         assert det == to_fraction(to_sympy(rows).det())
         assert det == reference_det(rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(int_and_fraction_matrices(), st.data())
+    def test_integer_rows_reduce_as_fraction_rows(self, rows, data):
+        # the reduction takes ints as they are; the reference wraps every
+        # entry in a Fraction first
+        if data.draw(st.booleans()):
+            x0 = data.draw(st.lists(ENTRIES, min_size=len(rows[0]),
+                                    max_size=len(rows[0])))
+            rhs = apply(rows, x0)
+        else:
+            rhs = data.draw(st.lists(st.one_of(st.integers(-9, 9), ENTRIES),
+                                     min_size=len(rows), max_size=len(rows)))
+        k = min(len(rows), len(rows[0]))
+        square = [row[:k] for row in rows[:k]]
+
+        def results():
+            return (rational_rank(rows), rational_kernel(rows),
+                    rational_solve(rows, rhs), rational_det(square))
+
+        got = results()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_reduce", reference_reduce)
+            want = results()
+        assert typed(got) == typed(want)
 
     def test_empty_determinant_is_one(self):
         assert rational_det([]) == 1
