@@ -155,20 +155,22 @@ def essential_variables(f, precision_bits=DEFAULT_PRECISION_BITS) -> int:
     if f.degree == 0:
         return 0
     if f.is_exact():
-        return linalg.rational_rank(linalg.transpose(_first_catalecticant_rows(f)))
+        _, rows = _first_catalecticant_rows(f)
+        return linalg.rational_rank(linalg.transpose(list(rows.values())))
     return catalecticant(f, 1).rank(precision_bits)
 
 
 def _first_catalecticant_rows(f: Form):
     """The transpose of the first catalecticant of a rational f of positive
-    degree, on integers.
+    degree, on integers: (L, rows).
 
-    One row per degree-(d-1) monomial b of some first partial of f, in
-    order of first occurrence; its entry i is k * c * L, where c is the
-    coefficient of x^(b+e_i), k = (b+e_i)_i and L the least common
+    ``rows`` maps each degree-(d-1) monomial b of some first partial of f,
+    in order of first occurrence, to its row; entry i is k * c * L, where c
+    is the coefficient of x^(b+e_i), k = (b+e_i)_i and L the least common
     denominator of f's coefficients.  The zero rows are left out.  Neither
     the scale L nor the missing zero rows change the rank or the reduced
     row echelon form, so the kernel is the catalecticant's, bit for bit.
+    For d = 2 the row of b = e_j is row j of L times the Hessian of f.
     """
     n = f.num_vars
     L = lcm(*(c.denominator for c in f.coeffs.values()))
@@ -182,7 +184,7 @@ def _first_catalecticant_rows(f: Form):
                 if row is None:
                     row = rows[b] = [0] * n
                 row[i] = k * scaled
-    return list(rows.values())
+    return L, rows
 
 
 def essential_split(f: Form, precision_bits=DEFAULT_PRECISION_BITS):
@@ -217,7 +219,7 @@ def _essential_split(f: Form, m: int, precision_bits):
     # degree 0 has no first catalecticant, which ``catalecticant`` reports
     exact = f.degree > 0 and f.is_exact()
     if exact:
-        rows = _first_catalecticant_rows(f)
+        rows = list(_first_catalecticant_rows(f)[1].values())
     else:
         rows = linalg.transpose([list(r) for r in catalecticant(f, 1).entries])
     kernel = linalg.kernel_basis(rows, precision_bits, tolerance(precision_bits))

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, partial
+from math import gcd
 
 from mpmath import mpf, workprec
 
@@ -34,8 +35,9 @@ from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
                         _back_substitute_l2, _binary_coeffs,
                         _binary_dual_roots, _chart_point, _combine_ops,
                         _coordinate_changes, _dedupe_points, _distinct_roots,
-                        _essential_split, _project, _resultant_charts,
-                        _sorted_points, _subspace_lift)
+                        _essential_split, _first_catalecticant_rows,
+                        _project, _resultant_charts, _sorted_points,
+                        _subspace_lift)
 from .errors import (CommonComponentError, ConsistencyError,
                      DegenerateSystemError, InvalidInputError, NoFitError,
                      NonTransversalError, RetryBudgetError)
@@ -379,16 +381,14 @@ def _merge_proportional(terms, d, precision_bits):
         j = max(range(l0.num_vars), key=lambda i: mpf(1) * max_abs_of([l0.coords[i]]))
         lam = l.coords[j] / l0.coords[j]
         merged[hit] = (c0 + c * lam ** d, l0)
-    out = []
-    drop = mpf(2) ** (-(precision_bits * 3) // 4)
-    scale = max([mpf(1)] + [mpf(1) * max_abs_of([c]) for c, _ in merged])
-    for c, l in merged:
-        if is_exact_scalar(c) and c == 0:
-            continue
-        if not is_exact_scalar(c) and scalar_is_zero(c, drop * scale):
-            continue
-        out.append((c, l))
-    return out
+    # an exact coefficient is dropped only at exact zero, so the drop
+    # bound is built only when some coefficient is inexact
+    bound = 0
+    if not all(is_exact_scalar(c) for c, _ in merged):
+        drop = mpf(2) ** (-(precision_bits * 3) // 4)
+        bound = drop * max([mpf(1)] + [mpf(1) * max_abs_of([c])
+                                       for c, _ in merged])
+    return [(c, l) for c, l in merged if not scalar_is_zero(c, bound)]
 
 
 def _forced_single_term(coeff, l, V, ctx, label):
@@ -473,31 +473,50 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     exactly one rational term per essential variable when f is rational.
 
     Each square draws alpha over the live coordinates, embedded as v, and
-    takes the term (1 / (2c), Hv) with c = v^T H v; H -= (Hv)(Hv)^T / c
-    leaves the remainder, which v annihilates.  The last live coordinate
-    where alpha != 0 then dies: the live block of H is the Hessian of the
-    remainder on the coordinates ``_hyperplane_change(alpha)`` keeps (the
-    remainder with the dropped one set to zero, as ``_project`` gives it),
-    and the forbidden set is restricted through that change's lift.  The
-    last coordinate q left gives (H_qq / 2, H[:, q] / H_qq).
+    takes the term (1 / (2c), Hv) with c = v^T H v; H - (Hv)(Hv)^T / c is
+    the Hessian of the remainder, which v annihilates.  The last live
+    coordinate where alpha != 0 then dies: the live block of H is the
+    Hessian of the remainder on the coordinates ``_hyperplane_change(alpha)``
+    keeps (the remainder with the dropped one set to zero, as ``_project``
+    gives it), and the forbidden set is restricted through that change's
+    lift.  The last coordinate q left gives (H_qq / 2, H[:, q] / H_qq).
+
+    Rational f keeps H = M / D on integers, without division: M and D are
+    the rows and the scale L of ``_first_catalecticant_rows`` (its row of
+    e_j is row j of M).  With w = Mv and c = v^T w the term is
+    (D / 2c, w / D), the update is M <- cM - ww^T on the live columns and
+    D <- cD, and then M's live columns and D are divided by their gcd, so
+    the entries stay small.  Every zero test is an integer test, and the
+    terms are the canonical Fractions the dividing update gives, bit for
+    bit.  Approximate f keeps H = ``catalecticant(f, 1)`` and the update
+    H -= ww^T / c, with tolerances scaled to the live block.
     """
     n = f.num_vars
-    H = [list(row) for row in catalecticant(f, 1).entries]
-    live = list(range(n))
     exact = f.is_exact()
+    if exact:
+        D, rows = _first_catalecticant_rows(f)
+        H = [rows.get(tuple(int(i == j) for i in range(n))) or [0] * n
+             for j in range(n)]
+    else:
+        H = [list(row) for row in catalecticant(f, 1).entries]
+    live = list(range(n))
     terms = []
     while True:
         # exact scalars are tested for exact zero, so rational f needs no scale
         tol = 0 if exact else ctx.tol * max(
             mpf(1), mpf(1) * max_abs_of(_live_coefficients(H, live)))
-        if all(scalar_is_zero(c, tol) for c in _live_coefficients(H, live)):
+        if _live_is_zero(H, live, tol):
             return terms
         if len(live) == 1:
             q = live[0]
-            c = H[q][q] / 2
+            if exact:
+                c = Fraction(H[q][q], 2 * D)
+                l = [Fraction(row[q], H[q][q]) for row in H]
+            else:
+                c, l = H[q][q] / 2, [row[q] / H[q][q] for row in H]
             _forced_single_term(c, LinearForm((1,)), V, ctx,
                                 "final quadratic variable")
-            terms.append((c, LinearForm([row[q] / H[q][q] for row in H])))
+            terms.append((c, LinearForm(l)))
             return terms
         chosen = None
         for _, height in ctx.heights():
@@ -511,8 +530,11 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
             if any(_linear_divides(alpha, g, ctx.precision_bits)
                    for g in V.constraints):
                 continue
-            L = LinearForm([w[j] for j in live])
-            if L.is_zero(tol * a_norm) or is_forbidden(L, V, ctx.tol):
+            if all(scalar_is_zero(w[j], tol * a_norm) for j in live):
+                continue
+            if V.constraints and is_forbidden(
+                    LinearForm([Fraction(w[j], D) if exact else w[j]
+                                for j in live]), V, ctx.tol):
                 continue
             chosen = (alpha, c2, w)
             break
@@ -520,13 +542,28 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
             raise RetryBudgetError("quadratic step found no usable direction",
                                    ctx.trace)
         alpha, c2, w = chosen
-        coeff = 1 / (2 * c2) if not is_exact_scalar(c2) else Fraction(1, 2) / c2
-        terms.append((coeff, LinearForm(w)))
-        for row, wi in zip(H, w):
-            u = wi / c2
-            for j in live:
-                row[j] = row[j] - u * w[j]
-        if all(scalar_is_zero(c, tol) for c in _live_coefficients(H, live)):
+        if exact:
+            terms.append((Fraction(D, 2 * c2),
+                          LinearForm([Fraction(x, D) for x in w])))
+            for row, wi in zip(H, w):
+                for j in live:
+                    row[j] = c2 * row[j] - wi * w[j]
+            D *= c2
+            g = gcd(D, *(row[j] for row in H for j in live))
+            if g != 1:
+                D //= g
+                for row in H:
+                    for j in live:
+                        row[j] //= g
+        else:
+            coeff = (1 / (2 * c2) if not is_exact_scalar(c2)
+                     else Fraction(1, 2) / c2)
+            terms.append((coeff, LinearForm(w)))
+            for row, wi in zip(H, w):
+                u = wi / c2
+                for j in live:
+                    row[j] = row[j] - u * w[j]
+        if _live_is_zero(H, live, tol):
             return terms
         del live[max(k for k, a in enumerate(alpha) if a)]
         m = len(live)
@@ -538,6 +575,15 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
             _, A = _hyperplane_change([Fraction(a) for a in alpha],
                                       ctx.precision_bits)
         V = _restrict_forbidden(V, A, m, ctx.precision_bits)
+
+
+def _live_is_zero(H, live, tol):
+    """Whether x^T H x / 2 vanishes on the live coordinates: every entry of
+    the live block exactly zero for an integer H (tol 0), every coefficient
+    within tol otherwise."""
+    if not tol:
+        return not any(H[i][j] for k, i in enumerate(live) for j in live[k:])
+    return all(scalar_is_zero(c, tol) for c in _live_coefficients(H, live))
 
 
 def _live_coefficients(H, live):

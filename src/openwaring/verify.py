@@ -209,6 +209,12 @@ def _raw_mpc(x, wp):
     return (x.real._mpf_, x.imag._mpf_)
 
 
+def _residual_scale(f: Form):
+    """What a residual is divided by: the 1-norm of f, or 1 when it is 0."""
+    norm = f.norm1()
+    return norm if (not is_exact_scalar(norm) or norm > 0) else Fraction(1)
+
+
 def check_decomposition(f: Form, dec: Decomposition,
                         V: ForbiddenSet | None = None,
                         tol=None,
@@ -273,8 +279,6 @@ def check_decomposition(f: Form, dec: Decomposition,
                       for v, m, w in zip(approx, mults, vals[first:])]
 
     all_exact = f.is_exact() and dec.exact and approx is None
-    norm = f.norm1()
-    scale = norm if (not is_exact_scalar(norm) or norm > 0) else Fraction(1)
     index = {expo: k for k, (expo, _) in enumerate(leaves)}
 
     if all_exact:
@@ -285,7 +289,9 @@ def check_decomposition(f: Form, dec: Decomposition,
         widen = common // den
         worst = max((abs(v * widen - t.numerator * (common // t.denominator))
                      for v, t in zip(num, target)), default=0)
-        residual = Fraction(worst, common) / scale
+        # a zero residual is Fraction(0) whatever the scale
+        residual = (Fraction(worst, common) / _residual_scale(f) if worst
+                    else Fraction(0))
         residual_ok = residual == 0
     else:
         deltas = [Fraction(v, den) for v in num]
@@ -303,7 +309,7 @@ def check_decomposition(f: Form, dec: Decomposition,
             mag = mpc_abs(z, wp, _RND)
             if mpf_gt(mag, worst):
                 worst = mag
-        residual = mpf(worst) / (mpf(1) * scale)
+        residual = mpf(worst) / (mpf(1) * _residual_scale(f))
         residual_ok = residual <= tol
 
     violations = tuple(i for i, (c, l) in enumerate(dec.terms)

@@ -720,6 +720,7 @@ class TestMapTermsBack:
 
 
 DECOMPOSE = importlib.import_module("openwaring.decompose")
+APOLARITY = importlib.import_module("openwaring.apolarity")
 
 
 def random_quadratic(rng, n, r):
@@ -734,6 +735,30 @@ def random_quadratic(rng, n, r):
             f = f + linear_power(l, 2).scale(c)
         if not f.is_zero():
             return f
+
+
+def random_step_quadric(rng, n, coefficients):
+    """An essential quadric in n variables: integer coefficients in
+    [-4, 4] ("small"), p/q with |p| <= 10^12 and 1 <= q <= 10^6 ("wide"),
+    or plain ints in [-9, 9] handed to ``Form`` ("int")."""
+    if coefficients == "small":
+        return random_essential_form(rng, n, 2, -4, 4)
+    while True:
+        if coefficients == "wide":
+            coeffs = {e: Fraction(rng.randint(-10**12, 10**12),
+                                  rng.randint(1, 10**6))
+                      for e in monomials_of_degree(n, 2)}
+        else:
+            coeffs = {e: rng.randint(-9, 9) for e in monomials_of_degree(n, 2)}
+        f = Form(n, 2, coeffs)
+        if not f.is_zero() and essential_variables(f) == n:
+            return f
+
+
+# the parent's ids for the "small" cases, then the added coefficient ranges
+STEP_CASES = ([("small", n) for n in range(1, 9)]
+              + [(kind, n) for kind in ("wide", "int")
+                 for n in (1, 2, 3, 5, 8)])
 
 
 def outcome(monkeypatch, step, entry, f, V, **kw):
@@ -784,18 +809,22 @@ class TestQuadraticHessianReduction:
                 V = random_hyperplanes(rng, n, count) if count else None
                 self.assert_same(monkeypatch, f, V, seed=rng.randrange(1 << 30))
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_the_step_alone_keeps_the_random_stream(self, n):
+    @pytest.mark.parametrize(
+        "coefficients, n", STEP_CASES,
+        ids=[str(n) if kind == "small" else f"{kind}-{n}"
+             for kind, n in STEP_CASES])
+    def test_the_step_alone_keeps_the_random_stream(self, coefficients, n):
         rng = random.Random(200 + n)
         for trial in range(3):
-            f = random_essential_form(rng, n, 2, -4, 4)
+            f = random_step_quadric(rng, n, coefficients)
             V = random_hyperplanes(rng, n, trial, -2, 2)
             want = step_outcome(self.OLD, f, V, trial)
             assert step_outcome(self.NEW, f, V, trial) == want
             assert len(want[0]) == n
 
     @pytest.mark.parametrize("text, n", [("x0^2 + x1^2", 3),
-                                         ("x0*x1 - x2^2 + x1*x2", 5)])
+                                         ("x0*x1 - x2^2 + x1*x2", 5),
+                                         ("x1*x3 + x2^2", 4)])
     def test_rank_guard_on_a_form_that_is_not_essential(self, text, n):
         # the dispatcher only passes essential forms; given one of lower
         # rank, the remainder's rank gives it away after the first square
@@ -817,6 +846,29 @@ class TestQuadraticHessianReduction:
                                ForbiddenSet.from_text(avoid, n), seed=5)
         assert got[0] is InvalidInputError
         assert "contains the essential coordinate subspace" in got[1]
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_rational_input_builds_no_fraction_catalecticant(self, monkeypatch,
+                                                             n):
+        # the Hessian of a rational form is written down on integers; only
+        # approximate input still builds the catalecticant
+        calls = []
+        real = APOLARITY.catalecticant
+
+        def counting(f, e):
+            calls.append(e)
+            return real(f, e)
+
+        for module in (APOLARITY, DECOMPOSE):
+            monkeypatch.setattr(module, "catalecticant", counting)
+        rng = random.Random(300 + n)
+        f = random_essential_form(rng, n, 2)
+        V = ForbiddenSet.empty(n)
+        assert len(step_outcome(self.NEW, f, V, n)[0]) == n
+        assert calls == []
+        g = Form(n, 2, {e: AppComplex(c, 0, 256) for e, c in f.coeffs.items()})
+        assert len(step_outcome(self.NEW, g, V, n)[0]) == n
+        assert calls == [1]
 
     def test_retry_budget_error_at_one_attempt(self, monkeypatch):
         # one attempt per square: the drawn direction is dropped whenever

@@ -7,7 +7,7 @@ from mpmath import mpf
 from hypothesis import given, settings, strategies as st
 
 from openwaring import (AppComplex, Decomposition, ForbiddenSet, Form,
-                        InvalidInputError, LinearForm,
+                        InvalidInputError, LinearForm, VerifyReport,
                         catalecticant_lower_bound, check_decomposition,
                         decompose, is_forbidden, parse_form)
 from openwaring.numerics import tolerance
@@ -29,6 +29,16 @@ class TestCheckDecomposition:
         dec = Decomposition(3, 2, ((Fraction(1), LinearForm([1, 0])),), True)
         rep = check_decomposition(f, dec)
         assert not rep.passed and rep.residual > 0
+
+    def test_tampered_exact_report(self):
+        # (x0 - x1)^2 + 3*x1^2 misses f on x1^2 by 1; the 1-norm of f is 6
+        f = parse_form("x0^2 - 2*x0*x1 + 3*x1^2", 2)
+        dec = Decomposition(2, 2, ((Fraction(1), LinearForm([1, -1])),
+                                   (Fraction(3), LinearForm([0, 1]))), True)
+        rep = check_decomposition(f, dec)
+        assert rep == VerifyReport(Fraction(1, 6), 2, 2, (), True, False, False)
+        assert type(rep.residual) is Fraction
+        assert rep == reference_check(f, dec)
 
     def test_residual_ok_is_the_reconstruction_test_alone(self):
         # reconstructs exactly, but with a forbidden term and past the bound
