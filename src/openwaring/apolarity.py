@@ -304,12 +304,9 @@ def _binary_dual_roots(op: DualOp, precision_bits):
     """Projective zeros [l0:l1] of a binary dual form, with multiplicity.
 
     A degree drop of the dehomogenization (exact, or below tolerance for
-    approximate coefficients) contributes the point at infinity [0:1]."""
-    coeffs = _binary_coeffs(op)
-    tol_lead = tolerance(precision_bits) * op.max_abs()
-    while coeffs and scalar_is_zero(coeffs[-1], tol_lead):
-        coeffs.pop()
-    p = UniPoly(coeffs)
+    approximate coefficients) contributes the point at infinity [0:1].
+    A repeated zero of a rational form comes back as equal points."""
+    p = _trim_leading(_binary_coeffs(op), precision_bits)
     pts = []
     deg_t = p.degree
     if deg_t >= 1:
@@ -449,16 +446,12 @@ def _sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
     eq = len(q_coeffs) - 1
     size = ep + eq
     rows = []
-    for shift in range(eq):
-        row = [UniPoly([])] * size
-        for j, c in enumerate(reversed(p_coeffs)):
-            row[shift + j] = c
-        rows.append(row)
-    for shift in range(ep):
-        row = [UniPoly([])] * size
-        for j, c in enumerate(reversed(q_coeffs)):
-            row[shift + j] = c
-        rows.append(row)
+    for coeffs, shifts in ((p_coeffs, eq), (q_coeffs, ep)):
+        for shift in range(shifts):
+            row = [UniPoly([])] * size
+            for j, c in enumerate(reversed(coeffs)):
+                row[shift + j] = c
+            rows.append(row)
     # the resultant of two forms is homogeneous of degree ep*eq in the
     # remaining variables, so ep*eq + 1 nodes pin it down
     deg_bound = ep * eq

@@ -128,7 +128,8 @@ def _field(record, key, read, default=_REQUIRED):
         value = default
     try:
         return read(value)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise InvalidInputError(
             f"record field {key!r} is malformed ({type(exc).__name__}: {exc})") from exc
 

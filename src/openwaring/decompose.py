@@ -32,19 +32,18 @@ from mpmath import mpf, workprec
 from . import linalg
 from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
                         base_points, catalecticant, essential_variables,
-                        _back_substitute_l2, _binary_coeffs,
-                        _binary_dual_roots, _chart_point, _combine_ops,
-                        _coordinate_changes, _dedupe_points, _distinct_roots,
-                        _essential_split, _first_catalecticant_rows,
-                        _project, _resultant_charts, _sorted_points,
-                        _subspace_lift)
+                        _back_substitute_l2, _binary_dual_roots,
+                        _chart_point, _combine_ops, _coordinate_changes,
+                        _dedupe_points, _distinct_roots, _essential_split,
+                        _first_catalecticant_rows, _op_vanishes_at, _project,
+                        _resultant_charts, _sorted_points, _subspace_lift)
 from .errors import (CommonComponentError, ConsistencyError,
                      DegenerateSystemError, InvalidInputError, NoFitError,
                      NonTransversalError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
-                       UniPoly, is_exact_scalar, is_squarefree, max_abs_of,
+                       is_exact_scalar, is_squarefree, max_abs_of,
                        scalar_is_zero, tolerance, univariate_roots)
-from .poly import (DualOp, Form, LinearForm, contract, dual_power, evaluate,
+from .poly import (DualOp, Form, LinearForm, contract, dual_power,
                    linear_power, monomials_of_degree, _substitute)
 from .verify import (Decomposition, ForbiddenSet, check_decomposition,
                      is_forbidden)
@@ -86,30 +85,6 @@ class _Ctx:
                 return v
 
 
-def _linear_divides(alpha, g: Form, precision_bits) -> bool:
-    """Whether the linear function sum alpha_i l_i divides the constraint g,
-    i.e. the hyperplane it cuts out is contained in V(g).
-
-    Decided by restricting g to the hyperplane: substitute the pivot
-    variable and test for the zero polynomial (within tolerance when g is
-    approximate, erring on the side of True)."""
-    n = g.num_vars
-    pivot = next(i for i, a in enumerate(alpha) if a != 0)
-    rows = []
-    for i in range(n):
-        if i == pivot:
-            rows.append([-Fraction(alpha[j], alpha[pivot]) if j != pivot else Fraction(0)
-                         for j in range(n)])
-        else:
-            rows.append([Fraction(1 if j == i else 0) for j in range(n)])
-    restricted = _substitute(g, rows)
-    if restricted.is_exact():
-        return restricted.is_zero()
-    ratio = 1 + sum(abs(Fraction(a, alpha[pivot])) for a in alpha)
-    tol = tolerance(precision_bits) * g.norm1() * mpf(1) * ratio ** g.degree
-    return restricted.is_zero(tol)
-
-
 def _hyperplane_change(beta, precision_bits):
     """``_subspace_lift`` of the single column beta: keep is every
     coordinate but beta's last nonzero one, and A maps a linear form in the
@@ -121,22 +96,17 @@ def _hyperplane_change(beta, precision_bits):
     return _subspace_lift(len(beta), [list(beta)], precision_bits)
 
 
-def _restrict_forbidden(V: ForbiddenSet, A, m, precision_bits, hard=True):
+def _restrict_forbidden(V: ForbiddenSet, A, m, precision_bits):
     """Forbidden set seen from the m subspace coordinates b of the n x m
-    lift A: constraints g(A b).  A vanishing restriction means every
-    decomposition inside the subspace is forbidden; ``hard`` controls the
-    error class."""
+    lift A: constraints g(A b), or None when some g(A b) vanishes (within
+    tolerance(bits) * |g|_1 if approximate), i.e. the subspace lies in V(g);
+    for rational g that answer does not depend on the lift."""
     out = []
     for g in V.constraints:
         sub = _substitute(g, A)
         tol = tolerance(precision_bits) * g.norm1()
         if sub.is_zero() or (not sub.is_exact() and sub.is_zero(tol)):
-            if hard:
-                raise ConsistencyError(
-                    "constraint restricts to zero on a hyperplane chosen to avoid it")
-            raise InvalidInputError(
-                "the forbidden set contains the essential coordinate subspace; "
-                "no decomposition within the bound exists")
+            return None
         out.append(sub)
     return ForbiddenSet(m, out)
 
@@ -264,8 +234,7 @@ def conic_intersection(D0: DualOp, D1: DualOp,
     for T, p, q, R, r_scale in _resultant_charts(
             D0, D1, _coordinate_changes(3, 6), tol, precision_bits,
             CommonComponentError("the conics share a component")):
-        if R.degree < 4 or scalar_is_zero(R.coeffs[4] if R.degree == 4 else Fraction(0),
-                                          r_scale):
+        if R.degree < 4 or scalar_is_zero(R.coeffs[4], r_scale):
             continue  # an intersection escaped to infinity; move the chart
         if R.is_exact() and not is_squarefree(R):
             saw_repeated = True
@@ -281,11 +250,9 @@ def conic_intersection(D0: DualOp, D1: DualOp,
                 break
             pts.append(_chart_point(T, t, l2, precision_bits))
         else:
-            for pt in pts:
-                for op in (D0, D1):
-                    val = evaluate(op, pt.coords)
-                    if abs(val) > tol * op.norm1():
-                        raise ConsistencyError("intersection point residual too large")
+            if not all(_op_vanishes_at(op, pt, precision_bits)
+                       for pt in pts for op in (D0, D1)):
+                raise ConsistencyError("intersection point residual too large")
             return _sorted_points(pts)
     if saw_repeated:
         raise NonTransversalError("the conics meet with multiplicity")
@@ -438,7 +405,11 @@ def _peel(f: Form, V: ForbiddenSet, ctx: _Ctx, essential, need=None):
         return essential(f, V, ctx)
     ctx.note(f"essential-split: {n} -> {m}")
     _, _, A, g = _essential_split(f, m, ctx.precision_bits)
-    Vr = _restrict_forbidden(V, A, m, ctx.precision_bits, hard=False)
+    Vr = _restrict_forbidden(V, A, m, ctx.precision_bits)
+    if Vr is None:
+        raise InvalidInputError(
+            "the forbidden set contains the essential coordinate subspace; "
+            "no decomposition within the bound exists")
     sub = essential(g, Vr, ctx)
     return _map_terms_back(sub, A)
 
@@ -479,7 +450,9 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     Hessian of the remainder on the coordinates ``_hyperplane_change(alpha)``
     keeps (the remainder with the dropped one set to zero, as ``_project``
     gives it), and the forbidden set is restricted through that change's
-    lift.  The last coordinate q left gives (H_qq / 2, H[:, q] / H_qq).
+    lift, which also tests alpha: one whose hyperplane lies in the forbidden
+    set is drawn again.  The last coordinate q left gives (H_qq / 2,
+    H[:, q] / H_qq).
 
     Rational f keeps H = M / D on integers, without division: M and D are
     the rows and the scale L of ``_first_catalecticant_rows`` (its row of
@@ -527,8 +500,10 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
             a_norm = sum(abs(a) for a in alpha)
             if scalar_is_zero(c2, tol * a_norm * a_norm):
                 continue
-            if any(_linear_divides(alpha, g, ctx.precision_bits)
-                   for g in V.constraints):
+            A = (_hyperplane_change(alpha, ctx.precision_bits)[1]
+                 if V.constraints else None)
+            Vr = _restrict_forbidden(V, A, len(live) - 1, ctx.precision_bits)
+            if Vr is None:
                 continue
             if all(scalar_is_zero(w[j], tol * a_norm) for j in live):
                 continue
@@ -536,12 +511,12 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
                     LinearForm([Fraction(w[j], D) if exact else w[j]
                                 for j in live]), V, ctx.tol):
                 continue
-            chosen = (alpha, c2, w)
+            chosen = (alpha, c2, w, Vr)
             break
         if chosen is None:
             raise RetryBudgetError("quadratic step found no usable direction",
                                    ctx.trace)
-        alpha, c2, w = chosen
+        alpha, c2, w, Vr = chosen
         if exact:
             terms.append((Fraction(D, 2 * c2),
                           LinearForm([Fraction(x, D) for x in w])))
@@ -566,15 +541,10 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         if _live_is_zero(H, live, tol):
             return terms
         del live[max(k for k, a in enumerate(alpha) if a)]
-        m = len(live)
         if linalg.matrix_rank([[H[i][j] for j in live] for i in live],
-                              ctx.precision_bits, ctx.tol) != m:
+                              ctx.precision_bits, ctx.tol) != len(live):
             raise ConsistencyError("quadratic remainder has unexpected rank")
-        A = None
-        if V.constraints:
-            _, A = _hyperplane_change([Fraction(a) for a in alpha],
-                                      ctx.precision_bits)
-        V = _restrict_forbidden(V, A, m, ctx.precision_bits)
+        V = Vr
 
 
 def _live_is_zero(H, live, tol):
@@ -598,18 +568,12 @@ def _live_coefficients(H, live):
 # --- binary ---
 
 
-def _binary_squarefree_exact(op: DualOp) -> bool:
-    """Squarefree test for a rational binary dual form, point at infinity
-    included."""
-    p = UniPoly(_binary_coeffs(op))
-    inf_mult = op.degree - max(p.degree, 0)
-    if inf_mult > 1:
-        return False
-    return p.degree < 1 or is_squarefree(p)
-
-
 def _binary_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
-    """Sylvester-style decomposition of a binary form of any degree."""
+    """Sylvester-style decomposition of a binary form of any degree, on
+    the zeros of the lowest-degree generator or of random degree-d
+    annihilators.  An annihilator with a repeated zero is rejected by the
+    duplicate-point test alone: for a rational one the repeat comes back
+    from ``_binary_dual_roots`` as equal points."""
     d = f.degree
     gen_e = None
     generator = None
@@ -622,8 +586,6 @@ def _binary_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         raise ConsistencyError("binary form is not essential in two variables")
 
     def attempt_with(op, note):
-        if op.is_exact() and not _binary_squarefree_exact(op):
-            return None
         pts = _binary_dual_roots(op, ctx.precision_bits)
         if len(_dedupe_points(pts, ctx.precision_bits)) != len(pts):
             return None
@@ -731,7 +693,9 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     alpha = None
     for attempt, height in ctx.heights():
         cand = ctx.int_vector(n, height)
-        if any(_linear_divides(cand, g, ctx.precision_bits) for g in V.constraints):
+        if V.constraints and _restrict_forbidden(
+                V, _hyperplane_change(cand, ctx.precision_bits)[1], n - 1,
+                ctx.precision_bits) is None:
             continue
         fprime = contract(dual_power(cand, 1), f)
         if fprime.is_zero(ctx.tol * scale):
@@ -772,9 +736,7 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         if F2.is_zero(ctx.tol * scale):
             remainder_zero = True
             break
-        residual = contract(DualOp(n, 1, {
-            tuple(1 if j == i else 0 for j in range(n)): b
-            for i, b in enumerate(beta) if not (is_exact_scalar(b) and b == 0)}), F2)
+        residual = contract(dual_power(beta, 1), F2)
         beta_norm = max(mpf(1), mpf(1) * max_abs_of(beta))
         if not residual.is_zero(ctx.tol * scale * beta_norm * d):
             raise ConsistencyError("carried operator stopped annihilating the remainder")
@@ -815,6 +777,9 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     if essential_variables(g2, ctx.precision_bits) != n - 1:
         raise ConsistencyError("remainder is not essential in the hyperplane")
     Vr = _restrict_forbidden(V, A, n - 1, ctx.precision_bits)
+    if Vr is None:
+        raise ConsistencyError(
+            "constraint restricts to zero on a hyperplane chosen to avoid it")
     ctx.note(f"inductive: remainder in {n - 1} vars, |T|={len(T)}")
     sub2 = _dispatch_essential(g2, Vr, ctx)
     return head + _map_terms_back(sub2, A)

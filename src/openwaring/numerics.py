@@ -759,9 +759,12 @@ def _coeffs_to_mpc(p: UniPoly, bits):
 def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
     """All deg(p) complex roots, with multiplicity, as AppComplex.
 
-    Rational input goes through a squarefree decomposition first, so each
-    Aberth run only ever sees simple roots; approximate input is solved
-    directly.  Every returned root r satisfies
+    One loop runs over (factor, multiplicity) pairs: the squarefree
+    factors of rational input, so each Aberth run only ever sees simple
+    roots, or the input itself once when it is approximate.  An exact
+    linear factor is solved in closed form, every other factor by Aberth
+    and Newton, and each root is repeated by its factor's multiplicity.
+    Every returned root r satisfies
     |p(r)| <= 2^(-precision_bits/2) * max|coeff| * max(1, |r|)^deg.
     """
     if p.is_zero():
@@ -781,22 +784,9 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
     body = UniPoly(coeffs)
 
     roots = []
-    if not body.is_zero() and body.degree >= 1:
-        work = precision_bits + 2 * GUARD_BITS
+    if body.degree >= 1:
         if body.is_exact():
-            for factor, mult in squarefree_decomposition(body):
-                if factor.degree < 1:
-                    continue
-                if factor.degree == 1:
-                    r = -factor.coeffs[0] / factor.coeffs[1]
-                    rr = AppComplex(r, 0, precision_bits)
-                    roots.extend([rr] * mult)
-                    continue
-                cs = _coeffs_to_mpc(factor, work)
-                approx = _aberth(cs, work)
-                approx = _newton_polish(cs, approx, work)
-                for r in approx:
-                    roots.extend([AppComplex.from_mpc(r, precision_bits)] * mult)
+            factors = squarefree_decomposition(body)
         else:
             lead = body.coeffs[-1]
             lead_abs = mpf(1) * (abs(lead) if not is_exact_scalar(lead)
@@ -804,10 +794,17 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
             if lead_abs <= tolerance(precision_bits) * body.max_abs():
                 raise InvalidInputError(
                     "leading coefficient is numerically zero; trim the degree first")
-            cs = _coeffs_to_mpc(body, work)
-            approx = _aberth(cs, work)
-            approx = _newton_polish(cs, approx, work)
-            roots.extend(AppComplex.from_mpc(r, precision_bits) for r in approx)
+            factors = [(body, 1)]
+        work = precision_bits + 2 * GUARD_BITS
+        for factor, mult in factors:
+            if factor.is_exact() and factor.degree == 1:
+                r = -factor.coeffs[0] / factor.coeffs[1]
+                roots.extend([AppComplex(r, 0, precision_bits)] * mult)
+                continue
+            cs = _coeffs_to_mpc(factor, work)
+            approx = _newton_polish(cs, _aberth(cs, work), work)
+            for r in approx:
+                roots.extend([AppComplex.from_mpc(r, precision_bits)] * mult)
 
     roots.extend(AppComplex(0, 0, precision_bits) for _ in range(nzero))
     if len(roots) != p.degree:

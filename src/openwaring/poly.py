@@ -240,40 +240,42 @@ def linear_power(l: LinearForm, d: int) -> Form:
 
 @lru_cache(maxsize=None)
 def _multinomials(num_vars: int, degree: int):
-    """d!/(e_0!...e_{n-1}!) as Fractions, in `monomials_of_degree` order."""
+    """d!/(e_0!...e_{n-1}!) as ints, in `monomials_of_degree` order; an
+    int multiplies a Fraction or an AppComplex as Fraction(m) does."""
     top = factorial(degree)
     out = []
     for expo in monomials_of_degree(num_vars, degree):
         m = top
         for e in expo:
             m //= factorial(e)
-        out.append(Fraction(m))
+        out.append(m)
     return tuple(out)
 
 
 def _power_of_linear(coords, d, cls):
     if d < 0:
         raise InvalidInputError("exponent must be non-negative")
+    return cls(len(coords), d, _power_coeffs(coords, d))
+
+
+def _power_coeffs(coords, d):
+    """(coords . x)^d as a dict from exponent vectors to coefficients, in
+    `monomials_of_degree` order, each coords[i]^e computed once and the
+    monomials of exact zero coordinates left out; ints stay ints."""
     n = len(coords)
     # powers[i][e] = coords[i] ** e, or None for an exact zero coordinate
-    powers = []
-    for x in coords:
-        if is_exact_scalar(x) and x == 0:
-            powers.append(None)
-        else:
-            powers.append([None] + [x ** e for e in range(1, d + 1)])
+    powers = [None if is_exact_scalar(x) and x == 0
+              else [1] + [x ** e for e in range(1, d + 1)] for x in coords]
     out = {}
     for expo, val in zip(monomials_of_degree(n, d), _multinomials(n, d)):
         for pw, e in zip(powers, expo):
-            if e == 0:
-                continue
-            if pw is None:
-                break
-            val = val * pw[e]
+            if e:
+                if pw is None:
+                    break
+                val = val * pw[e]
         else:
-            if not (is_exact_scalar(val) and val == 0):
-                out[expo] = val
-    return cls(n, d, out)
+            out[expo] = val
+    return out
 
 
 def _substitute(f, matrix):
@@ -327,8 +329,8 @@ def _substitute_exact(coeffs, rows):
     # so it cancels exactly when the Fraction sum would
     out = {}
     for (c, term), den in zip(_expansions(
-            coeffs, lambda i, e: _integer_power(cleared[i][1], e),
-            _integer_product, {(0,) * len(rows[0]): 1}), dens):
+            coeffs, lambda i, e: _power_coeffs(cleared[i][1], e),
+            _product, {(0,) * len(rows[0]): 1}), dens):
         scale = c.numerator * (common // den)
         for t, v in term.items():
             s = out.get(t, 0) + scale * v
@@ -339,43 +341,11 @@ def _substitute_exact(coeffs, rows):
     return {t: Fraction(s, common) for t, s in out.items()}
 
 
-def _integer_power(ints, d):
-    """(ints . x)^d for an integer vector, keyed like `_power_of_linear`."""
-    powers = [[1, x] + [x ** e for e in range(2, d + 1)] if x else None
-              for x in ints]
-    out = {}
-    for expo, m in zip(monomials_of_degree(len(ints), d),
-                       _multinomials(len(ints), d)):
-        val = m.numerator
-        for pw, e in zip(powers, expo):
-            if e:
-                if pw is None:
-                    break
-                val *= pw[e]
-        else:
-            out[expo] = val
-    return out
-
-
-def _integer_product(a, b):
-    """`_product` on integer coefficient dicts."""
-    out = {}
-    for x, u in a.items():
-        for y, v in b.items():
-            t = tuple(map(add, x, y))
-            s = out.get(t, 0) + u * v
-            if s:
-                out[t] = s
-            else:
-                del out[t]
-    return out
-
-
 def _substitute_approx(f, rows):
     lin = [LinearForm(row).coords for row in rows]
     out = {}
     for c, term in _expansions(
-            f.coeffs, lambda i, e: _power_of_linear(lin[i], e, type(f)).coeffs,
+            f.coeffs, lambda i, e: _power_coeffs(lin[i], e),
             _product, {(0,) * len(rows[0]): Fraction(1)}):
         for t, v in term.items():
             s = out.get(t, Fraction(0)) + c * v
@@ -387,16 +357,18 @@ def _substitute_approx(f, rows):
 
 
 def _product(a, b):
-    """Sparse product of two coefficient dicts of homogeneous polynomials."""
+    """Sparse product of two coefficient dicts of homogeneous polynomials
+    (ints, Fractions or AppComplex): each sum starts from 0 and is dropped
+    when falsy, an exact zero, since an AppComplex is always truthy."""
     out = {}
     for x, u in a.items():
         for y, v in b.items():
             t = tuple(map(add, x, y))
-            s = out.get(t, Fraction(0)) + u * v
-            if is_exact_scalar(s) and s == 0:
-                out.pop(t, None)
-            else:
+            s = out.get(t, 0) + u * v
+            if s:
                 out[t] = s
+            else:
+                out.pop(t, None)
     return out
 
 

@@ -9,7 +9,7 @@ from openwaring import (ForbiddenSet, Form, LinearForm, VerifyReport,
                         essential_variables, is_forbidden, recursion_bound)
 from openwaring import linalg
 from openwaring.apolarity import catalecticant
-from openwaring.decompose import _forced_single_term, _linear_divides
+from openwaring.decompose import _forced_single_term
 from openwaring.errors import (ConsistencyError, InvalidInputError,
                                RetryBudgetError)
 from openwaring.numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS,
@@ -187,6 +187,33 @@ def reference_is_forbidden(l, V, tol=None):
 
 
 # ---------------------------------------------------------------------------
+# The hyperplane test as it was before the restriction of the forbidden set
+# decided it: substitute the first nonzero coordinate of alpha and test the
+# restricted constraint for zero, within a tolerance grown by
+# (1 + |alpha| / |alpha_pivot|)^deg when it is approximate.  Kept as a
+# reference for `decompose._restrict_forbidden`.
+
+
+def reference_linear_divides(alpha, g, precision_bits):
+    """Whether the hyperplane sum alpha_i x_i = 0 lies in V(g)."""
+    n = g.num_vars
+    pivot = next(i for i, a in enumerate(alpha) if a != 0)
+    rows = []
+    for i in range(n):
+        if i == pivot:
+            rows.append([-Fraction(alpha[j], alpha[pivot]) if j != pivot else Fraction(0)
+                         for j in range(n)])
+        else:
+            rows.append([Fraction(1 if j == i else 0) for j in range(n)])
+    restricted = _substitute(g, rows)
+    if restricted.is_exact():
+        return restricted.is_zero()
+    ratio = 1 + sum(abs(Fraction(a, alpha[pivot])) for a in alpha)
+    tol = tolerance(precision_bits) * g.norm1() * mpf(1) * ratio ** g.degree
+    return restricted.is_zero(tol)
+
+
+# ---------------------------------------------------------------------------
 # The quadratic step as it was before the Hessian reduction: peel off one
 # square, change coordinates to the hyperplane alpha annihilates, rebuild
 # the restricted form and recurse, mapping the terms back level by level.
@@ -208,7 +235,8 @@ def reference_quadratic_essential(f, V, ctx):
         a_norm = sum(abs(a) for a in alpha)
         if scalar_is_zero(c2, ctx.tol * scale * a_norm * a_norm):
             continue
-        if any(_linear_divides(alpha, g, ctx.precision_bits) for g in V.constraints):
+        if any(reference_linear_divides(alpha, g, ctx.precision_bits)
+               for g in V.constraints):
             continue
         L = LinearForm.from_form(contract(dual_power(alpha, 1), f))
         if L.is_zero(ctx.tol * scale * a_norm) or is_forbidden(L, V, ctx.tol):

@@ -394,12 +394,23 @@ class TestInputChecks:
         assert (code, out) == (2, "")
         assert err.startswith("error: record field 'precision_bits' is malformed")
 
-    def test_verify_bad_term(self, capsys, record):
+    @pytest.mark.parametrize("update, error", [
+        ({"coords": None}, "KeyError"),
+        ({"coeff_num": "1", "coeff_den": "0"}, "ZeroDivisionError"),
+        ({"coords": ["1/0", "0/1"]}, "ZeroDivisionError"),
+    ], ids=["missing-coords", "zero-coeff-den", "zero-coord-den"])
+    def test_verify_bad_term(self, capsys, record, update, error):
+        # a zero denominator is malformed input (exit 2), not a rejected
+        # result (exit 1) or a traceback
         data = json.loads(record.read_text())
-        del data["terms"][0]["coords"]
-        code, _, err = self.verify(capsys, record, json.dumps(data))
-        assert code == 2
-        assert err.startswith("error: record field 'terms' is malformed (KeyError")
+        term = data["terms"][0]
+        term.update(update)
+        if term["coords"] is None:
+            del term["coords"]
+        code, out, err = self.verify(capsys, record, json.dumps(data))
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"error: record field 'terms' is malformed ({error}")
 
     def test_verify_missing_exact_flag(self, capsys, record):
         data = json.loads(record.read_text())

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import random
 from fractions import Fraction
@@ -19,13 +20,15 @@ from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         essential_variables, fit_coefficients, is_forbidden,
                         linear_power, parse_form, recursion_bound)
 from openwaring import linalg
-from openwaring.decompose import (_map_terms_back, _merge_proportional,
-                                  _power_of_two_near)
+from openwaring.decompose import (_hyperplane_change, _map_terms_back,
+                                  _merge_proportional, _power_of_two_near,
+                                  _restrict_forbidden)
 from openwaring.numerics import is_exact_scalar, max_abs_of, scalar_is_zero, tolerance
 from openwaring.poly import monomials_of_degree
 from conftest import (assert_same_verdict, random_essential_form, random_form,
                       random_hyperplanes, random_linear_form, reference_check,
-                      reference_map_terms_back, reference_quadratic_essential)
+                      reference_linear_divides, reference_map_terms_back,
+                      reference_quadratic_essential)
 
 
 def gram_rank(f):
@@ -77,6 +80,38 @@ class TestForbiddenSet:
     def test_rejects_zero_constraint(self):
         with pytest.raises(InvalidInputError):
             ForbiddenSet(2, (Form(2, 1, {}),))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_restriction_decides_whether_the_hyperplane_is_forbidden(self, data):
+        # restricting V to the hyperplane alpha . x = 0 through the lift of
+        # `_hyperplane_change` fails exactly when the substitution of the
+        # first nonzero coordinate says the hyperplane lies in V(g)
+        n = data.draw(st.integers(2, 5), label="n")
+        alpha = data.draw(st.lists(st.integers(-7, 7), min_size=n, max_size=n)
+                          .filter(any), label="alpha")
+        d = data.draw(st.integers(1, 3), label="degree")
+        multiple = data.draw(st.booleans(), label="multiple of alpha")
+        coeff = st.fractions(-20, 20, max_denominator=12).filter(bool)
+        monos = monomials_of_degree(n, d - 1 if multiple else d)
+        h = data.draw(st.dictionaries(st.sampled_from(monos), coeff,
+                                      min_size=1, max_size=6), label="h")
+        if multiple:  # g = (alpha . x) * h, which the hyperplane must meet
+            g = {}
+            for expo, c in h.items():
+                for i, a in enumerate(alpha):
+                    if a:
+                        e = tuple(x + (j == i) for j, x in enumerate(expo))
+                        g[e] = g.get(e, 0) + a * c
+            h = {e: c for e, c in g.items() if c}
+        V = ForbiddenSet(n, [Form(n, d, h)])
+        bits = 256
+        _, A = _hyperplane_change(alpha, bits)
+        restricted = _restrict_forbidden(V, A, n - 1, bits)
+        assert (restricted is None) == reference_linear_divides(
+            alpha, V.constraints[0], bits)
+        if multiple:
+            assert restricted is None
 
 
 class TestQuadratic:
@@ -136,12 +171,37 @@ class TestBinary:
         dec = decompose_binary(f)
         assert dec.term_count == 2
 
+    #: SHA-256 of the exact terms of x0^(d-1)*x1 at seed 5, per d
+    MONOMIAL_TERMS = {
+        2: "169580e8b1787f2524ad0c0667a99df99ed41c40bf25f252dbe653f1ab417bc4",
+        3: "9737f892c3d13904917e9273914220c63e9bcd42d4787a4618582e4332bad82a",
+        4: "8799a49acc7b0e925aaca60c8104c30024b823e27c34ce2ede56399780938571",
+        5: "48710506ea6c093e27838b6956cc29cab4ad52498053d33e08575c2b2c11009c",
+        6: "95b335393426eece18c22a4256394ed93cd35722fa376547d2f8cf0698766a45",
+        7: "6882bf31d0f5080d099ead990b11cd4cfd46b5de5769191fdb0372b5f7f088a9",
+        8: "e51ad736c9bc886c27d99f3903731cd85a335af2d97a95d4ea0de6aa469a728d",
+        9: "60f83d4794d224aaf70789702df120d9b79580f56e2ef0efbeaa3fb809dbbf82",
+        10: "a7456ef518512e655810f41e392d92373c14059074d476d17bd67c1e2451e3d0"}
+
     @pytest.mark.parametrize("d", range(2, 11))
     def test_monomial_needs_full_count(self, d):
         f = Form(2, d, {(d - 1, 1): Fraction(1)})
         dec = decompose_binary(f, seed=5)
         assert dec.term_count == d
         assert check_decomposition(f, dec).passed
+        # the quadratic generator (y0^2 or y1^2) and the first sampled
+        # element each have a double zero; rejecting them draws nothing,
+        # so the second element and every bit of its terms stay pinned
+        assert dec.trace == (f"binary: sampled degree-{d} element (attempt 1)",)
+
+        def bits(x):
+            if is_exact_scalar(x):
+                return str(x)
+            return (x.precision_bits,
+                    [tuple(map(int, part.man_exp)) for part in (x.real, x.imag)])
+
+        text = repr([(bits(c), [bits(x) for x in l.coords]) for c, l in dec.terms])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.MONOMIAL_TERMS[d]
 
     def test_avoidance(self, rng):
         f = parse_form("x0^3 + x1^3", 2)

@@ -88,12 +88,13 @@ def test_verify_stays_below_the_pipeline():
         t for _, t in _internal_imports(tree))
 
 
-#: the pipeline's code for powers of linear forms and substitutions,
-#: with the integer expansion that rational substitutions run on
+#: the pipeline's code for powers of linear forms and substitutions; one
+#: power expansion and one sparse product serve rational, integer and
+#: approximate coefficients alike
 POLY_EXPANSIONS = {"linear_power", "dual_power", "_power_of_linear",
-                   "_substitute", "_expansions", "_substitute_exact",
-                   "_integer_power", "_integer_product", "_substitute_approx",
-                   "_product", "change_coordinates"}
+                   "_power_coeffs", "_substitute", "_expansions",
+                   "_substitute_exact", "_substitute_approx", "_product",
+                   "change_coordinates"}
 
 
 def _names_reached(tree, target):
@@ -217,3 +218,25 @@ def test_subspace_restrictions_are_projections():
     assert set(steps) == SUBSPACE_STEPS
     assert {name for name, node in steps.items()
             if "change_coordinates" in _names_in(node)} == set()
+
+
+#: second copies folded into the routine that does the same job: the
+#: hyperplane test into ``_restrict_forbidden``, the integer power and
+#: product into ``_power_coeffs`` and ``_product``, and the binary
+#: squarefree test into the duplicate-point test on the roots
+FOLDED = {"_linear_divides", "_integer_power", "_integer_product",
+          "_binary_squarefree_exact"}
+
+
+def test_one_copy_of_each_job():
+    parsed = _parsed()
+    defined = {m: {n.name for n in ast.walk(tree)
+                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+               for m, tree in parsed.items()}
+    assert {m: names & FOLDED for m, names in defined.items()
+            if names & FOLDED} == {}
+    restrict = next(n for n in parsed["decompose"].body
+                    if isinstance(n, ast.FunctionDef)
+                    and n.name == "_restrict_forbidden")
+    params = restrict.args.args + restrict.args.kwonlyargs
+    assert "hard" not in {a.arg for a in params}
