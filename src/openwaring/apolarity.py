@@ -22,14 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from mpmath import mpc, mpf, nstr, workprec
+from mpmath import mpf, nstr, workprec
 
 from . import linalg
 from .errors import (ConsistencyError, DegenerateSystemError,
                      InvalidInputError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
-                       UniPoly, is_exact_scalar, max_abs_of, scalar_is_zero,
-                       squarefree_part, tolerance, univariate_roots)
+                       UniPoly, _CONE, _CZERO, _cinv, _cmul, is_exact_scalar,
+                       max_abs_of, scalar_is_zero, squarefree_part, tolerance,
+                       univariate_roots)
 from .poly import (DualOp, Form, LinearForm, change_coordinates, evaluate,
                    linear_power, monomials_of_degree)
 
@@ -252,8 +253,9 @@ def _subspace_lift(n, columns, precision_bits):
     subspace e_keep back to ambient linear forms.
 
     Approximate columns give AppComplex entries at the columns' matrix
-    precision, computed as mpc with GUARD_BITS more: the rounding of an
-    inverse by Gauss-Jordan elimination when C is one column.
+    precision, computed on raw libmp tuples with GUARD_BITS more, as the
+    mpc operators round them: the rounding of an inverse by Gauss-Jordan
+    elimination when C is one column.
     """
     last = [max((i for i, c in enumerate(col) if not scalar_is_zero(c)), default=None)
             for col in columns]
@@ -261,20 +263,24 @@ def _subspace_lift(n, columns, precision_bits):
         raise InvalidInputError("coordinate change matrix is singular")
     keep = [i for i in range(n) if i not in last]
     exact = linalg.matrix_is_exact(columns)
-    bits = linalg._matrix_bits(columns, precision_bits) + GUARD_BITS
     if exact:
-        one, cols = Fraction(1), [[Fraction(c) for c in col] for col in columns]
+        zero, one = Fraction(0), Fraction(1)
     else:
-        one, cols = mpc(1), linalg._unwrap(columns, bits)
-    A = [[one * 0] * len(keep) for _ in range(n)]
-    with workprec(bits):
-        for k, i in enumerate(keep):
-            A[i][k] = one
-        for col, p in zip(cols, last):
-            inv = 1 / col[p]
-            A[p] = [-(col[i] * inv) for i in keep]
-    if not exact:
-        A = [[AppComplex.from_mpc(x, bits - GUARD_BITS) for x in row] for row in A]
+        bits = linalg._matrix_bits(columns, precision_bits)
+        wb = bits + GUARD_BITS
+        zero, one = (AppComplex.from_raw(z, bits) for z in (_CZERO, _CONE))
+    A = [[zero] * len(keep) for _ in range(n)]
+    for k, i in enumerate(keep):
+        A[i][k] = one
+    if exact:
+        for col, p in zip(columns, last):
+            inv = 1 / Fraction(col[p])
+            A[p] = [-(Fraction(col[i]) * inv) for i in keep]
+    else:
+        for col, p in zip(linalg._raw_matrix(columns, wb), last):
+            inv = _cinv(col[p], wb)
+            A[p] = [AppComplex.from_raw(linalg._neg(_cmul(col[i], inv, wb), wb),
+                                        bits) for i in keep]
     return keep, A
 
 

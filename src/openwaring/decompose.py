@@ -328,7 +328,13 @@ def absorb_coefficients(dec: Decomposition,
 
 def _merge_proportional(terms, d, precision_bits):
     """Fold proportional linear forms into single terms and drop the terms
-    whose coefficient became (numerically) zero."""
+    that became (numerically) zero.
+
+    An exact coefficient is dropped only at exact zero.  An inexact term
+    is dropped when its size |c| * max|l|^d, which bounds its contribution
+    to any coefficient of the form up to a multinomial, is at most
+    2^(-3 bits / 4) times the largest size (or 1): a tiny c on a large l
+    can still carry a large part of the form."""
     merged = []
     scales = []
     for c, l in terms:
@@ -348,14 +354,13 @@ def _merge_proportional(terms, d, precision_bits):
         j = max(range(l0.num_vars), key=lambda i: mpf(1) * max_abs_of([l0.coords[i]]))
         lam = l.coords[j] / l0.coords[j]
         merged[hit] = (c0 + c * lam ** d, l0)
-    # an exact coefficient is dropped only at exact zero, so the drop
-    # bound is built only when some coefficient is inexact
-    bound = 0
-    if not all(is_exact_scalar(c) for c, _ in merged):
-        drop = mpf(2) ** (-(precision_bits * 3) // 4)
-        bound = drop * max([mpf(1)] + [mpf(1) * max_abs_of([c])
-                                       for c, _ in merged])
-    return [(c, l) for c, l in merged if not scalar_is_zero(c, bound)]
+    if all(is_exact_scalar(c) for c, _ in merged):
+        return [(c, l) for c, l in merged if c != 0]
+    sizes = [mpf(1) * max_abs_of([c]) * max_abs_of(l.coords) ** d
+             for c, l in merged]
+    bound = mpf(2) ** (-(precision_bits * 3) // 4) * max([mpf(1)] + sizes)
+    return [(c, l) for (c, l), size in zip(merged, sizes)
+            if (c != 0 if is_exact_scalar(c) else size > bound)]
 
 
 def _forced_single_term(coeff, l, V, ctx, label):

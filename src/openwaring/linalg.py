@@ -7,9 +7,14 @@ are ints or Fractions, each read through its ``numerator`` and
 ``denominator``: an integer row is taken as it is, with no Fraction built.
 On the complex side, ``complex_echelon`` (partial pivoting with a relative
 magnitude threshold for rank decisions) serves rank, kernel and
-determinant.  There is no matrix inverse: the pipeline restricts forms only
-to subspaces whose lift back is written down from the spanning columns
-(``apolarity._subspace_lift``).
+determinant, and ``complex_solve_lstsq`` solves the normal equations.  They
+hold every entry as a raw libmp (real, imag) pair from conversion to the
+rounding of the result and run ``numerics``' raw-tuple kernels in the
+operand order of the mpc operators they replaced, with pivot magnitudes
+from libmp's ``mpc_abs``, so every bit is what mpc arithmetic under
+``workprec`` gave.  There is no matrix inverse: the pipeline restricts
+forms only to subspaces whose lift back is written down from the spanning
+columns (``apolarity._subspace_lift``).
 
 Matrices are plain lists of row lists; vectors are lists.
 """
@@ -19,10 +24,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-from mpmath import mpc, mpf, workprec
+from mpmath import mpf
+from mpmath.libmp import (from_int, fzero, mpc_abs, mpf_gt, mpf_mul, mpf_neg,
+                          round_nearest as _RND)
 
 from .errors import InvalidInputError
-from .numerics import AppComplex, GUARD_BITS, is_exact_scalar, values_precision
+from .numerics import (AppComplex, GUARD_BITS, _CONE, _CZERO, _cadd, _cdiv,
+                       _cmul, _csub, _make_mpf, _pos, _raw_mpf,
+                       is_exact_scalar, values_precision)
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +147,12 @@ def rational_det(rows) -> Fraction:
 # approximate complex elimination
 
 
-def _unwrap(rows, bits):
-    with workprec(bits):
-        out = []
-        for row in rows:
-            wrow = []
-            for x in row:
-                if isinstance(x, AppComplex):
-                    wrow.append(x.to_mpc())
-                elif isinstance(x, Fraction):
-                    wrow.append(mpc(mpf(x.numerator) / mpf(x.denominator)))
-                else:
-                    wrow.append(mpc(x))
-            out.append(wrow)
-        return out
+def _raw_matrix(rows, bits):
+    """Each entry as a raw libmp (real, imag) pair: an AppComplex's parts as
+    stored, any other scalar rounded to nearest at ``bits`` (what
+    ``mpc(x)`` gives under ``workprec(bits)``)."""
+    return [[(x.real._mpf_, x.imag._mpf_) if isinstance(x, AppComplex)
+             else (_raw_mpf(x, bits), fzero) for x in row] for row in rows]
 
 
 def _matrix_bits(rows, precision_bits):
@@ -159,49 +160,60 @@ def _matrix_bits(rows, precision_bits):
     return max(values_precision(flat, precision_bits), precision_bits)
 
 
+def _neg(z, prec):
+    """-z as ``mpc.__neg__`` rounds it at ``prec``."""
+    return mpf_neg(z[0], prec, _RND), mpf_neg(z[1], prec, _RND)
+
+
 def complex_echelon(rows, precision_bits, tol):
     """Row echelon with partial pivoting; pivots below tol*scale count as 0.
 
-    Returns (echelon mpc rows, pivot_cols, scale, sign), sign being the
-    parity of the row swaps.
+    ``tol`` is an mpf or an int.  Returns (echelon rows, pivot_cols, scale,
+    sign): the rows hold raw libmp (real, imag) pairs at the working
+    precision, scale is the largest entry magnitude as a raw mpf, and sign
+    is the parity of the row swaps.
     """
     bits = _matrix_bits(rows, precision_bits) + GUARD_BITS
-    m = _unwrap(rows, bits)
+    m = _raw_matrix(rows, bits)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    with workprec(bits):
-        scale = mpf(0)
-        for row in m:
-            for x in row:
-                if abs(x) > scale:
-                    scale = abs(x)
-        thresh = tol * scale if scale > 0 else tol
-        piv_cols = []
-        sign = 1
-        r = 0
-        for c in range(ncols):
-            best, best_abs = None, thresh
-            for i in range(r, nrows):
-                a = abs(m[i][c])
-                if a > best_abs:
-                    best, best_abs = i, a
-            if best is None:
+    scale = fzero
+    for row in m:
+        for x in row:
+            a = mpc_abs(x, bits, _RND)
+            if mpf_gt(a, scale):
+                scale = a
+    tol = tol._mpf_ if isinstance(tol, mpf) else from_int(tol)
+    thresh = mpf_mul(tol, scale, bits, _RND) if mpf_gt(scale, fzero) else tol
+    piv_cols = []
+    sign = 1
+    r = 0
+    for c in range(ncols):
+        best, best_abs = None, thresh
+        for i in range(r, nrows):
+            a = mpc_abs(m[i][c], bits, _RND)
+            if mpf_gt(a, best_abs):
+                best, best_abs = i, a
+        if best is None:
+            continue
+        if best != r:
+            m[r], m[best] = m[best], m[r]
+            sign = -sign
+        top = m[r]
+        pivot = top[c]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            if row[c] == _CZERO:
                 continue
-            if best != r:
-                m[r], m[best] = m[best], m[r]
-                sign = -sign
-            for i in range(r + 1, nrows):
-                if m[i][c] == 0:
-                    continue
-                f = m[i][c] / m[r][c]
-                m[i][c] = mpc(0)
-                for j in range(c + 1, ncols):
-                    m[i][j] -= f * m[r][j]
-            piv_cols.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return m[:r], piv_cols, scale, sign
+            f = _cdiv(row[c], pivot, bits)
+            row[c] = _CZERO
+            for j in range(c + 1, ncols):
+                row[j] = _csub(row[j], _cmul(f, top[j], bits), bits)
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], piv_cols, scale, sign
 
 
 def complex_rank(rows, precision_bits, tol) -> int:
@@ -217,11 +229,16 @@ def complex_det(rows, precision_bits):
     ech, piv, _, sign = complex_echelon(rows, precision_bits, 0)
     if len(piv) < n:
         return AppComplex(0, 0, precision_bits)
-    with workprec(_matrix_bits(rows, precision_bits) + GUARD_BITS):
-        det = sign
-        for i, row in enumerate(ech):
-            det = det * row[i]
-    return AppComplex.from_mpc(det, precision_bits)
+    if not n:
+        return AppComplex(1, 0, precision_bits)
+    bits = _matrix_bits(rows, precision_bits) + GUARD_BITS
+    # sign * pivot is mpc_mul_int: the pivot rounded, negated for -1
+    first = ech[0][0]
+    det = _neg(first, bits) if sign < 0 else (_pos(first[0], bits),
+                                              _pos(first[1], bits))
+    for i in range(1, n):
+        det = _cmul(det, ech[i][i], bits)
+    return AppComplex.from_raw(det, precision_bits)
 
 
 def complex_kernel(rows, precision_bits, tol):
@@ -230,21 +247,22 @@ def complex_kernel(rows, precision_bits, tol):
         return []
     ncols = len(rows[0])
     bits = _matrix_bits(rows, precision_bits)
+    wb = bits + GUARD_BITS
     ech, piv, _, _ = complex_echelon(rows, precision_bits, tol)
     piv_set = set(piv)
     free = [c for c in range(ncols) if c not in piv_set]
     basis = []
-    with workprec(bits + GUARD_BITS):
-        for fc in free:
-            v = [mpc(0)] * ncols
-            v[fc] = mpc(1)
-            for i in range(len(piv) - 1, -1, -1):
-                pc = piv[i]
-                s = mpc(0)
-                for j in range(pc + 1, ncols):
-                    s += ech[i][j] * v[j]
-                v[pc] = -s / ech[i][pc]
-            basis.append([AppComplex.from_mpc(x, bits) for x in v])
+    for fc in free:
+        v = [_CZERO] * ncols
+        v[fc] = _CONE
+        for i in range(len(piv) - 1, -1, -1):
+            pc = piv[i]
+            row = ech[i]
+            s = _CZERO
+            for j in range(pc + 1, ncols):
+                s = _cadd(s, _cmul(row[j], v[j], wb), wb)
+            v[pc] = _cdiv(_neg(s, wb), row[pc], wb)
+        basis.append([AppComplex.from_raw(x, bits) for x in v])
     return basis
 
 
@@ -254,56 +272,59 @@ def complex_solve_lstsq(rows, rhs, precision_bits):
     Returns (x as AppComplex list, residual_max as mpf): residual_max is the
     max coefficient magnitude of A x - b.
     """
+    if len(rhs) != len(rows):
+        raise InvalidInputError("right-hand side length must match the rows")
     bits = _matrix_bits(rows, precision_bits) + GUARD_BITS
-    a = _unwrap(rows, bits)
-    b = _unwrap([[x] for x in rhs], bits)
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    with workprec(bits):
-        # normal equations A^H A x = A^H b
-        ata = [[mpc(0)] * ncols for _ in range(ncols)]
-        atb = [mpc(0)] * ncols
+    a = _raw_matrix(rows, bits)
+    b = _raw_matrix([rhs], bits)[0]
+    ncols = len(a[0]) if a else 0
+    # normal equations A^H A x = A^H b: augmented row i holds
+    # sum_k conj(a_ki) * a_kj for each column j of A, then of b, summed
+    # from zero; ``conjugate`` rounds the negated imaginary part at bits
+    columns = list(zip(*a)) + [b]
+    aug = []
+    for i in range(ncols):
+        conj = [(re, mpf_neg(im, bits, _RND)) for re, im in columns[i]]
+        out = []
+        for col in columns:
+            s = _CZERO
+            for ck, z in zip(conj, col):
+                s = _cadd(s, _cmul(ck, z, bits), bits)
+            out.append(s)
+        aug.append(out)
+    # solve by elimination with partial pivoting
+    for c in range(ncols):
+        best, best_abs = c, mpc_abs(aug[c][c], bits, _RND)
+        for i in range(c + 1, ncols):
+            a_ic = mpc_abs(aug[i][c], bits, _RND)
+            if mpf_gt(a_ic, best_abs):
+                best, best_abs = i, a_ic
+        if best_abs == fzero:
+            # rank-deficient normal matrix: set this variable to zero (no
+            # later step reads column c of the other rows)
+            aug[c][c] = _CONE
+            aug[c][ncols] = _CZERO
+            continue
+        aug[c], aug[best] = aug[best], aug[c]
+        top = aug[c]
+        pivot = top[c]
         for i in range(ncols):
-            for j in range(ncols):
-                s = mpc(0)
-                for k in range(nrows):
-                    s += a[k][i].conjugate() * a[k][j]
-                ata[i][j] = s
-            s = mpc(0)
-            for k in range(nrows):
-                s += a[k][i].conjugate() * b[k][0]
-            atb[i] = s
-        # solve by elimination with partial pivoting
-        aug = [ata[i] + [atb[i]] for i in range(ncols)]
-        for c in range(ncols):
-            best, best_abs = c, abs(aug[c][c])
-            for i in range(c + 1, ncols):
-                if abs(aug[i][c]) > best_abs:
-                    best, best_abs = i, abs(aug[i][c])
-            if best_abs == 0:
-                # rank-deficient normal matrix: set this variable to zero
-                aug[c][c] = mpc(1)
-                aug[c][ncols] = mpc(0)
-                for i in range(ncols):
-                    if i != c:
-                        aug[i][c] = mpc(0)
-                continue
-            aug[c], aug[best] = aug[best], aug[c]
-            for i in range(ncols):
-                if i != c and aug[i][c] != 0:
-                    f = aug[i][c] / aug[c][c]
-                    for j in range(c, ncols + 1):
-                        aug[i][j] -= f * aug[c][j]
-        x = [aug[i][ncols] / aug[i][i] for i in range(ncols)]
-        resid = mpf(0)
-        for k in range(nrows):
-            s = mpc(0)
-            for j in range(ncols):
-                s += a[k][j] * x[j]
-            r = abs(s - b[k][0])
-            if r > resid:
-                resid = r
-        return [AppComplex.from_mpc(v, bits - GUARD_BITS) for v in x], resid
+            row = aug[i]
+            if i != c and row[c] != _CZERO:
+                f = _cdiv(row[c], pivot, bits)
+                for j in range(c, ncols + 1):
+                    row[j] = _csub(row[j], _cmul(f, top[j], bits), bits)
+    x = [_cdiv(aug[i][ncols], aug[i][i], bits) for i in range(ncols)]
+    resid = fzero
+    for row, bk in zip(a, b):
+        s = _CZERO
+        for akj, xj in zip(row, x):
+            s = _cadd(s, _cmul(akj, xj, bits), bits)
+        r = mpc_abs(_csub(s, bk, bits), bits, _RND)
+        if mpf_gt(r, resid):
+            resid = r
+    return ([AppComplex.from_raw(v, bits - GUARD_BITS) for v in x],
+            _make_mpf(resid))
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,20 @@ exact.  ``abs`` and ``**`` run mpmath's libmp ``mpc_abs`` and
 ``mpc_pow_int``; ``abs`` returns the result at ``bits + GUARD_BITS``
 without the second rounding.
 
-``+ - * /``, the rounding of int, Fraction and mpf operands (``_raw_mpf``)
-and the root finder's loops run this module's raw-tuple kernels
-(``_cadd``, ``_csub``, ``_cmul``, ``_cdiv``, ``_cinv``, ``_pos``, ``_quo``).
-They reproduce libmp's round-to-nearest ``mpc_add``, ``mpc_sub``,
-``mpc_mul``, ``mpc_div``, ``mpc_mpf_div``, ``mpf_pos`` and ``mpf_div`` bit
-for bit: the same exact products, the same sticky bit in division, the
-same ``prec + 10`` round-down intermediates in complex division, and the
-same shortcut in addition, which for operands far apart perturbs the
-larger one instead of rounding the exact sum (not always correctly
-rounded).  Only the call layers and libmp's log-based bit counts are gone;
-inf and nan parts go to libmp itself.
+``+ - * /``, the rounding of int, Fraction and mpf operands (``_raw_mpf``),
+the root finder's loops (``_horner``, ``_aberth``, ``_newton_polish`` and
+the residual certificate of ``univariate_roots``), ``linalg``'s complex
+eliminations (echelon form, rank, kernel, determinant, least squares) and
+the approximate lift of ``apolarity._subspace_lift`` run this module's
+raw-tuple kernels (``_cadd``, ``_csub``, ``_cmul``, ``_cdiv``, ``_cinv``,
+``_pos``, ``_quo``).  They reproduce libmp's round-to-nearest ``mpc_add``,
+``mpc_sub``, ``mpc_mul``, ``mpc_div``, ``mpc_mpf_div``, ``mpf_pos`` and
+``mpf_div`` bit for bit: the same exact products, the same sticky bit in
+division, the same ``prec + 10`` round-down intermediates in complex
+division, and the same shortcut in addition, which for operands far apart
+perturbs the larger one instead of rounding the exact sum (not always
+correctly rounded).  Only the call layers and libmp's log-based bit counts
+are gone; inf and nan parts go to libmp itself.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ GUARD_BITS = 32
 
 _RND = round_nearest
 _CZERO = (fzero, fzero)
+_CONE = (fone, fzero)
 _new = object.__new__
 
 _tolerances = {}
@@ -88,8 +92,8 @@ def _raw_mpf(x, bits):
     if isinstance(x, Fraction):
         p, q = x.numerator, x.denominator
         sign, man, exp, _ = _sum(int(p < 0), abs(p), 0, 0, 0, 0, bits)
-        _, qman, qexp, _ = _sum(0, q, 0, 0, 0, 0, bits)
-        return _quo(sign, man, exp, qman, qexp, bits)
+        _, qman, qexp, qbc = _sum(0, q, 0, 0, 0, 0, bits)
+        return _quo(sign, man, exp, qman, qexp, qbc, bits)
     if isinstance(x, int):
         return _sum(int(x < 0), abs(x), 0, 0, 0, 0, bits)
     if type(x) is mpf:
@@ -171,28 +175,34 @@ def _sum(ssign, sman, sexp, tsign, tman, texp, prec, down=False):
     return sign, man, exp, man.bit_length()
 
 
-def _quo(sign, sman, sexp, tman, texp, prec):
+def _quo(sign, sman, sexp, tman, texp, tbc, prec):
     """libmp's ``mpf_div`` at round_nearest of a finite value by a finite
-    one: a quotient with at least prec + 5 bits and a sticky bit for a
-    nonzero remainder, then rounded."""
+    one whose mantissa has ``tbc`` bits: a quotient with at least prec + 5
+    bits and a sticky bit for a nonzero remainder, then rounded as
+    ``_sum`` rounds it."""
     if not tman:
         raise ZeroDivisionError
     if tman == 1 or not sman:
         return _sum(sign, sman, sexp - texp, 0, 0, 0, prec)
-    extra = max(prec - sman.bit_length() + tman.bit_length() + 5, 5)
-    quot, rem = divmod(sman << extra, tman)
+    extra = max(prec - sman.bit_length() + tbc + 5, 5)
+    man, rem = divmod(sman << extra, tman)
     if rem:
-        quot = (quot << 1) + 1
+        man = (man << 1) + 1
         extra += 1
-    return _sum(sign, quot, sexp - texp - extra, 0, 0, 0, prec)
-
-
-def _nonfinite(*zs):
-    """Whether a part of the raw mpcs is inf or nan: man 0 with an exp."""
-    for (_, am, ae, _), (_, bm, be, _) in zs:
-        if not am and ae or not bm and be:
-            return True
-    return False
+    exp = sexp - texp - extra
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        man >>= z
+        exp += z
+    return sign, man, exp, man.bit_length()
 
 
 def _pos(x, prec):
@@ -207,7 +217,8 @@ def _cadd(z, w, prec):
     """libmp's ``mpc_add`` at round_nearest."""
     (asg, am, ae, _), (bsg, bm, be, _) = z
     (csg, cm, ce, _), (dsg, dm, de, _) = w
-    if not (am and bm and cm and dm) and _nonfinite(z, w):
+    if not (am and bm and cm and dm) and (not am and ae or not bm and be
+                                          or not cm and ce or not dm and de):
         return mpc_add(z, w, prec, _RND)
     return (_sum(asg, am, ae, csg, cm, ce, prec),
             _sum(bsg, bm, be, dsg, dm, de, prec))
@@ -217,7 +228,8 @@ def _csub(z, w, prec):
     """libmp's ``mpc_sub`` at round_nearest."""
     (asg, am, ae, _), (bsg, bm, be, _) = z
     (csg, cm, ce, _), (dsg, dm, de, _) = w
-    if not (am and bm and cm and dm) and _nonfinite(z, w):
+    if not (am and bm and cm and dm) and (not am and ae or not bm and be
+                                          or not cm and ce or not dm and de):
         return mpc_sub(z, w, prec, _RND)
     return (_sum(asg, am, ae, 1 ^ csg, cm, ce, prec),
             _sum(bsg, bm, be, 1 ^ dsg, dm, de, prec))
@@ -228,7 +240,8 @@ def _cmul(z, w, prec):
     exact products, each part rounded once."""
     (asg, am, ae, _), (bsg, bm, be, _) = z
     (csg, cm, ce, _), (dsg, dm, de, _) = w
-    if not (am and bm and cm and dm) and _nonfinite(z, w):
+    if not (am and bm and cm and dm) and (not am and ae or not bm and be
+                                          or not cm and ce or not dm and de):
         return mpc_mul(z, w, prec, _RND)
     return (_sum(asg ^ csg, am * cm, ae + ce, 1 ^ bsg ^ dsg, bm * dm, be + de,
                  prec),
@@ -242,26 +255,29 @@ def _cdiv(z, w, prec):
     prec + 10 first."""
     (asg, am, ae, _), (bsg, bm, be, _) = z
     (csg, cm, ce, _), (dsg, dm, de, _) = w
-    if not (am and bm and cm and dm) and _nonfinite(z, w):
+    if not (am and bm and cm and dm) and (not am and ae or not bm and be
+                                          or not cm and ce or not dm and de):
         return mpc_div(z, w, prec, _RND)
     wp = prec + 10
-    _, mm, me, _ = _sum(0, cm * cm, ce + ce, 0, dm * dm, de + de, wp, True)
+    _, mm, me, mbc = _sum(0, cm * cm, ce + ce, 0, dm * dm, de + de, wp, True)
     tsg, tm, te, _ = _sum(asg ^ csg, am * cm, ae + ce, bsg ^ dsg, bm * dm,
                           be + de, wp, True)
     usg, um, ue, _ = _sum(bsg ^ csg, bm * cm, be + ce, 1 ^ asg ^ dsg, am * dm,
                           ae + de, wp, True)
-    return _quo(tsg, tm, te, mm, me, prec), _quo(usg, um, ue, mm, me, prec)
+    return (_quo(tsg, tm, te, mm, me, mbc, prec),
+            _quo(usg, um, ue, mm, me, mbc, prec))
 
 
 def _cinv(z, prec):
     """1 / z as libmp's ``mpc_mpf_div(fone, z)`` at round_nearest: a / m -
     b / m i with m = a^2 + b^2 rounded down at prec + 10."""
     (asg, am, ae, _), (bsg, bm, be, _) = z
-    if not (am and bm) and _nonfinite(z):
+    if not (am and bm) and (not am and ae or not bm and be):
         return mpc_mpf_div(fone, z, prec, _RND)
-    _, mm, me, _ = _sum(0, am * am, ae + ae, 0, bm * bm, be + be, prec + 10,
-                        True)
-    return _quo(asg, am, ae, mm, me, prec), _quo(1 ^ bsg, bm, be, mm, me, prec)
+    _, mm, me, mbc = _sum(0, am * am, ae + ae, 0, bm * bm, be + be, prec + 10,
+                          True)
+    return (_quo(asg, am, ae, mm, me, mbc, prec),
+            _quo(1 ^ bsg, bm, be, mm, me, mbc, prec))
 
 
 class AppComplex:
@@ -285,10 +301,17 @@ class AppComplex:
         raise AttributeError("AppComplex is immutable")
 
     @classmethod
-    def from_mpc(cls, z, precision_bits):
+    def from_raw(cls, parts, precision_bits):
+        """From a raw libmp (real, imag) pair, each part rounded to nearest
+        at ``precision_bits``."""
         _check_precision(precision_bits)
+        return _rounded(parts, int(precision_bits))
+
+    @classmethod
+    def from_mpc(cls, z, precision_bits):
         if isinstance(z, mpc):
-            return _rounded(z._mpc_, int(precision_bits))
+            return cls.from_raw(z._mpc_, precision_bits)
+        _check_precision(precision_bits)
         # constructors round to the ambient precision, so pin it first
         with workprec(precision_bits):
             z = mpc(z)
@@ -598,15 +621,38 @@ def squarefree_decomposition(p: UniPoly):
 def _horner(coeffs, x, prec):
     """p(x) on raw libmp tuples, as ``acc * x + c`` from ``mpc(0)``.
 
-    ``coeffs`` is nonempty.  The first step ``0 * x + c`` is taken as the
-    rounding of c: for finite x the product is exactly zero, so skipping
-    the multiplication and the addition of zero leaves every bit of the
-    result as it was.
+    ``coeffs`` is nonempty and x's parts are libmp values, as every libmp
+    and kernel result is.  Steps whose result is known are not computed:
+    the first step ``0 * x + c`` is the rounding of c, and when the
+    leading coefficient is exactly one, as it is for a monic polynomial,
+    the next product ``1 * x`` is x with each part rounded, the four
+    exact products of ``_cmul`` being x's parts and zeros.  Every other
+    step is ``_cmul`` then ``_cadd``, their ``_sum`` calls written out in
+    one place; a step with an inf or nan part in acc, x or c runs the
+    kernels, which hand it to libmp.
     """
-    re, im = coeffs[-1]
-    acc = (_pos(re, prec), _pos(im, prec))
-    for c in reversed(coeffs[:-1]):
-        acc = _cadd(_cmul(acc, x, prec), c, prec)
+    (xsg, xm, xe, _), (ysg, ym, ye, _) = x
+    finite = (xm or not xe) and (ym or not ye)
+    if finite and len(coeffs) > 1 and coeffs[-1] == _CONE:
+        acc = _cadd((_pos(x[0], prec), _pos(x[1], prec)), coeffs[-2], prec)
+        rest = coeffs[-3::-1]
+    else:
+        re, im = coeffs[-1]
+        acc = (_pos(re, prec), _pos(im, prec))
+        rest = coeffs[-2::-1]
+    for c in rest:
+        (asg, am, ae, _), (bsg, bm, be, _) = acc
+        (csg, cm, ce, _), (dsg, dm, de, _) = c
+        if not (finite and (am or not ae) and (bm or not be)
+                and (cm or not ce) and (dm or not de)):
+            acc = _cadd(_cmul(acc, x, prec), c, prec)
+            continue
+        psg, pm, pe, _ = _sum(asg ^ xsg, am * xm, ae + xe, 1 ^ bsg ^ ysg,
+                              bm * ym, be + ye, prec)
+        qsg, qm, qe, _ = _sum(asg ^ ysg, am * ym, ae + ye, bsg ^ xsg,
+                              bm * xm, be + xe, prec)
+        acc = (_sum(psg, pm, pe, csg, cm, ce, prec),
+               _sum(qsg, qm, qe, dsg, dm, de, prec))
     return acc
 
 
@@ -677,7 +723,6 @@ def _aberth(coeffs, work_bits, max_iters=400):
         monic = [c._mpc_ for c in monic]
         dmonic = [c._mpc_ for c in dmonic]
         z = [w._mpc_ for w in z]
-        one = (fone, fzero)
         for _ in range(max_iters):
             settled = True
             for k in range(n):
@@ -703,7 +748,7 @@ def _aberth(coeffs, work_bits, max_iters=400):
                         s = inv if s is None else _cadd(s, inv, wb)
                 if s is None:
                     s = _CZERO
-                denom = _csub(one, _cmul(newt, s, wb), wb)
+                denom = _csub(_CONE, _cmul(newt, s, wb), wb)
                 if denom == _CZERO:
                     step = newt
                 else:

@@ -310,7 +310,7 @@ def reference_rational_inverse(rows):
 def reference_complex_inverse(rows, precision_bits, tol):
     n = len(rows)
     bits = linalg._matrix_bits(rows, precision_bits) + GUARD_BITS
-    m = linalg._unwrap(rows, bits)
+    m = reference_unwrap(rows, bits)
     with workprec(bits):
         scale = max((abs(x) for row in m for x in row), default=mpf(0))
         thresh = tol * scale if scale > 0 else tol
@@ -443,3 +443,173 @@ def reference_first_kernel(f, precision_bits=DEFAULT_PRECISION_BITS):
     rows = [list(r) for r in catalecticant(f, 1).entries]
     return linalg.kernel_basis(linalg.transpose(rows), precision_bits,
                                tolerance(precision_bits))
+
+
+# ---------------------------------------------------------------------------
+# The approximate complex elimination as it was before the raw-tuple
+# kernels: every entry an mpmath `mpc` under `workprec`, with the mpc
+# operators' arithmetic.  Kept as references for `linalg.complex_echelon`,
+# `complex_det`, `complex_kernel`, `complex_solve_lstsq` and the
+# approximate branch of `apolarity._subspace_lift`, which must agree with
+# them bit for bit.
+
+
+def reference_unwrap(rows, bits):
+    with workprec(bits):
+        out = []
+        for row in rows:
+            wrow = []
+            for x in row:
+                if isinstance(x, AppComplex):
+                    wrow.append(x.to_mpc())
+                elif isinstance(x, Fraction):
+                    wrow.append(mpc(mpf(x.numerator) / mpf(x.denominator)))
+                else:
+                    wrow.append(mpc(x))
+            out.append(wrow)
+        return out
+
+
+def reference_complex_echelon(rows, precision_bits, tol):
+    """(echelon mpc rows, pivot_cols, scale as mpf, sign)."""
+    bits = linalg._matrix_bits(rows, precision_bits) + GUARD_BITS
+    m = reference_unwrap(rows, bits)
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    with workprec(bits):
+        scale = mpf(0)
+        for row in m:
+            for x in row:
+                if abs(x) > scale:
+                    scale = abs(x)
+        thresh = tol * scale if scale > 0 else tol
+        piv_cols = []
+        sign = 1
+        r = 0
+        for c in range(ncols):
+            best, best_abs = None, thresh
+            for i in range(r, nrows):
+                a = abs(m[i][c])
+                if a > best_abs:
+                    best, best_abs = i, a
+            if best is None:
+                continue
+            if best != r:
+                m[r], m[best] = m[best], m[r]
+                sign = -sign
+            for i in range(r + 1, nrows):
+                if m[i][c] == 0:
+                    continue
+                f = m[i][c] / m[r][c]
+                m[i][c] = mpc(0)
+                for j in range(c + 1, ncols):
+                    m[i][j] -= f * m[r][j]
+            piv_cols.append(c)
+            r += 1
+            if r == nrows:
+                break
+        return m[:r], piv_cols, scale, sign
+
+
+def reference_complex_det(rows, precision_bits):
+    n = len(rows)
+    ech, piv, _, sign = reference_complex_echelon(rows, precision_bits, 0)
+    if len(piv) < n:
+        return AppComplex(0, 0, precision_bits)
+    with workprec(linalg._matrix_bits(rows, precision_bits) + GUARD_BITS):
+        det = sign
+        for i, row in enumerate(ech):
+            det = det * row[i]
+    return AppComplex.from_mpc(det, precision_bits)
+
+
+def reference_complex_kernel(rows, precision_bits, tol):
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    bits = linalg._matrix_bits(rows, precision_bits)
+    ech, piv, _, _ = reference_complex_echelon(rows, precision_bits, tol)
+    piv_set = set(piv)
+    free = [c for c in range(ncols) if c not in piv_set]
+    basis = []
+    with workprec(bits + GUARD_BITS):
+        for fc in free:
+            v = [mpc(0)] * ncols
+            v[fc] = mpc(1)
+            for i in range(len(piv) - 1, -1, -1):
+                pc = piv[i]
+                s = mpc(0)
+                for j in range(pc + 1, ncols):
+                    s += ech[i][j] * v[j]
+                v[pc] = -s / ech[i][pc]
+            basis.append([AppComplex.from_mpc(x, bits) for x in v])
+    return basis
+
+
+def reference_complex_solve_lstsq(rows, rhs, precision_bits):
+    """(x as AppComplex list, residual_max as mpf) by the normal equations."""
+    bits = linalg._matrix_bits(rows, precision_bits) + GUARD_BITS
+    a = reference_unwrap(rows, bits)
+    b = reference_unwrap([[x] for x in rhs], bits)
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    with workprec(bits):
+        ata = [[mpc(0)] * ncols for _ in range(ncols)]
+        atb = [mpc(0)] * ncols
+        for i in range(ncols):
+            for j in range(ncols):
+                s = mpc(0)
+                for k in range(nrows):
+                    s += a[k][i].conjugate() * a[k][j]
+                ata[i][j] = s
+            s = mpc(0)
+            for k in range(nrows):
+                s += a[k][i].conjugate() * b[k][0]
+            atb[i] = s
+        aug = [ata[i] + [atb[i]] for i in range(ncols)]
+        for c in range(ncols):
+            best, best_abs = c, abs(aug[c][c])
+            for i in range(c + 1, ncols):
+                if abs(aug[i][c]) > best_abs:
+                    best, best_abs = i, abs(aug[i][c])
+            if best_abs == 0:
+                aug[c][c] = mpc(1)
+                aug[c][ncols] = mpc(0)
+                for i in range(ncols):
+                    if i != c:
+                        aug[i][c] = mpc(0)
+                continue
+            aug[c], aug[best] = aug[best], aug[c]
+            for i in range(ncols):
+                if i != c and aug[i][c] != 0:
+                    f = aug[i][c] / aug[c][c]
+                    for j in range(c, ncols + 1):
+                        aug[i][j] -= f * aug[c][j]
+        x = [aug[i][ncols] / aug[i][i] for i in range(ncols)]
+        resid = mpf(0)
+        for k in range(nrows):
+            s = mpc(0)
+            for j in range(ncols):
+                s += a[k][j] * x[j]
+            r = abs(s - b[k][0])
+            if r > resid:
+                resid = r
+        return [AppComplex.from_mpc(v, bits - GUARD_BITS) for v in x], resid
+
+
+def reference_subspace_lift(n, columns, precision_bits):
+    """(keep, A) of `apolarity._subspace_lift` for approximate columns."""
+    last = [max((i for i, c in enumerate(col) if not scalar_is_zero(c)),
+                default=None) for col in columns]
+    keep = [i for i in range(n) if i not in last]
+    bits = linalg._matrix_bits(columns, precision_bits) + GUARD_BITS
+    one, cols = mpc(1), reference_unwrap(columns, bits)
+    A = [[one * 0] * len(keep) for _ in range(n)]
+    with workprec(bits):
+        for k, i in enumerate(keep):
+            A[i][k] = one
+        for col, p in zip(cols, last):
+            inv = 1 / col[p]
+            A[p] = [-(col[i] * inv) for i in keep]
+    return keep, [[AppComplex.from_mpc(x, bits - GUARD_BITS) for x in row]
+                  for row in A]

@@ -64,6 +64,16 @@ class TestDecomposeCommand:
         _, out2, _ = run_capture(capsys, argv)
         assert out1 == out2
 
+    def test_five_variable_monomial_at_64_bits(self, capsys):
+        # the inductive lift leaves terms with a tiny coefficient on a large
+        # linear form; dropping them by |c| alone broke the reconstruction
+        # (exit 4, "reconstruction drifted beyond tolerance")
+        code, out, err = run_capture(capsys, [
+            "decompose", "-n", "5", "x0*x1*x2*x3*x4", "--precision", "64",
+            "--format", "structured"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verified"] is True
+
     def test_form_file(self, tmp_path, capsys):
         path = tmp_path / "form.txt"
         path.write_text("x0^2 + x1^2\n")

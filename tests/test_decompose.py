@@ -20,8 +20,9 @@ from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         essential_variables, fit_coefficients, is_forbidden,
                         linear_power, parse_form, recursion_bound)
 from openwaring import linalg
-from openwaring.decompose import (_hyperplane_change, _map_terms_back,
-                                  _merge_proportional, _power_of_two_near,
+from openwaring.decompose import (_coords_scale, _hyperplane_change,
+                                  _map_terms_back, _merge_proportional,
+                                  _power_of_two_near, _proportional_linear,
                                   _restrict_forbidden)
 from openwaring.numerics import is_exact_scalar, max_abs_of, scalar_is_zero, tolerance
 from openwaring.poly import monomials_of_degree
@@ -669,11 +670,13 @@ def ref_merge_proportional(terms, d, precision_bits):
         merged[hit] = (c0 + c * lam ** d, l0)
     out = []
     drop = mpf(2) ** (-(precision_bits * 3) // 4)
-    scale = max([mpf(1)] + [mpf(1) * max_abs_of([c]) for c, _ in merged])
-    for c, l in merged:
+    sizes = [mpf(1) * max_abs_of([c]) * max_abs_of(l.coords) ** d
+             for c, l in merged]
+    scale = max([mpf(1)] + sizes)
+    for (c, l), size in zip(merged, sizes):
         if is_exact_scalar(c) and c == 0:
             continue
-        if not is_exact_scalar(c) and scalar_is_zero(c, drop * scale):
+        if not is_exact_scalar(c) and size <= drop * scale:
             continue
         out.append((c, l))
     return out
@@ -732,6 +735,50 @@ class TestMergeProportional:
             sizes.append((len(terms), len(got)))
         # the lists do merge and drop terms
         assert any(after < before for before, after in sizes)
+
+    def test_tiny_coefficient_on_a_large_form_is_kept(self):
+        # |c| = 2^-100 lies below 2^-96 = 2^(-3 bits / 4), but with
+        # max|l| = 2^21 the term is 2^5 in size, the largest of the two
+        bits, d = 128, 5
+        tiny = (AppComplex(Fraction(1, 2 ** 100), 0, bits),
+                LinearForm([Fraction(2 ** 21), Fraction(1), Fraction(-3)]))
+        unit = (AppComplex(1, 0, bits),
+                LinearForm([Fraction(1), Fraction(0), Fraction(0)]))
+        got = _merge_proportional([tiny, unit], d, bits)
+        assert raw_terms(got) == raw_terms([tiny, unit])
+
+    def test_cancelled_pair_is_still_dropped(self):
+        bits, d = 128, 5
+        l0 = LinearForm([AppComplex(1, 0, bits), AppComplex(2, 1, bits),
+                         AppComplex(0, 0, bits)])
+        lam = AppComplex(Fraction(2, 3), Fraction(1, 7), bits)
+        c0 = AppComplex(Fraction(1, 3), 0, bits)
+        big = (AppComplex(1, 0, bits), LinearForm([Fraction(0), Fraction(0),
+                                                   Fraction(9)]))
+        pair = [(c0, l0), (-c0 / lam ** d, LinearForm([lam * x for x in l0.coords]))]
+        got = _merge_proportional(pair + [big], d, bits)
+        assert raw_terms(got) == raw_terms([big])
+        # an exact pair cancels to exactly zero
+        exact = [(Fraction(2), LinearForm([Fraction(1), Fraction(1), Fraction(0)])),
+                 (Fraction(-2, 32), LinearForm([Fraction(2), Fraction(2), Fraction(0)]))]
+        assert _merge_proportional(exact + [big], d, bits) == [big]
+
+    def test_small_forms_that_are_not_proportional(self):
+        # the scales are max(1, max|coord|), so at coordinates of 2^-30 the
+        # tolerance 2^-128 is absolute and still far below the cross
+        # products of 2^-56
+        bits = 256
+        s = Fraction(1, 2 ** 30)
+        a = LinearForm([AppComplex(3 * s, 0, bits), AppComplex(5 * s, 0, bits),
+                        AppComplex(0, 0, bits)])
+        b = LinearForm([AppComplex(5 * s, 0, bits), AppComplex(3 * s, 0, bits),
+                        AppComplex(s, 0, bits)])
+        scale = _coords_scale
+        assert not _proportional_linear(a, b, bits, scale(a), scale(b))
+        assert not _proportional_linear(b, a, bits, scale(b), scale(a))
+        twice = LinearForm([x * AppComplex(2, 0, bits) for x in a.coords])
+        assert _proportional_linear(a, twice, bits, scale(a), scale(twice))
+        assert not ref_proportional_linear(a, b, bits)
 
 
 class TestMapTermsBack:

@@ -240,3 +240,29 @@ def test_one_copy_of_each_job():
                     and n.name == "_restrict_forbidden")
     params = restrict.args.args + restrict.args.kwonlyargs
     assert "hard" not in {a.arg for a in params}
+
+
+#: what an elimination on mpc objects names: the objects, the context that
+#: sets their precision, the converter that built them, and libmp's
+#: complex arithmetic
+MPC_ELIMINATION = {"mpc", "workprec", "_unwrap"} | LIBMP_ARITHMETIC
+
+#: the complex eliminations, which run on KERNELS
+COMPLEX_ELIMINATION = {("linalg", "_raw_matrix"), ("linalg", "complex_echelon"),
+                       ("linalg", "complex_rank"), ("linalg", "complex_det"),
+                       ("linalg", "complex_kernel"),
+                       ("linalg", "complex_solve_lstsq"),
+                       ("apolarity", "_subspace_lift")}
+
+
+def test_complex_elimination_runs_on_the_kernels():
+    # the entries stay raw libmp tuples from conversion to the rounding of
+    # the result, so no mpc object or workprec context enters the loops
+    parsed = _parsed()
+    functions = {(m, n.name): n for m in ("linalg", "apolarity")
+                 for n in parsed[m].body if isinstance(n, ast.FunctionDef)}
+    assert COMPLEX_ELIMINATION <= set(functions)
+    assert {key: names for key in sorted(COMPLEX_ELIMINATION)
+            if (names := _names_in(functions[key]) & MPC_ELIMINATION)} == {}
+    assert _names_in(parsed["linalg"]) & MPC_ELIMINATION == set()
+    assert "_unwrap" not in {n for tree in parsed.values() for n in _defined(tree)}

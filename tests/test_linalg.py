@@ -7,15 +7,22 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf, workprec
+from mpmath.libmp import from_man_exp
 
 from openwaring import InvalidInputError, linalg
-from openwaring.linalg import (_unwrap, complex_det, complex_echelon, dot,
-                               mat_vec, matrix_rank, rational_det,
-                               rational_kernel, rational_rank, rational_solve)
-from openwaring.numerics import GUARD_BITS, AppComplex, tolerance
-from conftest import reference_reduce
+from openwaring.apolarity import _subspace_lift
+from openwaring.linalg import (complex_det, complex_echelon, complex_kernel,
+                               complex_solve_lstsq, dot, mat_vec, matrix_rank,
+                               rational_det, rational_kernel, rational_rank,
+                               rational_solve)
+from openwaring.numerics import (GUARD_BITS, AppComplex, _make_mpf,
+                                 scalar_is_zero, tolerance)
+from conftest import (reference_complex_det, reference_complex_echelon,
+                      reference_complex_kernel, reference_complex_solve_lstsq,
+                      reference_reduce, reference_subspace_lift,
+                      reference_unwrap)
 
 # ---------------------------------------------------------------------------
 # The elimination routines as they were before the fraction-free
@@ -113,9 +120,9 @@ def reference_det(rows):
     return det
 
 
-def reference_complex_det(rows, precision_bits):
+def reference_resultant_det(rows, precision_bits):
     bits = precision_bits + GUARD_BITS
-    m = _unwrap(rows, bits)
+    m = reference_unwrap(rows, bits)
     n = len(m)
     with workprec(bits):
         det = 1
@@ -307,6 +314,9 @@ class TestRational:
                                match="right-hand side length must match"):
                 rational_solve(rows, rhs)
         assert rational_solve([], []) is None
+        with pytest.raises(InvalidInputError,
+                           match="right-hand side length must match"):
+            complex_solve_lstsq([[AppComplex(1, 0, 64)], [2]], [1], 64)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +360,7 @@ class TestComplexDet:
         rows = complex_cases(bits)[case]
         det = complex_det(rows, bits)
         assert type(det) is AppComplex
-        assert raw(det) == raw(reference_complex_det(rows, bits))
+        assert raw(det) == raw(reference_resultant_det(rows, bits))
 
     def test_swaps_are_counted(self):
         rows = complex_cases(256)["swaps"]
@@ -369,3 +379,157 @@ def test_dot_and_mat_vec():
     assert dot([1, 2], [Fraction(1, 2), 3]) == Fraction(13, 2)
     assert mat_vec([[1, 0], [2, 3]], [Fraction(1, 3), 1]) == [
         Fraction(1, 3), Fraction(11, 3)]
+
+
+# ---------------------------------------------------------------------------
+# the approximate elimination on raw tuples against the mpc-object routines
+# it replaced (tests/conftest.py), bit for bit: echelon rows, pivots, scale
+# and sign, the determinant, the kernel, the least-squares solution and its
+# residual, and the lift of `_subspace_lift`
+
+
+@st.composite
+def approx_entries(draw, precisions):
+    """Zero, an int or Fraction of up to 40 digits, or an AppComplex at one
+    of ``precisions`` whose parts carry up to 40 bits more than it keeps."""
+    kind = draw(st.sampled_from(("zero", "int", "fraction", "app", "app")))
+    if kind == "zero":
+        return draw(st.sampled_from((0, Fraction(0),
+                                     AppComplex(0, 0, precisions[0]))))
+    if kind == "int":
+        return draw(st.integers(-10**40, 10**40))
+    if kind == "fraction":
+        return Fraction(draw(st.integers(-10**40, 10**40)),
+                        draw(st.integers(1, 10**40)))
+    prec = draw(st.sampled_from(precisions))
+    parts = []
+    for _ in range(2):
+        if draw(st.integers(0, 4)) == 0:
+            parts.append(0)
+            continue
+        man = draw(st.integers(1, 2 ** (prec + 40)))
+        exp = draw(st.integers(-60, 20)) - man.bit_length()
+        parts.append(_make_mpf(from_man_exp(-man if draw(st.booleans())
+                                            else man, exp)))
+    return AppComplex(parts[0], parts[1], prec)
+
+
+@st.composite
+def approx_matrices(draw):
+    """(bits, rows, rhs): tall, wide or square, up to 6 x 6, at 64-1024
+    bits, with entries of mixed kinds and precisions; dense, with zero
+    columns, of low rank (repeated and scaled columns), or nearly so."""
+    bits = draw(st.integers(64, 1024))
+    precisions = [bits] + draw(st.lists(st.integers(64, 1100), max_size=2))
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = approx_entries(precisions)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    kind = draw(st.sampled_from(("dense", "zero columns", "low rank",
+                                 "nearly low rank")))
+    if kind == "zero columns":
+        for j in draw(st.sets(st.integers(0, ncols - 1), min_size=1, max_size=2)):
+            for row in rows:
+                row[j] = 0
+    elif kind != "dense" and ncols > 1:
+        # repeated and scaled columns, or ones nudged 2^-(bits/3) apart,
+        # whose normal matrix is ill-conditioned
+        src = draw(st.integers(0, ncols - 1))
+        nudge = AppComplex(Fraction(1, 2 ** (bits // 3)), 0, bits)
+        for j in draw(st.sets(st.integers(0, ncols - 1), min_size=1, max_size=3)):
+            factor = draw(st.sampled_from((1, -1, -2, Fraction(1, 3))))
+            for i, row in enumerate(rows):
+                row[j] = row[src] * factor
+                if kind == "nearly low rank" and (i + j) % 2:
+                    row[j] = row[j] + nudge
+    rhs = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    return bits, rows, rhs
+
+
+def raw_app(values):
+    return [raw(z) for z in values]
+
+
+def assert_same_echelon(rows, bits, tol):
+    ech, piv, scale, sign = complex_echelon(rows, bits, tol)
+    ref_ech, ref_piv, ref_scale, ref_sign = reference_complex_echelon(
+        rows, bits, tol)
+    assert ech == [[z._mpc_ for z in row] for row in ref_ech]
+    assert (piv, scale, sign) == (ref_piv, ref_scale._mpf_, ref_sign)
+
+
+# a zero column gives the normal matrix an exactly zero row and column, so
+# the least-squares elimination meets a zero pivot (``best_abs == 0``)
+ZERO_COLUMN = (128, [[app(1, 2, 128), 0, 3], [app(Fraction(1, 3), 0, 128), 0, -1],
+                     [2, 0, app(0, 1, 128)]],
+               [1, app(0, 1, 128), Fraction(2, 7)])
+
+
+class TestComplexElimination:
+    @settings(max_examples=80, deadline=None)
+    @given(approx_matrices())
+    @example(ZERO_COLUMN)
+    def test_matches_the_mpc_routines(self, case):
+        bits, rows, rhs = case
+        for tol in (0, tolerance(bits), mpf(2) ** -40):
+            assert_same_echelon(rows, bits, tol)
+        kernel = complex_kernel(rows, bits, tolerance(bits))
+        assert [raw_app(v) for v in kernel] == [
+            raw_app(v) for v in reference_complex_kernel(rows, bits,
+                                                         tolerance(bits))]
+        k = min(len(rows), len(rows[0]))
+        square = [row[:k] for row in rows[:k]]
+        assert raw(complex_det(square, bits)) == raw(
+            reference_complex_det(square, bits))
+        x, resid = complex_solve_lstsq(rows, rhs, bits)
+        ref_x, ref_resid = reference_complex_solve_lstsq(rows, rhs, bits)
+        assert raw_app(x) == raw_app(ref_x)
+        assert type(resid) is mpf and resid._mpf_ == ref_resid._mpf_
+        if kernel:
+            n = len(rows[0])
+            keep, A = _subspace_lift(n, kernel, bits)
+            ref_keep, ref_A = reference_subspace_lift(n, kernel, bits)
+            assert keep == ref_keep
+            assert [raw_app(row) for row in A] == [raw_app(row) for row in ref_A]
+
+    @settings(max_examples=40, deadline=None)
+    @given(approx_matrices(), st.data())
+    def test_one_column_lift_matches(self, case, data):
+        # a single hyperplane vector, its last coordinate approximate
+        bits, rows, _ = case
+        last = data.draw(approx_entries([bits, 1100]).filter(
+            lambda x: isinstance(x, AppComplex) and not scalar_is_zero(x)))
+        col = rows[0] + [last]
+        keep, A = _subspace_lift(len(col), [col], bits)
+        ref_keep, ref_A = reference_subspace_lift(len(col), [col], bits)
+        assert keep == ref_keep
+        assert [raw_app(row) for row in A] == [raw_app(row) for row in ref_A]
+
+    def test_ill_conditioned_systems_with_entries_beyond_the_working_bits(self):
+        # columns 2^-(bits/3) apart square to a normal matrix so
+        # ill-conditioned that a rounding changed anywhere in the working
+        # precision shows in the solution; the 1100-bit entries lie far
+        # beyond it, so they test that conversion keeps them unrounded and
+        # that ``conjugate`` rounds only the imaginary part
+        rng = random.Random(17)
+
+        def wide():
+            return AppComplex(*(_make_mpf(from_man_exp(rng.getrandbits(1150) | 1,
+                                                       -1150 + rng.randint(-9, 9)))
+                                for _ in range(2)), 1100)
+
+        for _ in range(30):
+            bits = rng.choice((64, 100, 256, 700))
+            e = AppComplex(Fraction(1, 2 ** (bits // 3)), 0, bits)
+            h, g = wide(), wide()
+            rows = [[h, h + e, 2], [g, g, app(1, -1, bits)], [1, 1 - e, e]]
+            rhs = [wide(), 1, Fraction(2, 3)]
+            x, resid = complex_solve_lstsq(rows, rhs, bits)
+            ref_x, ref_resid = reference_complex_solve_lstsq(rows, rhs, bits)
+            assert raw_app(x) == raw_app(ref_x) and resid == ref_resid
+            assert_same_echelon(rows, bits, tolerance(bits))
+            assert raw(complex_det(rows, bits)) == raw(
+                reference_complex_det(rows, bits))
+            square = [row[:2] for row in rows[:2]]
+            assert raw(complex_det(square, bits)) == raw(
+                reference_complex_det(square, bits))

@@ -15,8 +15,9 @@ from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
 from openwaring import ConsistencyError, InvalidInputError, numerics
 from openwaring.numerics import (GUARD_BITS, AppComplex, UniPoly, _aberth,
                                  _cadd, _cdiv, _cinv, _clearly_moved, _cmul,
-                                 _coeffs_to_mpc, _csub, _newton_polish, _pos,
-                                 _raw_mpf, is_squarefree,
+                                 _coeffs_to_mpc, _csub, _horner, _make_mpc,
+                                 _newton_polish, _pos, _quo, _raw_mpf,
+                                 is_squarefree,
                                  squarefree_decomposition, squarefree_part,
                                  univariate_roots)
 
@@ -293,6 +294,68 @@ class TestKernelEquivalence:
             bits = rng.choice(PRECISIONS)
             assert raw(AppComplex.from_mpc(z, bits)) == ref_round(z, bits)
             assert AppComplex.from_mpc(z, bits).to_mpc()._mpc_ == ref_round(z, bits)[:2]
+
+    def test_horner_matches_the_libmp_loop(self):
+        # monic and other leading coefficients, x with more bits than prec,
+        # exactly zero parts, and inf and nan parts, which the fused steps
+        # hand to the kernels and so to libmp
+        # 1 * x + c takes x rounded at prec, as mpc_mul rounds the product
+        x = ((0, 2 ** 100 + 2 ** 36 + 1, -100, 101), (1, 3, -1, 2))
+        for coeffs in ([(fzero, fzero), (fone, fzero)],
+                       [((0, 1, -200, 1), fzero), (fone, fzero)], [(fone, fzero)]):
+            assert _horner(coeffs, x, 64) == ref_horner(coeffs, x, 64)
+        rng = random.Random(16)
+        specials = (finf, fninf, fnan)
+        for i in range(400):
+            prec = rng.choice(PRECISIONS) + rng.choice((0, GUARD_BITS))
+            coeffs = [raw_pair(random_app(rng, prec))
+                      for _ in range(rng.randint(0, 8))]
+            coeffs.append(rng.choice(((fone, fzero), (fone, fzero),
+                                      raw_pair(random_app(rng, prec)))))
+            x = raw_pair(random_app(rng, rng.choice((prec, 2 * prec + 7))))
+            if i % 4 == 1:
+                x = rng.choice(((x[0], fzero), (fzero, x[1]), (fzero, fzero)))
+            if i % 8 == 3:
+                where = rng.randrange(2 * len(coeffs) + 2)
+                parts = [list(c) for c in coeffs] + [list(x)]
+                parts[where // 2][where % 2] = rng.choice(specials)
+                coeffs = [tuple(c) for c in parts[:-1]]
+                x = tuple(parts[-1])
+            assert _horner(coeffs, x, prec) == ref_horner(coeffs, x, prec), i
+
+    def test_zero_divisors_still_raise(self):
+        # also for a zero dividend, which needs no quotient bits
+        for bits in PRECISIONS:
+            for z in (((0, 3, -1, 2), (1, 5, 2, 3)), (fzero, fzero)):
+                with pytest.raises(ZeroDivisionError):
+                    _cdiv(z, (fzero, fzero), bits)
+                with pytest.raises(ZeroDivisionError):
+                    mpc_div(z, (fzero, fzero), bits, round_nearest)
+            with pytest.raises(ZeroDivisionError):
+                _cinv((fzero, fzero), bits)
+            for man in (3, 0):
+                with pytest.raises(ZeroDivisionError):
+                    _quo(0, man, 0, 0, 0, 0, bits)
+            for x in (AppComplex(1, 2, bits), AppComplex(0, 0, bits), 0):
+                with pytest.raises(ZeroDivisionError):
+                    x / AppComplex(0, 0, bits)
+                if isinstance(x, AppComplex):
+                    with pytest.raises(ZeroDivisionError):
+                        x / 0
+
+
+def raw_pair(z):
+    return (z.real._mpf_, z.imag._mpf_)
+
+
+def ref_horner(coeffs, x, prec):
+    """p(x) by the mpc operators, from the rounded leading coefficient."""
+    with workprec(prec):
+        xv = _make_mpc(x)
+        acc = +_make_mpc(coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            acc = acc * xv + _make_mpc(c)
+        return acc._mpc_
 
 
 # ---------------------------------------------------------------------------
