@@ -22,15 +22,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from mpmath import mpf, nstr, workprec
+from mpmath import mpf, nstr
+from mpmath.libmp import fone, mpf_gt, mpf_shift
 
 from . import linalg
 from .errors import (ConsistencyError, DegenerateSystemError,
                      InvalidInputError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
-                       UniPoly, _CONE, _CZERO, _cinv, _cmul, is_exact_scalar,
-                       max_abs_of, scalar_is_zero, squarefree_part, tolerance,
-                       univariate_roots)
+                       UniPoly, _CONE, _CZERO, _abs_exceeds, _abs_gt, _abs_le,
+                       _abs_max_candidates, _cinv, _cmul, _csub,
+                       is_exact_scalar, max_abs_of, scalar_is_zero,
+                       squarefree_part, tolerance, univariate_roots)
 from .poly import (DualOp, Form, LinearForm, change_coordinates, evaluate,
                    linear_power, monomials_of_degree)
 
@@ -67,9 +69,9 @@ class ProjPoint:
     def __init__(self, coords, precision_bits=DEFAULT_PRECISION_BITS):
         vals = [c if isinstance(c, AppComplex) else AppComplex(c, 0, precision_bits)
                 for c in coords]
-        if all(abs(v) == 0 for v in vals):
+        if all((v.real._mpf_, v.imag._mpf_) == _CZERO for v in vals):
             raise InvalidInputError("projective point cannot be all zero")
-        best = max(range(len(vals)), key=lambda i: abs(vals[i]))
+        best = max(_abs_max_candidates(vals), key=lambda i: abs(vals[i]))
         pivot = vals[best]
         object.__setattr__(self, "coords",
                            tuple(v / pivot for v in vals))
@@ -333,14 +335,32 @@ def _op_vanishes_at(op: DualOp, point: ProjPoint, precision_bits) -> bool:
     return scalar_is_zero(val, tol) if not is_exact_scalar(val) else val == 0
 
 
+def _raw(z):
+    """An AppComplex's parts as a raw libmp pair."""
+    return z.real._mpf_, z.imag._mpf_
+
+
 def _dedupe_points(points, precision_bits):
-    with workprec(precision_bits + GUARD_BITS):
-        sep = mpf(2) ** (-(precision_bits // 4))
-        out = []
-        for p in points:
-            if all(p.distance(q) > sep for q in out):
-                out.append(p)
+    """The points in order, leaving out each one whose ``ProjPoint.distance``
+    to a point already kept is at most 2^-(bits/4)."""
+    sep = mpf_shift(fone, -(precision_bits // 4))
+    out = []
+    for p in points:
+        if all(_apart(p, q, sep) for q in out):
+            out.append(p)
     return out
+
+
+def _apart(p, q, sep):
+    """``p.distance(q) > sep``: whether some coordinate difference exceeds
+    sep, when the exponents decide each one; else the distance itself (a
+    nan difference makes that max depend on the order of the coordinates,
+    which ``any`` would not see)."""
+    diffs = [a - b for a, b in zip(p.coords, q.coords)]
+    above = [_abs_exceeds(_raw(d), sep) for d in diffs]
+    if None in above:
+        return mpf_gt(max(abs(d) for d in diffs)._mpf_, sep)
+    return True in above
 
 
 def _sorted_points(points):
@@ -447,7 +467,22 @@ def _dual_as_unipoly_coeffs(op: DualOp):
 
 def _sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
     """Resultant in l2 of two polynomials with UniPoly-in-t coefficients,
-    computed as a Sylvester determinant by evaluation/interpolation."""
+    lowest power of l2 first, as ``_dual_as_unipoly_coeffs`` writes them.
+
+    Two exact conics a2 l2^2 + a1 l2 + a0 and b2 l2^2 + b1 l2 + b0 take the
+    closed form (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1), the
+    determinant of their 4x4 Sylvester matrix, in UniPoly arithmetic.  Any
+    other pair takes that determinant at ep*eq + 1 integer nodes t (exact,
+    or by ``linalg.complex_det``) and interpolates; with the coefficient of
+    l2^k of degree at most e - k in t, as for a ternary form of degree e,
+    the resultant has degree at most ep*eq, so both ways give the same
+    polynomial on exact conics, Fraction for Fraction."""
+    exact = all(c.is_exact() for c in p_coeffs + q_coeffs)
+    if exact and len(p_coeffs) == 3 and len(q_coeffs) == 3:
+        a0, a1, a2 = p_coeffs
+        b0, b1, b2 = q_coeffs
+        c20 = a2 * b0 - a0 * b2
+        return c20 * c20 - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)
     ep = len(p_coeffs) - 1
     eq = len(q_coeffs) - 1
     size = ep + eq
@@ -463,7 +498,6 @@ def _sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
     deg_bound = ep * eq
     nodes = [Fraction(k) for k in range(deg_bound + 1)]
     values = []
-    exact = all(c.is_exact() for c in p_coeffs + q_coeffs)
     for t in nodes:
         m = [[c(t) for c in row] for row in rows]
         if exact:
@@ -560,7 +594,10 @@ def _shared_roots(pa: UniPoly, pb: UniPoly, precision_bits):
     """Roots of pa that are roots of pb too, within 2^-(bits/3).
 
     A side of degree < 1 poses no condition, so the other side's roots come
-    back whole; none come back when root finding rejects a side."""
+    back whole; none come back when root finding rejects a side.  Here and
+    in ``_distinct_roots`` a difference is rounded at precision_bits by
+    ``_csub``, as mpc subtraction under workprec(bits) rounds it, and its
+    size is settled by exponents where they decide it."""
     try:
         ra = univariate_roots(pa, precision_bits) if pa.degree >= 1 else None
         rb = univariate_roots(pb, precision_bits) if pb.degree >= 1 else None
@@ -570,20 +607,23 @@ def _shared_roots(pa: UniPoly, pb: UniPoly, precision_bits):
         return rb or []
     if rb is None:
         return ra
-    with workprec(precision_bits):
-        sep = mpf(2) ** (-(precision_bits // 3))
-        return [x for x in ra if any(abs(x.to_mpc() - y.to_mpc()) <= sep for y in rb)]
+    bits = precision_bits
+    sep = mpf_shift(fone, -(bits // 3))
+    return [x for x in ra
+            if any(_abs_le(_csub(_raw(x), _raw(y), bits), sep, bits)
+                   for y in rb)]
 
 
 def _distinct_roots(roots, precision_bits):
     """The roots in order, leaving out each one within 2^-(bits/4) of a
     root already kept."""
-    with workprec(precision_bits):
-        sep = mpf(2) ** (-(precision_bits // 4))
-        uniq = []
-        for r in roots:
-            if all(abs(r.to_mpc() - u.to_mpc()) > sep for u in uniq):
-                uniq.append(r)
+    bits = precision_bits
+    sep = mpf_shift(fone, -(bits // 4))
+    uniq = []
+    for r in roots:
+        if all(_abs_gt(_csub(_raw(r), _raw(u), bits), sep, bits)
+               for u in uniq):
+            uniq.append(r)
     return uniq
 
 

@@ -182,9 +182,10 @@ def fit_coefficients(f: Form, points, precision_bits=DEFAULT_PRECISION_BITS):
 
 
 def _coords_scale(l: LinearForm):
-    """The scale of l in proportionality tests, max(1, max |coord|) as an
-    mpf, as a call that computes it the first time it is made."""
-    return cache(lambda: max(mpf(1), mpf(1) * max_abs_of(l.coords)))
+    """The scale of l in proportionality tests, max |coord| as an mpf, as a
+    call that computes it the first time it is made.  It is not clamped at
+    1, so the test stays relative for forms far below 1."""
+    return cache(lambda: mpf(1) * max_abs_of(l.coords))
 
 
 def _proportional_linear(a: LinearForm, b: LinearForm, precision_bits,
@@ -192,7 +193,9 @@ def _proportional_linear(a: LinearForm, b: LinearForm, precision_bits,
     """Whether every 2x2 cross product of a and b vanishes: exactly when it
     is rational, else within tolerance(bits) * a_scale() * b_scale(), built
     only once a cross product is inexact.  The scales come from
-    _coords_scale."""
+    _coords_scale; a cross product is bilinear, so the tolerance is
+    relative to both forms at every size: a*2^k and b*2^k test as a and b
+    do."""
     tol = None
     n = a.num_vars
     for i in range(n):
@@ -468,6 +471,15 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     terms are the canonical Fractions the dividing update gives, bit for
     bit.  Approximate f keeps H = ``catalecticant(f, 1)`` and the update
     H -= ww^T / c, with tolerances scaled to the live block.
+
+    After each square that leaves a nonzero remainder, a live block of
+    less than full rank means f was not essential.  The update keeps the
+    kernel of the live block and adds v (c != 0), so it lowers the rank by
+    exactly one, and the block annihilates v, which is nonzero at the
+    dropped coordinate, so dropping it keeps the rank.  So on integers the
+    rank of H is taken once, before the first square, and the guard fires
+    at the first check iff H is singular.  Approximate H takes the
+    thresholded rank of each block.
     """
     n = f.num_vars
     exact = f.is_exact()
@@ -477,6 +489,7 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
              for j in range(n)]
     else:
         H = [list(row) for row in catalecticant(f, 1).entries]
+    singular = exact and linalg.rational_rank(H) != n
     live = list(range(n))
     terms = []
     while True:
@@ -546,8 +559,9 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         if _live_is_zero(H, live, tol):
             return terms
         del live[max(k for k, a in enumerate(alpha) if a)]
-        if linalg.matrix_rank([[H[i][j] for j in live] for i in live],
-                              ctx.precision_bits, ctx.tol) != len(live):
+        if (singular if exact else linalg.matrix_rank(
+                [[H[i][j] for j in live] for i in live],
+                ctx.precision_bits, ctx.tol) != len(live)):
             raise ConsistencyError("quadratic remainder has unexpected rank")
         V = Vr
 

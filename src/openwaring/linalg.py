@@ -12,9 +12,11 @@ hold every entry as a raw libmp (real, imag) pair from conversion to the
 rounding of the result and run ``numerics``' raw-tuple kernels in the
 operand order of the mpc operators they replaced, with pivot magnitudes
 from libmp's ``mpc_abs``, so every bit is what mpc arithmetic under
-``workprec`` gave.  There is no matrix inverse: the pipeline restricts
-forms only to subspaces whose lift back is written down from the spanning
-columns (``apolarity._subspace_lift``).
+``workprec`` gave.  A magnitude whose exponents already put it at or
+below the running maximum (``numerics._abs_exceeds``) takes no hypot.
+There is no matrix inverse: the pipeline restricts forms only to
+subspaces whose lift back is written down from the spanning columns
+(``apolarity._subspace_lift``).
 
 Matrices are plain lists of row lists; vectors are lists.
 """
@@ -29,8 +31,8 @@ from mpmath.libmp import (from_int, fzero, mpc_abs, mpf_gt, mpf_mul, mpf_neg,
                           round_nearest as _RND)
 
 from .errors import InvalidInputError
-from .numerics import (AppComplex, GUARD_BITS, _CONE, _CZERO, _cadd, _cdiv,
-                       _cmul, _csub, _make_mpf, _pos, _raw_mpf,
+from .numerics import (AppComplex, GUARD_BITS, _CONE, _CZERO, _abs_exceeds,
+                       _cadd, _cdiv, _cmul, _csub, _make_mpf, _pos, _raw_mpf,
                        is_exact_scalar, values_precision)
 
 
@@ -180,9 +182,10 @@ def complex_echelon(rows, precision_bits, tol):
     scale = fzero
     for row in m:
         for x in row:
-            a = mpc_abs(x, bits, _RND)
-            if mpf_gt(a, scale):
-                scale = a
+            if _abs_exceeds(x, scale) is not False:
+                a = mpc_abs(x, bits, _RND)
+                if mpf_gt(a, scale):
+                    scale = a
     tol = tol._mpf_ if isinstance(tol, mpf) else from_int(tol)
     thresh = mpf_mul(tol, scale, bits, _RND) if mpf_gt(scale, fzero) else tol
     piv_cols = []
@@ -191,9 +194,11 @@ def complex_echelon(rows, precision_bits, tol):
     for c in range(ncols):
         best, best_abs = None, thresh
         for i in range(r, nrows):
-            a = mpc_abs(m[i][c], bits, _RND)
-            if mpf_gt(a, best_abs):
-                best, best_abs = i, a
+            x = m[i][c]
+            if _abs_exceeds(x, best_abs) is not False:
+                a = mpc_abs(x, bits, _RND)
+                if mpf_gt(a, best_abs):
+                    best, best_abs = i, a
         if best is None:
             continue
         if best != r:
@@ -296,9 +301,11 @@ def complex_solve_lstsq(rows, rhs, precision_bits):
     for c in range(ncols):
         best, best_abs = c, mpc_abs(aug[c][c], bits, _RND)
         for i in range(c + 1, ncols):
-            a_ic = mpc_abs(aug[i][c], bits, _RND)
-            if mpf_gt(a_ic, best_abs):
-                best, best_abs = i, a_ic
+            x = aug[i][c]
+            if _abs_exceeds(x, best_abs) is not False:
+                a_ic = mpc_abs(x, bits, _RND)
+                if mpf_gt(a_ic, best_abs):
+                    best, best_abs = i, a_ic
         if best_abs == fzero:
             # rank-deficient normal matrix: set this variable to zero (no
             # later step reads column c of the other rows)
@@ -320,9 +327,11 @@ def complex_solve_lstsq(rows, rhs, precision_bits):
         s = _CZERO
         for akj, xj in zip(row, x):
             s = _cadd(s, _cmul(akj, xj, bits), bits)
-        r = mpc_abs(_csub(s, bk, bits), bits, _RND)
-        if mpf_gt(r, resid):
-            resid = r
+        diff = _csub(s, bk, bits)
+        if _abs_exceeds(diff, resid) is not False:
+            r = mpc_abs(diff, bits, _RND)
+            if mpf_gt(r, resid):
+                resid = r
     return ([AppComplex.from_raw(v, bits - GUARD_BITS) for v in x],
             _make_mpf(resid))
 

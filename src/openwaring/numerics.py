@@ -33,6 +33,21 @@ division, and the same shortcut in addition, which for operands far apart
 perturbs the larger one instead of rounding the exact sum (not always
 correctly rounded).  Only the call layers and libmp's log-based bit counts
 are gone; inf and nan parts go to libmp itself.
+
+Magnitude tests are settled by exponents where they can be.  A finite
+nonzero raw mpf x = man * 2**exp with bc mantissa bits has top(x) = exp +
+bc and lies in [2**(top-1), 2**top); for a pair z with T the largest top
+of its nonzero parts, |z| lies in [2**(T-1), 2**(T+1/2)).  So for t >= 0
+with top tt, |z| > t when T >= tt + 1 and |z| <= t when T <= tt - 2
+(``_abs_exceeds``; zero has top -inf).  Both bounds are powers of two and
+libmp's ``mpc_abs`` rounds monotonically (the square sum rounded down at
+prec + 4, then its square root), so a decided test reads exactly as the
+rounded hypot would; only an undecided one, or one with an inf or nan
+part, takes the hypot.  ``scalar_is_zero``, ``max_abs_of``, the residual
+certificate of ``univariate_roots``, ``linalg``'s scales and pivots and
+``apolarity``'s point and root separations decide this way, and
+``_aberth``'s convergence shortcut (``_clearly_moved``) reads the same
+tops.  ``verify`` takes its residual's magnitudes from libmp on its own.
 """
 
 from __future__ import annotations
@@ -42,8 +57,8 @@ from fractions import Fraction
 from mpmath import mpf, mpc, workprec
 from mpmath.libmp import (fone, fzero, mpc_abs, mpc_add, mpc_div,
                           mpc_mpf_div, mpc_mul, mpc_pow_int, mpc_sub,
-                          mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
-                          mpf_pow_int, round_nearest)
+                          mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul,
+                          mpf_neg, mpf_pow_int, round_nearest)
 
 from .errors import ConsistencyError, InvalidInputError
 
@@ -280,6 +295,71 @@ def _cinv(z, prec):
             _quo(1 ^ bsg, bm, be, mm, me, mbc, prec))
 
 
+#: the top of zero: below every finite top, and -inf - 1 is still -inf
+_ZERO_TOP = float("-inf")
+
+
+def _top(x):
+    """exp + bc of a raw mpf, so that 2**(top-1) <= |x| < 2**top when x is
+    finite and nonzero; -inf for zero, None for inf or nan."""
+    _, man, exp, bc = x
+    if man:
+        return exp + bc
+    return None if exp else _ZERO_TOP
+
+
+def _ctop(z):
+    """The larger ``_top`` of the parts of a raw pair, so that
+    2**(top-1) <= |z| < 2**(top+1/2); -inf for zero, None when a part is
+    inf or nan."""
+    (_, ma, ea, ba), (_, mb, eb, bb) = z
+    if ma:
+        ta = ea + ba
+    elif ea:
+        return None
+    else:
+        ta = _ZERO_TOP
+    if mb:
+        tb = eb + bb
+        return tb if tb > ta else ta
+    return None if eb else ta
+
+
+def _abs_exceeds(z, t):
+    """Whether |z| > t for a raw pair z and a raw mpf t >= 0, from the tops
+    alone: True when top(z) >= top(t) + 1, False when top(z) <= top(t) - 2
+    or z is zero, None when the exponents leave it open or a value is not
+    finite.  A decided answer is ``mpf_gt(mpc_abs(z, prec), t)`` at every
+    prec."""
+    tz = _ctop(z)
+    tt = _top(t)
+    if tz is None or tt is None or t[0]:
+        return None
+    if tz > tt:
+        return True
+    if tz < tt - 1 or tz == _ZERO_TOP:
+        return False
+    return None
+
+
+def _abs_gt(z, t, prec):
+    """``mpf_gt(mpc_abs(z, prec), t)`` for t >= 0, the hypot taken only when
+    ``_abs_exceeds`` leaves it open."""
+    above = _abs_exceeds(z, t)
+    if above is None:
+        return mpf_gt(mpc_abs(z, prec, _RND), t)
+    return above
+
+
+def _abs_le(z, t, prec):
+    """``mpf_le(mpc_abs(z, prec), t)`` for t >= 0, the hypot taken only when
+    ``_abs_exceeds`` leaves it open (inf and nan compare as libmp does)."""
+    above = _abs_exceeds(z, t)
+    if above is None:
+        return mpf_le(mpc_abs(z, prec, _RND), t)
+    return not above
+
+
 class AppComplex:
     """Arbitrary-precision complex scalar with an explicit precision tag.
 
@@ -414,9 +494,15 @@ def is_exact_scalar(x) -> bool:
 
 
 def scalar_is_zero(x, tol=0) -> bool:
-    """Exact zero test for rationals; |x| <= tol for approximate scalars."""
+    """Exact zero test for rationals; |x| <= tol for approximate scalars,
+    decided by exponents (``_abs_exceeds``) for an AppComplex against an
+    mpf tolerance."""
     if is_exact_scalar(x):
         return x == 0
+    if type(x) is AppComplex and type(tol) is mpf:
+        above = _abs_exceeds((x.real._mpf_, x.imag._mpf_), tol._mpf_)
+        if above is not None:
+            return not above
     return abs(x) <= tol
 
 
@@ -424,7 +510,8 @@ def max_abs_of(values):
     """max |v| over mixed rational/approximate scalars.
 
     Returns a Fraction when every value is exact, otherwise an mpf
-    (rationals are rounded to 64 bits; only used for thresholds).
+    (rationals are rounded to 64 bits; only used for thresholds).  Only
+    the ``_abs_max_candidates`` take a hypot.
     """
     exact = []
     approx = []
@@ -432,15 +519,30 @@ def max_abs_of(values):
         if is_exact_scalar(v):
             exact.append(abs(Fraction(v)))
         else:
-            approx.append(abs(v))
+            approx.append(v)
     if not approx:
         return max(exact, default=Fraction(0))
-    m = max(approx)
+    m = max(abs(approx[i]) for i in _abs_max_candidates(approx))
     for e in exact:
         fe = _to_mpf(e, 64)
         if fe > m:
             m = fe
     return m
+
+
+def _abs_max_candidates(values):
+    """The indices, in order, of the nonempty ``values`` whose modulus can
+    be the largest.  When every value is a finite AppComplex these are the
+    ones whose top is at least the largest top minus one: any other is
+    below 2**(top+1) after rounding, which the value of largest top is not
+    below.  Otherwise every index, so that a max over the hypots of the
+    candidates returns what one over all of them does, nan included."""
+    tops = [_ctop((v.real._mpf_, v.imag._mpf_)) if type(v) is AppComplex
+            else None for v in values]
+    if None in tops:
+        return range(len(values))
+    floor = max(tops) - 1
+    return [i for i, t in enumerate(tops) if t >= floor]
 
 
 def values_precision(values, default=DEFAULT_PRECISION_BITS) -> int:
@@ -660,25 +762,18 @@ def _clearly_moved(step, z, work_bits):
     """Whether the exponents alone put |step| / (1 + |z|) above 16 times
     ``_aberth``'s ``stop = 2**(8 - work_bits)``.
 
-    ``top(x) = exp + bc`` bounds a nonzero part by 2**(top-1) <= |x| <
-    2**top, so |step| >= 2**(max top(step) - 1) and 1 + |z| <
+    With ``_ctop``, |step| >= 2**(top(step) - 1) and 1 + |z| <
     2**(max(top(z), 0) + 2), and the quotient exceeds
     2**(top(step) - max(top(z), 0) - 3).  False when step is zero or a
     part is not finite (inf or nan), where these bounds say nothing.
     """
-    (_, ma, ea, ba), (_, mb, eb, bb) = step
-    (_, mc, ec, bc), (_, md, ed, bd) = z
-    if (not ma and ea) or (not mb and eb) or (not mc and ec) or (not md and ed):
+    ts = _ctop(step)
+    tz = _ctop(z)
+    if ts is None or tz is None:
         return False
-    if ma:
-        ts = max(ea + ba, eb + bb) if mb else ea + ba
-    elif mb:
-        ts = eb + bb
-    else:
-        return False
-    # a zero part of z has exp + bc == 0, which max(..., 0) absorbs;
+    # a zero step's top -inf fails the test, a zero z's is absorbed by max;
     # ts - tz - 3 >= (8 - work_bits) + 4 is a margin of 4 bits over stop
-    return ts - max(ec + bc, ed + bd, 0) >= 15 - work_bits
+    return ts - max(tz, 0) >= 15 - work_bits
 
 
 def _aberth(coeffs, work_bits, max_iters=400):
@@ -866,12 +961,14 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
     for r in roots:
         z = (r.real._mpf_, r.imag._mpf_)
         acc = _horner(cs, z, cert)
-        size = mpc_abs(z, cert, _RND)
         # max(mpf(1), |z|) ** deg * tol * scale, as the mpf operators round it
-        size = size if mpf_gt(size, fone) else fone
+        size = fone
+        if _abs_exceeds(z, fone) is not False:
+            size = mpc_abs(z, cert, _RND)
+            size = size if mpf_gt(size, fone) else fone
         bound = mpf_mul(tol_scale, mpf_pow_int(size, p.degree, cert, _RND),
                         cert, _RND)
-        if mpf_gt(mpc_abs(acc, cert, _RND), bound):
+        if _abs_gt(acc, bound, cert):
             raise ConsistencyError(
                 "root residual exceeds the acceptance threshold")
 

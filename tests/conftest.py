@@ -8,13 +8,14 @@ from mpmath import mpc, mpf, workprec
 from openwaring import (ForbiddenSet, Form, LinearForm, VerifyReport,
                         essential_variables, is_forbidden, recursion_bound)
 from openwaring import linalg
-from openwaring.apolarity import catalecticant
+from openwaring.apolarity import _lagrange_interpolate, catalecticant
 from openwaring.decompose import _forced_single_term
 from openwaring.errors import (ConsistencyError, InvalidInputError,
                                RetryBudgetError)
 from openwaring.numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS,
-                                 AppComplex, is_exact_scalar, max_abs_of,
-                                 scalar_is_zero, tolerance, values_precision)
+                                 AppComplex, UniPoly, is_exact_scalar,
+                                 max_abs_of, scalar_is_zero, tolerance,
+                                 values_precision)
 from openwaring.poly import (_substitute, change_coordinates, contract,
                              dual_power, linear_power, monomials_of_degree)
 
@@ -613,3 +614,33 @@ def reference_subspace_lift(n, columns, precision_bits):
             A[p] = [-(col[i] * inv) for i in keep]
     return keep, [[AppComplex.from_mpc(x, bits - GUARD_BITS) for x in row]
                   for row in A]
+
+
+# ---------------------------------------------------------------------------
+# The plane-curve resultant as it was before the conic closed form: the
+# Sylvester determinant at ep*eq + 1 integer nodes, exact or approximate,
+# and Lagrange interpolation.  Kept as a reference for
+# `apolarity._sylvester_resultant`.
+
+
+def reference_sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
+    ep = len(p_coeffs) - 1
+    eq = len(q_coeffs) - 1
+    size = ep + eq
+    rows = []
+    for coeffs, shifts in ((p_coeffs, eq), (q_coeffs, ep)):
+        for shift in range(shifts):
+            row = [UniPoly([])] * size
+            for j, c in enumerate(reversed(coeffs)):
+                row[shift + j] = c
+            rows.append(row)
+    nodes = [Fraction(k) for k in range(ep * eq + 1)]
+    values = []
+    exact = all(c.is_exact() for c in p_coeffs + q_coeffs)
+    for t in nodes:
+        m = [[c(t) for c in row] for row in rows]
+        if exact:
+            values.append(linalg.rational_det(m))
+        else:
+            values.append(linalg.complex_det(m, precision_bits))
+    return _lagrange_interpolate(nodes, values)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from mpmath import mpf, workprec
 
 from openwaring import (AppComplex, ConsistencyError, DegenerateSystemError,
                         DualOp, Form, InvalidInputError, LinearForm,
@@ -13,13 +14,19 @@ from openwaring import (AppComplex, ConsistencyError, DegenerateSystemError,
                         check_decomposition, decompose, essential_variables,
                         linear_power, parse_form, power_witness)
 from openwaring import linalg
+from openwaring.apolarity import (ProjPoint, _coordinate_changes,
+                                  _dedupe_points, _distinct_roots,
+                                  _dual_as_unipoly_coeffs, _shared_roots,
+                                  _sylvester_resultant)
 from openwaring.decompose import _hyperplane_change
 from openwaring.linalg import rational_det, rational_rank
-from openwaring.numerics import DEFAULT_PRECISION_BITS, tolerance
+from openwaring.numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS, UniPoly,
+                                 tolerance)
 from openwaring.poly import monomials_of_degree
 from conftest import (random_form, random_essential_form, random_linear_form,
                       reference_essential_split, reference_first_kernel,
-                      reference_hyperplane_change, reference_rational_inverse)
+                      reference_hyperplane_change, reference_rational_inverse,
+                      reference_sylvester_resultant)
 
 
 def sympy_catalecticant_rank(f, e):
@@ -444,3 +451,183 @@ class TestSubspaceLift:
             else:
                 M, g = essential_split(f, bits)
                 assert g.num_vars == 2 and set(g.coeffs) == {(2, 0), (0, 2)}
+
+
+def random_conic(rng, zero_share):
+    """A ternary dual conic with coefficients in [-4, 4], each left out
+    with probability ``zero_share``; never zero."""
+    while True:
+        coeffs = {expo: Fraction(c) for expo in monomials_of_degree(3, 2)
+                  if (c := rng.randint(-4, 4)) and rng.random() >= zero_share}
+        if coeffs:
+            return DualOp(3, 2, coeffs)
+
+
+class TestConicResultant:
+    """The closed form of `_sylvester_resultant` on exact conics against the
+    Sylvester determinant by interpolation it replaced
+    (`conftest.reference_sylvester_resultant`)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from((0.0, 0.3, 0.6, 0.85)))
+    def test_closed_form_matches_the_interpolated_determinant(self, seed,
+                                                              zero_share):
+        rng = random.Random(seed)
+        D0, D1 = random_conic(rng, zero_share), random_conic(rng, zero_share)
+        for T in _coordinate_changes(3, 6):
+            p = _dual_as_unipoly_coeffs(change_coordinates(D0, T))
+            q = _dual_as_unipoly_coeffs(change_coordinates(D1, T))
+            got = _sylvester_resultant(p, q, DEFAULT_PRECISION_BITS)
+            want = reference_sylvester_resultant(p, q, DEFAULT_PRECISION_BITS)
+            assert got == want
+            assert all(type(c) is Fraction for c in got.coeffs)
+
+    def test_the_closed_form_takes_no_determinant(self, monkeypatch):
+        calls = []
+        for name in ("rational_det", "complex_det"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        rng = random.Random(3)
+        p = _dual_as_unipoly_coeffs(random_conic(rng, 0.2))
+        q = _dual_as_unipoly_coeffs(random_conic(rng, 0.2))
+        _sylvester_resultant(p, q, DEFAULT_PRECISION_BITS)
+        assert calls == []
+        # curves of another degree still take the determinant, at 10 nodes
+        p3 = _dual_as_unipoly_coeffs(DualOp(3, 3, {
+            (3, 0, 0): Fraction(1), (0, 1, 2): Fraction(2),
+            (0, 0, 3): Fraction(-1)}))
+        q3 = _dual_as_unipoly_coeffs(DualOp(3, 3, {
+            (1, 2, 0): Fraction(3), (1, 0, 2): Fraction(1),
+            (0, 0, 3): Fraction(2)}))
+        assert (_sylvester_resultant(p3, q3, DEFAULT_PRECISION_BITS)
+                == reference_sylvester_resultant(p3, q3,
+                                                 DEFAULT_PRECISION_BITS))
+        assert calls == ["rational_det"] * 20
+
+    def test_approximate_conics_keep_the_determinant(self):
+        bits = 128
+        rng = random.Random(4)
+        p = _dual_as_unipoly_coeffs(random_conic(rng, 0.0))
+        q = [UniPoly([AppComplex(c, Fraction(1, 3), bits) for c in u.coeffs])
+             for u in _dual_as_unipoly_coeffs(random_conic(rng, 0.0))]
+        got = _sylvester_resultant(p, q, bits)
+        want = reference_sylvester_resultant(p, q, bits)
+        raw = [(c.real._mpf_, c.imag._mpf_) for c in got.coeffs]
+        assert raw == [(c.real._mpf_, c.imag._mpf_) for c in want.coeffs]
+
+
+
+# `_dedupe_points`, `_shared_roots`' pairing, `_distinct_roots` and the
+# `ProjPoint` pivot as they were before the exponent rule: every distance an
+# mpc hypot under workprec.
+
+
+def reference_dedupe_points(points, precision_bits):
+    with workprec(precision_bits + GUARD_BITS):
+        sep = mpf(2) ** (-(precision_bits // 4))
+        out = []
+        for p in points:
+            if all(p.distance(q) > sep for q in out):
+                out.append(p)
+    return out
+
+
+def reference_pairs(ra, rb, precision_bits):
+    with workprec(precision_bits):
+        sep = mpf(2) ** (-(precision_bits // 3))
+        return [x for x in ra
+                if any(abs(x.to_mpc() - y.to_mpc()) <= sep for y in rb)]
+
+
+def reference_distinct_roots(roots, precision_bits):
+    with workprec(precision_bits):
+        sep = mpf(2) ** (-(precision_bits // 4))
+        uniq = []
+        for r in roots:
+            if all(abs(r.to_mpc() - u.to_mpc()) > sep for u in uniq):
+                uniq.append(r)
+    return uniq
+
+
+def reference_pivot(coords):
+    return max(range(len(coords)), key=lambda i: abs(coords[i]))
+
+
+class TestSeparationsByExponent:
+    """Point and root separations, and the pivot of a `ProjPoint`, decided
+    by exponents read as the mpc hypots they replaced, on values near the
+    separations and far from them."""
+
+    BITS = 128
+
+    def scalar(self, rng, top):
+        """A complex scalar of size about 2^top, or zero."""
+        if rng.random() < 0.1:
+            return AppComplex(0, 0, self.BITS)
+        part = lambda: (Fraction(rng.randint(-2 ** 20, 2 ** 20), 2 ** 20)
+                        * Fraction(2) ** top)
+        return AppComplex(part(), part(), self.BITS)
+
+    def offset(self, rng, tops):
+        """A random offset of top about one of ``tops``, or a separation
+        exactly, or a hair above it, on one axis."""
+        bits = self.BITS
+        if rng.random() < 0.3:
+            sep = Fraction(1, 2 ** (bits // rng.choice((3, 4))))
+            x = sep * rng.choice((1, 1 + Fraction(1, 2 ** 20)))
+            x *= rng.choice((1, -1))
+            return AppComplex(*((x, 0) if rng.random() < 0.5 else (0, x)), bits)
+        return self.scalar(rng, rng.choice(tops))
+
+    #: offsets about 2^-(bits/3) and 2^-(bits/4), and far from both
+    TOPS = [k + o for k in (-(BITS // 3), -(BITS // 4)) for o in (-1, 0, 1)]
+    TOPS += [-200, -2]
+
+    def near(self, rng, points):
+        """Each point moved by an ``offset``."""
+        return [c + self.offset(rng, self.TOPS) for c in points]
+
+    def roots(self, rng):
+        """Roots near a few centres."""
+        centres = [self.scalar(rng, 1) for _ in range(3)]
+        return self.near(rng, [c for c in centres
+                               for _ in range(rng.randint(1, 3))])
+
+    def test_pairing_and_distinct_roots(self, monkeypatch):
+        rng = random.Random(11)
+        bits = self.BITS
+        pa, pb = UniPoly([1, 1]), UniPoly([2, 1])
+        for _ in range(40):
+            ra = self.roots(rng)
+            rb = self.near(rng, ra[::2]) + self.roots(rng)
+            monkeypatch.setattr(APOLARITY, "univariate_roots",
+                                lambda p, _bits: ra if p is pa else rb)
+            assert _shared_roots(pa, pb, bits) == reference_pairs(ra, rb, bits)
+            assert (_distinct_roots(ra + rb, bits)
+                    == reference_distinct_roots(ra + rb, bits))
+
+    def test_points_and_pivots(self):
+        rng = random.Random(12)
+        bits = self.BITS
+        # the largest modulus on the smaller top: |7/8 + 7/8 i| > |1|
+        coords = [AppComplex(1, 0, bits),
+                  AppComplex(Fraction(7, 8), Fraction(7, 8), bits)]
+        assert reference_pivot(coords) == 1
+        pivot = ProjPoint(coords, bits).coords[1]
+        assert (pivot.real, pivot.imag) == (1, 0)
+        for _ in range(40):
+            coords = [self.scalar(rng, rng.choice((-300, -3, 0, 1, 2)))
+                      for _ in range(3)]
+            if all(c.real == 0 and c.imag == 0 for c in coords):
+                continue
+            p = ProjPoint(coords, bits)
+            pivot = coords[reference_pivot(coords)]
+            assert [(c.real, c.imag) for c in p.coords] == [
+                (q.real, q.imag) for q in (c / pivot for c in coords)]
+            near = [ProjPoint([c + self.offset(rng, (
+                -(bits // 4) - 1, -(bits // 4), -(bits // 4) + 1, -100, 0))
+                for c in p.coords], bits) for _ in range(4)]
+            points = [p] + near
+            assert (_dedupe_points(points, bits)
+                    == reference_dedupe_points(points, bits))

@@ -638,8 +638,8 @@ class TestCertificate:
 
 
 def ref_proportional_linear(a, b, precision_bits):
-    tol = tolerance(precision_bits) * max(mpf(1), mpf(1) * max_abs_of(a.coords)) \
-        * max(mpf(1), mpf(1) * max_abs_of(b.coords))
+    tol = (tolerance(precision_bits) * (mpf(1) * max_abs_of(a.coords))
+           * (mpf(1) * max_abs_of(b.coords)))
     n = a.num_vars
     for i in range(n):
         for j in range(i + 1, n):
@@ -763,22 +763,38 @@ class TestMergeProportional:
                  (Fraction(-2, 32), LinearForm([Fraction(2), Fraction(2), Fraction(0)]))]
         assert _merge_proportional(exact + [big], d, bits) == [big]
 
+    @staticmethod
+    def small_pair(bits, k):
+        """(3, 5, 0) 2^-k and (5, 3, 1) 2^-k, which are not proportional,
+        and (6, 10, 0) 2^-k, which is proportional to the first."""
+        s = Fraction(1, 2 ** k)
+        return [LinearForm([AppComplex(x * s, 0, bits) for x in coords])
+                for coords in ((3, 5, 0), (5, 3, 1), (6, 10, 0))]
+
     def test_small_forms_that_are_not_proportional(self):
-        # the scales are max(1, max|coord|), so at coordinates of 2^-30 the
-        # tolerance 2^-128 is absolute and still far below the cross
-        # products of 2^-56
+        # the scales are max|coord|, not clamped at 1, so the tolerance
+        # 2^-128 * 5^2 * 2^-2k stays far below the cross products
+        # 16 * 2^-2k at every k; with the clamp, 2^-70 tested proportional
         bits = 256
-        s = Fraction(1, 2 ** 30)
-        a = LinearForm([AppComplex(3 * s, 0, bits), AppComplex(5 * s, 0, bits),
-                        AppComplex(0, 0, bits)])
-        b = LinearForm([AppComplex(5 * s, 0, bits), AppComplex(3 * s, 0, bits),
-                        AppComplex(s, 0, bits)])
         scale = _coords_scale
-        assert not _proportional_linear(a, b, bits, scale(a), scale(b))
-        assert not _proportional_linear(b, a, bits, scale(b), scale(a))
-        twice = LinearForm([x * AppComplex(2, 0, bits) for x in a.coords])
-        assert _proportional_linear(a, twice, bits, scale(a), scale(twice))
-        assert not ref_proportional_linear(a, b, bits)
+        for k in (30, 70, 200):
+            a, b, twice = self.small_pair(bits, k)
+            assert not _proportional_linear(a, b, bits, scale(a), scale(b))
+            assert not _proportional_linear(b, a, bits, scale(b), scale(a))
+            assert _proportional_linear(a, twice, bits, scale(a), scale(twice))
+            assert not ref_proportional_linear(a, b, bits)
+
+    def test_two_tiny_forms_are_both_kept(self):
+        # coefficients of 2^210 make the terms' sizes about 2^7, so neither
+        # is dropped for its size either
+        bits, d = 256, 3
+        a, b, twice = self.small_pair(bits, 70)
+        c = AppComplex(2 ** 210, 0, bits)
+        got = _merge_proportional([(c, a), (c, b)], d, bits)
+        assert raw_terms(got) == raw_terms([(c, a), (c, b)])
+        # a multiple still folds into the first form
+        got = _merge_proportional([(c, a), (c, twice)], d, bits)
+        assert raw_terms(got) == raw_terms([(c * 9, a)])
 
 
 class TestMapTermsBack:
@@ -953,6 +969,23 @@ class TestQuadraticHessianReduction:
                                ForbiddenSet.from_text(avoid, n), seed=5)
         assert got[0] is InvalidInputError
         assert "contains the essential coordinate subspace" in got[1]
+
+    @pytest.mark.parametrize("text, n, essential", [
+        ("x0^2 + 3*x1^2 - x2^2 + x0*x2", 3, True),
+        ("x0*x1 - x2^2 + x1*x2 + 2*x3^2 - x0*x3", 4, True),
+        ("x0*x1 - x2^2 + x1*x2", 5, False)])
+    def test_a_rational_step_takes_one_rank(self, monkeypatch, text, n,
+                                            essential):
+        # each square lowers the rank by exactly one, so the guard reads
+        # one exact rank taken before the first square
+        calls = []
+        for name in ("rational_rank", "complex_rank"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        got = step_outcome(self.NEW, parse_form(text, n), ForbiddenSet.empty(n), 4)
+        assert calls == ["rational_rank"]
+        assert (got[0] is ConsistencyError) is not essential
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_rational_input_builds_no_fraction_catalecticant(self, monkeypatch,

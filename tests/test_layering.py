@@ -266,3 +266,16 @@ def test_complex_elimination_runs_on_the_kernels():
             if (names := _names_in(functions[key]) & MPC_ELIMINATION)} == {}
     assert _names_in(parsed["linalg"]) & MPC_ELIMINATION == set()
     assert "_unwrap" not in {n for tree in parsed.values() for n in _defined(tree)}
+
+
+#: what a root distance under mpc arithmetic names
+MPC_DISTANCE = {"mpc", "workprec", "to_mpc"}
+
+
+def test_root_distances_run_on_the_kernels():
+    # the differences are rounded by _csub at precision_bits and their
+    # sizes settled by the exponent rule, with no mpc object or context
+    functions = {n.name: n for n in _parsed()["apolarity"].body
+                 if isinstance(n, ast.FunctionDef)}
+    assert {name: names for name in ("_shared_roots", "_distinct_roots")
+            if (names := _names_in(functions[name]) & MPC_DISTANCE)} == {}

@@ -9,15 +9,16 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mpc, mpf, workprec
 from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
                           fzero, mpc_abs, mpc_add, mpc_div, mpc_mpf_div,
-                          mpc_mul, mpc_sub, mpf_add, mpf_div, mpf_gt, mpf_pos,
-                          round_nearest)
+                          mpc_mul, mpc_sub, mpf_add, mpf_div, mpf_gt, mpf_le,
+                          mpf_pos, round_nearest)
 
 from openwaring import ConsistencyError, InvalidInputError, numerics
 from openwaring.numerics import (GUARD_BITS, AppComplex, UniPoly, _aberth,
-                                 _cadd, _cdiv, _cinv, _clearly_moved, _cmul,
-                                 _coeffs_to_mpc, _csub, _horner, _make_mpc,
-                                 _newton_polish, _pos, _quo, _raw_mpf,
-                                 is_squarefree,
+                                 _abs_exceeds, _abs_gt, _abs_le, _cadd, _cdiv,
+                                 _cinv, _clearly_moved, _cmul, _coeffs_to_mpc,
+                                 _csub, _horner, _make_mpc, _newton_polish,
+                                 _pos, _quo, _raw_mpf, is_squarefree,
+                                 max_abs_of, scalar_is_zero,
                                  squarefree_decomposition, squarefree_part,
                                  univariate_roots)
 
@@ -732,3 +733,95 @@ class TestExponentTest:
         for bad in (finf, fninf, fnan):
             assert not _clearly_moved((bad, big), (big, fzero), 128)
             assert not _clearly_moved((big, fzero), (fzero, bad), 128)
+
+
+@st.composite
+def magnitude_and_threshold(draw):
+    """(prec, z, t): a raw pair z and a raw mpf t >= 0 whose tops mostly lie
+    within a few binades of each other, where the rule's answer turns."""
+    bits = draw(st.integers(64, 1100))
+    tt = draw(st.integers(-3000, 3000))
+    tz = draw(st.one_of(st.integers(-3, 3).map(lambda o: tt + o),
+                        st.integers(-4000, 4000)))
+    kind = draw(st.sampled_from(("random", "random", "power", "pythagorean",
+                                 "non-finite")))
+    if kind == "random":
+        z = draw(raw_complex(bits, tz))
+    elif kind == "power":
+        # |z| exactly 2^(tz - 1), on either axis, either sign
+        part = (draw(st.integers(0, 1)), 1, tz - 1, 1)
+        z = (part, fzero) if draw(st.booleans()) else (fzero, part)
+    elif kind == "pythagorean":
+        z = (from_man_exp(3, tz - 3), from_man_exp(4, tz - 3))  # |z| = 5 * 2^(tz-3)
+    else:
+        bad = draw(st.sampled_from((finf, fninf, fnan)))
+        other = draw(raw_complex(bits, tz))[0]
+        z = (bad, other) if draw(st.booleans()) else (other, bad)
+    t_kind = draw(st.sampled_from(("power", "below power", "random", "zero")))
+    if t_kind == "power":
+        t = (0, 1, tt - 1, 1)
+    elif t_kind == "below power":
+        t = (0, 2 ** bits - 1, tt - bits, bits)  # 2^tt (1 - 2^-bits)
+    elif t_kind == "random":
+        man = draw(st.integers(1, 2 ** bits - 1))
+        t = from_man_exp(man, tt - man.bit_length())
+    else:
+        t = fzero
+    return draw(st.integers(64, 1100)), z, t
+
+
+class TestMagnitudeByExponent:
+    @settings(max_examples=600, deadline=None)
+    @given(magnitude_and_threshold())
+    # |z| = t = 2^k: the tops are equal and the rule leaves it open
+    @example((128, ((0, 1, 5, 1), fzero), (0, 1, 5, 1)))
+    # |z| = 2^k just above t = 2^k (1 - 2^-64)
+    @example((64, (fzero, (1, 1, 5, 1)), (0, 2 ** 64 - 1, 6 - 64, 64)))
+    # parts 3000 binades apart, t one binade above the larger
+    @example((256, ((0, 3, -3000, 2), (1, 5, 10, 3)), (0, 1, 13, 1)))
+    @example((256, (fnan, fzero), fzero))
+    @example((256, (fzero, fzero), fzero))
+    def test_a_decided_answer_is_the_rounded_hypots(self, case):
+        prec, z, t = case
+        want = mpf_gt(mpc_abs(z, prec, round_nearest), t)
+        got = _abs_exceeds(z, t)
+        assert got is None or got == want
+        assert _abs_gt(z, t, prec) == want
+        assert _abs_le(z, t, prec) == mpf_le(mpc_abs(z, prec, round_nearest), t)
+
+    def test_the_cuts(self):
+        t = (0, 1, 9, 1)  # 2^9, top 10
+        for top, want in ((12, True), (11, True), (10, None), (9, None),
+                          (8, False), (-500, False)):
+            for man in (1, 2 ** 100 - 1):
+                part = from_man_exp(man, top - man.bit_length())
+                assert _abs_exceeds((part, fzero), t) is want
+                assert _abs_exceeds((part, part), t) is want
+        assert _abs_exceeds((fzero, fzero), fzero) is False
+        assert _abs_exceeds(((0, 1, -9000, 1), fzero), fzero) is True
+        assert _abs_exceeds((finf, fzero), t) is None
+        assert _abs_exceeds(((0, 1, 20, 1), fzero), fnan) is None
+        assert _abs_exceeds(((0, 1, 20, 1), fzero), (1, 1, 0, 1)) is None
+
+    def test_scalar_helpers_read_as_their_hypots(self):
+        # the largest modulus can sit one top below the largest top
+        w = AppComplex(Fraction(7, 8), Fraction(7, 8), 256)
+        assert max_abs_of([AppComplex(1, 0, 256), w]) == abs(w) > 1
+        rng = random.Random(5)
+        for _ in range(300):
+            bits = rng.choice((64, 256, 1024))
+            values = [AppComplex(
+                Fraction(rng.randint(-99, 99), 7) * Fraction(2) ** rng.choice(
+                    (-400, -3, -1, 0, 1, 2, 300)),
+                Fraction(rng.randint(-99, 99), 3) * Fraction(2) ** rng.choice(
+                    (-400, -2, 0, 1)) * rng.randint(0, 1), bits)
+                for _ in range(rng.randint(1, 6))]
+            values += [Fraction(rng.randint(-9, 9), 4)] * rng.randint(0, 1)
+            approx = [abs(v) for v in values if isinstance(v, AppComplex)]
+            assert max_abs_of(values)._mpf_ == max(
+                approx + [ref_mpf(Fraction(abs(v)), 64) for v in values
+                          if isinstance(v, Fraction)])._mpf_
+            tol = abs(values[0]) * rng.choice((mpf(1), mpf(2) ** -3, mpf(3)))
+            for v in values:
+                if isinstance(v, AppComplex):
+                    assert scalar_is_zero(v, tol) == (abs(v) <= tol)

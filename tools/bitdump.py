@@ -1,0 +1,123 @@
+"""Hash every output bit of a fixed set of benchmark operations.
+
+    python3 tools/bitdump.py
+
+Takes the inputs that `perfbench/workloads.py` makes at seed 1 and runs one
+`decompose` on each: `inductive` rounds 0-3 and `exact` rounds 0-9 through
+the library, `precision` rounds 0-4 through the command line, as the
+benchmark runs them (446 operations).  Each operation contributes its raw
+output: the terms as libmp (sign, man, exp, bc) tuples or Fractions, the
+trace and the verifier's report for a library call; the exit codes, the
+printed text and the structured record for `decompose` and `verify` on the
+command line; the error's class and text when it raises.  The script prints
+the number of operations, each one that raised, and the SHA-256 of the
+whole, so a change meant to keep every bit must print the same three as
+its parent.  It writes nothing under `perfbench/`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from fractions import Fraction
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import openwaring as ow  # noqa: E402
+import openwaring.cli  # noqa: E402,F401
+import workloads  # noqa: E402
+
+SEED = 1
+
+#: (workload, rounds) in the order they are run and hashed
+PLAN = (("inductive", range(4)), ("precision", range(5)), ("exact", range(10)))
+
+
+def _raw(x):
+    """A scalar as text that names every bit of it."""
+    if isinstance(x, (int, Fraction)):
+        return repr(Fraction(x))
+    if isinstance(x, ow.AppComplex):
+        return f"({x.real._mpf_!r}, {x.imag._mpf_!r}, {x.precision_bits})"
+    return repr(x._mpf_)
+
+
+def _library(case):
+    f = ow.Form(case.n, case.d, case.coeffs)
+    V = ow.ForbiddenSet(case.n, [ow.LinearForm([Fraction(a) for a in h])
+                                 .to_form() for h in case.forbidden])
+    dec = ow.decompose(f, V, seed=case.seed, precision_bits=case.precision_bits)
+    r = dec.report
+    terms = [(_raw(c), [_raw(x) for x in l.coords]) for c, l in dec.terms]
+    report = (_raw(r.residual), r.term_count, r.bound_value,
+              r.forbidden_violations, r.exact, r.passed, r.residual_ok)
+    return repr((terms, dec.exact, dec.trace, report))
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = ow.cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _via_cli(case, workdir):
+    """The outputs of `decompose` and `verify`, and the error text of the
+    first that exits nonzero (None when both exit 0)."""
+    path = os.path.join(workdir, "record.json")
+    if os.path.exists(path):
+        os.remove(path)
+    dec = _cli(["decompose", "-n", str(case.n), workloads.render(case.coeffs),
+                "--seed", str(case.seed),
+                "--precision", str(case.precision_bits),
+                "--format", "structured", "-o", path])
+    if dec[0] != 0:
+        return repr(dec), dec[2].strip()
+    with open(path) as fh:
+        record = fh.read()
+    ver = _cli(["verify", path, "--format", "structured"])
+    return repr((dec, record, ver)), ver[2].strip() if ver[0] else None
+
+
+def digest(plan=PLAN, seed=SEED):
+    """(operation count, [(operation, error text)], SHA-256 hex digest)."""
+    h = hashlib.sha256()
+    count = 0
+    failures = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for workload, rounds in plan:
+            for round_no in rounds:
+                for case in workloads.round_cases(workload, seed, round_no):
+                    name = f"{workload} round {round_no} {case.label}"
+                    error = None
+                    if case.via_cli:
+                        payload, error = _via_cli(case, workdir)
+                    else:
+                        try:
+                            payload = _library(case)
+                        except Exception as exc:  # a raise is an output too
+                            error = f"{type(exc).__name__}: {exc}"
+                            payload = error
+                    if error is not None:
+                        failures.append((name, error))
+                    h.update(f"{name}\t{payload}\n".encode())
+                    count += 1
+    return count, failures, h.hexdigest()
+
+
+def main():
+    count, failures, hexdigest = digest()
+    print(f"operations {count}")
+    for name, error in failures:
+        print(f"raised {name}: {error}")
+    print(f"sha256 {hexdigest}")
+
+
+if __name__ == "__main__":
+    main()
