@@ -47,7 +47,9 @@ part, takes the hypot.  ``scalar_is_zero``, ``max_abs_of``, the residual
 certificate of ``univariate_roots``, ``linalg``'s scales and pivots and
 ``apolarity``'s point and root separations decide this way, and
 ``_aberth``'s convergence shortcut (``_clearly_moved``) reads the same
-tops.  ``verify`` takes its residual's magnitudes from libmp on its own.
+tops.  ``verify`` screens its residual maximum and its forbidden-set
+comparisons by the same rule on tops it computes itself, and takes the
+hypots that remain from libmp; it uses none of these helpers.
 """
 
 from __future__ import annotations

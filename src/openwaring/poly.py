@@ -108,7 +108,22 @@ class _SparsePoly:
         return type(self)(self.num_vars, self.degree, out)
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        """c1 - c2 per monomial, exact zeros dropped: the bits of
+        ``self + (-1) * other``, since negation is exact and a sum is
+        symmetric in its operands."""
+        self._same_shape(other)
+        theirs = other.coeffs
+        out = {}
+        for expo, c in self.coeffs.items():
+            if expo in theirs:
+                c = c - theirs[expo]
+                if is_exact_scalar(c) and c == 0:
+                    continue
+            out[expo] = c
+        for expo, c in theirs.items():
+            if expo not in self.coeffs:
+                out[expo] = -c
+        return type(self)(self.num_vars, self.degree, out)
 
     def __neg__(self):
         return self.scale(Fraction(-1))
@@ -392,10 +407,12 @@ def evaluate(f, coords):
     """Value of a Form/DualOp at a coordinate vector.
 
     A coordinate with exponent 1 is multiplied in as it is: for rational
-    and ``AppComplex`` coordinates ``x ** 1`` is x itself."""
+    and ``AppComplex`` coordinates ``x ** 1`` is x itself.  The sum starts
+    from the first term that is not skipped, since adding it to
+    ``Fraction(0)`` would only round it again at its own precision."""
     if len(coords) != f.num_vars:
         raise InvalidInputError("mismatched number of variables")
-    total = Fraction(0)
+    total = None
     for expo, c in f.coeffs.items():
         val = c
         skip = False
@@ -407,8 +424,8 @@ def evaluate(f, coords):
                 break
             val = val * (x if e == 1 else x ** e)
         if not skip:
-            total = total + val
-    return total
+            total = val if total is None else total + val
+    return Fraction(0) if total is None else total
 
 
 def evaluate_dual(op: DualOp, l: LinearForm):

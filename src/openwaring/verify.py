@@ -11,6 +11,19 @@ monomial tree of its own (every degree-d monomial is its parent times one
 coordinate), exact terms on integers over a common denominator and the
 others on raw libmp tuples, so a bug in one expansion cannot hide in the
 other.
+
+Magnitudes are screened by exponents before libmp's ``mpc_abs`` is asked
+for them.  A finite nonzero pair z whose larger part has top = exp + bc
+lies in [2**(top-1), 2**(top+1/2)), and its hypot, rounded monotonically,
+in [2**(top-1), 2**(top+1)).  So the residual maximum takes the hypot only
+of the leaves within one binade of the largest top (``_max_abs``), and
+``is_forbidden`` reads |val| <= bound off the tops of val and the bound
+when they are far enough apart (``_abs_at_most``).  An inf or nan part,
+or a comparison the tops leave open, takes the hypot as before, so every
+output bit is what the hypots alone give.  The pipeline settles its own
+comparisons by the same rule (``numerics._abs_exceeds``), but this module
+computes its tops itself (``_top``), so that a fault in the pipeline's
+rule cannot hide in the check of its results.
 """
 
 from __future__ import annotations
@@ -29,12 +42,41 @@ from mpmath.libmp import (from_rational, fzero, mpc_abs, mpc_add, mpc_mul,
 from .apolarity import catalecticant, essential_variables
 from .bounds import recursion_bound
 from .errors import InvalidInputError, ParseError
-from .numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS, is_exact_scalar,
-                       max_abs_of, tolerance)
+from .numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS, AppComplex,
+                       is_exact_scalar, max_abs_of, tolerance,
+                       values_precision)
 from .poly import Form, LinearForm, evaluate, parse_form, render_form
 
 _RND = round_nearest
 _CZERO = (fzero, fzero)
+_ZERO_TOP = float("-inf")
+
+
+def _top(z):
+    """exp + bc of the larger part of a raw pair, so that 2**(top-1) <= |z|
+    < 2**(top+1/2) when z is finite and nonzero; -inf for zero, None when a
+    part is inf or nan."""
+    top = _ZERO_TOP
+    for _, man, exp, bc in z:
+        if man:
+            if exp + bc > top:
+                top = exp + bc
+        elif exp:
+            return None
+    return top
+
+
+def _abs_at_most(z, t):
+    """Whether |z| <= t for a raw pair z and a raw mpf t, from the tops
+    alone: True when top(z) <= top(t) - 2, False when top(z) >= top(t) + 1,
+    None when they leave it open, a value is not finite or t < 0.  The
+    bounds are powers of two and libmp's ``mpc_abs`` rounds monotonically,
+    so a decided answer is what the rounded hypot gives at any precision."""
+    tz = _top(z)
+    tt = None if t[0] else _top((t, fzero))
+    if tz is None or tt is None or tt - 2 < tz < tt + 1:
+        return None
+    return tz <= tt - 2
 
 
 class ForbiddenSet:
@@ -98,26 +140,37 @@ def is_forbidden(l: LinearForm, V: ForbiddenSet, tol=None) -> bool:
 
     Exact zero test when both l and the constraints are rational; for
     approximate data the test is conservative, flagging l whenever any
-    constraint value is within tolerance of zero.
+    constraint value is within tolerance of zero: |val| <= tol * |g|_1 *
+    max(1, max |l_i|)^deg g, read off the tops of val and the bound
+    (``_abs_at_most``) and by the hypot only where they leave it open.
+    The tolerance defaults to that of the smallest precision among l's
+    inexact coordinates and the constraints' inexact coefficients.
     """
     if l.num_vars != V.num_vars:
         raise InvalidInputError("mismatched number of variables")
     if not V.constraints:
         return False
     if tol is None:
-        tol = tolerance(DEFAULT_PRECISION_BITS)
+        tol = tolerance(values_precision(
+            [*l.coords, *(c for g in V.constraints for c in g.coeffs.values())]))
     l_scale = None  # max(1, max |l_i|), built at the first inexact value
     for g in V.constraints:
         val = evaluate(g, l.coords)
         if is_exact_scalar(val):
             if val == 0:
                 return True
-        else:
-            if l_scale is None:
-                l_scale = max(mpf(1), mpf(1) * max_abs_of(l.coords))
-            bound = tol * g.norm1() * l_scale ** g.degree
-            if abs(val) <= bound:
-                return True
+            continue
+        if l_scale is None:
+            l_scale = max(mpf(1), mpf(1) * max_abs_of(l.coords))
+        bound = tol * g.norm1() * l_scale ** g.degree
+        below = None
+        if type(val) is AppComplex:
+            below = _abs_at_most((val.real._mpf_, val.imag._mpf_),
+                                 bound._mpf_)
+        if below is None:
+            below = abs(val) <= bound
+        if below:
+            return True
     return False
 
 
@@ -209,6 +262,32 @@ def _raw_mpc(x, wp):
     return (x.real._mpf_, x.imag._mpf_)
 
 
+def _max_abs(leaves, wp):
+    """The largest libmp ``mpc_abs(z, wp)`` over raw pairs (fzero for none),
+    the hypot taken only for the leaves within one binade of the largest
+    top.  A leaf two binades below another is below it after rounding, by
+    ``_top``'s bounds; a zero leaf cannot exceed fzero.  With an inf or nan
+    part anywhere every leaf takes its hypot, in order, and nan never wins."""
+    top = _ZERO_TOP
+    near = []  # (top, leaf) within one binade of the largest top so far
+    for z in leaves:
+        t = _top(z)
+        if t is None:
+            near = [(top, w) for w in leaves]
+            break
+        if t >= top - 1 and t != _ZERO_TOP:
+            near.append((t, z))
+            if t > top:
+                top = t
+    worst = fzero
+    for t, z in near:
+        if t >= top - 1:
+            mag = mpc_abs(z, wp, _RND)
+            if mpf_gt(mag, worst):
+                worst = mag
+    return worst
+
+
 def _residual_scale(f: Form):
     """What a residual is divided by: the 1-norm of f, or 1 when it is 0."""
     norm = f.norm1()
@@ -275,7 +354,10 @@ def check_decomposition(f: Form, dec: Decomposition,
                 approx = [_CZERO] * len(leaves)
             vals = _expand_tree(_raw_mpc(c, wp),
                                 [_raw_mpc(x, wp) for x in coords], steps, cmul)
-            approx = [mpc_add(v, mpc_mul_int(w, m, wp, _RND), wp, _RND)
+            # a leaf of degree d >= 1 is a product rounded at wp already,
+            # so a multinomial of 1 adds it as it is
+            approx = [mpc_add(v, w if m == 1 and d
+                              else mpc_mul_int(w, m, wp, _RND), wp, _RND)
                       for v, m, w in zip(approx, mults, vals[first:])]
 
     all_exact = f.is_exact() and dec.exact and approx is None
@@ -302,13 +384,8 @@ def check_decomposition(f: Form, dec: Decomposition,
                 deltas[k] -= v
             else:
                 rest[k] = mpc_sub(rest[k], _raw_mpc(v, wp), wp, _RND)
-        worst = fzero
-        for q, z in zip(deltas, rest):
-            if q:
-                z = mpc_add(z, _raw_mpc(q, wp), wp, _RND)
-            mag = mpc_abs(z, wp, _RND)
-            if mpf_gt(mag, worst):
-                worst = mag
+        worst = _max_abs([mpc_add(z, _raw_mpc(q, wp), wp, _RND) if q else z
+                          for q, z in zip(deltas, rest)], wp)
         residual = mpf(worst) / (mpf(1) * _residual_scale(f))
         residual_ok = residual <= tol
 

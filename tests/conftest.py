@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mpc, mpf, workprec
+from mpmath.libmp import fzero, mpc_abs, mpf_gt, round_nearest
 
 from openwaring import (ForbiddenSet, Form, LinearForm, VerifyReport,
                         essential_variables, is_forbidden, recursion_bound)
@@ -147,9 +148,13 @@ def assert_same_verdict(report, ref, precision_bits=DEFAULT_PRECISION_BITS):
 
 # ---------------------------------------------------------------------------
 # Evaluation and the forbidden-set test as they were before their trims:
-# every coordinate raised to its exponent, 1 included, and the scale of l
-# built before the first constraint.  Kept as references for
-# `poly.evaluate` and `verify.is_forbidden`.
+# every coordinate raised to its exponent, 1 included, the sum started from
+# Fraction(0), the scale of l built before the first constraint and every
+# constraint value compared by its hypot.  Kept as references for
+# `poly.evaluate` and `verify.is_forbidden`.  The one change since is the
+# default tolerance, that of the smallest precision among l's inexact
+# coordinates and the constraints' inexact coefficients (it was always the
+# 256-bit one, which misses forms that are forbidden at lower precision).
 
 
 def reference_evaluate(f, coords):
@@ -173,7 +178,8 @@ def reference_is_forbidden(l, V, tol=None):
     if not V.constraints:
         return False
     if tol is None:
-        tol = tolerance(DEFAULT_PRECISION_BITS)
+        tol = tolerance(values_precision(
+            [*l.coords, *(c for g in V.constraints for c in g.coeffs.values())]))
     l_scale = max_abs_of(l.coords)
     for g in V.constraints:
         val = reference_evaluate(g, l.coords)
@@ -644,3 +650,29 @@ def reference_sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
         else:
             values.append(linalg.complex_det(m, precision_bits))
     return _lagrange_interpolate(nodes, values)
+
+
+# ---------------------------------------------------------------------------
+# The residual maximum of `verify.check_decomposition` as it was before the
+# leaves were screened by their tops: the hypot of every leaf, kept when it
+# is larger than the largest so far.  Kept as a reference for
+# `verify._max_abs`.
+
+
+def reference_max_abs(leaves, wp):
+    worst = fzero
+    for z in leaves:
+        mag = mpc_abs(z, wp, round_nearest)
+        if mpf_gt(mag, worst):
+            worst = mag
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# The difference of two forms as it was before it was built in one pass:
+# the sum with the other form scaled by -1.  Kept as a reference for
+# `poly._SparsePoly.__sub__`.
+
+
+def reference_sparse_sub(a, b):
+    return a + b.scale(Fraction(-1))

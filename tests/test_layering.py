@@ -1,6 +1,7 @@
 """The package's import structure: every import sits at module level, and
 the modules import each other without a cycle; the certificate shares no
-expansion or arithmetic kernel with the pipeline it checks."""
+expansion, arithmetic kernel or magnitude rule with the pipeline it
+checks."""
 
 import ast
 from pathlib import Path
@@ -155,6 +156,21 @@ def test_verify_reconstructs_on_libmp():
     parsed = _parsed()
     assert KERNELS <= _defined(parsed["numerics"])
     assert KERNELS.isdisjoint(_names_reached(parsed["verify"], "numerics"))
+
+
+#: the pipeline's magnitude tests by exponent
+EXPONENT_MAGNITUDES = {"_abs_exceeds", "_ctop", "_top", "_abs_gt", "_abs_le",
+                       "_abs_max_candidates"}
+
+
+def test_verify_reads_magnitudes_on_its_own():
+    # the certificate screens its residual and its forbidden-set bounds by
+    # tops it computes itself, so a fault in the pipeline's rule cannot
+    # hide in the check of the pipeline's results
+    parsed = _parsed()
+    assert EXPONENT_MAGNITUDES <= _defined(parsed["numerics"])
+    assert EXPONENT_MAGNITUDES.isdisjoint(
+        _names_reached(parsed["verify"], "numerics"))
 
 
 def test_no_second_arithmetic_path_beside_the_kernels():

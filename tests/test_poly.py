@@ -14,7 +14,8 @@ from openwaring.linalg import rational_det
 from openwaring.numerics import is_exact_scalar
 from openwaring.poly import (_substitute, dual_power, evaluate,
                              monomials_of_degree)
-from conftest import random_form, random_linear_form, reference_evaluate
+from conftest import (random_form, random_linear_form, reference_evaluate,
+                      reference_sparse_sub)
 
 
 def _sympy_vars(n):
@@ -363,7 +364,8 @@ class TestEvaluateKeepsEveryBit:
     @pytest.mark.parametrize("bits", BIT_SIZES)
     @pytest.mark.parametrize("kind", ["exact", "approximate", "mixed"])
     def test_matches_the_reference(self, kind, bits):
-        # a coordinate with exponent 1 is multiplied in without ** 1
+        # a coordinate with exponent 1 is multiplied in without ** 1, and
+        # the sum starts from its first term instead of Fraction(0)
         rng = random.Random(f"{kind}/{bits}")
         for _ in range(40):
             n, d = rng.randint(1, 5), rng.randint(0, 5)
@@ -375,6 +377,37 @@ class TestEvaluateKeepsEveryBit:
                 coords[rng.randrange(n)] = Fraction(0)
             assert raw_scalar(evaluate(f, coords)) == raw_scalar(
                 reference_evaluate(f, coords)), (f, coords)
+
+
+class TestSubtractionKeepsEveryBit:
+    @pytest.mark.parametrize("kind", ["exact", "approximate", "mixed"])
+    def test_matches_the_sum_with_the_negation(self, kind):
+        # c1 - c2 per monomial in one pass against self + (-1) * other, in
+        # dict order; shared, cancelling and one-sided monomials, and
+        # operands of different precisions
+        rng = random.Random(f"sub/{kind}")
+        for _ in range(120):
+            cls = rng.choice((Form, DualOp))
+            n, d = rng.randint(1, 4), rng.randint(0, 4)
+            bits = rng.choice(BIT_SIZES)
+            a = cls(n, d, sparse_coeffs(
+                rng, n, d, lambda: scalar_of_kind(rng, kind, bits)))
+            b_bits = rng.choice(BIT_SIZES)
+            coeffs = sparse_coeffs(
+                rng, n, d, lambda: scalar_of_kind(rng, kind, b_bits))
+            for e, c in a.coeffs.items():
+                if rng.random() < 0.3:  # cancels exactly when c is rational
+                    coeffs[e] = c
+            b = cls(n, d, coeffs)
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert layout(x - y) == layout(reference_sparse_sub(x, y))
+
+    def test_an_exact_cancellation_is_dropped(self):
+        f = parse_form("x0^2 + 2*x0*x1 - x1^2", 2)
+        g = parse_form("x0^2 + 3*x1^2", 2)
+        assert list((f - g).coeffs.items()) == [
+            ((1, 1), Fraction(2)), ((0, 2), Fraction(-4))]
+        assert (f - f).is_zero() and (f - f).coeffs == {}
 
 
 def random_rational(rng, small=False):

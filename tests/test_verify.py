@@ -1,18 +1,23 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 from mpmath import mpf
+from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpc_abs,
+                          mpf_le, round_nearest)
 from hypothesis import given, settings, strategies as st
 
 from openwaring import (AppComplex, Decomposition, ForbiddenSet, Form,
                         InvalidInputError, LinearForm, VerifyReport,
                         catalecticant_lower_bound, check_decomposition,
                         decompose, is_forbidden, parse_form)
+from openwaring import verify
 from openwaring.numerics import tolerance
 from conftest import (assert_same_verdict, random_form, random_hyperplanes,
-                      reference_check, reference_is_forbidden)
+                      reference_check, reference_is_forbidden,
+                      reference_max_abs)
 
 
 class TestCheckDecomposition:
@@ -244,6 +249,157 @@ class TestIsForbidden:
                 assert is_forbidden(l, V, tol) == want
                 flagged += want
         assert flagged
+
+
+@st.composite
+def leaf_lists(draw):
+    """Raw pairs whose parts have tops within `spread` binades of a common
+    one: zeros, powers of two, values either side of a power of two and
+    random ones, rounded at 64..1100 bits; sometimes an inf or nan part."""
+    base = draw(st.integers(-3000, 3000))
+    spread = draw(st.sampled_from([0, 1, 2, 3, 40, 3000]))
+    special = draw(st.booleans())
+
+    def part():
+        if special and draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from([finf, fninf, fnan]))
+        kind = draw(st.sampled_from(["zero", "power", "near", "random"]))
+        if kind == "zero":
+            return fzero
+        if kind == "power":
+            man = 1
+        elif kind == "near":  # 2**k - 1 or 2**k + 1
+            man = ((1 << draw(st.integers(1, 200)))
+                   + draw(st.sampled_from([-1, 1])))
+        else:
+            man = draw(st.integers(1, 1 << 300))
+        top = base + draw(st.integers(-spread, spread))
+        return from_man_exp(draw(st.sampled_from([1, -1])) * man,
+                            top - man.bit_length(),
+                            draw(st.integers(64, 1100)), round_nearest)
+
+    return draw(st.lists(st.tuples(st.builds(part), st.builds(part)),
+                         max_size=12))
+
+
+class TestResidualMaximumByTops:
+    @settings(max_examples=400, deadline=None)
+    @given(leaf_lists(), st.integers(64, 1100))
+    def test_equals_the_hypot_of_every_leaf(self, leaves, wp):
+        assert verify._max_abs(leaves, wp) == reference_max_abs(leaves, wp)
+
+    @pytest.mark.parametrize("wp", [96, 288, 1120])
+    def test_fixed_cases(self, wp):
+        one, two = from_man_exp(1, 0), from_man_exp(1, 1)
+        three = from_man_exp(3, 0)
+        half, tiny = from_man_exp(1, -1), from_man_exp(1, -5000)
+        cases = [
+            [],
+            [(fzero, fzero)] * 3,
+            [(one, fzero), (fzero, two), (half, half)],  # a binade apart
+            [(three, three), (two, fzero), (fzero, two)],  # one top, three sizes
+            [(tiny, fzero), (one, tiny), (tiny, tiny)],  # parts far apart
+            [(fnan, one), (two, fzero), (one, one)],  # nan beside finite
+            [(one, fzero), (fnan, fnan), (three, fzero)],
+            [(one, fzero), (finf, fzero), (three, one)],
+            [(one, fzero), (fzero, fninf), (fnan, finf)],
+        ]
+        for leaves in cases:
+            assert verify._max_abs(leaves, wp) == reference_max_abs(leaves, wp)
+
+    def test_a_residual_dominated_by_one_leaf_takes_one_hypot(self, monkeypatch):
+        # f misses the reconstruction by 5 on x0*x1 and by 2^-200 on x0^2
+        # and x1^2; only the x0*x1 leaf is within a binade of the largest
+        calls = []
+        real_abs = verify.mpc_abs
+        monkeypatch.setattr(verify, "mpc_abs",
+                            lambda *a: calls.append(a) or real_abs(*a))
+        eps = Fraction(1, 2 ** 200)
+        f = Form(2, 2, {(2, 0): 1 + eps, (1, 1): Fraction(5),
+                        (0, 2): 1 - eps})
+        dec = Decomposition(2, 2, ((AppComplex(1, 0, 256), LinearForm([1, 0])),
+                                   (Fraction(1), LinearForm(
+                                       [0, AppComplex(1, 0, 256)]))), False)
+        rep = check_decomposition(f, dec)
+        assert len(calls) == 1
+        assert rep.residual == mpf(5) / (mpf(7))
+        assert_same_verdict(rep, reference_check(f, dec))
+
+
+def scaled(t, k, sign):
+    """2**k * t * (1 + sign * 2**-60) for a raw mpf t, exactly."""
+    _, man, exp, _ = t
+    return from_man_exp(man * ((1 << 60) + sign), exp + k - 60)
+
+
+class TestForbiddenByTops:
+    @pytest.mark.parametrize("prec", [53, 96, 288, 1120])
+    def test_a_decided_comparison_reads_as_the_hypot(self, prec):
+        rng = random.Random(prec)
+        decided = 0
+        for _ in range(200):
+            t = from_man_exp(rng.randint(1, 1 << 70), rng.randint(-400, 400))
+            for k in range(-4, 5):
+                for sign in (-1, 0, 1):
+                    m = scaled(t, k, sign)
+                    for z in ((m, fzero), (fzero, m), (m, m),
+                              (m, scaled(m, -30, 1))):
+                        got = verify._abs_at_most(z, t)
+                        if got is not None:
+                            decided += 1
+                            assert got == mpf_le(
+                                mpc_abs(z, prec, round_nearest), t)
+            assert verify._abs_at_most((fzero, fzero), t) is True
+        assert verify._abs_at_most((fzero, fzero), fzero) is True
+        assert verify._abs_at_most((fnan, fzero), from_man_exp(1, 0)) is None
+        assert decided > 200 * 9 * 3
+
+    @pytest.mark.parametrize("bits", [64, 256, 1088])
+    def test_is_forbidden_matches_the_reference_near_the_bound(self, bits,
+                                                                monkeypatch):
+        # val = l0 at 2^k * tol * (1 +- 2^-60), real or complex; with |l| <= 1
+        # the bound is tol itself.  Only a value the tops leave open takes
+        # a hypot inside is_forbidden.
+        calls = []
+        real_abs = AppComplex.__abs__
+
+        def counting(z):
+            if sys._getframe(1).f_code.co_name == "is_forbidden":
+                calls.append(z)
+            return real_abs(z)
+
+        tol = tolerance(bits)
+        V = ForbiddenSet.from_text("l0", 2)
+        monkeypatch.setattr(AppComplex, "__abs__", counting)
+        for k in range(-4, 5):
+            for sign in (-1, 0, 1):
+                x = mpf(scaled(tol._mpf_, k, sign))
+                for re, im in ((x, 0), (0, -x), (x * 3 / 5, x * 4 / 5)):
+                    l = LinearForm([AppComplex(re, im, bits), Fraction(1)])
+                    before = len(calls)
+                    assert is_forbidden(l, V, tol) == reference_is_forbidden(
+                        l, V, tol), (k, sign, re, im)
+                    if abs(k) >= 2:
+                        assert len(calls) == before, (k, sign)
+        assert 0 < len(calls) <= 3 * 3 * 3  # only |k| <= 1 can be open
+
+    @pytest.mark.parametrize("bits", [64, 96])
+    def test_default_tolerance_follows_the_precision(self, bits):
+        # l = (a, b, (3a + 5b)/7) lies on 3 l0 + 5 l1 - 7 l2 = 0; stored at
+        # `bits`, its constraint value is roundoff of about 2^-bits, which
+        # the 256-bit tolerance 2^-128 does not cover
+        rng = random.Random(bits)
+        V = ForbiddenSet.from_text("3*l0 + 5*l1 - 7*l2", 3)
+        missed_at_256 = 0
+        for _ in range(200):
+            a, b = (Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                    for _ in range(2))
+            l = LinearForm([AppComplex(x, 0, bits)
+                            for x in (a, b, (3 * a + 5 * b) / 7)])
+            assert is_forbidden(l, V)
+            assert is_forbidden(l, V) == is_forbidden(l, V, tolerance(bits))
+            missed_at_256 += not is_forbidden(l, V, tolerance(256))
+        assert missed_at_256 > 0
 
 
 class TestLowerBound:
