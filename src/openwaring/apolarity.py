@@ -30,7 +30,7 @@ from .errors import (ConsistencyError, DegenerateSystemError,
                      InvalidInputError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
                        UniPoly, _CONE, _CZERO, _abs_exceeds, _abs_gt, _abs_le,
-                       _abs_max_candidates, _cinv, _cmul, _csub,
+                       _abs_max_candidates, _cinv, _cmul, _cneg, _csub,
                        is_exact_scalar, max_abs_of, scalar_is_zero,
                        squarefree_part, tolerance, univariate_roots)
 from .poly import (DualOp, Form, LinearForm, change_coordinates, evaluate,
@@ -69,7 +69,7 @@ class ProjPoint:
     def __init__(self, coords, precision_bits=DEFAULT_PRECISION_BITS):
         vals = [c if isinstance(c, AppComplex) else AppComplex(c, 0, precision_bits)
                 for c in coords]
-        if all((v.real._mpf_, v.imag._mpf_) == _CZERO for v in vals):
+        if all(v.parts == _CZERO for v in vals):
             raise InvalidInputError("projective point cannot be all zero")
         best = max(_abs_max_candidates(vals), key=lambda i: abs(vals[i]))
         pivot = vals[best]
@@ -281,8 +281,8 @@ def _subspace_lift(n, columns, precision_bits):
     else:
         for col, p in zip(linalg._raw_matrix(columns, wb), last):
             inv = _cinv(col[p], wb)
-            A[p] = [AppComplex.from_raw(linalg._neg(_cmul(col[i], inv, wb), wb),
-                                        bits) for i in keep]
+            A[p] = [AppComplex.from_raw(_cneg(_cmul(col[i], inv, wb), wb), bits)
+                    for i in keep]
     return keep, A
 
 
@@ -335,11 +335,6 @@ def _op_vanishes_at(op: DualOp, point: ProjPoint, precision_bits) -> bool:
     return scalar_is_zero(val, tol) if not is_exact_scalar(val) else val == 0
 
 
-def _raw(z):
-    """An AppComplex's parts as a raw libmp pair."""
-    return z.real._mpf_, z.imag._mpf_
-
-
 def _dedupe_points(points, precision_bits):
     """The points in order, leaving out each one whose ``ProjPoint.distance``
     to a point already kept is at most 2^-(bits/4)."""
@@ -357,7 +352,7 @@ def _apart(p, q, sep):
     nan difference makes that max depend on the order of the coordinates,
     which ``any`` would not see)."""
     diffs = [a - b for a, b in zip(p.coords, q.coords)]
-    above = [_abs_exceeds(_raw(d), sep) for d in diffs]
+    above = [_abs_exceeds(d.parts, sep) for d in diffs]
     if None in above:
         return mpf_gt(max(abs(d) for d in diffs)._mpf_, sep)
     return True in above
@@ -610,7 +605,7 @@ def _shared_roots(pa: UniPoly, pb: UniPoly, precision_bits):
     bits = precision_bits
     sep = mpf_shift(fone, -(bits // 3))
     return [x for x in ra
-            if any(_abs_le(_csub(_raw(x), _raw(y), bits), sep, bits)
+            if any(_abs_le(_csub(x.parts, y.parts, bits), sep, bits)
                    for y in rb)]
 
 
@@ -621,7 +616,7 @@ def _distinct_roots(roots, precision_bits):
     sep = mpf_shift(fone, -(bits // 4))
     uniq = []
     for r in roots:
-        if all(_abs_gt(_csub(_raw(r), _raw(u), bits), sep, bits)
+        if all(_abs_gt(_csub(r.parts, u.parts, bits), sep, bits)
                for u in uniq):
             uniq.append(r)
     return uniq

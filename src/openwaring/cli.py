@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 import mpmath
-from mpmath import mpf, workprec
+from mpmath.libmp import from_str, round_nearest
 
 from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
                         base_points, catalecticant, essential_split,
@@ -63,12 +63,18 @@ def _coord_to_json(c, bits):
     return {"re": _mpf_str(c.real, bits), "im": _mpf_str(c.imag, bits)}
 
 
+def _app_from_json(re, im, bits):
+    """The AppComplex of two decimal strings rounded to nearest at bits."""
+    text = _exactly(str, "string")
+    return AppComplex.from_raw((from_str(text(re), bits, round_nearest),
+                                from_str(text(im), bits, round_nearest)), bits)
+
+
 def _coord_from_json(obj, bits):
     if isinstance(obj, str):
         num, den = obj.split("/")
         return Fraction(int(num), int(den))
-    with workprec(bits):
-        return AppComplex(mpf(obj["re"]), mpf(obj["im"]), bits)
+    return _app_from_json(obj["re"], obj["im"], bits)
 
 
 def _term_to_json(c, l, bits):
@@ -88,8 +94,7 @@ def _term_from_json(obj, bits):
     if "coeff_num" in obj:
         c = Fraction(int(obj["coeff_num"]), int(obj["coeff_den"]))
     else:
-        with workprec(bits):
-            c = AppComplex(mpf(obj["coeff_re"]), mpf(obj["coeff_im"]), bits)
+        c = _app_from_json(obj["coeff_re"], obj["coeff_im"], bits)
     coords = [_coord_from_json(x, bits) for x in obj["coords"]]
     return c, LinearForm(coords)
 
@@ -134,18 +139,29 @@ def _field(record, key, read, default=_REQUIRED):
             f"record field {key!r} is malformed ({type(exc).__name__}: {exc})") from exc
 
 
+def _exactly(kind, name):
+    """A field reader that takes only a JSON ``name``: no float or boolean
+    passes for an integer, and no string or number for a boolean."""
+    def read(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected a JSON {name}, got {json.dumps(value)}")
+        return value
+    return read
+
+
 def decomposition_from_record(record: dict):
     if not isinstance(record, dict):
         raise InvalidInputError("record must be a JSON object")
-    bits = _field(record, "precision_bits", int)
-    n = _field(record, "num_vars", int)
+    integer = _exactly(int, "integer")
+    bits = _field(record, "precision_bits", integer)
+    n = _field(record, "num_vars", integer)
     f = _field(record, "form", lambda text: parse_form(text, n))
     V = _field(record, "avoid", lambda avoid: ForbiddenSet(
         n, tuple(parse_form(g, n, var="l") for g in avoid)), [])
     terms = _field(record, "terms",
                    lambda ts: tuple(_term_from_json(t, bits) for t in ts))
-    dec = Decomposition(_field(record, "degree", int), n, terms,
-                        _field(record, "exact", bool),
+    dec = Decomposition(_field(record, "degree", integer), n, terms,
+                        _field(record, "exact", _exactly(bool, "boolean")),
                         _field(record, "algorithm_trace", tuple, []))
     return f, dec, V, bits
 

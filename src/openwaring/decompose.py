@@ -27,7 +27,9 @@ from fractions import Fraction
 from functools import cache, partial
 from math import gcd
 
-from mpmath import mpf, workprec
+from mpmath import mpf
+from mpmath.libmp import (fone, from_int, mpc_pow_mpf, mpf_div,
+                          round_nearest as _RND)
 
 from . import linalg
 from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
@@ -41,7 +43,7 @@ from .errors import (CommonComponentError, ConsistencyError,
                      DegenerateSystemError, InvalidInputError, NoFitError,
                      NonTransversalError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
-                       is_exact_scalar, is_squarefree, max_abs_of,
+                       _raw_pair, is_exact_scalar, is_squarefree, max_abs_of,
                        scalar_is_zero, tolerance, univariate_roots)
 from .poly import (DualOp, Form, LinearForm, contract, dual_power,
                    linear_power, monomials_of_degree, _substitute)
@@ -306,19 +308,15 @@ def absorb_coefficients(dec: Decomposition,
     d = dec.degree
     if d == 0:
         raise InvalidInputError("cannot absorb coefficients at degree 0")
+    wb = precision_bits + GUARD_BITS
     new_terms = []
     for c, l in dec.terms:
-        if is_exact_scalar(c):
-            root = _rational_nth_root(Fraction(c), d)
-            if root is not None:
-                new_terms.append((Fraction(1), l.scale(root)))
-                continue
-            z = AppComplex(Fraction(c), 0, precision_bits)
-        else:
-            z = c
-        with workprec(precision_bits + GUARD_BITS):
-            w = z.to_mpc() ** (mpf(1) / d)
-        root = AppComplex.from_mpc(w, precision_bits)
+        root = _rational_nth_root(Fraction(c), d) if is_exact_scalar(c) else None
+        if root is None:
+            # c ** (1 / d) as the mpc and mpf operators round it at wb
+            root = AppComplex.from_raw(mpc_pow_mpf(
+                _raw_pair(c, precision_bits),
+                mpf_div(fone, from_int(d), wb, _RND), wb, _RND), precision_bits)
         new_terms.append((Fraction(1), l.scale(root)))
     return Decomposition(dec.degree, dec.num_vars, tuple(new_terms),
                          _terms_are_exact(new_terms),

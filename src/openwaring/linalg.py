@@ -32,8 +32,8 @@ from mpmath.libmp import (from_int, fzero, mpc_abs, mpf_gt, mpf_mul, mpf_neg,
 
 from .errors import InvalidInputError
 from .numerics import (AppComplex, GUARD_BITS, _CONE, _CZERO, _abs_exceeds,
-                       _cadd, _cdiv, _cmul, _csub, _make_mpf, _pos, _raw_mpf,
-                       is_exact_scalar, values_precision)
+                       _cadd, _cdiv, _cmul, _cneg, _cpos, _csub, _make_mpf,
+                       _raw_pair, is_exact_scalar, values_precision)
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +150,13 @@ def rational_det(rows) -> Fraction:
 
 
 def _raw_matrix(rows, bits):
-    """Each entry as a raw libmp (real, imag) pair: an AppComplex's parts as
-    stored, any other scalar rounded to nearest at ``bits`` (what
-    ``mpc(x)`` gives under ``workprec(bits)``)."""
-    return [[(x.real._mpf_, x.imag._mpf_) if isinstance(x, AppComplex)
-             else (_raw_mpf(x, bits), fzero) for x in row] for row in rows]
+    """Each entry as a raw libmp (real, imag) pair (``numerics._raw_pair``)."""
+    return [[_raw_pair(x, bits) for x in row] for row in rows]
 
 
 def _matrix_bits(rows, precision_bits):
     flat = [x for row in rows for x in row]
     return max(values_precision(flat, precision_bits), precision_bits)
-
-
-def _neg(z, prec):
-    """-z as ``mpc.__neg__`` rounds it at ``prec``."""
-    return mpf_neg(z[0], prec, _RND), mpf_neg(z[1], prec, _RND)
 
 
 def complex_echelon(rows, precision_bits, tol):
@@ -239,8 +231,7 @@ def complex_det(rows, precision_bits):
     bits = _matrix_bits(rows, precision_bits) + GUARD_BITS
     # sign * pivot is mpc_mul_int: the pivot rounded, negated for -1
     first = ech[0][0]
-    det = _neg(first, bits) if sign < 0 else (_pos(first[0], bits),
-                                              _pos(first[1], bits))
+    det = _cneg(first, bits) if sign < 0 else _cpos(first, bits)
     for i in range(1, n):
         det = _cmul(det, ech[i][i], bits)
     return AppComplex.from_raw(det, precision_bits)
@@ -266,7 +257,7 @@ def complex_kernel(rows, precision_bits, tol):
             s = _CZERO
             for j in range(pc + 1, ncols):
                 s = _cadd(s, _cmul(row[j], v[j], wb), wb)
-            v[pc] = _cdiv(_neg(s, wb), row[pc], wb)
+            v[pc] = _cdiv(_cneg(s, wb), row[pc], wb)
         basis.append([AppComplex.from_raw(x, bits) for x in v])
     return basis
 

@@ -4,12 +4,19 @@ Two kinds of scalars flow through the package:
 
 * exact rationals — ``fractions.Fraction`` (aliased ``Rational``), used
   whenever a computation can stay exact;
-* ``AppComplex`` — arbitrary-precision complex numbers backed by mpmath,
-  tagged with an explicit bit precision, used once roots or d-th roots
-  force us off the rationals.
+* ``AppComplex`` — arbitrary-precision complex numbers tagged with an
+  explicit bit precision, used once roots or d-th roots force us off the
+  rationals.
 
 Mixed arithmetic promotes to ``AppComplex`` at the larger of the two
 precisions.  All values are immutable.
+
+An approximate scalar has one form inside the package: the raw libmp
+(real, imag) pair that ``AppComplex`` stores as ``parts`` and the kernels
+below take and return.  mpmath's objects exist only at the public edges
+(``AppComplex.real`` and ``.imag``, built on demand, ``from_mpc`` and
+``to_mpc``); ``mpc`` and ``workprec`` appear only in those converters,
+``tolerance`` and ``_raw_mpf``'s fallback for other number types.
 
 Rounding contract: an ``AppComplex`` operation whose operands carry
 ``bits`` (the larger tag; ints and Fractions take the other operand's tag
@@ -57,10 +64,13 @@ from __future__ import annotations
 import mpmath
 from fractions import Fraction
 from mpmath import mpf, mpc, workprec
-from mpmath.libmp import (fone, fzero, mpc_abs, mpc_add, mpc_div,
-                          mpc_mpf_div, mpc_mul, mpc_pow_int, mpc_sub,
-                          mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul,
-                          mpf_neg, mpf_pow_int, round_nearest)
+from mpmath.libmp import (fhalf, fone, from_int, from_rational, fzero,
+                          mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_exp,
+                          mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf,
+                          mpc_pow_int, mpc_sub, mpf_add, mpf_div, mpf_gt,
+                          mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_pi, mpf_pow, mpf_pow_int, mpf_shift,
+                          round_nearest)
 
 from .errors import ConsistencyError, InvalidInputError
 
@@ -95,12 +105,6 @@ def _make_mpf(v):
     return x
 
 
-def _make_mpc(v):
-    z = _new(mpc)
-    z._mpc_ = v
-    return z
-
-
 def _raw_mpf(x, bits):
     """x rounded to nearest at ``bits``, as a raw libmp tuple; Fractions
     round numerator and denominator first, as ``mpf(p) / mpf(q)`` does.
@@ -119,8 +123,10 @@ def _raw_mpf(x, bits):
         return mpf(x)._mpf_
 
 
-def _to_mpf(x, bits):
-    return _make_mpf(_raw_mpf(x, bits))
+def _raw_pair(x, bits):
+    """A scalar as a raw pair: an AppComplex's parts as stored, any other
+    scalar rounded by ``_raw_mpf`` (``mpc(x)`` under ``workprec(bits)``)."""
+    return x.parts if isinstance(x, AppComplex) else (_raw_mpf(x, bits), fzero)
 
 
 def _check_precision(precision_bits):
@@ -228,6 +234,16 @@ def _pos(x, prec):
     if not man or bc <= prec:
         return x
     return _sum(sign, man, exp, 0, 0, 0, prec)
+
+
+def _cpos(z, prec):
+    """libmp's ``mpc_pos`` at round_nearest, as ``mpc(z)`` under workprec."""
+    return _pos(z[0], prec), _pos(z[1], prec)
+
+
+def _cneg(z, prec):
+    """libmp's ``mpc_neg`` at round_nearest."""
+    return mpf_neg(z[0], prec, _RND), mpf_neg(z[1], prec, _RND)
 
 
 def _cadd(z, w, prec):
@@ -367,20 +383,24 @@ class AppComplex:
 
     Arithmetic between two ``AppComplex`` values is carried out at the
     maximum of their precisions; ints and ``Fraction`` promote to the
-    precision of the other operand.
+    precision of the other operand.  The value is stored as ``parts``, a
+    raw libmp (real, imag) pair; ``real`` and ``imag`` are mpfs built from
+    it on demand.
     """
 
-    __slots__ = ("real", "imag", "precision_bits")
+    __slots__ = ("parts", "precision_bits")
 
     def __init__(self, real=0, imag=0, precision_bits=DEFAULT_PRECISION_BITS):
         _check_precision(precision_bits)
         bits = int(precision_bits)
+        _set_parts(self, (_raw_mpf(real, bits), _raw_mpf(imag, bits)))
         _set_bits(self, bits)
-        _set_real(self, _to_mpf(real, bits))
-        _set_imag(self, _to_mpf(imag, bits))
 
     def __setattr__(self, name, value):
         raise AttributeError("AppComplex is immutable")
+
+    real = property(lambda self: _make_mpf(self.parts[0]))
+    imag = property(lambda self: _make_mpf(self.parts[1]))
 
     @classmethod
     def from_raw(cls, parts, precision_bits):
@@ -400,7 +420,9 @@ class AppComplex:
         return cls(z.real, z.imag, precision_bits)
 
     def to_mpc(self):
-        return _make_mpc((self.real._mpf_, self.imag._mpf_))
+        z = _new(mpc)
+        z._mpc_ = self.parts
+        return z
 
     def __complex__(self):
         return complex(self.real, self.imag)
@@ -408,13 +430,11 @@ class AppComplex:
     def _binop(self, other, kernel, reflected=False):
         if isinstance(other, AppComplex):
             bits = max(self.precision_bits, other.precision_bits)
-            rhs = (other.real._mpf_, other.imag._mpf_)
         elif isinstance(other, (int, Fraction)):
             bits = self.precision_bits
-            rhs = (_raw_mpf(other, bits), fzero)
         else:
             return NotImplemented
-        lhs = (self.real._mpf_, self.imag._mpf_)
+        lhs, rhs = self.parts, _raw_pair(other, bits)
         if reflected:
             lhs, rhs = rhs, lhs
         return _rounded(kernel(lhs, rhs, bits + GUARD_BITS), bits)
@@ -443,23 +463,23 @@ class AppComplex:
 
     def __neg__(self):
         bits = self.precision_bits
-        return _wrap(mpf_neg(self.real._mpf_, bits, _RND),
-                     mpf_neg(self.imag._mpf_, bits, _RND), bits)
+        return _wrap(_cneg(self.parts, bits), bits)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
         bits = self.precision_bits
-        return _rounded(mpc_pow_int((self.real._mpf_, self.imag._mpf_), e,
-                                    bits + GUARD_BITS, _RND), bits)
+        return _rounded(mpc_pow_int(self.parts, e, bits + GUARD_BITS, _RND),
+                        bits)
 
     def conjugate(self):
-        bits = self.precision_bits
-        return _wrap(self.real._mpf_, mpf_neg(self.imag._mpf_, bits, _RND), bits)
+        re, im = self.parts
+        return _wrap((re, mpf_neg(im, self.precision_bits, _RND)),
+                     self.precision_bits)
 
     def __abs__(self):
-        return _make_mpf(mpc_abs((self.real._mpf_, self.imag._mpf_),
-                                 self.precision_bits + GUARD_BITS, _RND))
+        return _make_mpf(mpc_abs(self.parts, self.precision_bits + GUARD_BITS,
+                                 _RND))
 
     def __repr__(self):
         return (f"AppComplex({mpmath.nstr(self.real, 12)}, "
@@ -467,24 +487,21 @@ class AppComplex:
 
 
 # the slots' own setters, which bypass the immutability guard
-_set_real = AppComplex.real.__set__
-_set_imag = AppComplex.imag.__set__
+_set_parts = AppComplex.parts.__set__
 _set_bits = AppComplex.precision_bits.__set__
 
 
-def _wrap(re, im, bits):
-    """An AppComplex from raw parts already rounded at ``bits``."""
+def _wrap(parts, bits):
+    """An AppComplex from a raw pair already rounded at ``bits``."""
     z = _new(AppComplex)
-    _set_real(z, _make_mpf(re))
-    _set_imag(z, _make_mpf(im))
+    _set_parts(z, parts)
     _set_bits(z, bits)
     return z
 
 
 def _rounded(parts, bits):
-    """An AppComplex from raw parts, each rounded to nearest at ``bits``."""
-    re, im = parts
-    return _wrap(_pos(re, bits), _pos(im, bits), bits)
+    """An AppComplex from a raw pair, each part rounded at ``bits``."""
+    return _wrap(_cpos(parts, bits), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +519,7 @@ def scalar_is_zero(x, tol=0) -> bool:
     if is_exact_scalar(x):
         return x == 0
     if type(x) is AppComplex and type(tol) is mpf:
-        above = _abs_exceeds((x.real._mpf_, x.imag._mpf_), tol._mpf_)
+        above = _abs_exceeds(x.parts, tol._mpf_)
         if above is not None:
             return not above
     return abs(x) <= tol
@@ -526,7 +543,7 @@ def max_abs_of(values):
         return max(exact, default=Fraction(0))
     m = max(abs(approx[i]) for i in _abs_max_candidates(approx))
     for e in exact:
-        fe = _to_mpf(e, 64)
+        fe = _make_mpf(_raw_mpf(e, 64))
         if fe > m:
             m = fe
     return m
@@ -539,7 +556,7 @@ def _abs_max_candidates(values):
     below 2**(top+1) after rounding, which the value of largest top is not
     below.  Otherwise every index, so that a max over the hypots of the
     candidates returns what one over all of them does, nan included."""
-    tops = [_ctop((v.real._mpf_, v.imag._mpf_)) if type(v) is AppComplex
+    tops = [_ctop(v.parts) if type(v) is AppComplex
             else None for v in values]
     if None in tops:
         return range(len(values))
@@ -723,26 +740,25 @@ def squarefree_decomposition(p: UniPoly):
 
 
 def _horner(coeffs, x, prec):
-    """p(x) on raw libmp tuples, as ``acc * x + c`` from ``mpc(0)``.
+    """p(x) on raw pairs, as ``acc * x + c`` from zero.
 
-    ``coeffs`` is nonempty and x's parts are libmp values, as every libmp
-    and kernel result is.  Steps whose result is known are not computed:
-    the first step ``0 * x + c`` is the rounding of c, and when the
-    leading coefficient is exactly one, as it is for a monic polynomial,
-    the next product ``1 * x`` is x with each part rounded, the four
-    exact products of ``_cmul`` being x's parts and zeros.  Every other
-    step is ``_cmul`` then ``_cadd``, their ``_sum`` calls written out in
-    one place; a step with an inf or nan part in acc, x or c runs the
-    kernels, which hand it to libmp.
+    ``coeffs`` is a nonempty list of raw pairs and x's parts are libmp
+    values, as every libmp and kernel result is.  Steps whose result is
+    known are not computed: the first step ``0 * x + c`` is the rounding
+    of c, and when the leading coefficient is exactly one, as it is for a
+    monic polynomial, the next product ``1 * x`` is x with each part
+    rounded, the four exact products of ``_cmul`` being x's parts and
+    zeros.  Every other step is ``_cmul`` then ``_cadd``, their ``_sum``
+    calls written out in one place; a step with an inf or nan part in acc,
+    x or c runs the kernels, which hand it to libmp.
     """
     (xsg, xm, xe, _), (ysg, ym, ye, _) = x
     finite = (xm or not xe) and (ym or not ye)
     if finite and len(coeffs) > 1 and coeffs[-1] == _CONE:
-        acc = _cadd((_pos(x[0], prec), _pos(x[1], prec)), coeffs[-2], prec)
+        acc = _cadd(_cpos(x, prec), coeffs[-2], prec)
         rest = coeffs[-3::-1]
     else:
-        re, im = coeffs[-1]
-        acc = (_pos(re, prec), _pos(im, prec))
+        acc = _cpos(coeffs[-1], prec)
         rest = coeffs[-2::-1]
     for c in rest:
         (asg, am, ae, _), (bsg, bm, be, _) = acc
@@ -779,11 +795,18 @@ def _clearly_moved(step, z, work_bits):
 
 
 def _aberth(coeffs, work_bits, max_iters=400):
-    """Aberth–Ehrlich simultaneous iteration on an mpc coefficient list.
+    """Aberth–Ehrlich simultaneous iteration on raw pairs.
 
     ``coeffs`` is ascending with nonzero leading and constant terms.
     Deterministic: fixed initial points on a circle with an angular offset.
-    Returns a list of deg(p) approximations.
+    Returns deg(p) approximations as raw pairs at ``work_bits``.
+
+    Each value is what mpc and mpf arithmetic under ``workprec(work_bits)``
+    gave, from the calls those operators make, in their operand order: the
+    start circle from ``mpf_pow``, ``mpf_div``, ``mpf_pi``, ``mpc_exp`` and
+    ``mpc_mul_mpf``, ``1 / diff`` by ``_cinv``, ``1 + |z|`` by ``mpf_add(|z|,
+    1)``; the sum s starts from its first term, which adding to zero would
+    only round again.
 
     A sweep ends the iteration only if no root was nudged and every
     root's ``rel = |step| / (1 + |z_k|)`` is at most ``stop``.  Work is
@@ -796,105 +819,84 @@ def _aberth(coeffs, work_bits, max_iters=400):
     """
     n = len(coeffs) - 1
     wb = work_bits
-    with workprec(work_bits):
-        cs = [mpc(c) for c in coeffs]
-        lead = cs[-1]
-        monic = [c / lead for c in cs]
-        dmonic = [k * monic[k] for k in range(1, n + 1)]
+    cs = [_cpos(c, wb) for c in coeffs]
+    lead = cs[-1]
+    monic = [_cdiv(c, lead, wb) for c in cs]
+    dmonic = [mpc_mul_int(monic[k], k, wb, _RND) for k in range(1, n + 1)]
 
-        # initial guesses: circle of radius |a0/an|^(1/n), offset angles
-        r = abs(monic[0]) ** (mpf(1) / n)
-        if r == 0 or r < mpf(2) ** (-work_bits // 2):
-            r = mpf(1) / 2
-        two_pi = 2 * mpmath.pi
-        z = [r * mpmath.exp(mpc(0, two_pi * k / n + mpf(1) / 2)) for k in range(n)]
+    # initial guesses: circle of radius |a0/an|^(1/n), offset angles
+    r = mpf_pow(mpc_abs(monic[0], wb, _RND),
+                mpf_div(fone, from_int(n), wb, _RND), wb, _RND)
+    if r == fzero or mpf_lt(r, mpf_shift(fone, -wb // 2)):
+        r = fhalf
+    two_pi = mpf_mul_int(mpf_pi(wb, _RND), 2, wb, _RND)
+    z = [mpc_mul_mpf(mpc_exp((fzero, mpf_add(
+        mpf_div(mpf_mul_int(two_pi, k, wb, _RND), from_int(n), wb, _RND),
+        fhalf, wb, _RND)), wb, _RND), r, wb, _RND) for k in range(n)]
 
-        stop = (mpf(2) ** (-(work_bits - 8)))._mpf_
-        tiny = mpc(mpf(2) ** (-work_bits), 0)._mpc_
-
-        # the loop below is the mpc operators' arithmetic on raw tuples, in
-        # their operand order, run by this module's kernels (``1 / diff``
-        # is mpc_mpf_div, ``1 - x`` is mpc_sub((1, 0), x), ``1 + |z|`` is
-        # mpf_add(|z|, 1)); the sum s starts from its first term, which
-        # adding to mpc(0) would only round again at work_bits
-        monic = [c._mpc_ for c in monic]
-        dmonic = [c._mpc_ for c in dmonic]
-        z = [w._mpc_ for w in z]
-        for _ in range(max_iters):
-            settled = True
-            for k in range(n):
-                zk = z[k]
-                pv = _horner(monic, zk, wb)
-                dv = _horner(dmonic, zk, wb)
-                if pv == _CZERO:
-                    continue
-                if dv == _CZERO:
-                    # nudge deterministically off a critical point
-                    w = _make_mpc(zk)
-                    z[k] = (w + (abs(w) + 1) * mpf(2) ** (-work_bits // 4))._mpc_
-                    settled = False
-                    continue
-                newt = _cdiv(pv, dv, wb)
-                s = None
-                for j in range(n):
-                    if j != k:
-                        diff = _csub(zk, z[j], wb)
-                        if diff == _CZERO:
-                            diff = tiny
-                        inv = _cinv(diff, wb)
-                        s = inv if s is None else _cadd(s, inv, wb)
-                if s is None:
-                    s = _CZERO
-                denom = _csub(_CONE, _cmul(newt, s, wb), wb)
-                if denom == _CZERO:
-                    step = newt
-                else:
-                    step = _cdiv(newt, denom, wb)
-                zk = z[k] = _csub(zk, step, wb)
-                if settled and (_clearly_moved(step, zk, wb) or mpf_gt(
-                        mpf_div(mpc_abs(step, wb, _RND),
-                                mpf_add(mpc_abs(zk, wb, _RND), fone, wb, _RND),
-                                wb, _RND), stop)):
-                    settled = False
-            if settled:
-                break
-        return [mpc(_make_mpc(w)) for w in z]
+    stop = mpf_shift(fone, 8 - wb)
+    tiny = (mpf_shift(fone, -wb), fzero)
+    nudge = mpf_shift(fone, -wb // 4)
+    for _ in range(max_iters):
+        settled = True
+        for k in range(n):
+            zk = z[k]
+            pv = _horner(monic, zk, wb)
+            dv = _horner(dmonic, zk, wb)
+            if pv == _CZERO:
+                continue
+            if dv == _CZERO:
+                # nudge deterministically off a critical point
+                z[k] = mpc_add_mpf(zk, mpf_mul(
+                    mpf_add(mpc_abs(zk, wb, _RND), fone, wb, _RND), nudge,
+                    wb, _RND), wb, _RND)
+                settled = False
+                continue
+            newt = _cdiv(pv, dv, wb)
+            s = None
+            for j in range(n):
+                if j != k:
+                    diff = _csub(zk, z[j], wb)
+                    if diff == _CZERO:
+                        diff = tiny
+                    inv = _cinv(diff, wb)
+                    s = inv if s is None else _cadd(s, inv, wb)
+            if s is None:
+                s = _CZERO
+            denom = _csub(_CONE, _cmul(newt, s, wb), wb)
+            step = newt if denom == _CZERO else _cdiv(newt, denom, wb)
+            zk = z[k] = _csub(zk, step, wb)
+            if settled and (_clearly_moved(step, zk, wb) or mpf_gt(
+                    mpf_div(mpc_abs(step, wb, _RND),
+                            mpf_add(mpc_abs(zk, wb, _RND), fone, wb, _RND),
+                            wb, _RND), stop)):
+                settled = False
+        if settled:
+            break
+    return z
 
 
 def _newton_polish(coeffs, roots, work_bits, steps=6):
-    with workprec(work_bits):
-        cs = [mpc(c) for c in coeffs]
-        dcs = [(k * cs[k])._mpc_ for k in range(1, len(cs))]
-        cs = [c._mpc_ for c in cs]
+    """Newton steps on raw pairs from each root, rounded as mpc arithmetic
+    under ``workprec(work_bits)`` rounds them."""
+    cs = [_cpos(c, work_bits) for c in coeffs]
+    dcs = [mpc_mul_int(cs[k], k, work_bits, _RND) for k in range(1, len(cs))]
 
-        # a step that returns its root unchanged would repeat itself, so the
-        # polish stops there with the bits the remaining steps would give
-        out = []
-        for z in roots:
-            w = mpc(z)._mpc_
-            for _ in range(steps):
-                dv = _horner(dcs, w, work_bits)
-                if dv == _CZERO:
-                    break
-                nxt = _csub(w, _cdiv(_horner(cs, w, work_bits), dv, work_bits),
-                            work_bits)
-                if nxt == w:
-                    break
-                w = nxt
-            out.append(_make_mpc(w))
-        return out
-
-
-def _coeffs_to_mpc(p: UniPoly, bits):
+    # a step that returns its root unchanged would repeat itself, so the
+    # polish stops there with the bits the remaining steps would give
     out = []
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            out.append(_make_mpc((_raw_mpf(c, bits), fzero)))
-        elif isinstance(c, AppComplex):
-            out.append(c.to_mpc())
-        else:
-            with workprec(bits):
-                out.append(mpc(c))
+    for z in roots:
+        w = _cpos(z, work_bits)
+        for _ in range(steps):
+            dv = _horner(dcs, w, work_bits)
+            if dv == _CZERO:
+                break
+            nxt = _csub(w, _cdiv(_horner(cs, w, work_bits), dv, work_bits),
+                        work_bits)
+            if nxt == w:
+                break
+            w = nxt
+        out.append(w)
     return out
 
 
@@ -917,7 +919,9 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
     # split off roots at the origin
     nzero = 0
     coeffs = list(p.coeffs)
-    tol_zero = tolerance(precision_bits) * p.max_abs()
+    tol = tolerance(precision_bits)
+    scale = p.max_abs()
+    tol_zero = tol * scale
     while coeffs and scalar_is_zero(coeffs[0], tol_zero):
         coeffs.pop(0)
         nzero += 1
@@ -933,7 +937,7 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
             lead = body.coeffs[-1]
             lead_abs = mpf(1) * (abs(lead) if not is_exact_scalar(lead)
                                  else abs(Fraction(lead)))
-            if lead_abs <= tolerance(precision_bits) * body.max_abs():
+            if lead_abs <= tol * body.max_abs():
                 raise InvalidInputError(
                     "leading coefficient is numerically zero; trim the degree first")
             factors = [(body, 1)]
@@ -943,10 +947,9 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
                 r = -factor.coeffs[0] / factor.coeffs[1]
                 roots.extend([AppComplex(r, 0, precision_bits)] * mult)
                 continue
-            cs = _coeffs_to_mpc(factor, work)
-            approx = _newton_polish(cs, _aberth(cs, work), work)
-            for r in approx:
-                roots.extend([AppComplex.from_mpc(r, precision_bits)] * mult)
+            cs = [_raw_pair(c, work) for c in factor.coeffs]
+            for r in _newton_polish(cs, _aberth(cs, work), work):
+                roots.extend([AppComplex.from_raw(r, precision_bits)] * mult)
 
     roots.extend(AppComplex(0, 0, precision_bits) for _ in range(nzero))
     if len(roots) != p.degree:
@@ -954,14 +957,14 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
             f"found {len(roots)} roots for a degree-{p.degree} polynomial")
 
     # residual certificate
-    tol = tolerance(precision_bits)
-    scale = p.max_abs()
     cert = precision_bits + GUARD_BITS
-    cs = [c._mpc_ for c in _coeffs_to_mpc(p, cert)]
-    with workprec(cert):
-        tol_scale = (tol * scale)._mpf_
+    cs = [_raw_pair(c, cert) for c in p.coeffs]
+    # tol * scale as the mpf operator takes it: a Fraction rounded down
+    raw_scale = (from_rational(scale.numerator, scale.denominator, cert)
+                 if isinstance(scale, Fraction) else scale._mpf_)
+    tol_scale = mpf_mul(tol._mpf_, raw_scale, cert, _RND)
     for r in roots:
-        z = (r.real._mpf_, r.imag._mpf_)
+        z = r.parts
         acc = _horner(cs, z, cert)
         # max(mpf(1), |z|) ** deg * tol * scale, as the mpf operators round it
         size = fone
@@ -974,7 +977,4 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
             raise ConsistencyError(
                 "root residual exceeds the acceptance threshold")
 
-    def _key(r):
-        return (r.real, r.imag)
-
-    return sorted(roots, key=_key)
+    return sorted(roots, key=lambda r: (r.real, r.imag))

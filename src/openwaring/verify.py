@@ -165,8 +165,7 @@ def is_forbidden(l: LinearForm, V: ForbiddenSet, tol=None) -> bool:
         bound = tol * g.norm1() * l_scale ** g.degree
         below = None
         if type(val) is AppComplex:
-            below = _abs_at_most((val.real._mpf_, val.imag._mpf_),
-                                 bound._mpf_)
+            below = _abs_at_most(val.parts, bound._mpf_)
         if below is None:
             below = abs(val) <= bound
         if below:
@@ -259,7 +258,7 @@ def _raw_mpc(x, wp):
     """A scalar as a raw libmp complex tuple; rationals rounded at ``wp``."""
     if is_exact_scalar(x):
         return (from_rational(x.numerator, x.denominator, wp, _RND), fzero)
-    return (x.real._mpf_, x.imag._mpf_)
+    return x.parts
 
 
 def _max_abs(leaves, wp):
@@ -360,7 +359,8 @@ def check_decomposition(f: Form, dec: Decomposition,
                               else mpc_mul_int(w, m, wp, _RND), wp, _RND)
                       for v, m, w in zip(approx, mults, vals[first:])]
 
-    all_exact = f.is_exact() and dec.exact and approx is None
+    # exactness is read off the data, not off the record's own flag
+    all_exact = approx is None and f.is_exact()
     index = {expo: k for k, (expo, _) in enumerate(leaves)}
 
     if all_exact:

@@ -101,7 +101,8 @@ def reference_check(f, dec, V=None, precision_bits=DEFAULT_PRECISION_BITS):
                 total.pop(expo, None)
             else:
                 total[expo] = s
-    all_exact = (f.is_exact() and dec.exact
+    # exactness is read off the data, whatever the record's flag says
+    all_exact = (f.is_exact()
                  and all(is_exact_scalar(v) for v in total.values()))
     norm = f.norm1()
     scale = norm if (not is_exact_scalar(norm) or norm > 0) else Fraction(1)

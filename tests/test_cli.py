@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+from mpmath import mpf, workprec
 
-from openwaring import cli, verify
+from openwaring import AppComplex, cli, verify
 from openwaring.cli import run
 from openwaring.errors import ConsistencyError, NoFitError
 
@@ -107,6 +110,48 @@ class TestVerifyCommand:
         record_path.write_text(json.dumps(record))
         code, _, _ = run_capture(capsys, ["verify", str(record_path)])
         assert code == 1
+
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_exact_flag_does_not_forgive_an_error(self, tmp_path, capsys, flag):
+        # one part in 10^60 on a rational coefficient is below the
+        # tolerance; the verifier must see it whatever "exact" claims
+        record_path = tmp_path / "rec.json"
+        code, _, _ = run_capture(capsys, [
+            "decompose", "-n", "3", "x0^2 + 2*x1^2 + 3*x2^2 + x0*x1",
+            "--format", "structured", "-o", str(record_path)])
+        assert code == 0
+        record = json.loads(record_path.read_text())
+        term = record["terms"][0]
+        q = (Fraction(int(term["coeff_num"]), int(term["coeff_den"]))
+             * (1 + Fraction(1, 10 ** 60)))
+        term["coeff_num"], term["coeff_den"] = str(q.numerator), str(q.denominator)
+        record["exact"] = flag
+        record_path.write_text(json.dumps(record))
+        code, out, _ = run_capture(capsys, [
+            "verify", str(record_path), "--format", "structured"])
+        assert code == 1
+        assert json.loads(out)["verified"] is False
+
+
+class TestRecordScalars:
+    @pytest.mark.parametrize("bits", [64, 256, 1000])
+    def test_reader_rounds_as_mpf_does(self, bits):
+        # each decimal string rounded to nearest at the record's precision,
+        # as mpf(text) under workprec(bits) reads it
+        with workprec(1400):
+            long = [mpmath.nstr(x, 420) for x in (mpf(1) / 3, -mpf(2) / 7,
+                                                 mpf(10) ** 300 / 7)]
+        texts = long + ["0.1", "-2.5e-40", "123456789123456789123456789",
+                        "0", "-0", "inf", "nan"]
+        for re_text, im_text in zip(texts, texts[1:] + texts[:1]):
+            with workprec(bits):
+                want = AppComplex(mpf(re_text), mpf(im_text), bits)
+            got = cli._coord_from_json({"re": re_text, "im": im_text}, bits)
+            coeff, _ = cli._term_from_json({"coeff_re": re_text,
+                                            "coeff_im": im_text,
+                                            "coords": ["1/1"]}, bits)
+            assert got.parts == coeff.parts == want.parts
 
 
 class TestVerifierCalls:
@@ -396,7 +441,8 @@ class TestInputChecks:
         code, _, err = self.verify(capsys, record, "[1, 2]")
         assert code == 2 and "JSON object" in err
 
-    @pytest.mark.parametrize("bits", ["many", None, [256]])
+    @pytest.mark.parametrize("bits", ["many", None, [256], "256", 256.9, 256.0,
+                                      True])
     def test_verify_bad_precision(self, capsys, record, bits):
         data = json.loads(record.read_text())
         data["precision_bits"] = bits
@@ -408,7 +454,10 @@ class TestInputChecks:
         ({"coords": None}, "KeyError"),
         ({"coeff_num": "1", "coeff_den": "0"}, "ZeroDivisionError"),
         ({"coords": ["1/0", "0/1"]}, "ZeroDivisionError"),
-    ], ids=["missing-coords", "zero-coeff-den", "zero-coord-den"])
+        ({"coords": [{"re": 1.5, "im": "0"}, "0/1"]},
+         "TypeError: expected a JSON string, got 1.5"),
+    ], ids=["missing-coords", "zero-coeff-den", "zero-coord-den",
+            "numeric-coord"])
     def test_verify_bad_term(self, capsys, record, update, error):
         # a zero denominator is malformed input (exit 2), not a rejected
         # result (exit 1) or a traceback
@@ -421,6 +470,22 @@ class TestInputChecks:
         assert (code, out) == (2, "")
         assert err.startswith(
             f"error: record field 'terms' is malformed ({error}")
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("num_vars", 2.0, "integer"), ("num_vars", False, "integer"),
+        ("degree", 2.7, "integer"), ("degree", True, "integer"),
+        ("exact", "false", "boolean"), ("exact", 0, "boolean"),
+        ("exact", 1, "boolean"), ("exact", None, "boolean"),
+    ])
+    def test_verify_field_types(self, capsys, record, field, value, kind):
+        # a float, a boolean or a string where the record holds an integer,
+        # or anything but a boolean for "exact", is malformed (exit 2)
+        data = json.loads(record.read_text())
+        data[field] = value
+        code, out, err = self.verify(capsys, record, json.dumps(data))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: record field {field!r} is malformed "
+                              f"(TypeError: expected a JSON {kind}")
 
     def test_verify_missing_exact_flag(self, capsys, record):
         data = json.loads(record.read_text())

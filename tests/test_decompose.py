@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from mpmath import mpf
+from mpmath import mpf, workprec
 
 from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         Decomposition, DualOp, ForbiddenSet, Form,
@@ -24,7 +24,8 @@ from openwaring.decompose import (_coords_scale, _hyperplane_change,
                                   _map_terms_back, _merge_proportional,
                                   _power_of_two_near, _proportional_linear,
                                   _restrict_forbidden)
-from openwaring.numerics import is_exact_scalar, max_abs_of, scalar_is_zero, tolerance
+from openwaring.numerics import (GUARD_BITS, is_exact_scalar, max_abs_of,
+                                 scalar_is_zero, tolerance)
 from openwaring.poly import monomials_of_degree
 from conftest import (assert_same_verdict, random_essential_form, random_form,
                       random_hyperplanes, random_linear_form, reference_check,
@@ -399,6 +400,22 @@ class TestAbsorb:
         out = absorb_coefficients(dec)
         assert not out.exact
         assert check_decomposition(f, out).passed
+
+    @pytest.mark.parametrize("bits", [64, 256, 1000])
+    def test_roots_are_the_mpc_power(self, bits):
+        # c ** (1 / d) as mpc arithmetic at bits + GUARD_BITS gives it,
+        # rounded at bits, for rational and approximate coefficients
+        coeffs = [Fraction(2), Fraction(-5, 3), AppComplex(Fraction(7, 3), -2, bits),
+                  AppComplex(Fraction(-1, 9), Fraction(1, 7), bits + 100)]
+        for d in range(2, 10):
+            terms = tuple((c, LinearForm([1, 0])) for c in coeffs)
+            out = absorb_coefficients(Decomposition(d, 2, terms, False), bits)
+            for c, (_, l) in zip(coeffs, out.terms):
+                with workprec(bits + GUARD_BITS):
+                    z = (AppComplex(c, 0, bits) if isinstance(c, Fraction)
+                         else c).to_mpc()
+                    want = AppComplex.from_mpc(z ** (mpf(1) / d), bits)
+                assert l.coords[0].parts == want.parts
 
 
 class TestInductive:

@@ -295,3 +295,61 @@ def test_root_distances_run_on_the_kernels():
                  if isinstance(n, ast.FunctionDef)}
     assert {name: names for name in ("_shared_roots", "_distinct_roots")
             if (names := _names_in(functions[name]) & MPC_DISTANCE)} == {}
+
+
+#: what an approximate scalar looks like outside its one representation,
+#: the raw libmp (real, imag) pair: mpmath's objects, the context that sets
+#: their precision, and the converters to and from them
+MPC_OBJECTS = {"mpc", "workprec", "mpmath", "_make_mpc", "to_mpc", "from_mpc"}
+
+#: the root finder, which runs on raw pairs from the coefficients to the
+#: certified roots
+ROOT_FINDER = {"_horner", "_aberth", "_newton_polish", "univariate_roots"}
+
+
+def _imported_names(tree):
+    return {a.asname or a.name for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+
+
+def test_root_finder_runs_on_raw_pairs():
+    functions = {n.name: n for n in _parsed()["numerics"].body
+                 if isinstance(n, ast.FunctionDef)}
+    assert ROOT_FINDER <= set(functions)
+    assert {name: names for name in sorted(ROOT_FINDER)
+            if (names := _names_in(functions[name]) & MPC_OBJECTS)} == {}
+
+
+def test_mpc_objects_stay_in_numerics():
+    # every other module reads an AppComplex's parts and runs libmp or the
+    # kernels on them, with no mpc object and no precision context
+    assert {m: names for m, tree in _parsed().items() if m != "numerics"
+            if (names := (_names_in(tree) | _imported_names(tree))
+                & {"mpc", "workprec"})} == {}
+
+
+def test_parts_are_read_as_stored():
+    # ``x.parts``, not the raw tuples of the mpfs that .real and .imag build
+    reads = [f"{m}.py:{n.lineno}" for m, tree in _parsed().items()
+             for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "_mpf_"
+             and isinstance(n.value, ast.Attribute)
+             and n.value.attr in ("real", "imag")]
+    assert reads == []
+
+
+#: converters and second copies that the one scalar representation made
+#: redundant: the mpc coefficient list, the mpf wrapper of ``_raw_mpf``,
+#: and linalg's negation beside ``numerics._cneg``
+SCALAR_COPIES = {"_coeffs_to_mpc", "_to_mpf"}
+
+
+def test_scalar_converters_stay_deleted():
+    parsed = _parsed()
+    defined = {m: {n.name for n in ast.walk(tree)
+                   if isinstance(n, ast.FunctionDef)}
+               for m, tree in parsed.items()}
+    assert {m: names & SCALAR_COPIES for m, names in defined.items()
+            if names & SCALAR_COPIES} == {}
+    assert "_neg" not in defined["linalg"]
+    assert "_cneg" in defined["numerics"]

@@ -10,14 +10,14 @@ from mpmath import mpc, mpf, workprec
 from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
                           fzero, mpc_abs, mpc_add, mpc_div, mpc_mpf_div,
                           mpc_mul, mpc_sub, mpf_add, mpf_div, mpf_gt, mpf_le,
-                          mpf_pos, round_nearest)
+                          mpf_neg, mpf_pos, mpf_shift, round_nearest)
 
 from openwaring import ConsistencyError, InvalidInputError, numerics
 from openwaring.numerics import (GUARD_BITS, AppComplex, UniPoly, _aberth,
                                  _abs_exceeds, _abs_gt, _abs_le, _cadd, _cdiv,
-                                 _cinv, _clearly_moved, _cmul, _coeffs_to_mpc,
-                                 _csub, _horner, _make_mpc, _newton_polish,
-                                 _pos, _quo, _raw_mpf, is_squarefree,
+                                 _cinv, _clearly_moved, _cmul, _csub, _horner,
+                                 _newton_polish, _pos, _quo, _raw_mpf,
+                                 _raw_pair, is_squarefree,
                                  max_abs_of, scalar_is_zero,
                                  squarefree_decomposition, squarefree_part,
                                  univariate_roots)
@@ -28,6 +28,34 @@ def poly(*coeffs):
 
 
 class TestAppComplex:
+    def test_public_surface(self):
+        # the value is stored once, as a raw pair; real and imag are mpfs
+        # built from it, and every attribute is read-only
+        x = AppComplex(Fraction(1, 3), -2, 64)
+        third = (0, 12297829382473034411, -65, 64)
+        assert x.parts == (third, (1, 1, 1, 1)) and x.precision_bits == 64
+        assert type(x.real) is mpf and type(x.imag) is mpf
+        assert (x.real._mpf_, x.imag._mpf_) == x.parts
+        for name in ("real", "imag", "parts", "precision_bits"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, getattr(x, name))
+        # the converters, complex() and repr give what they gave when the
+        # parts were held as two mpfs
+        assert type(x.to_mpc()) is mpc and x.to_mpc()._mpc_ == x.parts
+        assert complex(x) == complex(1 / 3, -2)
+        assert repr(x) == "AppComplex(0.333333333333, -2.0, bits=64)"
+        assert repr(AppComplex(0, Fraction(-5, 7), 256)) == \
+            "AppComplex(0.0, -0.714285714286, bits=256)"
+        assert AppComplex.from_raw(((0, 3, -1, 2), (1, 2 ** 80 + 1, -80, 81)),
+                                   64).parts == ((0, 3, -1, 2), (1, 1, 0, 1))
+        with workprec(200):
+            z = mpc(mpf(1) / 3, -mpf(2) / 7)
+        assert AppComplex.from_mpc(z, 64).parts == (
+            third, (1, 10540996613548315209, -65, 64))
+        assert AppComplex.from_mpc(1.5 - 0.25j, 64).parts == (
+            (0, 3, -1, 2), (1, 1, -2, 1))
+        assert AppComplex.from_mpc(2, 64).parts == ((0, 1, 1, 1), fzero)
+
     def test_precision_propagates_as_max(self):
         a = AppComplex(1, 0, 128)
         b = AppComplex(2, 1, 256)
@@ -352,10 +380,10 @@ def raw_pair(z):
 def ref_horner(coeffs, x, prec):
     """p(x) by the mpc operators, from the rounded leading coefficient."""
     with workprec(prec):
-        xv = _make_mpc(x)
-        acc = +_make_mpc(coeffs[-1])
+        xv = mpmath.mp.make_mpc(x)
+        acc = +mpmath.mp.make_mpc(coeffs[-1])
         for c in reversed(coeffs[:-1]):
-            acc = acc * xv + _make_mpc(c)
+            acc = acc * xv + mpmath.mp.make_mpc(c)
         return acc._mpc_
 
 
@@ -583,13 +611,30 @@ def ref_newton_polish(coeffs, roots, work_bits, steps=6):
 WANDERING = UniPoly([Fraction(1061, 32), Fraction(-1069, 16), 1])
 
 
+def critical_start(bits):
+    """t^2 + a1 t + 1 with a1 = -2 z0, z0 the first Aberth start point at
+    ``bits`` + 2 * GUARD_BITS working bits: the derivative 2 t + a1 is
+    exactly zero at z0 (the ``dv == 0`` branch, which nudges the root)."""
+    work = bits + 2 * GUARD_BITS
+    one = AppComplex(1, 0, work)
+    z0 = _aberth([one.parts, (fzero, fzero), one.parts], work, max_iters=0)[0]
+    a1 = (mpf_neg(mpf_shift(z0[0], 1)), mpf_neg(mpf_shift(z0[1], 1)))
+    return UniPoly([one, AppComplex.from_raw(a1, work), one])
+
+
 def root_loop_cases():
     """(polynomial, bits): the wandering quadratic t^2 - 66.8125 t +
     33.15625, which takes 165 sweeps at 256 bits and runs to the iteration
     cap at 768; t^2 - 1, whose iterates land
-    exactly on a root (the ``pv == 0`` branch); and 40 random polynomials
-    of degree 2-10 with rational or AppComplex coefficients."""
-    cases = [(WANDERING, 256), (WANDERING, 768), (poly(-1, 0, 1), 128)]
+    exactly on a root (the ``pv == 0`` branch); a quadratic whose
+    derivative vanishes at a start point (the ``dv == 0`` branch); a cubic
+    whose coefficients carry more bits than the loops work at, which they
+    round first; and 40 random polynomials of degree 2-10 with rational or
+    AppComplex coefficients."""
+    cases = [(WANDERING, 256), (WANDERING, 768), (poly(-1, 0, 1), 128),
+             (critical_start(128), 128),
+             (UniPoly([AppComplex(Fraction(p, 7), Fraction(1, q), 400)
+                       for p, q in ((1, 3), (-5, 11), (2, 9), (3, 13))]), 128)]
     rng = random.Random(15)
     for i in range(40):
         deg = rng.randint(2, 10)
@@ -606,17 +651,79 @@ def root_loop_cases():
     return cases
 
 
+def ref_coeffs(p, bits):
+    """p's coefficients as mpc objects: a Fraction rounded at ``bits`` as
+    mpf(num) / mpf(den), an AppComplex as stored."""
+    out = []
+    for c in p.coeffs:
+        if isinstance(c, Fraction):
+            with workprec(bits):
+                out.append(mpc(mpf(c.numerator) / mpf(c.denominator)))
+        else:
+            out.append(c.to_mpc())
+    return out
+
+
 class TestRootLoopEquivalence:
     def test_aberth_and_polish_match_the_mpc_loop(self):
         for p, bits in root_loop_cases():
             work = bits + 2 * GUARD_BITS
-            cs = _coeffs_to_mpc(p, work)
+            cs = [_raw_pair(c, work) for c in p.coeffs]
+            ref_cs = ref_coeffs(p, work)
+            assert cs == [c._mpc_ for c in ref_cs]
             got = _aberth(cs, work)
-            want = ref_aberth(cs, work)
-            assert [w._mpc_ for w in got] == [w._mpc_ for w in want]
+            want = ref_aberth(ref_cs, work)
+            assert got == [w._mpc_ for w in want]
             got = _newton_polish(cs, got, work)
-            want = ref_newton_polish(cs, want, work)
-            assert [w._mpc_ for w in got] == [w._mpc_ for w in want]
+            want = ref_newton_polish(ref_cs, want, work)
+            assert got == [w._mpc_ for w in want]
+
+    def test_critical_start_takes_the_nudge(self, monkeypatch):
+        # the nudge is the loop's one mpc_add_mpf; it runs in the first
+        # sweep, on the first root
+        calls = []
+        real = numerics.mpc_add_mpf
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(numerics, "mpc_add_mpf", counting)
+        p = critical_start(128)
+        work = 128 + 2 * GUARD_BITS
+        cs = [c.parts for c in p.coeffs]
+        z0 = _aberth(cs, work, max_iters=0)[0]
+        calls.clear()
+        _aberth(cs, work, max_iters=1)
+        assert calls == [z0]
+
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_certificate_scale_is_the_mpf_product(self, bits, monkeypatch):
+        # tol * max|coeff| as the mpf operators give it at the certificate's
+        # precision, where a Fraction converts rounded down
+        tol = numerics.tolerance(bits)
+        products = []
+        real = numerics.mpf_mul
+
+        def recording(x, y, *rest):
+            out = real(x, y, *rest)
+            if x == tol._mpf_:
+                products.append(out)
+            return out
+
+        monkeypatch.setattr(numerics, "mpf_mul", recording)
+        # 4/3 and -8/7 round down to other bits than to nearest at these
+        # precisions; with 1/5 the scale is the exact 1
+        for top in (Fraction(4, 3), Fraction(-8, 7), Fraction(7, 3),
+                    Fraction(1, 5), AppComplex(Fraction(5, 3), 1, bits)):
+            products.clear()
+            p = UniPoly([Fraction(1), Fraction(1, 2), top])
+            univariate_roots(p, bits)
+            with workprec(bits + GUARD_BITS):
+                want = (tol * p.max_abs())._mpf_
+            # the first product on tol is tol * scale; the bounds that follow
+            # start from it and read as tol when the scale is one
+            assert products[0] == want
 
     def test_wandering_quadratic_still_fails_at_768_bits(self):
         # t^2 - 66.8125 t + 33.15625 does not converge within the Aberth

@@ -199,6 +199,8 @@ class TestMonomialTreeCertificate:
             rep = check_decomposition(f, dec, V, precision_bits=bits)
             assert_same_verdict(rep, reference_check(f, dec, V, bits), bits)
             assert rep.residual_ok == (kind != "wrong")
+            # a flagged record's rational terms are still compared exactly
+            assert rep.exact or kind != "flagged"
 
     def test_approximate_residual_is_carried_at_the_working_precision(self):
         # 1/3 is rounded at 256 bits, so the term misses f = x0/3 + x1 by
@@ -210,6 +212,17 @@ class TestMonomialTreeCertificate:
         rep = check_decomposition(f, dec, precision_bits=256)
         assert rep.residual_ok and not rep.exact
         assert 0 < rep.residual < mpf(2) ** -250
+
+    def test_exactness_is_read_off_the_data(self):
+        # rational terms are compared exactly whatever the flag says: an
+        # error of one part in 10^60 is below the tolerance but not zero
+        f = parse_form("x0^2 + 2*x1^2 + 3*x2^2 + x0*x1", 3)
+        (c, l), *rest = decompose(f, seed=1).terms
+        terms = ((c * (1 + Fraction(1, 10 ** 60)), l), *rest)
+        for flag in (True, False):
+            rep = check_decomposition(f, Decomposition(2, 3, terms, flag))
+            assert rep.exact and rep.residual > 0
+            assert not rep.residual_ok and not rep.passed
 
     def test_wrong_number_of_variables_rejected(self):
         f = parse_form("x0^2 + x1^2", 2)
