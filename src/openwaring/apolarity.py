@@ -10,9 +10,14 @@ complex elimination instead.
 
 The plane-curve resultant machinery lives here too: ``_resultant_charts``
 walks coordinate charts of a pair of ternary curves and eliminates the last
-variable by a Sylvester resultant, ``_shared_roots`` pairs the roots of two
-univariates, and ``_curve_pair_candidates`` (for ``base_points``) and
-``decompose.conic_intersection`` build their intersections on them.
+variable by a Sylvester resultant, and ``_curve_pair_candidates`` (for
+``base_points``) and ``decompose.conic_intersection`` build their
+intersections on it.  Since ``base_points`` certifies every candidate
+against the whole annihilator basis, its candidates over a resultant root
+are one curve's roots there, unpaired (``_curve_pair_candidates`` says why
+that finds the same points); only the fallback of ``_back_substitute_l2``,
+with no certificate behind it, pairs the roots of two univariates
+(``_shared_roots``).
 """
 
 from __future__ import annotations
@@ -588,20 +593,17 @@ def _trim_leading(values, precision_bits):
 def _shared_roots(pa: UniPoly, pb: UniPoly, precision_bits):
     """Roots of pa that are roots of pb too, within 2^-(bits/3).
 
-    A side of degree < 1 poses no condition, so the other side's roots come
-    back whole; none come back when root finding rejects a side.  Here and
-    in ``_distinct_roots`` a difference is rounded at precision_bits by
+    The fallback of ``_back_substitute_l2`` when its elimination
+    denominator is numerically zero; both sides have degree >= 1 there.
+    None come back when root finding rejects a side.  Here and in
+    ``_distinct_roots`` a difference is rounded at precision_bits by
     ``_csub``, as mpc subtraction under workprec(bits) rounds it, and its
     size is settled by exponents where they decide it."""
     try:
-        ra = univariate_roots(pa, precision_bits) if pa.degree >= 1 else None
-        rb = univariate_roots(pb, precision_bits) if pb.degree >= 1 else None
+        ra = univariate_roots(pa, precision_bits)
+        rb = univariate_roots(pb, precision_bits)
     except InvalidInputError:
         return []
-    if ra is None:
-        return rb or []
-    if rb is None:
-        return ra
     bits = precision_bits
     sep = mpf_shift(fone, -(bits // 3))
     return [x for x in ra
@@ -649,9 +651,19 @@ def _back_substitute_l2(p_coeffs, q_coeffs, t, precision_bits):
 def _curve_pair_candidates(D0: DualOp, D1: DualOp, precision_bits, rng):
     """Candidate common zeros of two ternary curves of equal degree.
 
+    At each distinct root t of the resultant, every l2-root of D0 at t is a
+    candidate (of D1 when D0 has degree < 1 in l2 there); a t whose root
+    finding rejects that side gives none.  One root search per t, with no
+    pairing against the roots of D1, is sound because ``base_points``
+    certifies each candidate against the whole linear system, D1 among it:
+    - the candidates contain those that pairing within 2^-(bits/3) (as
+      ``_shared_roots`` pairs) would keep;
+    - an extra one passes the certificate only where D1 vanishes too, and
+      that puts it within the pairing radius of a root of D1 at t unless
+      D1 has a near-double root there.
+    So the certified points are the paired ones but at near-tangencies.
     Unlike conic_intersection this tolerates tangency (the squarefree part
-    of the resultant is used) since the caller certifies candidates against
-    a whole linear system anyway.  Raises DegenerateSystemError when the
+    of the resultant is used).  Raises DegenerateSystemError when the
     curves share a component or no chart separates the points.
     """
     e = D0.degree
@@ -667,10 +679,16 @@ def _curve_pair_candidates(D0: DualOp, D1: DualOp, precision_bits, rng):
         pts = []
         for t in _distinct_roots(univariate_roots(R, precision_bits),
                                  precision_bits):
-            pa = _trim_leading([c(t) for c in p], precision_bits)
-            pb = _trim_leading([c(t) for c in q], precision_bits)
-            pts += [_chart_point(T, t, l2, precision_bits)
-                    for l2 in _shared_roots(pa, pb, precision_bits)]
+            side = _trim_leading([c(t) for c in p], precision_bits)
+            if side.degree < 1:
+                side = _trim_leading([c(t) for c in q], precision_bits)
+            if side.degree < 1:
+                continue
+            try:
+                l2s = univariate_roots(side, precision_bits)
+            except InvalidInputError:
+                continue
+            pts += [_chart_point(T, t, l2, precision_bits) for l2 in l2s]
         return _sorted_points(pts)
     raise DegenerateSystemError("no usable chart for the curve pair")
 

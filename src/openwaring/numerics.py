@@ -937,7 +937,8 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
             lead = body.coeffs[-1]
             lead_abs = mpf(1) * (abs(lead) if not is_exact_scalar(lead)
                                  else abs(Fraction(lead)))
-            if lead_abs <= tol * body.max_abs():
+            # with no zero root split off, body's coefficients are p's
+            if lead_abs <= (tol * body.max_abs() if nzero else tol_zero):
                 raise InvalidInputError(
                     "leading coefficient is numerically zero; trim the degree first")
             factors = [(body, 1)]

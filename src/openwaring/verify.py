@@ -36,8 +36,9 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import (from_rational, fzero, mpc_abs, mpc_add, mpc_mul,
-                          mpc_mul_int, mpc_sub, mpf_gt, round_nearest)
+from mpmath.libmp import (from_int, from_rational, fzero, mpc_abs, mpc_add,
+                          mpc_mul, mpc_mul_int, mpc_sub, mpf_add, mpf_div,
+                          mpf_gt, mpf_log, mpf_pos, round_nearest, to_float)
 
 from .apolarity import catalecticant, essential_variables
 from .bounds import recursion_bound
@@ -50,6 +51,10 @@ from .poly import Form, LinearForm, evaluate, parse_form, render_form
 _RND = round_nearest
 _CZERO = (fzero, fzero)
 _ZERO_TOP = float("-inf")
+
+#: the precision of an approximate residual: mpmath's default, fixed, so
+#: that the report does not follow the caller's ``mpmath.mp.prec``
+_RESIDUAL_BITS = 53
 
 
 def _top(z):
@@ -194,7 +199,12 @@ class VerifyReport:
             return (math.log2(q.numerator) - math.log2(q.denominator))
         if self.residual == 0:
             return None
-        return float(mpmath.log(self.residual, 2))
+        # mpmath.log(residual, 2) at the default precision: both logarithms
+        # 20 bits wider, their quotient at _RESIDUAL_BITS
+        wp = _RESIDUAL_BITS + 20
+        return to_float(mpf_div(mpf_log(self.residual._mpf_, wp, _RND),
+                                mpf_log(from_int(2), wp, _RND),
+                                _RESIDUAL_BITS, _RND), rnd=_RND)
 
 
 @dataclass(frozen=True)
@@ -287,10 +297,35 @@ def _max_abs(leaves, wp):
     return worst
 
 
-def _residual_scale(f: Form):
-    """What a residual is divided by: the 1-norm of f, or 1 when it is 0."""
-    norm = f.norm1()
-    return norm if (not is_exact_scalar(norm) or norm > 0) else Fraction(1)
+def _raw_real(x):
+    """A real scalar as a raw mpf, a Fraction rounded down to
+    _RESIDUAL_BITS as the mpf operators convert it."""
+    if is_exact_scalar(x):
+        x = Fraction(x)
+        return from_rational(x.numerator, x.denominator, _RESIDUAL_BITS)
+    return x._mpf_
+
+
+def _raw_residual_scale(f: Form):
+    """What an approximate residual is divided by, as a raw mpf at
+    _RESIDUAL_BITS: the 1-norm of f, or 1 when it is an exact 0.
+
+    The 1-norm is summed in coefficient order as ``Form.norm1`` sums it:
+    exactly while every term so far is rational, then by ``mpf_add``
+    rounded to nearest, as the mpf operators add at the default precision
+    whatever the ambient one."""
+    s = Fraction(0)
+    for c in f.coeffs.values():
+        a = abs(c)
+        if isinstance(s, Fraction) and is_exact_scalar(a):
+            s += a
+        elif isinstance(s, Fraction):
+            s = mpf_add(a._mpf_, _raw_real(s), _RESIDUAL_BITS, _RND)
+        else:
+            s = mpf_add(s, _raw_real(a), _RESIDUAL_BITS, _RND)
+    if isinstance(s, Fraction):
+        return _raw_real(s or Fraction(1))
+    return s
 
 
 def check_decomposition(f: Form, dec: Decomposition,
@@ -371,9 +406,10 @@ def check_decomposition(f: Form, dec: Decomposition,
         widen = common // den
         worst = max((abs(v * widen - t.numerator * (common // t.denominator))
                      for v, t in zip(num, target)), default=0)
-        # a zero residual is Fraction(0) whatever the scale
-        residual = (Fraction(worst, common) / _residual_scale(f) if worst
-                    else Fraction(0))
+        # divided by the 1-norm of f, or by 1 when it is 0; a zero residual
+        # is Fraction(0) whatever the scale
+        residual = (Fraction(worst, common) / (f.norm1() or Fraction(1))
+                    if worst else Fraction(0))
         residual_ok = residual == 0
     else:
         deltas = [Fraction(v, den) for v in num]
@@ -386,7 +422,10 @@ def check_decomposition(f: Form, dec: Decomposition,
                 rest[k] = mpc_sub(rest[k], _raw_mpc(v, wp), wp, _RND)
         worst = _max_abs([mpc_add(z, _raw_mpc(q, wp), wp, _RND) if q else z
                           for q, z in zip(deltas, rest)], wp)
-        residual = mpf(worst) / (mpf(1) * _residual_scale(f))
+        # mpf(worst) / (mpf(1) * scale) at the default precision
+        residual = mpmath.mp.make_mpf(mpf_div(
+            mpf_pos(worst, _RESIDUAL_BITS, _RND), _raw_residual_scale(f),
+            _RESIDUAL_BITS, _RND))
         residual_ok = residual <= tol
 
     violations = tuple(i for i, (c, l) in enumerate(dec.terms)

@@ -9,14 +9,17 @@ from mpmath.libmp import fzero, mpc_abs, mpf_gt, round_nearest
 from openwaring import (ForbiddenSet, Form, LinearForm, VerifyReport,
                         essential_variables, is_forbidden, recursion_bound)
 from openwaring import linalg
-from openwaring.apolarity import _lagrange_interpolate, catalecticant
+from openwaring.apolarity import (_chart_point, _coordinate_changes,
+                                  _distinct_roots, _lagrange_interpolate,
+                                  _resultant_charts, _shared_roots,
+                                  _sorted_points, _trim_leading, catalecticant)
 from openwaring.decompose import _forced_single_term
-from openwaring.errors import (ConsistencyError, InvalidInputError,
-                               RetryBudgetError)
+from openwaring.errors import (ConsistencyError, DegenerateSystemError,
+                               InvalidInputError, RetryBudgetError)
 from openwaring.numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS,
                                  AppComplex, UniPoly, is_exact_scalar,
-                                 max_abs_of, scalar_is_zero, tolerance,
-                                 values_precision)
+                                 max_abs_of, scalar_is_zero, squarefree_part,
+                                 tolerance, univariate_roots, values_precision)
 from openwaring.poly import (_substitute, change_coordinates, contract,
                              dual_power, linear_power, monomials_of_degree)
 
@@ -677,3 +680,44 @@ def reference_max_abs(leaves, wp):
 
 def reference_sparse_sub(a, b):
     return a + b.scale(Fraction(-1))
+
+
+# ---------------------------------------------------------------------------
+# The base-point candidates as they were before the certificate did the
+# pairing: at each resultant root t, the l2-roots of both curves, the roots
+# of the first kept when they lie within 2^-(bits/3) of a root of the
+# second (``_shared_roots``), where a side of degree < 1 posed no condition
+# and a side that root finding rejected gave none.  Kept as a reference for
+# `apolarity._curve_pair_candidates`.
+
+
+def reference_pair_roots(pa, pb, precision_bits):
+    if pa.degree >= 1 and pb.degree >= 1:
+        return _shared_roots(pa, pb, precision_bits)
+    side = pa if pa.degree >= 1 else pb
+    try:
+        return univariate_roots(side, precision_bits) if side.degree >= 1 else []
+    except InvalidInputError:
+        return []
+
+
+def reference_curve_pair_candidates(D0, D1, precision_bits, rng):
+    e = D0.degree
+    tol = tolerance(precision_bits)
+    changes = list(_coordinate_changes(3, 3, random.Random(rng.randrange(1 << 30))))
+    for T, p, q, R, _ in _resultant_charts(
+            D0, D1, changes, tol, precision_bits,
+            DegenerateSystemError("curve pair shares a component")):
+        if R.degree < e * e:
+            continue
+        if R.is_exact():
+            R = squarefree_part(R)
+        pts = []
+        for t in _distinct_roots(univariate_roots(R, precision_bits),
+                                 precision_bits):
+            pa = _trim_leading([c(t) for c in p], precision_bits)
+            pb = _trim_leading([c(t) for c in q], precision_bits)
+            pts += [_chart_point(T, t, l2, precision_bits)
+                    for l2 in reference_pair_roots(pa, pb, precision_bits)]
+        return _sorted_points(pts)
+    raise DegenerateSystemError("no usable chart for the curve pair")

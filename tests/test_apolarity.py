@@ -9,6 +9,7 @@ from mpmath import mpf, workprec
 
 from openwaring import (AppComplex, ConsistencyError, DegenerateSystemError,
                         DualOp, Form, InvalidInputError, LinearForm,
+                        RetryBudgetError,
                         apolar_component, base_points, catalecticant,
                         change_coordinates, contract, essential_split,
                         check_decomposition, decompose, essential_variables,
@@ -24,6 +25,7 @@ from openwaring.numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS, UniPoly,
                                  tolerance)
 from openwaring.poly import monomials_of_degree
 from conftest import (random_form, random_essential_form, random_linear_form,
+                      reference_curve_pair_candidates,
                       reference_essential_split, reference_first_kernel,
                       reference_hyperplane_change, reference_rational_inverse,
                       reference_sylvester_resultant)
@@ -631,3 +633,72 @@ class TestSeparationsByExponent:
             points = [p] + near
             assert (_dedupe_points(points, bits)
                     == reference_dedupe_points(points, bits))
+
+
+# ---------------------------------------------------------------------------
+# Base-point candidates from one root search per resultant root, the pairing
+# left to the certificate against the whole net, against the two-sided
+# search they replaced.
+
+
+def with_base_points(rng):
+    """x0*x1^2 + x1*x2^2, whose net of apolar conics has a base point,
+    under a random invertible integer change of coordinates."""
+    f = parse_form("x0*x1^2 + x1*x2^2", 3)
+    while True:
+        M = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
+        if rational_det(M) != 0:
+            return change_coordinates(f, M)
+
+
+def approximate(f, bits):
+    """f / 3 with every coefficient an AppComplex at ``bits``."""
+    return Form(f.num_vars, f.degree, {m: AppComplex(c / 3, 0, bits)
+                                       for m, c in f.coeffs.items()})
+
+
+class TestBasePointsPairedByTheCertificate:
+    def outcome(self, f, bits, seed):
+        """The points as raw parts, or the error's class and text."""
+        try:
+            return [[c.parts for c in p.coords]
+                    for p in base_points(f, 2, bits, seed=seed)]
+        except (ConsistencyError, DegenerateSystemError, InvalidInputError,
+                RetryBudgetError) as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize("bits", [64, 128, 256, 512])
+    def test_same_points_as_the_two_sided_search(self, bits, monkeypatch):
+        rng = random.Random(bits)
+        dense = [random_essential_form(rng, 3, 3) for _ in range(4)]
+        pointed = [with_base_points(rng) for _ in range(3)]
+        nets = (dense + pointed + [approximate(f, bits) for f in dense[:2]]
+                + [approximate(f, bits) for f in pointed[:2]])
+        found = []
+        for f in nets:
+            seed = rng.randrange(1 << 30)
+            got = self.outcome(f, bits, seed)
+            with monkeypatch.context() as m:
+                m.setattr(APOLARITY, "_curve_pair_candidates",
+                          reference_curve_pair_candidates)
+                assert got == self.outcome(f, bits, seed)
+            found.append(len(got) if isinstance(got, list) else None)
+        # the rational cubics split as built: no base point, or one
+        assert found[:7] == [0] * 4 + [1] * 3
+
+    def test_one_root_search_per_resultant_root(self, monkeypatch):
+        # a rational cubic without base points: the quartic resultant, then
+        # one conic of the pencil at each of its four roots
+        degrees = []
+        real = APOLARITY.univariate_roots
+
+        def counting(p, bits):
+            degrees.append(p.degree)
+            return real(p, bits)
+
+        monkeypatch.setattr(APOLARITY, "univariate_roots", counting)
+        for seed in range(3):
+            degrees.clear()
+            f = random_essential_form(random.Random(seed), 3, 3)
+            assert base_points(f, 2) == []
+            assert degrees == [4, 2, 2, 2, 2]

@@ -297,6 +297,17 @@ def test_root_distances_run_on_the_kernels():
             if (names := _names_in(functions[name]) & MPC_DISTANCE)} == {}
 
 
+def test_base_point_candidates_are_paired_by_the_certificate():
+    # ``base_points`` certifies every candidate against the whole net, so
+    # the candidates are one curve's roots at each resultant root, with no
+    # second root search to pair them against; ``_shared_roots`` stays for
+    # the fallback of ``_back_substitute_l2``
+    functions = {n.name: n for n in _parsed()["apolarity"].body
+                 if isinstance(n, ast.FunctionDef)}
+    assert "_shared_roots" in _names_in(functions["_back_substitute_l2"])
+    assert "_shared_roots" not in _names_in(functions["_curve_pair_candidates"])
+
+
 #: what an approximate scalar looks like outside its one representation,
 #: the raw libmp (real, imag) pair: mpmath's objects, the context that sets
 #: their precision, and the converters to and from them

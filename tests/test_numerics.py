@@ -185,6 +185,33 @@ class TestRoots:
                     got = acc[i] * lead
                     assert abs(got - want) <= mpf(2) ** -128 * max(scale, 1)
 
+    @pytest.mark.parametrize("zeros", [0, 1])
+    def test_leading_coefficient_threshold(self, zeros, monkeypatch):
+        # an approximate leading coefficient at or below tol * max|coeff|
+        # is rejected; with no zero root split off, that is the threshold
+        # of the zero roots, taken without another max_abs
+        bits = 256
+        calls = []
+        real = UniPoly.max_abs
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(UniPoly, "max_abs", counting)
+        at = Fraction(3, 2 ** (bits // 2))
+        for lead, rejected in ((at, True), (at * (1 + Fraction(1, 2 ** 40)), False)):
+            calls.clear()
+            p = UniPoly([AppComplex(c, 0, bits)
+                         for c in [0] * zeros + [3, 1, lead]])
+            if rejected:
+                with pytest.raises(InvalidInputError,
+                                   match="leading coefficient is numerically zero"):
+                    univariate_roots(p, bits)
+            else:
+                assert len(univariate_roots(p, bits)) == 2 + zeros
+            assert len(calls) == 1 + zeros
+
     def test_roots_deterministic(self):
         p = poly(3, -5, 0, 7, 2)
         a = univariate_roots(p, 256)

@@ -2,9 +2,10 @@ import random
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
-from mpmath import mpf
+from mpmath import mpf, workprec
 from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpc_abs,
                           mpf_le, round_nearest)
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from openwaring import (AppComplex, Decomposition, ForbiddenSet, Form,
                         catalecticant_lower_bound, check_decomposition,
                         decompose, is_forbidden, parse_form)
 from openwaring import verify
-from openwaring.numerics import tolerance
+from openwaring.numerics import is_exact_scalar, tolerance
 from conftest import (assert_same_verdict, random_form, random_hyperplanes,
                       reference_check, reference_is_forbidden,
                       reference_max_abs)
@@ -229,6 +230,65 @@ class TestMonomialTreeCertificate:
         dec = Decomposition(2, 2, ((Fraction(1), LinearForm([1, 0, 0])),), True)
         with pytest.raises(InvalidInputError):
             check_decomposition(f, dec)
+
+
+class TestResidualAtAFixedPrecision:
+    """An approximate residual, and its log2, come out of the same libmp
+    calls whatever ``mpmath.mp.prec`` the caller has set: rounded at 53
+    bits, as the mpf operators round them at mpmath's default precision."""
+
+    def outcomes(self, f, dec):
+        """(raw residual, log2) at the default precision, then under
+        workprec(20) and workprec(300)."""
+        def outcome():
+            report = check_decomposition(f, dec, precision_bits=256)
+            assert report.residual > 0
+            return report.residual._mpf_, report.residual_log2()
+
+        out = [outcome()]
+        for prec in (20, 300):
+            with workprec(prec):
+                out.append(outcome())
+        return out
+
+    def test_the_ambient_precision_changes_no_bit(self):
+        f = parse_form("x0^3 + 2*x0^2*x1 - 1/3*x1^3", 2)
+        dec = decompose(f, seed=1, precision_bits=256)
+        assert not dec.exact
+        # the same decomposition of f with a mixed, partly inexact norm
+        g = Form(2, 3, {m: c if m[0] == 3 else AppComplex(c, 0, 256)
+                        for m, c in f.coeffs.items()})
+        for target in (f, g):
+            outcomes = self.outcomes(target, dec)
+            assert outcomes[1:] == outcomes[:1] * 2
+
+    def test_scale_is_the_mpf_product_at_the_default_precision(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            coeffs = {}
+            for m in ((3, 0), (2, 1), (1, 2), (0, 3)):
+                q = Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                             rng.randint(1, 10 ** rng.randint(1, 30)))
+                kind = rng.random()
+                if kind < 0.4:
+                    coeffs[m] = q
+                elif kind < 0.9:
+                    coeffs[m] = AppComplex(q, rng.choice((0, q / 7)),
+                                           rng.choice((64, 256, 1024)))
+            f = Form(2, 3, coeffs)
+            norm = f.norm1()
+            scale = norm if (not is_exact_scalar(norm) or norm > 0) else 1
+            assert verify._raw_residual_scale(f) == (mpf(1) * scale)._mpf_
+
+    def test_log2_is_the_mpmath_logarithm_at_the_default_precision(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            raw = from_man_exp(rng.getrandbits(rng.randint(1, 200)) | 1,
+                               rng.randint(-3000, 300),
+                               rng.choice((53, 64, 2000)), round_nearest)
+            r = mpmath.mp.make_mpf(raw)
+            report = VerifyReport(r, 1, 1, (), False, True, True)
+            assert report.residual_log2() == float(mpmath.log(r, 2))
 
 
 class TestIsForbidden:
