@@ -35,7 +35,8 @@ from .errors import (ConsistencyError, DegenerateSystemError,
                      InvalidInputError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
                        UniPoly, _CONE, _CZERO, _abs_exceeds, _abs_gt, _abs_le,
-                       _abs_max_candidates, _cinv, _cmul, _cneg, _csub,
+                       _abs_max_candidates, _box, _cinv, _cmul, _cneg, _csub,
+                       _div, _make_mpf, _mul, _threshold, _unbox,
                        is_exact_scalar, max_abs_of, scalar_is_zero,
                        squarefree_part, tolerance, univariate_roots)
 from .poly import (DualOp, Form, LinearForm, change_coordinates, evaluate,
@@ -67,7 +68,9 @@ class CatMatrix:
 
 class ProjPoint:
     """Point of projective space, normalized so the largest-modulus
-    coordinate equals one."""
+    coordinate equals one: each coordinate divided by the first of largest
+    modulus on raw values, a hypot taken only when the tops leave more than
+    one candidate (``_abs_max_candidates``)."""
 
     __slots__ = ("coords",)
 
@@ -76,10 +79,12 @@ class ProjPoint:
                 for c in coords]
         if all(v.parts == _CZERO for v in vals):
             raise InvalidInputError("projective point cannot be all zero")
-        best = max(_abs_max_candidates(vals), key=lambda i: abs(vals[i]))
-        pivot = vals[best]
-        object.__setattr__(self, "coords",
-                           tuple(v / pivot for v in vals))
+        candidates = _abs_max_candidates(vals)
+        best = (candidates[0] if len(candidates) == 1
+                else max(candidates, key=lambda i: abs(vals[i])))
+        pivot = _unbox(vals[best])
+        object.__setattr__(self, "coords", tuple(
+            _box(_div(_unbox(v), pivot)) for v in vals))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
@@ -103,18 +108,20 @@ class ProjPoint:
 
 
 def catalecticant(f: Form, e: int) -> CatMatrix:
-    """Matrix of contraction by degree-e dual monomials against f."""
+    """Matrix of contraction by degree-e dual monomials against f; each
+    entry c * mult is taken on raw values."""
     if not 0 <= e <= f.degree:
         raise InvalidInputError(f"e must lie in [0, {f.degree}], got {e}")
     n = f.num_vars
     rows = monomials_of_degree(n, e)
     cols = monomials_of_degree(n, f.degree - e)
+    coeffs = {expo: _unbox(c) for expo, c in f.coeffs.items()}
     entries = []
     for a in rows:
         row = []
         for b in cols:
             target = tuple(a[i] + b[i] for i in range(n))
-            c = f.coeffs.get(target)
+            c = coeffs.get(target)
             if c is None:
                 row.append(Fraction(0))
             else:
@@ -122,7 +129,7 @@ def catalecticant(f: Form, e: int) -> CatMatrix:
                 for i in range(n):
                     if a[i]:
                         mult *= factorial(a[i] + b[i]) // factorial(b[i])
-                row.append(c * mult)
+                row.append(_box(_mul(c, mult)))
         entries.append(tuple(row))
     return CatMatrix(tuple(rows), tuple(cols), tuple(entries), e, f.degree)
 
@@ -334,8 +341,16 @@ def _binary_dual_roots(op: DualOp, precision_bits):
     return pts
 
 
-def _op_vanishes_at(op: DualOp, point: ProjPoint, precision_bits) -> bool:
-    tol = tolerance(precision_bits) * op.norm1()
+def _vanishing_tolerances(ops, precision_bits):
+    """(op, tolerance(bits) * |op|_1) for each op, the product taken by
+    libmp at THRESHOLD_BITS, once for every point `_op_vanishes_at` tests."""
+    tol = tolerance(precision_bits)
+    return [(op, _make_mpf(_threshold(tol, op.norm1()))) for op in ops]
+
+
+def _op_vanishes_at(op: DualOp, point: ProjPoint, tol) -> bool:
+    """Whether op vanishes at the point: exactly, or within ``tol`` (from
+    `_vanishing_tolerances`) for an approximate value."""
     val = evaluate(op, point.coords)
     return scalar_is_zero(val, tol) if not is_exact_scalar(val) else val == 0
 
@@ -387,8 +402,9 @@ def base_points(f: Form, e: int, precision_bits=DEFAULT_PRECISION_BITS,
         return []
     if n == 2:
         candidates = _binary_dual_roots(basis[0], precision_bits)
+        tols = _vanishing_tolerances(basis, precision_bits)
         certified = [p for p in candidates
-                     if all(_op_vanishes_at(op, p, precision_bits) for op in basis)]
+                     if all(_op_vanishes_at(op, p, tol) for op, tol in tols)]
         return _sorted_points(_dedupe_points(certified, precision_bits))
 
     if len(basis) == 1:
@@ -411,8 +427,9 @@ def base_points(f: Form, e: int, precision_bits=DEFAULT_PRECISION_BITS,
             if zero_resultants >= 3:
                 raise
             continue
+        tols = _vanishing_tolerances(basis, precision_bits)
         certified = [p for p in candidates
-                     if all(_op_vanishes_at(op, p, precision_bits) for op in basis)]
+                     if all(_op_vanishes_at(op, p, tol) for op, tol in tols)]
         return _sorted_points(_dedupe_points(certified, precision_bits))
     raise RetryBudgetError("base point search exhausted its retry budget")
 

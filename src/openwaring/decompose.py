@@ -28,7 +28,7 @@ from functools import cache, partial
 from math import gcd
 
 from mpmath import mpf
-from mpmath.libmp import (fone, from_int, mpc_pow_mpf, mpf_div,
+from mpmath.libmp import (fone, from_int, mpc_pow_mpf, mpf_div, mpf_mul,
                           round_nearest as _RND)
 
 from . import linalg
@@ -38,12 +38,15 @@ from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
                         _chart_point, _combine_ops, _coordinate_changes,
                         _dedupe_points, _distinct_roots, _essential_split,
                         _first_catalecticant_rows, _op_vanishes_at, _project,
-                        _resultant_charts, _sorted_points, _subspace_lift)
+                        _resultant_charts, _sorted_points, _subspace_lift,
+                        _vanishing_tolerances)
 from .errors import (CommonComponentError, ConsistencyError,
                      DegenerateSystemError, InvalidInputError, NoFitError,
                      NonTransversalError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
-                       _raw_pair, is_exact_scalar, is_squarefree, max_abs_of,
+                       THRESHOLD_BITS, _abs_le, _abs_max_candidates,
+                       _make_mpf, _mul, _raw_pair, _sub, _threshold, _unbox,
+                       is_exact_scalar, is_squarefree, max_abs_of,
                        scalar_is_zero, tolerance, univariate_roots)
 from .poly import (DualOp, Form, LinearForm, contract, dual_power,
                    linear_power, monomials_of_degree, _substitute)
@@ -184,10 +187,12 @@ def fit_coefficients(f: Form, points, precision_bits=DEFAULT_PRECISION_BITS):
 
 
 def _coords_scale(l: LinearForm):
-    """The scale of l in proportionality tests, max |coord| as an mpf, as a
-    call that computes it the first time it is made.  It is not clamped at
-    1, so the test stays relative for forms far below 1."""
-    return cache(lambda: mpf(1) * max_abs_of(l.coords))
+    """The scale of l in proportionality tests, max |coord| as a raw mpf
+    rounded at THRESHOLD_BITS (``mpf(1) * max_abs_of(l.coords)`` at
+    mpmath's default precision), as a call that computes it the first time
+    it is made.  It is not clamped at 1, so the test stays relative for
+    forms far below 1."""
+    return cache(lambda: _threshold(fone, max_abs_of(l.coords)))
 
 
 def _proportional_linear(a: LinearForm, b: LinearForm, precision_bits,
@@ -197,19 +202,29 @@ def _proportional_linear(a: LinearForm, b: LinearForm, precision_bits,
     only once a cross product is inexact.  The scales come from
     _coords_scale; a cross product is bilinear, so the tolerance is
     relative to both forms at every size: a*2^k and b*2^k test as a and b
-    do."""
+    do.  A cross product with an approximate operand runs on raw values and
+    is compared as ``scalar_is_zero`` compares it, with the tolerance taken
+    by libmp at THRESHOLD_BITS, whatever the ambient precision."""
     tol = None
-    n = a.num_vars
+    xs, ys = a.coords, b.coords
+    n = len(xs)
     for i in range(n):
         for j in range(i + 1, n):
-            cross = a.coords[i] * b.coords[j] - a.coords[j] * b.coords[i]
-            if is_exact_scalar(cross):
+            p, q, r, s = xs[i], ys[j], xs[j], ys[i]
+            if AppComplex in (type(p), type(q), type(r), type(s)):
+                cross = _sub(_mul(_unbox(p), _unbox(q)),
+                             _mul(_unbox(r), _unbox(s)))
+            else:
+                cross = p * q - r * s
+            if type(cross) is not tuple:
                 if cross != 0:
                     return False
                 continue
             if tol is None:
-                tol = tolerance(precision_bits) * a_scale() * b_scale()
-            if not scalar_is_zero(cross, tol):
+                tol = mpf_mul(mpf_mul(tolerance(precision_bits)._mpf_,
+                                      a_scale(), THRESHOLD_BITS, _RND),
+                              b_scale(), THRESHOLD_BITS, _RND)
+            if not _abs_le(cross[0], tol, cross[1] + GUARD_BITS):
                 return False
     return True
 
@@ -255,8 +270,9 @@ def conic_intersection(D0: DualOp, D1: DualOp,
                 break
             pts.append(_chart_point(T, t, l2, precision_bits))
         else:
-            if not all(_op_vanishes_at(op, pt, precision_bits)
-                       for pt in pts for op in (D0, D1)):
+            tols = _vanishing_tolerances((D0, D1), precision_bits)
+            if not all(_op_vanishes_at(op, pt, tol)
+                       for pt in pts for op, tol in tols):
                 raise ConsistencyError("intersection point residual too large")
             return _sorted_points(pts)
     if saw_repeated:
@@ -352,7 +368,7 @@ def _merge_proportional(terms, d, precision_bits):
             scales.append(l_scale)
             continue
         c0, l0 = merged[hit]
-        j = max(range(l0.num_vars), key=lambda i: mpf(1) * max_abs_of([l0.coords[i]]))
+        j = _pivot(l0.coords)
         lam = l.coords[j] / l0.coords[j]
         merged[hit] = (c0 + c * lam ** d, l0)
     if all(is_exact_scalar(c) for c, _ in merged):
@@ -362,6 +378,19 @@ def _merge_proportional(terms, d, precision_bits):
     bound = mpf(2) ** (-(precision_bits * 3) // 4) * max([mpf(1)] + sizes)
     return [(c, l) for (c, l), size in zip(merged, sizes)
             if (c != 0 if is_exact_scalar(c) else size > bound)]
+
+
+def _pivot(coords):
+    """The first index of largest ``mpf(1) * max_abs_of([x])`` over the
+    coordinates, that product rounded at mpmath's default precision
+    whatever the ambient one; a coordinate takes a hypot only when its top
+    can give the largest (``_abs_max_candidates``), and none does when one
+    alone can."""
+    candidates = _abs_max_candidates(coords)
+    if len(candidates) == 1:
+        return candidates[0]
+    return max(candidates, key=lambda i: _make_mpf(
+        _threshold(fone, max_abs_of([coords[i]]))))
 
 
 def _forced_single_term(coeff, l, V, ctx, label):

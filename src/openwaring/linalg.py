@@ -32,8 +32,9 @@ from mpmath.libmp import (from_int, fzero, mpc_abs, mpf_gt, mpf_mul, mpf_neg,
 
 from .errors import InvalidInputError
 from .numerics import (AppComplex, GUARD_BITS, _CONE, _CZERO, _abs_exceeds,
-                       _cadd, _cdiv, _cmul, _cneg, _cpos, _csub, _make_mpf,
-                       _raw_pair, is_exact_scalar, values_precision)
+                       _add, _box, _cadd, _cdiv, _cmul, _cneg, _cpos, _csub,
+                       _make_mpf, _mul, _raw_pair, _unbox, is_exact_scalar,
+                       values_precision)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +358,13 @@ def transpose(rows):
 
 
 def dot(u, v):
-    """sum u_i * v_i, added left to right onto the first product;
-    Fraction(0) for empty vectors."""
+    """sum u_i * v_i on raw values, added left to right onto the first
+    product; Fraction(0) for empty vectors."""
     s = None
     for a, b in zip(u, v):
-        term = a * b
-        s = term if s is None else s + term
-    return s if s is not None else Fraction(0)
+        term = _mul(_unbox(a), _unbox(b))
+        s = term if s is None else _add(s, term)
+    return Fraction(0) if s is None else _box(s)
 
 
 def mat_vec(rows, vec):

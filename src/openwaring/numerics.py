@@ -41,6 +41,19 @@ perturbs the larger one instead of rounding the exact sum (not always
 correctly rounded).  Only the call layers and libmp's log-based bit counts
 are gone; inf and nan parts go to libmp itself.
 
+The approximate algebra of ``poly`` (powers of linear forms, contraction,
+evaluation, sums and scalings of forms), of ``UniPoly``, ``linalg.dot``,
+``apolarity.catalecticant``, the normalization of ``apolarity.ProjPoint``
+and ``decompose._proportional_linear`` runs on raw values: an int or Fraction as it is, an approximate scalar as a
+(parts, bits) tuple (``_unbox``).  ``_mul``, ``_add``, ``_sub``, ``_div``,
+``_neg`` and ``_pow`` apply the operators' precision rule, operand order
+and roundings to them, so each result is boxed once (``_box``) with the
+bits the operators would give.
+
+The thresholds of ``univariate_roots`` and the scales that other modules
+take through ``_threshold`` are libmp products at THRESHOLD_BITS, mpmath's
+default precision, so they do not follow the caller's ``mpmath.mp.prec``.
+
 Magnitude tests are settled by exponents where they can be.  A finite
 nonzero raw mpf x = man * 2**exp with bc mantissa bits has top(x) = exp +
 bc and lies in [2**(top-1), 2**top); for a pair z with T the largest top
@@ -505,6 +518,91 @@ def _rounded(parts, bits):
 
 
 # ---------------------------------------------------------------------------
+# raw values: the operators' arithmetic on unboxed scalars.  A raw value is
+# an int or a Fraction, or an approximate scalar as a (parts, bits) tuple.
+
+
+def _unbox(x):
+    """x as a raw value: an AppComplex as (parts, precision_bits), any other
+    scalar as it is."""
+    return (x.parts, x.precision_bits) if type(x) is AppComplex else x
+
+
+def _box(v):
+    """A raw value as a scalar: a (parts, bits) tuple as an AppComplex."""
+    return _wrap(v[0], v[1]) if type(v) is tuple else v
+
+
+def _operands(x, y):
+    """(z, w, bits) for raw values x and y, at least one a tuple: their raw
+    pairs in order and the precision of the result, as ``_binop`` takes
+    them: the larger of two precisions, or a tuple's own against an int or
+    Fraction, which ``_raw_mpf`` rounds once at it."""
+    if type(x) is not tuple:
+        return (_raw_mpf(x, y[1]), fzero), y[0], y[1]
+    if type(y) is not tuple:
+        return x[0], (_raw_mpf(y, x[1]), fzero), x[1]
+    return x[0], y[0], x[1] if x[1] >= y[1] else y[1]
+
+
+def _mul(x, y):
+    """x * y on raw values, with every bit of the operator: exact operands
+    multiply exactly; otherwise ``_cmul`` at bits + GUARD_BITS with the
+    approximate operand first, as ``__rmul__`` puts it, then ``_cpos`` to
+    bits."""
+    if type(x) is not tuple:
+        if type(y) is not tuple:
+            return x * y
+        x, y = y, x
+    z, w, bits = _operands(x, y)
+    return _cpos(_cmul(z, w, bits + GUARD_BITS), bits), bits
+
+
+def _add(x, y):
+    """x + y on raw values, as ``_mul`` multiplies them, by ``_cadd``."""
+    if type(x) is not tuple:
+        if type(y) is not tuple:
+            return x + y
+        x, y = y, x
+    z, w, bits = _operands(x, y)
+    return _cpos(_cadd(z, w, bits + GUARD_BITS), bits), bits
+
+
+def _sub(x, y):
+    """x - y on raw values by ``_csub``, the operands in their own order, as
+    ``__sub__`` and ``__rsub__`` take them."""
+    if type(x) is not tuple and type(y) is not tuple:
+        return x - y
+    z, w, bits = _operands(x, y)
+    return _cpos(_csub(z, w, bits + GUARD_BITS), bits), bits
+
+
+def _div(x, y):
+    """x / y on raw values by ``_cdiv``, the operands in their own order, as
+    ``__truediv__`` and ``__rtruediv__`` take them."""
+    if type(x) is not tuple and type(y) is not tuple:
+        return x / y
+    z, w, bits = _operands(x, y)
+    return _cpos(_cdiv(z, w, bits + GUARD_BITS), bits), bits
+
+
+def _neg(x):
+    """-x on a raw value, exact as ``__neg__``."""
+    if type(x) is not tuple:
+        return -x
+    return _cneg(x[0], x[1]), x[1]
+
+
+def _pow(x, e):
+    """x ** e on a raw value for an int e >= 0: ``mpc_pow_int`` at bits +
+    GUARD_BITS, then ``_cpos`` to bits, as ``__pow__``."""
+    if type(x) is not tuple:
+        return x ** e
+    z, bits = x
+    return _cpos(mpc_pow_int(z, e, bits + GUARD_BITS, _RND), bits), bits
+
+
+# ---------------------------------------------------------------------------
 # generic scalar helpers
 
 
@@ -612,12 +710,12 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for k in range(n):
-            a = self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
-            b = other.coeffs[k] if k < len(other.coeffs) else Fraction(0)
-            out.append(a + b)
+        """The sum on raw values; a coefficient missing from one side is
+        the other's as it is, which adding Fraction(0) leaves unchanged."""
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        out = [_box(_add(_unbox(x), _unbox(y))) for x, y in zip(a, b)]
+        out.extend(a[n:] or b[n:])
         return UniPoly(out)
 
     def __neg__(self):
@@ -627,28 +725,38 @@ class UniPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product on raw values, each sum started from its first term,
+        which adding it to Fraction(0) would leave unchanged."""
         if self.is_zero() or other.is_zero():
             return UniPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        bs = [_unbox(b) for b in other.coeffs]
+        out = [None] * (len(self.coeffs) + len(bs) - 1)
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
+            a = _unbox(a)
+            for j, b in enumerate(bs, i):
+                t = _mul(a, b)
+                s = out[j]
+                out[j] = t if s is None else _add(s, t)
+        return UniPoly([_box(v) for v in out])
 
     def scale(self, c):
-        return UniPoly([c * a for a in self.coeffs])
+        c = _unbox(c)
+        return UniPoly([_box(_mul(c, _unbox(a))) for a in self.coeffs])
 
     def derivative(self):
         return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
-        """Horner evaluation; accepts any scalar the coefficients mix with."""
+        """Horner evaluation, ``acc * x + c`` on raw values; accepts any
+        scalar the coefficients mix with."""
         acc = None
+        x = _unbox(x)
         for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
+            c = _unbox(c)
+            acc = c if acc is None else _add(_mul(acc, x), c)
         if acc is None:
             return Fraction(0)
-        return acc
+        return _box(acc)
 
     def max_abs(self):
         if self.is_zero():
@@ -900,6 +1008,31 @@ def _newton_polish(coeffs, roots, work_bits, steps=6):
     return out
 
 
+#: the precision of a threshold: mpmath's default, fixed, so that no result
+#: follows the caller's ``mpmath.mp.prec``
+THRESHOLD_BITS = 53
+
+
+def _threshold(t, x):
+    """``t * x`` for an mpf or raw mpf t and an mpf or rational x, as the
+    mpf operators give it at mpmath's default precision whatever the
+    ambient one: a raw mpf rounded to nearest at THRESHOLD_BITS, a
+    rational x first rounded down to it."""
+    if type(t) is mpf:
+        t = t._mpf_
+    return mpf_mul(t, _raw_real(x), THRESHOLD_BITS, _RND)
+
+
+def _raw_real(x):
+    """An mpf or rational x as a raw mpf as the mpf operators take it at
+    mpmath's default precision: an mpf as it is, a rational rounded down
+    at THRESHOLD_BITS."""
+    if isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+        return from_rational(x.numerator, x.denominator, THRESHOLD_BITS)
+    return x._mpf_
+
+
 def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
     """All deg(p) complex roots, with multiplicity, as AppComplex.
 
@@ -921,7 +1054,7 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
     coeffs = list(p.coeffs)
     tol = tolerance(precision_bits)
     scale = p.max_abs()
-    tol_zero = tol * scale
+    tol_zero = _make_mpf(_threshold(tol, scale))
     while coeffs and scalar_is_zero(coeffs[0], tol_zero):
         coeffs.pop(0)
         nzero += 1
@@ -934,11 +1067,11 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
         if body.is_exact():
             factors = squarefree_decomposition(body)
         else:
-            lead = body.coeffs[-1]
-            lead_abs = mpf(1) * (abs(lead) if not is_exact_scalar(lead)
-                                 else abs(Fraction(lead)))
+            lead = _threshold(fone, abs(body.coeffs[-1]))
             # with no zero root split off, body's coefficients are p's
-            if lead_abs <= (tol * body.max_abs() if nzero else tol_zero):
+            limit = (_threshold(tol, body.max_abs()) if nzero
+                     else tol_zero._mpf_)
+            if mpf_le(lead, limit):
                 raise InvalidInputError(
                     "leading coefficient is numerically zero; trim the degree first")
             factors = [(body, 1)]

@@ -17,10 +17,14 @@ from math import factorial, lcm, prod
 from operator import add
 
 from mpmath import nstr
+from mpmath.libmp import fzero, mpc_abs, mpf_add, round_nearest as _RND
 
 from .errors import (InvalidInputError, NonHomogeneousError, ParseError)
 from .linalg import _clear_denominators, rational_det
-from .numerics import is_exact_scalar, max_abs_of, scalar_is_zero
+from .numerics import (GUARD_BITS, THRESHOLD_BITS, AppComplex, _add, _box,
+                       _make_mpf, _mul, _neg, _pow, _raw_mpf, _raw_real,
+                       _sub, _unbox, is_exact_scalar, max_abs_of,
+                       scalar_is_zero)
 
 
 @lru_cache(maxsize=None)
@@ -67,6 +71,18 @@ class _SparsePoly:
         object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _of(cls, num_vars, degree, coeffs):
+        """A polynomial on coefficients that are valid as given, with none
+        of ``__init__``'s checks: each key an exponent tuple of ints of the
+        right length and degree, each value a Fraction or an AppComplex,
+        and no exact zero.  For results built from valid operands."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "num_vars", num_vars)
+        object.__setattr__(p, "degree", degree)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -82,10 +98,22 @@ class _SparsePoly:
         return self.coeffs.get(tuple(expo), Fraction(0))
 
     def norm1(self):
+        """sum |c| in coefficient order: exactly while every term so far is
+        rational, then by libmp's ``mpf_add`` rounded to nearest at
+        THRESHOLD_BITS, as the mpf operators add at mpmath's default
+        precision whatever the ambient one (``numerics._raw_real``)."""
         s = Fraction(0)
         for c in self.coeffs.values():
-            s = s + abs(c)
-        return s
+            if type(c) is AppComplex:
+                a = mpc_abs(c.parts, c.precision_bits + GUARD_BITS, _RND)
+            elif type(s) is Fraction:
+                s += abs(c)
+                continue
+            else:
+                a = _raw_real(abs(c))
+            s = mpf_add(_raw_real(s) if type(s) is Fraction else s, a,
+                        THRESHOLD_BITS, _RND)
+        return s if type(s) is Fraction else _make_mpf(s)
 
     def max_abs(self):
         return max_abs_of(self.coeffs.values())
@@ -97,15 +125,24 @@ class _SparsePoly:
             raise InvalidInputError("mismatched number of variables or degree")
 
     def __add__(self, other):
+        """c1 + c2 per monomial on raw values, exact zeros dropped; a
+        monomial of other alone keeps its coefficient as it is, which
+        adding it to Fraction(0) would leave unchanged."""
         self._same_shape(other)
         out = dict(self.coeffs)
         for expo, c in other.coeffs.items():
-            s = out.get(expo, Fraction(0)) + c
-            if is_exact_scalar(s) and s == 0:
-                out.pop(expo, None)
-            else:
+            s = out.get(expo)
+            if s is None:
+                out[expo] = c
+                continue
+            s = _add(_unbox(s), _unbox(c))
+            if type(s) is tuple:
+                out[expo] = _box(s)
+            elif s:
                 out[expo] = s
-        return type(self)(self.num_vars, self.degree, out)
+            else:
+                del out[expo]
+        return self._of(self.num_vars, self.degree, out)
 
     def __sub__(self, other):
         """c1 - c2 per monomial, exact zeros dropped: the bits of
@@ -116,28 +153,34 @@ class _SparsePoly:
         out = {}
         for expo, c in self.coeffs.items():
             if expo in theirs:
-                c = c - theirs[expo]
-                if is_exact_scalar(c) and c == 0:
+                c = _sub(_unbox(c), _unbox(theirs[expo]))
+                if type(c) is tuple:
+                    c = _box(c)
+                elif not c:
                     continue
             out[expo] = c
         for expo, c in theirs.items():
             if expo not in self.coeffs:
-                out[expo] = -c
-        return type(self)(self.num_vars, self.degree, out)
+                out[expo] = _box(_neg(_unbox(c)))
+        return self._of(self.num_vars, self.degree, out)
 
     def __neg__(self):
         return self.scale(Fraction(-1))
 
     def scale(self, c):
+        """c * v per monomial on raw values; scaling by an exact zero gives
+        the zero polynomial."""
         if is_exact_scalar(c) and c == 0:
-            return type(self)(self.num_vars, self.degree, {})
-        return type(self)(self.num_vars, self.degree,
-                          {e: c * v for e, v in self.coeffs.items()})
+            return self._of(self.num_vars, self.degree, {})
+        c = _unbox(c)
+        return self._of(self.num_vars, self.degree,
+                        {e: _box(_mul(c, _unbox(v)))
+                         for e, v in self.coeffs.items()})
 
     def cleaned(self, tol):
         """Drop coefficients with |c| <= tol (used on approximate data)."""
         out = {e: c for e, c in self.coeffs.items() if not scalar_is_zero(c, tol)}
-        return type(self)(self.num_vars, self.degree, out)
+        return self._of(self.num_vars, self.degree, out)
 
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0], reverse=True)
@@ -213,7 +256,12 @@ class LinearForm:
 
 def contract(op: DualOp, f: Form) -> Form:
     """Apply a dual operator to a form: each dual monomial acts as the
-    corresponding iterated partial derivative."""
+    corresponding iterated partial derivative.
+
+    Runs on raw values: each term is ``(u * v) * mult`` and each sum starts
+    from its first term, which adding it to Fraction(0) would leave
+    unchanged; a sum that cancels to an exact zero is dropped and, if it
+    comes back, re-inserted at the end."""
     if not isinstance(op, DualOp) or not isinstance(f, Form):
         raise InvalidInputError("contract expects (DualOp, Form)")
     if op.num_vars != f.num_vars:
@@ -222,9 +270,11 @@ def contract(op: DualOp, f: Form) -> Form:
         raise InvalidInputError(
             f"operator degree {op.degree} exceeds form degree {f.degree}")
     n = f.num_vars
+    terms = [(b, _unbox(v)) for b, v in f.coeffs.items()]
     out = {}
     for a, u in op.coeffs.items():
-        for b, v in f.coeffs.items():
+        u = _unbox(u)
+        for b, v in terms:
             if any(b[i] < a[i] for i in range(n)):
                 continue
             mult = 1
@@ -232,12 +282,16 @@ def contract(op: DualOp, f: Form) -> Form:
                 if a[i]:
                     mult *= factorial(b[i]) // factorial(b[i] - a[i])
             target = tuple(b[i] - a[i] for i in range(n))
-            s = out.get(target, Fraction(0)) + u * v * mult
-            if is_exact_scalar(s) and s == 0:
-                out.pop(target, None)
-            else:
-                out[target] = s
-    return Form(n, f.degree - op.degree, out)
+            t = _mul(_mul(u, v), mult)
+            s = out.get(target)
+            if s is not None:
+                t = _add(s, t)
+                if type(t) is not tuple and not t:
+                    del out[target]
+                    continue
+            out[target] = t
+    return Form._of(n, f.degree - op.degree,
+                    {e: _box(v) for e, v in out.items()})
 
 
 def dual_power(alpha, e: int) -> DualOp:
@@ -267,29 +321,57 @@ def _multinomials(num_vars: int, degree: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _raw_multinomials(num_vars: int, degree: int, bits: int):
+    """`_multinomials` rounded at ``bits`` by ``_raw_mpf``, as raw values."""
+    return tuple(((_raw_mpf(m, bits), fzero), bits)
+                 for m in _multinomials(num_vars, degree))
+
+
 def _power_of_linear(coords, d, cls):
+    """(coords . x)^d as a ``cls``, on the coefficients `_power_coeffs`
+    builds, which are valid as they are once ints are made Fractions."""
     if d < 0:
         raise InvalidInputError("exponent must be non-negative")
-    return cls(len(coords), d, _power_coeffs(coords, d))
+    if not coords:
+        raise InvalidInputError("need at least one variable")
+    return cls._of(len(coords), d, {
+        e: Fraction(v) if type(v) is int else v
+        for e, v in _power_coeffs(coords, d).items()})
 
 
 def _power_coeffs(coords, d):
     """(coords . x)^d as a dict from exponent vectors to coefficients, in
     `monomials_of_degree` order, each coords[i]^e computed once and the
-    monomials of exact zero coordinates left out; ints stay ints."""
+    monomials of exact zero coordinates left out; ints stay ints.
+
+    Each coefficient is m * coords[i]^e_i * ... left to right from its
+    multinomial m, on raw values; an m that meets an approximate power
+    first is read rounded from `_raw_multinomials`, as the operator would
+    round it."""
     n = len(coords)
-    # powers[i][e] = coords[i] ** e, or None for an exact zero coordinate
-    powers = [None if is_exact_scalar(x) and x == 0
-              else [1] + [x ** e for e in range(1, d + 1)] for x in coords]
+    xs = [_unbox(x) for x in coords]
+    # powers[i][e] = coords[i] ** e, or None for an exact zero coordinate;
+    # x ** 1 is x itself, as in `evaluate`
+    powers = [None if type(x) is not tuple and x == 0
+              else [1, x] + [_pow(x, e) for e in range(2, d + 1)] for x in xs]
     out = {}
-    for expo, val in zip(monomials_of_degree(n, d), _multinomials(n, d)):
+    for k, (expo, m) in enumerate(zip(monomials_of_degree(n, d),
+                                      _multinomials(n, d))):
+        val = None
         for pw, e in zip(powers, expo):
             if e:
                 if pw is None:
                     break
-                val = val * pw[e]
+                p = pw[e]
+                if val is not None:
+                    val = _mul(val, p)
+                elif type(p) is tuple:
+                    val = _mul(p, _raw_multinomials(n, d, p[1])[k])
+                else:
+                    val = m * p
         else:
-            out[expo] = val
+            out[expo] = m if val is None else _box(val)
     return out
 
 
@@ -407,25 +489,30 @@ def evaluate(f, coords):
     """Value of a Form/DualOp at a coordinate vector.
 
     A coordinate with exponent 1 is multiplied in as it is: for rational
-    and ``AppComplex`` coordinates ``x ** 1`` is x itself.  The sum starts
-    from the first term that is not skipped, since adding it to
-    ``Fraction(0)`` would only round it again at its own precision."""
+    and ``AppComplex`` coordinates ``x ** 1`` is x itself; each higher
+    power is computed once.  The sum starts from the first term that is
+    not skipped, since adding it to ``Fraction(0)`` would only round it
+    again at its own precision.  Runs on raw values."""
     if len(coords) != f.num_vars:
         raise InvalidInputError("mismatched number of variables")
+    xs = [_unbox(x) for x in coords]
+    powers = {}  # (i, e) -> xs[i] ** e, each computed once
     total = None
     for expo, c in f.coeffs.items():
-        val = c
-        skip = False
-        for x, e in zip(coords, expo):
-            if e == 0:
-                continue
-            if is_exact_scalar(x) and x == 0:
-                skip = True
-                break
-            val = val * (x if e == 1 else x ** e)
-        if not skip:
-            total = val if total is None else total + val
-    return Fraction(0) if total is None else total
+        val = _unbox(c)
+        for i, e in enumerate(expo):
+            if e:
+                x = xs[i]
+                if type(x) is not tuple and x == 0:
+                    break
+                if e > 1:
+                    x = powers.get((i, e))
+                    if x is None:
+                        x = powers[(i, e)] = _pow(xs[i], e)
+                val = _mul(val, x)
+        else:
+            total = val if total is None else _add(total, val)
+    return Fraction(0) if total is None else _box(total)
 
 
 def evaluate_dual(op: DualOp, l: LinearForm):

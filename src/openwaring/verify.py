@@ -35,17 +35,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath import mpf
-from mpmath.libmp import (from_int, from_rational, fzero, mpc_abs, mpc_add,
-                          mpc_mul, mpc_mul_int, mpc_sub, mpf_add, mpf_div,
-                          mpf_gt, mpf_log, mpf_pos, round_nearest, to_float)
+from mpmath.libmp import (fone, from_int, from_rational, fzero, mpc_abs,
+                          mpc_add, mpc_mul, mpc_mul_int, mpc_sub, mpf_add,
+                          mpf_div, mpf_gt, mpf_log, mpf_mul,
+                          mpf_pos, mpf_pow_int, round_nearest, to_float)
 
 from .apolarity import catalecticant, essential_variables
 from .bounds import recursion_bound
 from .errors import InvalidInputError, ParseError
-from .numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS, AppComplex,
-                       is_exact_scalar, max_abs_of, tolerance,
-                       values_precision)
+from .numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS, is_exact_scalar,
+                       max_abs_of, tolerance, values_precision)
 from .poly import Form, LinearForm, evaluate, parse_form, render_form
 
 _RND = round_nearest
@@ -147,7 +146,9 @@ def is_forbidden(l: LinearForm, V: ForbiddenSet, tol=None) -> bool:
     approximate data the test is conservative, flagging l whenever any
     constraint value is within tolerance of zero: |val| <= tol * |g|_1 *
     max(1, max |l_i|)^deg g, read off the tops of val and the bound
-    (``_abs_at_most``) and by the hypot only where they leave it open.
+    (``_abs_at_most``) and by the hypot only where they leave it open.  The
+    bound is computed by libmp at _RESIDUAL_BITS, as the mpf operators
+    compute it at mpmath's default precision, whatever the ambient one.
     The tolerance defaults to that of the smallest precision among l's
     inexact coordinates and the constraints' inexact coefficients.
     """
@@ -166,13 +167,17 @@ def is_forbidden(l: LinearForm, V: ForbiddenSet, tol=None) -> bool:
                 return True
             continue
         if l_scale is None:
-            l_scale = max(mpf(1), mpf(1) * max_abs_of(l.coords))
-        bound = tol * g.norm1() * l_scale ** g.degree
-        below = None
-        if type(val) is AppComplex:
-            below = _abs_at_most(val.parts, bound._mpf_)
+            l_scale = mpf_pos(_raw_real(max_abs_of(l.coords)), _RESIDUAL_BITS,
+                              _RND)
+            if not mpf_gt(l_scale, fone):
+                l_scale = fone
+        bound = mpf_mul(
+            mpf_mul(_raw_real(tol), _raw_real(g.norm1()), _RESIDUAL_BITS, _RND),
+            mpf_pow_int(l_scale, g.degree, _RESIDUAL_BITS, _RND),
+            _RESIDUAL_BITS, _RND)
+        below = _abs_at_most(val.parts, bound)
         if below is None:
-            below = abs(val) <= bound
+            below = abs(val) <= mpmath.mp.make_mpf(bound)
         if below:
             return True
     return False

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import mpmath
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bitdump.py"
 
 
@@ -20,3 +22,14 @@ def test_the_dump_repeats_itself():
     assert first == bitdump.digest(plan)
     count, failures, hexdigest = first
     assert count == 24 and failures == [] and len(hexdigest) == 64
+
+
+def test_the_ambient_precision_moves_no_output_bit():
+    # every threshold is taken at a fixed precision, so the dump of a round
+    # of each approximate workload does not follow mpmath.mp.prec
+    bitdump = load_tool()
+    plan = (("inductive", range(1)), ("precision", range(1)))
+    want = bitdump.digest(plan)
+    for prec in (20, 300):
+        with mpmath.workprec(prec):
+            assert bitdump.digest(plan) == want

@@ -1076,3 +1076,19 @@ class TestQuadraticHessianReduction:
         assert dec.exact
         assert sympy.expand(rebuilt - target) == 0
         assert dec.term_count == sympy.hessian(target, xs).rank()
+
+
+def test_proportionality_tolerance_ignores_the_ambient_precision():
+    # the cross product 2^-128 * (1 + 2^-41) lies below the tolerance
+    # tol * |a| * |b| = 2^-128 * (1 + 2^-40) taken at 53 bits, which rounds
+    # to 2^-128 at 20 bits
+    bits = 256
+    a = LinearForm([AppComplex(Fraction(2**40 + 1, 2**40), 0, bits),
+                    AppComplex(0, 0, bits)])
+    b = LinearForm([AppComplex(1, 0, bits), AppComplex(
+        Fraction(2**41 + 1, 2**41) / Fraction(2**40 + 1, 2**40) / 2**128, 0,
+        bits)])
+    for prec in (20, 53, 300):
+        with workprec(prec):
+            assert _proportional_linear(a, b, bits, _coords_scale(a),
+                                        _coords_scale(b))

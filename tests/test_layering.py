@@ -1,10 +1,22 @@
 """The package's import structure: every import sits at module level, and
 the modules import each other without a cycle; the certificate shares no
 expansion, arithmetic kernel or magnitude rule with the pipeline it
-checks."""
+checks; and, checked by running it, the approximate algebra calls none of
+AppComplex's operators."""
 
 import ast
+import collections
+import random
+import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+import openwaring as ow
+from openwaring import linalg, poly
+from openwaring.decompose import _coords_scale, _proportional_linear
+from openwaring.numerics import tolerance
 
 PACKAGE = "openwaring"
 SOURCE = Path(__file__).resolve().parents[1] / "src" / PACKAGE
@@ -364,3 +376,80 @@ def test_scalar_converters_stay_deleted():
             if names & SCALAR_COPIES} == {}
     assert "_neg" not in defined["linalg"]
     assert "_cneg" in defined["numerics"]
+
+
+#: the approximate algebra that runs on raw values (``numerics._unbox``,
+#: ``_mul``, ``_add`` ...), as (module, qualified name)
+RAW_VALUE_LOOPS = {
+    ("poly", "_power_coeffs"), ("poly", "contract"), ("poly", "evaluate"),
+    ("poly", "_SparsePoly.scale"), ("poly", "_SparsePoly.__add__"),
+    ("poly", "_SparsePoly.__sub__"), ("poly", "_SparsePoly.cleaned"),
+    ("numerics", "UniPoly.__call__"), ("numerics", "UniPoly.__add__"),
+    ("numerics", "UniPoly.__mul__"), ("numerics", "UniPoly.scale"),
+    ("linalg", "dot"), ("decompose", "_proportional_linear"),
+    ("apolarity", "catalecticant")}
+
+#: AppComplex's arithmetic operators
+OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+             "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__pow__")
+
+
+def _function_of(frame):
+    """(module, qualified name) of the function a frame runs in; a
+    comprehension, generator expression or lambda counts as the function
+    it runs for."""
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return Path(frame.f_code.co_filename).stem, frame.f_code.co_qualname
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="names functions by code.co_qualname (3.11)")
+def test_approximate_algebra_calls_no_operator(monkeypatch):
+    # a static check cannot see an operator applied to a value, so the rule
+    # runs the code: one approximate (4,3) decomposition, and each loop once
+    # more on approximate and mixed operands of two precisions
+    callers = collections.Counter()
+    for name in OPERATORS:
+        real = getattr(ow.AppComplex, name)
+
+        def recording(*args, _real=real):
+            callers[_function_of(sys._getframe(1))] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(ow.AppComplex, name, recording)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((Path(frame.f_code.co_filename).stem,
+                         frame.f_code.co_qualname))
+
+    rng = random.Random(0)
+    f = ow.Form(4, 3, {e: Fraction(rng.randint(-9, 9))
+                       for e in poly.monomials_of_degree(4, 3)})
+    a, b = ow.AppComplex(Fraction(1, 3), 2, 128), ow.AppComplex(-5, 1, 256)
+    g = ow.Form(2, 2, {(2, 0): a, (1, 1): Fraction(1, 7), (0, 2): b})
+    h = ow.Form(2, 2, {(2, 0): Fraction(3), (1, 1): b})
+    l = ow.LinearForm([a, Fraction(2, 3)])
+    p, q = ow.UniPoly([a, Fraction(1, 2), b]), ow.UniPoly([b, a])
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        dec = ow.decompose(f, seed=1, precision_bits=128)
+        poly.linear_power(l, 3)
+        poly.contract(poly.dual_power([b, a], 1), g)
+        poly.evaluate(g, [a, Fraction(5)])
+        (g + h, g - h, g.scale(a), g.cleaned(tolerance(128)))
+        (p(a), p + q, p * q, p.scale(Fraction(3)))
+        linalg.dot([a, Fraction(2)], [b, a])
+        _proportional_linear(l, l.scale(b), 128, _coords_scale(l),
+                             _coords_scale(l.scale(b)))
+        ow.catalecticant(g, 1)
+    finally:
+        sys.setprofile(previous)
+    assert not dec.exact and dec.report.passed
+    assert RAW_VALUE_LOOPS <= entered
+    # the wrappers see the operators where the pipeline still uses them
+    assert callers
+    assert {c: n for c, n in callers.items() if c in RAW_VALUE_LOOPS} == {}

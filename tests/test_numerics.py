@@ -734,7 +734,7 @@ class TestRootLoopEquivalence:
 
         def recording(x, y, *rest):
             out = real(x, y, *rest)
-            if x == tol._mpf_:
+            if x == tol._mpf_ and rest[0] == bits + GUARD_BITS:
                 products.append(out)
             return out
 
@@ -748,8 +748,10 @@ class TestRootLoopEquivalence:
             univariate_roots(p, bits)
             with workprec(bits + GUARD_BITS):
                 want = (tol * p.max_abs())._mpf_
-            # the first product on tol is tol * scale; the bounds that follow
-            # start from it and read as tol when the scale is one
+            # the first product on tol at the certificate's precision is
+            # tol * scale; the bounds that follow start from it and read as
+            # tol when the scale is one (the zero thresholds before it are
+            # taken at THRESHOLD_BITS)
             assert products[0] == want
 
     def test_wandering_quadratic_still_fails_at_768_bits(self):
@@ -959,3 +961,30 @@ class TestMagnitudeByExponent:
             for v in values:
                 if isinstance(v, AppComplex):
                     assert scalar_is_zero(v, tol) == (abs(v) <= tol)
+
+
+class TestThresholdsAtAFixedPrecision:
+    # univariate_roots takes tol * max|coeff| and the leading coefficient's
+    # modulus by libmp at THRESHOLD_BITS, mpmath's default precision, so
+    # the ambient mpmath.mp.prec moves no root
+
+    def test_zero_coefficient_threshold(self):
+        # tol * scale is 2^-128 * (1 + 2^-30) at 53 bits, above the constant
+        # term 2^-128 * (1 + 2^-31), so one root is an exact zero; at 20
+        # bits the product rounds to 2^-128, below it
+        p = UniPoly([AppComplex(Fraction(2**31 + 1, 2**159)),
+                     AppComplex(Fraction(2**30 + 1, 2**30)), AppComplex(1)])
+        want = [r.parts for r in univariate_roots(p, 256)]
+        assert (fzero, fzero) in want
+        for prec in (20, 300):
+            with workprec(prec):
+                assert [r.parts for r in univariate_roots(p, 256)] == want
+
+    def test_leading_coefficient_threshold(self):
+        # |lead| = 2^-128 * (1 + 2^-31) is above tol * scale = 2^-128 at 53
+        # bits and rounds onto it at 20
+        p = UniPoly([AppComplex(1), AppComplex(Fraction(2**31 + 1, 2**159))])
+        want = [r.parts for r in univariate_roots(p, 256)]
+        for prec in (20, 300):
+            with workprec(prec):
+                assert [r.parts for r in univariate_roots(p, 256)] == want

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from mpmath import mpf, workprec
 
 from openwaring import (AppComplex, DualOp, Form, InvalidInputError,
                         LinearForm, NonHomogeneousError, ParseError,
@@ -510,3 +511,32 @@ def test_substitute_matches_sympy(case):
               for x, row in zip(xs, m)}
     expected = sympy.expand(to_sympy(f, xs).xreplace(images))
     assert sympy.expand(to_sympy(_substitute(f, m), xs) - expected) == 0
+
+
+def test_norm1_ignores_the_ambient_precision():
+    # an approximate 1-norm is summed by libmp at 53 bits: the sum the mpf
+    # operators give at mpmath's default precision, whatever the ambient one
+    rng = random.Random(11)
+    for _ in range(50):
+        bits = rng.choice((64, 256))
+        coeffs = {}
+        for expo in monomials_of_degree(3, 2):
+            k = rng.randint(0, 2)
+            if k == 1:
+                coeffs[expo] = Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+            elif k == 2:
+                coeffs[expo] = AppComplex(
+                    Fraction(2**40 + rng.randint(-9, 9), 2**40),
+                    Fraction(rng.randint(-9, 9), 7), bits)
+        f = Form(3, 2, coeffs)
+        s = Fraction(0)
+        for c in f.coeffs.values():
+            s = s + abs(c)
+        norm = f.norm1()
+        assert type(norm) is type(s)
+        raw = norm._mpf_ if type(norm) is mpf else norm
+        assert raw == (s._mpf_ if type(s) is mpf else s)
+        for prec in (20, 300):
+            with workprec(prec):
+                again = f.norm1()
+                assert (again._mpf_ if type(again) is mpf else again) == raw

@@ -1,0 +1,71 @@
+"""A standing robustness sweep over the supported range: every input gives
+a decomposition whose report passes, RetryBudgetError or InvalidInputError.
+
+The range: shapes (2, 3..6), (3,3), (3,4), (4,3), (4,4), (5,3) and (5,4);
+64, 128, 256 and 512 bits; dense integer coefficients of height 9, 10^6 or
+10^12; 0, 1, 10 or 40 random hyperplanes, or 1-3 random quadric or cubic
+constraints.  The examples are drawn deterministically, so the sweep runs
+the same inputs every time, in a few seconds.  Known failures outside the
+range are pinned as strict xfails that name the ROADMAP item fixing them.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from openwaring import (ConsistencyError, ForbiddenSet, Form,
+                        InvalidInputError, LinearForm, RetryBudgetError,
+                        decompose)
+from openwaring.poly import monomials_of_degree
+
+SHAPES = ((2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (4, 4),
+          (5, 3), (5, 4))
+AVOID = ("0", "1", "10", "40", "quadric", "cubic")
+
+
+def dense_form(rng, n, d, height):
+    return Form(n, d, {e: Fraction(rng.randint(-height, height))
+                       for e in monomials_of_degree(n, d)})
+
+
+def forbidden_set(rng, n, avoid, count):
+    """``avoid`` random hyperplanes, or ``count`` random quadrics or cubics
+    (coefficients in [-9, 9]); a zero draw is left out."""
+    if avoid in ("quadric", "cubic"):
+        degree = 2 if avoid == "quadric" else 3
+        constraints = [dense_form(rng, n, degree, 9) for _ in range(count)]
+    else:
+        constraints = [LinearForm([rng.randint(-9, 9) for _ in range(n)])
+                       .to_form() for _ in range(int(avoid))]
+    return ForbiddenSet(n, [g for g in constraints if not g.is_zero()])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from(SHAPES), bits=st.sampled_from((64, 128, 256, 512)),
+       height=st.sampled_from((9, 10**6, 10**12)), avoid=st.sampled_from(AVOID),
+       count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_every_input_in_range_is_decomposed_or_refused(shape, bits, height,
+                                                       avoid, count, seed):
+    n, d = shape
+    rng = random.Random(seed)
+    f = dense_form(rng, n, d, height)
+    V = forbidden_set(rng, n, avoid, count)
+    try:
+        dec = decompose(f, V, seed=rng.randrange(1 << 30), precision_bits=bits)
+    except (RetryBudgetError, InvalidInputError):
+        return
+    assert dec.report.passed
+
+
+@pytest.mark.xfail(strict=True, raises=ConsistencyError,
+                   reason="ROADMAP item 1: a precision budget for the "
+                          "recursion; the (5,5) remainder loses too many bits "
+                          "at 64")
+def test_dense_quintic_in_five_variables_at_64_bits():
+    # the first dense (5,5) form of random.Random(7) with coefficients in
+    # [-9, 9]: seed 2 raises "reconstruction drifted beyond tolerance"
+    f = dense_form(random.Random(7), 5, 5, 9)
+    dec = decompose(f, seed=2, precision_bits=64)
+    assert dec.report.passed

@@ -501,3 +501,19 @@ class TestLowerBound:
     def test_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             catalecticant_lower_bound(Form(2, 2, {}))
+
+
+def test_forbidden_bound_ignores_the_ambient_precision():
+    # the bound tol * |g|_1 * max(1, max|l_i|)^deg g is taken by libmp at 53
+    # bits: tol * (1 + 2^-40) here, which rounds to tol at 20 bits, so a
+    # value between the two is forbidden at every ambient precision
+    bits = 256
+    tol = tolerance(bits)
+    V = ForbiddenSet.from_text("l0", 2)
+    scale = AppComplex(Fraction(2**40 + 1, 2**40), 0, bits)
+    inside = AppComplex(Fraction(2**41 + 1, 2**41) / 2**(bits // 2), 0, bits)
+    outside = AppComplex(Fraction(2**39 + 1, 2**39) / 2**(bits // 2), 0, bits)
+    for prec in (None, 20, 300):
+        with workprec(prec or mpmath.mp.prec):
+            assert is_forbidden(LinearForm([inside, scale]), V, tol)
+            assert not is_forbidden(LinearForm([outside, scale]), V, tol)

@@ -1,6 +1,7 @@
 """Hash every output bit of a fixed set of benchmark operations.
 
     python3 tools/bitdump.py
+    python3 tools/bitdump.py --mp-prec 20
 
 Takes the inputs that `perfbench/workloads.py` makes at seed 1 and runs one
 `decompose` on each: `inductive` rounds 0-3 and `exact` rounds 0-9 through
@@ -12,11 +13,14 @@ printed text and the structured record for `decompose` and `verify` on the
 command line; the error's class and text when it raises.  The script prints
 the number of operations, each one that raised, and the SHA-256 of the
 whole, so a change meant to keep every bit must print the same three as
-its parent.  It writes nothing under `perfbench/`.
+its parent.  `--mp-prec N` sets `mpmath.mp.prec` to N before the run; no
+output may depend on it, so every N must print the same three lines.  It
+writes nothing under `perfbench/`.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -29,6 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import mpmath  # noqa: E402
 import openwaring as ow  # noqa: E402
 import openwaring.cli  # noqa: E402,F401
 import workloads  # noqa: E402
@@ -111,7 +116,13 @@ def digest(plan=PLAN, seed=SEED):
     return count, failures, h.hexdigest()
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--mp-prec", type=int, default=None, metavar="N",
+                        help="set mpmath.mp.prec to N before the run")
+    args = parser.parse_args(argv)
+    if args.mp_prec is not None:
+        mpmath.mp.prec = args.mp_prec
     count, failures, hexdigest = digest()
     print(f"operations {count}")
     for name, error in failures:
