@@ -210,12 +210,8 @@ def _proportional_linear(a: LinearForm, b: LinearForm, precision_bits,
     n = len(xs)
     for i in range(n):
         for j in range(i + 1, n):
-            p, q, r, s = xs[i], ys[j], xs[j], ys[i]
-            if AppComplex in (type(p), type(q), type(r), type(s)):
-                cross = _sub(_mul(_unbox(p), _unbox(q)),
-                             _mul(_unbox(r), _unbox(s)))
-            else:
-                cross = p * q - r * s
+            cross = _sub(_mul(_unbox(xs[i]), _unbox(ys[j])),
+                         _mul(_unbox(xs[j]), _unbox(ys[i])))
             if type(cross) is not tuple:
                 if cross != 0:
                     return False

@@ -44,11 +44,13 @@ are gone; inf and nan parts go to libmp itself.
 The approximate algebra of ``poly`` (powers of linear forms, contraction,
 evaluation, sums and scalings of forms), of ``UniPoly``, ``linalg.dot``,
 ``apolarity.catalecticant``, the normalization of ``apolarity.ProjPoint``
-and ``decompose._proportional_linear`` runs on raw values: an int or Fraction as it is, an approximate scalar as a
-(parts, bits) tuple (``_unbox``).  ``_mul``, ``_add``, ``_sub``, ``_div``,
-``_neg`` and ``_pow`` apply the operators' precision rule, operand order
-and roundings to them, so each result is boxed once (``_box``) with the
-bits the operators would give.
+and ``decompose._proportional_linear`` runs on raw values: an int or
+Fraction as it is, an approximate scalar as a (parts, bits) tuple
+(``_unbox``).  ``_mul``, ``_add``, ``_sub``, ``_div``, ``_neg`` and ``_pow``
+hold the rounding contract above, and ``AppComplex``'s arithmetic operators
+are thin wrappers over them, so one copy of the rules serves both and a
+loop on raw values boxes each result once (``_box``) with the operators'
+bits.
 
 The thresholds of ``univariate_roots`` and the scales that other modules
 take through ``_threshold`` are libmp products at THRESHOLD_BITS, mpmath's
@@ -420,7 +422,8 @@ class AppComplex:
         """From a raw libmp (real, imag) pair, each part rounded to nearest
         at ``precision_bits``."""
         _check_precision(precision_bits)
-        return _rounded(parts, int(precision_bits))
+        bits = int(precision_bits)
+        return _wrap(_cpos(parts, bits), bits)
 
     @classmethod
     def from_mpc(cls, z, precision_bits):
@@ -440,50 +443,44 @@ class AppComplex:
     def __complex__(self):
         return complex(self.real, self.imag)
 
-    def _binop(self, other, kernel, reflected=False):
-        if isinstance(other, AppComplex):
-            bits = max(self.precision_bits, other.precision_bits)
-        elif isinstance(other, (int, Fraction)):
-            bits = self.precision_bits
-        else:
+    def _binop(self, other, op, reflected=False):
+        """self op other (other op self if ``reflected``) by the raw-value
+        helper ``op``, which holds the operator's rules."""
+        if not isinstance(other, (AppComplex, int, Fraction)):
             return NotImplemented
-        lhs, rhs = self.parts, _raw_pair(other, bits)
-        if reflected:
-            lhs, rhs = rhs, lhs
-        return _rounded(kernel(lhs, rhs, bits + GUARD_BITS), bits)
+        x, y = (self.parts, self.precision_bits), _unbox(other)
+        parts, bits = op(y, x) if reflected else op(x, y)
+        return _wrap(parts, bits)
 
     def __add__(self, other):
-        return self._binop(other, _cadd)
+        return self._binop(other, _add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, _csub)
+        return self._binop(other, _sub)
 
     def __rsub__(self, other):
-        return self._binop(other, _csub, True)
+        return self._binop(other, _sub, True)
 
     def __mul__(self, other):
-        return self._binop(other, _cmul)
+        return self._binop(other, _mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binop(other, _cdiv)
+        return self._binop(other, _div)
 
     def __rtruediv__(self, other):
-        return self._binop(other, _cdiv, True)
+        return self._binop(other, _div, True)
 
     def __neg__(self):
-        bits = self.precision_bits
-        return _wrap(_cneg(self.parts, bits), bits)
+        return _box(_neg((self.parts, self.precision_bits)))
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        bits = self.precision_bits
-        return _rounded(mpc_pow_int(self.parts, e, bits + GUARD_BITS, _RND),
-                        bits)
+        return _box(_pow((self.parts, self.precision_bits), e))
 
     def conjugate(self):
         re, im = self.parts
@@ -512,14 +509,10 @@ def _wrap(parts, bits):
     return z
 
 
-def _rounded(parts, bits):
-    """An AppComplex from a raw pair, each part rounded at ``bits``."""
-    return _wrap(_cpos(parts, bits), bits)
-
-
 # ---------------------------------------------------------------------------
-# raw values: the operators' arithmetic on unboxed scalars.  A raw value is
-# an int or a Fraction, or an approximate scalar as a (parts, bits) tuple.
+# raw values: the arithmetic of AppComplex's operators, which call these
+# helpers, on unboxed scalars.  A raw value is an int or a Fraction, or an
+# approximate scalar as a (parts, bits) tuple.
 
 
 def _unbox(x):
@@ -535,9 +528,9 @@ def _box(v):
 
 def _operands(x, y):
     """(z, w, bits) for raw values x and y, at least one a tuple: their raw
-    pairs in order and the precision of the result, as ``_binop`` takes
-    them: the larger of two precisions, or a tuple's own against an int or
-    Fraction, which ``_raw_mpf`` rounds once at it."""
+    pairs in order and the precision of the result: the larger of two
+    precisions, or a tuple's own against an int or Fraction, which
+    ``_raw_mpf`` rounds once at it."""
     if type(x) is not tuple:
         return (_raw_mpf(x, y[1]), fzero), y[0], y[1]
     if type(y) is not tuple:
@@ -546,10 +539,9 @@ def _operands(x, y):
 
 
 def _mul(x, y):
-    """x * y on raw values, with every bit of the operator: exact operands
-    multiply exactly; otherwise ``_cmul`` at bits + GUARD_BITS with the
-    approximate operand first, as ``__rmul__`` puts it, then ``_cpos`` to
-    bits."""
+    """x * y on raw values: exact operands multiply exactly; otherwise
+    ``_cmul`` at bits + GUARD_BITS with the approximate operand first, then
+    ``_cpos`` to bits."""
     if type(x) is not tuple:
         if type(y) is not tuple:
             return x * y
@@ -569,8 +561,7 @@ def _add(x, y):
 
 
 def _sub(x, y):
-    """x - y on raw values by ``_csub``, the operands in their own order, as
-    ``__sub__`` and ``__rsub__`` take them."""
+    """x - y on raw values by ``_csub``, the operands in their own order."""
     if type(x) is not tuple and type(y) is not tuple:
         return x - y
     z, w, bits = _operands(x, y)
@@ -578,8 +569,7 @@ def _sub(x, y):
 
 
 def _div(x, y):
-    """x / y on raw values by ``_cdiv``, the operands in their own order, as
-    ``__truediv__`` and ``__rtruediv__`` take them."""
+    """x / y on raw values by ``_cdiv``, the operands in their own order."""
     if type(x) is not tuple and type(y) is not tuple:
         return x / y
     z, w, bits = _operands(x, y)
@@ -587,7 +577,7 @@ def _div(x, y):
 
 
 def _neg(x):
-    """-x on a raw value, exact as ``__neg__``."""
+    """-x on a raw value, exact."""
     if type(x) is not tuple:
         return -x
     return _cneg(x[0], x[1]), x[1]
@@ -595,7 +585,7 @@ def _neg(x):
 
 def _pow(x, e):
     """x ** e on a raw value for an int e >= 0: ``mpc_pow_int`` at bits +
-    GUARD_BITS, then ``_cpos`` to bits, as ``__pow__``."""
+    GUARD_BITS, then ``_cpos`` to bits."""
     if type(x) is not tuple:
         return x ** e
     z, bits = x

@@ -35,16 +35,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import (fone, from_int, from_rational, fzero, mpc_abs,
-                          mpc_add, mpc_mul, mpc_mul_int, mpc_sub, mpf_add,
-                          mpf_div, mpf_gt, mpf_log, mpf_mul,
-                          mpf_pos, mpf_pow_int, round_nearest, to_float)
+from mpmath.libmp import (fone, from_float, from_int, from_rational, fzero,
+                          mpc_abs, mpc_add, mpc_mul, mpc_mul_int, mpc_sub,
+                          mpf_add, mpf_div, mpf_gt, mpf_log, mpf_mul, mpf_pos,
+                          mpf_pow_int, round_nearest, to_float)
 
 from .apolarity import catalecticant, essential_variables
 from .bounds import recursion_bound
 from .errors import InvalidInputError, ParseError
-from .numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS, is_exact_scalar,
-                       max_abs_of, tolerance, values_precision)
+from .numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS, AppComplex,
+                       is_exact_scalar, max_abs_of, tolerance,
+                       values_precision)
 from .poly import Form, LinearForm, evaluate, parse_form, render_form
 
 _RND = round_nearest
@@ -159,6 +160,7 @@ def is_forbidden(l: LinearForm, V: ForbiddenSet, tol=None) -> bool:
     if tol is None:
         tol = tolerance(values_precision(
             [*l.coords, *(c for g in V.constraints for c in g.coeffs.values())]))
+    tol = _raw_real(tol)
     l_scale = None  # max(1, max |l_i|), built at the first inexact value
     for g in V.constraints:
         val = evaluate(g, l.coords)
@@ -172,10 +174,12 @@ def is_forbidden(l: LinearForm, V: ForbiddenSet, tol=None) -> bool:
             if not mpf_gt(l_scale, fone):
                 l_scale = fone
         bound = mpf_mul(
-            mpf_mul(_raw_real(tol), _raw_real(g.norm1()), _RESIDUAL_BITS, _RND),
+            mpf_mul(tol, _raw_real(g.norm1()), _RESIDUAL_BITS, _RND),
             mpf_pow_int(l_scale, g.degree, _RESIDUAL_BITS, _RND),
             _RESIDUAL_BITS, _RND)
-        below = _abs_at_most(val.parts, bound)
+        below = None
+        if type(val) is AppComplex:
+            below = _abs_at_most(val.parts, bound)
         if below is None:
             below = abs(val) <= mpmath.mp.make_mpf(bound)
         if below:
@@ -303,11 +307,13 @@ def _max_abs(leaves, wp):
 
 
 def _raw_real(x):
-    """A real scalar as a raw mpf, a Fraction rounded down to
-    _RESIDUAL_BITS as the mpf operators convert it."""
+    """A real scalar as a raw mpf, as the mpf operators convert it: a
+    Fraction rounded down to _RESIDUAL_BITS, a float exactly."""
     if is_exact_scalar(x):
         x = Fraction(x)
         return from_rational(x.numerator, x.denominator, _RESIDUAL_BITS)
+    if isinstance(x, float):
+        return from_float(x)
     return x._mpf_
 
 

@@ -155,8 +155,10 @@ KERNELS = {"_sum", "_quo", "_pos", "_cadd", "_csub", "_cmul", "_cdiv", "_cinv"}
 #: the libmp functions the kernels replace on the pipeline's hot path
 LIBMP_ARITHMETIC = {"mpc_add", "mpc_sub", "mpc_mul", "mpc_div", "mpc_mpf_div"}
 
-#: the root finder's loops and AppComplex's operators, which run on KERNELS
+#: the root finder's loops, the raw-value helpers and AppComplex's
+#: operators over them, which run on KERNELS
 KERNEL_CALLERS = {"_horner", "_aberth", "_newton_polish", "univariate_roots",
+                  "_operands", "_mul", "_add", "_sub", "_div",
                   "AppComplex._binop", "AppComplex.__add__",
                   "AppComplex.__sub__", "AppComplex.__rsub__",
                   "AppComplex.__mul__", "AppComplex.__truediv__",

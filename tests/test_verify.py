@@ -517,3 +517,26 @@ def test_forbidden_bound_ignores_the_ambient_precision():
         with workprec(prec or mpmath.mp.prec):
             assert is_forbidden(LinearForm([inside, scale]), V, tol)
             assert not is_forbidden(LinearForm([outside, scale]), V, tol)
+
+
+def test_forbidden_set_takes_a_float_tolerance():
+    # a float tol is read exactly, as the mpf operators read it: the same
+    # verdicts as the mpf of the same value, in is_forbidden and through
+    # check_decomposition, on approximate data
+    bits = 128
+    V = ForbiddenSet.from_text("l1", 2)
+    for tol, v, want in ((1e-30, Fraction(1, 10**31), True),
+                         (1e-30, Fraction(1, 10**29), False),
+                         (2.0**-110, Fraction(1, 10**31), False),
+                         (2.0**-110, 0, True)):
+        l = LinearForm([AppComplex(1, 0, bits), AppComplex(v, 0, bits)])
+        assert is_forbidden(l, V, tol) == is_forbidden(l, V, mpf(tol)) == want
+    f = Form(2, 3, {(3, 0): AppComplex(1, 0, bits),
+                    (0, 3): AppComplex(1, 0, bits)})
+    dec = Decomposition(3, 2, (
+        (AppComplex(1, 0, bits), LinearForm([AppComplex(1, 0, bits), 0])),
+        (AppComplex(1, 0, bits), LinearForm([0, AppComplex(1, 0, bits)]))),
+        False)
+    rep = check_decomposition(f, dec, V, tol=1e-30, precision_bits=bits)
+    assert rep.residual_ok and rep.forbidden_violations == (0,)
+    assert not rep.passed
