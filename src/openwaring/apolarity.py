@@ -28,16 +28,16 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from mpmath import mpf, nstr
-from mpmath.libmp import fone, mpf_gt, mpf_shift
+from mpmath.libmp import fone, fzero, mpf_gt, mpf_shift
 
 from . import linalg
 from .errors import (ConsistencyError, DegenerateSystemError,
                      InvalidInputError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
                        UniPoly, _CONE, _CZERO, _abs_exceeds, _abs_gt, _abs_le,
-                       _abs_max_candidates, _box, _cinv, _cmul, _cneg, _csub,
-                       _div, _make_mpf, _mul, _threshold, _unbox,
-                       is_exact_scalar, max_abs_of, scalar_is_zero,
+                       _abs_max_candidates, _add, _box, _cinv, _cmul, _cneg,
+                       _csub, _div, _make_mpf, _mul, _raw_mpf, _threshold,
+                       _unbox, is_exact_scalar, max_abs_of, scalar_is_zero,
                        squarefree_part, tolerance, univariate_roots)
 from .poly import (DualOp, Form, LinearForm, change_coordinates, evaluate,
                    linear_power, monomials_of_degree)
@@ -590,10 +590,36 @@ def _resultant_charts(D0: DualOp, D1: DualOp, changes, tol, precision_bits,
         yield T, p, q, R, r_scale
 
 
-def _chart_point(T, t, l2, precision_bits):
-    """The point (1, t, l2) of a chart, mapped back through T."""
-    inner = ProjPoint((AppComplex(1, 0, precision_bits), t, l2), precision_bits)
-    return ProjPoint(linalg.mat_vec(T, inner.coords), precision_bits)
+def _chart_map(T, precision_bits):
+    """The map (t, l2) -> the point (1, t, l2) of the chart of T, mapped
+    back through T.
+
+    The values are ``linalg.mat_vec``'s, bit for bit: each product takes
+    the approximate coordinate first and T's entry rounded at that
+    coordinate's precision.  Here T's entries are rounded once for each
+    precision the points' coordinates carry, not once per point."""
+    rounded = {}
+
+    def point(t, l2):
+        inner = ProjPoint((AppComplex(1, 0, precision_bits), t, l2),
+                          precision_bits)
+        vec = [_unbox(c) for c in inner.coords]
+        key = tuple(bits for _, bits in vec)
+        rows = rounded.get(key)
+        if rows is None:
+            rows = rounded[key] = [
+                [((_raw_mpf(a, bits), fzero), bits) for a, bits in zip(row, key)]
+                for row in T]
+        coords = []
+        for row in rows:
+            s = None
+            for x, a in zip(vec, row):
+                term = _mul(x, a)
+                s = term if s is None else _add(s, term)
+            coords.append(_box(s))
+        return ProjPoint(coords, precision_bits)
+
+    return point
 
 
 def _trim_leading(values, precision_bits):
@@ -693,6 +719,7 @@ def _curve_pair_candidates(D0: DualOp, D1: DualOp, precision_bits, rng):
             continue
         if R.is_exact():
             R = squarefree_part(R)
+        to_point = _chart_map(T, precision_bits)
         pts = []
         for t in _distinct_roots(univariate_roots(R, precision_bits),
                                  precision_bits):
@@ -705,7 +732,7 @@ def _curve_pair_candidates(D0: DualOp, D1: DualOp, precision_bits, rng):
                 l2s = univariate_roots(side, precision_bits)
             except InvalidInputError:
                 continue
-            pts += [_chart_point(T, t, l2, precision_bits) for l2 in l2s]
+            pts += [to_point(t, l2) for l2 in l2s]
         return _sorted_points(pts)
     raise DegenerateSystemError("no usable chart for the curve pair")
 

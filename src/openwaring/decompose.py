@@ -35,7 +35,7 @@ from . import linalg
 from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
                         base_points, catalecticant, essential_variables,
                         _back_substitute_l2, _binary_dual_roots,
-                        _chart_point, _combine_ops, _coordinate_changes,
+                        _chart_map, _combine_ops, _coordinate_changes,
                         _dedupe_points, _distinct_roots, _essential_split,
                         _first_catalecticant_rows, _op_vanishes_at, _project,
                         _resultant_charts, _sorted_points, _subspace_lift,
@@ -259,12 +259,13 @@ def conic_intersection(D0: DualOp, D1: DualOp,
         if len(_distinct_roots(roots, precision_bits)) != len(roots):
             saw_repeated = True
             continue
+        to_point = _chart_map(T, precision_bits)
         pts = []
         for t in roots:
             l2 = _back_substitute_l2(p, q, t, precision_bits)
             if l2 is None:
                 break
-            pts.append(_chart_point(T, t, l2, precision_bits))
+            pts.append(to_point(t, l2))
         else:
             tols = _vanishing_tolerances((D0, D1), precision_bits)
             if not all(_op_vanishes_at(op, pt, tol)

@@ -9,7 +9,7 @@ from mpmath.libmp import fzero, mpc_abs, mpf_gt, round_nearest
 from openwaring import (ForbiddenSet, Form, LinearForm, VerifyReport,
                         essential_variables, is_forbidden, recursion_bound)
 from openwaring import linalg
-from openwaring.apolarity import (_chart_point, _coordinate_changes,
+from openwaring.apolarity import (_chart_map, _coordinate_changes,
                                   _distinct_roots, _lagrange_interpolate,
                                   _resultant_charts, _shared_roots,
                                   _sorted_points, _trim_leading, catalecticant)
@@ -712,12 +712,13 @@ def reference_curve_pair_candidates(D0, D1, precision_bits, rng):
             continue
         if R.is_exact():
             R = squarefree_part(R)
+        to_point = _chart_map(T, precision_bits)
         pts = []
         for t in _distinct_roots(univariate_roots(R, precision_bits),
                                  precision_bits):
             pa = _trim_leading([c(t) for c in p], precision_bits)
             pb = _trim_leading([c(t) for c in q], precision_bits)
-            pts += [_chart_point(T, t, l2, precision_bits)
+            pts += [to_point(t, l2)
                     for l2 in reference_pair_roots(pa, pb, precision_bits)]
         return _sorted_points(pts)
     raise DegenerateSystemError("no usable chart for the curve pair")
