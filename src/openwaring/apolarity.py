@@ -624,12 +624,14 @@ def _chart_map(T, precision_bits):
 
 def _trim_leading(values, precision_bits):
     """UniPoly from evaluated coefficients, with numerically-zero leading
-    entries removed so the stated degree is meaningful."""
+    entries removed so the stated degree is meaningful.  The threshold
+    tolerance(bits) * max|value| is taken at THRESHOLD_BITS."""
     vals = list(values)
-    scale = mpf(1) * max_abs_of(vals) if vals else mpf(0)
-    tol = tolerance(precision_bits) * scale
-    while vals and scalar_is_zero(vals[-1], tol):
-        vals.pop()
+    if vals:
+        tol = _make_mpf(_threshold(_threshold(fone, max_abs_of(vals)),
+                                   tolerance(precision_bits)))
+        while vals and scalar_is_zero(vals[-1], tol):
+            vals.pop()
     return UniPoly(vals)
 
 
@@ -673,14 +675,17 @@ def _back_substitute_l2(p_coeffs, q_coeffs, t, precision_bits):
 
     The elimination denominator must be comfortably nonzero (a quarter of
     the working bits) or the division would eat the precision budget;
-    otherwise the roots of both quadratics are paired directly."""
+    otherwise the roots of both quadratics are paired directly.  Its
+    threshold 2^-(bits/4) * max(1, max|a| * max|b|) is taken at
+    THRESHOLD_BITS."""
     a = [c(t) for c in p_coeffs]
     b = [c(t) for c in q_coeffs]
     if len(a) == 3 and len(b) == 3:
         mu = b[2] * a[1] - a[2] * b[1]
         nu = b[2] * a[0] - a[2] * b[0]
-        thresh = mpf(2) ** (-(precision_bits // 4)) * max(
-            mpf(1), mpf(1) * max_abs_of(a) * max_abs_of(b))
+        size = _threshold(_threshold(fone, max_abs_of(a)), max_abs_of(b))
+        thresh = _make_mpf(mpf_shift(size if mpf_gt(size, fone) else fone,
+                                     -(precision_bits // 4)))
         if not scalar_is_zero(mu, thresh):
             return -nu / mu
     pa = _trim_leading(a, precision_bits)

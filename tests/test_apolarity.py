@@ -15,10 +15,11 @@ from openwaring import (AppComplex, ConsistencyError, DegenerateSystemError,
                         check_decomposition, decompose, essential_variables,
                         linear_power, parse_form, power_witness)
 from openwaring import linalg
-from openwaring.apolarity import (ProjPoint, _coordinate_changes,
-                                  _dedupe_points, _distinct_roots,
-                                  _dual_as_unipoly_coeffs, _shared_roots,
-                                  _sylvester_resultant)
+from openwaring.apolarity import (ProjPoint, _back_substitute_l2,
+                                  _coordinate_changes, _dedupe_points,
+                                  _distinct_roots, _dual_as_unipoly_coeffs,
+                                  _shared_roots, _sylvester_resultant,
+                                  _trim_leading)
 from openwaring.decompose import _hyperplane_change
 from openwaring.linalg import rational_det, rational_rank
 from openwaring.numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS, UniPoly,
@@ -702,3 +703,37 @@ class TestBasePointsPairedByTheCertificate:
             f = random_essential_form(random.Random(seed), 3, 3)
             assert base_points(f, 2) == []
             assert degrees == [4, 2, 2, 2, 2]
+
+
+class TestRootPathThresholdsAtAFixedPrecision:
+    # each scale below is 1 + 2^-30 times a power of two: exact at mpmath's
+    # default 53 bits, where the threshold sits just above a value of
+    # 1 + 2^-31 times the same power, and rounded down to the power itself
+    # at 20 bits, where it would fall below that value
+    BITS = 256
+
+    def app(self, x):
+        return AppComplex(x, 0, self.BITS)
+
+    def test_trim_threshold(self):
+        scale = 1 + Fraction(1, 2 ** 30)
+        lead = Fraction(1, 2 ** (self.BITS // 2)) * (1 + Fraction(1, 2 ** 31))
+        values = [self.app(scale), self.app(lead)]
+        assert _trim_leading(values, self.BITS).degree == 0
+        for prec in (20, 300):
+            with workprec(prec):
+                assert _trim_leading(values, self.BITS).degree == 0
+
+    def test_elimination_threshold(self):
+        # mu = a1 lies just below 2^-(bits/4) * max|a| * max|b|, so the
+        # elimination is refused and the fallback pairs l2^2 - 1 against
+        # a conic whose roots a1 moves by about 2^-65: none are shared
+        a2 = 2 * (1 + Fraction(1, 2 ** 30))
+        a1 = Fraction(2, 2 ** (self.BITS // 4)) * (1 + Fraction(1, 2 ** 31))
+        p = [UniPoly([self.app(c)]) for c in (-a2, a1, a2)]
+        q = [UniPoly([self.app(c)]) for c in (-1, 0, 1)]
+        t = self.app(1)
+        assert _back_substitute_l2(p, q, t, self.BITS) is None
+        for prec in (20, 300):
+            with workprec(prec):
+                assert _back_substitute_l2(p, q, t, self.BITS) is None
