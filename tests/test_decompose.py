@@ -176,14 +176,14 @@ class TestBinary:
     #: SHA-256 of the exact terms of x0^(d-1)*x1 at seed 5, per d
     MONOMIAL_TERMS = {
         2: "169580e8b1787f2524ad0c0667a99df99ed41c40bf25f252dbe653f1ab417bc4",
-        3: "9737f892c3d13904917e9273914220c63e9bcd42d4787a4618582e4332bad82a",
-        4: "8799a49acc7b0e925aaca60c8104c30024b823e27c34ce2ede56399780938571",
-        5: "48710506ea6c093e27838b6956cc29cab4ad52498053d33e08575c2b2c11009c",
-        6: "95b335393426eece18c22a4256394ed93cd35722fa376547d2f8cf0698766a45",
-        7: "6882bf31d0f5080d099ead990b11cd4cfd46b5de5769191fdb0372b5f7f088a9",
+        3: "1f52b021f8411e56fcc5844861be8314449a6e0db22b42d77f9f0ddfb805b5f9",
+        4: "8cba5c8c51deb7f9101b21b3e8d4cdeb6e429814bb90430d2e486eb95a1b9e8b",
+        5: "c0bbeb687da1ea6b160f31f62512223f5772615ac1d09777aa70321a00a74e8d",
+        6: "b62d62ec68eea60f1e5f7d68928863f877f5d70fb001ffb06ca387975df0202f",
+        7: "75ab8ae80c6b721f705322d516e96c8c7bc1e34f6e9cc98312089d9f9669c01a",
         8: "e51ad736c9bc886c27d99f3903731cd85a335af2d97a95d4ea0de6aa469a728d",
-        9: "60f83d4794d224aaf70789702df120d9b79580f56e2ef0efbeaa3fb809dbbf82",
-        10: "a7456ef518512e655810f41e392d92373c14059074d476d17bd67c1e2451e3d0"}
+        9: "0eeda5d10311b5150c6e73ad4b58df2f6d80a583e5f73233cf0c115b03d16a88",
+        10: "9413067205a995d387bc3a4afd5eca4dbfad01770105123c4a854f62225dfc74"}
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_monomial_needs_full_count(self, d):

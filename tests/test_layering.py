@@ -157,8 +157,9 @@ LIBMP_ARITHMETIC = {"mpc_add", "mpc_sub", "mpc_mul", "mpc_div", "mpc_mpf_div"}
 
 #: the root finder's loops, the raw-value helpers and AppComplex's
 #: operators over them, which run on KERNELS
-KERNEL_CALLERS = {"_horner", "_aberth", "_newton_polish", "univariate_roots",
-                  "_operands", "_mul", "_add", "_sub", "_div",
+KERNEL_CALLERS = {"_horner", "_aberth", "_newton_polish", "_float_aberth",
+                  "_seeded_roots", "univariate_roots", "_operands", "_mul",
+                  "_add", "_sub", "_div",
                   "AppComplex._binop", "AppComplex.__add__",
                   "AppComplex.__sub__", "AppComplex.__rsub__",
                   "AppComplex.__mul__", "AppComplex.__truediv__",
@@ -329,7 +330,8 @@ MPC_OBJECTS = {"mpc", "workprec", "mpmath", "_make_mpc", "to_mpc", "from_mpc"}
 
 #: the root finder, which runs on raw pairs from the coefficients to the
 #: certified roots
-ROOT_FINDER = {"_horner", "_aberth", "_newton_polish", "univariate_roots"}
+ROOT_FINDER = {"_horner", "_aberth", "_newton_polish", "_float_aberth",
+               "_seeded_roots", "univariate_roots"}
 
 
 def _imported_names(tree):
