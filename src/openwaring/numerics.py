@@ -1037,15 +1037,16 @@ def _settled(step, z, work_bits):
 _FLOAT_STOP = 2.0 ** -50
 
 
-def _float_aberth(coeffs, max_iters=400):
+def _float_aberth(coeffs):
     """Starting roots for a factor of degree >= 3: ``_aberth``'s iteration
     on Python complex values, or None when a monic coefficient or a root
     is not a finite double, or a double overflows on the way.
 
     The monic coefficients are taken by ``_cdiv`` at 53 bits and rounded
     to doubles.  The start circle, the nudge off a critical point and the
-    stand-in for a zero difference are ``_aberth``'s at 53 bits; a sweep
-    ends the iteration once every relative step is at most ``_FLOAT_STOP``.
+    stand-in for a zero difference are ``_aberth``'s at 53 bits, and so is
+    the cap of 400 sweeps; a sweep ends the iteration once every relative
+    step is at most ``_FLOAT_STOP``.
     """
     lead = coeffs[-1]
     monic = [complex(to_float(re), to_float(im))
@@ -1067,7 +1068,7 @@ def _float_aberth(coeffs, max_iters=400):
             r = 0.5
         z = [r * cmath.exp(1j * (2 * cmath.pi * k / n + 0.5))
              for k in range(n)]
-        for _ in range(max_iters):
+        for _ in range(400):
             settled = True
             for k in range(n):
                 zk = z[k]
@@ -1099,7 +1100,7 @@ def _seeded_roots(coeffs, work_bits):
     ``_float_aberth``'s seeds polished by ``_newton_polish`` with
     ``strict``, within (work_bits // 50).bit_length() + 2 steps, about
     log2(work_bits / 50) + 2: the doublings of quadratic convergence from
-    50 bits, and room for a seed that starts short of them.
+    50 bits, the step at rounding level that ends a root, and one to spare.
 
     None, so that the caller runs ``_aberth`` instead, when there are no
     seeds, when a root reaches no fixed point within the cap, or when two
