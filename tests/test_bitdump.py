@@ -33,3 +33,36 @@ def test_the_ambient_precision_moves_no_output_bit():
     for prec in (20, 300):
         with mpmath.workprec(prec):
             assert bitdump.digest(plan) == want
+
+
+def test_per_op_digests_name_the_operations_a_change_moved(monkeypatch, capsys):
+    bitdump = load_tool()
+    plan = (("exact", range(1)),)
+    before = []
+    whole = bitdump.digest(plan, per_op=before)
+    assert whole == bitdump.digest(plan)
+    assert len(before) == 24 and len(dict(before)) == 24
+    assert all(len(short) == 16 for _, short in before)
+
+    # one operation's output moves by a character: only its line changes
+    name = before[5][0]
+    real = bitdump._library
+
+    def moved(case):
+        out = real(case)
+        return out + " " if name.endswith(f" {case.label}") else out
+
+    monkeypatch.setattr(bitdump, "_library", moved)
+    after = []
+    assert bitdump.digest(plan, per_op=after)[2] != whole[2]
+    assert [a for a, b in zip(before, after) if a != b] == [before[5]]
+
+    # the listing comes first, then the three lines of a plain run
+    monkeypatch.setattr(bitdump, "_library", real)
+    digest = bitdump.digest
+    monkeypatch.setattr(bitdump, "digest",
+                        lambda per_op=None: digest(plan, per_op=per_op))
+    bitdump.main(["--per-op"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ([f"op {short} {op}" for op, short in before]
+                     + ["operations 24", f"sha256 {whole[2]}"])

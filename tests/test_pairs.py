@@ -58,6 +58,19 @@ def test_summary_of_canned_results():
                                "1.125", "3/4"]
 
 
+def test_failed_shares_are_summed_per_side():
+    # a larger failed share is a regression, so the summary carries each
+    # side's failed/attempted over all pairs: 1+1+1+1 of 4*19 against
+    # 1+1+1+2
+    pairs = load_tool()
+    totals = pairs.failed_totals(canned_pairs())
+    assert totals == {"parent": (4, 76), "change": (5, 76)}
+    text = pairs.render(pairs.summarize(canned_pairs(), BETTER), totals)
+    assert text[-1].split() == ["failed/attempted", "4/76", "5/76"]
+    # without totals the table ends with the metrics
+    assert pairs.render([], None) == text[:1]
+
+
 def test_pair_lines_name_the_counts_and_the_order():
     pairs = load_tool()
     lines = pairs.render_pair(4, 84, "change", canned_pairs()[3], BETTER)

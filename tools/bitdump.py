@@ -2,6 +2,7 @@
 
     python3 tools/bitdump.py
     python3 tools/bitdump.py --mp-prec 20
+    python3 tools/bitdump.py --per-op > change.txt
 
 Takes the inputs that `perfbench/workloads.py` makes at seed 1 and runs one
 `decompose` on each: `inductive` rounds 0-3 and `exact` rounds 0-9 through
@@ -14,7 +15,10 @@ command line; the error's class and text when it raises.  The script prints
 the number of operations, each one that raised, and the SHA-256 of the
 whole, so a change meant to keep every bit must print the same three as
 its parent.  `--mp-prec N` sets `mpmath.mp.prec` to N before the run; no
-output may depend on it, so every N must print the same three lines.  It
+output may depend on it, so every N must print the same three lines.
+`--per-op` first prints one line per operation, `op DIGEST NAME`, with the
+first 16 hex digits of the SHA-256 of that operation's own output, so that
+`diff` of two such listings names the operations a change moved.  It
 writes nothing under `perfbench/`.
 """
 
@@ -90,8 +94,10 @@ def _via_cli(case, workdir):
     return repr((dec, record, ver)), ver[2].strip() if ver[0] else None
 
 
-def digest(plan=PLAN, seed=SEED):
-    """(operation count, [(operation, error text)], SHA-256 hex digest)."""
+def digest(plan=PLAN, seed=SEED, per_op=None):
+    """(operation count, [(operation, error text)], SHA-256 hex digest).
+    With a list ``per_op``, append (operation, the first 16 hex digits of
+    the SHA-256 of its own output) to it for each operation."""
     h = hashlib.sha256()
     count = 0
     failures = []
@@ -111,7 +117,11 @@ def digest(plan=PLAN, seed=SEED):
                             payload = error
                     if error is not None:
                         failures.append((name, error))
-                    h.update(f"{name}\t{payload}\n".encode())
+                    record = f"{name}\t{payload}\n".encode()
+                    h.update(record)
+                    if per_op is not None:
+                        per_op.append(
+                            (name, hashlib.sha256(record).hexdigest()[:16]))
                     count += 1
     return count, failures, h.hexdigest()
 
@@ -120,10 +130,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mp-prec", type=int, default=None, metavar="N",
                         help="set mpmath.mp.prec to N before the run")
+    parser.add_argument("--per-op", action="store_true",
+                        help="first print a short digest of each operation")
     args = parser.parse_args(argv)
     if args.mp_prec is not None:
         mpmath.mp.prec = args.mp_prec
-    count, failures, hexdigest = digest()
+    per_op = [] if args.per_op else None
+    count, failures, hexdigest = digest(per_op=per_op)
+    for name, short in per_op or ():
+        print(f"op {short} {name}")
     print(f"operations {count}")
     for name, error in failures:
         print(f"raised {name}: {error}")

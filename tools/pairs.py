@@ -9,7 +9,9 @@ repository.  For every seed the script runs `perfbench/run.py --workload W
 alternates which of the two goes first, so that a drift in the machine's
 speed falls on both sides alike.  It prints each pair's end-to-end metrics
 and failed/attempted counts, then per metric the two medians, their ratio,
-both interquartile ranges and the number of pairs the change won.
+both interquartile ranges and the number of pairs the change won, and last
+each side's failed and attempted operations summed over all pairs, since a
+larger failed share is a regression too.
 Which direction is better comes from CHANGE's `BENCHMARK.json`.  A gain is
 resolved when the change wins nearly every pair and the medians differ by
 more than the parent's IQR.  The script writes nothing itself; each run
@@ -82,13 +84,25 @@ def summarize(pairs, better):
     return rows
 
 
-def render(rows):
+def failed_totals(pairs):
+    """{side: (failed, attempted)}, each summed over the pairs."""
+    return {side: (sum(p[side]["failed"] for p in pairs),
+                   sum(p[side]["attempted"] for p in pairs)) for side in SIDES}
+
+
+def render(rows, totals=None):
+    """The summary table; with ``totals`` from ``failed_totals``, a last
+    line of each side's failed/attempted."""
     lines = [f"{'metric':18s} {'parent':>12s} {'change':>12s} {'ratio':>8s} "
              f"{'parent IQR':>12s} {'change IQR':>12s} {'wins':>6s}"]
     for name, old, new, old_iqr, new_iqr, wins, count in rows:
         ratio = f"{new / old - 1:+.1%}" if old else "-"
         lines.append(f"{name:18s} {old:12.6g} {new:12.6g} {ratio:>8s} "
                      f"{old_iqr:12.6g} {new_iqr:12.6g} {wins:>3d}/{count}")
+    if totals is not None:
+        shares = ["{}/{}".format(*totals[side]) for side in SIDES]
+        lines.append(f"{'failed/attempted':18s} {shares[0]:>12s} "
+                     f"{shares[1]:>12s}")
     return lines
 
 
@@ -121,7 +135,7 @@ def main(argv=None):
         pairs.append(pair)
         print("\n".join(render_pair(i + 1, seed, order[0], pair, better)),
               flush=True)
-    print("\n".join(render(summarize(pairs, better))))
+    print("\n".join(render(summarize(pairs, better), failed_totals(pairs))))
 
 
 if __name__ == "__main__":
