@@ -15,9 +15,7 @@ variable by a Sylvester resultant, and ``_curve_pair_candidates`` (for
 intersections on it.  Since ``base_points`` certifies every candidate
 against the whole annihilator basis, its candidates over a resultant root
 are one curve's roots there, unpaired (``_curve_pair_candidates`` says why
-that finds the same points); only the fallback of ``_back_substitute_l2``,
-with no certificate behind it, pairs the roots of two univariates
-(``_shared_roots``).
+that finds the same points).
 """
 
 from __future__ import annotations
@@ -34,11 +32,12 @@ from . import linalg
 from .errors import (ConsistencyError, DegenerateSystemError,
                      InvalidInputError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
-                       UniPoly, _CONE, _CZERO, _abs_exceeds, _abs_gt, _abs_le,
-                       _abs_max_candidates, _add, _box, _cinv, _cmul, _cneg,
-                       _csub, _div, _make_mpf, _mul, _raw_mpf, _threshold,
-                       _unbox, is_exact_scalar, max_abs_of, scalar_is_zero,
-                       squarefree_part, tolerance, univariate_roots)
+                       UniPoly, _CONE, _CZERO, _abs_exceeds, _abs_gt,
+                       _abs_max_candidates, _add, _at_least_one, _box, _cinv,
+                       _cmul, _cneg, _csub, _div, _mul, _raw_mpf, _threshold,
+                       _threshold_pow, _unbox, is_exact_scalar, max_abs_of,
+                       scalar_is_zero, squarefree_part, tolerance,
+                       univariate_roots)
 from .poly import (DualOp, Form, LinearForm, change_coordinates, evaluate,
                    linear_power, monomials_of_degree)
 
@@ -151,7 +150,8 @@ def apolar_component(f: Form, e: int,
         op = DualOp(f.num_vars, e, coeffs)
         if not op.is_exact():
             # numerical-noise entries would overstate supports downstream
-            op = op.cleaned(tolerance(precision_bits) * op.max_abs())
+            op = op.cleaned(_threshold(tolerance(precision_bits),
+                                       op.max_abs()))
         ops.append(op)
     return ops
 
@@ -246,7 +246,7 @@ def _essential_split(f: Form, m: int, precision_bits):
         annihilates = not any(sum(row[i] * x for i, x in support)
                               for support in supports for row in rows)
     else:
-        tol = tolerance(precision_bits) * f.max_abs()
+        tol = _threshold(tolerance(precision_bits), f.max_abs())
         annihilates = all(scalar_is_zero(x, tol)
                           for v in kernel for x in linalg.mat_vec(rows, v))
     if not annihilates:
@@ -345,7 +345,7 @@ def _vanishing_tolerances(ops, precision_bits):
     """(op, tolerance(bits) * |op|_1) for each op, the product taken by
     libmp at THRESHOLD_BITS, once for every point `_op_vanishes_at` tests."""
     tol = tolerance(precision_bits)
-    return [(op, _make_mpf(_threshold(tol, op.norm1()))) for op in ops]
+    return [(op, _threshold(tol, op.norm1())) for op in ops]
 
 
 def _op_vanishes_at(op: DualOp, point: ProjPoint, tol) -> bool:
@@ -448,7 +448,11 @@ def _combine_ops(basis, weights):
 
 
 def _proportional_ops(a: DualOp, b: DualOp, precision_bits) -> bool:
-    tol = tolerance(precision_bits) * a.norm1() * b.norm1()
+    """Whether every 2x2 cross product of a's and b's coefficients vanishes:
+    exactly when it is rational, else within tolerance(bits) * |a|_1 *
+    |b|_1 taken at THRESHOLD_BITS."""
+    tol = _threshold(_threshold(tolerance(precision_bits), a.norm1()),
+                     b.norm1())
     keys = set(a.coeffs) | set(b.coeffs)
     for k1 in keys:
         for k2 in keys:
@@ -566,25 +570,31 @@ def _leading_ok(coeffs_l2, tol_scale):
     return not scalar_is_zero(c, tol_scale)
 
 
-def _resultant_charts(D0: DualOp, D1: DualOp, changes, tol, precision_bits,
+def _resultant_charts(D0: DualOp, D1: DualOp, changes, precision_bits,
                       shared: Exception):
     """Charts of a pair of ternary curves of equal degree, one per change T
     whose l2-leading coefficients are nonzero constants.
 
     Yields ``(T, p, q, R, r_scale)``: the curves in the chart as polynomials
     in l2 over t (``_dual_as_unipoly_coeffs``), their resultant R(t) and the
-    scale below which a coefficient of R counts as zero.  Raises ``shared``
-    when R vanishes, i.e. the curves share a component."""
+    scale tol * max(1, (|d0|_1 * |d1|_1)^e) below which a coefficient of R
+    counts as zero.  Raises ``shared`` when R vanishes, i.e. the curves
+    share a component."""
     e = D0.degree
+    tol = tolerance(precision_bits)
     for T in changes:
         d0 = change_coordinates(D0, T)
         d1 = change_coordinates(D1, T)
         p = _dual_as_unipoly_coeffs(d0)
         q = _dual_as_unipoly_coeffs(d1)
-        if not (_leading_ok(p, tol * d0.norm1()) and _leading_ok(q, tol * d1.norm1())):
+        n0, n1 = d0.norm1(), d1.norm1()
+        if not (_leading_ok(p, _threshold(tol, n0))
+                and _leading_ok(q, _threshold(tol, n1))):
             continue
         R = _sylvester_resultant(p, q, precision_bits)
-        r_scale = tol * max(mpf(1), mpf(1) * (d0.norm1() * d1.norm1()) ** e)
+        norms = (n0 * n1 if type(n0) is type(n1) is Fraction
+                 else _threshold(n0, n1))
+        r_scale = _threshold(tol, _at_least_one(_threshold_pow(norms, e)))
         if R.is_zero() or all(scalar_is_zero(c, r_scale) for c in R.coeffs):
             raise shared
         yield T, p, q, R, r_scale
@@ -628,32 +638,11 @@ def _trim_leading(values, precision_bits):
     tolerance(bits) * max|value| is taken at THRESHOLD_BITS."""
     vals = list(values)
     if vals:
-        tol = _make_mpf(_threshold(_threshold(fone, max_abs_of(vals)),
-                                   tolerance(precision_bits)))
+        tol = _threshold(_threshold(fone, max_abs_of(vals)),
+                         tolerance(precision_bits))
         while vals and scalar_is_zero(vals[-1], tol):
             vals.pop()
     return UniPoly(vals)
-
-
-def _shared_roots(pa: UniPoly, pb: UniPoly, precision_bits):
-    """Roots of pa that are roots of pb too, within 2^-(bits/3).
-
-    The fallback of ``_back_substitute_l2`` when its elimination
-    denominator is numerically zero; both sides have degree >= 1 there.
-    None come back when root finding rejects a side.  Here and in
-    ``_distinct_roots`` a difference is rounded at precision_bits by
-    ``_csub``, as mpc subtraction under workprec(bits) rounds it, and its
-    size is settled by exponents where they decide it."""
-    try:
-        ra = univariate_roots(pa, precision_bits)
-        rb = univariate_roots(pb, precision_bits)
-    except InvalidInputError:
-        return []
-    bits = precision_bits
-    sep = mpf_shift(fone, -(bits // 3))
-    return [x for x in ra
-            if any(_abs_le(_csub(x.parts, y.parts, bits), sep, bits)
-                   for y in rb)]
 
 
 def _distinct_roots(roots, precision_bits):
@@ -670,30 +659,22 @@ def _distinct_roots(roots, precision_bits):
 
 
 def _back_substitute_l2(p_coeffs, q_coeffs, t, precision_bits):
-    """Common l2-root of the two polynomials at parameter t, via the linear
-    combination eliminating the top power; None when ambiguous.
+    """Common l2-root of two conics at parameter t, via the linear
+    combination eliminating l2^2; None when its denominator is numerically
+    zero.
 
-    The elimination denominator must be comfortably nonzero (a quarter of
-    the working bits) or the division would eat the precision budget;
-    otherwise the roots of both quadratics are paired directly.  Its
-    threshold 2^-(bits/4) * max(1, max|a| * max|b|) is taken at
-    THRESHOLD_BITS."""
+    The denominator must be comfortably nonzero (a quarter of the working
+    bits) or the division would eat the precision budget; its threshold
+    2^-(bits/4) * max(1, max|a| * max|b|) is taken at THRESHOLD_BITS."""
     a = [c(t) for c in p_coeffs]
     b = [c(t) for c in q_coeffs]
-    if len(a) == 3 and len(b) == 3:
-        mu = b[2] * a[1] - a[2] * b[1]
-        nu = b[2] * a[0] - a[2] * b[0]
-        size = _threshold(_threshold(fone, max_abs_of(a)), max_abs_of(b))
-        thresh = _make_mpf(mpf_shift(size if mpf_gt(size, fone) else fone,
-                                     -(precision_bits // 4)))
-        if not scalar_is_zero(mu, thresh):
-            return -nu / mu
-    pa = _trim_leading(a, precision_bits)
-    pb = _trim_leading(b, precision_bits)
-    if pa.degree < 1 or pb.degree < 1:
+    mu = b[2] * a[1] - a[2] * b[1]
+    nu = b[2] * a[0] - a[2] * b[0]
+    size = _threshold(_threshold(fone, max_abs_of(a)), max_abs_of(b))
+    if scalar_is_zero(mu, mpf_shift(_at_least_one(size),
+                                    -(precision_bits // 4))):
         return None
-    matches = _shared_roots(pa, pb, precision_bits)
-    return matches[0] if len(matches) == 1 else None
+    return -nu / mu
 
 
 def _curve_pair_candidates(D0: DualOp, D1: DualOp, precision_bits, rng):
@@ -704,8 +685,8 @@ def _curve_pair_candidates(D0: DualOp, D1: DualOp, precision_bits, rng):
     finding rejects that side gives none.  One root search per t, with no
     pairing against the roots of D1, is sound because ``base_points``
     certifies each candidate against the whole linear system, D1 among it:
-    - the candidates contain those that pairing within 2^-(bits/3) (as
-      ``_shared_roots`` pairs) would keep;
+    - the candidates contain those that pairing them with the roots of D1
+      within 2^-(bits/3) would keep;
     - an extra one passes the certificate only where D1 vanishes too, and
       that puts it within the pairing radius of a root of D1 at t unless
       D1 has a near-double root there.
@@ -715,10 +696,9 @@ def _curve_pair_candidates(D0: DualOp, D1: DualOp, precision_bits, rng):
     curves share a component or no chart separates the points.
     """
     e = D0.degree
-    tol = tolerance(precision_bits)
     changes = list(_coordinate_changes(3, 3, random.Random(rng.randrange(1 << 30))))
     for T, p, q, R, _ in _resultant_charts(
-            D0, D1, changes, tol, precision_bits,
+            D0, D1, changes, precision_bits,
             DegenerateSystemError("curve pair shares a component")):
         if R.degree < e * e:
             continue
@@ -768,8 +748,10 @@ def power_witness(f: Form, l: LinearForm, e: int,
             return None
     else:
         x, resid = linalg.complex_solve_lstsq(rows, target, precision_bits)
-        scale = max(target_form.max_abs(), f.max_abs())
-        if resid > tolerance(precision_bits) * scale:
+        # resid > tol * max(|target|, |f|): the threshold is monotone in
+        # the scale, so the bound is exceeded when both products are
+        if all(mpf_gt(resid._mpf_, _threshold(tolerance(precision_bits), s))
+               for s in (target_form.max_abs(), f.max_abs())):
             return None
     coeffs = {expo: c for expo, c in zip(cat.row_labels, x)
               if not (is_exact_scalar(c) and c == 0)}

@@ -27,9 +27,8 @@ from fractions import Fraction
 from functools import cache, partial
 from math import gcd
 
-from mpmath import mpf
-from mpmath.libmp import (fone, from_int, mpc_pow_mpf, mpf_div, mpf_mul,
-                          round_nearest as _RND)
+from mpmath.libmp import (fone, from_int, mpc_pow_mpf, mpf_div, mpf_gt,
+                          mpf_shift, round_nearest as _RND)
 
 from . import linalg
 from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
@@ -45,9 +44,10 @@ from .errors import (CommonComponentError, ConsistencyError,
                      NonTransversalError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
                        THRESHOLD_BITS, _abs_le, _abs_max_candidates,
-                       _make_mpf, _mul, _raw_pair, _sub, _threshold, _unbox,
-                       is_exact_scalar, is_squarefree, max_abs_of,
-                       scalar_is_zero, tolerance, univariate_roots)
+                       _at_least_one, _make_mpf, _mul, _raw_pair, _raw_real,
+                       _sub, _threshold, _threshold_pow, _unbox,
+                       is_exact_scalar, max_abs_of, scalar_is_zero, tolerance,
+                       univariate_roots)
 from .poly import (DualOp, Form, LinearForm, contract, dual_power,
                    linear_power, monomials_of_degree, _substitute)
 from .verify import (Decomposition, ForbiddenSet, check_decomposition,
@@ -109,8 +109,8 @@ def _restrict_forbidden(V: ForbiddenSet, A, m, precision_bits):
     out = []
     for g in V.constraints:
         sub = _substitute(g, A)
-        tol = tolerance(precision_bits) * g.norm1()
-        if sub.is_zero() or (not sub.is_exact() and sub.is_zero(tol)):
+        if sub.is_zero() or (not sub.is_exact() and sub.is_zero(
+                _threshold(tolerance(precision_bits), g.norm1()))):
             return None
         out.append(sub)
     return ForbiddenSet(m, out)
@@ -153,7 +153,8 @@ def fit_coefficients(f: Form, points, precision_bits=DEFAULT_PRECISION_BITS):
     Solved in the monomial basis: exactly when everything is rational,
     else by least squares with a residual check.  Coefficients that come
     out as zero stay in the returned list (aligned with ``points``) but are
-    returned as exact zeros so callers can drop those terms.
+    returned as exact zeros so callers can drop those terms.  The residual
+    bound and the zero snap scale with max(1, max|f|).
     """
     if not points:
         raise InvalidInputError("need at least one point")
@@ -171,7 +172,6 @@ def fit_coefficients(f: Form, points, precision_bits=DEFAULT_PRECISION_BITS):
     powers = [linear_power(p, d) for p in points]
     rows = [[pw.coeffs.get(mono, Fraction(0)) for pw in powers] for mono in monos]
     rhs = [f.coeffs.get(mono, Fraction(0)) for mono in monos]
-    scale = max(mpf(1), mpf(1) * f.max_abs())
     if linalg.matrix_is_exact(rows) and all(is_exact_scalar(x) for x in rhs):
         sol = linalg.rational_solve(rows, rhs)
         if sol is None:
@@ -180,9 +180,10 @@ def fit_coefficients(f: Form, points, precision_bits=DEFAULT_PRECISION_BITS):
                              residual=resid)
         return sol
     sol, resid = linalg.complex_solve_lstsq(rows, rhs, precision_bits)
-    if resid > tolerance(precision_bits) * scale:
+    scale = _at_least_one(f.max_abs())
+    if mpf_gt(resid._mpf_, _threshold(tolerance(precision_bits), scale)):
         raise NoFitError("least-squares residual exceeds tolerance", residual=resid)
-    snap = mpf(2) ** (-(precision_bits * 3) // 4) * scale
+    snap = mpf_shift(scale, -(precision_bits * 3) // 4)
     return [Fraction(0) if scalar_is_zero(c, snap) else c for c in sol]
 
 
@@ -217,9 +218,8 @@ def _proportional_linear(a: LinearForm, b: LinearForm, precision_bits,
                     return False
                 continue
             if tol is None:
-                tol = mpf_mul(mpf_mul(tolerance(precision_bits)._mpf_,
-                                      a_scale(), THRESHOLD_BITS, _RND),
-                              b_scale(), THRESHOLD_BITS, _RND)
+                tol = _threshold(_threshold(tolerance(precision_bits),
+                                            a_scale()), b_scale())
             if not _abs_le(cross[0], tol, cross[1] + GUARD_BITS):
                 return False
     return True
@@ -236,8 +236,9 @@ def conic_intersection(D0: DualOp, D1: DualOp,
     Eliminates one variable by a Sylvester resultant to a degree-4
     univariate polynomial, back-substitutes, and maps through a coordinate
     change when the leading structure degenerates.  Raises
-    NonTransversalError on a repeated intersection point and
-    CommonComponentError when the conics share a component.
+    NonTransversalError on a repeated intersection point (a repeated root of
+    an exact resultant comes back from ``univariate_roots`` as equal roots)
+    and CommonComponentError when the conics share a component.
     """
     if D0.num_vars != 3 or D1.num_vars != 3:
         raise InvalidInputError("conic intersection works in three variables")
@@ -245,16 +246,12 @@ def conic_intersection(D0: DualOp, D1: DualOp,
         raise InvalidInputError("both inputs must have degree 2")
     if D0.is_zero() or D1.is_zero():
         raise InvalidInputError("conics must be nonzero")
-    tol = tolerance(precision_bits)
     saw_repeated = False
     for T, p, q, R, r_scale in _resultant_charts(
-            D0, D1, _coordinate_changes(3, 6), tol, precision_bits,
+            D0, D1, _coordinate_changes(3, 6), precision_bits,
             CommonComponentError("the conics share a component")):
         if R.degree < 4 or scalar_is_zero(R.coeffs[4], r_scale):
             continue  # an intersection escaped to infinity; move the chart
-        if R.is_exact() and not is_squarefree(R):
-            saw_repeated = True
-            continue
         roots = univariate_roots(R, precision_bits)
         if len(_distinct_roots(roots, precision_bits)) != len(roots):
             saw_repeated = True
@@ -370,11 +367,13 @@ def _merge_proportional(terms, d, precision_bits):
         merged[hit] = (c0 + c * lam ** d, l0)
     if all(is_exact_scalar(c) for c, _ in merged):
         return [(c, l) for c, l in merged if c != 0]
-    sizes = [mpf(1) * max_abs_of([c]) * max_abs_of(l.coords) ** d
+    sizes = [_threshold(_threshold(fone, max_abs_of([c])),
+                        _threshold_pow(max_abs_of(l.coords), d))
              for c, l in merged]
-    bound = mpf(2) ** (-(precision_bits * 3) // 4) * max([mpf(1)] + sizes)
+    bound = mpf_shift(max([fone, *sizes], key=_make_mpf),
+                      -(precision_bits * 3) // 4)
     return [(c, l) for (c, l), size in zip(merged, sizes)
-            if (c != 0 if is_exact_scalar(c) else size > bound)]
+            if (c != 0 if is_exact_scalar(c) else mpf_gt(size, bound))]
 
 
 def _pivot(coords):
@@ -518,8 +517,8 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     terms = []
     while True:
         # exact scalars are tested for exact zero, so rational f needs no scale
-        tol = 0 if exact else ctx.tol * max(
-            mpf(1), mpf(1) * max_abs_of(_live_coefficients(H, live)))
+        tol = 0 if exact else _threshold(ctx.tol, _at_least_one(
+            max_abs_of(_live_coefficients(H, live))))
         if _live_is_zero(H, live, tol):
             return terms
         if len(live) == 1:
@@ -540,14 +539,16 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
             w = [sum(row[j] * a for j, a in v) for row in H]
             c2 = sum(w[j] * a for j, a in v)
             a_norm = sum(abs(a) for a in alpha)
-            if scalar_is_zero(c2, tol * a_norm * a_norm):
+            # tol 0 (rational f) stays 0: the tests are exact
+            w_tol = tol and _threshold(tol, a_norm)
+            if scalar_is_zero(c2, w_tol and _threshold(w_tol, a_norm)):
                 continue
             A = (_hyperplane_change(alpha, ctx.precision_bits)[1]
                  if V.constraints else None)
             Vr = _restrict_forbidden(V, A, len(live) - 1, ctx.precision_bits)
             if Vr is None:
                 continue
-            if all(scalar_is_zero(w[j], tol * a_norm) for j in live):
+            if all(scalar_is_zero(w[j], w_tol) for j in live):
                 continue
             if V.constraints and is_forbidden(
                     LinearForm([Fraction(w[j], D) if exact else w[j]
@@ -681,9 +682,10 @@ def _ternary_good(f: Form, V: ForbiddenSet, ctx: _Ctx):
 
 
 def _power_of_two_near(r) -> Fraction:
-    """The power of two nearest to r > 0 on a log scale."""
+    """The power of two nearest to r > 0 on a log scale: a rational r
+    exactly, an mpf or raw mpf r rounded at THRESHOLD_BITS."""
     if not is_exact_scalar(r):
-        man, exp = mpf(r).man_exp
+        _, man, exp, _ = _threshold(fone, r)
         r = man * Fraction(2) ** exp
     r = Fraction(r)
     k = r.numerator.bit_length() - r.denominator.bit_length()
@@ -710,7 +712,10 @@ def _ternary_cubic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         if is_forbidden(l, V, ctx.tol):
             continue
         cube = linear_power(l, 3)
-        w = _power_of_two_near(f.norm1() / cube.norm1())
+        # |f|_1 / |l^3|_1, as the mpf operators divide at THRESHOLD_BITS
+        num, den = f.norm1(), cube.norm1()
+        w = _power_of_two_near(num / den if type(num) is Fraction else mpf_div(
+            num._mpf_, _raw_real(den), THRESHOLD_BITS, _RND))
         f2 = f + cube.scale(w)
         if f2.is_zero() or essential_variables(f2, ctx.precision_bits) != 3:
             continue
@@ -731,7 +736,7 @@ def _ternary_cubic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
 
 def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     n, d = f.num_vars, f.degree
-    scale = max(mpf(1), mpf(1) * f.max_abs())
+    zero_tol = _threshold(ctx.tol, _at_least_one(f.max_abs()))
 
     alpha = None
     for attempt, height in ctx.heights():
@@ -741,7 +746,7 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
                 ctx.precision_bits) is None:
             continue
         fprime = contract(dual_power(cand, 1), f)
-        if fprime.is_zero(ctx.tol * scale):
+        if fprime.is_zero(zero_tol):
             continue
         if essential_variables(fprime, ctx.precision_bits) != n:
             continue
@@ -758,8 +763,9 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     lifted = []
     for c, l in sub:
         dot = linalg.dot(alpha, l.coords)
-        if scalar_is_zero(dot, ctx.tol * max(mpf(1), mpf(1) * max_abs_of(l.coords))
-                          * sum(abs(a) for a in alpha)):
+        if scalar_is_zero(dot, _threshold(
+                _threshold(ctx.tol, _at_least_one(max_abs_of(l.coords))),
+                sum(abs(a) for a in alpha))):
             raise ConsistencyError("lifted term is annihilated by alpha")
         lifted.append((c / (d * dot), l))
     # w * l^d of each lifted term, subtracted from f on every pass below
@@ -775,13 +781,13 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         for i in T:
             F2 = F2 - lifted_powers[i]
         if not F2.is_exact():
-            F2 = F2.cleaned(ctx.tol * scale * mpf(2) ** (-GUARD_BITS))
-        if F2.is_zero(ctx.tol * scale):
+            F2 = F2.cleaned(mpf_shift(zero_tol, -GUARD_BITS))
+        if F2.is_zero(zero_tol):
             remainder_zero = True
             break
         residual = contract(dual_power(beta, 1), F2)
-        beta_norm = max(mpf(1), mpf(1) * max_abs_of(beta))
-        if not residual.is_zero(ctx.tol * scale * beta_norm * d):
+        if not residual.is_zero(_threshold(
+                _threshold(zero_tol, _at_least_one(max_abs_of(beta))), d)):
             raise ConsistencyError("carried operator stopped annihilating the remainder")
         kernel = apolar_component(F2, 1, ctx.precision_bits)
         if not kernel:
@@ -792,7 +798,7 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         li = lifted[i][1]
         dots = [linalg.dot(LinearForm.from_form(op).coords, li.coords)
                 for op in kernel]
-        dot_scale = ctx.tol * max(mpf(1), mpf(1) * max_abs_of(li.coords))
+        dot_scale = _threshold(ctx.tol, _at_least_one(max_abs_of(li.coords)))
         pick = next((k for k, s in enumerate(dots) if scalar_is_zero(s, dot_scale)),
                     None)
         if pick is not None:
@@ -809,14 +815,14 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         ctx.note("inductive: remainder vanished")
         return head
 
-    if not contract(kernel[0], F2).is_zero(ctx.tol * F2.max_abs()):
+    if not contract(kernel[0], F2).is_zero(_threshold(ctx.tol, F2.max_abs())):
         raise ConsistencyError("polynomial is not supported on the first variables")
     keep, A = _hyperplane_change(LinearForm.from_form(kernel[0]).coords,
                                  ctx.precision_bits)
     g2 = _project(F2, keep)
     if not g2.is_exact():
-        g2 = g2.cleaned(ctx.tol * max(mpf(1), mpf(1) * g2.max_abs())
-                        * mpf(2) ** (-GUARD_BITS))
+        g2 = g2.cleaned(mpf_shift(
+            _threshold(ctx.tol, _at_least_one(g2.max_abs())), -GUARD_BITS))
     if essential_variables(g2, ctx.precision_bits) != n - 1:
         raise ConsistencyError("remainder is not essential in the hyperplane")
     Vr = _restrict_forbidden(V, A, n - 1, ctx.precision_bits)

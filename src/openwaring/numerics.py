@@ -15,8 +15,8 @@ An approximate scalar has one form inside the package: the raw libmp
 (real, imag) pair that ``AppComplex`` stores as ``parts`` and the kernels
 below take and return.  mpmath's objects exist only at the public edges
 (``AppComplex.real`` and ``.imag``, built on demand, ``from_mpc`` and
-``to_mpc``); ``mpc`` and ``workprec`` appear only in those converters,
-``tolerance`` and ``_raw_mpf``'s fallback for other number types.
+``to_mpc``); ``mpc`` and ``workprec`` appear only in those converters and
+``_raw_mpf``'s fallback for other number types.
 
 Rounding contract: an ``AppComplex`` operation whose operands carry
 ``bits`` (the larger tag; ints and Fractions take the other operand's tag
@@ -60,9 +60,9 @@ Numer. Algorithms 13, 1996).  Where the doubles or the refinement fail,
 the factor runs ``_aberth`` at the working precision instead, as every
 factor of degree 2 does; the residual certificate is the same for both.
 
-The thresholds of ``univariate_roots`` and the scales that other modules
-take through ``_threshold`` are libmp products at THRESHOLD_BITS, mpmath's
-default precision, so they do not follow the caller's ``mpmath.mp.prec``.
+Every tolerance and scale of the pipeline is a libmp product at
+THRESHOLD_BITS, mpmath's default precision (``_threshold``), so no decision
+follows the caller's ``mpmath.mp.prec``.
 
 Magnitude tests are settled by exponents where they can be.  A finite
 nonzero raw mpf x = man * 2**exp with bc mantissa bits has top(x) = exp +
@@ -118,8 +118,8 @@ def tolerance(precision_bits: int):
     """Residual acceptance threshold 2**(-precision_bits/2) as an mpf."""
     tol = _tolerances.get(precision_bits)
     if tol is None:
-        with workprec(64):
-            tol = _tolerances[precision_bits] = mpf(2) ** (-(precision_bits // 2))
+        tol = _tolerances[precision_bits] = _make_mpf(
+            mpf_shift(fone, -(precision_bits // 2)))
     return tol
 
 
@@ -609,17 +609,13 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def scalar_is_zero(x, tol=0) -> bool:
-    """Exact zero test for rationals; |x| <= tol for approximate scalars,
-    decided by exponents (``_abs_exceeds``) for an AppComplex against an
-    mpf tolerance."""
+def scalar_is_zero(x, tol=fzero) -> bool:
+    """Exact zero test for rationals; |x| <= tol for an AppComplex, tol a
+    raw mpf (or a scalar that ``_raw_real`` takes), decided by exponents
+    where they can (``_abs_le``)."""
     if is_exact_scalar(x):
         return x == 0
-    if type(x) is AppComplex and type(tol) is mpf:
-        above = _abs_exceeds(x.parts, tol._mpf_)
-        if above is not None:
-            return not above
-    return abs(x) <= tol
+    return _abs_le(x.parts, _raw_real(tol), x.precision_bits + GUARD_BITS)
 
 
 def max_abs_of(values):
@@ -1135,21 +1131,36 @@ THRESHOLD_BITS = 53
 
 
 def _threshold(t, x):
-    """``t * x`` for an mpf or raw mpf t and an mpf or rational x, as the
-    mpf operators give it at mpmath's default precision whatever the
-    ambient one: a raw mpf rounded to nearest at THRESHOLD_BITS, a
-    rational x first rounded down to it."""
-    if type(t) is mpf:
-        t = t._mpf_
-    return mpf_mul(t, _raw_real(x), THRESHOLD_BITS, _RND)
+    """``t * x`` as the mpf operators give it at mpmath's default precision
+    whatever the ambient one: a raw mpf rounded to nearest at
+    THRESHOLD_BITS, each operand taken by ``_raw_real``."""
+    return mpf_mul(_raw_real(t), _raw_real(x), THRESHOLD_BITS, _RND)
+
+
+def _threshold_pow(x, e):
+    """``x ** e`` for an int e >= 0 as the operators give it at
+    THRESHOLD_BITS: exactly for a rational x, else a raw mpf rounded to
+    nearest."""
+    if isinstance(x, (int, Fraction)):
+        return x ** e
+    return mpf_pow_int(_raw_real(x), e, THRESHOLD_BITS, _RND)
+
+
+def _at_least_one(x):
+    """``max(mpf(1), mpf(1) * x)`` at THRESHOLD_BITS, as a raw mpf."""
+    s = _threshold(fone, x)
+    return s if mpf_gt(s, fone) else fone
 
 
 def _raw_real(x):
-    """An mpf or rational x as a raw mpf as the mpf operators take it at
-    mpmath's default precision: an mpf as it is, a rational rounded down
-    at THRESHOLD_BITS."""
-    if isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+    """A real scalar as a raw mpf as the mpf operators take it at mpmath's
+    default precision: a raw mpf or an mpf as it is, an int exactly, a
+    Fraction rounded down at THRESHOLD_BITS."""
+    if type(x) is tuple:
+        return x
+    if isinstance(x, int):
+        return from_int(x)
+    if isinstance(x, Fraction):
         return from_rational(x.numerator, x.denominator, THRESHOLD_BITS)
     return x._mpf_
 
@@ -1183,7 +1194,7 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
     coeffs = list(p.coeffs)
     tol = tolerance(precision_bits)
     scale = p.max_abs()
-    tol_zero = _make_mpf(_threshold(tol, scale))
+    tol_zero = _threshold(tol, scale)
     while coeffs and scalar_is_zero(coeffs[0], tol_zero):
         coeffs.pop(0)
         nzero += 1
@@ -1198,8 +1209,7 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
         else:
             lead = _threshold(fone, abs(body.coeffs[-1]))
             # with no zero root split off, body's coefficients are p's
-            limit = (_threshold(tol, body.max_abs()) if nzero
-                     else tol_zero._mpf_)
+            limit = _threshold(tol, body.max_abs()) if nzero else tol_zero
             if mpf_le(lead, limit):
                 raise InvalidInputError(
                     "leading coefficient is numerically zero; trim the degree first")

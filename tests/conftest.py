@@ -11,8 +11,8 @@ from openwaring import (ForbiddenSet, Form, LinearForm, VerifyReport,
 from openwaring import linalg
 from openwaring.apolarity import (_chart_map, _coordinate_changes,
                                   _distinct_roots, _lagrange_interpolate,
-                                  _resultant_charts, _shared_roots,
-                                  _sorted_points, _trim_leading, catalecticant)
+                                  _resultant_charts, _sorted_points,
+                                  _trim_leading, catalecticant)
 from openwaring.decompose import _forced_single_term
 from openwaring.errors import (ConsistencyError, DegenerateSystemError,
                                InvalidInputError, RetryBudgetError)
@@ -56,6 +56,20 @@ def random_linear_form(rng, n, lo=-6, hi=6):
         v = [Fraction(rng.randint(lo, hi)) for _ in range(n)]
         if any(v):
             return LinearForm(v)
+
+
+#: the ambient ``mpmath.mp.prec`` values a decision must not follow
+AMBIENT_PRECISIONS = (20, 53, 300)
+
+
+def at_each_precision(outcome):
+    """outcome() with ``mpmath.mp.prec`` set to each of AMBIENT_PRECISIONS,
+    keyed by that precision."""
+    out = {}
+    for prec in AMBIENT_PRECISIONS:
+        with workprec(prec):
+            out[prec] = outcome()
+    return out
 
 
 @pytest.fixture
@@ -686,14 +700,23 @@ def reference_sparse_sub(a, b):
 # The base-point candidates as they were before the certificate did the
 # pairing: at each resultant root t, the l2-roots of both curves, the roots
 # of the first kept when they lie within 2^-(bits/3) of a root of the
-# second (``_shared_roots``), where a side of degree < 1 posed no condition
-# and a side that root finding rejected gave none.  Kept as a reference for
-# `apolarity._curve_pair_candidates`.
+# second (an mpc hypot under workprec, which the exponent rule of the
+# deleted ``apolarity._shared_roots`` read bit for bit), where a side of
+# degree < 1 posed no condition and a side that root finding rejected gave
+# none.  Kept as a reference for `apolarity._curve_pair_candidates`.
 
 
 def reference_pair_roots(pa, pb, precision_bits):
     if pa.degree >= 1 and pb.degree >= 1:
-        return _shared_roots(pa, pb, precision_bits)
+        try:
+            ra = univariate_roots(pa, precision_bits)
+            rb = univariate_roots(pb, precision_bits)
+        except InvalidInputError:
+            return []
+        with workprec(precision_bits):
+            sep = mpf(2) ** (-(precision_bits // 3))
+            return [x for x in ra
+                    if any(abs(x.to_mpc() - y.to_mpc()) <= sep for y in rb)]
     side = pa if pa.degree >= 1 else pb
     try:
         return univariate_roots(side, precision_bits) if side.degree >= 1 else []
@@ -703,10 +726,9 @@ def reference_pair_roots(pa, pb, precision_bits):
 
 def reference_curve_pair_candidates(D0, D1, precision_bits, rng):
     e = D0.degree
-    tol = tolerance(precision_bits)
     changes = list(_coordinate_changes(3, 3, random.Random(rng.randrange(1 << 30))))
     for T, p, q, R, _ in _resultant_charts(
-            D0, D1, changes, tol, precision_bits,
+            D0, D1, changes, precision_bits,
             DegenerateSystemError("curve pair shares a component")):
         if R.degree < e * e:
             continue

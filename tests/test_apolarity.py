@@ -7,9 +7,9 @@ import sympy
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from mpmath import mpf, workprec
 
-from openwaring import (AppComplex, ConsistencyError, DegenerateSystemError,
-                        DualOp, Form, InvalidInputError, LinearForm,
-                        RetryBudgetError,
+from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
+                        DegenerateSystemError, DualOp, Form,
+                        InvalidInputError, LinearForm, RetryBudgetError,
                         apolar_component, base_points, catalecticant,
                         change_coordinates, contract, essential_split,
                         check_decomposition, decompose, essential_variables,
@@ -18,14 +18,16 @@ from openwaring import linalg
 from openwaring.apolarity import (ProjPoint, _back_substitute_l2,
                                   _coordinate_changes, _dedupe_points,
                                   _distinct_roots, _dual_as_unipoly_coeffs,
-                                  _shared_roots, _sylvester_resultant,
+                                  _essential_split, _proportional_ops,
+                                  _resultant_charts, _sylvester_resultant,
                                   _trim_leading)
 from openwaring.decompose import _hyperplane_change
 from openwaring.linalg import rational_det, rational_rank
 from openwaring.numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS, UniPoly,
                                  tolerance)
 from openwaring.poly import monomials_of_degree
-from conftest import (random_form, random_essential_form, random_linear_form,
+from conftest import (AMBIENT_PRECISIONS, at_each_precision, random_form,
+                      random_essential_form, random_linear_form,
                       reference_curve_pair_candidates,
                       reference_essential_split, reference_first_kernel,
                       reference_hyperplane_change, reference_rational_inverse,
@@ -521,8 +523,7 @@ class TestConicResultant:
 
 
 
-# `_dedupe_points`, `_shared_roots`' pairing, `_distinct_roots` and the
-# `ProjPoint` pivot as they were before the exponent rule: every distance an
+# `_dedupe_points`, `_distinct_roots` and the `ProjPoint` pivot as they were before the exponent rule: every distance an
 # mpc hypot under workprec.
 
 
@@ -534,13 +535,6 @@ def reference_dedupe_points(points, precision_bits):
             if all(p.distance(q) > sep for q in out):
                 out.append(p)
     return out
-
-
-def reference_pairs(ra, rb, precision_bits):
-    with workprec(precision_bits):
-        sep = mpf(2) ** (-(precision_bits // 3))
-        return [x for x in ra
-                if any(abs(x.to_mpc() - y.to_mpc()) <= sep for y in rb)]
 
 
 def reference_distinct_roots(roots, precision_bits):
@@ -597,16 +591,12 @@ class TestSeparationsByExponent:
         return self.near(rng, [c for c in centres
                                for _ in range(rng.randint(1, 3))])
 
-    def test_pairing_and_distinct_roots(self, monkeypatch):
+    def test_distinct_roots(self):
         rng = random.Random(11)
         bits = self.BITS
-        pa, pb = UniPoly([1, 1]), UniPoly([2, 1])
         for _ in range(40):
             ra = self.roots(rng)
             rb = self.near(rng, ra[::2]) + self.roots(rng)
-            monkeypatch.setattr(APOLARITY, "univariate_roots",
-                                lambda p, _bits: ra if p is pa else rb)
-            assert _shared_roots(pa, pb, bits) == reference_pairs(ra, rb, bits)
             assert (_distinct_roots(ra + rb, bits)
                     == reference_distinct_roots(ra + rb, bits))
 
@@ -726,8 +716,7 @@ class TestRootPathThresholdsAtAFixedPrecision:
 
     def test_elimination_threshold(self):
         # mu = a1 lies just below 2^-(bits/4) * max|a| * max|b|, so the
-        # elimination is refused and the fallback pairs l2^2 - 1 against
-        # a conic whose roots a1 moves by about 2^-65: none are shared
+        # elimination is refused and the chart gives no point
         a2 = 2 * (1 + Fraction(1, 2 ** 30))
         a1 = Fraction(2, 2 ** (self.BITS // 4)) * (1 + Fraction(1, 2 ** 31))
         p = [UniPoly([self.app(c)]) for c in (-a2, a1, a2)]
@@ -737,3 +726,64 @@ class TestRootPathThresholdsAtAFixedPrecision:
         for prec in (20, 300):
             with workprec(prec):
                 assert _back_substitute_l2(p, q, t, self.BITS) is None
+
+
+class TestThresholdsAtAFixedPrecision:
+    # each tolerance is a libmp product at 53 bits; each input below sits
+    # just under it, with a scale of (1 + 2^-30) * 2^k that rounds to 2^k
+    # at 20 bits
+    BITS = 256
+    S = 1 + Fraction(1, 2 ** 30)
+    NEAR = Fraction(1, 2 ** (BITS // 2)) * (1 + Fraction(1, 2 ** 31))
+
+    def app(self, x):
+        return AppComplex(x, 0, self.BITS)
+
+    def test_apolar_component_cleaning(self):
+        # the Hessian of (x0 - e x2)^2 + (x1 - S x2)^2 annihilates
+        # (e, S, 1), and e = 2^-128 * (1 + 2^-31) is cleaned away
+        e, S = self.NEAR, self.S
+        coeffs = {(2, 0, 0): 1, (1, 0, 1): -2 * e, (0, 2, 0): 1,
+                  (0, 1, 1): -2 * S, (0, 0, 2): e * e + S * S}
+        f = Form(3, 2, {k: self.app(v) for k, v in coeffs.items()})
+        assert at_each_precision(lambda: [
+            sorted(op.coeffs) for op in apolar_component(f, 1, self.BITS)]
+        ) == dict.fromkeys(AMBIENT_PRECISIONS, [[(0, 0, 1), (0, 1, 0)]])
+
+    def test_essential_split_annihilation(self):
+        # the kernel vector e1 contracts S x0^2 + (e / 2) x1^2 to e x1,
+        # within tol * max|f|
+        f = Form(2, 2, {(2, 0): self.app(self.S), (0, 2): self.app(self.NEAR / 2)})
+        assert at_each_precision(
+            lambda: len(_essential_split(f, 1, self.BITS)[0])) == dict.fromkeys(
+            AMBIENT_PRECISIONS, 1)
+
+    def test_proportional_ops(self):
+        # the cross product S * eps = 2^-128 * (1 + 2^-31)
+        a = DualOp(2, 1, {(1, 0): self.app(self.S)})
+        b = DualOp(2, 1, {(1, 0): self.app(1),
+                          (0, 1): self.app(self.NEAR / self.S)})
+        assert at_each_precision(
+            lambda: _proportional_ops(a, b, self.BITS)) == dict.fromkeys(
+            AMBIENT_PRECISIONS, True)
+
+    def test_chart_leading_coefficient(self):
+        # the l2^2 coefficient of D0 lies within tol * |D0|_1, so the
+        # identity chart is skipped
+        D0 = DualOp(3, 2, {(2, 0, 0): self.S, (0, 0, 2): self.app(self.NEAR)})
+        D1 = DualOp(3, 2, {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(-1),
+                           (0, 0, 2): Fraction(1)})
+        identity = next(_coordinate_changes(3, 0))
+        assert at_each_precision(lambda: next(_resultant_charts(
+            D0, D1, _coordinate_changes(3, 6), self.BITS,
+            CommonComponentError("shared")))[0] != identity) == dict.fromkeys(
+            AMBIENT_PRECISIONS, True)
+
+    def test_power_witness_residual(self):
+        # the least-squares residual of x0 against l = S x0 + e x1 is e,
+        # within tol * max(|l|, |f|)
+        f = Form(2, 1, {(1, 0): self.app(1)})
+        l = LinearForm([self.S, self.NEAR])
+        assert at_each_precision(
+            lambda: power_witness(f, l, 1, self.BITS) is not None
+        ) == dict.fromkeys(AMBIENT_PRECISIONS, True)

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from mpmath import mpf, workprec
+from mpmath import mpf, sqrt, workprec
 
 from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         Decomposition, DualOp, ForbiddenSet, Form,
                         InvalidInputError, LinearForm, NoFitError,
-                        OpenWaringError, RetryBudgetError, absorb_coefficients,
+                        NonTransversalError, OpenWaringError,
+                        RetryBudgetError, absorb_coefficients,
                         base_points, catalecticant_lower_bound,
                         check_decomposition, conic_intersection, decompose,
                         decompose_binary, decompose_inductive,
@@ -20,14 +21,16 @@ from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         essential_variables, fit_coefficients, is_forbidden,
                         linear_power, parse_form, recursion_bound)
 from openwaring import linalg
-from openwaring.decompose import (_coords_scale, _hyperplane_change,
-                                  _map_terms_back, _merge_proportional,
-                                  _power_of_two_near, _proportional_linear,
+from openwaring.decompose import (_Ctx, _coords_scale, _hyperplane_change,
+                                  _inductive_essential, _map_terms_back,
+                                  _merge_proportional, _power_of_two_near,
+                                  _proportional_linear, _quadratic_essential,
                                   _restrict_forbidden)
 from openwaring.numerics import (GUARD_BITS, is_exact_scalar, max_abs_of,
                                  scalar_is_zero, tolerance)
 from openwaring.poly import monomials_of_degree
-from conftest import (assert_same_verdict, random_essential_form, random_form,
+from conftest import (AMBIENT_PRECISIONS, assert_same_verdict,
+                      at_each_precision, random_essential_form, random_form,
                       random_hyperplanes, random_linear_form, reference_check,
                       reference_linear_divides, reference_map_terms_back,
                       reference_quadratic_essential)
@@ -308,6 +311,28 @@ class TestConicIntersection:
         D1 = DualOp(3, 2, {(1, 0, 1): Fraction(1)})
         with pytest.raises(CommonComponentError):
             conic_intersection(D0, D1)
+
+    #: the circle x^2 + y^2 = z^2 and the parabola xz = z^2 - y^2 meet at
+    #: (0 : +-1 : 1) and touch at (1 : 0 : 1)
+    TANGENT = ({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1},
+               {(1, 0, 1): 1, (0, 0, 2): -1, (0, 2, 0): 1})
+
+    def test_exact_tangent_conics(self):
+        # each chart's resultant has a double root, which univariate_roots
+        # returns twice
+        D0, D1 = (DualOp(3, 2, {k: Fraction(c) for k, c in op.items()})
+                  for op in self.TANGENT)
+        with pytest.raises(NonTransversalError):
+            conic_intersection(D0, D1)
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_approximate_tangent_conics(self, bits):
+        # the two roots of each double root lie within 2^-(bits/4)
+        D0, D1 = (DualOp(3, 2, {k: AppComplex(Fraction(c, 3), 0, bits)
+                                for k, c in op.items()})
+                  for op in self.TANGENT)
+        with pytest.raises(NonTransversalError):
+            conic_intersection(D0, D1, bits)
 
     def test_random_pair_residuals(self, rng):
         from openwaring.poly import evaluate
@@ -1092,3 +1117,109 @@ def test_proportionality_tolerance_ignores_the_ambient_precision():
         with workprec(prec):
             assert _proportional_linear(a, b, bits, _coords_scale(a),
                                         _coords_scale(b))
+
+
+class _Ones:
+    """A generator whose every draw is 1, so the step's first direction is
+    all ones."""
+
+    def randint(self, lo, hi):
+        return 1
+
+
+class TestThresholdsAtAFixedPrecision:
+    # every tolerance is a libmp product at 53 bits.  Each input sits
+    # between a threshold and its value at another ambient precision: a
+    # scale of (1 + 2^-30) * 2^k rounds to 2^k at 20 bits, and a size of
+    # (1 + 2^-30 + 2^-80) * 2^k keeps its last bit at 300
+    BITS = 256
+    S = 1 + Fraction(1, 2 ** 30)
+    TOL = Fraction(1, 2 ** (BITS // 2))
+
+    def app(self, x):
+        return AppComplex(x, 0, self.BITS)
+
+    def test_restrict_forbidden(self):
+        # g(A b) = 2^-128 * (1 + 2^-31) * b, within tol * |g|_1
+        g = Form(2, 1, {(1, 0): self.S})
+        A = [[self.app(self.TOL * (1 + Fraction(1, 2 ** 31)) / self.S)],
+             [Fraction(1)]]
+        V = ForbiddenSet(2, [g])
+        assert at_each_precision(
+            lambda: _restrict_forbidden(V, A, 1, self.BITS)) == dict.fromkeys(
+            AMBIENT_PRECISIONS, None)
+
+    def test_fit_snap(self):
+        # the coefficient 2^-192 * (1 + 2^-31) snaps to an exact zero
+        tiny = Fraction(1, 2 ** 192) * (1 + Fraction(1, 2 ** 31))
+        f = Form(2, 1, {(1, 0): self.S, (0, 1): tiny})
+        pts = [LinearForm([self.app(1), self.app(0)]),
+               LinearForm([self.app(0), self.app(1)])]
+        assert at_each_precision(
+            lambda: fit_coefficients(f, pts, self.BITS)[1]) == dict.fromkeys(
+            AMBIENT_PRECISIONS, 0)
+
+    def test_merge_drops_a_term_at_the_bound(self):
+        # the second size rounds to the bound at 53 bits
+        terms = [(self.app(self.S), LinearForm([1, 0])),
+                 (self.app(Fraction(1, 2 ** 192) * (self.S + Fraction(1, 2 ** 80))),
+                  LinearForm([0, 1]))]
+        assert at_each_precision(
+            lambda: len(_merge_proportional(terms, 1, self.BITS))
+        ) == dict.fromkeys(AMBIENT_PRECISIONS, 1)
+
+    def test_quadratic_direction(self):
+        # along (1, 1), c2 = 2b lies within tol * max|coeff| * |alpha|_1^2,
+        # so the only direction the generator draws is refused
+        b = Fraction(2, 2 ** 128) * (1 + Fraction(1, 2 ** 31))
+        f = Form(2, 2, {(2, 0): self.app(self.S), (1, 1): self.app(b),
+                        (0, 2): self.app(-self.S)})
+
+        def outcome():
+            with pytest.raises(RetryBudgetError) as exc:
+                _quadratic_essential(f, ForbiddenSet.empty(2),
+                                     _Ctx(_Ones(), self.BITS, 1))
+            return str(exc.value)
+        assert at_each_precision(outcome) == dict.fromkeys(
+            AMBIENT_PRECISIONS, "quadratic step found no usable direction")
+
+    def test_inductive_contraction(self):
+        # f = S * (x0 - x1)^3 + (d / 3) * (x0^3 + x1^3 + x2^3): the
+        # contraction by (1, 1, 1) is d * (x0^2 + x1^2 + x2^2), within
+        # tol * max|f| = tol * 3S, so the only direction drawn is refused
+        # before its essential count is taken
+        S, d = self.S, 3 * self.TOL * (1 + Fraction(1, 2 ** 31))
+        coeffs = {(3, 0, 0): S + d / 3, (2, 1, 0): -3 * S, (1, 2, 0): 3 * S,
+                  (0, 3, 0): -S + d / 3, (0, 0, 3): d / 3}
+        f = Form(3, 3, {k: self.app(v) for k, v in coeffs.items()})
+
+        def outcome():
+            with pytest.raises(RetryBudgetError) as exc:
+                _inductive_essential(f, ForbiddenSet.empty(3),
+                                     _Ctx(_Ones(), self.BITS, 1))
+            return str(exc.value)
+        assert at_each_precision(outcome) == dict.fromkeys(
+            AMBIENT_PRECISIONS, "no usable contraction direction found")
+
+    def test_power_of_two_near(self):
+        # sqrt(2) * (1 + 2^-40) at 53 bits lies above sqrt(2), the boundary
+        # between 1 and 2, and rounds below it at 20 bits
+        with workprec(53):
+            r = sqrt(2) * (1 + mpf(2) ** -40)
+        assert at_each_precision(
+            lambda: _power_of_two_near(r)) == dict.fromkeys(AMBIENT_PRECISIONS, 2)
+
+    def test_resultant_lead(self):
+        # the t^4 coefficient of the chart's resultant is 2w - w^2, within
+        # tol * (|D0|_1 * |D1|_1)^2 = 2^-120 * (1 + 2^-30), so the
+        # identity chart is left for the next one
+        w = Fraction(1, 2 ** 121) * (1 + Fraction(1, 2 ** 31))
+        D0 = DualOp(3, 2, {(2, 0, 0): 2 * self.S, (0, 2, 0): Fraction(-1),
+                           (0, 0, 2): Fraction(1)})
+        D1 = DualOp(3, 2, {(2, 0, 0): Fraction(2), (0, 1, 1): self.app(1 - w),
+                           (0, 0, 2): Fraction(1)})
+        points = at_each_precision(lambda: [
+            [c.parts for c in p.coords]
+            for p in conic_intersection(D0, D1, self.BITS)])
+        assert len(points[53]) == 4
+        assert points == dict.fromkeys(AMBIENT_PRECISIONS, points[53])

@@ -308,19 +308,67 @@ def test_root_distances_run_on_the_kernels():
     # sizes settled by the exponent rule, with no mpc object or context
     functions = {n.name: n for n in _parsed()["apolarity"].body
                  if isinstance(n, ast.FunctionDef)}
-    assert {name: names for name in ("_shared_roots", "_distinct_roots")
-            if (names := _names_in(functions[name]) & MPC_DISTANCE)} == {}
+    assert _names_in(functions["_distinct_roots"]) & MPC_DISTANCE == set()
 
 
 def test_base_point_candidates_are_paired_by_the_certificate():
     # ``base_points`` certifies every candidate against the whole net, so
     # the candidates are one curve's roots at each resultant root, with no
-    # second root search to pair them against; ``_shared_roots`` stays for
-    # the fallback of ``_back_substitute_l2``
+    # second root search to pair them against; a conic chart whose
+    # elimination of l2 fails moves to the next chart, so no routine pairs
+    # the roots of two univariates
     functions = {n.name: n for n in _parsed()["apolarity"].body
                  if isinstance(n, ast.FunctionDef)}
-    assert "_shared_roots" in _names_in(functions["_back_substitute_l2"])
-    assert "_shared_roots" not in _names_in(functions["_curve_pair_candidates"])
+    assert "_shared_roots" not in functions
+    assert {"univariate_roots", "_trim_leading"}.isdisjoint(
+        _names_in(functions["_back_substitute_l2"]))
+    assert "univariate_roots" in _names_in(functions["_curve_pair_candidates"])
+
+
+#: the calls a tolerance is formed from: an mpf operator applied to one of
+#: them rounds at the caller's ``mpmath.mp.prec``
+TOLERANCE_SOURCES = {"tolerance", "norm1", "max_abs", "max_abs_of"}
+
+
+def _tolerance_source(node, names=()):
+    """Whether node is ``tolerance(...)``, ``x.tol``, a call of a 1-norm or
+    a max modulus, or one of ``names``."""
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.Attribute):
+        return node.attr == "tol"
+    if isinstance(node, ast.Call):
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+        return name in TOLERANCE_SOURCES
+    return False
+
+
+def test_pipeline_thresholds_ignore_the_ambient_precision():
+    # every tolerance and scale of the pipeline is a libmp product at
+    # THRESHOLD_BITS (``numerics._threshold``): no mpf is built, and no
+    # arithmetic operator, which would round at ``mpmath.mp.prec``, takes
+    # a tolerance, a 1-norm or a max modulus, or a name a function binds
+    # to an expression of one
+    parsed = _parsed()
+    offenders = []
+    for m in ("decompose", "apolarity"):
+        for func in ast.walk(parsed[m]):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            bound = {t.id for n in ast.walk(func) if isinstance(n, ast.Assign)
+                     and any(map(_tolerance_source, ast.walk(n.value)))
+                     for t in n.targets if isinstance(t, ast.Name)}
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "mpf"):
+                    offenders.append(f"{m}.py:{node.lineno} mpf(...)")
+                elif isinstance(node, ast.BinOp) and (
+                        _tolerance_source(node.left, bound)
+                        or _tolerance_source(node.right, bound)):
+                    offenders.append(
+                        f"{m}.py:{node.lineno} {ast.unparse(node)}")
+    assert sorted(set(offenders)) == []
 
 
 #: what an approximate scalar looks like outside its one representation,
