@@ -490,16 +490,16 @@ def _sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
     """Resultant in l2 of two polynomials with UniPoly-in-t coefficients,
     lowest power of l2 first, as ``_dual_as_unipoly_coeffs`` writes them.
 
-    Two exact conics a2 l2^2 + a1 l2 + a0 and b2 l2^2 + b1 l2 + b0 take the
-    closed form (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1), the
-    determinant of their 4x4 Sylvester matrix, in UniPoly arithmetic.  Any
-    other pair takes that determinant at ep*eq + 1 integer nodes t (exact,
-    or by ``linalg.complex_det``) and interpolates; with the coefficient of
-    l2^k of degree at most e - k in t, as for a ternary form of degree e,
-    the resultant has degree at most ep*eq, so both ways give the same
-    polynomial on exact conics, Fraction for Fraction."""
-    exact = all(c.is_exact() for c in p_coeffs + q_coeffs)
-    if exact and len(p_coeffs) == 3 and len(q_coeffs) == 3:
+    Two conics a2 l2^2 + a1 l2 + a0 and b2 l2^2 + b1 l2 + b0, exact or
+    approximate, take the closed form (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)
+    (a1 b0 - a0 b1), the determinant of their 4x4 Sylvester matrix, in
+    UniPoly arithmetic.  Curves of degree >= 3 take that determinant at
+    ep*eq + 1 integer nodes t (exact, or by ``linalg.complex_det``) and
+    interpolate; with the coefficient of l2^k of degree at most e - k in t,
+    as for a ternary form of degree e, the resultant has degree at most
+    ep*eq, so both ways give the same polynomial on exact conics, Fraction
+    for Fraction."""
+    if len(p_coeffs) == 3 and len(q_coeffs) == 3:
         a0, a1, a2 = p_coeffs
         b0, b1, b2 = q_coeffs
         c20 = a2 * b0 - a0 * b2
@@ -519,6 +519,7 @@ def _sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
     deg_bound = ep * eq
     nodes = [Fraction(k) for k in range(deg_bound + 1)]
     values = []
+    exact = all(c.is_exact() for c in p_coeffs + q_coeffs)
     for t in nodes:
         m = [[c(t) for c in row] for row in rows]
         if exact:
@@ -696,7 +697,7 @@ def _curve_pair_candidates(D0: DualOp, D1: DualOp, precision_bits, rng):
     curves share a component or no chart separates the points.
     """
     e = D0.degree
-    changes = list(_coordinate_changes(3, 3, random.Random(rng.randrange(1 << 30))))
+    changes = _coordinate_changes(3, 3, random.Random(rng.randrange(1 << 30)))
     for T, p, q, R, _ in _resultant_charts(
             D0, D1, changes, precision_bits,
             DegenerateSystemError("curve pair shares a component")):

@@ -7,8 +7,9 @@ are ints or Fractions, each read through its ``numerator`` and
 ``denominator``: an integer row is taken as it is, with no Fraction built.
 On the complex side, ``complex_echelon`` (partial pivoting with a relative
 magnitude threshold for rank decisions) serves rank, kernel and
-determinant, and ``complex_solve_lstsq`` solves the normal equations.  They
-hold every entry as a raw libmp (real, imag) pair from conversion to the
+determinant, and ``complex_solve_lstsq`` reads its solution off the
+echelon form of [A | b] by the back-substitution of the kernel.  They hold
+every entry as a raw libmp (real, imag) pair from conversion to the
 rounding of the result and run ``numerics``' raw-tuple kernels in the
 operand order of the mpc operators they replaced, with pivot magnitudes
 from libmp's ``mpc_abs``, so every bit is what mpc arithmetic under
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from mpmath import mpf
-from mpmath.libmp import (from_int, fzero, mpc_abs, mpf_gt, mpf_mul, mpf_neg,
+from mpmath.libmp import (from_int, fzero, mpc_abs, mpf_gt, mpf_mul,
                           round_nearest as _RND)
 
 from .errors import InvalidInputError
@@ -238,13 +239,22 @@ def complex_det(rows, precision_bits):
     return AppComplex.from_raw(det, precision_bits)
 
 
+def _back_substitute(ech, piv, v, bits):
+    """Fill in v's entries at the pivot columns, last pivot first, so that
+    every echelon row r has r . v = 0; the other entries are taken as set."""
+    for row, pc in zip(reversed(ech[:len(piv)]), reversed(piv)):
+        s = _CZERO
+        for j in range(pc + 1, len(v)):
+            s = _cadd(s, _cmul(row[j], v[j], bits), bits)
+        v[pc] = _cdiv(_cneg(s, bits), row[pc], bits)
+
+
 def complex_kernel(rows, precision_bits, tol):
     """Right-kernel basis of an approximate matrix, as AppComplex vectors."""
     if not rows:
         return []
     ncols = len(rows[0])
     bits = _matrix_bits(rows, precision_bits)
-    wb = bits + GUARD_BITS
     ech, piv, _, _ = complex_echelon(rows, precision_bits, tol)
     piv_set = set(piv)
     free = [c for c in range(ncols) if c not in piv_set]
@@ -252,79 +262,41 @@ def complex_kernel(rows, precision_bits, tol):
     for fc in free:
         v = [_CZERO] * ncols
         v[fc] = _CONE
-        for i in range(len(piv) - 1, -1, -1):
-            pc = piv[i]
-            row = ech[i]
-            s = _CZERO
-            for j in range(pc + 1, ncols):
-                s = _cadd(s, _cmul(row[j], v[j], wb), wb)
-            v[pc] = _cdiv(_cneg(s, wb), row[pc], wb)
+        _back_substitute(ech, piv, v, bits + GUARD_BITS)
         basis.append([AppComplex.from_raw(x, bits) for x in v])
     return basis
 
 
 def complex_solve_lstsq(rows, rhs, precision_bits):
-    """Least-squares solution of A x = b via the normal equations.
+    """A solution of A x = b read off the echelon form of [A | b].
 
-    Returns (x as AppComplex list, residual_max as mpf): residual_max is the
-    max coefficient magnitude of A x - b.
+    ``complex_echelon`` reduces [A | b] with no threshold; x is the kernel
+    vector of the pivot rows in A's columns whose b entry is -1, with 0 at
+    every column of A without a pivot.  A consistent system is solved; for
+    an inconsistent one, the residual says so.  Returns (x as AppComplex
+    list, residual_max as mpf): residual_max is the max coefficient
+    magnitude of A x - b over all rows.
     """
     if len(rhs) != len(rows):
         raise InvalidInputError("right-hand side length must match the rows")
-    bits = _matrix_bits(rows, precision_bits) + GUARD_BITS
-    a = _raw_matrix(rows, bits)
-    b = _raw_matrix([rhs], bits)[0]
-    ncols = len(a[0]) if a else 0
-    # normal equations A^H A x = A^H b: augmented row i holds
-    # sum_k conj(a_ki) * a_kj for each column j of A, then of b, summed
-    # from zero; ``conjugate`` rounds the negated imaginary part at bits
-    columns = list(zip(*a)) + [b]
-    aug = []
-    for i in range(ncols):
-        conj = [(re, mpf_neg(im, bits, _RND)) for re, im in columns[i]]
-        out = []
-        for col in columns:
-            s = _CZERO
-            for ck, z in zip(conj, col):
-                s = _cadd(s, _cmul(ck, z, bits), bits)
-            out.append(s)
-        aug.append(out)
-    # solve by elimination with partial pivoting
-    for c in range(ncols):
-        best, best_abs = c, mpc_abs(aug[c][c], bits, _RND)
-        for i in range(c + 1, ncols):
-            x = aug[i][c]
-            if _abs_exceeds(x, best_abs) is not False:
-                a_ic = mpc_abs(x, bits, _RND)
-                if mpf_gt(a_ic, best_abs):
-                    best, best_abs = i, a_ic
-        if best_abs == fzero:
-            # rank-deficient normal matrix: set this variable to zero (no
-            # later step reads column c of the other rows)
-            aug[c][c] = _CONE
-            aug[c][ncols] = _CZERO
-            continue
-        aug[c], aug[best] = aug[best], aug[c]
-        top = aug[c]
-        pivot = top[c]
-        for i in range(ncols):
-            row = aug[i]
-            if i != c and row[c] != _CZERO:
-                f = _cdiv(row[c], pivot, bits)
-                for j in range(c, ncols + 1):
-                    row[j] = _csub(row[j], _cmul(f, top[j], bits), bits)
-    x = [_cdiv(aug[i][ncols], aug[i][i], bits) for i in range(ncols)]
+    aug = [list(row) + [bk] for row, bk in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    bits = _matrix_bits(aug, precision_bits) + GUARD_BITS
+    ech, piv, _, _ = complex_echelon(aug, precision_bits, 0)
+    v = [_CZERO] * ncols + [_cneg(_CONE, bits)]
+    _back_substitute(ech, [c for c in piv if c < ncols], v, bits)
+    x = v[:ncols]
     resid = fzero
-    for row, bk in zip(a, b):
+    for row in _raw_matrix(aug, bits):
         s = _CZERO
         for akj, xj in zip(row, x):
             s = _cadd(s, _cmul(akj, xj, bits), bits)
-        diff = _csub(s, bk, bits)
+        diff = _csub(s, row[ncols], bits)
         if _abs_exceeds(diff, resid) is not False:
             r = mpc_abs(diff, bits, _RND)
             if mpf_gt(r, resid):
                 resid = r
-    return ([AppComplex.from_raw(v, bits - GUARD_BITS) for v in x],
+    return ([AppComplex.from_raw(xj, bits - GUARD_BITS) for xj in x],
             _make_mpf(resid))
 
 

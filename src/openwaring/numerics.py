@@ -1028,11 +1028,6 @@ def _settled(step, z, work_bits):
     return ts - max(tz - 1, 0) <= 8 - work_bits
 
 
-#: ``_float_aberth``'s stop: a sweep whose every relative step
-#: |step| / (1 + |z|) is at most this ends the iteration
-_FLOAT_STOP = 2.0 ** -50
-
-
 def _float_aberth(coeffs):
     """Starting roots for a factor of degree >= 3: ``_aberth``'s iteration
     on Python complex values, or None when a monic coefficient or a root
@@ -1040,9 +1035,9 @@ def _float_aberth(coeffs):
 
     The monic coefficients are taken by ``_cdiv`` at 53 bits and rounded
     to doubles.  The start circle, the nudge off a critical point and the
-    stand-in for a zero difference are ``_aberth``'s at 53 bits, and so is
-    the cap of 400 sweeps; a sweep ends the iteration once every relative
-    step is at most ``_FLOAT_STOP``.
+    stand-in for a zero difference are ``_aberth``'s at 53 bits, and so are
+    the cap of 400 sweeps and the stopping rule: a sweep ends the iteration
+    once every relative step |step| / (1 + |z|) is at most 2^(8 - 53).
     """
     lead = coeffs[-1]
     monic = [complex(to_float(re), to_float(im))
@@ -1064,6 +1059,7 @@ def _float_aberth(coeffs):
             r = 0.5
         z = [r * cmath.exp(1j * (2 * cmath.pi * k / n + 0.5))
              for k in range(n)]
+        stop = 2.0 ** (8 - 53)
         for _ in range(400):
             settled = True
             for k in range(n):
@@ -1082,7 +1078,7 @@ def _float_aberth(coeffs):
                 denom = 1 - newt * s
                 step = newt / denom if denom else newt
                 zk = z[k] = zk - step
-                if settled and abs(step) > _FLOAT_STOP * (1 + abs(zk)):
+                if settled and abs(step) > stop * (1 + abs(zk)):
                     settled = False
             if settled:
                 break
@@ -1177,7 +1173,8 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
     - a factor of degree 2 runs Aberth (``_aberth``), then Newton
       (``_newton_polish``);
     - a factor of degree >= 3 takes its starting roots from Aberth on
-      Python complex values and refines them by Newton (``_seeded_roots``);
+      Python complex values, stopped by ``_aberth``'s rule at 53 bits, and
+      refines them by Newton (``_seeded_roots``);
       it runs Aberth and Newton as degree 2 does when a monic coefficient
       or a seed is not a finite double, when Newton reaches no fixed point
       within its cap, or when two refined roots coincide.

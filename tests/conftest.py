@@ -474,9 +474,8 @@ def reference_first_kernel(f, precision_bits=DEFAULT_PRECISION_BITS):
 # The approximate complex elimination as it was before the raw-tuple
 # kernels: every entry an mpmath `mpc` under `workprec`, with the mpc
 # operators' arithmetic.  Kept as references for `linalg.complex_echelon`,
-# `complex_det`, `complex_kernel`, `complex_solve_lstsq` and the
-# approximate branch of `apolarity._subspace_lift`, which must agree with
-# them bit for bit.
+# `complex_det`, `complex_kernel` and the approximate branch of
+# `apolarity._subspace_lift`, which must agree with them bit for bit.
 
 
 def reference_unwrap(rows, bits):
@@ -569,57 +568,6 @@ def reference_complex_kernel(rows, precision_bits, tol):
                 v[pc] = -s / ech[i][pc]
             basis.append([AppComplex.from_mpc(x, bits) for x in v])
     return basis
-
-
-def reference_complex_solve_lstsq(rows, rhs, precision_bits):
-    """(x as AppComplex list, residual_max as mpf) by the normal equations."""
-    bits = linalg._matrix_bits(rows, precision_bits) + GUARD_BITS
-    a = reference_unwrap(rows, bits)
-    b = reference_unwrap([[x] for x in rhs], bits)
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    with workprec(bits):
-        ata = [[mpc(0)] * ncols for _ in range(ncols)]
-        atb = [mpc(0)] * ncols
-        for i in range(ncols):
-            for j in range(ncols):
-                s = mpc(0)
-                for k in range(nrows):
-                    s += a[k][i].conjugate() * a[k][j]
-                ata[i][j] = s
-            s = mpc(0)
-            for k in range(nrows):
-                s += a[k][i].conjugate() * b[k][0]
-            atb[i] = s
-        aug = [ata[i] + [atb[i]] for i in range(ncols)]
-        for c in range(ncols):
-            best, best_abs = c, abs(aug[c][c])
-            for i in range(c + 1, ncols):
-                if abs(aug[i][c]) > best_abs:
-                    best, best_abs = i, abs(aug[i][c])
-            if best_abs == 0:
-                aug[c][c] = mpc(1)
-                aug[c][ncols] = mpc(0)
-                for i in range(ncols):
-                    if i != c:
-                        aug[i][c] = mpc(0)
-                continue
-            aug[c], aug[best] = aug[best], aug[c]
-            for i in range(ncols):
-                if i != c and aug[i][c] != 0:
-                    f = aug[i][c] / aug[c][c]
-                    for j in range(c, ncols + 1):
-                        aug[i][j] -= f * aug[c][j]
-        x = [aug[i][ncols] / aug[i][i] for i in range(ncols)]
-        resid = mpf(0)
-        for k in range(nrows):
-            s = mpc(0)
-            for j in range(ncols):
-                s += a[k][j] * x[j]
-            r = abs(s - b[k][0])
-            if r > resid:
-                resid = r
-        return [AppComplex.from_mpc(v, bits - GUARD_BITS) for v in x], resid
 
 
 def reference_subspace_lift(n, columns, precision_bits):

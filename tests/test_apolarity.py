@@ -497,6 +497,11 @@ class TestConicResultant:
         p = _dual_as_unipoly_coeffs(random_conic(rng, 0.2))
         q = _dual_as_unipoly_coeffs(random_conic(rng, 0.2))
         _sylvester_resultant(p, q, DEFAULT_PRECISION_BITS)
+        # approximate conics take it too
+        bits = 128
+        q = [UniPoly([AppComplex(c, Fraction(1, 3), bits) for c in u.coeffs])
+             for u in q]
+        _sylvester_resultant(p, q, bits)
         assert calls == []
         # curves of another degree still take the determinant, at 10 nodes
         p3 = _dual_as_unipoly_coeffs(DualOp(3, 3, {
@@ -510,17 +515,33 @@ class TestConicResultant:
                                                  DEFAULT_PRECISION_BITS))
         assert calls == ["rational_det"] * 20
 
-    def test_approximate_conics_keep_the_determinant(self):
-        bits = 128
-        rng = random.Random(4)
-        p = _dual_as_unipoly_coeffs(random_conic(rng, 0.0))
-        q = [UniPoly([AppComplex(c, Fraction(1, 3), bits) for c in u.coeffs])
-             for u in _dual_as_unipoly_coeffs(random_conic(rng, 0.0))]
-        got = _sylvester_resultant(p, q, bits)
-        want = reference_sylvester_resultant(p, q, bits)
-        raw = [(c.real._mpf_, c.imag._mpf_) for c in got.coeffs]
-        assert raw == [(c.real._mpf_, c.imag._mpf_) for c in want.coeffs]
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(64, 512))
+    def test_approximate_conics_match_the_sylvester_determinant(self, seed,
+                                                                bits):
+        # the closed form on approximate conics: R(t) against
+        # `linalg.complex_det` of the 4x4 Sylvester matrix at random t
+        rng = random.Random(seed)
 
+        def nudged(c):
+            return AppComplex(c + Fraction(rng.randint(-999, 999), 1000),
+                              Fraction(rng.randint(-999, 999), 1000), bits)
+
+        p, q = ([UniPoly([nudged(c) for c in u.coeffs])
+                 for u in _dual_as_unipoly_coeffs(random_conic(rng, 0.3))]
+                for _ in range(2))
+        R = _sylvester_resultant(p, q, bits)
+        for _ in range(3):
+            t = AppComplex(Fraction(rng.randint(-3000, 3000), 1000),
+                           Fraction(rng.randint(-3000, 3000), 1000), bits)
+            a0, a1, a2 = (c(t) for c in p)
+            b0, b1, b2 = (c(t) for c in q)
+            sylvester = [[a2, a1, a0, 0], [0, a2, a1, a0],
+                         [b2, b1, b0, 0], [0, b2, b1, b0]]
+            det = linalg.complex_det(sylvester, bits)
+            scale = ((abs(a0) + abs(a1) + abs(a2))
+                     * (abs(b0) + abs(b1) + abs(b2))) ** 2
+            assert abs(R(t) - det) <= tolerance(bits) * scale
 
 
 # `_dedupe_points`, `_distinct_roots` and the `ProjPoint` pivot as they were before the exponent rule: every distance an

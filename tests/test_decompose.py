@@ -179,14 +179,14 @@ class TestBinary:
     #: SHA-256 of the exact terms of x0^(d-1)*x1 at seed 5, per d
     MONOMIAL_TERMS = {
         2: "169580e8b1787f2524ad0c0667a99df99ed41c40bf25f252dbe653f1ab417bc4",
-        3: "1f52b021f8411e56fcc5844861be8314449a6e0db22b42d77f9f0ddfb805b5f9",
-        4: "8cba5c8c51deb7f9101b21b3e8d4cdeb6e429814bb90430d2e486eb95a1b9e8b",
-        5: "c0bbeb687da1ea6b160f31f62512223f5772615ac1d09777aa70321a00a74e8d",
-        6: "b62d62ec68eea60f1e5f7d68928863f877f5d70fb001ffb06ca387975df0202f",
-        7: "75ab8ae80c6b721f705322d516e96c8c7bc1e34f6e9cc98312089d9f9669c01a",
-        8: "e51ad736c9bc886c27d99f3903731cd85a335af2d97a95d4ea0de6aa469a728d",
-        9: "0eeda5d10311b5150c6e73ad4b58df2f6d80a583e5f73233cf0c115b03d16a88",
-        10: "9413067205a995d387bc3a4afd5eca4dbfad01770105123c4a854f62225dfc74"}
+        3: "95f24431ba1673cf7195032c49028ff5cce5eac6c45f2b22d63a164bdabfaa63",
+        4: "4c9d54e1c2728c7590dd68dc70c361150a12890ba60c7a0c52e7f8b6248f0bfc",
+        5: "62087a9cd88c028010a490dd50a61035b4d70126a47b67c755e4557730f56be0",
+        6: "128709c32c4c448198175094f97f0abcf5e798a0557a796c123c30a5a1396d7a",
+        7: "b09eb63eb52ce82b430ccfa50700afbff3cbe5d4ef0508ab4b97afa9a862af42",
+        8: "04b2c80a498aef0358cc97e8066ccd63823df7e3e6584ed895c38748766e0016",
+        9: "1db5960fb887e8776a7e50d007e45aece6b58c1bcf352f2312c27a1387bfd28c",
+        10: "02fc191a146fbdc5bbc100f237d70a2bdec6f20a41c1cf721c73056855008703"}
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_monomial_needs_full_count(self, d):

@@ -299,6 +299,50 @@ def test_complex_elimination_runs_on_the_kernels():
     assert "_unwrap" not in {n for tree in parsed.values() for n in _defined(tree)}
 
 
+#: the two eliminations of ``linalg``: the exact one and the approximate one
+PIVOTING = {"_reduce", "complex_echelon"}
+
+
+def _swaps_rows(node):
+    """Whether the code exchanges two entries, ``m[i], m[k] = m[k], m[i]``."""
+    return any(isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Tuple)
+               and all(isinstance(e, ast.Subscript) for e in n.targets[0].elts)
+               for n in ast.walk(node))
+
+
+def _scans_for_a_pivot(node):
+    """Whether a loop nested in a ``for`` loop tests what it meets: an
+    ``if`` in its body or a filter in a comprehension."""
+    loops = (ast.For, ast.comprehension)
+    for outer in ast.walk(node):
+        if not isinstance(outer, ast.For):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, loops):
+                continue
+            if isinstance(inner, ast.comprehension) and inner.ifs:
+                return True
+            if isinstance(inner, ast.For) and any(
+                    isinstance(n, ast.If) for n in ast.walk(inner)):
+                return True
+    return False
+
+
+def test_one_approximate_elimination():
+    # the approximate solve and kernel read their answers off
+    # ``complex_echelon`` through one back-substitution, so no function of
+    # ``linalg`` but the two eliminations swaps rows or scans for a pivot
+    functions = {n.name: n for n in _parsed()["linalg"].body
+                 if isinstance(n, ast.FunctionDef)}
+    assert PIVOTING <= set(functions)
+    assert {name for name, fn in functions.items()
+            if _swaps_rows(fn) or _scans_for_a_pivot(fn)} == PIVOTING
+    for name in ("complex_kernel", "complex_solve_lstsq"):
+        called = {n.func.id for n in ast.walk(functions[name])
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert {"complex_echelon", "_back_substitute"} <= called, name
+
+
 #: what a root distance under mpc arithmetic names
 MPC_DISTANCE = {"mpc", "workprec", "to_mpc"}
 

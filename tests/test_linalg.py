@@ -5,13 +5,15 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mpf, workprec
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, fzero
 
-from openwaring import InvalidInputError, linalg
+from openwaring import (InvalidInputError, LinearForm, NoFitError,
+                        fit_coefficients, linalg, parse_form)
 from openwaring.apolarity import _subspace_lift
 from openwaring.linalg import (complex_det, complex_echelon, complex_kernel,
                                complex_solve_lstsq, dot, mat_vec, matrix_rank,
@@ -20,8 +22,7 @@ from openwaring.linalg import (complex_det, complex_echelon, complex_kernel,
 from openwaring.numerics import (GUARD_BITS, AppComplex, _make_mpf,
                                  scalar_is_zero, tolerance)
 from conftest import (reference_complex_det, reference_complex_echelon,
-                      reference_complex_kernel, reference_complex_solve_lstsq,
-                      reference_reduce, reference_subspace_lift,
+                      reference_complex_kernel, reference_reduce, reference_subspace_lift,
                       reference_unwrap)
 
 # ---------------------------------------------------------------------------
@@ -384,8 +385,8 @@ def test_dot_and_mat_vec():
 # ---------------------------------------------------------------------------
 # the approximate elimination on raw tuples against the mpc-object routines
 # it replaced (tests/conftest.py), bit for bit: echelon rows, pivots, scale
-# and sign, the determinant, the kernel, the least-squares solution and its
-# residual, and the lift of `_subspace_lift`
+# and sign, the determinant, the kernel and the lift of `_subspace_lift`;
+# and `complex_solve_lstsq` against mpmath at twice the precision
 
 
 @st.composite
@@ -432,8 +433,8 @@ def approx_matrices(draw):
             for row in rows:
                 row[j] = 0
     elif kind != "dense" and ncols > 1:
-        # repeated and scaled columns, or ones nudged 2^-(bits/3) apart,
-        # whose normal matrix is ill-conditioned
+        # repeated and scaled columns, or ill-conditioned ones nudged
+        # 2^-(bits/3) apart
         src = draw(st.integers(0, ncols - 1))
         nudge = AppComplex(Fraction(1, 2 ** (bits // 3)), 0, bits)
         for j in draw(st.sets(st.integers(0, ncols - 1), min_size=1, max_size=3)):
@@ -458,8 +459,7 @@ def assert_same_echelon(rows, bits, tol):
     assert (piv, scale, sign) == (ref_piv, ref_scale._mpf_, ref_sign)
 
 
-# a zero column gives the normal matrix an exactly zero row and column, so
-# the least-squares elimination meets a zero pivot (``best_abs == 0``)
+# a zero column has no pivot, so its variable is set to exactly zero
 ZERO_COLUMN = (128, [[app(1, 2, 128), 0, 3], [app(Fraction(1, 3), 0, 128), 0, -1],
                      [2, 0, app(0, 1, 128)]],
                [1, app(0, 1, 128), Fraction(2, 7)])
@@ -481,10 +481,6 @@ class TestComplexElimination:
         square = [row[:k] for row in rows[:k]]
         assert raw(complex_det(square, bits)) == raw(
             reference_complex_det(square, bits))
-        x, resid = complex_solve_lstsq(rows, rhs, bits)
-        ref_x, ref_resid = reference_complex_solve_lstsq(rows, rhs, bits)
-        assert raw_app(x) == raw_app(ref_x)
-        assert type(resid) is mpf and resid._mpf_ == ref_resid._mpf_
         if kernel:
             n = len(rows[0])
             keep, A = _subspace_lift(n, kernel, bits)
@@ -506,11 +502,10 @@ class TestComplexElimination:
         assert [raw_app(row) for row in A] == [raw_app(row) for row in ref_A]
 
     def test_ill_conditioned_systems_with_entries_beyond_the_working_bits(self):
-        # columns 2^-(bits/3) apart square to a normal matrix so
-        # ill-conditioned that a rounding changed anywhere in the working
-        # precision shows in the solution; the 1100-bit entries lie far
-        # beyond it, so they test that conversion keeps them unrounded and
-        # that ``conjugate`` rounds only the imaginary part
+        # columns 2^-(bits/3) apart make the elimination ill-conditioned
+        # enough that a rounding changed anywhere in the working precision
+        # shows in the echelon rows; the 1100-bit entries lie far beyond
+        # it, so they test that conversion keeps them unrounded
         rng = random.Random(17)
 
         def wide():
@@ -523,13 +518,124 @@ class TestComplexElimination:
             e = AppComplex(Fraction(1, 2 ** (bits // 3)), 0, bits)
             h, g = wide(), wide()
             rows = [[h, h + e, 2], [g, g, app(1, -1, bits)], [1, 1 - e, e]]
-            rhs = [wide(), 1, Fraction(2, 3)]
-            x, resid = complex_solve_lstsq(rows, rhs, bits)
-            ref_x, ref_resid = reference_complex_solve_lstsq(rows, rhs, bits)
-            assert raw_app(x) == raw_app(ref_x) and resid == ref_resid
             assert_same_echelon(rows, bits, tolerance(bits))
             assert raw(complex_det(rows, bits)) == raw(
                 reference_complex_det(rows, bits))
             square = [row[:2] for row in rows[:2]]
             assert raw(complex_det(square, bits)) == raw(
                 reference_complex_det(square, bits))
+
+
+# ---------------------------------------------------------------------------
+# complex_solve_lstsq against mpmath at twice the working precision
+
+
+def to_mp(x):
+    """An entry as an mpmath number at the ambient precision."""
+    if isinstance(x, AppComplex):
+        return x.to_mpc()
+    return mpf(x.numerator) / x.denominator
+
+
+def consistent_system(rng):
+    """(bits, rows, rhs): a tall or square system of 1-5 columns at 64-1024
+    bits, entries ints, Fractions and AppComplex values of magnitude at most
+    1 whose parts carry up to 40 bits more than the working precision; rhs
+    is A x for a random x, rounded at the working precision."""
+    bits = rng.randint(64, 1024)
+    ncols = rng.randint(1, 5)
+    nrows = rng.randint(ncols, 7)
+
+    def part(prec):
+        return _make_mpf(from_man_exp(rng.randint(-2 ** prec, 2 ** prec), -prec))
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.15:
+            return rng.choice((-1, 1)) * rng.randint(1, 9)
+        if kind < 0.3:
+            return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+        prec = rng.choice((bits, bits + 40))
+        return AppComplex(part(prec + 8), part(prec + 8), prec)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    with workprec(2 * bits):
+        x = [mpmath.mpc(part(bits), part(bits)) for _ in range(ncols)]
+        rhs = [AppComplex.from_mpc(mpmath.fsum(to_mp(a) * xj
+                                               for a, xj in zip(row, x)), bits)
+               for row in rows]
+    return bits, rows, rhs
+
+
+def well_conditioned(rows, bits):
+    """Whether the smallest singular value of A is at least 2^-16 of the
+    largest."""
+    with workprec(2 * bits):
+        A = mpmath.matrix([[to_mp(a) for a in row] for row in rows])
+        sv = mpmath.svd_c(A, compute_uv=False)
+        return min(sv) >= mpf(2) ** -16 * max(sv)
+
+
+def assert_residual_recomputed(rows, rhs, bits, x, resid):
+    """The reported residual is max_k |(A x - b)_k| over all rows, as mpmath
+    recomputes it at twice the precision from the returned x: within
+    2^-(bits/2) * max(1, n * max|A| * max|x|, max|b|), which covers the
+    rounding of x and of the sums."""
+    with workprec(2 * bits):
+        xs = [xj.to_mpc() for xj in x]
+        a = [[to_mp(v) for v in row] for row in rows]
+        b = [to_mp(v) for v in rhs]
+        want = max(abs(mpmath.fsum(v * xj for v, xj in zip(row, xs)) - bk)
+                   for row, bk in zip(a, b))
+        size = max([mpf(1), max(map(abs, b))]
+                   + [len(xs) * max(map(abs, row)) * abs(xj)
+                      for row in a for xj in xs])
+        assert type(resid) is mpf
+        assert abs(resid - want) <= mpf(2) ** -(bits // 2) * size
+
+
+class TestLeastSquaresOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_consistent_full_rank_systems_match_qr_solve(self, seed):
+        bits, rows, rhs = consistent_system(random.Random(seed))
+        assume(well_conditioned(rows, bits))
+        x, resid = complex_solve_lstsq(rows, rhs, bits)
+        with workprec(2 * bits):
+            # mpmath's Householder step divides by zero at an exactly zero
+            # diagonal entry (it takes sign(0) = 0), so the row with the
+            # largest first entry goes first; the solution is the same
+            order = sorted(zip(rows, rhs), key=lambda r: -abs(to_mp(r[0][0])))
+            A = mpmath.matrix([[to_mp(a) for a in row] for row, _ in order])
+            want, _ = mpmath.qr_solve(
+                A, mpmath.matrix([to_mp(b) for _, b in order]))
+            size = max([mpf(1)] + [abs(w) for w in want])
+            err = max(abs(xj.to_mpc() - w) for xj, w in zip(x, want))
+            assert err <= mpf(2) ** -(bits // 2) * size
+        assert_residual_recomputed(rows, rhs, bits, x, resid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(approx_matrices())
+    @example(ZERO_COLUMN)
+    def test_residual_matches_mpmath_on_any_system(self, case):
+        # wide, rank-deficient and inconsistent systems too
+        bits, rows, rhs = case
+        x, resid = complex_solve_lstsq(rows, rhs, bits)
+        assert_residual_recomputed(rows, rhs, bits, x, resid)
+
+    def test_a_column_without_a_pivot_comes_back_zero(self):
+        bits, rows, rhs = ZERO_COLUMN
+        x, _ = complex_solve_lstsq(rows, rhs, bits)
+        assert x[1].parts == (fzero, fzero)
+
+    def test_inconsistent_fit_raises(self):
+        # x0*x1 is not in the span of x0^2 and x1^2: the system is
+        # inconsistent on the approximate path as on the exact one, and the
+        # residual is the missing coefficient
+        bits = 256
+        one = AppComplex(1, 0, bits)
+        for points in ([LinearForm([one, 0]), LinearForm([0, one])],
+                       [LinearForm([1, 0]), LinearForm([0, 1])]):
+            with pytest.raises(NoFitError) as info:
+                fit_coefficients(parse_form("x0*x1", 2), points, bits)
+            assert abs(info.value.residual - 1) <= mpf(2) ** -60
