@@ -162,17 +162,45 @@ def essential_variables(f, precision_bits=DEFAULT_PRECISION_BITS) -> int:
 
     For rational f the rank is read off the integer rows of
     ``_first_catalecticant_rows``, transposed to one row per variable: the
-    catalecticant up to the scale L and its zero columns.  Approximate f
-    takes the thresholded rank of ``catalecticant(f, 1)``.
+    catalecticant up to the scale L and its zero columns.  It is reduced
+    once per Form object and kept on it (``_kept``), so the pipeline, its
+    own certificate and a caller's ``check_decomposition`` of the same form
+    share one reduction; this relies on a Form's ``coeffs`` never being
+    mutated.  Approximate f takes the thresholded rank of
+    ``catalecticant(f, 1)`` on every call, since it depends on
+    ``precision_bits``.
     """
     if f.is_zero():
         raise InvalidInputError("the zero form has no essential variable count")
     if f.degree == 0:
         return 0
     if f.is_exact():
-        _, rows = _first_catalecticant_rows(f)
-        return linalg.rational_rank(linalg.transpose(list(rows.values())))
+        kept = _kept(f)
+        if "rank" not in kept:
+            rows = _first_catalecticant_rows(f)[1]
+            kept["rank"] = linalg.rational_rank(
+                linalg.transpose(list(rows.values())))
+        return kept["rank"]
     return catalecticant(f, 1).rank(precision_bits)
+
+
+def _kept(f):
+    """The dict that keeps, on the rational form f itself, what its first
+    catalecticant gives: "rows", the (L, rows) of
+    ``_first_catalecticant_rows``, and "rank", the rank of
+    ``essential_variables``.
+
+    It lives in f's own ``__dict__`` under ``_first_catalecticant``, so it
+    lasts exactly as long as f, and an equal Form built apart computes its
+    own.  This is sound because a Form's ``coeffs`` are never mutated after
+    construction: every operation on forms builds a new one.  Approximate
+    forms are never kept, since their rank depends on ``precision_bits``.
+    The kept values are shared, so no caller may change them.
+    """
+    kept = f.__dict__.get("_first_catalecticant")
+    if kept is None:
+        kept = f.__dict__["_first_catalecticant"] = {}
+    return kept
 
 
 def _first_catalecticant_rows(f: Form):
@@ -186,7 +214,14 @@ def _first_catalecticant_rows(f: Form):
     the scale L nor the missing zero rows change the rank or the reduced
     row echelon form, so the kernel is the catalecticant's, bit for bit.
     For d = 2 the row of b = e_j is row j of L times the Hessian of f.
+
+    The rows are built once per Form object and kept on it (``_kept``),
+    which relies on a Form's ``coeffs`` never being mutated.  They are
+    tuples, so a caller that updates rows in place must copy them first.
     """
+    kept = _kept(f)
+    if "rows" in kept:
+        return kept["rows"]
     n = f.num_vars
     L = lcm(*(c.denominator for c in f.coeffs.values()))
     rows = {}
@@ -199,6 +234,8 @@ def _first_catalecticant_rows(f: Form):
                 if row is None:
                     row = rows[b] = [0] * n
                 row[i] = k * scaled
+    rows = {b: tuple(row) for b, row in rows.items()}
+    kept["rows"] = L, rows
     return L, rows
 
 
@@ -222,7 +259,9 @@ def _essential_split(f: Form, m: int, precision_bits):
 
     K is the left-kernel basis of the first catalecticant, the operators of
     degree one that annihilate f: the right kernel of its transpose, whose
-    rows rational f takes from ``_first_catalecticant_rows``.  A kernel
+    rows rational f takes from ``_first_catalecticant_rows``, as kept on f
+    when ``essential_variables`` built them.  The kernel is a reduction of
+    its own, so the dimension test below still compares two.  A kernel
     vector's products with those rows are the coefficients of its
     contraction with f, which g leaves out, so each must vanish: exactly,
     on integers, for rational f (the vector cleared of its denominators,

@@ -487,7 +487,8 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
 
     Rational f keeps H = M / D on integers, without division: M and D are
     the rows and the scale L of ``_first_catalecticant_rows`` (its row of
-    e_j is row j of M).  With w = Mv and c = v^T w the term is
+    e_j is row j of M), copied, since f keeps those rows and the update
+    runs in place.  With w = Mv and c = v^T w the term is
     (D / 2c, w / D), the update is M <- cM - ww^T on the live columns and
     D <- cD, and then M's live columns and D are divided by their gcd, so
     the entries stay small.  Every zero test is an integer test, and the
@@ -508,7 +509,7 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     exact = f.is_exact()
     if exact:
         D, rows = _first_catalecticant_rows(f)
-        H = [rows.get(tuple(int(i == j) for i in range(n))) or [0] * n
+        H = [list(rows.get(tuple(int(i == j) for i in range(n)), [0] * n))
              for j in range(n)]
     else:
         H = [list(row) for row in catalecticant(f, 1).entries]

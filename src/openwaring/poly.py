@@ -194,7 +194,14 @@ class _SparsePoly:
 
 
 class Form(_SparsePoly):
-    """Homogeneous polynomial of fixed degree in k[x_0..x_{n-1}]."""
+    """Homogeneous polynomial of fixed degree in k[x_0..x_{n-1}].
+
+    A Form is immutable, and its ``coeffs`` dict is never mutated after
+    construction: every operation builds a new Form.  ``apolarity`` relies
+    on that to keep the integer rows and the rank of a rational form's
+    first catalecticant on the Form object itself (``apolarity._kept``),
+    computed once however often the pipeline and the certificate ask.
+    """
 
 
 class DualOp(_SparsePoly):

@@ -354,6 +354,80 @@ class TestFirstCatalecticantRows:
         assert calls == []
 
 
+@st.composite
+def kept_forms(draw):
+    """A rational form with n = 2..6 and d = 2..4: dense or on a few
+    monomials, or g(Tx) in fewer essential variables."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(2, 4 if n <= 4 else 3))
+    monomials = monomials_of_degree(n, d)
+    support = draw(st.one_of(
+        st.just(monomials),
+        st.lists(st.sampled_from(monomials), min_size=1, max_size=6,
+                 unique=True)))
+    coeff = st.fractions(-99, 99, max_denominator=12).filter(bool)
+    f = Form(n, d, {expo: draw(coeff) for expo in support})
+    if draw(st.booleans()):
+        return f
+    return draw(non_essential_forms().filter(lambda g: g.degree >= 2))
+
+
+#: the attribute of a rational Form on which ``apolarity._kept`` keeps its
+#: first catalecticant's rows and rank
+KEPT = "_first_catalecticant"
+
+
+class TestKeptCatalecticant:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(kept_forms())
+    def test_kept_rank_matches_sympy_and_a_fresh_form(self, f):
+        m = sympy.Matrix(catalecticant(f, 1).entries).rank()
+        assert KEPT not in f.__dict__
+        assert essential_variables(f) == m
+        kept = f.__dict__[KEPT]
+        assert kept["rank"] == m
+        assert essential_variables(f) == m
+        fresh = Form(f.num_vars, f.degree, dict(f.coeffs))
+        assert KEPT not in fresh.__dict__
+        assert essential_variables(fresh) == m
+        assert fresh.__dict__[KEPT] is not kept
+        assert APOLARITY._first_catalecticant_rows(fresh) == kept["rows"]
+
+    def test_each_form_reduces_its_rank_once(self, monkeypatch):
+        # the pipeline's split, its own certificate and the caller's check
+        # share one rank; the split's kernel stays a reduction of its own
+        f = parse_form("x0^3 + x1^3 + x2^3 + x0*x1*x3 + x1*x3^2 + 2*x0*x1^2", 5)
+        dec = decompose(f)
+        reductions = []
+        real = linalg._reduce
+
+        def counted(rows):
+            reductions.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "_reduce", counted)
+        assert check_decomposition(f, dec).passed
+        assert essential_variables(f) == 4
+        assert reductions == []
+        kernel, keep, _, g = _essential_split(f, 4, DEFAULT_PRECISION_BITS)
+        assert len(reductions) == 1 and len(kernel) == 1 and len(keep) == 4
+        essential_variables(g)
+        assert len(reductions) == 2
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_approximate_forms_keep_nothing(self, rng, bits):
+        # their rank depends on precision_bits
+        for n, d in ((3, 2), (3, 3), (4, 3)):
+            exact = random_form(rng, n, d)
+            f = Form(n, d, {e: AppComplex(c, 0, bits)
+                            for e, c in exact.coeffs.items()})
+            assert essential_variables(f, bits) == essential_variables(exact)
+            essential_split(f, bits)
+            assert decompose(f, precision_bits=bits).report.passed
+            assert KEPT not in f.__dict__
+
+
 class TestSubspaceLift:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])

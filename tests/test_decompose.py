@@ -679,6 +679,53 @@ class TestCertificate:
         assert dec.report is None
 
 
+class TestKeptCatalecticant:
+    """A rational Form keeps the integer rows and the rank of its first
+    catalecticant (``apolarity._kept``); the pipeline and the certificate
+    read them without changing them."""
+
+    QUADRATICS = [
+        ("1/3*x0^2 + 2/5*x0*x1 + 3/20*x1^2 + x2^2 - 7*x1*x2", 3),
+        ("x0^2 - x1^2 + 4*x2^2 + 2*x0*x3 - 1/7*x3^2 + x1*x2", 4),
+        ("x0*x1 + x2*x3 + 1/9*x4^2 - 3*x1*x4", 5),
+    ]
+
+    @pytest.mark.parametrize("text,n", QUADRATICS)
+    def test_decomposing_a_quadratic_twice_keeps_its_rows(self, text, n):
+        # the quadratic step updates its Hessian in place, on a copy of the
+        # rows the form keeps
+        f = parse_form(text, n)
+        assert essential_variables(f) == n  # so the step runs on f itself
+        first = decompose(f, seed=11)
+        assert any("dispatch: quadratic" in t for t in first.trace)
+        fresh = parse_form(text, n)
+        assert APOLARITY._first_catalecticant_rows(f) == \
+            APOLARITY._first_catalecticant_rows(fresh)
+        second = decompose(f, seed=11)
+        assert raw_terms(second.terms) == raw_terms(first.terms)
+        assert [type(x) for _, l in second.terms for x in l.coords] == \
+            [type(x) for _, l in first.terms for x in l.coords]
+        assert second.trace == first.trace
+        assert raw_terms(decompose(fresh, seed=11).terms) == \
+            raw_terms(first.terms)
+        assert APOLARITY._first_catalecticant_rows(f) == \
+            APOLARITY._first_catalecticant_rows(parse_form(text, n))
+
+    @pytest.mark.parametrize("text,n", [
+        ("x0^2 + 2*x0*x1 + x1^2 + x2^2 + x3^2", 5),
+        ("x0^3 + 3*x0^2*x1 + 3*x0*x1^2 + x1^3 + x2^3", 3),
+        ("x0^3+x1^3+x2^3+x3^3+x0*x1*x2", 4),
+    ])
+    def test_bound_is_the_same_on_a_fresh_copy(self, text, n):
+        f = parse_form(text, n)
+        dec = decompose(f)
+        fresh = parse_form(text, n)
+        bound = check_decomposition(f, dec).bound_value
+        assert bound == check_decomposition(fresh, dec).bound_value
+        assert bound == dec.report.bound_value == recursion_bound(
+            essential_variables(parse_form(text, n)), f.degree, "improved")
+
+
 def ref_proportional_linear(a, b, precision_bits):
     tol = (tolerance(precision_bits) * (mpf(1) * max_abs_of(a.coords))
            * (mpf(1) * max_abs_of(b.coords)))

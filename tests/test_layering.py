@@ -149,6 +149,42 @@ def test_verify_reads_apolarity_through_public_names():
     assert {n for n in names if n.startswith("_")} == set()
 
 
+#: the attribute under which ``apolarity._kept`` keeps what a rational
+#: form's first catalecticant gives, and the reductions behind that rank
+KEPT_ATTRIBUTE = "_first_catalecticant"
+RANK_REDUCTIONS = {"_first_catalecticant_rows", "_kept", "rational_rank",
+                   "matrix_rank", "_reduce", "transpose"}
+
+
+def _strings_in(node):
+    return {n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_only_apolarity_keeps_the_first_catalecticant():
+    # the kept rows and rank live in one dict on the form, which one
+    # apolarity helper reads and writes; everything else asks that helper
+    parsed = _parsed()
+    touching = {(m, node.name) for m, tree in parsed.items()
+                for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and (KEPT_ATTRIBUTE in _strings_in(node) | _names_in(node)
+                     or "__dict__" in _names_in(node))}
+    assert touching == {("apolarity", "_kept")}
+    assert {m for m, tree in parsed.items()
+            if KEPT_ATTRIBUTE in _strings_in(tree) | _names_in(tree)} == {"apolarity"}
+    assert {m for m, tree in parsed.items()
+            if "_kept" in _names_in(tree)} == {"apolarity"}
+
+
+def test_verify_takes_the_rank_only_from_essential_variables():
+    # the certificate's bound comes from the same pure function of the same
+    # immutable form as the pipeline's, never from the kept values directly
+    tree = _parsed()["verify"]
+    assert "essential_variables" in _names_in(tree)
+    assert _names_in(tree) & RANK_REDUCTIONS == set()
+    assert "linalg" not in {t for _, t in _internal_imports(tree)}
+
+
 #: the raw-tuple kernels that reproduce libmp's complex arithmetic
 KERNELS = {"_sum", "_quo", "_pos", "_cadd", "_csub", "_cmul", "_cdiv", "_cinv"}
 

@@ -83,3 +83,45 @@ def test_seed_ranges():
     pairs = load_tool()
     assert pairs.parse_seeds("81-85") == [81, 82, 83, 84, 85]
     assert pairs.parse_seeds("7,9-10") == [7, 9, 10]
+
+
+def test_workload_lists():
+    pairs = load_tool()
+    assert pairs.parse_workloads("exact") == ["exact"]
+    assert pairs.parse_workloads("inductive,exact,precision") == \
+        ["inductive", "exact", "precision"]
+
+
+def test_one_table_and_one_failed_line_per_workload(monkeypatch, capsys):
+    # the canned pairs on `exact`, and on `inductive` the same pairs with
+    # the two sides swapped, so each workload is summed on its own
+    pairs = load_tool()
+    canned = {"exact": CANNED, "inductive": [(b, a) for a, b in CANNED]}
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        runs.append((workload, seed, checkout))
+        pair = canned[workload][seed - 81]
+        return json.loads(pair[checkout != "parent-dir"])
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    # the change side is this checkout, for the metrics of its BENCHMARK.json
+    pairs.main(["parent-dir", str(TOOL.parents[1]), "--workload",
+                "exact,inductive", "--seeds", "81-84"])
+    assert [w for w, _, _ in runs] == ["exact"] * 8 + ["inductive"] * 8
+    assert [s for _, s, _ in runs[:8]] == [81, 81, 82, 82, 83, 83, 84, 84]
+    # which side goes first alternates within each workload
+    assert [c == "parent-dir" for _, _, c in runs[8:12]] == \
+        [True, False, False, True]
+    out = capsys.readouterr().out.splitlines()
+    tables = [i for i, line in enumerate(out) if line.startswith("metric")]
+    assert len(tables) == 2
+    assert out[tables[0] - 1] == "workload exact"
+    assert out[tables[1] - 1] == "workload inductive"
+    failed = [line.split() for line in out if line.startswith("failed/attempted")]
+    assert failed == [["failed/attempted", "4/76", "5/76"],
+                      ["failed/attempted", "5/76", "4/76"]]
+    exact = out[tables[0]:tables[1]]
+    assert next(line for line in exact
+                if line.startswith("verify_s_p50")).split() == \
+        ["verify_s_p50", "4.5", "3", "-33.3%", "2.5", "1.125", "3/4"]

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf, workprec
 
@@ -199,3 +200,21 @@ class TestSeedFallbacks:
         assert _seeded_roots(raw_coeffs(p, 256), 256 + 2 * GUARD_BITS) is None
         assert_matches_polyroots(p, 256)
         assert calls == [3]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the residual certificate of univariate_roots "
+                          "scales with max|coeff|, so it accepts small roots "
+                          "that are wrong beside a huge coefficient")
+def test_small_roots_beside_a_huge_coefficient():
+    # x^3 - 10^300 x^2 + 1 has roots near 10^300 and +-1.0e-150; at 256 bits
+    # the two small ones come back as -3.7e-150 + 7.3e-150i and
+    # 1.9e-150 - 3.6e-150i, since |p(r)| ~ 67 there is far below the
+    # certificate's bound of about 2^-128 * 10^300
+    roots = [r.to_mpc() for r in univariate_roots(poly(1, 0, -10 ** 300, 1), 256)]
+    with workprec(2000):
+        want = mpmath.polyroots([1, -mpf(10) ** 300, 0, 1], maxsteps=500,
+                                extraprec=2000)
+        assert len(roots) == len(want) == 3
+        for w in want:
+            assert min(abs(z - w) for z in roots) <= mpf(2) ** -128 * abs(w)

@@ -2,16 +2,20 @@
 
     python3 tools/pairs.py PARENT CHANGE --workload inductive --seeds 81-90
     python3 tools/pairs.py PARENT CHANGE --workload exact --seeds 81,83 --seconds 10
+    python3 tools/pairs.py PARENT CHANGE --workload inductive,exact,precision --seeds 81-85
 
 PARENT and CHANGE are directories that each hold a checkout of the
-repository.  For every seed the script runs `perfbench/run.py --workload W
---seed S --seconds T` once in each checkout, one after the other, and
-alternates which of the two goes first, so that a drift in the machine's
-speed falls on both sides alike.  It prints each pair's end-to-end metrics
-and failed/attempted counts, then per metric the two medians, their ratio,
-both interquartile ranges and the number of pairs the change won, and last
-each side's failed and attempted operations summed over all pairs, since a
-larger failed share is a regression too.
+repository.  For every workload W of the comma-separated list, in turn, and
+every seed the script runs `perfbench/run.py --workload W --seed S
+--seconds T` once in each checkout, one after the other, and alternates
+which of the two goes first, so that a drift in the machine's speed falls
+on both sides alike.  It prints each pair's end-to-end metrics and
+failed/attempted counts as it goes.  At the end it prints, for each
+workload, a table with per metric the two medians, their ratio, both
+interquartile ranges and the number of pairs the change won, and last each
+side's failed and attempted operations summed over that workload's pairs,
+since a larger failed share is a regression too.  So one command shows
+whether any metric got worse on any workload.
 Which direction is better comes from CHANGE's `BENCHMARK.json`.  A gain is
 resolved when the change wins nearly every pair and the medians differ by
 more than the parent's IQR.  The script writes nothing itself; each run
@@ -37,6 +41,11 @@ def parse_seeds(text):
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def parse_workloads(text):
+    """'exact' or 'inductive,exact,precision' as a list of names."""
+    return [w for w in text.split(",") if w]
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -117,25 +126,40 @@ def render_pair(index, seed, first, pair, names):
     return lines
 
 
+def run_pairs(checkouts, workload, seeds, seconds, names):
+    """The pairs of one workload, {'parent': result, 'change': result} per
+    seed, each printed as it completes."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {side: run_once(checkouts[side], workload, seed, seconds)
+                for side in order}
+        pairs.append(pair)
+        print("\n".join(render_pair(i + 1, seed, order[0], pair, names)),
+              flush=True)
+    return pairs
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent")
     p.add_argument("change")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, type=parse_workloads,
+                   help="one workload or a comma-separated list")
     p.add_argument("--seeds", required=True, type=parse_seeds)
     p.add_argument("--seconds", type=float, default=25)
     args = p.parse_args(argv)
     better = better_of(args.change)
     checkouts = {"parent": args.parent, "change": args.change}
-    pairs = []
-    for i, seed in enumerate(args.seeds):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {side: run_once(checkouts[side], args.workload, seed,
-                               args.seconds) for side in order}
-        pairs.append(pair)
-        print("\n".join(render_pair(i + 1, seed, order[0], pair, better)),
-              flush=True)
-    print("\n".join(render(summarize(pairs, better), failed_totals(pairs))))
+    results = {}
+    for workload in args.workload:
+        print(f"workload {workload}", flush=True)
+        results[workload] = run_pairs(checkouts, workload, args.seeds,
+                                      args.seconds, better)
+    for workload, pairs in results.items():
+        print(f"\nworkload {workload}")
+        print("\n".join(render(summarize(pairs, better),
+                               failed_totals(pairs))))
 
 
 if __name__ == "__main__":
