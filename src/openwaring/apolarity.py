@@ -142,18 +142,24 @@ def apolar_component(f: Form, e: int,
     """
     cat = catalecticant(f, e)
     rows = linalg.transpose([list(r) for r in cat.entries])
-    kern = linalg.kernel_basis(rows, precision_bits, tolerance(precision_bits))
-    ops = []
-    for vec in kern:
-        coeffs = {expo: c for expo, c in zip(cat.row_labels, vec)
-                  if not (is_exact_scalar(c) and c == 0)}
-        op = DualOp(f.num_vars, e, coeffs)
-        if not op.is_exact():
-            # numerical-noise entries would overstate supports downstream
-            op = op.cleaned(_threshold(tolerance(precision_bits),
-                                       op.max_abs()))
-        ops.append(op)
-    return ops
+    return [DualOp(f.num_vars, e, dict(zip(cat.row_labels, vec)))
+            for vec in _cleaned_kernel(rows, precision_bits)]
+
+
+def _cleaned_kernel(rows, precision_bits):
+    """``linalg.kernel_basis`` of rows at tolerance(bits), each approximate
+    vector v with its entries at or below tolerance(bits) * max|v| set to
+    exact zeros: numerical noise would overstate supports downstream (an
+    operator's monomials, the last nonzero coordinate of a
+    ``_subspace_lift`` column).  Exact vectors come back as they are."""
+    tol = tolerance(precision_bits)
+    kernel = []
+    for v in linalg.kernel_basis(rows, precision_bits, tol):
+        if not all(is_exact_scalar(x) for x in v):
+            cut = _threshold(tol, max_abs_of(v))
+            v = [Fraction(0) if scalar_is_zero(x, cut) else x for x in v]
+        kernel.append(v)
+    return kernel
 
 
 def essential_variables(f, precision_bits=DEFAULT_PRECISION_BITS) -> int:
@@ -261,7 +267,11 @@ def _essential_split(f: Form, m: int, precision_bits):
     degree one that annihilate f: the right kernel of its transpose, whose
     rows rational f takes from ``_first_catalecticant_rows``, as kept on f
     when ``essential_variables`` built them.  The kernel is a reduction of
-    its own, so the dimension test below still compares two.  A kernel
+    its own, so the dimension test below still compares two.  It is
+    cleaned as ``apolar_component`` cleans its operators
+    (``_cleaned_kernel``): an approximate vector's entries at or below
+    tolerance(bits) * max|v| become exact zeros, so no noise coordinate
+    becomes a column's last nonzero one in the lift.  A kernel
     vector's products with those rows are the coefficients of its
     contraction with f, which g leaves out, so each must vanish: exactly,
     on integers, for rational f (the vector cleared of its denominators,
@@ -276,7 +286,7 @@ def _essential_split(f: Form, m: int, precision_bits):
         rows = list(_first_catalecticant_rows(f)[1].values())
     else:
         rows = linalg.transpose([list(r) for r in catalecticant(f, 1).entries])
-    kernel = linalg.kernel_basis(rows, precision_bits, tolerance(precision_bits))
+    kernel = _cleaned_kernel(rows, precision_bits)
     if len(kernel) != n - m:
         raise ConsistencyError("left kernel dimension disagrees with the rank")
     if exact:

@@ -7,9 +7,9 @@ roots), the quadratic step (Lagrange reduction on the Hessian in the form's
 own coordinates, exact over the rationals), the ternary cubic pipeline
 (pencils of conics, with a cubing perturbation when the degree-2
 annihilator has a base point), and the general inductive step, which
-contracts by a generic degree-1 operator, lifts the terms, shrinks the
-carried index set until the remainder lives in a hyperplane, and recurses
-there.
+contracts by a generic degree-1 operator, lifts the terms, and sends the
+remainder, which lives in at most one variable fewer, back through the
+essential split.
 
 Every random choice is drawn from a seeded generator passed down the whole
 call tree, so identical (input, seed) pairs replay identically.  Each
@@ -36,7 +36,7 @@ from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
                         _back_substitute_l2, _binary_dual_roots,
                         _chart_map, _combine_ops, _coordinate_changes,
                         _dedupe_points, _distinct_roots, _essential_split,
-                        _first_catalecticant_rows, _op_vanishes_at, _project,
+                        _first_catalecticant_rows, _op_vanishes_at,
                         _resultant_charts, _sorted_points, _subspace_lift,
                         _vanishing_tolerances)
 from .errors import (CommonComponentError, ConsistencyError,
@@ -88,17 +88,6 @@ class _Ctx:
             v = tuple(self.rng.randint(-height, height) for _ in range(n))
             if any(v):
                 return v
-
-
-def _hyperplane_change(beta, precision_bits):
-    """``_subspace_lift`` of the single column beta: keep is every
-    coordinate but beta's last nonzero one, and A maps a linear form in the
-    coordinates keep to the ambient one that beta annihilates.
-
-    A remainder R whose contraction by beta is zero is ``_project(R, keep)``
-    in those coordinates.
-    """
-    return _subspace_lift(len(beta), [list(beta)], precision_bits)
 
 
 def _restrict_forbidden(V: ForbiddenSet, A, m, precision_bits):
@@ -478,12 +467,12 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     takes the term (1 / (2c), Hv) with c = v^T H v; H - (Hv)(Hv)^T / c is
     the Hessian of the remainder, which v annihilates.  The last live
     coordinate where alpha != 0 then dies: the live block of H is the
-    Hessian of the remainder on the coordinates ``_hyperplane_change(alpha)``
-    keeps (the remainder with the dropped one set to zero, as ``_project``
-    gives it), and the forbidden set is restricted through that change's
-    lift, which also tests alpha: one whose hyperplane lies in the forbidden
-    set is drawn again.  The last coordinate q left gives (H_qq / 2,
-    H[:, q] / H_qq).
+    Hessian of the remainder on the coordinates that
+    ``_subspace_lift(len(alpha), [alpha], bits)`` keeps (the remainder with
+    the dropped one set to zero, as ``_project`` gives it), and the
+    forbidden set is restricted through that lift, which also tests alpha:
+    one whose hyperplane lies in the forbidden set is drawn again.  The
+    last coordinate q left gives (H_qq / 2, H[:, q] / H_qq).
 
     Rational f keeps H = M / D on integers, without division: M and D are
     the rows and the scale L of ``_first_catalecticant_rows`` (its row of
@@ -544,7 +533,7 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
             w_tol = tol and _threshold(tol, a_norm)
             if scalar_is_zero(c2, w_tol and _threshold(w_tol, a_norm)):
                 continue
-            A = (_hyperplane_change(alpha, ctx.precision_bits)[1]
+            A = (_subspace_lift(len(alpha), [alpha], ctx.precision_bits)[1]
                  if V.constraints else None)
             Vr = _restrict_forbidden(V, A, len(live) - 1, ctx.precision_bits)
             if Vr is None:
@@ -736,103 +725,61 @@ def _ternary_cubic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
 
 
 def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
+    """The inductive step on an f essential in n variables.
+
+    Draws alpha, a degree-one operator whose hyperplane the forbidden set
+    does not contain and whose contraction alpha∘f is essential, decomposes
+    alpha∘f with that hyperplane forbidden too, and lifts each term (c, l)
+    to (c / (d alpha·l), l).  The remainder F2 = f - sum of the lifted
+    powers is annihilated by alpha, so ``_peel`` restricts it, and the
+    forbidden set, to its at most n - 1 essential variables; however few
+    there are, B(m, d) grows with m.  A remainder essential in all n
+    variables would recurse at the same shape, so it raises.  A constraint
+    that vanishes on a remainder subspace of dimension below n - 1 gets
+    ``_peel``'s InvalidInputError; no input is known to reach that.
+    """
     n, d = f.num_vars, f.degree
     zero_tol = _threshold(ctx.tol, _at_least_one(f.max_abs()))
-
-    alpha = None
     for attempt, height in ctx.heights():
-        cand = ctx.int_vector(n, height)
+        alpha = ctx.int_vector(n, height)
         if V.constraints and _restrict_forbidden(
-                V, _hyperplane_change(cand, ctx.precision_bits)[1], n - 1,
+                V, _subspace_lift(n, [alpha], ctx.precision_bits)[1], n - 1,
                 ctx.precision_bits) is None:
             continue
-        fprime = contract(dual_power(cand, 1), f)
-        if fprime.is_zero(zero_tol):
-            continue
-        if essential_variables(fprime, ctx.precision_bits) != n:
-            continue
-        alpha = cand
-        break
-    if alpha is None:
+        fprime = contract(dual_power(alpha, 1), f)
+        if not fprime.is_zero(zero_tol) and essential_variables(
+                fprime, ctx.precision_bits) == n:
+            break
+    else:
         raise RetryBudgetError("no usable contraction direction found", ctx.trace)
     ctx.note(f"inductive(n={n},d={d}): alpha=({','.join(str(a) for a in alpha)})")
 
-    alpha_constraint = LinearForm([Fraction(a) for a in alpha]).to_form()
     # fprime is the contraction by alpha, already tested essential
-    sub = _dispatch_essential(fprime, V.with_constraint(alpha_constraint), ctx)
-
+    sub = _dispatch_essential(fprime, V.with_constraint(
+        LinearForm([Fraction(a) for a in alpha]).to_form()), ctx)
     lifted = []
+    F2 = f
     for c, l in sub:
         dot = linalg.dot(alpha, l.coords)
         if scalar_is_zero(dot, _threshold(
                 _threshold(ctx.tol, _at_least_one(max_abs_of(l.coords))),
                 sum(abs(a) for a in alpha))):
             raise ConsistencyError("lifted term is annihilated by alpha")
-        lifted.append((c / (d * dot), l))
-    # w * l^d of each lifted term, subtracted from f on every pass below
-    lifted_powers = [linear_power(l, d).scale(w) for w, l in lifted]
-
-    T = list(range(len(lifted)))
-    beta = [Fraction(a) for a in alpha]
-    remainder_zero = False
-    F2 = None
-    kernel = None
-    while True:
-        F2 = f
-        for i in T:
-            F2 = F2 - lifted_powers[i]
-        if not F2.is_exact():
-            F2 = F2.cleaned(mpf_shift(zero_tol, -GUARD_BITS))
-        if F2.is_zero(zero_tol):
-            remainder_zero = True
-            break
-        residual = contract(dual_power(beta, 1), F2)
-        if not residual.is_zero(_threshold(
-                _threshold(zero_tol, _at_least_one(max_abs_of(beta))), d)):
-            raise ConsistencyError("carried operator stopped annihilating the remainder")
-        kernel = apolar_component(F2, 1, ctx.precision_bits)
-        if not kernel:
-            raise ConsistencyError("remainder lost its degree-one annihilator")
-        if len(kernel) == 1:
-            break
-        i = T[0]
-        li = lifted[i][1]
-        dots = [linalg.dot(LinearForm.from_form(op).coords, li.coords)
-                for op in kernel]
-        dot_scale = _threshold(ctx.tol, _at_least_one(max_abs_of(li.coords)))
-        pick = next((k for k, s in enumerate(dots) if scalar_is_zero(s, dot_scale)),
-                    None)
-        if pick is not None:
-            beta = LinearForm.from_form(kernel[pick]).coords
-        else:
-            c0 = LinearForm.from_form(kernel[0]).coords
-            c1 = LinearForm.from_form(kernel[1]).coords
-            beta = [dots[1] * a - dots[0] * b for a, b in zip(c0, c1)]
-        T.remove(i)
-        ctx.note(f"inductive: |T| -> {len(T)}")
-
-    head = [lifted[i] for i in T]
-    if remainder_zero:
+        w = c / (d * dot)
+        lifted.append((w, l))
+        F2 = F2 - linear_power(l, d).scale(w)
+    if not F2.is_exact():
+        F2 = F2.cleaned(mpf_shift(zero_tol, -GUARD_BITS))
+    if F2.is_zero(zero_tol):
         ctx.note("inductive: remainder vanished")
-        return head
-
-    if not contract(kernel[0], F2).is_zero(_threshold(ctx.tol, F2.max_abs())):
-        raise ConsistencyError("polynomial is not supported on the first variables")
-    keep, A = _hyperplane_change(LinearForm.from_form(kernel[0]).coords,
-                                 ctx.precision_bits)
-    g2 = _project(F2, keep)
-    if not g2.is_exact():
-        g2 = g2.cleaned(mpf_shift(
-            _threshold(ctx.tol, _at_least_one(g2.max_abs())), -GUARD_BITS))
-    if essential_variables(g2, ctx.precision_bits) != n - 1:
-        raise ConsistencyError("remainder is not essential in the hyperplane")
-    Vr = _restrict_forbidden(V, A, n - 1, ctx.precision_bits)
-    if Vr is None:
-        raise ConsistencyError(
-            "constraint restricts to zero on a hyperplane chosen to avoid it")
-    ctx.note(f"inductive: remainder in {n - 1} vars, |T|={len(T)}")
-    sub2 = _dispatch_essential(g2, Vr, ctx)
-    return head + _map_terms_back(sub2, A)
+        return lifted
+    if not contract(dual_power(alpha, 1), F2).is_zero(_threshold(
+            _threshold(zero_tol, _at_least_one(max_abs_of(alpha))), d)):
+        raise ConsistencyError("carried operator stopped annihilating the remainder")
+    if essential_variables(F2, ctx.precision_bits) == n:
+        raise ConsistencyError("remainder lost its degree-one annihilator")
+    ctx.note(f"inductive: remainder, |T|={len(lifted)}")
+    return lifted + _peel(F2, V, ctx, _dispatch_essential)
 
 
 # ---------------------------------------------------------------------------
@@ -908,7 +855,7 @@ def decompose_inductive(f: Form, V: ForbiddenSet | None = None,
                         seed=DEFAULT_SEED,
                         precision_bits=DEFAULT_PRECISION_BITS,
                         max_retries=DEFAULT_MAX_RETRIES) -> Decomposition:
-    """One inductive step (contract, lift, shrink, restrict) for n >= 3,
+    """One inductive step (contract, lift, split the remainder) for n >= 3,
     d >= 3 away from the ternary-cubic base case."""
     n, d = f.num_vars, f.degree
     if n < 3 or d < 3 or (n == 3 and d == 3):

@@ -295,8 +295,8 @@ def reference_quadratic_essential(f, V, ctx):
 # the columns to an invertible M with greedily chosen standard vectors,
 # invert M (over the rationals, or by complex Gauss-Jordan elimination),
 # change the coordinates of the whole form by M and drop the trailing
-# variables.  Kept as references for `apolarity._essential_split`,
-# `apolarity._subspace_lift` and `decompose._hyperplane_change`.
+# variables.  Kept as references for `apolarity._essential_split` and
+# `apolarity._subspace_lift`.
 
 
 def reference_complete_to_basis(columns_tail):

@@ -21,7 +21,6 @@ from openwaring.apolarity import (ProjPoint, _back_substitute_l2,
                                   _essential_split, _proportional_ops,
                                   _resultant_charts, _sylvester_resultant,
                                   _trim_leading)
-from openwaring.decompose import _hyperplane_change
 from openwaring.linalg import rational_det, rational_rank
 from openwaring.numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS, UniPoly,
                                  tolerance)
@@ -448,8 +447,9 @@ class TestSubspaceLift:
 
     @pytest.mark.parametrize("bits", [64, 256, 1024])
     def test_approximate_hyperplane_lifts(self, bits):
-        # the kernel vectors the inductive step restricts by: approximate
-        # entries, exact zeros where the operator has no term
+        # a single column like the kernel vector ``_essential_split`` takes
+        # from an approximate form: approximate entries, and exact zeros
+        # where ``_cleaned_kernel`` cleared the noise
         rng = random.Random(bits)
         for _ in range(40):
             n = rng.randint(2, 6)
@@ -461,7 +461,7 @@ class TestSubspaceLift:
             beta[last] = (AppComplex(1, 0, bits) if rng.random() < 0.5 else
                           AppComplex(rng.randint(1, 9), rng.randint(-9, 9), bits))
             beta[last + 1:] = [Fraction(0)] * (n - last - 1)
-            keep, A = _hyperplane_change(beta, bits)
+            keep, A = APOLARITY._subspace_lift(n, [beta], bits)
             assert keep == [i for i in range(n) if i != last]
             _, A_ref = reference_hyperplane_change(beta, bits)
             assert raw_matrix(A) == raw_matrix([row[:n - 1] for row in A_ref])
@@ -472,7 +472,7 @@ class TestSubspaceLift:
             beta = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
             if not any(beta):
                 continue
-            _, A = _hyperplane_change(beta, DEFAULT_PRECISION_BITS)
+            _, A = APOLARITY._subspace_lift(n, [beta], DEFAULT_PRECISION_BITS)
             _, A_ref = reference_hyperplane_change(beta, DEFAULT_PRECISION_BITS)
             assert raw_matrix(A) == raw_matrix([row[:n - 1] for row in A_ref])
 
@@ -834,16 +834,33 @@ class TestThresholdsAtAFixedPrecision:
     def app(self, x):
         return AppComplex(x, 0, self.BITS)
 
-    def test_apolar_component_cleaning(self):
+    def two_squares(self):
         # the Hessian of (x0 - e x2)^2 + (x1 - S x2)^2 annihilates
         # (e, S, 1), and e = 2^-128 * (1 + 2^-31) is cleaned away
         e, S = self.NEAR, self.S
         coeffs = {(2, 0, 0): 1, (1, 0, 1): -2 * e, (0, 2, 0): 1,
                   (0, 1, 1): -2 * S, (0, 0, 2): e * e + S * S}
-        f = Form(3, 2, {k: self.app(v) for k, v in coeffs.items()})
+        return Form(3, 2, {k: self.app(v) for k, v in coeffs.items()})
+
+    def test_apolar_component_cleaning(self):
+        f = self.two_squares()
         assert at_each_precision(lambda: [
             sorted(op.coeffs) for op in apolar_component(f, 1, self.BITS)]
         ) == dict.fromkeys(AMBIENT_PRECISIONS, [[(0, 0, 1), (0, 1, 0)]])
+
+    def test_essential_split_cleans_its_kernel_as_apolar_component(self):
+        # the split's kernel vector is the operator's coordinates, with an
+        # exact zero where e was
+        f = self.two_squares()
+        op, = apolar_component(f, 1, self.BITS)
+        want = [raw(x) for x in LinearForm.from_form(op).coords]
+        assert want[0] == (Fraction, 0)
+
+        def split():
+            kernel, keep, _, _ = _essential_split(f, 2, self.BITS)
+            return [raw(x) for x in kernel[0]], keep
+        assert at_each_precision(split) == dict.fromkeys(
+            AMBIENT_PRECISIONS, (want, [0, 1]))
 
     def test_essential_split_annihilation(self):
         # the kernel vector e1 contracts S x0^2 + (e / 2) x1^2 to e x1,

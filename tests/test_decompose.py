@@ -21,7 +21,8 @@ from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         essential_variables, fit_coefficients, is_forbidden,
                         linear_power, parse_form, recursion_bound)
 from openwaring import linalg
-from openwaring.decompose import (_Ctx, _coords_scale, _hyperplane_change,
+from openwaring.apolarity import _subspace_lift
+from openwaring.decompose import (_Ctx, _coords_scale,
                                   _inductive_essential, _map_terms_back,
                                   _merge_proportional, _power_of_two_near,
                                   _proportional_linear, _quadratic_essential,
@@ -89,9 +90,10 @@ class TestForbiddenSet:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_restriction_decides_whether_the_hyperplane_is_forbidden(self, data):
-        # restricting V to the hyperplane alpha . x = 0 through the lift of
-        # `_hyperplane_change` fails exactly when the substitution of the
-        # first nonzero coordinate says the hyperplane lies in V(g)
+        # restricting V to the hyperplane alpha . x = 0 through the lift
+        # `_subspace_lift` writes down for the column alpha fails exactly
+        # when the substitution of the first nonzero coordinate says the
+        # hyperplane lies in V(g)
         n = data.draw(st.integers(2, 5), label="n")
         alpha = data.draw(st.lists(st.integers(-7, 7), min_size=n, max_size=n)
                           .filter(any), label="alpha")
@@ -111,7 +113,7 @@ class TestForbiddenSet:
             h = {e: c for e, c in g.items() if c}
         V = ForbiddenSet(n, [Form(n, d, h)])
         bits = 256
-        _, A = _hyperplane_change(alpha, bits)
+        _, A = _subspace_lift(n, [alpha], bits)
         restricted = _restrict_forbidden(V, A, n - 1, bits)
         assert (restricted is None) == reference_linear_divides(
             alpha, V.constraints[0], bits)
@@ -454,98 +456,176 @@ class TestInductive:
         assert rep.passed
 
     def test_remainder_must_be_annihilated_by_its_kernel(self, rng, monkeypatch):
-        # the remainder is projected to the hyperplane only once its
-        # degree-one annihilator is checked to contract it to zero
+        # the remainder is projected to its essential coordinates only once
+        # its split's degree-one annihilator is checked to contract it to zero
         f = random_essential_form(rng, 4, 3)
         dec = decompose_inductive(f, seed=17)
-        assert any(t.startswith("inductive: remainder in") for t in dec.trace)
-        dmod = importlib.import_module("openwaring.decompose")
-        real = dmod.apolar_component
+        assert "essential-split: 4 -> 3" in dec.trace
+        real = linalg.kernel_basis
+        nudged_rows = []
 
-        def nudged(g, e, precision_bits):
-            ops = real(g, e, precision_bits)
-            if e != 1 or not ops:
-                return ops
-            return [ops[0] + DualOp(g.num_vars, 1, {(1,) + (0,) * (g.num_vars - 1):
-                                                    Fraction(1, 3)})] + ops[1:]
+        def nudged(rows, precision_bits, tol):
+            kernel = real(rows, precision_bits, tol)
+            # the split of the remainder is the only kernel of this run
+            # taken on rows in four variables (the conics of the ternary
+            # base case have six); x0 is no free coordinate of its kernel
+            if rows and len(rows[0]) == 4:
+                nudged_rows.append(rows)
+                kernel[0][0] += Fraction(1, 3)
+            return kernel
 
-        monkeypatch.setattr(dmod, "apolar_component", nudged)
+        monkeypatch.setattr(linalg, "kernel_basis", nudged)
         with pytest.raises(ConsistencyError,
                            match="^polynomial is not supported on the first variables$"):
             decompose_inductive(f, seed=17)
+        assert len(nudged_rows) == 1
 
-    def test_carried_set_shrinks_when_remainder_degenerates(self, rng,
-                                                            monkeypatch):
-        # Instrumented run: pad the inner decomposition with extra lifted
-        # terms so the remainder collapses to a single d-th power inside the
-        # contraction hyperplane (the step hands the contraction, already
-        # tested essential, to _dispatch_essential).  The carried index set
-        # must then shrink, monotonically, and the final answer must still
-        # verify.
-        import sys
-        dmod = sys.modules["openwaring.decompose"]
-
+    def test_remainder_essential_in_every_variable_raises(self, rng,
+                                                          monkeypatch):
+        # a remainder essential in all n variables would send the step back
+        # to its own shape, so it raises before any split of the remainder
         f = random_essential_form(rng, 4, 3)
+        dmod = importlib.import_module("openwaring.decompose")
+        real_count, real_peel = dmod.essential_variables, dmod._peel
+        peeled = []
+
+        def count(g, precision_bits):
+            if g.degree == f.degree:
+                return g.num_vars
+            return real_count(g, precision_bits)
+
+        def counted_peel(g, *args, **kwargs):
+            peeled.append(g)
+            return real_peel(g, *args, **kwargs)
+
+        monkeypatch.setattr(dmod, "essential_variables", count)
+        monkeypatch.setattr(dmod, "_peel", counted_peel)
+        with pytest.raises(ConsistencyError,
+                           match="^remainder lost its degree-one annihilator$"):
+            decompose_inductive(f, seed=17)
+        assert peeled == [f]
+
+    @pytest.mark.parametrize("build", ["padded", "chosen"])
+    def test_degenerate_remainder_goes_through_the_essential_split(
+            self, rng, monkeypatch, build):
+        # the remainder of the step is a single cube m^3 with m . alpha = 0,
+        # essential in one variable: it is split down to that variable, and
+        # the answer still verifies
+        dmod = importlib.import_module("openwaring.decompose")
         real_dispatch = dmod._dispatch_essential
-        state = {"armed": True}
-
-        def padded_dispatch(g, W, ctx):
-            if not state["armed"] or g.degree != 2:
-                return real_dispatch(g, W, ctx)
-            state["armed"] = False
-            # the contraction direction is the last constraint added to W
-            alpha = [Fraction(0)] * 4
-            for expo, c in W.constraints[-1].coeffs.items():
-                alpha[expo.index(1)] = c
-            i1 = max(range(4), key=lambda i: abs(alpha[i]))
-            i0 = (i1 + 1) % 4
-            m = [Fraction(0)] * 4
-            m[i0], m[i1] = alpha[i1], -alpha[i0]
-            target = linear_power(LinearForm(m), 3)
-            inner = real_dispatch(g, W, ctx)
-            lift_sum = Form(4, 3, {})
-            for c, l in inner:
-                dot = sum(a * x for a, x in zip(alpha, l.coords))
-                lift_sum = lift_sum + linear_power(l, 3).scale(c / (3 * dot))
-            # pad with a presentation of (remainder - target), re-scaled so
-            # the lifting step reproduces it exactly; the remainder lives in
-            # the contraction hyperplane, so shift it off by a generic cube
-            h = f - lift_sum - target
-            l0 = None
-            for probe in ([1, 1, 1, 1], [1, 2, 1, 1], [2, 1, 1, 3], [1, 1, 2, 5]):
-                cand = LinearForm([Fraction(x) for x in probe])
-                if sum(a * x for a, x in zip(alpha, cand.coords)) == 0:
-                    continue
-                if essential_variables(h + linear_power(cand, 3)) == 4:
-                    l0 = cand
-                    break
-            assert l0 is not None
-            extras = []
-            for c, l in real_dispatch(h + linear_power(l0, 3), W, ctx):
-                dot = sum(a * x for a, x in zip(alpha, l.coords))
-                extras.append((c * 3 * dot, l))
-            dot0 = sum(a * x for a, x in zip(alpha, l0.coords))
-            extras.append((Fraction(-3) * dot0, l0))
-            return inner + extras
-
-        monkeypatch.setattr(dmod, "_dispatch_essential", padded_dispatch)
-        dec = decompose_inductive(f, seed=31)
+        if build == "padded":
+            f, V, seed, dispatch = _padded_inductive_case(rng, real_dispatch)
+        else:
+            f, V, seed, dispatch = _chosen_inductive_case(real_dispatch)
+        monkeypatch.setattr(dmod, "_dispatch_essential", dispatch)
+        dec = decompose_inductive(f, V, seed=seed)
         monkeypatch.setattr(dmod, "_dispatch_essential", real_dispatch)
-        # the padding deliberately wrecks term economy, so only the
-        # reconstruction and the shrink behaviour are asserted here
-        rep = check_decomposition(f, dec)
-        assert rep.residual <= mpf(2) ** -128
-        assert not rep.forbidden_violations
-        sizes = [int(t.rsplit(" ", 1)[1]) for t in dec.trace
-                 if t.startswith("inductive: |T| ->")]
-        assert sizes, "the carried index set never shrank"
-        assert sizes == sorted(sizes, reverse=True)
+        assert "essential-split: 4 -> 1" in dec.trace
+        rep = check_decomposition(f, dec, V)
+        assert rep.residual_ok and not rep.forbidden_violations
+        if build == "chosen":
+            # the padding deliberately wrecks term economy; the chosen
+            # decomposition keeps within the bound
+            assert rep.passed and rep.exact
+            assert dec.term_count == 5 <= recursion_bound(4, 3, "improved")
 
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):
             decompose_inductive(parse_form("x0^3 + x1^3 + x2^3", 3))
         with pytest.raises(InvalidInputError):
             decompose_inductive(parse_form("x0^2 + x1^2 + x2^2 + x3^2", 4))
+
+
+def _alpha_of(W):
+    """The contraction direction of an inductive step: the constraint it
+    adds last to the forbidden set of alpha∘f."""
+    alpha = [Fraction(0)] * W.num_vars
+    for expo, c in W.constraints[-1].coeffs.items():
+        alpha[expo.index(1)] = c
+    return alpha
+
+
+def _in_alpha_hyperplane(alpha):
+    """A nonzero m with m . alpha = 0 on two coordinates."""
+    i1 = max(range(len(alpha)), key=lambda i: abs(alpha[i]))
+    i0 = (i1 + 1) % len(alpha)
+    m = [Fraction(0)] * len(alpha)
+    m[i0], m[i1] = alpha[i1], -alpha[i0]
+    return LinearForm(m)
+
+
+def _padded_inductive_case(rng, real_dispatch):
+    """(f, V, seed, dispatch): the inner decomposition of alpha∘f padded
+    with extra lifted terms, so that the remainder collapses to a single
+    cube inside the contraction hyperplane (the step hands the
+    contraction, already tested essential, to _dispatch_essential)."""
+    f = random_essential_form(rng, 4, 3)
+    state = {"armed": True}
+
+    def padded_dispatch(g, W, ctx):
+        if not state["armed"] or g.degree != 2:
+            return real_dispatch(g, W, ctx)
+        state["armed"] = False
+        alpha = _alpha_of(W)
+        target = linear_power(_in_alpha_hyperplane(alpha), 3)
+        inner = real_dispatch(g, W, ctx)
+        lift_sum = Form(4, 3, {})
+        for c, l in inner:
+            dot = sum(a * x for a, x in zip(alpha, l.coords))
+            lift_sum = lift_sum + linear_power(l, 3).scale(c / (3 * dot))
+        # pad with a presentation of (remainder - target), re-scaled so
+        # the lifting step reproduces it exactly; the remainder lives in
+        # the contraction hyperplane, so shift it off by a generic cube
+        h = f - lift_sum - target
+        l0 = None
+        for probe in ([1, 1, 1, 1], [1, 2, 1, 1], [2, 1, 1, 3], [1, 1, 2, 5]):
+            cand = LinearForm([Fraction(x) for x in probe])
+            if sum(a * x for a, x in zip(alpha, cand.coords)) == 0:
+                continue
+            if essential_variables(h + linear_power(cand, 3)) == 4:
+                l0 = cand
+                break
+        assert l0 is not None
+        extras = []
+        for c, l in real_dispatch(h + linear_power(l0, 3), W, ctx):
+            dot = sum(a * x for a, x in zip(alpha, l.coords))
+            extras.append((c * 3 * dot, l))
+        dot0 = sum(a * x for a, x in zip(alpha, l0.coords))
+        extras.append((Fraction(-3) * dot0, l0))
+        return inner + extras
+
+    return f, None, 31, padded_dispatch
+
+
+def _chosen_inductive_case(real_dispatch):
+    """(f, V, seed, dispatch): f = l1^3 + ... + l4^3 + m^3 with m . alpha = 0
+    for the alpha the step draws first at the seed, a forbidden hyperplane
+    that none of them lies in, and a dispatch that hands back the
+    decomposition sum 3 (alpha . l_i) l_i^2 of alpha∘f, which lifts to the
+    l_i^3 and leaves m^3."""
+    seed = 31
+    alpha = _Ctx(random.Random(seed), 256, 1).int_vector(4, 8)
+    m = _in_alpha_hyperplane([Fraction(a) for a in alpha])
+    ls = [LinearForm([Fraction(x) for x in row])
+          for row in ([1, 2, 0, 1], [0, 1, 3, 1], [2, 0, 1, 1], [1, 1, 1, 3])]
+    assert linalg.rational_det([list(l.coords) for l in ls]) != 0
+    dots = [sum(a * x for a, x in zip(alpha, l.coords)) for l in ls]
+    assert all(dots)
+    f = sum((linear_power(l, 3) for l in ls), linear_power(m, 3))
+    h = LinearForm([Fraction(x) for x in (1, 2, -3, 5)])
+    V = ForbiddenSet(4, [h.to_form()])
+    assert not any(is_forbidden(l, V) for l in ls + [m])
+
+    def chosen_dispatch(g, W, ctx):
+        if g.degree != 2:
+            return real_dispatch(g, W, ctx)
+        assert _alpha_of(W) == list(alpha)
+        sub = [(3 * dot, l) for dot, l in zip(dots, ls)]
+        assert sum((linear_power(l, 2).scale(c) for c, l in sub),
+                   Form(4, 2, {})) == g
+        return sub
+
+    return f, V, seed, chosen_dispatch
 
 
 class TestDispatcher:

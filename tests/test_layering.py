@@ -267,8 +267,7 @@ RESTRICTION_BY_INVERSE = {"complete_to_basis", "invert_matrix",
                           "restrict_to_prefix"}
 
 #: the steps that restrict a form to a subspace and lift its terms back
-SUBSPACE_STEPS = {"_essential_split", "_peel", "_hyperplane_change",
-                  "_inductive_essential"}
+SUBSPACE_STEPS = {"_essential_split", "_peel", "_inductive_essential"}
 
 
 def test_subspace_restrictions_are_projections():
@@ -285,6 +284,22 @@ def test_subspace_restrictions_are_projections():
     assert set(steps) == SUBSPACE_STEPS
     assert {name for name, node in steps.items()
             if "change_coordinates" in _names_in(node)} == set()
+
+
+#: the pieces of an essential split: the degree-one kernel, the projection
+#: to the kept coordinates and the map of the terms back
+SPLIT_PIECES = {"apolar_component", "_project", "_map_terms_back"}
+
+
+def test_inductive_remainder_is_split_by_peel():
+    # the inductive step hands its remainder to ``_peel``, so the
+    # remainder's restriction has one copy, in the essential split
+    step = next(n for n in _parsed()["decompose"].body
+                if isinstance(n, ast.FunctionDef)
+                and n.name == "_inductive_essential")
+    names = _names_in(step)
+    assert "_peel" in names
+    assert names & SPLIT_PIECES == set()
 
 
 #: second copies folded into the routine that does the same job: the
