@@ -138,8 +138,12 @@ def apolar_component(f: Form, e: int,
     """Basis of the degree-e annihilator of f, as DualOps.
 
     Exact rational vectors for rational f; each basis element contracts f
-    to zero (exactly, or within tolerance for approximate input).
+    to zero (exactly, or within tolerance for approximate input).  The
+    degree-one piece is the kernel f keeps (``_degree_one_kernel``).
     """
+    if e == 1:
+        return [DualOp(f.num_vars, 1, dict(zip(monomials_of_degree(f.num_vars, 1), v)))
+                for v in _degree_one_kernel(f, precision_bits)]
     cat = catalecticant(f, e)
     rows = linalg.transpose([list(r) for r in cat.entries])
     return [DualOp(f.num_vars, e, dict(zip(cat.row_labels, vec)))
@@ -166,42 +170,44 @@ def essential_variables(f, precision_bits=DEFAULT_PRECISION_BITS) -> int:
     """Rank of the first catalecticant: the minimal number of variables f
     can be written in after a linear change of coordinates.
 
-    For rational f the rank is read off the integer rows of
-    ``_first_catalecticant_rows``, transposed to one row per variable: the
-    catalecticant up to the scale L and its zero columns.  It is reduced
-    once per Form object and kept on it (``_kept``), so the pipeline, its
-    own certificate and a caller's ``check_decomposition`` of the same form
-    share one reduction; this relies on a Form's ``coeffs`` never being
-    mutated.  Approximate f takes the thresholded rank of
-    ``catalecticant(f, 1)`` on every call, since it depends on
-    ``precision_bits``.
+    It is n minus the dimension of the degree-one kernel f keeps
+    (``_degree_one_kernel``), so the count, the split and
+    ``apolar_component(f, 1)`` read one reduction.
     """
     if f.is_zero():
         raise InvalidInputError("the zero form has no essential variable count")
     if f.degree == 0:
         return 0
-    if f.is_exact():
-        kept = _kept(f)
-        if "rank" not in kept:
-            rows = _first_catalecticant_rows(f)[1]
-            kept["rank"] = linalg.rational_rank(
-                linalg.transpose(list(rows.values())))
-        return kept["rank"]
-    return catalecticant(f, 1).rank(precision_bits)
+    return f.num_vars - len(_degree_one_kernel(f, precision_bits))
+
+
+def _degree_one_kernel(f: Form, precision_bits):
+    """``_cleaned_kernel`` of the first catalecticant's transpose, as
+    tuples, kept on f (``_kept``) once, or once per ``precision_bits`` for
+    approximate f.  Rational f reduces the rows of
+    ``_first_catalecticant_rows`` (the zero form has none, and takes the
+    catalecticant's zero matrix); for degree 0 ``catalecticant`` raises."""
+    exact = f.is_exact()
+    key = "kernel" if exact else ("kernel", precision_bits)
+    kept = _kept(f)
+    if key not in kept:
+        if exact and f.degree > 0 and f.coeffs:
+            rows = list(_first_catalecticant_rows(f)[1].values())
+        else:
+            rows = linalg.transpose([list(r) for r in catalecticant(f, 1).entries])
+        kept[key] = tuple(tuple(v) for v in _cleaned_kernel(rows, precision_bits))
+    return kept[key]
 
 
 def _kept(f):
-    """The dict that keeps, on the rational form f itself, what its first
-    catalecticant gives: "rows", the (L, rows) of
-    ``_first_catalecticant_rows``, and "rank", the rank of
-    ``essential_variables``.
+    """The dict that keeps, on f itself, "rows", the (L, rows) of
+    ``_first_catalecticant_rows``, and the ``_degree_one_kernel``, under
+    "kernel" for rational f and ("kernel", precision_bits) otherwise.
 
     It lives in f's own ``__dict__`` under ``_first_catalecticant``, so it
     lasts exactly as long as f, and an equal Form built apart computes its
     own.  This is sound because a Form's ``coeffs`` are never mutated after
-    construction: every operation on forms builds a new one.  Approximate
-    forms are never kept, since their rank depends on ``precision_bits``.
-    The kept values are shared, so no caller may change them.
+    construction.  The kept values are shared tuples, never changed.
     """
     kept = f.__dict__.get("_first_catalecticant")
     if kept is None:
@@ -221,9 +227,8 @@ def _first_catalecticant_rows(f: Form):
     row echelon form, so the kernel is the catalecticant's, bit for bit.
     For d = 2 the row of b = e_j is row j of L times the Hessian of f.
 
-    The rows are built once per Form object and kept on it (``_kept``),
-    which relies on a Form's ``coeffs`` never being mutated.  They are
-    tuples, so a caller that updates rows in place must copy them first.
+    The rows are kept on f (``_kept``), so a caller that updates rows in
+    place must copy them first.
     """
     kept = _kept(f)
     if "rows" in kept:
@@ -253,48 +258,36 @@ def essential_split(f: Form, precision_bits=DEFAULT_PRECISION_BITS):
     ``_essential_split``, then its left-kernel basis K.  M is exact
     rational for rational f.
     """
+    if f.is_zero():
+        raise InvalidInputError("the zero form has no essential variable count")
     n = f.num_vars
-    kernel, keep, _, g = _essential_split(
-        f, essential_variables(f, precision_bits), precision_bits)
+    kernel, keep, _, g = _essential_split(f, precision_bits)
     units = [[Fraction(int(i == k)) for i in range(n)] for k in keep]
-    return linalg.transpose(units + kernel), g
+    return linalg.transpose(units + list(kernel)), g
 
 
-def _essential_split(f: Form, m: int, precision_bits):
-    """(K, keep, A, g) for f with m = essential_variables(f).
+def _essential_split(f: Form, precision_bits):
+    """(K, keep, A, g) for f: K the ``_degree_one_kernel`` f keeps, so
+    len(keep) = n - len(K) = essential_variables(f).
 
-    K is the left-kernel basis of the first catalecticant, the operators of
-    degree one that annihilate f: the right kernel of its transpose, whose
-    rows rational f takes from ``_first_catalecticant_rows``, as kept on f
-    when ``essential_variables`` built them.  The kernel is a reduction of
-    its own, so the dimension test below still compares two.  It is
-    cleaned as ``apolar_component`` cleans its operators
-    (``_cleaned_kernel``): an approximate vector's entries at or below
-    tolerance(bits) * max|v| become exact zeros, so no noise coordinate
-    becomes a column's last nonzero one in the lift.  A kernel
-    vector's products with those rows are the coefficients of its
-    contraction with f, which g leaves out, so each must vanish: exactly,
-    on integers, for rational f (the vector cleared of its denominators,
-    its zero entries skipped), and within tolerance otherwise.
-    ``(keep, A) = _subspace_lift(K)``, and g is f on the coordinates
-    ``keep``, the others set to zero.
+    A kernel vector's products with the catalecticant's transpose are the
+    coefficients of its contraction with f, which g leaves out, so each
+    must vanish, which certifies K: exactly, on the integer rows of
+    ``_first_catalecticant_rows``, for rational f (the vector cleared of
+    its denominators, its zero entries skipped), and within tolerance on
+    ``catalecticant(f, 1)`` otherwise.  ``(keep, A) = _subspace_lift(K)``,
+    and g is f on the coordinates ``keep``, the others set to zero.
     """
     n = f.num_vars
-    # degree 0 has no first catalecticant, which ``catalecticant`` reports
-    exact = f.degree > 0 and f.is_exact()
-    if exact:
+    kernel = _degree_one_kernel(f, precision_bits)
+    if f.is_exact():
         rows = list(_first_catalecticant_rows(f)[1].values())
-    else:
-        rows = linalg.transpose([list(r) for r in catalecticant(f, 1).entries])
-    kernel = _cleaned_kernel(rows, precision_bits)
-    if len(kernel) != n - m:
-        raise ConsistencyError("left kernel dimension disagrees with the rank")
-    if exact:
         cleared = [linalg._clear_denominators(v)[1] for v in kernel]
         supports = [[(i, x) for i, x in enumerate(v) if x] for v in cleared]
         annihilates = not any(sum(row[i] * x for i, x in support)
                               for support in supports for row in rows)
     else:
+        rows = linalg.transpose([list(r) for r in catalecticant(f, 1).entries])
         tol = _threshold(tolerance(precision_bits), f.max_abs())
         annihilates = all(scalar_is_zero(x, tol)
                           for v in kernel for x in linalg.mat_vec(rows, v))
@@ -440,11 +433,17 @@ def base_points(f: Form, e: int, precision_bits=DEFAULT_PRECISION_BITS,
     Candidates come from intersecting two random rational combinations of
     the kernel basis; each candidate is certified against the whole basis.
     An empty list means the system is base-point free within tolerance.
+    A caller that holds ``apolar_component(f, e)`` calls ``_base_points``.
     """
     n = f.num_vars
     if n > 3:
         raise InvalidInputError("base point detection is implemented for n <= 3")
-    basis = apolar_component(f, e, precision_bits)
+    return _base_points(apolar_component(f, e, precision_bits), n,
+                        precision_bits, seed, max_retries)
+
+
+def _base_points(basis, n, precision_bits, seed, max_retries):
+    """``base_points`` on the annihilator basis of a form in n variables."""
     if not basis:
         raise InvalidInputError("the degree-e annihilator is zero")
     if n == 1:

@@ -32,13 +32,13 @@ from mpmath.libmp import (fone, from_int, mpc_pow_mpf, mpf_div, mpf_gt,
 
 from . import linalg
 from .apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED, apolar_component,
-                        base_points, catalecticant, essential_variables,
-                        _back_substitute_l2, _binary_dual_roots,
+                        catalecticant, essential_variables,
+                        _back_substitute_l2, _base_points, _binary_dual_roots,
                         _chart_map, _combine_ops, _coordinate_changes,
-                        _dedupe_points, _distinct_roots, _essential_split,
-                        _first_catalecticant_rows, _op_vanishes_at,
-                        _resultant_charts, _sorted_points, _subspace_lift,
-                        _vanishing_tolerances)
+                        _dedupe_points, _degree_one_kernel, _distinct_roots,
+                        _essential_split, _first_catalecticant_rows,
+                        _op_vanishes_at, _resultant_charts, _sorted_points,
+                        _subspace_lift, _vanishing_tolerances)
 from .errors import (CommonComponentError, ConsistencyError,
                      DegenerateSystemError, InvalidInputError, NoFitError,
                      NonTransversalError, RetryBudgetError)
@@ -424,7 +424,7 @@ def _peel(f: Form, V: ForbiddenSet, ctx: _Ctx, essential, need=None):
     if m == n:
         return essential(f, V, ctx)
     ctx.note(f"essential-split: {n} -> {m}")
-    _, _, A, g = _essential_split(f, m, ctx.precision_bits)
+    _, _, A, g = _essential_split(f, ctx.precision_bits)
     Vr = _restrict_forbidden(V, A, m, ctx.precision_bits)
     if Vr is None:
         raise InvalidInputError(
@@ -490,8 +490,9 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     kernel of the live block and adds v (c != 0), so it lowers the rank by
     exactly one, and the block annihilates v, which is nonzero at the
     dropped coordinate, so dropping it keeps the rank.  So on integers the
-    rank of H is taken once, before the first square, and the guard fires
-    at the first check iff H is singular.  Approximate H takes the
+    guard fires at the first check iff H is singular, that is iff f keeps
+    a nonzero degree-one kernel (``_degree_one_kernel``, the kernel of H),
+    which ``_peel`` has already reduced.  Approximate H takes the
     thresholded rank of each block.
     """
     n = f.num_vars
@@ -502,7 +503,6 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
              for j in range(n)]
     else:
         H = [list(row) for row in catalecticant(f, 1).entries]
-    singular = exact and linalg.rational_rank(H) != n
     live = list(range(n))
     terms = []
     while True:
@@ -574,9 +574,9 @@ def _quadratic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         if _live_is_zero(H, live, tol):
             return terms
         del live[max(k for k, a in enumerate(alpha) if a)]
-        if (singular if exact else linalg.matrix_rank(
-                [[H[i][j] for j in live] for i in live],
-                ctx.precision_bits, ctx.tol) != len(live)):
+        if (bool(_degree_one_kernel(f, ctx.precision_bits)) if exact
+                else linalg.matrix_rank([[H[i][j] for j in live] for i in live],
+                                        ctx.precision_bits, ctx.tol) != len(live)):
             raise ConsistencyError("quadratic remainder has unexpected rank")
         V = Vr
 
@@ -647,8 +647,8 @@ def _binary_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
 # --- ternary cubics ---
 
 
-def _ternary_good(f: Form, V: ForbiddenSet, ctx: _Ctx):
-    basis = apolar_component(f, 2, ctx.precision_bits)
+def _ternary_good(f: Form, basis, V: ForbiddenSet, ctx: _Ctx):
+    """f fitted on four base points of a pencil of its conics ``basis``."""
     if len(basis) < 2:
         raise DegenerateSystemError("conic system of the cubic is too small")
     for attempt, height in ctx.heights():
@@ -687,14 +687,15 @@ def _power_of_two_near(r) -> Fraction:
 
 
 def _ternary_cubic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
-    # the perturbing cube w * l^3 is scaled to f (w a power of two), so that
-    # f stays well above the tolerance of f + w * l^3 at any scale of f
+    # each cubic's degree-two annihilator serves its base points and its
+    # pencils; the perturbing cube w * l^3 is scaled to f (w a power of
+    # two), so f stays above the tolerance of f + w * l^3 at any scale
     bp_seed = ctx.rng.randrange(1 << 30)
-    bp = base_points(f, 2, ctx.precision_bits, seed=bp_seed,
-                     max_retries=ctx.max_retries)
+    basis = apolar_component(f, 2, ctx.precision_bits)
+    bp = _base_points(basis, 3, ctx.precision_bits, bp_seed, ctx.max_retries)
     if not bp:
         ctx.note("ternary: base-point free")
-        return _ternary_good(f, V, ctx)
+        return _ternary_good(f, basis, V, ctx)
     ctx.note(f"ternary: {len(bp)} base point(s); perturbing by a cube")
     for attempt, height in ctx.heights():
         coords = ctx.int_vector(3, height)
@@ -709,13 +710,12 @@ def _ternary_cubic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         f2 = f + cube.scale(w)
         if f2.is_zero() or essential_variables(f2, ctx.precision_bits) != 3:
             continue
-        bp2 = base_points(f2, 2, ctx.precision_bits,
-                          seed=ctx.rng.randrange(1 << 30),
-                          max_retries=ctx.max_retries)
-        if bp2:
+        basis2 = apolar_component(f2, 2, ctx.precision_bits)
+        if _base_points(basis2, 3, ctx.precision_bits,
+                        ctx.rng.randrange(1 << 30), ctx.max_retries):
             continue
         ctx.note(f"ternary: perturbation l=({','.join(str(c) for c in coords)})")
-        good = _ternary_good(f2, V, ctx)
+        good = _ternary_good(f2, basis2, V, ctx)
         return good + [(-w, l)]
     raise RetryBudgetError("perturbation sampling exhausted its retry budget",
                            ctx.trace)

@@ -198,9 +198,9 @@ class Form(_SparsePoly):
 
     A Form is immutable, and its ``coeffs`` dict is never mutated after
     construction: every operation builds a new Form.  ``apolarity`` relies
-    on that to keep the integer rows and the rank of a rational form's
-    first catalecticant on the Form object itself (``apolarity._kept``),
-    computed once however often the pipeline and the certificate ask.
+    on that to keep what the first catalecticant gives on the Form object
+    itself (``apolarity._kept``): a rational form's integer rows, and its
+    degree-one kernel, once (once per precision for an approximate form).
     """
 
 

@@ -322,7 +322,7 @@ class TestFirstCatalecticantRows:
     def test_rank_kernel_and_split_match_the_fraction_catalecticant(self, f):
         m = sympy.Matrix(catalecticant(f, 1).entries).rank()
         assert essential_variables(f) == m
-        kernel = APOLARITY._essential_split(f, m, DEFAULT_PRECISION_BITS)[0]
+        kernel = APOLARITY._essential_split(f, DEFAULT_PRECISION_BITS)[0]
         assert raw_matrix(kernel) == raw_matrix(reference_first_kernel(f))
         M, g = essential_split(f)
         M_ref, g_ref = reference_essential_split(f, m)
@@ -371,8 +371,8 @@ def kept_forms(draw):
     return draw(non_essential_forms().filter(lambda g: g.degree >= 2))
 
 
-#: the attribute of a rational Form on which ``apolarity._kept`` keeps its
-#: first catalecticant's rows and rank
+#: the attribute of a Form on which ``apolarity._kept`` keeps its first
+#: catalecticant's rows and its degree-one kernel
 KEPT = "_first_catalecticant"
 
 
@@ -380,22 +380,24 @@ class TestKeptCatalecticant:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(kept_forms())
-    def test_kept_rank_matches_sympy_and_a_fresh_form(self, f):
+    def test_kept_kernel_matches_sympy_and_a_fresh_form(self, f):
         m = sympy.Matrix(catalecticant(f, 1).entries).rank()
         assert KEPT not in f.__dict__
         assert essential_variables(f) == m
         kept = f.__dict__[KEPT]
-        assert kept["rank"] == m
+        assert len(kept["kernel"]) == f.num_vars - m
+        assert all(type(v) is tuple for v in kept["kernel"])
         assert essential_variables(f) == m
         fresh = Form(f.num_vars, f.degree, dict(f.coeffs))
         assert KEPT not in fresh.__dict__
         assert essential_variables(fresh) == m
         assert fresh.__dict__[KEPT] is not kept
+        assert fresh.__dict__[KEPT]["kernel"] == kept["kernel"]
         assert APOLARITY._first_catalecticant_rows(fresh) == kept["rows"]
 
-    def test_each_form_reduces_its_rank_once(self, monkeypatch):
-        # the pipeline's split, its own certificate and the caller's check
-        # share one rank; the split's kernel stays a reduction of its own
+    def test_each_form_reduces_its_first_catalecticant_once(self, monkeypatch):
+        # the pipeline's split, its own certificate, the caller's check and
+        # the degree-one annihilator share one kernel
         f = parse_form("x0^3 + x1^3 + x2^3 + x0*x1*x3 + x1*x3^2 + 2*x0*x1^2", 5)
         dec = decompose(f)
         reductions = []
@@ -408,23 +410,115 @@ class TestKeptCatalecticant:
         monkeypatch.setattr(linalg, "_reduce", counted)
         assert check_decomposition(f, dec).passed
         assert essential_variables(f) == 4
+        kernel, keep, _, g = _essential_split(f, DEFAULT_PRECISION_BITS)
+        assert len(apolar_component(f, 1)) == len(kernel) == 1 and len(keep) == 4
         assert reductions == []
-        kernel, keep, _, g = _essential_split(f, 4, DEFAULT_PRECISION_BITS)
-        assert len(reductions) == 1 and len(kernel) == 1 and len(keep) == 4
         essential_variables(g)
-        assert len(reductions) == 2
+        assert len(reductions) == 1
 
     @pytest.mark.parametrize("bits", [64, 128, 256])
-    def test_approximate_forms_keep_nothing(self, rng, bits):
-        # their rank depends on precision_bits
+    def test_approximate_forms_keep_one_kernel_per_precision(self, rng, bits):
+        # their kernel depends on their coefficients and precision_bits
+        other = 128 if bits == 64 else 64
         for n, d in ((3, 2), (3, 3), (4, 3)):
             exact = random_form(rng, n, d)
             f = Form(n, d, {e: AppComplex(c, 0, bits)
                             for e, c in exact.coeffs.items()})
             assert essential_variables(f, bits) == essential_variables(exact)
+            kept = f.__dict__[KEPT]
             essential_split(f, bits)
             assert decompose(f, precision_bits=bits).report.passed
-            assert KEPT not in f.__dict__
+            assert list(kept) == [("kernel", bits)]
+            assert essential_variables(f, other) == essential_variables(exact)
+            assert list(kept) == [("kernel", bits), ("kernel", other)]
+
+
+@st.composite
+def degree_one_forms(draw):
+    """A rational form with n = 1..6 and d = 1..4: dense, on a few
+    monomials, or g(Tx) in fewer essential variables."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    monomials = monomials_of_degree(n, d)
+    support = draw(st.one_of(
+        st.just(monomials),
+        st.lists(st.sampled_from(monomials), min_size=1, max_size=6,
+                 unique=True)))
+    coeff = st.fractions(-99, 99, max_denominator=12).filter(bool)
+    f = Form(n, d, {expo: draw(coeff) for expo in support})
+    if n == 1 or draw(st.booleans()):
+        return f
+    return draw(non_essential_forms())
+
+
+def first_kernel_reductions(f, monkeypatch):
+    """A list that, once f's rows are built, counts the ``linalg._reduce``
+    calls made from now on upon exactly f's kept integer rows."""
+    calls = []
+    real = linalg._reduce
+
+    def recorded(rows):
+        calls.append(list(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "_reduce", recorded)
+
+    def count():
+        kept = list(APOLARITY._first_catalecticant_rows(f)[1].values())
+        return sum(len(rows) == len(kept) and all(
+            a is b for a, b in zip(rows, kept)) for rows in calls)
+    return count
+
+
+class TestDegreeOneKernel:
+    """The degree-one kernel a form keeps, against the catalecticant it
+    stands for."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(degree_one_forms())
+    def test_kernel_and_count_match_the_catalecticant(self, f):
+        n = f.num_vars
+        rows = linalg.transpose([list(r) for r in catalecticant(f, 1).entries])
+        want = APOLARITY._cleaned_kernel(rows, DEFAULT_PRECISION_BITS)
+        units = monomials_of_degree(n, 1)
+        got = [[op.coeffs.get(u, Fraction(0)) for u in units]
+               for op in apolar_component(f, 1)]
+        assert raw_matrix(got) == raw_matrix(want)
+        assert raw_matrix(APOLARITY._degree_one_kernel(
+            f, DEFAULT_PRECISION_BITS)) == raw_matrix(want)
+        assert essential_variables(f) == \
+            sympy.Matrix(catalecticant(f, 1).entries).rank() == n - len(want)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(degree_one_forms())
+    def test_one_approximate_form_keeps_each_precision_apart(self, f):
+        # the coefficients are rounded at 64 bits, so the kernel's entries
+        # carry the precision asked for, and above 64 bits the rounding
+        # may make the form essential
+        n, d = f.num_vars, f.degree
+        coeffs = {e: AppComplex(c, 0, 64) for e, c in f.coeffs.items()}
+        g = Form(n, d, coeffs)
+        assert essential_variables(g, 64) == essential_variables(f)
+        for bits in (128, 256, 64):
+            fresh = Form(n, d, coeffs)
+            assert essential_variables(g, bits) == essential_variables(fresh, bits)
+            assert raw_matrix(APOLARITY._degree_one_kernel(g, bits)) == \
+                raw_matrix(APOLARITY._degree_one_kernel(fresh, bits))
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much,
+                                     HealthCheck.function_scoped_fixture])
+    @given(degree_one_forms())
+    def test_decompose_check_and_split_reduce_the_rows_once(self, monkeypatch, f):
+        with monkeypatch.context() as patch:
+            reductions = first_kernel_reductions(f, patch)
+            dec = decompose(f)
+            assert check_decomposition(f, dec).passed
+            M, g = essential_split(f)
+            assert g.num_vars == essential_variables(f)
+            assert reductions() == 1
 
 
 class TestSubspaceLift:
@@ -439,7 +533,7 @@ class TestSubspaceLift:
         assert list(g.coeffs) == list(g_ref.coeffs)
         assert [raw(c) for c in g.coeffs.values()] == \
             [raw(c) for c in g_ref.coeffs.values()]
-        _, keep, A, g_split = APOLARITY._essential_split(f, m, DEFAULT_PRECISION_BITS)
+        _, keep, A, g_split = APOLARITY._essential_split(f, DEFAULT_PRECISION_BITS)
         assert g_split == g and len(keep) == m
         inverse = reference_rational_inverse(M_ref)
         assert raw_matrix(A) == [[raw(inverse[k][p]) for k in range(m)]
@@ -489,8 +583,9 @@ class TestSubspaceLift:
                                                 4, 256)])
     def test_a_kernel_vector_that_does_not_annihilate_is_caught(
             self, monkeypatch, form, n, bits):
+        # the nudge is in place before f's first reduction, which f keeps
         f = parse_form(form, n)
-        m = essential_variables(f)
+        m = essential_variables(parse_form(form, n))
         real_kernel = linalg.kernel_basis
 
         def perturbed(rows, precision_bits, tol):
@@ -512,11 +607,13 @@ class TestSubspaceLift:
     def test_approximate_kernels_are_checked_within_tolerance(self, monkeypatch, bits):
         # x0^2 + x1^2 in three variables, with approximate coefficients:
         # the kernel is e2; a nudge below tolerance(bits) * max|f| passes,
-        # one above it does not
-        f = Form(3, 2, {(2, 0, 0): AppComplex(1, 0, bits),
-                        (0, 2, 0): AppComplex(1, 0, bits)})
+        # one above it does not; each nudge reaches a fresh form's first
+        # reduction, which that form keeps
         real_kernel = linalg.kernel_basis
         for nudge, fails in ((tolerance(bits) / 8, False), (tolerance(bits) * 8, True)):
+            f = Form(3, 2, {(2, 0, 0): AppComplex(1, 0, bits),
+                            (0, 2, 0): AppComplex(1, 0, bits)})
+
             def perturbed(rows, precision_bits, tol, nudge=nudge):
                 kernel = real_kernel(rows, precision_bits, tol)
                 kernel[0][0] = kernel[0][0] + AppComplex(nudge, 0, bits)
@@ -843,21 +940,21 @@ class TestThresholdsAtAFixedPrecision:
         return Form(3, 2, {k: self.app(v) for k, v in coeffs.items()})
 
     def test_apolar_component_cleaning(self):
-        f = self.two_squares()
+        # a form keeps its kernel, so each precision reduces a fresh one
         assert at_each_precision(lambda: [
-            sorted(op.coeffs) for op in apolar_component(f, 1, self.BITS)]
+            sorted(op.coeffs)
+            for op in apolar_component(self.two_squares(), 1, self.BITS)]
         ) == dict.fromkeys(AMBIENT_PRECISIONS, [[(0, 0, 1), (0, 1, 0)]])
 
     def test_essential_split_cleans_its_kernel_as_apolar_component(self):
         # the split's kernel vector is the operator's coordinates, with an
         # exact zero where e was
-        f = self.two_squares()
-        op, = apolar_component(f, 1, self.BITS)
+        op, = apolar_component(self.two_squares(), 1, self.BITS)
         want = [raw(x) for x in LinearForm.from_form(op).coords]
         assert want[0] == (Fraction, 0)
 
         def split():
-            kernel, keep, _, _ = _essential_split(f, 2, self.BITS)
+            kernel, keep, _, _ = _essential_split(self.two_squares(), self.BITS)
             return [raw(x) for x in kernel[0]], keep
         assert at_each_precision(split) == dict.fromkeys(
             AMBIENT_PRECISIONS, (want, [0, 1]))
@@ -865,9 +962,11 @@ class TestThresholdsAtAFixedPrecision:
     def test_essential_split_annihilation(self):
         # the kernel vector e1 contracts S x0^2 + (e / 2) x1^2 to e x1,
         # within tol * max|f|
-        f = Form(2, 2, {(2, 0): self.app(self.S), (0, 2): self.app(self.NEAR / 2)})
+        def f():
+            return Form(2, 2, {(2, 0): self.app(self.S),
+                               (0, 2): self.app(self.NEAR / 2)})
         assert at_each_precision(
-            lambda: len(_essential_split(f, 1, self.BITS)[0])) == dict.fromkeys(
+            lambda: len(_essential_split(f(), self.BITS)[0])) == dict.fromkeys(
             AMBIENT_PRECISIONS, 1)
 
     def test_proportional_ops(self):

@@ -466,18 +466,20 @@ class TestInductive:
 
         def nudged(rows, precision_bits, tol):
             kernel = real(rows, precision_bits, tol)
-            # the split of the remainder is the only kernel of this run
-            # taken on rows in four variables (the conics of the ternary
-            # base case have six); x0 is no free coordinate of its kernel
-            if rows and len(rows[0]) == 4:
+            # the remainder's is the only nonzero kernel of this run taken
+            # on rows in four variables (f and its contraction are
+            # essential, the conics of the ternary base case have six
+            # coordinates); x0 is no free coordinate of that kernel
+            if kernel and len(rows[0]) == 4:
                 nudged_rows.append(rows)
                 kernel[0][0] += Fraction(1, 3)
             return kernel
 
         monkeypatch.setattr(linalg, "kernel_basis", nudged)
+        # a fresh f: each form keeps its kernels from its first reduction
         with pytest.raises(ConsistencyError,
                            match="^polynomial is not supported on the first variables$"):
-            decompose_inductive(f, seed=17)
+            decompose_inductive(Form(4, 3, dict(f.coeffs)), seed=17)
         assert len(nudged_rows) == 1
 
     def test_remainder_essential_in_every_variable_raises(self, rng,
@@ -1146,14 +1148,15 @@ class TestQuadraticHessianReduction:
     def test_a_rational_step_takes_one_rank(self, monkeypatch, text, n,
                                             essential):
         # each square lowers the rank by exactly one, so the guard reads
-        # one exact rank taken before the first square
+        # the form's degree-one kernel, one exact reduction before the
+        # first square
         calls = []
-        for name in ("rational_rank", "complex_rank"):
+        for name in ("_reduce", "complex_rank"):
             real = getattr(linalg, name)
             monkeypatch.setattr(linalg, name, lambda *a, real=real, name=name:
                                 calls.append(name) or real(*a))
         got = step_outcome(self.NEW, parse_form(text, n), ForbiddenSet.empty(n), 4)
-        assert calls == ["rational_rank"]
+        assert calls == ["_reduce"]
         assert (got[0] is ConsistencyError) is not essential
 
     @pytest.mark.parametrize("n", [1, 3, 6])

@@ -149,8 +149,8 @@ def test_verify_reads_apolarity_through_public_names():
     assert {n for n in names if n.startswith("_")} == set()
 
 
-#: the attribute under which ``apolarity._kept`` keeps what a rational
-#: form's first catalecticant gives, and the reductions behind that rank
+#: the attribute under which ``apolarity._kept`` keeps what a form's first
+#: catalecticant gives, and the reductions behind its rank
 KEPT_ATTRIBUTE = "_first_catalecticant"
 RANK_REDUCTIONS = {"_first_catalecticant_rows", "_kept", "rational_rank",
                    "matrix_rank", "_reduce", "transpose"}
@@ -162,7 +162,7 @@ def _strings_in(node):
 
 
 def test_only_apolarity_keeps_the_first_catalecticant():
-    # the kept rows and rank live in one dict on the form, which one
+    # the kept rows and kernels live in one dict on the form, which one
     # apolarity helper reads and writes; everything else asks that helper
     parsed = _parsed()
     touching = {(m, node.name) for m, tree in parsed.items()
@@ -259,6 +259,30 @@ def test_quadratic_step_changes_no_coordinates():
                 if isinstance(n, ast.FunctionDef)
                 and n.name == "_quadratic_essential")
     assert _names_in(step) & PER_SQUARE_CHANGE == set()
+
+
+#: the reductions of the first catalecticant that its readers leave to
+#: ``apolarity._degree_one_kernel``
+DEGREE_ONE_REDUCTIONS = {"rational_rank", "kernel_basis", "_cleaned_kernel"}
+
+#: the readers of the essential count and the degree-one annihilator
+DEGREE_ONE_READERS = {("apolarity", "essential_variables"),
+                      ("apolarity", "_essential_split"),
+                      ("decompose", "_quadratic_essential")}
+
+
+def test_degree_one_readers_share_one_kernel():
+    # the essential count, the split and the quadratic step's guard read
+    # the kernel a form keeps, and reduce no first catalecticant of their
+    # own; the quadratic step's approximate per-square rank is its own
+    parsed = _parsed()
+    functions = {(m, n.name): n for m, tree in parsed.items() for n in tree.body
+                 if isinstance(n, ast.FunctionDef)}
+    named = {key: _names_in(functions[key]) for key in DEGREE_ONE_READERS}
+    assert {key: names & DEGREE_ONE_REDUCTIONS
+            for key, names in named.items()} == dict.fromkeys(named, set())
+    assert {key for key, names in named.items()
+            if "_degree_one_kernel" in names} == DEGREE_ONE_READERS
 
 
 #: a restriction to a subspace by completing a basis, inverting it and
