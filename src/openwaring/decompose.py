@@ -43,9 +43,8 @@ from .errors import (CommonComponentError, ConsistencyError,
                      DegenerateSystemError, InvalidInputError, NoFitError,
                      NonTransversalError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
-                       THRESHOLD_BITS, _abs_le, _abs_max_candidates,
-                       _at_least_one, _make_mpf, _mul, _raw_pair, _raw_real,
-                       _sub, _threshold, _threshold_pow, _unbox,
+                       THRESHOLD_BITS, _abs_le, _at_least_one, _mul,
+                       _raw_pair, _raw_real, _sub, _threshold, _unbox,
                        is_exact_scalar, max_abs_of, scalar_is_zero, tolerance,
                        univariate_roots)
 from .poly import (DualOp, Form, LinearForm, contract, dual_power,
@@ -143,7 +142,8 @@ def fit_coefficients(f: Form, points, precision_bits=DEFAULT_PRECISION_BITS):
     else by least squares with a residual check.  Coefficients that come
     out as zero stay in the returned list (aligned with ``points``) but are
     returned as exact zeros so callers can drop those terms.  The residual
-    bound and the zero snap scale with max(1, max|f|).
+    bound and the zero snap scale with max(1, max|f|).  Proportional
+    points are refused, which keeps the fitted terms non-proportional.
     """
     if not points:
         raise InvalidInputError("need at least one point")
@@ -324,58 +324,6 @@ def absorb_coefficients(dec: Decomposition,
 
 # ---------------------------------------------------------------------------
 # the decomposition pipeline
-
-
-def _merge_proportional(terms, d, precision_bits):
-    """Fold proportional linear forms into single terms and drop the terms
-    that became (numerically) zero.
-
-    An exact coefficient is dropped only at exact zero.  An inexact term
-    is dropped when its size |c| * max|l|^d, which bounds its contribution
-    to any coefficient of the form up to a multinomial, is at most
-    2^(-3 bits / 4) times the largest size (or 1): a tiny c on a large l
-    can still carry a large part of the form."""
-    merged = []
-    scales = []
-    for c, l in terms:
-        if l.is_zero():
-            raise ConsistencyError("zero linear form in a decomposition")
-        l_scale = _coords_scale(l)
-        hit = None
-        for idx, (c0, l0) in enumerate(merged):
-            if _proportional_linear(l, l0, precision_bits, l_scale, scales[idx]):
-                hit = idx
-                break
-        if hit is None:
-            merged.append((c, l))
-            scales.append(l_scale)
-            continue
-        c0, l0 = merged[hit]
-        j = _pivot(l0.coords)
-        lam = l.coords[j] / l0.coords[j]
-        merged[hit] = (c0 + c * lam ** d, l0)
-    if all(is_exact_scalar(c) for c, _ in merged):
-        return [(c, l) for c, l in merged if c != 0]
-    sizes = [_threshold(_threshold(fone, max_abs_of([c])),
-                        _threshold_pow(max_abs_of(l.coords), d))
-             for c, l in merged]
-    bound = mpf_shift(max([fone, *sizes], key=_make_mpf),
-                      -(precision_bits * 3) // 4)
-    return [(c, l) for (c, l), size in zip(merged, sizes)
-            if (c != 0 if is_exact_scalar(c) else mpf_gt(size, bound))]
-
-
-def _pivot(coords):
-    """The first index of largest ``mpf(1) * max_abs_of([x])`` over the
-    coordinates, that product rounded at mpmath's default precision
-    whatever the ambient one; a coordinate takes a hypot only when its top
-    can give the largest (``_abs_max_candidates``), and none does when one
-    alone can."""
-    candidates = _abs_max_candidates(coords)
-    if len(candidates) == 1:
-        return candidates[0]
-    return max(candidates, key=lambda i: _make_mpf(
-        _threshold(fone, max_abs_of([coords[i]]))))
 
 
 def _forced_single_term(coeff, l, V, ctx, label):
@@ -648,9 +596,10 @@ def _binary_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
 
 
 def _ternary_good(f: Form, basis, V: ForbiddenSet, ctx: _Ctx):
-    """f fitted on four base points of a pencil of its conics ``basis``."""
-    if len(basis) < 2:
-        raise DegenerateSystemError("conic system of the cubic is too small")
+    """f fitted on four base points of a pencil of its conics ``basis``.
+    The basis spans at least three conics (the kernel of a 3 x 6
+    catalecticant), and ``conic_intersection`` returns four points or
+    raises."""
     for attempt, height in ctx.heights():
         w0 = [Fraction(ctx.rng.randint(-height, height)) for _ in basis]
         w1 = [Fraction(ctx.rng.randint(-height, height)) for _ in basis]
@@ -661,8 +610,6 @@ def _ternary_good(f: Form, basis, V: ForbiddenSet, ctx: _Ctx):
         try:
             pts = conic_intersection(D0, D1, ctx.precision_bits)
         except (NonTransversalError, CommonComponentError, DegenerateSystemError):
-            continue
-        if len(pts) != 4:
             continue
         terms = _fit_points(f, pts, V, ctx,
                             f"ternary: pencil attempt {attempt} succeeded")
@@ -686,17 +633,48 @@ def _power_of_two_near(r) -> Fraction:
     return Fraction(2) ** k
 
 
+def _fold_cube(terms, c, l, f, precision_bits):
+    """``terms + [(c, l)]``, with c * l^3 folded into the term (c_k, l_k)
+    whose form is proportional to l, if any; the terms were fitted to f on
+    non-proportional points, so at most one is.  It becomes
+    c_k + c * (l[j] / l_k[j])^3 in its place, j the index of l's largest
+    coordinate, and is dropped when that is zero within the fit's snap,
+    2^(-3 bits / 4) * max(1, max|f|)."""
+    l_scale = _coords_scale(l)
+    for k, (ck, lk) in enumerate(terms):
+        if _proportional_linear(l, lk, precision_bits, l_scale,
+                                _coords_scale(lk)):
+            break
+    else:
+        return terms + [(c, l)]
+    j = max(range(l.num_vars), key=lambda i: abs(l.coords[i]))
+    ck = ck + c * (l.coords[j] / lk.coords[j]) ** 3
+    rest = terms[k + 1:]
+    if scalar_is_zero(ck, mpf_shift(_at_least_one(f.max_abs()),
+                                    -(precision_bits * 3) // 4)):
+        return terms[:k] + rest
+    return terms[:k] + [(ck, lk)] + rest
+
+
 def _ternary_cubic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
-    # each cubic's degree-two annihilator serves its base points and its
-    # pencils; the perturbing cube w * l^3 is scaled to f (w a power of
-    # two), so f stays above the tolerance of f + w * l^3 at any scale
+    """f fitted on a pencil of its conics when its degree-two annihilator
+    is base-point free (at most 4 terms); else, also when the base-point
+    search degenerates, f + w * l^3 for a random integer l that makes it
+    so, with the cube folded back by ``_fold_cube`` (at most 5).  w is a
+    power of two scaled to f, so f stays above the tolerance of
+    f + w * l^3 at any scale."""
     bp_seed = ctx.rng.randrange(1 << 30)
     basis = apolar_component(f, 2, ctx.precision_bits)
-    bp = _base_points(basis, 3, ctx.precision_bits, bp_seed, ctx.max_retries)
-    if not bp:
-        ctx.note("ternary: base-point free")
-        return _ternary_good(f, basis, V, ctx)
-    ctx.note(f"ternary: {len(bp)} base point(s); perturbing by a cube")
+    try:
+        bp = _base_points(basis, 3, ctx.precision_bits, bp_seed,
+                          ctx.max_retries)
+    except DegenerateSystemError:
+        ctx.note("ternary: base-point search degenerate; perturbing by a cube")
+    else:
+        if not bp:
+            ctx.note("ternary: base-point free")
+            return _ternary_good(f, basis, V, ctx)
+        ctx.note(f"ternary: {len(bp)} base point(s); perturbing by a cube")
     for attempt, height in ctx.heights():
         coords = ctx.int_vector(3, height)
         l = LinearForm([Fraction(c) for c in coords])
@@ -711,12 +689,15 @@ def _ternary_cubic_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
         if f2.is_zero() or essential_variables(f2, ctx.precision_bits) != 3:
             continue
         basis2 = apolar_component(f2, 2, ctx.precision_bits)
-        if _base_points(basis2, 3, ctx.precision_bits,
-                        ctx.rng.randrange(1 << 30), ctx.max_retries):
+        try:
+            if _base_points(basis2, 3, ctx.precision_bits,
+                            ctx.rng.randrange(1 << 30), ctx.max_retries):
+                continue
+        except DegenerateSystemError:
             continue
         ctx.note(f"ternary: perturbation l=({','.join(str(c) for c in coords)})")
-        good = _ternary_good(f2, basis2, V, ctx)
-        return good + [(-w, l)]
+        return _fold_cube(_ternary_good(f2, basis2, V, ctx), -w, l, f2,
+                          ctx.precision_bits)
     raise RetryBudgetError("perturbation sampling exhausted its retry budget",
                            ctx.trace)
 
@@ -795,7 +776,6 @@ def _run(f, V, seed, precision_bits, max_retries, runner):
         raise InvalidInputError("cannot decompose the zero form")
     ctx = _Ctx(random.Random(seed), precision_bits, max_retries)
     terms = runner(f, V, ctx)
-    terms = _merge_proportional(terms, f.degree, precision_bits)
     dec = Decomposition(f.degree, f.num_vars, tuple(terms),
                         _terms_are_exact(terms), tuple(ctx.trace))
     report = check_decomposition(f, dec, V, precision_bits=precision_bits)
@@ -810,8 +790,9 @@ def decompose(f: Form, V: ForbiddenSet | None = None, seed=DEFAULT_SEED,
     """Full pipeline: essential split, dispatch by shape, verified terms.
 
     The term count never exceeds the recursion bound at the essential
-    variable count, and no term lies in the forbidden set; the result
-    carries the verifier's report.
+    variable count, no term lies in the forbidden set, and no two terms
+    are proportional (no step returns such a pair).  The result carries
+    the verifier's report.
     """
     return _run(f, V, seed, precision_bits, max_retries, _dispatch)
 

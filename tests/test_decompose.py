@@ -22,11 +22,10 @@ from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         linear_power, parse_form, recursion_bound)
 from openwaring import linalg
 from openwaring.apolarity import _subspace_lift
-from openwaring.decompose import (_Ctx, _coords_scale,
+from openwaring.decompose import (_Ctx, _coords_scale, _fold_cube,
                                   _inductive_essential, _map_terms_back,
-                                  _merge_proportional, _power_of_two_near,
-                                  _proportional_linear, _quadratic_essential,
-                                  _restrict_forbidden)
+                                  _power_of_two_near, _proportional_linear,
+                                  _quadratic_essential, _restrict_forbidden)
 from openwaring.numerics import (GUARD_BITS, is_exact_scalar, max_abs_of,
                                  scalar_is_zero, tolerance)
 from openwaring.poly import monomials_of_degree
@@ -241,6 +240,15 @@ class TestTernaryCubic:
         assert dec.term_count == 5
         assert any("perturb" in t for t in dec.trace)
         assert check_decomposition(f, dec).passed
+
+    def test_fermat_cube_folds_into_a_fitted_term(self):
+        # at seed 107 a fitted point is proportional to the perturbing l:
+        # the cube folds into its term, whose coefficient cancels to zero
+        f = parse_form("x0^3 + x1^3 + x2^3", 3)
+        dec = decompose(f, seed=107)
+        assert "ternary: perturbation l=(5,7,1)" in dec.trace
+        assert dec.term_count == 3 and dec.report.passed
+        assert reference_check(f, dec).passed
 
     def test_generic_cubic_four_terms(self, rng):
         f = random_essential_form(rng, 3, 3)
@@ -747,9 +755,9 @@ class TestCertificate:
     def test_failed_reconstruction_raises(self, monkeypatch):
         import sys
         dmod = sys.modules["openwaring.decompose"]
-        real_merge = dmod._merge_proportional
-        monkeypatch.setattr(dmod, "_merge_proportional",
-                            lambda terms, d, bits: real_merge(terms, d, bits)[1:])
+        real_dispatch = dmod._dispatch
+        monkeypatch.setattr(dmod, "_dispatch",
+                            lambda f, V, ctx: real_dispatch(f, V, ctx)[1:])
         for text, n in (("x0^2 + 2*x1^2 - x2^2", 3),
                         ("x0^3 - 2*x0*x1^2 + x1^3", 2)):
             with pytest.raises(ConsistencyError,
@@ -823,36 +831,6 @@ def ref_proportional_linear(a, b, precision_bits):
     return True
 
 
-def ref_merge_proportional(terms, d, precision_bits):
-    """The merge with a tolerance built from both forms on every test."""
-    merged = []
-    for c, l in terms:
-        hit = None
-        for idx, (c0, l0) in enumerate(merged):
-            if ref_proportional_linear(l, l0, precision_bits):
-                hit = idx
-                break
-        if hit is None:
-            merged.append((c, l))
-            continue
-        c0, l0 = merged[hit]
-        j = max(range(l0.num_vars), key=lambda i: mpf(1) * max_abs_of([l0.coords[i]]))
-        lam = l.coords[j] / l0.coords[j]
-        merged[hit] = (c0 + c * lam ** d, l0)
-    out = []
-    drop = mpf(2) ** (-(precision_bits * 3) // 4)
-    sizes = [mpf(1) * max_abs_of([c]) * max_abs_of(l.coords) ** d
-             for c, l in merged]
-    scale = max([mpf(1)] + sizes)
-    for (c, l), size in zip(merged, sizes):
-        if is_exact_scalar(c) and c == 0:
-            continue
-        if not is_exact_scalar(c) and size <= drop * scale:
-            continue
-        out.append((c, l))
-    return out
-
-
 def raw_scalar(x):
     if is_exact_scalar(x):
         return Fraction(x)
@@ -864,75 +842,68 @@ def raw_terms(terms):
 
 
 class TestMergeProportional:
+    """Two terms are proportional in one place only: the ternary step's
+    perturbing cube and the fitted term on a point proportional to l.
+    ``_fold_cube`` folds the one into the other; ``_proportional_linear``
+    decides which terms are proportional."""
     BITS = 256
+    F = parse_form("x0^3 + x1^3 + x2^3", 3)
+    L = LinearForm([Fraction(2), Fraction(-5), Fraction(1)])
 
-    def app(self, rng, x):
-        return AppComplex(x, Fraction(rng.randint(-9, 9), rng.randint(1, 9)), self.BITS)
+    def fitted(self, lam, ck):
+        """Three approximate terms, the second (ck, lam * L)."""
+        def app(*xs):
+            return LinearForm([AppComplex(x, Fraction(1, 7), self.BITS)
+                               for x in xs])
+        return [(AppComplex(3, 1, self.BITS), app(1, 0, 2)),
+                (ck, LinearForm([lam * x for x in self.L.coords])),
+                (AppComplex(-1, 2, self.BITS), app(0, 1, 1))]
 
-    def term_list(self, rng, kind):
-        """Terms in 3 variables, some proportional to earlier ones: exact
-        multiples, approximate multiples and multiples nudged out of
-        proportion by 2^-40."""
-        terms = []
-        for _ in range(rng.randint(3, 9)):
-            if terms and rng.random() < 0.6:
-                c0, l0 = rng.choice(terms)
-                lam = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
-                if kind != "exact" and rng.random() < 0.6:
-                    lam = self.app(rng, lam)
-                coords = [lam * x for x in l0.coords]
-                if rng.random() < 0.2:
-                    coords[0] = coords[0] + Fraction(1, 2 ** 40)
-                # sometimes the multiple cancels the earlier term exactly
-                c = -c0 / lam ** 3 if rng.random() < 0.3 else Fraction(rng.randint(1, 9))
-                terms.append((c, LinearForm(coords)))
-                continue
-            coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
-            coords[rng.randrange(3)] = Fraction(rng.randint(1, 5))
-            if kind == "approximate" or (kind == "mixed" and rng.random() < 0.5):
-                coords = [self.app(rng, x) for x in coords]
-            terms.append((Fraction(rng.randint(-9, 9) or 1), LinearForm(coords)))
-        return terms
+    def total(self, terms):
+        out = Form(3, 3, {})
+        for c, l in terms:
+            out = out + linear_power(l, 3).scale(c)
+        return out
 
-    @pytest.mark.parametrize("kind, seed", [("exact", 1), ("approximate", 2),
-                                            ("mixed", 3)])
-    def test_matches_the_tolerance_built_on_every_test(self, kind, seed):
-        rng = random.Random(seed)
-        sizes = []
-        for _ in range(40):
-            terms = self.term_list(rng, kind)
-            got = _merge_proportional(terms, 3, self.BITS)
-            assert raw_terms(got) == raw_terms(ref_merge_proportional(terms, 3, self.BITS))
-            sizes.append((len(terms), len(got)))
-        # the lists do merge and drop terms
-        assert any(after < before for before, after in sizes)
+    def test_no_proportional_term(self):
+        terms = self.fitted(AppComplex(1, 0, self.BITS), AppComplex(2, 0, self.BITS))
+        terms[1] = (terms[1][0], LinearForm([AppComplex(2, 0, self.BITS),
+                                             AppComplex(-5, 0, self.BITS),
+                                             AppComplex(Fraction(101, 100), 0,
+                                                        self.BITS)]))
+        got = _fold_cube(terms, Fraction(-4), self.L, self.F, self.BITS)
+        assert got == terms + [(Fraction(-4), self.L)]
 
-    def test_tiny_coefficient_on_a_large_form_is_kept(self):
-        # |c| = 2^-100 lies below 2^-96 = 2^(-3 bits / 4), but with
-        # max|l| = 2^21 the term is 2^5 in size, the largest of the two
-        bits, d = 128, 5
-        tiny = (AppComplex(Fraction(1, 2 ** 100), 0, bits),
-                LinearForm([Fraction(2 ** 21), Fraction(1), Fraction(-3)]))
-        unit = (AppComplex(1, 0, bits),
-                LinearForm([Fraction(1), Fraction(0), Fraction(0)]))
-        got = _merge_proportional([tiny, unit], d, bits)
-        assert raw_terms(got) == raw_terms([tiny, unit])
+    def test_a_fold(self):
+        # the cube folds into the second term, at l's largest coordinate -5
+        lam = AppComplex(Fraction(1, 3), Fraction(1, 5), self.BITS)
+        terms = self.fitted(lam, AppComplex(2, 0, self.BITS))
+        c = Fraction(-4)
+        got = _fold_cube(terms, c, self.L, self.F, self.BITS)
+        ck, lk = terms[1]
+        folded = ck + c * (self.L.coords[1] / lk.coords[1]) ** 3
+        assert raw_terms(got) == raw_terms([terms[0], (folded, lk), terms[2]])
+        assert got[1][1] is lk
+        diff = self.total(got) - self.total(terms + [(c, self.L)])
+        assert diff.is_zero(tolerance(self.BITS))
 
-    def test_cancelled_pair_is_still_dropped(self):
-        bits, d = 128, 5
-        l0 = LinearForm([AppComplex(1, 0, bits), AppComplex(2, 1, bits),
-                         AppComplex(0, 0, bits)])
-        lam = AppComplex(Fraction(2, 3), Fraction(1, 7), bits)
-        c0 = AppComplex(Fraction(1, 3), 0, bits)
-        big = (AppComplex(1, 0, bits), LinearForm([Fraction(0), Fraction(0),
-                                                   Fraction(9)]))
-        pair = [(c0, l0), (-c0 / lam ** d, LinearForm([lam * x for x in l0.coords]))]
-        got = _merge_proportional(pair + [big], d, bits)
-        assert raw_terms(got) == raw_terms([big])
-        # an exact pair cancels to exactly zero
-        exact = [(Fraction(2), LinearForm([Fraction(1), Fraction(1), Fraction(0)])),
-                 (Fraction(-2, 32), LinearForm([Fraction(2), Fraction(2), Fraction(0)]))]
-        assert _merge_proportional(exact + [big], d, bits) == [big]
+    def test_a_cancelling_fold(self):
+        # an approximate coefficient within the snap 2^-192 * max(1, |f|)
+        # and an exact zero both drop the term
+        lam = AppComplex(Fraction(1, 3), Fraction(1, 5), self.BITS)
+        c = Fraction(-4)
+        ck = -c / lam ** 3
+        terms = self.fitted(lam, ck)
+        got = _fold_cube(terms, c, self.L, self.F, self.BITS)
+        assert raw_terms(got) == raw_terms([terms[0], terms[2]])
+        exact = [(Fraction(1, 2), LinearForm([Fraction(1), Fraction(1), Fraction(0)])),
+                 (Fraction(1, 2), LinearForm([Fraction(4), Fraction(-10), Fraction(2)]))]
+        assert _fold_cube(exact, Fraction(-4), self.L, self.F, self.BITS) == exact[:1]
+        # a coefficient of 2^-150 is kept
+        ck = ck + AppComplex(Fraction(1, 2 ** 150), 0, self.BITS)
+        terms = self.fitted(lam, ck)
+        got = _fold_cube(terms, c, self.L, self.F, self.BITS)
+        assert len(got) == 3 and got[1][1] is terms[1][1]
 
     @staticmethod
     def small_pair(bits, k):
@@ -954,18 +925,6 @@ class TestMergeProportional:
             assert not _proportional_linear(b, a, bits, scale(b), scale(a))
             assert _proportional_linear(a, twice, bits, scale(a), scale(twice))
             assert not ref_proportional_linear(a, b, bits)
-
-    def test_two_tiny_forms_are_both_kept(self):
-        # coefficients of 2^210 make the terms' sizes about 2^7, so neither
-        # is dropped for its size either
-        bits, d = 256, 3
-        a, b, twice = self.small_pair(bits, 70)
-        c = AppComplex(2 ** 210, 0, bits)
-        got = _merge_proportional([(c, a), (c, b)], d, bits)
-        assert raw_terms(got) == raw_terms([(c, a), (c, b)])
-        # a multiple still folds into the first form
-        got = _merge_proportional([(c, a), (c, twice)], d, bits)
-        assert raw_terms(got) == raw_terms([(c * 9, a)])
 
 
 class TestMapTermsBack:
@@ -1289,14 +1248,16 @@ class TestThresholdsAtAFixedPrecision:
             lambda: fit_coefficients(f, pts, self.BITS)[1]) == dict.fromkeys(
             AMBIENT_PRECISIONS, 0)
 
-    def test_merge_drops_a_term_at_the_bound(self):
-        # the second size rounds to the bound at 53 bits
-        terms = [(self.app(self.S), LinearForm([1, 0])),
-                 (self.app(Fraction(1, 2 ** 192) * (self.S + Fraction(1, 2 ** 80))),
-                  LinearForm([0, 1]))]
+    def test_fold_snap(self):
+        # the folded coefficient 2^-192 * (1 + 2^-31) snaps to zero, as the
+        # fit's does
+        f = Form(3, 3, {(3, 0, 0): self.S})
+        l = LinearForm([Fraction(1), Fraction(2), Fraction(0)])
+        terms = [(self.app(1 + Fraction(1, 2 ** 192) * (1 + Fraction(1, 2 ** 31))),
+                  LinearForm([self.app(1), self.app(2), self.app(0)]))]
         assert at_each_precision(
-            lambda: len(_merge_proportional(terms, 1, self.BITS))
-        ) == dict.fromkeys(AMBIENT_PRECISIONS, 1)
+            lambda: len(_fold_cube(terms, Fraction(-1), l, f, self.BITS))
+        ) == dict.fromkeys(AMBIENT_PRECISIONS, 0)
 
     def test_quadratic_direction(self):
         # along (1, 1), c2 = 2b lies within tol * max|coeff| * |alpha|_1^2,

@@ -326,6 +326,30 @@ def test_inductive_remainder_is_split_by_peel():
     assert names & SPLIT_PIECES == set()
 
 
+#: the run-wide merge of proportional terms, deleted: the ternary step
+#: folds its perturbing cube into the fitted term where it adds it
+RUN_WIDE_MERGE = {"_merge_proportional", "_pivot"}
+
+
+def test_terms_are_certified_as_the_runner_returns_them():
+    tree = _parsed()["decompose"]
+    assert _defined(tree) & RUN_WIDE_MERGE == set()
+    run = next(n for n in tree.body
+               if isinstance(n, ast.FunctionDef) and n.name == "_run")
+    stores = [n for n in ast.walk(run) if isinstance(n, ast.Name)
+              and n.id == "terms" and isinstance(n.ctx, ast.Store)]
+    assigns = [n for n in ast.walk(run) if isinstance(n, ast.Assign)
+               and any(t in stores for t in n.targets)]
+    assert len(stores) == len(assigns) == 1
+    value = assigns[0].value
+    assert isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+    assert value.func.id == "runner"
+    calls = {n.func.id: n for n in ast.walk(run) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name)}
+    assert "terms" in _names_in(calls["Decomposition"])
+    assert "dec" in _names_in(calls["check_decomposition"])
+
+
 #: second copies folded into the routine that does the same job: the
 #: hyperplane test into ``_restrict_forbidden``, the integer power and
 #: product into ``_power_coeffs`` and ``_product``, and the binary

@@ -7,6 +7,7 @@ The range: shapes (2, 3..6), (3,3), (3,4), (4,3), (4,4), (5,3) and (5,4);
 constraints.  The examples are drawn deterministically, so the sweep runs
 the same inputs every time, in a few seconds.  Known failures outside the
 range are pinned as strict xfails that name the ROADMAP item fixing them.
+No two returned terms are proportional: no step returns such a pair.
 """
 
 import random
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from openwaring import (ConsistencyError, ForbiddenSet, Form,
                         InvalidInputError, LinearForm, RetryBudgetError,
                         decompose)
+from openwaring.decompose import _coords_scale, _proportional_linear
 from openwaring.poly import monomials_of_degree
 
 SHAPES = ((2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (4, 4),
@@ -57,6 +59,10 @@ def test_every_input_in_range_is_decomposed_or_refused(shape, bits, height,
     except (RetryBudgetError, InvalidInputError):
         return
     assert dec.report.passed
+    forms = [l for _, l in dec.terms]
+    assert not any(_proportional_linear(a, b, bits, _coords_scale(a),
+                                        _coords_scale(b))
+                   for i, a in enumerate(forms) for b in forms[i + 1:])
 
 
 def test_dense_quintic_in_five_variables_at_64_bits():
@@ -66,6 +72,19 @@ def test_dense_quintic_in_five_variables_at_64_bits():
     # raise ConsistencyError
     f = dense_form(random.Random(7), 5, 5, 9)
     dec = decompose(f, seed=2, precision_bits=64)
+    assert dec.report.passed
+
+
+def test_dense_quintic_whose_base_point_search_degenerates():
+    # the 25th dense (5,5) form of random.Random(7) at seed 0: a ternary
+    # cubic of the recursion meets a curve pair sharing a component in its
+    # base-point search, and must take the perturbation path rather than
+    # raise DegenerateSystemError
+    rng = random.Random(7)
+    for _ in range(25):
+        f = dense_form(rng, 5, 5, 9)
+    dec = decompose(f, seed=0, precision_bits=64)
+    assert "ternary: base-point search degenerate; perturbing by a cube" in dec.trace
     assert dec.report.passed
 
 
