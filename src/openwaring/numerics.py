@@ -27,8 +27,9 @@ exact.  ``abs`` and ``**`` run mpmath's libmp ``mpc_abs`` and
 without the second rounding.
 
 ``+ - * /``, the rounding of int, Fraction and mpf operands (``_raw_mpf``),
-the root finder's loops (``_horner``, ``_aberth``, ``_newton_polish`` and
-the residual certificate of ``univariate_roots``), ``linalg``'s complex
+the root finder's loops (``_horner``, ``_newton_polish``, the monic
+coefficients of ``_aberth`` and the residual certificate of
+``univariate_roots``), ``linalg``'s complex
 eliminations (echelon form, rank, kernel, determinant, least squares) and
 the approximate lift of ``apolarity._subspace_lift`` run this module's
 raw-tuple kernels (``_cadd``, ``_csub``, ``_cmul``, ``_cdiv``, ``_cinv``,
@@ -59,6 +60,10 @@ method at the working precision refines them (``_seeded_roots``; Bini,
 Numer. Algorithms 13, 1996).  Where the doubles or the refinement fail,
 the factor runs ``_aberth`` at the working precision instead, as every
 factor of degree 2 does; the residual certificate is the same for both.
+``_aberth``'s sweeps are the one loop off libmp's rounding: they run on
+pairs of Python ints at a scale sized so that every root keeps the working
+precision, and their iterates only seed Newton's method and the
+certificate, which guards each returned root.
 
 Every tolerance and scale of the pipeline is a libmp product at
 THRESHOLD_BITS, mpmath's default precision (``_threshold``), so no decision
@@ -75,21 +80,22 @@ prec + 4, then its square root), so a decided test reads exactly as the
 rounded hypot would; only an undecided one, or one with an inf or nan
 part, takes the hypot.  ``scalar_is_zero``, ``max_abs_of``, the residual
 certificate of ``univariate_roots``, ``linalg``'s scales and pivots and
-``apolarity``'s point and root separations decide this way, and
-``_aberth``'s convergence shortcut (``_clearly_moved``) reads the same
-tops.  ``verify`` screens its residual maximum and its forbidden-set
-comparisons by the same rule on tops it computes itself, and takes the
-hypots that remain from libmp; it uses none of these helpers.
+``apolarity``'s point and root separations decide this way; ``_aberth``
+sizes its scale from the same tops.  ``verify`` screens its residual
+maximum and its forbidden-set comparisons by the same rule on tops it
+computes itself, and takes the hypots that remain from libmp; it uses
+none of these helpers.
 """
 
 from __future__ import annotations
 
 import cmath
 import mpmath
+from math import isqrt
 from fractions import Fraction
 from mpmath import mpf, mpc, workprec
-from mpmath.libmp import (fhalf, fone, from_float, from_int, from_rational,
-                          fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div,
+from mpmath.libmp import (fhalf, fone, from_float, from_int, from_man_exp,
+                          from_rational, fzero, mpc_abs, mpc_add, mpc_div,
                           mpc_exp, mpc_mpf_div, mpc_mul, mpc_mul_int,
                           mpc_mul_mpf, mpc_pow_int, mpc_sub, mpf_add, mpf_div,
                           mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
@@ -879,53 +885,74 @@ def _horner(coeffs, x, prec):
     return acc
 
 
-def _clearly_moved(step, z, work_bits):
-    """Whether the exponents alone put |step| / (1 + |z|) above 16 times
-    ``_aberth``'s ``stop = 2**(8 - work_bits)``.
+#: guard bits of ``_aberth``'s fixed-point scale above work_bits and the
+#: bits by which the lower root bound falls below one
+ABERTH_GUARD_BITS = 8
 
-    With ``_ctop``, |step| >= 2**(top(step) - 1) and 1 + |z| <
-    2**(max(top(z), 0) + 2), and the quotient exceeds
-    2**(top(step) - max(top(z), 0) - 3).  False when step is zero or a
-    part is not finite (inf or nan), where these bounds say nothing.
-    """
-    ts = _ctop(step)
-    tz = _ctop(z)
-    if ts is None or tz is None:
-        return False
-    # a zero step's top -inf fails the test, a zero z's is absorbed by max;
-    # ts - tz - 3 >= (8 - work_bits) + 4 is a margin of 4 bits over stop
-    return ts - max(tz, 0) >= 15 - work_bits
+
+def _fixed(x, scale):
+    """A finite raw mpf x as the int x * 2**scale truncated toward zero."""
+    sign, man, exp, _ = x
+    e = exp + scale
+    v = man << e if e >= 0 else man >> -e
+    return -v if sign else v
+
+
+def _fixed_horner(lead, first, rest, x, y, scale):
+    """p(x + iy) on fixed-point pairs at 2**-scale: ``lead * z + first``,
+    then ``acc * z + c`` for each c of ``rest``, each product truncated
+    toward minus infinity; ``lead`` is an int, so its product is exact."""
+    ar, ai = lead * x + first[0], lead * y + first[1]
+    for cr, ci in rest:
+        ar, ai = (((ar * x - ai * y) >> scale) + cr,
+                  ((ar * y + ai * x) >> scale) + ci)
+    return ar, ai
+
+
+def _within_stop(sr, si, x, y, scale, work_bits):
+    """Whether a step s = sr + i si to z = x + i y, both fixed-point at
+    2**-scale, meets ``_aberth``'s stop rule |s| <= 2**(8 - work_bits) *
+    (1 + |z|), decided exactly: with one = 2**scale, |s| 2**(work_bits - 8)
+    <= one + |z| squared, then t = |s|^2 4**(work_bits - 8) - one^2 -
+    |z|^2 <= 2 one |z| squared once more when t > 0."""
+    zz = x * x + y * y
+    t = (((sr * sr + si * si) << (2 * (work_bits - 8)))
+         - (1 << (2 * scale)) - zz)
+    return t <= 0 or t * t <= zz << (2 * scale + 2)
 
 
 def _aberth(coeffs, work_bits, max_iters=400):
-    """Aberth–Ehrlich simultaneous iteration on raw pairs.
+    """Aberth–Ehrlich simultaneous iteration (Bini, Numer. Algorithms 13,
+    1996).
 
-    ``coeffs`` is ascending with nonzero leading and constant terms.
-    Deterministic: fixed initial points on a circle with an angular offset.
-    Returns deg(p) approximations as raw pairs at ``work_bits``.
+    ``coeffs`` is a list of finite raw pairs, ascending, with nonzero
+    leading and constant terms.  Deterministic: fixed initial points on a
+    circle with an angular offset.  Returns deg(p) approximations as raw
+    pairs, each part rounded to nearest at ``work_bits``.
 
-    Each value is what mpc and mpf arithmetic under ``workprec(work_bits)``
-    gave, from the calls those operators make, in their operand order: the
-    start circle from ``mpf_pow``, ``mpf_div``, ``mpf_pi``, ``mpc_exp`` and
-    ``mpc_mul_mpf``, ``1 / diff`` by ``_cinv``, ``1 + |z|`` by ``mpf_add(|z|,
-    1)``; the sum s starts from its first term, which adding to zero would
-    only round again.
+    The monic coefficients (``_cdiv``) and the start circle (``mpf_pow``,
+    ``mpf_pi``, ``mpc_exp``) are libmp's at ``work_bits``.  The sweeps run
+    on pairs of Python ints at one scale 2**-W, W = work_bits +
+    ABERTH_GUARD_BITS + the bits by which the smaller of the start radius
+    and Cauchy's lower root bound |a0| / (|a0| + max|a_i|) falls below one,
+    so every root carries at least work_bits bits of its own.  Products
+    and quotients are truncated toward minus infinity, sums are exact.
 
-    A sweep ends the iteration only if no root was nudged and every
-    root's ``rel = |step| / (1 + |z_k|)`` is at most ``stop``.  Work is
-    skipped only where it cannot change a bit: once one root fails, the
-    sweep's verdict is fixed and the later roots take their update without
-    computing ``rel``; and ``rel`` is not computed when the exponents of
-    ``step`` and ``z_k`` already put it above ``stop`` by 4 bits
-    (``_clearly_moved``), a factor of 16 that the few roundings of ``rel``
-    at ``work_bits``, each off by a few units in the last place, cannot close.
+    Each root z_k takes Aberth's step newt / (1 - newt * s), newt = p(z_k)
+    / p'(z_k) and s the sum of 1 / (z_k - z_j) over the other roots,
+    written as p / (p' - p * s) with one quotient; a zero denominator
+    takes the Newton step newt, and a zero difference z_k - z_j stands in
+    as 2**-work_bits.  A sweep ends the iteration only if no root was
+    nudged off a critical point and every root's step meets the stop rule
+    |step| <= 2**(8 - work_bits) * (1 + |z_k|), decided exactly on the
+    integers (``_within_stop``).  Once one root fails, the sweep's verdict
+    is fixed and the later roots take their update without the test.
     """
     n = len(coeffs) - 1
     wb = work_bits
     cs = [_cpos(c, wb) for c in coeffs]
     lead = cs[-1]
     monic = [_cdiv(c, lead, wb) for c in cs]
-    dmonic = [mpc_mul_int(monic[k], k, wb, _RND) for k in range(1, n + 1)]
 
     # initial guesses: circle of radius |a0/an|^(1/n), offset angles
     r = mpf_pow(mpc_abs(monic[0], wb, _RND),
@@ -933,50 +960,72 @@ def _aberth(coeffs, work_bits, max_iters=400):
     if r == fzero or mpf_lt(r, mpf_shift(fone, -wb // 2)):
         r = fhalf
     two_pi = mpf_mul_int(mpf_pi(wb, _RND), 2, wb, _RND)
-    z = [mpc_mul_mpf(mpc_exp((fzero, mpf_add(
+    start = [mpc_mul_mpf(mpc_exp((fzero, mpf_add(
         mpf_div(mpf_mul_int(two_pi, k, wb, _RND), from_int(n), wb, _RND),
         fhalf, wb, _RND)), wb, _RND), r, wb, _RND) for k in range(n)]
 
-    stop = mpf_shift(fone, 8 - wb)
-    tiny = (mpf_shift(fone, -wb), fzero)
-    nudge = mpf_shift(fone, -wb // 4)
+    # |a0| >= 2**(t0 - 1) and |a0| + max|a_i| < 2**(max top + 2), so the
+    # Cauchy bound is at least 2**-(max top - t0 + 3); r >= 2**(top(r) - 1)
+    t0 = _ctop(monic[0])
+    below = max(max(map(_ctop, monic[1:])) - t0 + 3, 1 - _top(r), 0)
+    scale = wb + ABERTH_GUARD_BITS + below
+    one = 1 << scale
+    # p = z^n + m[n-1] z^(n-1) + ... and p' = n z^(n-1) + dm[n-2] z^(n-2)
+    # + ..., each as its leading int and its other coefficients descending
+    m = [(_fixed(re, scale), _fixed(im, scale)) for re, im in monic[:-1]]
+    dm = [(k * a, k * b) for k, (a, b) in enumerate(m[1:], 1)]
+    pfirst, prest = m[-1], m[-2::-1]
+    dfirst, drest = (dm[-1], dm[-2::-1]) if dm else (None, None)
+    z = [(_fixed(re, scale), _fixed(im, scale)) for re, im in start]
+
+    tiny = 1 << (scale - wb)
+    nudge = -(-wb // 4)
+    inv_shift = 2 * scale
     for _ in range(max_iters):
         settled = True
         for k in range(n):
-            zk = z[k]
-            pv = _horner(monic, zk, wb)
-            dv = _horner(dmonic, zk, wb)
-            if pv == _CZERO:
+            x, y = z[k]
+            pr, pi = _fixed_horner(1, pfirst, prest, x, y, scale)
+            if not (pr or pi):
                 continue
-            if dv == _CZERO:
+            if dm:
+                dr, di = _fixed_horner(n, dfirst, drest, x, y, scale)
+            else:
+                dr, di = one, 0
+            if not (dr or di):
                 # nudge deterministically off a critical point
-                z[k] = mpc_add_mpf(zk, mpf_mul(
-                    mpf_add(mpc_abs(zk, wb, _RND), fone, wb, _RND), nudge,
-                    wb, _RND), wb, _RND)
+                z[k] = x + ((isqrt(x * x + y * y) + one) >> nudge), y
                 settled = False
                 continue
-            newt = _cdiv(pv, dv, wb)
-            s = None
+            sr = si = 0
             for j in range(n):
                 if j != k:
-                    diff = _csub(zk, z[j], wb)
-                    if diff == _CZERO:
-                        diff = tiny
-                    inv = _cinv(diff, wb)
-                    s = inv if s is None else _cadd(s, inv, wb)
-            if s is None:
-                s = _CZERO
-            denom = _csub(_CONE, _cmul(newt, s, wb), wb)
-            step = newt if denom == _CZERO else _cdiv(newt, denom, wb)
-            zk = z[k] = _csub(zk, step, wb)
-            if settled and (_clearly_moved(step, zk, wb) or mpf_gt(
-                    mpf_div(mpc_abs(step, wb, _RND),
-                            mpf_add(mpc_abs(zk, wb, _RND), fone, wb, _RND),
-                            wb, _RND), stop)):
+                    ur, ui = z[j]
+                    ur = x - ur
+                    ui = y - ui
+                    if not (ur or ui):
+                        ur = tiny
+                    q = ur * ur + ui * ui
+                    sr += (ur << inv_shift) // q
+                    si += (-ui << inv_shift) // q
+            # newt / (1 - newt * s) with newt = p / p', as p / (p' - p * s);
+            # a zero denominator takes the Newton step p / p'
+            er = dr - ((pr * sr - pi * si) >> scale)
+            ei = di - ((pr * si + pi * sr) >> scale)
+            if not (er or ei):
+                er, ei = dr, di
+            q = er * er + ei * ei
+            nr = ((pr * er + pi * ei) << scale) // q
+            ni = ((pi * er - pr * ei) << scale) // q
+            x -= nr
+            y -= ni
+            z[k] = x, y
+            if settled and not _within_stop(nr, ni, x, y, scale, wb):
                 settled = False
         if settled:
             break
-    return z
+    return [(from_man_exp(x, -scale, wb, _RND),
+             from_man_exp(y, -scale, wb, _RND)) for x, y in z]
 
 
 def _newton_polish(coeffs, roots, work_bits, steps=6, strict=False):
@@ -1180,11 +1229,16 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
       within its cap, or when two refined roots coincide.
     Every returned root r satisfies
     |p(r)| <= 2^(-precision_bits/2) * max|coeff| * max(1, |r|)^deg.
+    A coefficient with an inf or nan part raises InvalidInputError: a nan
+    residual would pass the certificate, whose comparisons it fails.
     """
     if p.is_zero():
         raise InvalidInputError("cannot extract roots of the zero polynomial")
     if p.degree < 1:
         raise InvalidInputError("root extraction needs degree >= 1")
+    if any(_ctop(c.parts) is None for c in p.coeffs
+           if type(c) is AppComplex):
+        raise InvalidInputError("polynomial coefficients must be finite")
 
     # split off roots at the origin
     nzero = 0

@@ -49,8 +49,10 @@ def test_per_op_digests_name_the_operations_a_change_moved(monkeypatch, capsys):
     real = bitdump._library
 
     def moved(case):
-        out = real(case)
-        return out + " " if name.endswith(f" {case.label}") else out
+        out, summary = real(case)
+        if name.endswith(f" {case.label}"):
+            out += " "
+        return out, summary
 
     monkeypatch.setattr(bitdump, "_library", moved)
     after = []
@@ -61,8 +63,35 @@ def test_per_op_digests_name_the_operations_a_change_moved(monkeypatch, capsys):
     monkeypatch.setattr(bitdump, "_library", real)
     digest = bitdump.digest
     monkeypatch.setattr(bitdump, "digest",
-                        lambda per_op=None: digest(plan, per_op=per_op))
+                        lambda **lists: digest(plan, **lists))
     bitdump.main(["--per-op"])
     lines = capsys.readouterr().out.splitlines()
     assert lines == ([f"op {short} {op}" for op, short in before]
                      + ["operations 24", f"sha256 {whole[2]}"])
+
+
+def test_counts_list_each_operations_terms_and_verdict(monkeypatch, capsys):
+    bitdump = load_tool()
+    plan = (("exact", range(1)), ("precision", range(1)))
+    counts = []
+    whole = bitdump.digest(plan, counts=counts)
+    assert whole == bitdump.digest(plan)
+    assert len(counts) == whole[0] == 50
+    summaries = dict(counts)
+    # a library call, a command-line call, and a command-line fault
+    assert summaries["exact round 0 n=3 r=1"] == \
+        "terms 1 exact True verified True"
+    assert summaries["precision round 0 (2,3) @256 #2"] == \
+        "terms 2 exact False verified True"
+    assert summaries["precision round 0 n=3 fixed cubic @768"] == (
+        "raised internal error (ConsistencyError): root residual exceeds "
+        "the acceptance threshold")
+
+    # the listing comes first, then the lines of a plain run
+    digest = bitdump.digest
+    monkeypatch.setattr(bitdump, "digest",
+                        lambda **lists: digest(plan, **lists))
+    bitdump.main(["--counts"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:51] == ([f"count {op}: {summary}" for op, summary in counts]
+                          + ["operations 50"])

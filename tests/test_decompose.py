@@ -179,7 +179,7 @@ class TestBinary:
 
     #: SHA-256 of the exact terms of x0^(d-1)*x1 at seed 5, per d
     MONOMIAL_TERMS = {
-        2: "169580e8b1787f2524ad0c0667a99df99ed41c40bf25f252dbe653f1ab417bc4",
+        2: "42ba232b49277df63771011c43143b50f9047f7fddd2a5fc119db3776143c980",
         3: "95f24431ba1673cf7195032c49028ff5cce5eac6c45f2b22d63a164bdabfaa63",
         4: "4c9d54e1c2728c7590dd68dc70c361150a12890ba60c7a0c52e7f8b6248f0bfc",
         5: "62087a9cd88c028010a490dd50a61035b4d70126a47b67c755e4557730f56be0",

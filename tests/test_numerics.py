@@ -1,4 +1,5 @@
 import collections
+import math
 import operator
 import random
 from fractions import Fraction
@@ -15,9 +16,9 @@ from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
 from openwaring import ConsistencyError, InvalidInputError, numerics
 from openwaring.numerics import (GUARD_BITS, AppComplex, UniPoly, _aberth,
                                  _abs_exceeds, _abs_gt, _abs_le, _cadd, _cdiv,
-                                 _cinv, _clearly_moved, _cmul, _csub, _horner,
+                                 _cinv, _cmul, _csub, _horner,
                                  _newton_polish, _pos, _quo, _raw_mpf,
-                                 _raw_pair, is_squarefree,
+                                 _raw_pair, _within_stop, is_squarefree,
                                  max_abs_of, scalar_is_zero,
                                  squarefree_decomposition, squarefree_part,
                                  univariate_roots)
@@ -156,6 +157,19 @@ class TestRoots:
             univariate_roots(UniPoly([]), 256)
         with pytest.raises(InvalidInputError):
             univariate_roots(poly(5), 256)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_coefficients_rejected(self, bad):
+        # a nan coefficient returned nan roots, which passed the certificate
+        # because every comparison with nan is false; an inf one raised
+        # "polynomial is zero within the working tolerance"
+        for i in range(3):
+            for part in (mpf(bad), 1j * mpf(bad)):
+                coeffs = [AppComplex(c, 0, 128) for c in (2, -3, 1)]
+                coeffs[i] = AppComplex.from_mpc(1 + part, 128)
+                with pytest.raises(InvalidInputError,
+                                   match="coefficients must be finite"):
+                    univariate_roots(UniPoly(coeffs), 128)
 
     def test_reconstruction_from_roots(self):
         # product of (t - r_i), rescaled by the leading coefficient,
@@ -691,38 +705,76 @@ def ref_coeffs(p, bits):
     return out
 
 
+def aberth_sweeps(monkeypatch, cs, work):
+    """``_aberth``'s roots and the number of sweeps it ran, counted as its
+    evaluations of the monic polynomial, one per root and sweep."""
+    calls = []
+    real = numerics._fixed_horner
+
+    def counting(lead, *args):
+        if lead == 1:
+            calls.append(None)
+        return real(lead, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_fixed_horner", counting)
+        roots = _aberth(cs, work)
+    return roots, len(calls) // (len(cs) - 1)
+
+
 class TestRootLoopEquivalence:
-    def test_aberth_and_polish_match_the_mpc_loop(self):
+    def test_wandering_quadratic_sweeps(self, monkeypatch):
+        # the sweeps on integers take the libmp loop's iteration: about 165
+        # sweeps at 256 bits, and the iteration cap at 768
+        for bits, low, high in ((256, 155, 175), (768, 400, 400)):
+            work = bits + 2 * GUARD_BITS
+            cs = [_raw_pair(c, work) for c in WANDERING.coeffs]
+            assert low <= aberth_sweeps(monkeypatch, cs, work)[1] <= high
+
+    def test_polished_roots_match_the_mpc_loop(self, monkeypatch):
+        # every run that converges lands, after Newton, within
+        # 2^(16 - work) max(1, |r|) of the reference loop's root r, one to
+        # one; Newton still matches its reference bit for bit on the
+        # reference loop's output
+        converged = 0
         for p, bits in root_loop_cases():
             work = bits + 2 * GUARD_BITS
             cs = [_raw_pair(c, work) for c in p.coeffs]
             ref_cs = ref_coeffs(p, work)
             assert cs == [c._mpc_ for c in ref_cs]
-            got = _aberth(cs, work)
             want = ref_aberth(ref_cs, work)
-            assert got == [w._mpc_ for w in want]
-            got = _newton_polish(cs, got, work)
+            assert _newton_polish(cs, [w._mpc_ for w in want], work) == \
+                [w._mpc_ for w in ref_newton_polish(ref_cs, want, work)]
+            roots, sweeps = aberth_sweeps(monkeypatch, cs, work)
+            if sweeps == 400:
+                continue
+            converged += 1
+            got = _newton_polish(cs, roots, work)
             want = ref_newton_polish(ref_cs, want, work)
-            assert got == [w._mpc_ for w in want]
+            with workprec(2 * work):
+                for z in got:
+                    z = AppComplex.from_raw(z, work).to_mpc()
+                    dist = [abs(z - w) for w in want]
+                    i = dist.index(min(dist))
+                    r = want.pop(i)
+                    assert dist[i] <= mpf(2) ** (16 - work) * max(1, abs(r))
+        assert converged == len(root_loop_cases()) - 1
 
-    def test_critical_start_takes_the_nudge(self, monkeypatch):
-        # the nudge is the loop's one mpc_add_mpf; it runs in the first
-        # sweep, on the first root
-        calls = []
-        real = numerics.mpc_add_mpf
-
-        def counting(*args):
-            calls.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(numerics, "mpc_add_mpf", counting)
+    def test_critical_start_takes_the_nudge(self):
+        # the derivative vanishes exactly at the first start point z0, so
+        # the first sweep moves it by the nudge alone, (|z0| + 1) *
+        # 2^-ceil(work / 4) along the real axis, where a Newton step would
+        # divide by zero
         p = critical_start(128)
         work = 128 + 2 * GUARD_BITS
         cs = [c.parts for c in p.coeffs]
         z0 = _aberth(cs, work, max_iters=0)[0]
-        calls.clear()
-        _aberth(cs, work, max_iters=1)
-        assert calls == [z0]
+        z1 = _aberth(cs, work, max_iters=1)[0]
+        assert z1[1] == z0[1]
+        with workprec(2 * work):
+            x0 = AppComplex.from_raw(z0, work).to_mpc()
+            want = x0.real + (abs(x0) + 1) * mpf(2) ** (-work // 4)
+            assert abs(mpf(z1[0]) - want) <= mpf(2) ** (1 - work)
 
     @pytest.mark.parametrize("bits", [64, 256, 1024])
     def test_certificate_scale_is_the_mpf_product(self, bits, monkeypatch):
@@ -763,7 +815,9 @@ class TestRootLoopEquivalence:
 
     def test_aberth_skips_the_magnitudes_once_a_sweep_is_decided(self, monkeypatch):
         # every sweep on the wandering quadratic moves a root by far more
-        # than ``stop``, so the exponent test decides it without an mpc_abs
+        # than ``stop``; the sweeps and their stop test run on integers, so
+        # libmp's magnitudes and the product kernel serve only the start
+        # circle
         counts = collections.Counter()
         inside = [False]
 
@@ -784,18 +838,14 @@ class TestRootLoopEquivalence:
         real_aberth = numerics._aberth
         monkeypatch.setattr(numerics, "mpc_abs", counting("abs", numerics.mpc_abs))
         monkeypatch.setattr(numerics, "_cmul", counting("mul", numerics._cmul))
-        monkeypatch.setattr(numerics, "_clearly_moved",
-                            counting("exponent test", numerics._clearly_moved))
         monkeypatch.setattr(numerics, "_aberth", aberth)
         with pytest.raises(ConsistencyError,
                            match="root residual exceeds the acceptance threshold"):
             univariate_roots(WANDERING, 768)
-        # two roots, 400 sweeps: the loop that computes every rel makes
-        # 1600 mpc_abs calls, and Horner from mpc(0) makes 4800 products;
-        # the first root of each sweep decides it, so the second is not tested
-        assert counts["abs"] <= 4
-        assert counts["exponent test"] <= 400
-        assert counts["mul"] <= 4 * 2 * 400
+        # two roots, 400 sweeps: the libmp loop made 1600 mpc_abs calls
+        # for its stop test and 1600 products for its Horner steps
+        assert counts["abs"] == 1
+        assert counts["mul"] == 0
 
 
 def raw_parts(draw, bits, top):
@@ -824,51 +874,24 @@ def raw_complex(draw, bits, top):
 
 
 @st.composite
-def step_and_root(draw):
-    bits = draw(st.integers(96, 1120))
-    tz = draw(st.one_of(st.integers(-40, 40), st.integers(-3000, 3000)))
-    # most draws sit near the exponent test's cut, ts - max(tz, 0) = 15 - bits
-    ts = draw(st.one_of(
-        st.integers(-8, 8).map(lambda o: max(tz, 0) + 15 - bits + o),
-        st.integers(-4000, 4000)))
-    return bits, draw(raw_complex(bits, ts)), draw(raw_complex(bits, tz))
-
-
-_CZERO_RAW = (fzero, fzero)
-
-
-class TestExponentTest:
-    @settings(max_examples=400, deadline=None)
-    @given(step_and_root())
-    # the cut with |step| at its lower bound and |z| as large as its top allows
-    @example((128, ((0, 1, -109, 1), fzero),
-              ((0, 2 ** 128 - 1, -123, 128), (0, 2 ** 128 - 1, -123, 128))))
-    def test_declared_moves_exceed_stop(self, case):
-        bits, step, z = case
-        if not _clearly_moved(step, z, bits):
-            return
-        # rel and stop exactly as _aberth computes them
-        rel = mpf_div(mpc_abs(step, bits, round_nearest),
-                      mpf_add(mpc_abs(z, bits, round_nearest), fone, bits,
-                              round_nearest), bits, round_nearest)
-        stop = from_man_exp(1, 8 - bits)
-        assert mpf_gt(rel, stop)
-
-    def test_cut_sits_where_the_bounds_clear_stop_by_four_bits(self):
-        bits = 256
-        # z = 0: 1 + |z| = 1 < 2^2, so |step| >= 2^(top - 1) must reach
-        # 2^4 * 2^2 * stop = 2^(14 - bits), a top of 15 - bits
-        assert _clearly_moved(((0, 1, 14 - bits, 1), fzero), _CZERO_RAW, bits)
-        assert not _clearly_moved(((0, 1, 13 - bits, 1), fzero), _CZERO_RAW, bits)
-        # a nonzero imaginary part counts as much as a real one
-        assert _clearly_moved((fzero, (1, 1, 14 - bits, 1)), _CZERO_RAW, bits)
-
-    def test_zero_and_non_finite_parts_decide_nothing(self):
-        big = (0, 1, 10, 1)
-        assert not _clearly_moved((fzero, fzero), (big, fzero), 128)
-        for bad in (finf, fninf, fnan):
-            assert not _clearly_moved((bad, big), (big, fzero), 128)
-            assert not _clearly_moved((big, fzero), (fzero, bad), 128)
+def step_near_stop(draw):
+    """(work_bits, scale, step, z): fixed-point pairs at 2**-scale, |z|
+    about 2**top, and |step| mostly within a few units of the stop bound
+    2**(8 - work_bits) * (1 + |z|), in any direction."""
+    bits = draw(st.integers(64, 1100))
+    scale = bits + 8 + draw(st.integers(0, 64))
+    top = draw(st.one_of(st.integers(-8, 8), st.integers(-scale, 2000)))
+    size = max(scale + top, 0)
+    z = tuple(draw(st.integers(-(1 << size), 1 << size)) for _ in range(2))
+    bound = ((1 << scale) + math.isqrt(z[0] ** 2 + z[1] ** 2)) >> (bits - 8)
+    a = draw(st.integers(0, bound))
+    b = math.isqrt(bound * bound - a * a)
+    b += draw(st.one_of(st.integers(-2, 2), st.integers(-bound, bound)))
+    signs = draw(st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))))
+    step = (signs[0] * a, signs[1] * b)
+    if draw(st.booleans()):
+        step = step[::-1]
+    return bits, scale, step, z
 
 
 @st.composite
@@ -904,6 +927,36 @@ def magnitude_and_threshold(draw):
     else:
         t = fzero
     return draw(st.integers(64, 1100)), z, t
+
+
+class TestStopRule:
+    @settings(max_examples=300, deadline=None)
+    @given(step_near_stop())
+    def test_decided_exactly(self, case):
+        bits, scale, (sr, si), (x, y) = case
+        # gap = 2**scale + |z| - |s| 2**(bits - 8) has three conjugates
+        # (other signs of the square roots) below 2**size in modulus, and
+        # the product of all four is an integer, so a gap that is not zero
+        # exceeds 2**(-3 * size); mpmath at 5 * size bits decides it
+        size = max(sr.bit_length(), si.bit_length(), x.bit_length(),
+                   y.bit_length(), scale) + bits + 4
+        with workprec(5 * size):
+            gap = (mpf(2) ** scale + mpmath.sqrt(x * x + y * y)
+                   - mpmath.sqrt(sr * sr + si * si) * mpf(2) ** (bits - 8))
+            want = gap >= 0 or -gap < mpf(2) ** (-3 * size)
+        assert _within_stop(sr, si, x, y, scale, bits) == want
+
+    def test_ties_settle(self):
+        # |s| = 2**(8 - bits) (1 + |z|) exactly, for z = 0 and for
+        # z = (3k, 4k); one unit more does not settle
+        bits, scale = 256, 300
+        one = 1 << scale
+        for k in (0, 7 << (bits - 8)):
+            s = (one + 5 * k) >> (bits - 8)
+            assert _within_stop(s, 0, 3 * k, 4 * k, scale, bits)
+            assert _within_stop(0, -s, -3 * k, 4 * k, scale, bits)
+            assert not _within_stop(s + 1, 0, 3 * k, 4 * k, scale, bits)
+            assert not _within_stop(s, 1, 3 * k, 4 * k, scale, bits)
 
 
 class TestMagnitudeByExponent:
