@@ -27,9 +27,9 @@ exact.  ``abs`` and ``**`` run mpmath's libmp ``mpc_abs`` and
 without the second rounding.
 
 ``+ - * /``, the rounding of int, Fraction and mpf operands (``_raw_mpf``),
-the root finder's loops (``_horner``, ``_newton_polish``, the monic
-coefficients of ``_aberth`` and the residual certificate of
-``univariate_roots``), ``linalg``'s complex
+the root finder's libmp steps (the monic coefficients of ``_aberth`` and
+the residual certificate of ``univariate_roots`` with its evaluation
+``_horner``), ``linalg``'s complex
 eliminations (echelon form, rank, kernel, determinant, least squares) and
 the approximate lift of ``apolarity._subspace_lift`` run this module's
 raw-tuple kernels (``_cadd``, ``_csub``, ``_cmul``, ``_cdiv``, ``_cinv``,
@@ -53,17 +53,13 @@ are thin wrappers over them, so one copy of the rules serves both and a
 loop on raw values boxes each result once (``_box``) with the operators'
 bits.
 
-Root finding runs at the working precision with one exception: the
-starting roots of a factor of degree 3 or more come from Aberth's
-iteration on Python complex values (``_float_aberth``), and Newton's
-method at the working precision refines them (``_seeded_roots``; Bini,
-Numer. Algorithms 13, 1996).  Where the doubles or the refinement fail,
-the factor runs ``_aberth`` at the working precision instead, as every
-factor of degree 2 does; the residual certificate is the same for both.
-``_aberth``'s sweeps are the one loop off libmp's rounding: they run on
-pairs of Python ints at a scale sized so that every root keeps the working
-precision, and their iterates only seed Newton's method and the
-certificate, which guards each returned root.
+Root finding runs at the working precision: every factor that is not an
+exact linear one runs ``_aberth`` (Bini, Numer. Algorithms 13, 1996), and
+its roots go straight to the residual certificate.  ``_aberth``'s sweeps
+are the one loop off libmp's rounding: they run on pairs of Python ints at
+a scale sized so that every root keeps the working precision, and stop
+only once every step is at rounding level, so no refinement follows; the
+certificate guards each returned root.
 
 Every tolerance and scale of the pipeline is a libmp product at
 THRESHOLD_BITS, mpmath's default precision (``_threshold``), so no decision
@@ -89,18 +85,16 @@ none of these helpers.
 
 from __future__ import annotations
 
-import cmath
 import mpmath
 from math import isqrt
 from fractions import Fraction
 from mpmath import mpf, mpc, workprec
-from mpmath.libmp import (fhalf, fone, from_float, from_int, from_man_exp,
-                          from_rational, fzero, mpc_abs, mpc_add, mpc_div,
-                          mpc_exp, mpc_mpf_div, mpc_mul, mpc_mul_int,
-                          mpc_mul_mpf, mpc_pow_int, mpc_sub, mpf_add, mpf_div,
-                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
-                          mpf_neg, mpf_pi, mpf_pow, mpf_pow_int, mpf_shift,
-                          round_nearest, to_float)
+from mpmath.libmp import (fhalf, fone, from_int, from_man_exp, from_rational,
+                          fzero, mpc_abs, mpc_add, mpc_div, mpc_exp,
+                          mpc_mpf_div, mpc_mul, mpc_mul_mpf, mpc_pow_int,
+                          mpc_sub, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_pow,
+                          mpf_pow_int, mpf_shift, round_nearest)
 
 from .errors import ConsistencyError, InvalidInputError
 
@@ -1028,148 +1022,6 @@ def _aberth(coeffs, work_bits, max_iters=400):
              from_man_exp(y, -scale, wb, _RND)) for x, y in z]
 
 
-def _newton_polish(coeffs, roots, work_bits, steps=6, strict=False):
-    """Newton steps on raw pairs from each root, rounded as mpc arithmetic
-    under ``workprec(work_bits)`` rounds them.
-
-    With ``strict``, a root also stops after a step at rounding level
-    (``_settled``), and the result is None unless every root reaches such
-    a fixed point, or one that a step returns unchanged, within ``steps``
-    steps."""
-    cs = [_cpos(c, work_bits) for c in coeffs]
-    dcs = [mpc_mul_int(cs[k], k, work_bits, _RND) for k in range(1, len(cs))]
-
-    # a step that returns its root unchanged would repeat itself, so the
-    # polish stops there with the bits the remaining steps would give
-    out = []
-    for z in roots:
-        w = _cpos(z, work_bits)
-        fixed = False
-        for _ in range(steps):
-            dv = _horner(dcs, w, work_bits)
-            if dv == _CZERO:
-                break
-            step = _cdiv(_horner(cs, w, work_bits), dv, work_bits)
-            nxt = _csub(w, step, work_bits)
-            if nxt == w:
-                fixed = True
-                break
-            w = nxt
-            if strict and _settled(step, w, work_bits):
-                fixed = True
-                break
-        if strict and not fixed:
-            return None
-        out.append(w)
-    return out
-
-
-def _settled(step, z, work_bits):
-    """Whether the exponents put |step| below 2**(8 - work_bits) * max(1,
-    |z|), within ``_aberth``'s ``stop`` relative to 1 + |z|: a Newton step
-    at rounding level, after which the root moves by noise alone.  With
-    ``_ctop``, |step| < 2**top(step) and |z| >= 2**(top(z) - 1).  False
-    when a part is not finite."""
-    ts = _ctop(step)
-    tz = _ctop(z)
-    if ts is None or tz is None:
-        return False
-    return ts - max(tz - 1, 0) <= 8 - work_bits
-
-
-def _float_aberth(coeffs):
-    """Starting roots for a factor of degree >= 3: ``_aberth``'s iteration
-    on Python complex values, or None when a monic coefficient or a root
-    is not a finite double, or a double overflows on the way.
-
-    The monic coefficients are taken by ``_cdiv`` at 53 bits and rounded
-    to doubles.  The start circle, the nudge off a critical point and the
-    stand-in for a zero difference are ``_aberth``'s at 53 bits, and so are
-    the cap of 400 sweeps and the stopping rule: a sweep ends the iteration
-    once every relative step |step| / (1 + |z|) is at most 2^(8 - 53).
-    """
-    lead = coeffs[-1]
-    monic = [complex(to_float(re), to_float(im))
-             for re, im in (_cdiv(c, lead, 53) for c in coeffs)]
-    if not all(cmath.isfinite(c) for c in monic):
-        return None
-    n = len(monic) - 1
-    dmonic = [k * monic[k] for k in range(1, n + 1)]
-
-    def horner(poly, x):
-        acc = 0j
-        for c in reversed(poly):
-            acc = acc * x + c
-        return acc
-
-    try:
-        r = abs(monic[0]) ** (1 / n)
-        if r < 2.0 ** -27:
-            r = 0.5
-        z = [r * cmath.exp(1j * (2 * cmath.pi * k / n + 0.5))
-             for k in range(n)]
-        stop = 2.0 ** (8 - 53)
-        for _ in range(400):
-            settled = True
-            for k in range(n):
-                zk = z[k]
-                pv = horner(monic, zk)
-                dv = horner(dmonic, zk)
-                if pv == 0:
-                    continue
-                if dv == 0:
-                    z[k] = zk + (abs(zk) + 1) * 2.0 ** -14
-                    settled = False
-                    continue
-                newt = pv / dv
-                s = sum(1 / ((zk - w) or 2.0 ** -53)
-                        for j, w in enumerate(z) if j != k)
-                denom = 1 - newt * s
-                step = newt / denom if denom else newt
-                zk = z[k] = zk - step
-                if settled and abs(step) > stop * (1 + abs(zk)):
-                    settled = False
-            if settled:
-                break
-    except OverflowError:
-        return None
-    return z if all(cmath.isfinite(w) for w in z) else None
-
-
-def _seeded_roots(coeffs, work_bits):
-    """The roots of a factor of degree >= 3 as raw pairs at ``work_bits``:
-    ``_float_aberth``'s seeds polished by ``_newton_polish`` with
-    ``strict``, within (work_bits // 50).bit_length() + 2 steps, about
-    log2(work_bits / 50) + 2: the doublings of quadratic convergence from
-    50 bits, the step at rounding level that ends a root, and one to spare.
-
-    None, so that the caller runs ``_aberth`` instead, when there are no
-    seeds, when a root reaches no fixed point within the cap, or when two
-    polished roots coincide: their difference has a top at most that of
-    max(1, |root|) less work_bits // 2.  Two seeds drawn to one root lose
-    another, which the residual certificate, testing each root on its own,
-    cannot see."""
-    seeds = _float_aberth(coeffs)
-    if seeds is None:
-        return None
-    steps = (work_bits // 50).bit_length() + 2
-    roots = _newton_polish(
-        coeffs, [(from_float(w.real), from_float(w.imag)) for w in seeds],
-        work_bits, steps, strict=True)
-    if roots is None:
-        return None
-    for i, x in enumerate(roots):
-        top = _ctop(x)
-        if top is None:
-            return None
-        floor = max(top, 0) - work_bits // 2
-        for y in roots[i + 1:]:
-            gap = _ctop(_csub(x, y, work_bits))
-            if gap is None or gap <= floor:
-                return None
-    return roots
-
-
 #: the precision of a threshold: mpmath's default, fixed, so that no result
 #: follows the caller's ``mpmath.mp.prec``
 THRESHOLD_BITS = 53
@@ -1216,18 +1068,11 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
     One loop runs over (factor, multiplicity) pairs: the squarefree
     factors of rational input, so each Aberth run only ever sees simple
     roots, or the input itself once when it is approximate.  Each root is
-    repeated by its factor's multiplicity.  The work is done at
-    precision_bits + 2 * GUARD_BITS:
-    - an exact linear factor is solved in closed form;
-    - a factor of degree 2 runs Aberth (``_aberth``), then Newton
-      (``_newton_polish``);
-    - a factor of degree >= 3 takes its starting roots from Aberth on
-      Python complex values, stopped by ``_aberth``'s rule at 53 bits, and
-      refines them by Newton (``_seeded_roots``);
-      it runs Aberth and Newton as degree 2 does when a monic coefficient
-      or a seed is not a finite double, when Newton reaches no fixed point
-      within its cap, or when two refined roots coincide.
-    Every returned root r satisfies
+    repeated by its factor's multiplicity.  An exact linear factor is
+    solved in closed form; every other factor runs Aberth (``_aberth``) at
+    work = precision_bits + 2 * GUARD_BITS, which stops once every step is
+    at most 2**(8 - work) * (1 + |z|); its roots go straight to the
+    residual certificate.  Every returned root r satisfies
     |p(r)| <= 2^(-precision_bits/2) * max|coeff| * max(1, |r|)^deg.
     A coefficient with an inf or nan part raises InvalidInputError: a nan
     residual would pass the certificate, whose comparisons it fails.
@@ -1272,10 +1117,7 @@ def univariate_roots(p: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS):
                 roots.extend([AppComplex(r, 0, precision_bits)] * mult)
                 continue
             cs = [_raw_pair(c, work) for c in factor.coeffs]
-            found = _seeded_roots(cs, work) if factor.degree >= 3 else None
-            if found is None:
-                found = _newton_polish(cs, _aberth(cs, work), work)
-            for r in found:
+            for r in _aberth(cs, work):
                 roots.extend([AppComplex.from_raw(r, precision_bits)] * mult)
 
     roots.extend(AppComplex(0, 0, precision_bits) for _ in range(nzero))

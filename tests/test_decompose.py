@@ -179,15 +179,15 @@ class TestBinary:
 
     #: SHA-256 of the exact terms of x0^(d-1)*x1 at seed 5, per d
     MONOMIAL_TERMS = {
-        2: "42ba232b49277df63771011c43143b50f9047f7fddd2a5fc119db3776143c980",
-        3: "95f24431ba1673cf7195032c49028ff5cce5eac6c45f2b22d63a164bdabfaa63",
-        4: "4c9d54e1c2728c7590dd68dc70c361150a12890ba60c7a0c52e7f8b6248f0bfc",
-        5: "62087a9cd88c028010a490dd50a61035b4d70126a47b67c755e4557730f56be0",
-        6: "128709c32c4c448198175094f97f0abcf5e798a0557a796c123c30a5a1396d7a",
-        7: "b09eb63eb52ce82b430ccfa50700afbff3cbe5d4ef0508ab4b97afa9a862af42",
+        2: "e10c17307a749acd2809490aa77221569d53326a95543538624aee6a84e827da",
+        3: "f8fb30ddd422092ad64280df8029c9f46aa080dd01be208ea20560221e3d69bd",
+        4: "b7a423d2af3c7c2963ca56a7d89dfccc1e3356c6f88e647eedff4e889b954488",
+        5: "943f4c0185d4c446f6fc6a4ee899d3e6fe2ce535d8acfa8e4ece3a2266594b02",
+        6: "dd276c82793ed64a3ee1b7c8936f404520e12545bea5585b6fc9bbe0031d39a0",
+        7: "f03150f5440cc7bb6a0d97b492b8e45d2d13951ed68c8833f70f3974930368bb",
         8: "04b2c80a498aef0358cc97e8066ccd63823df7e3e6584ed895c38748766e0016",
-        9: "1db5960fb887e8776a7e50d007e45aece6b58c1bcf352f2312c27a1387bfd28c",
-        10: "02fc191a146fbdc5bbc100f237d70a2bdec6f20a41c1cf721c73056855008703"}
+        9: "f4f7f9330b9f7d6924599c8734ddb431a5652d13da66dcda41450b2079af2015",
+        10: "d0779d697072feae1da2dc243743b9f0b3ec79984ff6655fb1c1596449d00f9d"}
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_monomial_needs_full_count(self, d):

@@ -193,9 +193,8 @@ LIBMP_ARITHMETIC = {"mpc_add", "mpc_sub", "mpc_mul", "mpc_div", "mpc_mpf_div"}
 
 #: the root finder's loops, the raw-value helpers and AppComplex's
 #: operators over them, which run on KERNELS
-KERNEL_CALLERS = {"_horner", "_aberth", "_newton_polish", "_float_aberth",
-                  "_seeded_roots", "univariate_roots", "_operands", "_mul",
-                  "_add", "_sub", "_div",
+KERNEL_CALLERS = {"_horner", "_aberth", "univariate_roots", "_operands",
+                  "_mul", "_add", "_sub", "_div",
                   "AppComplex._binop", "AppComplex.__add__",
                   "AppComplex.__sub__", "AppComplex.__rsub__",
                   "AppComplex.__mul__", "AppComplex.__truediv__",
@@ -521,8 +520,11 @@ MPC_OBJECTS = {"mpc", "workprec", "mpmath", "_make_mpc", "to_mpc", "from_mpc"}
 
 #: the root finder, which runs on raw pairs from the coefficients to the
 #: certified roots
-ROOT_FINDER = {"_horner", "_aberth", "_newton_polish", "_float_aberth",
-               "_seeded_roots", "univariate_roots"}
+ROOT_FINDER = {"_horner", "_aberth", "univariate_roots"}
+
+#: what a root path on Python complex values needs: the module of complex
+#: doubles and libmp's converters between doubles and raw mpfs
+DOUBLE_PRECISION = {"cmath", "from_float", "to_float"}
 
 
 def _imported_names(tree):
@@ -536,6 +538,13 @@ def test_root_finder_runs_on_raw_pairs():
     assert ROOT_FINDER <= set(functions)
     assert {name: names for name in sorted(ROOT_FINDER)
             if (names := _names_in(functions[name]) & MPC_OBJECTS)} == {}
+
+
+def test_roots_are_found_at_the_working_precision():
+    # every factor runs ``_aberth`` on integers; no root path on doubles
+    # comes back beside it
+    tree = _parsed()["numerics"]
+    assert _imported_names(tree) & DOUBLE_PRECISION == set()
 
 
 def test_mpc_objects_stay_in_numerics():

@@ -16,9 +16,9 @@ from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
 from openwaring import ConsistencyError, InvalidInputError, numerics
 from openwaring.numerics import (GUARD_BITS, AppComplex, UniPoly, _aberth,
                                  _abs_exceeds, _abs_gt, _abs_le, _cadd, _cdiv,
-                                 _cinv, _cmul, _csub, _horner,
-                                 _newton_polish, _pos, _quo, _raw_mpf,
-                                 _raw_pair, _within_stop, is_squarefree,
+                                 _cinv, _cmul, _csub, _horner, _pos, _quo,
+                                 _raw_mpf, _raw_pair, _within_stop,
+                                 is_squarefree,
                                  max_abs_of, scalar_is_zero,
                                  squarefree_decomposition, squarefree_part,
                                  univariate_roots)
@@ -576,79 +576,6 @@ class TestRawKernels:
                 assert_kernels_match_libmp(128, z, w)
 
 
-def ref_aberth(coeffs, work_bits, max_iters=400):
-    n = len(coeffs) - 1
-    with workprec(work_bits):
-        cs = [mpc(c) for c in coeffs]
-        lead = cs[-1]
-        monic = [c / lead for c in cs]
-        dmonic = [k * monic[k] for k in range(1, n + 1)]
-        r = abs(monic[0]) ** (mpf(1) / n)
-        if r == 0 or r < mpf(2) ** (-work_bits // 2):
-            r = mpf(1) / 2
-        two_pi = 2 * mpmath.pi
-        z = [r * mpmath.exp(mpc(0, two_pi * k / n + mpf(1) / 2)) for k in range(n)]
-        stop = mpf(2) ** (-(work_bits - 8))
-
-        def peval(poly, x):
-            acc = mpc(0)
-            for c in reversed(poly):
-                acc = acc * x + c
-            return acc
-
-        for _ in range(max_iters):
-            max_step = mpf(0)
-            for k in range(n):
-                pv = peval(monic, z[k])
-                dv = peval(dmonic, z[k])
-                if pv == 0:
-                    continue
-                if dv == 0:
-                    z[k] = z[k] + (abs(z[k]) + 1) * mpf(2) ** (-work_bits // 4)
-                    max_step = mpf(1)
-                    continue
-                newt = pv / dv
-                s = mpc(0)
-                for j in range(n):
-                    if j != k:
-                        diff = z[k] - z[j]
-                        if diff == 0:
-                            diff = mpc(mpf(2) ** (-work_bits), 0)
-                        s += 1 / diff
-                denom = 1 - newt * s
-                step = newt if denom == 0 else newt / denom
-                z[k] = z[k] - step
-                rel = abs(step) / (1 + abs(z[k]))
-                if rel > max_step:
-                    max_step = rel
-            if max_step <= stop:
-                break
-        return [mpc(w) for w in z]
-
-
-def ref_newton_polish(coeffs, roots, work_bits, steps=6):
-    with workprec(work_bits):
-        cs = [mpc(c) for c in coeffs]
-        dcs = [k * cs[k] for k in range(1, len(cs))]
-
-        def peval(poly, x):
-            acc = mpc(0)
-            for c in reversed(poly):
-                acc = acc * x + c
-            return acc
-
-        out = []
-        for z in roots:
-            w = mpc(z)
-            for _ in range(steps):
-                dv = peval(dcs, w)
-                if dv == 0:
-                    break
-                w = w - peval(cs, w) / dv
-            out.append(w)
-        return out
-
-
 WANDERING = UniPoly([Fraction(1061, 32), Fraction(-1069, 16), 1])
 
 
@@ -692,19 +619,6 @@ def root_loop_cases():
     return cases
 
 
-def ref_coeffs(p, bits):
-    """p's coefficients as mpc objects: a Fraction rounded at ``bits`` as
-    mpf(num) / mpf(den), an AppComplex as stored."""
-    out = []
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            with workprec(bits):
-                out.append(mpc(mpf(c.numerator) / mpf(c.denominator)))
-        else:
-            out.append(c.to_mpc())
-    return out
-
-
 def aberth_sweeps(monkeypatch, cs, work):
     """``_aberth``'s roots and the number of sweeps it ran, counted as its
     evaluations of the monic polynomial, one per root and sweep."""
@@ -731,33 +645,28 @@ class TestRootLoopEquivalence:
             cs = [_raw_pair(c, work) for c in WANDERING.coeffs]
             assert low <= aberth_sweeps(monkeypatch, cs, work)[1] <= high
 
-    def test_polished_roots_match_the_mpc_loop(self, monkeypatch):
-        # every run that converges lands, after Newton, within
-        # 2^(16 - work) max(1, |r|) of the reference loop's root r, one to
-        # one; Newton still matches its reference bit for bit on the
-        # reference loop's output
+    def test_roots_within_the_stop_rule_of_polyroots(self, monkeypatch):
+        # every run that converges returns roots within 2^(2 - work)
+        # max(1, |r|) of mpmath's roots r of the same rounded coefficients
+        # at 2 work + 64 bits, one to one
         converged = 0
         for p, bits in root_loop_cases():
             work = bits + 2 * GUARD_BITS
             cs = [_raw_pair(c, work) for c in p.coeffs]
-            ref_cs = ref_coeffs(p, work)
-            assert cs == [c._mpc_ for c in ref_cs]
-            want = ref_aberth(ref_cs, work)
-            assert _newton_polish(cs, [w._mpc_ for w in want], work) == \
-                [w._mpc_ for w in ref_newton_polish(ref_cs, want, work)]
             roots, sweeps = aberth_sweeps(monkeypatch, cs, work)
             if sweeps == 400:
                 continue
             converged += 1
-            got = _newton_polish(cs, roots, work)
-            want = ref_newton_polish(ref_cs, want, work)
-            with workprec(2 * work):
-                for z in got:
-                    z = AppComplex.from_raw(z, work).to_mpc()
+            with workprec(2 * work + 64):
+                want = mpmath.polyroots(
+                    [mpmath.mp.make_mpc(c) for c in cs[::-1]],
+                    maxsteps=200, extraprec=work)
+                for z in roots:
+                    z = mpmath.mp.make_mpc(z)
                     dist = [abs(z - w) for w in want]
                     i = dist.index(min(dist))
                     r = want.pop(i)
-                    assert dist[i] <= mpf(2) ** (16 - work) * max(1, abs(r))
+                    assert dist[i] <= mpf(2) ** (2 - work) * max(1, abs(r))
         assert converged == len(root_loop_cases()) - 1
 
     def test_critical_start_takes_the_nudge(self):

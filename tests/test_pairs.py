@@ -60,13 +60,15 @@ def test_summary_of_canned_results():
 
 def test_failed_shares_are_summed_per_side():
     # a larger failed share is a regression, so the summary carries each
-    # side's failed/attempted over all pairs: 1+1+1+1 of 4*19 against
-    # 1+1+1+2
+    # side's failed/attempted over all pairs, 1+1+1+1 of 4*19 against
+    # 1+1+1+2, and the share as a percentage
     pairs = load_tool()
     totals = pairs.failed_totals(canned_pairs())
     assert totals == {"parent": (4, 76), "change": (5, 76)}
     text = pairs.render(pairs.summarize(canned_pairs(), BETTER), totals)
-    assert text[-1].split() == ["failed/attempted", "4/76", "5/76"]
+    assert text[-1].split() == ["failed/attempted", "4/76", "(5.3%)",
+                                "5/76", "(6.6%)"]
+    assert pairs.share(0, 0) == "0/0 (-)"
     # without totals the table ends with the metrics
     assert pairs.render([], None) == text[:1]
 
@@ -119,8 +121,8 @@ def test_one_table_and_one_failed_line_per_workload(monkeypatch, capsys):
     assert out[tables[0] - 1] == "workload exact"
     assert out[tables[1] - 1] == "workload inductive"
     failed = [line.split() for line in out if line.startswith("failed/attempted")]
-    assert failed == [["failed/attempted", "4/76", "5/76"],
-                      ["failed/attempted", "5/76", "4/76"]]
+    assert failed == [["failed/attempted", "4/76", "(5.3%)", "5/76", "(6.6%)"],
+                      ["failed/attempted", "5/76", "(6.6%)", "4/76", "(5.3%)"]]
     exact = out[tables[0]:tables[1]]
     assert next(line for line in exact
                 if line.startswith("verify_s_p50")).split() == \

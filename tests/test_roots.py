@@ -1,5 +1,4 @@
-"""``univariate_roots`` against ``mpmath.polyroots`` at twice the precision,
-and the fallbacks of the double-precision seeds for degree >= 3.
+"""``univariate_roots`` against ``mpmath.polyroots`` at twice the precision.
 
 The property draws degrees 3-10 at 64-1024 bits, exact and approximate
 coefficients, dense integer polynomials and products over clusters of two
@@ -16,10 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf, workprec
 
-from openwaring import numerics
-from openwaring.numerics import (GUARD_BITS, AppComplex, UniPoly,
-                                 _float_aberth, _newton_polish, _raw_pair,
-                                 _seeded_roots, univariate_roots)
+from openwaring.numerics import AppComplex, UniPoly, univariate_roots
 
 
 def product(roots):
@@ -117,6 +113,11 @@ def assert_matches_polyroots(p, bits):
             candidates.append([j for j, w in enumerate(want)
                                if abs(z - w) <= radius])
     assert one_to_one(candidates)
+    return roots
+
+
+def poly(*coeffs):
+    return UniPoly([Fraction(c) for c in coeffs])
 
 
 class TestAgainstPolyroots:
@@ -125,81 +126,20 @@ class TestAgainstPolyroots:
     def test_roots_match_one_to_one(self, case):
         assert_matches_polyroots(*case)
 
-
-def aberth_calls(monkeypatch):
-    """A list that records each ``_aberth`` run's degree."""
-    calls = []
-    real = numerics._aberth
-
-    def counting(coeffs, work_bits, *rest):
-        calls.append(len(coeffs) - 1)
-        return real(coeffs, work_bits, *rest)
-
-    monkeypatch.setattr(numerics, "_aberth", counting)
-    return calls
-
-
-def raw_coeffs(p, bits):
-    return [_raw_pair(c, bits + 2 * GUARD_BITS) for c in p.coeffs]
-
-
-def poly(*coeffs):
-    return UniPoly([Fraction(c) for c in coeffs])
-
-
-class TestSeedFallbacks:
-    def test_separated_cubic_takes_the_seeds(self, monkeypatch):
-        calls = aberth_calls(monkeypatch)
-        p = poly(-2, 0, 0, 1)
-        assert _seeded_roots(raw_coeffs(p, 256), 256 + 2 * GUARD_BITS)
-        assert_matches_polyroots(p, 256)
-        assert calls == []
-
-    def test_monic_coefficient_beyond_doubles(self, monkeypatch):
-        # x^3 + x + 10^400: the monic constant term is no finite double
-        calls = aberth_calls(monkeypatch)
-        p = poly(10 ** 400, 1, 0, 1)
-        assert _float_aberth(raw_coeffs(p, 256)) is None
-        assert_matches_polyroots(p, 256)
-        assert calls == [3]
-
-    def test_seed_beyond_doubles(self, monkeypatch):
-        # x^3 - 10^300 x^2 + 1: finite monic coefficients, but a root near
-        # 10^300 whose cube overflows a double on the way
-        calls = aberth_calls(monkeypatch)
-        p = poly(1, 0, -10 ** 300, 1)
-        assert _float_aberth(raw_coeffs(p, 256)) is None
-        assert_matches_polyroots(p, 256)
-        assert calls == [3]
-
-    def test_newton_without_a_fixed_point(self, monkeypatch):
-        # approximate (x - 1)^2 (x + 2) is not split into squarefree
-        # factors; Newton converges only linearly to the double root
-        calls = aberth_calls(monkeypatch)
-        bits = 256
-        work = bits + 2 * GUARD_BITS
-        p = UniPoly([AppComplex(c, 0, bits) for c in (2, -3, 0, 1)])
-        cs = raw_coeffs(p, bits)
-        seeds = [(mpf(w.real)._mpf_, mpf(w.imag)._mpf_)
-                 for w in _float_aberth(cs)]
-        assert _newton_polish(cs, seeds, work, 5, strict=True) is None
-        assert _seeded_roots(cs, work) is None
-        roots = univariate_roots(p, bits)
-        assert calls == [3]
-        assert sum(abs(r.to_mpc() - 1) < mpf(2) ** -100 for r in roots) == 2
-
-    def test_coinciding_roots(self, monkeypatch):
-        # two seeds drawn to one root of x^3 - 2 would lose another root,
-        # which the residual certificate cannot see
-        calls = aberth_calls(monkeypatch)
-        c = 2 ** (1 / 3)
-        monkeypatch.setattr(numerics, "_float_aberth", lambda coeffs: [
-            complex(c), complex(c * (1 + 2 ** -40)),
-            complex(-c / 2, c * 3 ** 0.5 / 2)])
-        p = poly(-2, 0, 0, 1)
-        assert _seeded_roots(raw_coeffs(p, 256), 256 + 2 * GUARD_BITS) is None
-        assert_matches_polyroots(p, 256)
-        assert calls == [3]
+    @pytest.mark.parametrize("p, near_one", [
+        # x^3 + x + 10^400: the monic constant term is beyond doubles
+        (poly(10 ** 400, 1, 0, 1), 0),
+        # x^3 - 10^300 x^2 + 1: a root near 10^300, whose cube is beyond
+        # doubles
+        (poly(1, 0, -10 ** 300, 1), 0),
+        # approximate (x - 1)^2 (x + 2), which is not split into squarefree
+        # factors: both roots at 1 come back within 2^-100 of it
+        (UniPoly([AppComplex(c, 0, 256) for c in (2, -3, 0, 1)]), 2),
+    ], ids=["beyond-doubles", "huge-root", "double-root"])
+    def test_hard_inputs(self, p, near_one):
+        roots = assert_matches_polyroots(p, 256)
+        assert sum(abs(r.to_mpc() - 1) < mpf(2) ** -100
+                   for r in roots) == near_one
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -208,8 +148,8 @@ class TestSeedFallbacks:
                           "that are wrong beside a huge coefficient")
 def test_small_roots_beside_a_huge_coefficient():
     # x^3 - 10^300 x^2 + 1 has roots near 10^300 and +-1.0e-150; at 256 bits
-    # the two small ones come back as -3.7e-150 + 7.3e-150i and
-    # 1.9e-150 - 3.6e-150i, since |p(r)| ~ 67 there is far below the
+    # the two small ones come back as -6.6e-148 + 1.1e-147i and
+    # 3.4e-148 - 5.8e-148i, since |p(r)| ~ 10^6 there is far below the
     # certificate's bound of about 2^-128 * 10^300
     roots = [r.to_mpc() for r in univariate_roots(poly(1, 0, -10 ** 300, 1), 256)]
     with workprec(2000):

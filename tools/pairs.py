@@ -14,8 +14,9 @@ failed/attempted counts as it goes.  At the end it prints, for each
 workload, a table with per metric the two medians, their ratio, both
 interquartile ranges and the number of pairs the change won, and last each
 side's failed and attempted operations summed over that workload's pairs,
-since a larger failed share is a regression too.  So one command shows
-whether any metric got worse on any workload.
+with the failed share as a percentage, since a larger failed share is a
+regression too.  So one command shows whether any metric got worse on any
+workload.
 Which direction is better comes from CHANGE's `BENCHMARK.json`.  A gain is
 resolved when the change wins nearly every pair and the medians differ by
 more than the parent's IQR.  The script writes nothing itself; each run
@@ -99,9 +100,17 @@ def failed_totals(pairs):
                    sum(p[side]["attempted"] for p in pairs)) for side in SIDES}
 
 
+def share(failed, attempted):
+    """'failed/attempted (percent)', the percentage to one decimal, '-'
+    with nothing attempted."""
+    percent = f"{failed / attempted:.1%}" if attempted else "-"
+    return f"{failed}/{attempted} ({percent})"
+
+
 def render(rows, totals=None):
     """The summary table; with ``totals`` from ``failed_totals``, a last
-    line of each side's failed/attempted."""
+    line of each side's failed/attempted and the failed share as a
+    percentage."""
     lines = [f"{'metric':18s} {'parent':>12s} {'change':>12s} {'ratio':>8s} "
              f"{'parent IQR':>12s} {'change IQR':>12s} {'wins':>6s}"]
     for name, old, new, old_iqr, new_iqr, wins, count in rows:
@@ -109,7 +118,7 @@ def render(rows, totals=None):
         lines.append(f"{name:18s} {old:12.6g} {new:12.6g} {ratio:>8s} "
                      f"{old_iqr:12.6g} {new_iqr:12.6g} {wins:>3d}/{count}")
     if totals is not None:
-        shares = ["{}/{}".format(*totals[side]) for side in SIDES]
+        shares = [share(*totals[side]) for side in SIDES]
         lines.append(f"{'failed/attempted':18s} {shares[0]:>12s} "
                      f"{shares[1]:>12s}")
     return lines
