@@ -135,7 +135,16 @@ class TestAgainstPolyroots:
         # approximate (x - 1)^2 (x + 2), which is not split into squarefree
         # factors: both roots at 1 come back within 2^-100 of it
         (UniPoly([AppComplex(c, 0, 256) for c in (2, -3, 0, 1)]), 2),
-    ], ids=["beyond-doubles", "huge-root", "double-root"])
+        # x^3 - 2: three well separated roots, one real
+        (poly(-2, 0, 0, 1), 0),
+        # (x - 1)(x - 1 - 2^-20)(x + 2): two roots far closer to each other
+        # than to the third, yet far wider apart than the match radius
+        # (about 2^-42 here), so a root lost to two approximations drawn
+        # to one shows
+        (UniPoly(product([Fraction(1), 1 + Fraction(1, 2 ** 20),
+                          Fraction(-2)])), 1),
+    ], ids=["beyond-doubles", "huge-root", "double-root", "separated-cubic",
+            "close-pair"])
     def test_hard_inputs(self, p, near_one):
         roots = assert_matches_polyroots(p, 256)
         assert sum(abs(r.to_mpc() - 1) < mpf(2) ** -100
