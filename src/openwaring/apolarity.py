@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial, lcm
 
 from mpmath import mpf, nstr
@@ -35,9 +36,9 @@ from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
                        UniPoly, _CONE, _CZERO, _abs_exceeds, _abs_gt,
                        _abs_max_candidates, _add, _at_least_one, _box, _cinv,
                        _cmul, _cneg, _csub, _div, _mul, _raw_mpf, _threshold,
-                       _threshold_pow, _unbox, is_exact_scalar, max_abs_of,
-                       scalar_is_zero, squarefree_part, tolerance,
-                       univariate_roots)
+                       _integer_rows, _threshold_pow, _unbox,
+                       is_exact_scalar, max_abs_of, scalar_is_zero,
+                       squarefree_part, tolerance, univariate_roots)
 from .poly import (DualOp, Form, LinearForm, change_coordinates, evaluate,
                    linear_power, monomials_of_degree)
 
@@ -538,16 +539,19 @@ def _sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
     """Resultant in l2 of two polynomials with UniPoly-in-t coefficients,
     lowest power of l2 first, as ``_dual_as_unipoly_coeffs`` writes them.
 
-    Two conics a2 l2^2 + a1 l2 + a0 and b2 l2^2 + b1 l2 + b0, exact or
-    approximate, take the closed form (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)
-    (a1 b0 - a0 b1), the determinant of their 4x4 Sylvester matrix, in
-    UniPoly arithmetic.  Curves of degree >= 3 take that determinant at
-    ep*eq + 1 integer nodes t (exact, or by ``linalg.complex_det``) and
-    interpolate; with the coefficient of l2^k of degree at most e - k in t,
-    as for a ternary form of degree e, the resultant has degree at most
-    ep*eq, so both ways give the same polynomial on exact conics, Fraction
-    for Fraction."""
+    Two conics a2 l2^2 + a1 l2 + a0 and b2 l2^2 + b1 l2 + b0 take the
+    closed form (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2) (a1 b0 - a0 b1), the
+    determinant of their 4x4 Sylvester matrix: on integers for exact conics
+    (``_conic_resultant_exact``), in UniPoly arithmetic for approximate
+    ones.  Curves of degree >= 3 take that determinant at ep*eq + 1 integer
+    nodes t (exact, or by ``linalg.complex_det``) and interpolate; with the
+    coefficient of l2^k of degree at most e - k in t, as for a ternary form
+    of degree e, the resultant has degree at most ep*eq, so both ways give
+    the same polynomial on exact conics, Fraction for Fraction."""
+    exact = all(c.is_exact() for c in p_coeffs + q_coeffs)
     if len(p_coeffs) == 3 and len(q_coeffs) == 3:
+        if exact:
+            return _conic_resultant_exact(p_coeffs, q_coeffs)
         a0, a1, a2 = p_coeffs
         b0, b1, b2 = q_coeffs
         c20 = a2 * b0 - a0 * b2
@@ -567,7 +571,6 @@ def _sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
     deg_bound = ep * eq
     nodes = [Fraction(k) for k in range(deg_bound + 1)]
     values = []
-    exact = all(c.is_exact() for c in p_coeffs + q_coeffs)
     for t in nodes:
         m = [[c(t) for c in row] for row in rows]
         if exact:
@@ -575,6 +578,37 @@ def _sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
         else:
             values.append(linalg.complex_det(m, precision_bits))
     return _lagrange_interpolate(nodes, values)
+
+
+def _conic_resultant_exact(p_coeffs, q_coeffs):
+    """The conic closed form of ``_sylvester_resultant`` on exact conics,
+    on integers: each conic over its common denominator (L_p, L_q), one
+    division by (L_p L_q)^2 at the end, so the same Fractions come out."""
+    (a0, a1, a2), lp = _integer_rows(p_coeffs)
+    (b0, b1, b2), lq = _integer_rows(q_coeffs)
+    c20 = _int_sub(_int_mul(a2, b0), _int_mul(a0, b2))
+    c21 = _int_sub(_int_mul(a2, b1), _int_mul(a1, b2))
+    c10 = _int_sub(_int_mul(a1, b0), _int_mul(a0, b1))
+    den = (lp * lq) ** 2
+    return UniPoly([Fraction(c, den) for c in
+                    _int_sub(_int_mul(c20, c20), _int_mul(c21, c10))])
+
+
+def _int_mul(a, b):
+    """The product of two int lists, lowest term first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _int_sub(a, b):
+    """The difference of two int lists, lowest term first."""
+    return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def _lagrange_interpolate(nodes, values):

@@ -53,13 +53,15 @@ are thin wrappers over them, so one copy of the rules serves both and a
 loop on raw values boxes each result once (``_box``) with the operators'
 bits.
 
-Root finding runs at the working precision: every factor that is not an
-exact linear one runs ``_aberth`` (Bini, Numer. Algorithms 13, 1996), and
-its roots go straight to the residual certificate.  ``_aberth``'s sweeps
-are the one loop off libmp's rounding: they run on pairs of Python ints at
-a scale sized so that every root keeps the working precision, and stop
-only once every step is at rounding level, so no refinement follows; the
-certificate guards each returned root.
+Root finding runs at the working precision.  Exact input is split into
+squarefree factors first, and ``_certified_squarefree`` settles the common
+case, a squarefree p, modulo a prime before any rational gcd.  Every
+factor that is not an exact linear one runs ``_aberth`` (Bini, Numer.
+Algorithms 13, 1996), and its roots go straight to the residual
+certificate.  ``_aberth``'s sweeps are the one loop off libmp's rounding:
+they run on pairs of Python ints at a scale sized so that every root keeps
+the working precision, and stop only once every step is at rounding level,
+so no refinement follows; the certificate guards each returned root.
 
 Every tolerance and scale of the pipeline is a libmp product at
 THRESHOLD_BITS, mpmath's default precision (``_threshold``), so no decision
@@ -86,7 +88,7 @@ none of these helpers.
 from __future__ import annotations
 
 import mpmath
-from math import isqrt
+from math import isqrt, lcm
 from fractions import Fraction
 from mpmath import mpf, mpc, workprec
 from mpmath.libmp import (fhalf, fone, from_int, from_man_exp, from_rational,
@@ -796,14 +798,73 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return a.scale(Fraction(1) / lead)
 
 
+#: the prime of the squarefree certificate, 2**61 - 1
+_CERT_PRIME = (1 << 61) - 1
+
+
+def _integer_rows(polys):
+    """(rows, L): rational UniPolys as int lists over their one least
+    common denominator L, so that u.coeffs[k] == row[k] / L."""
+    den = lcm(*(c.denominator for u in polys for c in u.coeffs))
+    return [[c.numerator * (den // c.denominator) for c in u.coeffs]
+            for u in polys], den
+
+
+def _rem_mod(a, b, m):
+    """The remainder of a by b modulo the prime m, on int lists lowest
+    term first with entries in [0, m), b's leading entry nonzero."""
+    a = list(a)
+    inv = pow(b[-1], -1, m)
+    top = len(b) - 1
+    body = b[:-1]
+    while len(a) > top:
+        q = a.pop() * inv % m
+        if q:
+            k = len(a) - top
+            for i, c in enumerate(body, k):
+                a[i] = (a[i] - q * c) % m
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _certified_squarefree(p: UniPoly) -> bool:
+    """Whether gcd(p, p') is a constant modulo ``_CERT_PRIME``, which
+    proves a rational p squarefree; False when it is not, or when the prime
+    divides the leading coefficient of p with its denominators cleared.
+
+    Why it is sound: a rational gcd G of p and p' can be taken primitive in
+    Z[x], where it divides the integer multiples of both (Gauss), so its
+    leading coefficient divides p's; with the prime not dividing that, G
+    keeps its degree modulo the prime and divides both images there."""
+    m = _CERT_PRIME
+    (ints,), _ = _integer_rows([p])
+    if ints[-1] % m == 0:
+        return False
+    a = [c % m for c in ints]
+    b = [k * c % m for k, c in enumerate(a)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        a, b = b, _rem_mod(a, b, m)
+    return len(a) == 1
+
+
 def squarefree_part(p: UniPoly) -> UniPoly:
-    """p / gcd(p, p'), normalized monic: same roots, all simple."""
+    """p / gcd(p, p'), normalized monic: same roots, all simple.
+
+    A p that ``_certified_squarefree`` proves squarefree modulo a prime is
+    its own squarefree part, made monic with no rational Euclid; any other
+    p takes the monic quotient by ``poly_gcd``.  On a squarefree p both
+    ways give the same Fractions."""
     if p.is_zero():
         raise InvalidInputError("squarefree_part of the zero polynomial")
     if not p.is_exact():
         raise InvalidInputError("squarefree_part requires rational coefficients")
     if p.degree == 0:
         return UniPoly([Fraction(1)])
+    if _certified_squarefree(p):
+        return p.scale(Fraction(1) / p.coeffs[-1])
     g = poly_gcd(p, p.derivative())
     q, r = p.divmod(g)
     if not r.is_zero():
@@ -817,11 +878,17 @@ def is_squarefree(p: UniPoly) -> bool:
 
 def squarefree_decomposition(p: UniPoly):
     """Yun's algorithm: [(g_i, i)] with p = lc * prod g_i^i, g_i squarefree,
-    pairwise coprime, returned only for nonconstant g_i."""
+    pairwise coprime, returned only for nonconstant g_i.
+
+    A rational p that ``_certified_squarefree`` proves squarefree modulo a
+    prime has gcd(p, p') = 1 with no rational Euclid, so it is [(p / lc, 1)]
+    at once, which is what Yun's algorithm returns for it; only the others
+    run the rational gcds."""
     if p.is_zero():
         raise InvalidInputError("squarefree decomposition of the zero polynomial")
     out = []
-    g = poly_gcd(p, p.derivative())
+    g = (UniPoly([Fraction(1)]) if p.is_exact() and _certified_squarefree(p)
+         else poly_gcd(p, p.derivative()))
     if g.degree == 0:
         return [(p.scale(Fraction(1) / p.coeffs[-1]), 1)] if p.degree > 0 else []
     w, _ = p.divmod(g)

@@ -18,8 +18,9 @@ from openwaring.errors import (ConsistencyError, DegenerateSystemError,
                                InvalidInputError, RetryBudgetError)
 from openwaring.numerics import (DEFAULT_PRECISION_BITS, GUARD_BITS,
                                  AppComplex, UniPoly, is_exact_scalar,
-                                 max_abs_of, scalar_is_zero, squarefree_part,
-                                 tolerance, univariate_roots, values_precision)
+                                 max_abs_of, poly_gcd, scalar_is_zero,
+                                 squarefree_part, tolerance, univariate_roots,
+                                 values_precision)
 from openwaring.poly import (_substitute, change_coordinates, contract,
                              dual_power, linear_power, monomials_of_degree)
 
@@ -692,3 +693,37 @@ def reference_curve_pair_candidates(D0, D1, precision_bits, rng):
                     for l2 in reference_pair_roots(pa, pb, precision_bits)]
         return _sorted_points(pts)
     raise DegenerateSystemError("no usable chart for the curve pair")
+
+
+# ---------------------------------------------------------------------------
+# The squarefree part and decomposition as they were before the modular
+# certificate: Euclid's rational gcd of p and p' for every input, then
+# Yun's algorithm.  Kept as references for `numerics.squarefree_part` and
+# `numerics.squarefree_decomposition`.
+
+
+def reference_squarefree_part(p):
+    if p.degree == 0:
+        return UniPoly([Fraction(1)])
+    q, r = p.divmod(poly_gcd(p, p.derivative()))
+    assert r.is_zero()
+    return q.scale(Fraction(1) / q.coeffs[-1])
+
+
+def reference_squarefree_decomposition(p):
+    out = []
+    g = poly_gcd(p, p.derivative())
+    if g.degree == 0:
+        return [(p.scale(Fraction(1) / p.coeffs[-1]), 1)] if p.degree > 0 else []
+    w, _ = p.divmod(g)
+    y, _ = p.derivative().divmod(g)
+    i = 1
+    while w.degree > 0:
+        z = y - w.derivative()
+        h = poly_gcd(w, z)
+        if h.degree > 0:
+            out.append((h, i))
+        w, _ = w.divmod(h)
+        y, _ = z.divmod(h)
+        i += 1
+    return out

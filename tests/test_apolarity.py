@@ -15,10 +15,12 @@ from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
                         check_decomposition, decompose, essential_variables,
                         linear_power, parse_form, power_witness)
 from openwaring import linalg
-from openwaring.apolarity import (ProjPoint, _back_substitute_l2,
-                                  _coordinate_changes, _dedupe_points,
-                                  _distinct_roots, _dual_as_unipoly_coeffs,
-                                  _essential_split, _proportional_ops,
+from openwaring.apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED,
+                                  ProjPoint, _back_substitute_l2,
+                                  _base_points, _coordinate_changes,
+                                  _dedupe_points, _distinct_roots,
+                                  _dual_as_unipoly_coeffs, _essential_split,
+                                  _proportional_ops,
                                   _resultant_charts, _sylvester_resultant,
                                   _trim_leading)
 from openwaring.linalg import rational_det, rational_rank
@@ -643,11 +645,18 @@ class TestSubspaceLift:
                 assert g.num_vars == 2 and set(g.coeffs) == {(2, 0), (0, 2)}
 
 
-def random_conic(rng, zero_share):
-    """A ternary dual conic with coefficients in [-4, 4], each left out
-    with probability ``zero_share``; never zero."""
+#: pairwise coprime denominators up to 10^15, 2^61 - 1 among them
+LARGE_PRIMES = (1000003, 998244353, 10 ** 9 + 7, 10 ** 9 + 9, 2 ** 31 - 1,
+                2 ** 61 - 1, 10 ** 12 + 39, 10 ** 15 + 37)
+
+
+def random_conic(rng, zero_share, denominators=None):
+    """A ternary dual conic with numerators in [-4, 4], each left out with
+    probability ``zero_share``, over a denominator drawn from
+    ``denominators`` (1 when it is None); never zero."""
     while True:
-        coeffs = {expo: Fraction(c) for expo in monomials_of_degree(3, 2)
+        coeffs = {expo: Fraction(c, rng.choice(denominators or (1,)))
+                  for expo in monomials_of_degree(3, 2)
                   if (c := rng.randint(-4, 4)) and rng.random() >= zero_share}
         if coeffs:
             return DualOp(3, 2, coeffs)
@@ -658,12 +667,16 @@ class TestConicResultant:
     Sylvester determinant by interpolation it replaced
     (`conftest.reference_sylvester_resultant`)."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 32), st.sampled_from((0.0, 0.3, 0.6, 0.85)))
-    def test_closed_form_matches_the_interpolated_determinant(self, seed,
-                                                              zero_share):
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from((0.0, 0.3, 0.6, 0.85)),
+           st.sampled_from((None, LARGE_PRIMES)))
+    def test_closed_form_matches_the_interpolated_determinant(
+            self, seed, zero_share, denominators):
+        # with large coprime denominators, the integer closed form clears
+        # each conic's and divides once at the end
         rng = random.Random(seed)
-        D0, D1 = random_conic(rng, zero_share), random_conic(rng, zero_share)
+        D0, D1 = (random_conic(rng, zero_share, denominators)
+                  for _ in range(2))
         for T in _coordinate_changes(3, 6):
             p = _dual_as_unipoly_coeffs(change_coordinates(D0, T))
             q = _dual_as_unipoly_coeffs(change_coordinates(D1, T))
@@ -882,6 +895,21 @@ class TestBasePointsPairedByTheCertificate:
             found.append(len(got) if isinstance(got, list) else None)
         # the rational cubics split as built: no base point, or one
         assert found[:7] == [0] * 4 + [1] * 3
+
+    def test_no_rational_division_on_a_base_point_free_net(self,
+                                                           monkeypatch):
+        # the resultant of two conics of a base-point-free rational net is
+        # certified squarefree modulo a prime, so no rational Euclid runs
+        calls = []
+        real = UniPoly.divmod
+        monkeypatch.setattr(UniPoly, "divmod",
+                            lambda a, b: calls.append(1) or real(a, b))
+        for seed in range(3):
+            f = random_essential_form(random.Random(seed), 3, 3)
+            assert _base_points(apolar_component(f, 2), 3,
+                                DEFAULT_PRECISION_BITS, DEFAULT_SEED,
+                                DEFAULT_MAX_RETRIES) == []
+        assert calls == []
 
     def test_one_root_search_per_resultant_root(self, monkeypatch):
         # a rational cubic without base points: the quartic resultant, then

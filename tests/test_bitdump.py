@@ -1,3 +1,4 @@
+import difflib
 import importlib.util
 from pathlib import Path
 
@@ -95,3 +96,22 @@ def test_counts_list_each_operations_terms_and_verdict(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:51] == ([f"count {op}: {summary}" for op, summary in counts]
                           + ["operations 50"])
+
+
+#: `python3 tools/bitdump.py --counts` up to its `operations` line
+COUNTS = Path(__file__).resolve().parent / "data" / "bitdump_counts.txt"
+
+
+def test_counts_match_the_committed_listing(capsys):
+    # bits may move; each operation's term count, exact flag and verdict,
+    # or its error text, may not, unless the change edits the listing too
+    bitdump = load_tool()
+    bitdump.main(["--counts"])
+    lines = capsys.readouterr().out.splitlines()
+    got = lines[:next(i for i, line in enumerate(lines)
+                      if line.startswith("operations ")) + 1]
+    want = COUNTS.read_text().splitlines()
+    moved = [line for line in difflib.unified_diff(
+        want, got, "committed", "now", lineterm="", n=0)
+        if not line.startswith("@@")]
+    assert not moved, "\n".join(moved)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpc, mpf, workprec
 from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
@@ -14,14 +15,17 @@ from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
                           mpf_neg, mpf_pos, mpf_shift, round_nearest)
 
 from openwaring import ConsistencyError, InvalidInputError, numerics
-from openwaring.numerics import (GUARD_BITS, AppComplex, UniPoly, _aberth,
-                                 _abs_exceeds, _abs_gt, _abs_le, _cadd, _cdiv,
+from openwaring.numerics import (_CERT_PRIME, GUARD_BITS, AppComplex,
+                                 UniPoly, _aberth, _abs_exceeds, _abs_gt,
+                                 _abs_le, _cadd, _cdiv, _certified_squarefree,
                                  _cinv, _cmul, _csub, _horner, _pos, _quo,
                                  _raw_mpf, _raw_pair, _within_stop,
                                  is_squarefree,
                                  max_abs_of, scalar_is_zero,
                                  squarefree_decomposition, squarefree_part,
                                  univariate_roots)
+from conftest import (reference_squarefree_decomposition,
+                      reference_squarefree_part)
 
 
 def poly(*coeffs):
@@ -127,6 +131,85 @@ class TestUniPoly:
             _, r = p.divmod(sf)
             assert r.is_zero()
             assert is_squarefree(p) == (sf.degree == p.degree)
+
+
+def rationals(numerators=st.integers(-60, 60)):
+    """Fractions with denominators up to 10**9, so that clearing them
+    gives large integers."""
+    return st.builds(Fraction, numerators,
+                     st.integers(1, 10 ** 9) | st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def squarefree_inputs(draw):
+    """Rational polynomials of degree 1-10, some with a planted repeated
+    factor b^k, some with a leading coefficient (b's, when b is planted)
+    that the prime of the certificate divides, which forces the rational
+    fallback."""
+    prime = draw(st.booleans())
+    if draw(st.booleans()):
+        base = draw(st.lists(rationals(), min_size=2, max_size=4)
+                    .filter(lambda c: c[-1] != 0))
+        k = draw(st.integers(2, 10 // (len(base) - 1)))
+        rest = 10 - k * (len(base) - 1)
+        other = draw(st.lists(rationals(), min_size=1, max_size=rest + 1)
+                     .filter(lambda c: c[-1] != 0))
+    else:
+        base, k = [], 0
+        other = draw(st.lists(rationals(), min_size=2, max_size=11)
+                     .filter(lambda c: c[-1] != 0))
+    if prime:
+        lead = base or other
+        lead[-1] *= _CERT_PRIME
+    p = UniPoly(other)
+    for _ in range(k):
+        p = p * UniPoly(base)
+    return p
+
+
+def sympy_poly(p):
+    x = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], x, domain="QQ")
+
+
+def monic_coeffs(f):
+    """A sympy polynomial over QQ, monic, as Fractions lowest term first."""
+    return tuple(Fraction(int(c.p), int(c.q))
+                 for c in reversed(f.monic().all_coeffs()))
+
+
+class TestSquarefreeCertificate:
+    """The modular squarefree certificate against sympy and against the
+    rational Euclid and Yun it skips (`conftest.reference_squarefree_*`)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(squarefree_inputs())
+    # squarefree over the rationals, but x^2 modulo the prime: the fallback
+    @example(UniPoly([Fraction(-_CERT_PRIME), Fraction(0), Fraction(1)]))
+    def test_against_sympy_and_the_rational_gcds(self, p):
+        f = sympy_poly(p)
+        if _certified_squarefree(p):
+            # never calls a polynomial with a repeated factor squarefree
+            assert sympy.gcd(f, f.diff()).degree() == 0
+        sf = squarefree_part(p)
+        assert sf == reference_squarefree_part(p)
+        assert sf.coeffs == monic_coeffs(sympy.sqf_part(f))
+        parts = squarefree_decomposition(p)
+        assert parts == reference_squarefree_decomposition(p)
+        _, factors = sympy.sqf_list(f)
+        assert (sorted((g.coeffs, m) for g, m in parts)
+                == sorted((monic_coeffs(g), m) for g, m in factors))
+
+    def test_a_prime_in_the_leading_coefficient_is_undecided(self):
+        # (P x + 1)^2 is 1 modulo the prime P, whose gcd with its derivative
+        # there is a constant; the certificate must not read that as
+        # squarefree, so the rational gcd decides it
+        base = UniPoly([Fraction(1), Fraction(_CERT_PRIME)])
+        p = base * base
+        assert not _certified_squarefree(p)
+        assert squarefree_part(p) == base.scale(Fraction(1, _CERT_PRIME))
+        assert squarefree_decomposition(p) == [(squarefree_part(p), 2)]
 
 
 class TestRoots:
