@@ -15,7 +15,10 @@ variable by a Sylvester resultant, and ``_curve_pair_candidates`` (for
 intersections on it.  Since ``base_points`` certifies every candidate
 against the whole annihilator basis, its candidates over a resultant root
 are one curve's roots there, unpaired (``_curve_pair_candidates`` says why
-that finds the same points).
+that finds the same points).  ``_base_points`` also returns the
+candidates on both conics of its last pencil: the ternary-cubic step fits
+on them when there are four, so ``conic_intersection`` serves only its
+fallback attempts.
 """
 
 from __future__ import annotations
@@ -440,21 +443,22 @@ def base_points(f: Form, e: int, precision_bits=DEFAULT_PRECISION_BITS,
     if n > 3:
         raise InvalidInputError("base point detection is implemented for n <= 3")
     return _base_points(apolar_component(f, e, precision_bits), n,
-                        precision_bits, seed, max_retries)
+                        precision_bits, seed, max_retries)[0]
 
 
 def _base_points(basis, n, precision_bits, seed, max_retries):
-    """``base_points`` on the annihilator basis of a form in n variables."""
+    """``(base points, pencil points)``: ``base_points`` on the annihilator
+    basis of a form in n variables, and for n = 3 the deduplicated
+    candidates of the last pencil (d0, d1) that lie on both d0 and d1
+    (None for n < 3).  Two conics with four such points meet simply
+    there, by Bezout, and the ternary base case fits on them."""
     if not basis:
         raise InvalidInputError("the degree-e annihilator is zero")
     if n == 1:
-        return []
+        return [], None
     if n == 2:
         candidates = _binary_dual_roots(basis[0], precision_bits)
-        tols = _vanishing_tolerances(basis, precision_bits)
-        certified = [p for p in candidates
-                     if all(_op_vanishes_at(op, p, tol) for op, tol in tols)]
-        return _sorted_points(_dedupe_points(certified, precision_bits))
+        return _certified(candidates, basis, precision_bits), None
 
     if len(basis) == 1:
         raise DegenerateSystemError(
@@ -476,11 +480,23 @@ def _base_points(basis, n, precision_bits, seed, max_retries):
             if zero_resultants >= 3:
                 raise
             continue
-        tols = _vanishing_tolerances(basis, precision_bits)
-        certified = [p for p in candidates
-                     if all(_op_vanishes_at(op, p, tol) for op, tol in tols)]
-        return _sorted_points(_dedupe_points(certified, precision_bits))
+        pencil = _dedupe_points(_common_zeros(candidates, (d0, d1),
+                                              precision_bits), precision_bits)
+        return _certified(candidates, basis, precision_bits), pencil
     raise RetryBudgetError("base point search exhausted its retry budget")
+
+
+def _common_zeros(points, ops, precision_bits):
+    """The points at which every op vanishes (``_op_vanishes_at``)."""
+    tols = _vanishing_tolerances(ops, precision_bits)
+    return [p for p in points
+            if all(_op_vanishes_at(op, p, tol) for op, tol in tols)]
+
+
+def _certified(candidates, basis, precision_bits):
+    """The candidates on every curve of the basis, deduplicated and sorted."""
+    return _sorted_points(_dedupe_points(
+        _common_zeros(candidates, basis, precision_bits), precision_bits))
 
 
 def _combine_ops(basis, weights):

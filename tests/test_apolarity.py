@@ -908,7 +908,7 @@ class TestBasePointsPairedByTheCertificate:
             f = random_essential_form(random.Random(seed), 3, 3)
             assert _base_points(apolar_component(f, 2), 3,
                                 DEFAULT_PRECISION_BITS, DEFAULT_SEED,
-                                DEFAULT_MAX_RETRIES) == []
+                                DEFAULT_MAX_RETRIES)[0] == []
         assert calls == []
 
     def test_one_root_search_per_resultant_root(self, monkeypatch):
