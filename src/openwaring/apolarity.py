@@ -26,19 +26,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from math import factorial, lcm
 
 from mpmath import mpf, nstr
-from mpmath.libmp import fone, fzero, mpf_gt, mpf_shift
+from mpmath.libmp import fone, mpf_gt, mpf_shift
 
 from . import linalg
 from .errors import (ConsistencyError, DegenerateSystemError,
                      InvalidInputError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
                        UniPoly, _CONE, _CZERO, _abs_exceeds, _abs_gt,
-                       _abs_max_candidates, _add, _at_least_one, _box, _cinv,
-                       _cmul, _cneg, _csub, _div, _mul, _raw_mpf, _threshold,
+                       _abs_max_candidates, _at_least_one, _box, _cinv,
+                       _cmul, _cneg, _csub, _div, _mul, _threshold,
                        _integer_rows, _threshold_pow, _unbox,
                        is_exact_scalar, max_abs_of, scalar_is_zero,
                        squarefree_part, tolerance, univariate_roots)
@@ -397,8 +397,7 @@ def _vanishing_tolerances(ops, precision_bits):
 def _op_vanishes_at(op: DualOp, point: ProjPoint, tol) -> bool:
     """Whether op vanishes at the point: exactly, or within ``tol`` (from
     `_vanishing_tolerances`) for an approximate value."""
-    val = evaluate(op, point.coords)
-    return scalar_is_zero(val, tol) if not is_exact_scalar(val) else val == 0
+    return scalar_is_zero(evaluate(op, point.coords), tol)
 
 
 def _dedupe_points(points, precision_bits):
@@ -451,7 +450,12 @@ def _base_points(basis, n, precision_bits, seed, max_retries):
     basis of a form in n variables, and for n = 3 the deduplicated
     candidates of the last pencil (d0, d1) that lie on both d0 and d1
     (None for n < 3).  Two conics with four such points meet simply
-    there, by Bezout, and the ternary base case fits on them."""
+    there, by Bezout, and the ternary base case fits on them.
+
+    A pencil whose integer weights c0, c1 are proportional is skipped,
+    tested exactly on the weights: the basis is a kernel basis, linearly
+    independent with unit entries at its free monomials, so d0 and d1 are
+    proportional, or zero, exactly when c0 and c1 are."""
     if not basis:
         raise InvalidInputError("the degree-e annihilator is zero")
     if n == 1:
@@ -469,10 +473,11 @@ def _base_points(basis, n, precision_bits, seed, max_retries):
     for attempt in range(max_retries):
         c0 = [Fraction(rng.randint(-8, 8)) for _ in basis]
         c1 = [Fraction(rng.randint(-8, 8)) for _ in basis]
+        if all(a * d == b * c for (a, c), (b, d)
+               in combinations(zip(c0, c1), 2)):
+            continue
         d0 = _combine_ops(basis, c0)
         d1 = _combine_ops(basis, c1)
-        if d0 is None or d1 is None or _proportional_ops(d0, d1, precision_bits):
-            continue
         try:
             candidates = _curve_pair_candidates(d0, d1, precision_bits, rng)
         except DegenerateSystemError:
@@ -510,27 +515,6 @@ def _combine_ops(basis, weights):
     if out is None or out.is_zero():
         return None
     return out
-
-
-def _proportional_ops(a: DualOp, b: DualOp, precision_bits) -> bool:
-    """Whether every 2x2 cross product of a's and b's coefficients vanishes:
-    exactly when it is rational, else within tolerance(bits) * |a|_1 *
-    |b|_1 taken at THRESHOLD_BITS."""
-    tol = _threshold(_threshold(tolerance(precision_bits), a.norm1()),
-                     b.norm1())
-    keys = set(a.coeffs) | set(b.coeffs)
-    for k1 in keys:
-        for k2 in keys:
-            if k1 >= k2:
-                continue
-            cross = (a.coeffs.get(k1, Fraction(0)) * b.coeffs.get(k2, Fraction(0))
-                     - a.coeffs.get(k2, Fraction(0)) * b.coeffs.get(k1, Fraction(0)))
-            if is_exact_scalar(cross):
-                if cross != 0:
-                    return False
-            elif not scalar_is_zero(cross, tol):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -701,32 +685,11 @@ def _resultant_charts(D0: DualOp, D1: DualOp, changes, precision_bits,
 
 def _chart_map(T, precision_bits):
     """The map (t, l2) -> the point (1, t, l2) of the chart of T, mapped
-    back through T.
-
-    The values are ``linalg.mat_vec``'s, bit for bit: each product takes
-    the approximate coordinate first and T's entry rounded at that
-    coordinate's precision.  Here T's entries are rounded once for each
-    precision the points' coordinates carry, not once per point."""
-    rounded = {}
-
+    back through T by ``linalg.mat_vec``, which rounds T's entries at the
+    precision of each point's coordinates."""
     def point(t, l2):
-        inner = ProjPoint((AppComplex(1, 0, precision_bits), t, l2),
-                          precision_bits)
-        vec = [_unbox(c) for c in inner.coords]
-        key = tuple(bits for _, bits in vec)
-        rows = rounded.get(key)
-        if rows is None:
-            rows = rounded[key] = [
-                [((_raw_mpf(a, bits), fzero), bits) for a, bits in zip(row, key)]
-                for row in T]
-        coords = []
-        for row in rows:
-            s = None
-            for x, a in zip(vec, row):
-                term = _mul(x, a)
-                s = term if s is None else _add(s, term)
-            coords.append(_box(s))
-        return ProjPoint(coords, precision_bits)
+        inner = ProjPoint((1, t, l2), precision_bits)
+        return ProjPoint(linalg.mat_vec(T, inner.coords), precision_bits)
 
     return point
 

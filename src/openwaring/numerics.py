@@ -853,23 +853,17 @@ def _certified_squarefree(p: UniPoly) -> bool:
 def squarefree_part(p: UniPoly) -> UniPoly:
     """p / gcd(p, p'), normalized monic: same roots, all simple.
 
-    A p that ``_certified_squarefree`` proves squarefree modulo a prime is
-    its own squarefree part, made monic with no rational Euclid; any other
-    p takes the monic quotient by ``poly_gcd``.  On a squarefree p both
-    ways give the same Fractions."""
+    The product of the factors of ``squarefree_decomposition``: each is
+    monic, so their product is the one monic squarefree part, Fraction for
+    Fraction, and a p certified squarefree takes no rational Euclid."""
     if p.is_zero():
         raise InvalidInputError("squarefree_part of the zero polynomial")
     if not p.is_exact():
         raise InvalidInputError("squarefree_part requires rational coefficients")
-    if p.degree == 0:
-        return UniPoly([Fraction(1)])
-    if _certified_squarefree(p):
-        return p.scale(Fraction(1) / p.coeffs[-1])
-    g = poly_gcd(p, p.derivative())
-    q, r = p.divmod(g)
-    if not r.is_zero():
-        raise ConsistencyError("gcd does not divide its argument")
-    return q.scale(Fraction(1) / q.coeffs[-1])
+    out = UniPoly([Fraction(1)])
+    for g, _ in squarefree_decomposition(p):
+        out = out * g
+    return out
 
 
 def is_squarefree(p: UniPoly) -> bool:

@@ -17,10 +17,10 @@ from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
 from openwaring import linalg
 from openwaring.apolarity import (DEFAULT_MAX_RETRIES, DEFAULT_SEED,
                                   ProjPoint, _back_substitute_l2,
-                                  _base_points, _coordinate_changes,
+                                  _base_points, _combine_ops,
+                                  _coordinate_changes,
                                   _dedupe_points, _distinct_roots,
                                   _dual_as_unipoly_coeffs, _essential_split,
-                                  _proportional_ops,
                                   _resultant_charts, _sylvester_resultant,
                                   _trim_leading)
 from openwaring.linalg import rational_det, rational_rank
@@ -241,6 +241,56 @@ class TestBasePoints:
         # f ignores x2 entirely: the e=1 component is 1-dimensional (d2)
         with pytest.raises(DegenerateSystemError):
             base_points(f, 1)
+
+    def test_a_pencil_of_proportional_weights_is_skipped(self, monkeypatch):
+        # at seed 7268 the first pencil draws c0 = 2 * c1, one conic twice:
+        # it is skipped with no intersection and no strike, so the next
+        # three pencils are intersected, each sharing a component here,
+        # before the search gives up
+        basis = apolar_component(
+            random_essential_form(random.Random(0), 3, 3), 2)
+        seed = 7268
+        pencils = []
+
+        def sharing(d0, d1, bits, rng):
+            rng.randrange(1 << 30)  # the draw of the routine's charts
+            pencils.append((d0, d1))
+            raise DegenerateSystemError("curve pair shares a component")
+
+        monkeypatch.setattr(APOLARITY, "_curve_pair_candidates", sharing)
+        with pytest.raises(DegenerateSystemError):
+            _base_points(basis, 3, DEFAULT_PRECISION_BITS, seed,
+                         DEFAULT_MAX_RETRIES)
+        rng = random.Random(seed)
+
+        def weights():
+            return [Fraction(rng.randint(-8, 8)) for _ in basis]
+        c0, c1 = weights(), weights()
+        assert c0 == [2 * c for c in c1]
+        want = []
+        for _ in range(3):
+            want.append((_combine_ops(basis, weights()),
+                         _combine_ops(basis, weights())))
+            rng.randrange(1 << 30)
+        assert pencils == want
+
+    def test_weights_decide_a_pencil_of_a_badly_scaled_net(self):
+        # x^2 + B y^2, xy + B y^2, z^2 + B y^2 with B = 2^100 has no base
+        # point.  At 128 bits the cross products of its first pencils sit
+        # below tolerance * |d0|_1 * |d1|_1, but their weights are not
+        # proportional, so each is intersected: they share a component
+        # numerically, and the search says so rather than go on to a
+        # pencil whose intersection gives four points that are not there
+        B = 2 ** 100
+
+        def net(c):
+            return [DualOp(3, 2, {(2, 0, 0): c(1), (0, 2, 0): c(B)}),
+                    DualOp(3, 2, {(1, 1, 0): c(1), (0, 2, 0): c(B)}),
+                    DualOp(3, 2, {(0, 0, 2): c(1), (0, 2, 0): c(B)})]
+        with pytest.raises(DegenerateSystemError,
+                           match="curve pair shares a component"):
+            _base_points(net(lambda v: AppComplex(v, 0, 128)), 3, 128,
+                         DEFAULT_SEED, DEFAULT_MAX_RETRIES)
 
 
 class TestPowerWitness:
@@ -1010,15 +1060,6 @@ class TestThresholdsAtAFixedPrecision:
         assert at_each_precision(
             lambda: len(_essential_split(f(), self.BITS)[0])) == dict.fromkeys(
             AMBIENT_PRECISIONS, 1)
-
-    def test_proportional_ops(self):
-        # the cross product S * eps = 2^-128 * (1 + 2^-31)
-        a = DualOp(2, 1, {(1, 0): self.app(self.S)})
-        b = DualOp(2, 1, {(1, 0): self.app(1),
-                          (0, 1): self.app(self.NEAR / self.S)})
-        assert at_each_precision(
-            lambda: _proportional_ops(a, b, self.BITS)) == dict.fromkeys(
-            AMBIENT_PRECISIONS, True)
 
     def test_chart_leading_coefficient(self):
         # the l2^2 coefficient of D0 lies within tol * |D0|_1, so the

@@ -68,6 +68,25 @@ def test_no_import_inside_a_function():
     assert offenders == []
 
 
+def test_no_unused_import():
+    # every name a module imports is read in it; the package's __init__
+    # imports to re-export, and a __future__ import switches a feature on
+    unused = []
+    for m, tree in _parsed().items():
+        if m == "__init__":
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            unused += [f"{m}.py:{node.lineno} {a.asname or a.name}"
+                       for a in node.names
+                       if (a.asname or a.name.split(".")[0]) not in read]
+    assert unused == []
+
+
 def test_module_import_graph_has_no_cycle():
     graph = {m: sorted({t for _, t in _internal_imports(tree) if t != m})
              for m, tree in _parsed().items()}
@@ -351,10 +370,11 @@ def test_terms_are_certified_as_the_runner_returns_them():
 
 #: second copies folded into the routine that does the same job: the
 #: hyperplane test into ``_restrict_forbidden``, the integer power and
-#: product into ``_power_coeffs`` and ``_product``, and the binary
-#: squarefree test into the duplicate-point test on the roots
+#: product into ``_power_coeffs`` and ``_product``, the binary squarefree
+#: test into the duplicate-point test on the roots, and the pencil's
+#: proportionality tolerance into an exact test of its integer weights
 FOLDED = {"_linear_divides", "_integer_power", "_integer_product",
-          "_binary_squarefree_exact"}
+          "_binary_squarefree_exact", "_proportional_ops"}
 
 
 def test_one_copy_of_each_job():
@@ -369,6 +389,22 @@ def test_one_copy_of_each_job():
                     and n.name == "_restrict_forbidden")
     params = restrict.args.args + restrict.args.kwonlyargs
     assert "hard" not in {a.arg for a in params}
+
+
+def test_chart_map_and_squarefree_part_keep_no_copy():
+    # the chart map maps its points through T by ``linalg.mat_vec``, with
+    # no rounding of T's entries of its own; the squarefree part multiplies
+    # Yun's factors, with no Euclid of its own
+    parsed = _parsed()
+    chart = next(n for n in parsed["apolarity"].body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_chart_map")
+    names = _names_in(chart)
+    assert {"linalg", "mat_vec"} <= names and "_raw_mpf" not in names
+    part = next(n for n in parsed["numerics"].body
+                if isinstance(n, ast.FunctionDef) and n.name == "squarefree_part")
+    names = _names_in(part)
+    assert "squarefree_decomposition" in names
+    assert names & {"poly_gcd", "divmod"} == set()
 
 
 #: what an elimination on mpc objects names: the objects, the context that

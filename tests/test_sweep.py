@@ -7,21 +7,28 @@ The range: shapes (2, 3..6), (3,3), (3,4), (4,3), (4,4), (5,3) and (5,4);
 constraints.  The examples are drawn deterministically, so the sweep runs
 the same inputs every time, in a few seconds.  Known failures outside the
 range are pinned as strict xfails that name the ROADMAP item fixing them.
-No two returned terms are proportional: no step returns such a pair.
+No two returned terms are proportional: no step returns such a pair.  On
+the nets of conics of ternary cubics, a pencil's two conics are
+proportional within tolerance exactly when its integer weights are, which
+is the base-point search's exact test.
 """
 
 import importlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from openwaring import (ConsistencyError, DegenerateSystemError, ForbiddenSet,
-                        Form, InvalidInputError, LinearForm,
-                        RetryBudgetError, decompose)
+from openwaring import (AppComplex, ConsistencyError, DegenerateSystemError,
+                        ForbiddenSet, Form, InvalidInputError, LinearForm,
+                        RetryBudgetError, apolar_component, decompose)
+from openwaring.apolarity import _combine_ops
 from openwaring.decompose import _coords_scale, _proportional_linear
+from openwaring.numerics import _threshold, scalar_is_zero, tolerance
 from openwaring.poly import monomials_of_degree
+from conftest import random_essential_form
 
 DECOMPOSE = importlib.import_module("openwaring.decompose")
 SHAPES = ((2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (4, 4),
@@ -80,6 +87,47 @@ def test_base_point_free_ternary_cubics_take_at_most_four_terms(bits, height,
     dec = decompose(f, seed=rng.randrange(1 << 30), precision_bits=bits)
     assume("ternary: base-point free" in dec.trace)
     assert dec.term_count <= 4 and dec.report.passed
+
+
+WEIGHTS = st.lists(st.integers(-8, 8), min_size=3, max_size=3)
+SIGNED = st.sampled_from((-2, -1, 1, 2))
+
+#: pairs of weight vectors in [-8, 8]: drawn apart, or both multiples of
+#: one vector, so that proportional pairs are drawn often
+WEIGHT_PAIRS = st.one_of(
+    st.tuples(WEIGHTS, WEIGHTS),
+    st.builds(lambda u, a, b: ([a * x for x in u], [b * x for x in u]),
+              st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+              SIGNED, SIGNED))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(bits=st.sampled_from((64, 128, 256, 512)), approximate=st.booleans(),
+       pair=WEIGHT_PAIRS, seed=st.integers(0, 2**32 - 1))
+def test_a_pencils_conics_are_proportional_exactly_when_its_weights_are(
+        bits, approximate, pair, seed):
+    # the base-point search skips a pencil d0 = sum c0_i D_i, d1 = sum
+    # c1_i D_i of the net of conics by an exact test of its integer
+    # weights; on the nets of cubics, rational and approximate, that agrees
+    # with a test of every 2x2 cross product of d0's and d1's coefficients
+    # within tolerance(bits) * |d0|_1 * |d1|_1
+    c0, c1 = ([Fraction(c) for c in cs] for cs in pair)
+    assume(any(c0) and any(c1))
+    f = random_essential_form(random.Random(seed), 3, 3)
+    if approximate:
+        f = Form(3, 3, {m: AppComplex(c / 3, 0, bits)
+                        for m, c in f.coeffs.items()})
+    basis = apolar_component(f, 2, bits)
+    assert len(basis) == 3
+    d0, d1 = _combine_ops(basis, c0), _combine_ops(basis, c1)
+    tol = _threshold(_threshold(tolerance(bits), d0.norm1()), d1.norm1())
+    keys = sorted(set(d0.coeffs) | set(d1.coeffs))
+    within = all(scalar_is_zero(d0.coefficient(a) * d1.coefficient(b)
+                                - d0.coefficient(b) * d1.coefficient(a), tol)
+                 for a, b in combinations(keys, 2))
+    proportional = all(x * w == y * z for (x, z), (y, w)
+                       in combinations(zip(c0, c1), 2))
+    assert within == proportional
 
 
 def test_dense_quintic_in_five_variables_at_64_bits():
