@@ -37,7 +37,7 @@ from .errors import (ConsistencyError, DegenerateSystemError,
                      InvalidInputError, RetryBudgetError)
 from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
                        UniPoly, _CONE, _CZERO, _abs_exceeds, _abs_gt,
-                       _abs_max_candidates, _at_least_one, _box, _cinv,
+                       _abs_max_candidates, _at_least_one, _box, _cdiv,
                        _cmul, _cneg, _csub, _div, _mul, _threshold,
                        _integer_rows, _threshold_pow, _unbox,
                        is_exact_scalar, max_abs_of, scalar_is_zero,
@@ -315,7 +315,10 @@ def _subspace_lift(n, columns, precision_bits):
     Approximate columns give AppComplex entries at the columns' matrix
     precision, computed on raw libmp tuples with GUARD_BITS more, as the
     mpc operators round them: the rounding of an inverse by Gauss-Jordan
-    elimination when C is one column.
+    elimination when C is one column.  The reciprocal is ``_cdiv`` of one
+    by C_j[F_j], whose parts carry at most the working bits: that is
+    libmp's ``mpc_mpf_div(fone, C_j[F_j])`` bit for bit, as it is for any
+    finite divisor whose parts have at most prec + 10 mantissa bits.
     """
     last = [max((i for i, c in enumerate(col) if not scalar_is_zero(c)), default=None)
             for col in columns]
@@ -338,7 +341,7 @@ def _subspace_lift(n, columns, precision_bits):
             A[p] = [-(Fraction(col[i]) * inv) for i in keep]
     else:
         for col, p in zip(linalg._raw_matrix(columns, wb), last):
-            inv = _cinv(col[p], wb)
+            inv = _cdiv(_CONE, col[p], wb)
             A[p] = [AppComplex.from_raw(_cneg(_cmul(col[i], inv, wb), wb), bits)
                     for i in keep]
     return keep, A

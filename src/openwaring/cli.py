@@ -208,20 +208,21 @@ def _print_decomposition_human(record, dec):
 # argument plumbing
 
 
-def _add_common(p, with_form=True):
-    if with_form:
-        p.add_argument("form", nargs="?", help="form text in the x<i> grammar")
-        p.add_argument("--form-file", help="file containing the form text")
-        p.add_argument("-n", "--num-vars", type=int, required=True,
-                       help="number of variables")
-    p.add_argument("--avoid", help="file of forbidden-set constraints, "
-                                   "one per line over l0..l{n-1}")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+def _add_common(p):
+    p.add_argument("form", nargs="?", help="form text in the x<i> grammar")
+    p.add_argument("--form-file", help="file containing the form text")
+    p.add_argument("-n", "--num-vars", type=int, required=True,
+                   help="number of variables")
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
                    dest="precision_bits", help="working precision in bits")
-    p.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
     p.add_argument("--format", choices=("human", "structured"),
                    default="human", dest="output_format")
+
+
+def _add_search(p):
+    """The seed and retry budget of a random genericity search."""
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
 
 
 def _load_form(args) -> Form:
@@ -236,7 +237,7 @@ def _load_form(args) -> Form:
 
 
 def _load_avoid(args, num_vars) -> ForbiddenSet:
-    if getattr(args, "avoid", None):
+    if args.avoid:
         with open(args.avoid) as fh:
             return ForbiddenSet.from_text(fh.read(), num_vars)
     return ForbiddenSet.empty(num_vars)
@@ -252,6 +253,9 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="decompose a form and verify the result")
     _add_common(p)
+    _add_search(p)
+    p.add_argument("--avoid", help="file of forbidden-set constraints, "
+                                   "one per line over l0..l{n-1}")
     p.add_argument("--absorb", action="store_true",
                    help="scale linear forms so every coefficient is 1")
     p.add_argument("-o", "--output", help="write the structured record here too")
@@ -272,6 +276,8 @@ def build_parser():
         p = sub.add_parser(name)
         _add_common(p)
         p.add_argument("-e", type=int, required=True, help="dual degree")
+        if name == "base-points":
+            _add_search(p)
 
     p = sub.add_parser("essential", help="essential variable count and split")
     _add_common(p)
@@ -282,10 +288,9 @@ def build_parser():
     p.add_argument("--d-min", type=int, default=3)
     p.add_argument("--d-max", type=int, default=4)
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_search(p)
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
                    dest="precision_bits")
-    p.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
     return parser
 
 

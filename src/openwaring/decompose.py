@@ -164,14 +164,12 @@ def fit_coefficients(f: Form, points, precision_bits=DEFAULT_PRECISION_BITS):
     if linalg.matrix_is_exact(rows) and all(is_exact_scalar(x) for x in rhs):
         sol = linalg.rational_solve(rows, rhs)
         if sol is None:
-            _, resid = linalg.complex_solve_lstsq(rows, rhs, 64)
-            raise NoFitError("target form is not in the span of the given powers",
-                             residual=resid)
+            raise NoFitError("target form is not in the span of the given powers")
         return sol
     sol, resid = linalg.complex_solve_lstsq(rows, rhs, precision_bits)
     scale = _at_least_one(f.max_abs())
     if mpf_gt(resid._mpf_, _threshold(tolerance(precision_bits), scale)):
-        raise NoFitError("least-squares residual exceeds tolerance", residual=resid)
+        raise NoFitError("least-squares residual exceeds tolerance")
     snap = mpf_shift(scale, -(precision_bits * 3) // 4)
     return [Fraction(0) if scalar_is_zero(c, snap) else c for c in sol]
 

@@ -53,10 +53,6 @@ class CommonComponentError(OpenWaringError):
 class NoFitError(OpenWaringError):
     """The target form is not in the span of the given powers."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class ConsistencyError(OpenWaringError):
     """An internal invariant that should hold by construction failed.

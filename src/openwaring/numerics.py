@@ -29,18 +29,18 @@ without the second rounding.
 ``+ - * /``, the rounding of int, Fraction and mpf operands (``_raw_mpf``),
 the root finder's libmp steps (the monic coefficients of ``_aberth`` and
 the residual certificate of ``univariate_roots`` with its evaluation
-``_horner``), ``linalg``'s complex
+``_horner``, a loop of ``_cmul`` and ``_cadd``), ``linalg``'s complex
 eliminations (echelon form, rank, kernel, determinant, least squares) and
 the approximate lift of ``apolarity._subspace_lift`` run this module's
-raw-tuple kernels (``_cadd``, ``_csub``, ``_cmul``, ``_cdiv``, ``_cinv``,
-``_pos``, ``_quo``).  They reproduce libmp's round-to-nearest ``mpc_add``,
-``mpc_sub``, ``mpc_mul``, ``mpc_div``, ``mpc_mpf_div``, ``mpf_pos`` and
-``mpf_div`` bit for bit: the same exact products, the same sticky bit in
-division, the same ``prec + 10`` round-down intermediates in complex
-division, and the same shortcut in addition, which for operands far apart
-perturbs the larger one instead of rounding the exact sum (not always
-correctly rounded).  Only the call layers and libmp's log-based bit counts
-are gone; inf and nan parts go to libmp itself.
+raw-tuple kernels (``_cadd``, ``_csub``, ``_cmul``, ``_cdiv``, ``_pos``,
+``_quo``), each of which rounds by ``_sum``.  They reproduce libmp's
+round-to-nearest ``mpc_add``, ``mpc_sub``, ``mpc_mul``, ``mpc_div``,
+``mpf_pos`` and ``mpf_div`` bit for bit: the same exact products, the same
+sticky bit in division, the same ``prec + 10`` round-down intermediates in
+complex division, and the same shortcut in addition, which for operands
+far apart perturbs the larger one instead of rounding the exact sum (not
+always correctly rounded).  Only the call layers and libmp's log-based bit
+counts are gone; inf and nan parts go to libmp itself.
 
 The approximate algebra of ``poly`` (powers of linear forms, contraction,
 evaluation, sums and scalings of forms), of ``UniPoly``, ``linalg.dot``,
@@ -92,11 +92,11 @@ from math import isqrt, lcm
 from fractions import Fraction
 from mpmath import mpf, mpc, workprec
 from mpmath.libmp import (fhalf, fone, from_int, from_man_exp, from_rational,
-                          fzero, mpc_abs, mpc_add, mpc_div, mpc_exp,
-                          mpc_mpf_div, mpc_mul, mpc_mul_mpf, mpc_pow_int,
-                          mpc_sub, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt,
-                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_pow,
-                          mpf_pow_int, mpf_shift, round_nearest)
+                          fzero, mpc_abs, mpc_add, mpc_div, mpc_exp, mpc_mul,
+                          mpc_mul_mpf, mpc_pow_int, mpc_sub, mpf_add, mpf_div,
+                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
+                          mpf_neg, mpf_pi, mpf_pow, mpf_pow_int, mpf_shift,
+                          round_nearest)
 
 from .errors import ConsistencyError, InvalidInputError
 
@@ -135,14 +135,16 @@ def _raw_mpf(x, bits):
     """x rounded to nearest at ``bits``, as a raw libmp tuple; Fractions
     round numerator and denominator first, as ``mpf(p) / mpf(q)`` does.
     Ints, Fractions and mpfs run on the kernels below: libmp's
-    ``mpf_pos(from_int(x))`` and ``mpf_div``, bit for bit."""
-    if isinstance(x, Fraction):
+    ``mpf_pos(from_int(x))`` and ``mpf_div``, bit for bit; an integral
+    value takes no quotient, which would only normalize it again."""
+    if isinstance(x, (int, Fraction)):
         p, q = x.numerator, x.denominator
-        sign, man, exp, _ = _sum(int(p < 0), abs(p), 0, 0, 0, 0, bits)
+        num = _sum(int(p < 0), abs(p), 0, 0, 0, 0, bits)
+        if q == 1:
+            return num
+        sign, man, exp, _ = num
         _, qman, qexp, qbc = _sum(0, q, 0, 0, 0, 0, bits)
         return _quo(sign, man, exp, qman, qexp, qbc, bits)
-    if isinstance(x, int):
-        return _sum(int(x < 0), abs(x), 0, 0, 0, 0, bits)
     if type(x) is mpf:
         return _pos(x._mpf_, bits)
     with workprec(bits):
@@ -227,8 +229,8 @@ def _sum(ssign, sman, sexp, tsign, tman, texp, prec, down=False):
 def _quo(sign, sman, sexp, tman, texp, tbc, prec):
     """libmp's ``mpf_div`` at round_nearest of a finite value by a finite
     one whose mantissa has ``tbc`` bits: a quotient with at least prec + 5
-    bits and a sticky bit for a nonzero remainder, then rounded as
-    ``_sum`` rounds it."""
+    bits and a sticky bit for a nonzero remainder, then rounded by
+    ``_sum``."""
     if not tman:
         raise ZeroDivisionError
     if tman == 1 or not sman:
@@ -238,20 +240,7 @@ def _quo(sign, sman, sexp, tman, texp, tbc, prec):
     if rem:
         man = (man << 1) + 1
         extra += 1
-    exp = sexp - texp - extra
-    n = man.bit_length() - prec
-    if n > 0:
-        t = man >> (n - 1)
-        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
-            man = (t >> 1) + 1
-        else:
-            man = t >> 1
-        exp += n
-    if not man & 1:
-        z = (man & -man).bit_length() - 1
-        man >>= z
-        exp += z
-    return sign, man, exp, man.bit_length()
+    return _sum(sign, man, sexp - texp - extra, 0, 0, 0, prec)
 
 
 def _pos(x, prec):
@@ -325,18 +314,6 @@ def _cdiv(z, w, prec):
                           ae + de, wp, True)
     return (_quo(tsg, tm, te, mm, me, mbc, prec),
             _quo(usg, um, ue, mm, me, mbc, prec))
-
-
-def _cinv(z, prec):
-    """1 / z as libmp's ``mpc_mpf_div(fone, z)`` at round_nearest: a / m -
-    b / m i with m = a^2 + b^2 rounded down at prec + 10."""
-    (asg, am, ae, _), (bsg, bm, be, _) = z
-    if not (am and bm) and (not am and ae or not bm and be):
-        return mpc_mpf_div(fone, z, prec, _RND)
-    _, mm, me, mbc = _sum(0, am * am, ae + ae, 0, bm * bm, be + be, prec + 10,
-                          True)
-    return (_quo(asg, am, ae, mm, me, mbc, prec),
-            _quo(1 ^ bsg, bm, be, mm, me, mbc, prec))
 
 
 #: the top of zero: below every finite top, and -inf - 1 is still -inf
@@ -904,39 +881,12 @@ def squarefree_decomposition(p: UniPoly):
 
 
 def _horner(coeffs, x, prec):
-    """p(x) on raw pairs, as ``acc * x + c`` from zero.
-
-    ``coeffs`` is a nonempty list of raw pairs and x's parts are libmp
-    values, as every libmp and kernel result is.  Steps whose result is
-    known are not computed: the first step ``0 * x + c`` is the rounding
-    of c, and when the leading coefficient is exactly one, as it is for a
-    monic polynomial, the next product ``1 * x`` is x with each part
-    rounded, the four exact products of ``_cmul`` being x's parts and
-    zeros.  Every other step is ``_cmul`` then ``_cadd``, their ``_sum``
-    calls written out in one place; a step with an inf or nan part in acc,
-    x or c runs the kernels, which hand it to libmp.
-    """
-    (xsg, xm, xe, _), (ysg, ym, ye, _) = x
-    finite = (xm or not xe) and (ym or not ye)
-    if finite and len(coeffs) > 1 and coeffs[-1] == _CONE:
-        acc = _cadd(_cpos(x, prec), coeffs[-2], prec)
-        rest = coeffs[-3::-1]
-    else:
-        acc = _cpos(coeffs[-1], prec)
-        rest = coeffs[-2::-1]
-    for c in rest:
-        (asg, am, ae, _), (bsg, bm, be, _) = acc
-        (csg, cm, ce, _), (dsg, dm, de, _) = c
-        if not (finite and (am or not ae) and (bm or not be)
-                and (cm or not ce) and (dm or not de)):
-            acc = _cadd(_cmul(acc, x, prec), c, prec)
-            continue
-        psg, pm, pe, _ = _sum(asg ^ xsg, am * xm, ae + xe, 1 ^ bsg ^ ysg,
-                              bm * ym, be + ye, prec)
-        qsg, qm, qe, _ = _sum(asg ^ ysg, am * ym, ae + ye, bsg ^ xsg,
-                              bm * xm, be + xe, prec)
-        acc = (_sum(psg, pm, pe, csg, cm, ce, prec),
-               _sum(qsg, qm, qe, dsg, dm, de, prec))
+    """p(x) on raw pairs, as ``acc * x + c`` by ``_cmul`` and ``_cadd`` from
+    the leading coefficient rounded at ``prec``; ``coeffs`` is a nonempty
+    list of raw pairs, lowest degree first."""
+    acc = _cpos(coeffs[-1], prec)
+    for c in coeffs[-2::-1]:
+        acc = _cadd(_cmul(acc, x, prec), c, prec)
     return acc
 
 

@@ -261,6 +261,25 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["count"] == 1
 
+    #: each subcommand with an option it has no use for: only decompose
+    #: avoids a forbidden set, and only decompose and base-points search
+    #: at random
+    UNREAD_OPTIONS = [
+        [command, option] for command in ("catalecticant", "apolar", "essential")
+        for option in ("--avoid", "--seed", "--max-retries")] + [
+        ["base-points", "--avoid"]]
+
+    @pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
+    def test_options_a_command_never_reads_are_refused(self, capsys, command,
+                                                        option):
+        argv = [command, "-n", "3", "x0*x1^2 + x1*x2^2", option, "1"]
+        if command != "essential":
+            argv += ["-e", "2"]
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
     def test_bench_csv(self, capsys):
         code, out, _ = run_capture(capsys, [
             "bench", "--n-min", "3", "--n-max", "3", "--d-min", "3",

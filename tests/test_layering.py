@@ -205,7 +205,7 @@ def test_verify_takes_the_rank_only_from_essential_variables():
 
 
 #: the raw-tuple kernels that reproduce libmp's complex arithmetic
-KERNELS = {"_sum", "_quo", "_pos", "_cadd", "_csub", "_cmul", "_cdiv", "_cinv"}
+KERNELS = {"_sum", "_quo", "_pos", "_cadd", "_csub", "_cmul", "_cdiv"}
 
 #: the libmp functions the kernels replace on the pipeline's hot path
 LIBMP_ARITHMETIC = {"mpc_add", "mpc_sub", "mpc_mul", "mpc_div", "mpc_mpf_div"}
@@ -255,6 +255,60 @@ def test_no_second_arithmetic_path_beside_the_kernels():
     named = {name: _names_in(functions[name]) for name in KERNEL_CALLERS}
     assert {name: ids & LIBMP_ARITHMETIC for name, ids in named.items()
             if ids & LIBMP_ARITHMETIC} == {}
+
+
+def _functions(parsed):
+    """(module, name) -> node for each module-level function, and (module,
+    "Class.name") for each method of a module-level class."""
+    found = {}
+    for m, tree in parsed.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                found[m, node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                found.update(((m, f"{node.name}.{f.name}"), f) for f in node.body
+                             if isinstance(f, ast.FunctionDef))
+    return found
+
+
+#: the kernels that round by ``_sum`` (besides ``_sum`` itself) and those
+#: that divide by ``_quo``, with ``_raw_mpf``'s rounding of ints and
+#: Fractions; every other loop runs on the kernels, so no written-out copy
+#: of their rounding sits beside them
+SUM_CALLERS = {"_pos", "_quo", "_cadd", "_csub", "_cmul", "_cdiv", "_raw_mpf"}
+QUO_CALLERS = {"_cdiv", "_raw_mpf"}
+
+
+def test_only_the_kernels_round():
+    parsed = _parsed()
+    functions = _functions(parsed)
+    for kernel, callers in (("_sum", SUM_CALLERS), ("_quo", QUO_CALLERS)):
+        assert {m for m, tree in parsed.items()
+                if kernel in _names_in(tree)} == {"numerics"}
+        assert {name for (_, name), node in functions.items()
+                if kernel in _names_in(node)} <= callers, kernel
+
+
+def _reads(node):
+    """How often each name is loaded, or each attribute read, in node."""
+    return collections.Counter(
+        [n.id for n in ast.walk(node)
+         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+        + [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)])
+
+
+def test_every_private_function_is_read():
+    # a private function or method that nothing in the package reads, other
+    # than its own body, is dead code
+    parsed = _parsed()
+    read = sum((_reads(tree) for tree in parsed.values()), collections.Counter())
+    unread = []
+    for (m, name), node in _functions(parsed).items():
+        short = name.rpartition(".")[2]
+        if (short.startswith("_") and not short.endswith("__")
+                and read[short] <= _reads(node)[short]):
+            unread.append(f"{m}.{name}")
+    assert unread == []
 
 
 def _names_in(node):
@@ -374,7 +428,7 @@ def test_terms_are_certified_as_the_runner_returns_them():
 #: test into the duplicate-point test on the roots, and the pencil's
 #: proportionality tolerance into an exact test of its integer weights
 FOLDED = {"_linear_divides", "_integer_power", "_integer_product",
-          "_binary_squarefree_exact", "_proportional_ops"}
+          "_binary_squarefree_exact", "_proportional_ops", "_cinv"}
 
 
 def test_one_copy_of_each_job():

@@ -15,10 +15,10 @@ from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
                           mpf_neg, mpf_pos, mpf_shift, round_nearest)
 
 from openwaring import ConsistencyError, InvalidInputError, numerics
-from openwaring.numerics import (_CERT_PRIME, GUARD_BITS, AppComplex,
+from openwaring.numerics import (_CERT_PRIME, _CONE, GUARD_BITS, AppComplex,
                                  UniPoly, _aberth, _abs_exceeds, _abs_gt,
                                  _abs_le, _cadd, _cdiv, _certified_squarefree,
-                                 _cinv, _cmul, _csub, _horner, _pos, _quo,
+                                 _cmul, _cpos, _csub, _horner, _pos, _quo,
                                  _raw_mpf, _raw_pair, _within_stop,
                                  is_squarefree,
                                  max_abs_of, scalar_is_zero,
@@ -450,8 +450,8 @@ class TestKernelEquivalence:
 
     def test_horner_matches_the_libmp_loop(self):
         # monic and other leading coefficients, x with more bits than prec,
-        # exactly zero parts, and inf and nan parts, which the fused steps
-        # hand to the kernels and so to libmp
+        # exactly zero parts, and inf and nan parts, which the kernels hand
+        # to libmp
         # 1 * x + c takes x rounded at prec, as mpc_mul rounds the product
         x = ((0, 2 ** 100 + 2 ** 36 + 1, -100, 101), (1, 3, -1, 2))
         for coeffs in ([(fzero, fzero), (fone, fzero)],
@@ -485,7 +485,7 @@ class TestKernelEquivalence:
                 with pytest.raises(ZeroDivisionError):
                     mpc_div(z, (fzero, fzero), bits, round_nearest)
             with pytest.raises(ZeroDivisionError):
-                _cinv((fzero, fzero), bits)
+                _cdiv(_CONE, (fzero, fzero), bits)
             for man in (3, 0):
                 with pytest.raises(ZeroDivisionError):
                     _quo(0, man, 0, 0, 0, 0, bits)
@@ -560,15 +560,22 @@ def assert_kernels_match_libmp(prec, z, w):
         else:
             assert kernel(z, w, prec) == want, kernel.__name__
     for x in (z, w):
-        try:
-            want = mpc_mpf_div(fone, x, prec, round_nearest)
-        except ZeroDivisionError:
-            with pytest.raises(ZeroDivisionError):
-                _cinv(x, prec)
-        else:
-            assert _cinv(x, prec) == want
         for part in x:
             assert _pos(part, prec) == mpf_pos(part, prec, round_nearest)
+        # one over x as apolarity._subspace_lift takes it, with x's parts
+        # rounded at prec: mpc_mpf_div of one, bit for bit; an inf part
+        # goes to mpc_div, which gives a nan part where mpc_mpf_div gives 0
+        x = _cpos(x, prec)
+        try:
+            if finf in x or fninf in x:
+                want = mpc_div(_CONE, x, prec, round_nearest)
+            else:
+                want = mpc_mpf_div(fone, x, prec, round_nearest)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _cdiv(_CONE, x, prec)
+        else:
+            assert _cdiv(_CONE, x, prec) == want
 
 
 # prec 64: z's real part is 2^128 - 2^64 + 2^63 - 1, a 128-bit product whose
@@ -607,7 +614,7 @@ class TestRawMpf:
     def test_ints_and_fractions_match_libmp(self, bits, data):
         p = sized_int(data.draw, data.draw(st.integers(1, 3000)))
         q = abs(sized_int(data.draw, data.draw(st.integers(1, 3000))))
-        for x in (p, Fraction(p, q)):
+        for x in (p, Fraction(p), Fraction(p, q)):
             assert _raw_mpf(x, bits) == libmp_raw_mpf(x, bits), (x, bits)
 
     @pytest.mark.parametrize("bits", [53, 64, 256, 1088])
