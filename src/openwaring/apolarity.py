@@ -453,7 +453,11 @@ def _base_points(basis, n, precision_bits, seed, max_retries):
     basis of a form in n variables, and for n = 3 the deduplicated
     candidates of the last pencil (d0, d1) that lie on both d0 and d1
     (None for n < 3).  Two conics with four such points meet simply
-    there, by Bezout, and the ternary base case fits on them.
+    there, by Bezout, and the ternary base case fits on them.  Each
+    candidate is a root of d0's side polynomial at its t (of d1's where
+    d0's has degree < 1), so d0 vanishes at nearly all of them: the
+    candidates are tested on d1 first, and d0 is evaluated only at those
+    d1 keeps, which leaves the answer of ``all`` unchanged.
 
     A pencil whose integer weights c0, c1 are proportional is skipped,
     tested exactly on the weights: the basis is a kernel basis, linearly
@@ -488,7 +492,7 @@ def _base_points(basis, n, precision_bits, seed, max_retries):
             if zero_resultants >= 3:
                 raise
             continue
-        pencil = _dedupe_points(_common_zeros(candidates, (d0, d1),
+        pencil = _dedupe_points(_common_zeros(candidates, (d1, d0),
                                               precision_bits), precision_bits)
         return _certified(candidates, basis, precision_bits), pencil
     raise RetryBudgetError("base point search exhausted its retry budget")

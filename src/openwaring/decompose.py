@@ -48,7 +48,8 @@ from .numerics import (AppComplex, DEFAULT_PRECISION_BITS, GUARD_BITS,
                        is_exact_scalar, max_abs_of, scalar_is_zero, tolerance,
                        univariate_roots)
 from .poly import (DualOp, Form, LinearForm, contract, dual_power,
-                   linear_power, monomials_of_degree, _substitute)
+                   linear_power, monomials_of_degree, _substitute,
+                   _subtract_powers)
 from .verify import (Decomposition, ForbiddenSet, check_decomposition,
                      is_forbidden)
 
@@ -752,16 +753,14 @@ def _inductive_essential(f: Form, V: ForbiddenSet, ctx: _Ctx):
     sub = _dispatch_essential(fprime, V.with_constraint(
         LinearForm([Fraction(a) for a in alpha]).to_form()), ctx)
     lifted = []
-    F2 = f
     for c, l in sub:
         dot = linalg.dot(alpha, l.coords)
         if scalar_is_zero(dot, _threshold(
                 _threshold(ctx.tol, _at_least_one(max_abs_of(l.coords))),
                 sum(abs(a) for a in alpha))):
             raise ConsistencyError("lifted term is annihilated by alpha")
-        w = c / (d * dot)
-        lifted.append((w, l))
-        F2 = F2 - linear_power(l, d).scale(w)
+        lifted.append((c / (d * dot), l))
+    F2 = _subtract_powers(f, lifted)
     if not F2.is_exact():
         F2 = F2.cleaned(mpf_shift(zero_tol, -GUARD_BITS))
     if F2.is_zero(zero_tol):

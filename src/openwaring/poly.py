@@ -268,7 +268,13 @@ def contract(op: DualOp, f: Form) -> Form:
     Runs on raw values: each term is ``(u * v) * mult`` and each sum starts
     from its first term, which adding it to Fraction(0) would leave
     unchanged; a sum that cancels to an exact zero is dropped and, if it
-    comes back, re-inserted at the end."""
+    comes back, re-inserted at the end.
+
+    Rational op and f run on integers: each is cleared to ints over its
+    least common denominator (``_clear_denominators``), and each summed
+    integer s becomes Fraction(s, den_op * den_f) at the end.  Every
+    integer is the rational value times one positive constant, so it
+    cancels exactly when the Fraction sum would, in the same order."""
     if not isinstance(op, DualOp) or not isinstance(f, Form):
         raise InvalidInputError("contract expects (DualOp, Form)")
     if op.num_vars != f.num_vars:
@@ -277,10 +283,17 @@ def contract(op: DualOp, f: Form) -> Form:
         raise InvalidInputError(
             f"operator degree {op.degree} exceeds form degree {f.degree}")
     n = f.num_vars
-    terms = [(b, _unbox(v)) for b, v in f.coeffs.items()]
+    if op.is_exact() and f.is_exact():
+        den_op, us = _clear_denominators(op.coeffs.values())
+        den_f, vs = _clear_denominators(f.coeffs.values())
+        ops, terms = zip(op.coeffs, us), list(zip(f.coeffs, vs))
+        den = den_op * den_f
+    else:
+        ops = [(a, _unbox(u)) for a, u in op.coeffs.items()]
+        terms = [(b, _unbox(v)) for b, v in f.coeffs.items()]
+        den = None
     out = {}
-    for a, u in op.coeffs.items():
-        u = _unbox(u)
+    for a, u in ops:
         for b, v in terms:
             if any(b[i] < a[i] for i in range(n)):
                 continue
@@ -297,8 +310,9 @@ def contract(op: DualOp, f: Form) -> Form:
                     del out[target]
                     continue
             out[target] = t
-    return Form._of(n, f.degree - op.degree,
-                    {e: _box(v) for e, v in out.items()})
+    return Form._of(n, f.degree - op.degree, {
+        e: _box(v) if den is None else Fraction(v, den)
+        for e, v in out.items()})
 
 
 def dual_power(alpha, e: int) -> DualOp:
@@ -355,7 +369,14 @@ def _power_coeffs(coords, d):
     Each coefficient is m * coords[i]^e_i * ... left to right from its
     multinomial m, on raw values; an m that meets an approximate power
     first is read rounded from `_raw_multinomials`, as the operator would
-    round it."""
+    round it.  Rational coordinates that are not all ints are cleared to
+    ints over their least common denominator q, and each coefficient of
+    that power is divided by q^d: the same values, as Fractions."""
+    if not all(type(x) is int for x in coords) and all(
+            is_exact_scalar(x) for x in coords):
+        q, ints = _clear_denominators(coords)
+        qd = q ** d
+        return {e: Fraction(v, qd) for e, v in _power_coeffs(ints, d).items()}
     n = len(coords)
     xs = [_unbox(x) for x in coords]
     # powers[i][e] = coords[i] ** e, or None for an exact zero coordinate;
@@ -380,6 +401,54 @@ def _power_coeffs(coords, d):
         else:
             out[expo] = m if val is None else _box(val)
     return out
+
+
+def _subtract_powers(f, terms):
+    """f - sum of w * l^d over the (w, l) of ``terms``, d the degree of f,
+    with the bits and key order of subtracting ``linear_power(l, d).scale(w)``
+    from f one term at a time.
+
+    For a rational f, the leading run of rational terms is subtracted in
+    one pass on integers over one common denominator: f is cleared to
+    F / den_f, each l to L / q and each w is a / b, so w * l^d is
+    a * P / (b * q^d) with P the integer ``_power_coeffs(L, d)``.  Every
+    contribution is scaled to the least common denominator D, and each
+    summed integer s becomes Fraction(s, D) at the end.  A sum that cancels
+    is dropped and, if it comes back, re-inserted at the end, so f's keys
+    keep their order and new monomials follow in the order they are met,
+    as ``Form.__sub__`` orders them.  The terms from the first approximate
+    one on are subtracted one at a time, since each rounds."""
+    d = f.degree
+    k = 0
+    if f.is_exact():
+        for w, l in terms:
+            if not (is_exact_scalar(w) and l.is_exact()):
+                break
+            k += 1
+    if k:
+        den_f, ints = _clear_denominators(f.coeffs.values())
+        pieces = []
+        for w, l in terms[:k]:
+            q, coords = _clear_denominators(l.coords)
+            pieces.append((w.numerator, w.denominator * q ** d,
+                           _power_coeffs(coords, d)))
+        common = lcm(den_f, *(den for _, den, _ in pieces))
+        # every integer below is the rational value times common, so it
+        # cancels exactly when the Fraction sum would
+        out = {e: v * (common // den_f) for e, v in zip(f.coeffs, ints)}
+        for a, den, power in pieces:
+            scale = a * (common // den)
+            for e, v in power.items():
+                s = out.get(e, 0) - scale * v
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        f = Form._of(f.num_vars, d, {e: Fraction(s, common)
+                                     for e, s in out.items()})
+    for w, l in terms[k:]:
+        f = f - linear_power(l, d).scale(w)
+    return f
 
 
 def _substitute(f, matrix):

@@ -978,6 +978,43 @@ class TestBasePointsPairedByTheCertificate:
             assert base_points(f, 2) == []
             assert degrees == [4, 2, 2, 2, 2]
 
+    def test_pencil_points_are_tested_on_d1_before_d0(self, monkeypatch):
+        # a rational cubic without base points: every candidate is a root
+        # of d0's side polynomial, so the pencil's filter tests d1 at each
+        # candidate and d0 only at those d1 keeps, and keeps the same four
+        # points as testing both at all of them
+        ops, found, calls = [], [], []
+        combine, pair = APOLARITY._combine_ops, APOLARITY._curve_pair_candidates
+        vanishes = APOLARITY._op_vanishes_at
+
+        def recording(op, point, tol):
+            result = vanishes(op, point, tol)
+            calls.append((op, point, result))
+            return result
+
+        monkeypatch.setattr(APOLARITY, "_combine_ops",
+                            lambda *a: ops.append(combine(*a)) or ops[-1])
+        monkeypatch.setattr(APOLARITY, "_curve_pair_candidates",
+                            lambda *a: found.append(pair(*a)) or found[-1])
+        monkeypatch.setattr(APOLARITY, "_op_vanishes_at", recording)
+        f = random_essential_form(random.Random(0), 3, 3)
+        basis = apolar_component(f, 2)
+        points, pencil = _base_points(basis, 3, DEFAULT_PRECISION_BITS,
+                                      DEFAULT_SEED, DEFAULT_MAX_RETRIES)
+        assert points == [] and len(pencil) == 4
+        d0, d1 = ops[-2:]
+        candidates = found[-1]
+        on = {name: [(p, r) for op, p, r in calls if op is d]
+              for name, d in (("d0", d0), ("d1", d1))}
+        assert [p for p, _ in on["d1"]] == candidates
+        kept = [p for p, r in on["d1"] if r]
+        assert [p for p, _ in on["d0"]] == kept
+        assert len(kept) < len(candidates)
+        tols = APOLARITY._vanishing_tolerances((d0, d1), DEFAULT_PRECISION_BITS)
+        both = [p for p in candidates
+                if all(vanishes(op, p, tol) for op, tol in tols)]
+        assert pencil == _dedupe_points(both, DEFAULT_PRECISION_BITS)
+
 
 class TestRootPathThresholdsAtAFixedPrecision:
     # each scale below is 1 + 2^-30 times a power of two: exact at mpmath's

@@ -11,10 +11,11 @@ from openwaring import (AppComplex, DualOp, Form, InvalidInputError,
                         LinearForm, NonHomogeneousError, ParseError,
                         change_coordinates, contract, evaluate_dual,
                         linear_power, parse_form, render_form)
+from openwaring import poly
 from openwaring.linalg import rational_det
 from openwaring.numerics import is_exact_scalar
-from openwaring.poly import (_substitute, dual_power, evaluate,
-                             monomials_of_degree)
+from openwaring.poly import (_substitute, _subtract_powers, dual_power,
+                             evaluate, monomials_of_degree)
 from conftest import (random_form, random_linear_form, reference_evaluate,
                       reference_sparse_sub)
 
@@ -92,6 +93,52 @@ class TestContract:
             prod = DualOp(n, 2, {tuple(a + b for a, b in zip(e1, e2)): Fraction(6)})
             assert contract(op1, contract(op2, f)) == contract(prod, f)
 
+    # rational op and f run on integers over den_op * den_f; the oracle is
+    # sympy: sum over op's monomials c * (iterated partials of f)
+
+    def sympy_contract(self, op, f):
+        xs = _sympy_vars(f.num_vars)
+        expr = to_sympy(f, xs)
+        out = sympy.Integer(0)
+        for a, c in op.coeffs.items():
+            de = expr
+            for x, k in zip(xs, a):
+                de = sympy.diff(de, x, k) if k else de
+            out += sympy.Rational(c.numerator, c.denominator) * de
+        return from_sympy(sympy.expand(out), xs, f.degree - op.degree)
+
+    def test_cancelled_coefficient_returns_at_the_end(self):
+        # the x0*x1 coefficient: 2 * 1/2 * 3/4 from d0, then 2 * 3 * (-1/8)
+        # from d1 cancels it, and -2/3 * 7/3 from d2 brings it back, after
+        # every monomial met in between
+        op = DualOp(3, 1, {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(3),
+                           (0, 0, 1): Fraction(-2, 3)})
+        f = Form(3, 3, {(2, 1, 0): Fraction(3, 4), (3, 0, 0): Fraction(1, 5),
+                        (1, 2, 0): Fraction(-1, 8), (1, 1, 1): Fraction(7, 3)})
+        got = contract(op, f)
+        assert list(got.coeffs) == [(2, 0, 0), (0, 2, 0), (0, 1, 1),
+                                    (1, 0, 1), (1, 1, 0)]
+        assert got.coeffs[(1, 1, 0)] == Fraction(-14, 9)
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+        assert got == self.sympy_contract(op, f)
+
+    def test_zero_entries_and_integral_fractions(self, rng):
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            d = rng.randint(2, 5)
+            e = rng.randint(1, d)
+            alpha = [rng.choice((0, Fraction(0), rng.randint(-4, 4),
+                                 Fraction(rng.randint(-4, 4)),
+                                 Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+                     for _ in range(n)]
+            alpha[rng.randrange(n)] = Fraction(rng.choice((-2, 1, 3)))
+            op = dual_power(alpha, e)
+            f = Form(n, d, {m: c / rng.randint(1, 7) for m, c
+                            in random_form(rng, n, d).coeffs.items()})
+            got = contract(op, f)
+            assert all(type(c) is Fraction for c in got.coeffs.values())
+            assert got == self.sympy_contract(op, f), (alpha, e)
+
 
 class TestLinearPower:
     def test_square_of_sum(self):
@@ -121,6 +168,106 @@ class TestLinearPower:
             dot = sum(a * c for a, c in zip(alpha, l.coords))
             rhs = linear_power(l, d - 1).scale(Fraction(d) * dot)
             assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# The inductive step's remainder f - sum w * l^d: the leading rational terms
+# of a rational f run in one pass on integers over one common denominator,
+# the rest subtracts term by term; both must give the layout of the chained
+# Form.__sub__ below.
+
+
+def chained_remainder(f, terms):
+    for w, l in terms:
+        f = f - linear_power(l, f.degree).scale(w)
+    return f
+
+
+@st.composite
+def remainder_cases(draw):
+    """A rational f and terms (w, l), some of them built to cancel a
+    monomial of the partial remainder so far, which a later term may bring
+    back; now and then a term is approximate, and the rational terms
+    after it must then be subtracted one at a time."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    f = Form(n, d, {e: draw(rational) for e in monomials_of_degree(n, d)
+                    if draw(st.booleans())})
+    terms, partial = [], f
+    for _ in range(draw(st.integers(0, 5))):
+        coords = [draw(rational) if draw(st.booleans()) else Fraction(0)
+                  for _ in range(n)]
+        if not any(coords):
+            coords[draw(st.integers(0, n - 1))] = Fraction(draw(
+                st.sampled_from((-2, 1, 3))))
+        if draw(st.integers(0, 3)) == 0:
+            coords = [AppComplex(x, 0, 128) if x else x for x in coords]
+        l = LinearForm(coords)
+        power = linear_power(l, d)
+        shared = [e for e in power.coeffs if e in partial.coeffs]
+        if shared and draw(st.booleans()):
+            e = draw(st.sampled_from(shared))
+            w = partial.coeffs[e] / power.coeffs[e]
+        else:
+            w = draw(st.one_of(rational, st.integers(-3, 3)))
+        terms.append((w, l))
+        partial = chained_remainder(partial, [(w, l)])
+    return f, terms
+
+
+class TestSubtractPowers:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(remainder_cases())
+    def test_matches_the_chained_subtraction(self, case):
+        f, terms = case
+        got = _subtract_powers(f, terms)
+        if all(l.is_exact() for _, l in terms):
+            assert all(type(c) is Fraction for c in got.coeffs.values())
+        assert layout(got) == layout(chained_remainder(f, terms))
+
+    def test_cancelled_monomial_returns_at_the_end(self, monkeypatch):
+        # x1^2, f's first monomial, cancels on the first term and comes
+        # back on the second, after x0x1 and the new x0^2; no power is built
+        # as a Form on the way
+        f = Form(2, 2, {(0, 2): Fraction(1, 2), (1, 1): Fraction(3)})
+        terms = [(Fraction(1, 8), LinearForm([0, 2])),
+                 (Fraction(-1, 3), LinearForm([Fraction(1, 2), 1]))]
+        monkeypatch.setattr(poly, "linear_power", None)
+        got = _subtract_powers(f, terms)
+        assert list(got.coeffs.items()) == [
+            ((1, 1), Fraction(10, 3)), ((2, 0), Fraction(1, 12)),
+            ((0, 2), Fraction(1, 3))]
+        monkeypatch.undo()
+        assert layout(got) == layout(chained_remainder(f, terms))
+
+    def test_terms_from_an_approximate_one_on_go_one_at_a_time(
+            self, monkeypatch):
+        # the leading rational term runs on integers; the approximate term
+        # and the rational one after it are built as Forms and subtracted
+        f = Form(3, 3, {(3, 0, 0): Fraction(2, 3), (1, 1, 1): Fraction(-5)})
+        terms = [(Fraction(2, 3), LinearForm([1, 0, 0])),
+                 (AppComplex(Fraction(1, 7), 2, 128),
+                  LinearForm([Fraction(1, 2), 3, AppComplex(-1, 0, 256)])),
+                 (Fraction(-1, 5), LinearForm([1, 1, 1]))]
+        built = []
+        real = poly.linear_power
+        monkeypatch.setattr(poly, "linear_power",
+                            lambda l, d: built.append(l) or real(l, d))
+        got = _subtract_powers(f, terms)
+        assert built == [l for _, l in terms[1:]]
+        assert not got.is_exact()
+        monkeypatch.undo()
+        assert layout(got) == layout(chained_remainder(f, terms))
+        # an approximate f rounds from the first term on
+        g = f.scale(AppComplex(1, 0, 128))
+        built.clear()
+        monkeypatch.setattr(poly, "linear_power",
+                            lambda l, d: built.append(l) or real(l, d))
+        got = _subtract_powers(g, terms)
+        assert built == [l for _, l in terms]
+        monkeypatch.undo()
+        assert layout(got) == layout(chained_remainder(g, terms))
 
 
 class TestChangeCoordinates:
@@ -319,16 +466,44 @@ class TestPowerTablesKeepEveryBit:
     @pytest.mark.parametrize("bits", BIT_SIZES)
     def test_linear_and_dual_power(self, bits):
         rng = random.Random(bits)
+        cleared = 0  # draws that take the rational branch of _power_coeffs
         for n in range(1, 9):
             for d in range(0, 7):
                 coords = random_coords(rng, n, bits)
                 l = LinearForm(coords)
+                cleared += all(is_exact_scalar(x) for x in coords) and any(
+                    x.denominator > 1 for x in coords)
                 assert layout(linear_power(l, d)) == layout(
                     ref_power_of_linear(l.coords, d, Form)), (n, d)
                 alpha = [rng.randint(-3, 3) if is_exact_scalar(x) else x
                          for x in coords]
                 assert layout(dual_power(alpha, d)) == layout(
                     ref_power_of_linear(tuple(alpha), d, DualOp)), (n, d)
+        assert cleared >= 3
+
+    def test_rational_coordinates_are_cleared_to_integers(self, monkeypatch):
+        # denominators above 1, and integral Fractions mixed with ints and
+        # zeros: each power is taken once more on the cleared integers
+        rng = random.Random(5)
+        calls = []
+        real = poly._power_coeffs
+        monkeypatch.setattr(poly, "_power_coeffs",
+                            lambda c, d: calls.append(tuple(c)) or real(c, d))
+        for n in range(1, 6):
+            for d in range(0, 6):
+                for den in (1, 6):
+                    coords = [rng.choice((0, rng.randint(-4, 4),
+                                          Fraction(rng.randint(-9, 9), den)))
+                              for _ in range(n)]
+                    coords[rng.randrange(n)] = Fraction(rng.randint(1, 5), den)
+                    calls.clear()
+                    assert layout(dual_power(coords, d)) == layout(
+                        ref_power_of_linear(tuple(coords), d, DualOp)), (n, d)
+                    assert layout(linear_power(LinearForm(coords), d)) == \
+                        layout(ref_power_of_linear(
+                            LinearForm(coords).coords, d, Form)), (n, d)
+                    assert len(calls) == 4 and all(
+                        type(x) is int for x in calls[1] + calls[3])
 
     @pytest.mark.parametrize("bits", BIT_SIZES)
     @pytest.mark.parametrize("cls", [Form, DualOp])
