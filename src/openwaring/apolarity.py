@@ -9,16 +9,16 @@ integers); forms with approximate coefficients go through thresholded
 complex elimination instead.
 
 The plane-curve resultant machinery lives here too: ``_resultant_charts``
-walks coordinate charts of a pair of ternary curves and eliminates the last
-variable by a Sylvester resultant, and ``_curve_pair_candidates`` (for
-``base_points``) and ``decompose.conic_intersection`` build their
-intersections on it.  Since ``base_points`` certifies every candidate
-against the whole annihilator basis, its candidates over a resultant root
-are one curve's roots there, unpaired (``_curve_pair_candidates`` says why
-that finds the same points).  ``_base_points`` also returns the
-candidates on both conics of its last pencil: the ternary-cubic step fits
-on them when there are four, so ``conic_intersection`` serves only its
-fallback attempts.
+walks coordinate charts of a pair of ternary lines or conics and
+eliminates the last variable by their Sylvester resultant, written down in
+closed form, and ``_curve_pair_candidates`` (for ``base_points``) and
+``decompose.conic_intersection`` build their intersections on it.  Since
+``base_points`` certifies every candidate against the whole annihilator
+basis, its candidates over a resultant root are one curve's roots there,
+unpaired (``_curve_pair_candidates`` says why that finds the same
+points).  ``_base_points`` also returns the candidates on both conics of
+its last pencil: the ternary-cubic step fits on them when there are four,
+so ``conic_intersection`` serves only its fallback attempts.
 """
 
 from __future__ import annotations
@@ -434,7 +434,9 @@ def _sorted_points(points):
 
 def base_points(f: Form, e: int, precision_bits=DEFAULT_PRECISION_BITS,
                 seed=DEFAULT_SEED, max_retries=DEFAULT_MAX_RETRIES):
-    """Common projective zeros of the degree-e annihilator (n <= 3 only).
+    """Common projective zeros of the degree-e annihilator: for every e when
+    n <= 2, and for lines and conics (e <= 2) when n = 3.  Other shapes
+    raise InvalidInputError.
 
     Candidates come from intersecting two random rational combinations of
     the kernel basis; each candidate is certified against the whole basis.
@@ -442,8 +444,9 @@ def base_points(f: Form, e: int, precision_bits=DEFAULT_PRECISION_BITS,
     A caller that holds ``apolar_component(f, e)`` calls ``_base_points``.
     """
     n = f.num_vars
-    if n > 3:
-        raise InvalidInputError("base point detection is implemented for n <= 3")
+    if n > 3 or (n == 3 and e > 2):
+        raise InvalidInputError("base point detection is implemented for "
+                                "n <= 2, and for n = 3 with e <= 2")
     return _base_points(apolar_component(f, e, precision_bits), n,
                         precision_bits, seed, max_retries)[0]
 
@@ -542,49 +545,26 @@ def _dual_as_unipoly_coeffs(op: DualOp):
     return out
 
 
-def _sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
-    """Resultant in l2 of two polynomials with UniPoly-in-t coefficients,
-    lowest power of l2 first, as ``_dual_as_unipoly_coeffs`` writes them.
+def _sylvester_resultant(p_coeffs, q_coeffs):
+    """Resultant in l2 of two lines or two conics with UniPoly-in-t
+    coefficients, lowest power of l2 first, as ``_dual_as_unipoly_coeffs``
+    writes them: the determinant of their Sylvester matrix, written down.
 
-    Two conics a2 l2^2 + a1 l2 + a0 and b2 l2^2 + b1 l2 + b0 take the
-    closed form (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2) (a1 b0 - a0 b1), the
-    determinant of their 4x4 Sylvester matrix: on integers for exact conics
-    (``_conic_resultant_exact``), in UniPoly arithmetic for approximate
-    ones.  Curves of degree >= 3 take that determinant at ep*eq + 1 integer
-    nodes t (exact, or by ``linalg.complex_det``) and interpolate; with the
-    coefficient of l2^k of degree at most e - k in t, as for a ternary form
-    of degree e, the resultant has degree at most ep*eq, so both ways give
-    the same polynomial on exact conics, Fraction for Fraction."""
-    exact = all(c.is_exact() for c in p_coeffs + q_coeffs)
-    if len(p_coeffs) == 3 and len(q_coeffs) == 3:
-        if exact:
-            return _conic_resultant_exact(p_coeffs, q_coeffs)
-        a0, a1, a2 = p_coeffs
-        b0, b1, b2 = q_coeffs
-        c20 = a2 * b0 - a0 * b2
-        return c20 * c20 - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)
-    ep = len(p_coeffs) - 1
-    eq = len(q_coeffs) - 1
-    size = ep + eq
-    rows = []
-    for coeffs, shifts in ((p_coeffs, eq), (q_coeffs, ep)):
-        for shift in range(shifts):
-            row = [UniPoly([])] * size
-            for j, c in enumerate(reversed(coeffs)):
-                row[shift + j] = c
-            rows.append(row)
-    # the resultant of two forms is homogeneous of degree ep*eq in the
-    # remaining variables, so ep*eq + 1 nodes pin it down
-    deg_bound = ep * eq
-    nodes = [Fraction(k) for k in range(deg_bound + 1)]
-    values = []
-    for t in nodes:
-        m = [[c(t) for c in row] for row in rows]
-        if exact:
-            values.append(linalg.rational_det(m))
-        else:
-            values.append(linalg.complex_det(m, precision_bits))
-    return _lagrange_interpolate(nodes, values)
+    Two lines a1 l2 + a0 and b1 l2 + b0 give a1 b0 - a0 b1.  Two conics
+    a2 l2^2 + a1 l2 + a0 and b2 l2^2 + b1 l2 + b0 give
+    (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2) (a1 b0 - a0 b1): on integers for
+    exact conics (``_conic_resultant_exact``), in UniPoly arithmetic for
+    approximate ones."""
+    if len(p_coeffs) == 2:
+        a0, a1 = p_coeffs
+        b0, b1 = q_coeffs
+        return a1 * b0 - a0 * b1
+    if all(c.is_exact() for c in p_coeffs + q_coeffs):
+        return _conic_resultant_exact(p_coeffs, q_coeffs)
+    a0, a1, a2 = p_coeffs
+    b0, b1, b2 = q_coeffs
+    c20 = a2 * b0 - a0 * b2
+    return c20 * c20 - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)
 
 
 def _conic_resultant_exact(p_coeffs, q_coeffs):
@@ -618,22 +598,6 @@ def _int_sub(a, b):
     return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
-def _lagrange_interpolate(nodes, values):
-    acc = UniPoly([])
-    for i, (xi, yi) in enumerate(zip(nodes, values)):
-        if is_exact_scalar(yi) and yi == 0:
-            continue
-        basis = UniPoly([Fraction(1)])
-        denom = Fraction(1)
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            basis = basis * UniPoly([-xj, Fraction(1)])
-            denom *= xi - xj
-        acc = acc + basis.scale(yi / denom)
-    return acc
-
-
 def _coordinate_changes(n, count, rng=None):
     """Deterministic sequence: identity, then ``count`` invertible integer
     matrices drawn from ``rng`` (a fixed seed by default)."""
@@ -662,8 +626,8 @@ def _leading_ok(coeffs_l2, tol_scale):
 
 def _resultant_charts(D0: DualOp, D1: DualOp, changes, precision_bits,
                       shared: Exception):
-    """Charts of a pair of ternary curves of equal degree, one per change T
-    whose l2-leading coefficients are nonzero constants.
+    """Charts of a pair of ternary lines or of ternary conics, one per
+    change T whose l2-leading coefficients are nonzero constants.
 
     Yields ``(T, p, q, R, r_scale)``: the curves in the chart as polynomials
     in l2 over t (``_dual_as_unipoly_coeffs``), their resultant R(t) and the
@@ -681,7 +645,7 @@ def _resultant_charts(D0: DualOp, D1: DualOp, changes, precision_bits,
         if not (_leading_ok(p, _threshold(tol, n0))
                 and _leading_ok(q, _threshold(tol, n1))):
             continue
-        R = _sylvester_resultant(p, q, precision_bits)
+        R = _sylvester_resultant(p, q)
         norms = (n0 * n1 if type(n0) is type(n1) is Fraction
                  else _threshold(n0, n1))
         r_scale = _threshold(tol, _at_least_one(_threshold_pow(norms, e)))
@@ -747,7 +711,7 @@ def _back_substitute_l2(p_coeffs, q_coeffs, t, precision_bits):
 
 
 def _curve_pair_candidates(D0: DualOp, D1: DualOp, precision_bits, rng):
-    """Candidate common zeros of two ternary curves of equal degree.
+    """Candidate common zeros of two ternary lines or two ternary conics.
 
     At each distinct root t of the resultant, every l2-root of D0 at t is a
     candidate (of D1 when D0 has degree < 1 in l2 there); a t whose root

@@ -272,12 +272,20 @@ def build_parser():
     p.add_argument("--format", choices=("human", "structured"),
                    default="human", dest="output_format")
 
-    for name in ("catalecticant", "apolar", "base-points"):
+    for name in ("catalecticant", "apolar"):
         p = sub.add_parser(name)
         _add_common(p)
         p.add_argument("-e", type=int, required=True, help="dual degree")
-        if name == "base-points":
-            _add_search(p)
+
+    p = sub.add_parser(
+        "base-points", help="common zeros of the degree-e apolar system",
+        description="Common projective zeros of the degree-e apolar system: "
+                    "for every e when n <= 2, and for lines and conics "
+                    "(e = 1 or 2) when n = 3.  Any other n or e exits 2.")
+    _add_common(p)
+    p.add_argument("-e", type=int, required=True,
+                   help="dual degree (1 or 2 when n = 3)")
+    _add_search(p)
 
     p = sub.add_parser("essential", help="essential variable count and split")
     _add_common(p)

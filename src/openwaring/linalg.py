@@ -6,18 +6,17 @@ copy of the matrix, so no rank decision ever depends on rounding.  Entries
 are ints or Fractions, each read through its ``numerator`` and
 ``denominator``: an integer row is taken as it is, with no Fraction built.
 On the complex side, ``complex_echelon`` (partial pivoting with a relative
-magnitude threshold for rank decisions) serves rank, kernel and
-determinant, and ``complex_solve_lstsq`` reads its solution off the
-echelon form of [A | b] by the back-substitution of the kernel.  They hold
-every entry as a raw libmp (real, imag) pair from conversion to the
-rounding of the result and run ``numerics``' raw-tuple kernels in the
-operand order of the mpc operators they replaced, with pivot magnitudes
-from libmp's ``mpc_abs``, so every bit is what mpc arithmetic under
-``workprec`` gave.  A magnitude whose exponents already put it at or
-below the running maximum (``numerics._abs_exceeds``) takes no hypot.
-There is no matrix inverse: the pipeline restricts forms only to
-subspaces whose lift back is written down from the spanning columns
-(``apolarity._subspace_lift``).
+magnitude threshold for rank decisions) serves rank and kernel, and
+``complex_solve_lstsq`` reads its solution off the echelon form of [A | b]
+by the back-substitution of the kernel.  They hold every entry as a raw
+libmp (real, imag) pair from conversion to the rounding of the result and
+run ``numerics``' raw-tuple kernels in the operand order of the mpc
+operators they replaced, with pivot magnitudes from libmp's ``mpc_abs``,
+so every bit is what mpc arithmetic under ``workprec`` gave.  A magnitude
+whose exponents already put it at or below the running maximum
+(``numerics._abs_exceeds``) takes no hypot.  There is no matrix inverse:
+the pipeline restricts forms only to subspaces whose lift back is written
+down from the spanning columns (``apolarity._subspace_lift``).
 
 Matrices are plain lists of row lists; vectors are lists.
 """
@@ -33,7 +32,7 @@ from mpmath.libmp import (from_int, fzero, mpc_abs, mpf_gt, mpf_mul,
 
 from .errors import InvalidInputError
 from .numerics import (AppComplex, GUARD_BITS, _CONE, _CZERO, _abs_exceeds,
-                       _add, _box, _cadd, _cdiv, _cmul, _cneg, _cpos, _csub,
+                       _add, _box, _cadd, _cdiv, _cmul, _cneg, _csub,
                        _make_mpf, _mul, _raw_pair, _unbox, is_exact_scalar,
                        values_precision)
 
@@ -164,10 +163,9 @@ def _matrix_bits(rows, precision_bits):
 def complex_echelon(rows, precision_bits, tol):
     """Row echelon with partial pivoting; pivots below tol*scale count as 0.
 
-    ``tol`` is an mpf or an int.  Returns (echelon rows, pivot_cols, scale,
-    sign): the rows hold raw libmp (real, imag) pairs at the working
-    precision, scale is the largest entry magnitude as a raw mpf, and sign
-    is the parity of the row swaps.
+    ``tol`` is an mpf or an int.  Returns (echelon rows, pivot_cols,
+    scale): the rows hold raw libmp (real, imag) pairs at the working
+    precision, and scale is the largest entry magnitude as a raw mpf.
     """
     bits = _matrix_bits(rows, precision_bits) + GUARD_BITS
     m = _raw_matrix(rows, bits)
@@ -183,7 +181,6 @@ def complex_echelon(rows, precision_bits, tol):
     tol = tol._mpf_ if isinstance(tol, mpf) else from_int(tol)
     thresh = mpf_mul(tol, scale, bits, _RND) if mpf_gt(scale, fzero) else tol
     piv_cols = []
-    sign = 1
     r = 0
     for c in range(ncols):
         best, best_abs = None, thresh
@@ -197,7 +194,6 @@ def complex_echelon(rows, precision_bits, tol):
             continue
         if best != r:
             m[r], m[best] = m[best], m[r]
-            sign = -sign
         top = m[r]
         pivot = top[c]
         for i in range(r + 1, nrows):
@@ -212,31 +208,11 @@ def complex_echelon(rows, precision_bits, tol):
         r += 1
         if r == nrows:
             break
-    return m[:r], piv_cols, scale, sign
+    return m[:r], piv_cols, scale
 
 
 def complex_rank(rows, precision_bits, tol) -> int:
     return len(complex_echelon(rows, precision_bits, tol)[1])
-
-
-def complex_det(rows, precision_bits):
-    """Determinant of an approximate square matrix: the signed product of
-    the pivots of ``complex_echelon`` with no threshold."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InvalidInputError("determinant needs a square matrix")
-    ech, piv, _, sign = complex_echelon(rows, precision_bits, 0)
-    if len(piv) < n:
-        return AppComplex(0, 0, precision_bits)
-    if not n:
-        return AppComplex(1, 0, precision_bits)
-    bits = _matrix_bits(rows, precision_bits) + GUARD_BITS
-    # sign * pivot is mpc_mul_int: the pivot rounded, negated for -1
-    first = ech[0][0]
-    det = _cneg(first, bits) if sign < 0 else _cpos(first, bits)
-    for i in range(1, n):
-        det = _cmul(det, ech[i][i], bits)
-    return AppComplex.from_raw(det, precision_bits)
 
 
 def _back_substitute(ech, piv, v, bits):
@@ -255,7 +231,7 @@ def complex_kernel(rows, precision_bits, tol):
         return []
     ncols = len(rows[0])
     bits = _matrix_bits(rows, precision_bits)
-    ech, piv, _, _ = complex_echelon(rows, precision_bits, tol)
+    ech, piv, _ = complex_echelon(rows, precision_bits, tol)
     piv_set = set(piv)
     free = [c for c in range(ncols) if c not in piv_set]
     basis = []
@@ -282,7 +258,7 @@ def complex_solve_lstsq(rows, rhs, precision_bits):
     aug = [list(row) + [bk] for row, bk in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
     bits = _matrix_bits(aug, precision_bits) + GUARD_BITS
-    ech, piv, _, _ = complex_echelon(aug, precision_bits, 0)
+    ech, piv, _ = complex_echelon(aug, precision_bits, 0)
     v = [_CZERO] * ncols + [_cneg(_CONE, bits)]
     _back_substitute(ech, [c for c in piv if c < ncols], v, bits)
     x = v[:ncols]

@@ -10,9 +10,9 @@ from openwaring import (ForbiddenSet, Form, LinearForm, VerifyReport,
                         essential_variables, is_forbidden, recursion_bound)
 from openwaring import linalg
 from openwaring.apolarity import (_chart_map, _coordinate_changes,
-                                  _distinct_roots, _lagrange_interpolate,
-                                  _resultant_charts, _sorted_points,
-                                  _trim_leading, catalecticant)
+                                  _distinct_roots, _resultant_charts,
+                                  _sorted_points, _trim_leading,
+                                  catalecticant)
 from openwaring.decompose import _forced_single_term
 from openwaring.errors import (ConsistencyError, DegenerateSystemError,
                                InvalidInputError, RetryBudgetError)
@@ -475,7 +475,7 @@ def reference_first_kernel(f, precision_bits=DEFAULT_PRECISION_BITS):
 # The approximate complex elimination as it was before the raw-tuple
 # kernels: every entry an mpmath `mpc` under `workprec`, with the mpc
 # operators' arithmetic.  Kept as references for `linalg.complex_echelon`,
-# `complex_det`, `complex_kernel` and the approximate branch of
+# `complex_kernel` and the approximate branch of
 # `apolarity._subspace_lift`, which must agree with them bit for bit.
 
 
@@ -496,7 +496,7 @@ def reference_unwrap(rows, bits):
 
 
 def reference_complex_echelon(rows, precision_bits, tol):
-    """(echelon mpc rows, pivot_cols, scale as mpf, sign)."""
+    """(echelon mpc rows, pivot_cols, scale as mpf)."""
     bits = linalg._matrix_bits(rows, precision_bits) + GUARD_BITS
     m = reference_unwrap(rows, bits)
     nrows = len(m)
@@ -509,7 +509,6 @@ def reference_complex_echelon(rows, precision_bits, tol):
                     scale = abs(x)
         thresh = tol * scale if scale > 0 else tol
         piv_cols = []
-        sign = 1
         r = 0
         for c in range(ncols):
             best, best_abs = None, thresh
@@ -521,7 +520,6 @@ def reference_complex_echelon(rows, precision_bits, tol):
                 continue
             if best != r:
                 m[r], m[best] = m[best], m[r]
-                sign = -sign
             for i in range(r + 1, nrows):
                 if m[i][c] == 0:
                     continue
@@ -533,19 +531,7 @@ def reference_complex_echelon(rows, precision_bits, tol):
             r += 1
             if r == nrows:
                 break
-        return m[:r], piv_cols, scale, sign
-
-
-def reference_complex_det(rows, precision_bits):
-    n = len(rows)
-    ech, piv, _, sign = reference_complex_echelon(rows, precision_bits, 0)
-    if len(piv) < n:
-        return AppComplex(0, 0, precision_bits)
-    with workprec(linalg._matrix_bits(rows, precision_bits) + GUARD_BITS):
-        det = sign
-        for i, row in enumerate(ech):
-            det = det * row[i]
-    return AppComplex.from_mpc(det, precision_bits)
+        return m[:r], piv_cols, scale
 
 
 def reference_complex_kernel(rows, precision_bits, tol):
@@ -553,7 +539,7 @@ def reference_complex_kernel(rows, precision_bits, tol):
         return []
     ncols = len(rows[0])
     bits = linalg._matrix_bits(rows, precision_bits)
-    ech, piv, _, _ = reference_complex_echelon(rows, precision_bits, tol)
+    ech, piv, _ = reference_complex_echelon(rows, precision_bits, tol)
     piv_set = set(piv)
     free = [c for c in range(ncols) if c not in piv_set]
     basis = []
@@ -590,13 +576,13 @@ def reference_subspace_lift(n, columns, precision_bits):
 
 
 # ---------------------------------------------------------------------------
-# The plane-curve resultant as it was before the conic closed form: the
-# Sylvester determinant at ep*eq + 1 integer nodes, exact or approximate,
-# and Lagrange interpolation.  Kept as a reference for
-# `apolarity._sylvester_resultant`.
+# The plane-curve resultant as it was before the conic closed form, on
+# exact curves: the formal Sylvester determinant by `rational_det` at
+# ep*eq + 1 integer nodes, and Lagrange interpolation.  Kept as a reference
+# for `apolarity._sylvester_resultant`.
 
 
-def reference_sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
+def reference_sylvester_resultant(p_coeffs, q_coeffs):
     ep = len(p_coeffs) - 1
     eq = len(q_coeffs) - 1
     size = ep + eq
@@ -608,15 +594,15 @@ def reference_sylvester_resultant(p_coeffs, q_coeffs, precision_bits):
                 row[shift + j] = c
             rows.append(row)
     nodes = [Fraction(k) for k in range(ep * eq + 1)]
-    values = []
-    exact = all(c.is_exact() for c in p_coeffs + q_coeffs)
-    for t in nodes:
-        m = [[c(t) for c in row] for row in rows]
-        if exact:
-            values.append(linalg.rational_det(m))
-        else:
-            values.append(linalg.complex_det(m, precision_bits))
-    return _lagrange_interpolate(nodes, values)
+    acc = UniPoly([])
+    for xi in nodes:
+        yi = linalg.rational_det([[c(xi) for c in row] for row in rows])
+        basis = UniPoly([Fraction(1)])
+        for xj in nodes:
+            if xj != xi:
+                basis = basis * UniPoly([-xj, Fraction(1)]).scale(1 / (xi - xj))
+        acc = acc + basis.scale(yi)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
+import mpmath
 from mpmath import mpf, workprec
 
 from openwaring import (AppComplex, CommonComponentError, ConsistencyError,
@@ -291,6 +292,35 @@ class TestBasePoints:
                            match="curve pair shares a component"):
             _base_points(net(lambda v: AppComplex(v, 0, 128)), 3, 128,
                          DEFAULT_SEED, DEFAULT_MAX_RETRIES)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 3: decide base points exactly for "
+                              "rational nets; the vanishing test scales with "
+                              "|op|_1, about 2^100 here")
+    def test_an_exact_badly_scaled_net_has_no_base_point(self):
+        # the same net with Fraction coefficients: each variable has a power
+        # in its ideal (sympy's Groebner basis holds z^4, x^2 - z^2 and
+        # B y^2 + z^2), so it has no base point, but the search returns two
+        # points near [1 : -2.8e-16 : +-0.894]
+        B = 2 ** 100
+        x, y, z = sympy.symbols("x y z")
+        G = sympy.groebner([x**2 + B * y**2, x * y + B * y**2, z**2 + B * y**2],
+                           x, y, z, order="grevlex", domain="QQ")
+        assert all(G.contains(v ** 4) for v in (x, y, z))
+        net = [DualOp(3, 2, {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(B)}),
+               DualOp(3, 2, {(1, 1, 0): Fraction(1), (0, 2, 0): Fraction(B)}),
+               DualOp(3, 2, {(0, 0, 2): Fraction(1), (0, 2, 0): Fraction(B)})]
+        points, _ = _base_points(net, 3, 128, DEFAULT_SEED, DEFAULT_MAX_RETRIES)
+        assert points == []
+
+    def test_supported_range(self):
+        # n <= 2 takes every e, n = 3 lines and conics only
+        with pytest.raises(InvalidInputError,
+                           match="implemented for n <= 2, and for n = 3 with e <= 2"):
+            base_points(parse_form("x0^4 + x1^4 + x2^4 + x0*x1*x2^2", 3), 3)
+        with pytest.raises(InvalidInputError, match="implemented for"):
+            base_points(parse_form("x0^3 + x1^3 + x2^3 + x3^3", 4), 2)
+        assert len(base_points(parse_form("x0^3*x1^2", 2), 3)) == 1
 
 
 class TestPowerWitness:
@@ -712,10 +742,62 @@ def random_conic(rng, zero_share, denominators=None):
             return DualOp(3, 2, coeffs)
 
 
+def random_line(rng):
+    """A ternary dual line with every coefficient a nonzero rational of
+    numerator in [-9, 9] and denominator in [1, 7]."""
+    return DualOp(3, 1, {expo: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                        rng.randint(1, 7))
+                         for expo in monomials_of_degree(3, 1)})
+
+
+def sympy_resultant(p_coeffs, q_coeffs):
+    """sympy's resultant in l2 over QQ of two polynomials with UniPoly-in-t
+    coefficients, lowest power of l2 first, as a UniPoly."""
+    t, l2 = sympy.symbols("t l2")
+
+    def expr(coeffs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * t ** i * l2 ** k
+                   for k, u in enumerate(coeffs) for i, c in enumerate(u.coeffs))
+    res = sympy.Poly(sympy.resultant(expr(p_coeffs), expr(q_coeffs), l2), t,
+                     domain="QQ")
+    return UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(res.all_coeffs())])
+
+
+class TestLineResultant:
+    """The closed form a1 b0 - a0 b1 of `_sylvester_resultant` on exact
+    lines against sympy's resultant over QQ."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_closed_form_matches_sympy_in_every_chart(self, seed):
+        rng = random.Random(seed)
+        charts = list(_coordinate_changes(3, 6))
+        while True:
+            # sympy takes a line's degree in l2 as it is, so every chart
+            # keeps both l2-coefficients nonzero, as `_resultant_charts` does
+            D0, D1 = random_line(rng), random_line(rng)
+            pairs = [[_dual_as_unipoly_coeffs(change_coordinates(D, T))
+                      for D in (D0, D1)] for T in charts]
+            if all(not u[-1].is_zero() for pair in pairs for u in pair):
+                break
+        for p, q in pairs:
+            got = _sylvester_resultant(p, q)
+            assert got == sympy_resultant(p, q)
+            assert all(type(c) is Fraction for c in got.coeffs)
+
+    def test_a_net_of_lines_keeps_its_base_point(self):
+        # x0^3 is annihilated by d1 and d2, which meet at [1:0:0]
+        pts = base_points(parse_form("x0^3", 3), 1)
+        assert len(pts) == 1
+        assert [c.real for c in pts[0].coords] == [1, 0, 0]
+        assert all(c.imag == 0 for c in pts[0].coords)
+
+
 class TestConicResultant:
     """The closed form of `_sylvester_resultant` on exact conics against the
-    Sylvester determinant by interpolation it replaced
-    (`conftest.reference_sylvester_resultant`)."""
+    formal Sylvester determinant by `rational_det` at five nodes
+    (`conftest.reference_sylvester_resultant`), and on approximate conics
+    against mpmath's determinant at twice the precision."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 32), st.sampled_from((0.0, 0.3, 0.6, 0.85)),
@@ -730,66 +812,65 @@ class TestConicResultant:
         for T in _coordinate_changes(3, 6):
             p = _dual_as_unipoly_coeffs(change_coordinates(D0, T))
             q = _dual_as_unipoly_coeffs(change_coordinates(D1, T))
-            got = _sylvester_resultant(p, q, DEFAULT_PRECISION_BITS)
-            want = reference_sylvester_resultant(p, q, DEFAULT_PRECISION_BITS)
-            assert got == want
+            got = _sylvester_resultant(p, q)
+            assert got == reference_sylvester_resultant(p, q)
             assert all(type(c) is Fraction for c in got.coeffs)
 
     def test_the_closed_form_takes_no_determinant(self, monkeypatch):
         calls = []
-        for name in ("rational_det", "complex_det"):
-            real = getattr(linalg, name)
-            monkeypatch.setattr(linalg, name, lambda *a, real=real, name=name:
-                                calls.append(name) or real(*a))
+        real = linalg.rational_det
+        monkeypatch.setattr(linalg, "rational_det",
+                            lambda *a: calls.append(a) or real(*a))
         rng = random.Random(3)
-        p = _dual_as_unipoly_coeffs(random_conic(rng, 0.2))
-        q = _dual_as_unipoly_coeffs(random_conic(rng, 0.2))
-        _sylvester_resultant(p, q, DEFAULT_PRECISION_BITS)
-        # approximate conics take it too
         bits = 128
-        q = [UniPoly([AppComplex(c, Fraction(1, 3), bits) for c in u.coeffs])
-             for u in q]
-        _sylvester_resultant(p, q, bits)
+        for make in (lambda: random_conic(rng, 0.2), lambda: random_line(rng)):
+            p = _dual_as_unipoly_coeffs(make())
+            q = _dual_as_unipoly_coeffs(make())
+            _sylvester_resultant(p, q)
+            # approximate curves take it too
+            q = [UniPoly([AppComplex(c, Fraction(1, 3), bits) for c in u.coeffs])
+                 for u in q]
+            _sylvester_resultant(p, q)
         assert calls == []
-        # curves of another degree still take the determinant, at 10 nodes
-        p3 = _dual_as_unipoly_coeffs(DualOp(3, 3, {
-            (3, 0, 0): Fraction(1), (0, 1, 2): Fraction(2),
-            (0, 0, 3): Fraction(-1)}))
-        q3 = _dual_as_unipoly_coeffs(DualOp(3, 3, {
-            (1, 2, 0): Fraction(3), (1, 0, 2): Fraction(1),
-            (0, 0, 3): Fraction(2)}))
-        assert (_sylvester_resultant(p3, q3, DEFAULT_PRECISION_BITS)
-                == reference_sylvester_resultant(p3, q3,
-                                                 DEFAULT_PRECISION_BITS))
-        assert calls == ["rational_det"] * 20
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(64, 512))
     def test_approximate_conics_match_the_sylvester_determinant(self, seed,
                                                                 bits):
-        # the closed form on approximate conics: R(t) against
-        # `linalg.complex_det` of the 4x4 Sylvester matrix at random t
+        # the closed form on approximate conics: R(t) against mpmath's
+        # determinant of the 4x4 Sylvester matrix at random t, taken at
+        # 2 * bits + 64 bits
         rng = random.Random(seed)
 
         def nudged(c):
             return AppComplex(c + Fraction(rng.randint(-999, 999), 1000),
                               Fraction(rng.randint(-999, 999), 1000), bits)
 
+        def as_mp(z):
+            # a missing coefficient, or a resultant that vanishes, evaluates
+            # to an exact zero
+            return z.to_mpc() if isinstance(z, AppComplex) else mpf(int(z))
+
         p, q = ([UniPoly([nudged(c) for c in u.coeffs])
                  for u in _dual_as_unipoly_coeffs(random_conic(rng, 0.3))]
                 for _ in range(2))
-        R = _sylvester_resultant(p, q, bits)
+        R = _sylvester_resultant(p, q)
         for _ in range(3):
             t = AppComplex(Fraction(rng.randint(-3000, 3000), 1000),
                            Fraction(rng.randint(-3000, 3000), 1000), bits)
             a0, a1, a2 = (c(t) for c in p)
             b0, b1, b2 = (c(t) for c in q)
-            sylvester = [[a2, a1, a0, 0], [0, a2, a1, a0],
-                         [b2, b1, b0, 0], [0, b2, b1, b0]]
-            det = linalg.complex_det(sylvester, bits)
-            scale = ((abs(a0) + abs(a1) + abs(a2))
-                     * (abs(b0) + abs(b1) + abs(b2))) ** 2
-            assert abs(R(t) - det) <= tolerance(bits) * scale
+            with workprec(2 * bits + 64):
+                a0, a1, a2, b0, b1, b2 = map(as_mp, (a0, a1, a2, b0, b1, b2))
+                sylvester = [[a2, a1, a0, 0], [0, a2, a1, a0],
+                             [b2, b1, b0, 0], [0, b2, b1, b0]]
+                # mpmath's LU finds no pivot in a zero column, where the
+                # determinant is zero
+                det = (mpmath.det(mpmath.matrix(sylvester))
+                       if all(any(col) for col in zip(*sylvester)) else 0)
+                scale = ((abs(a0) + abs(a1) + abs(a2))
+                         * (abs(b0) + abs(b1) + abs(b2))) ** 2
+                assert abs(as_mp(R(t)) - det) <= tolerance(bits) * scale
 
 
 # `_dedupe_points`, `_distinct_roots` and the `ProjPoint` pivot as they were before the exponent rule: every distance an

@@ -261,6 +261,14 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["count"] == 1
 
+    def test_base_points_of_plane_curves_beyond_conics_are_invalid(self, capsys):
+        code, out, err = run_capture(capsys, [
+            "base-points", "-n", "3", "-e", "3",
+            "x0^4 + x1^4 + x2^4 + x0*x1*x2^2"])
+        assert (code, out) == (2, "")
+        assert err.strip() == ("error: base point detection is implemented "
+                               "for n <= 2, and for n = 3 with e <= 2")
+
     #: each subcommand with an option it has no use for: only decompose
     #: avoids a forbidden set, and only decompose and base-points search
     #: at random

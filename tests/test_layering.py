@@ -468,8 +468,7 @@ MPC_ELIMINATION = {"mpc", "workprec", "_unwrap"} | LIBMP_ARITHMETIC
 
 #: the complex eliminations, which run on KERNELS
 COMPLEX_ELIMINATION = {("linalg", "_raw_matrix"), ("linalg", "complex_echelon"),
-                       ("linalg", "complex_rank"), ("linalg", "complex_det"),
-                       ("linalg", "complex_kernel"),
+                       ("linalg", "complex_rank"), ("linalg", "complex_kernel"),
                        ("linalg", "complex_solve_lstsq"),
                        ("apolarity", "_subspace_lift")}
 
@@ -541,6 +540,19 @@ def test_root_distances_run_on_the_kernels():
     functions = {n.name: n for n in _parsed()["apolarity"].body
                  if isinstance(n, ast.FunctionDef)}
     assert _names_in(functions["_distinct_roots"]) & MPC_DISTANCE == set()
+
+
+def test_plane_curve_resultants_are_written_down():
+    # the search intersects only lines and conics, whose resultants are
+    # closed forms: no determinant at interpolation nodes, exact or
+    # approximate, and no interpolation
+    parsed = _parsed()
+    assert "complex_det" not in _defined(parsed["linalg"])
+    assert "_lagrange_interpolate" not in _defined(parsed["apolarity"])
+    resultant = next(n for n in parsed["apolarity"].body
+                     if isinstance(n, ast.FunctionDef)
+                     and n.name == "_sylvester_resultant")
+    assert _names_in(resultant) & {"rational_det", "complex_det"} == set()
 
 
 def test_base_point_candidates_are_paired_by_the_certificate():

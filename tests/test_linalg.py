@@ -15,21 +15,19 @@ from mpmath.libmp import from_man_exp, fzero
 from openwaring import (InvalidInputError, LinearForm, NoFitError,
                         fit_coefficients, linalg, parse_form)
 from openwaring.apolarity import _subspace_lift
-from openwaring.linalg import (complex_det, complex_echelon, complex_kernel,
+from openwaring.linalg import (complex_echelon, complex_kernel,
                                complex_solve_lstsq, dot, mat_vec, matrix_rank,
                                rational_det, rational_kernel, rational_rank,
                                rational_solve)
-from openwaring.numerics import (GUARD_BITS, AppComplex, _make_mpf,
-                                 scalar_is_zero, tolerance)
-from conftest import (reference_complex_det, reference_complex_echelon,
-                      reference_complex_kernel, reference_reduce, reference_subspace_lift,
-                      reference_unwrap)
+from openwaring.numerics import (AppComplex, _make_mpf, scalar_is_zero,
+                                 tolerance)
+from conftest import (reference_complex_echelon, reference_complex_kernel,
+                      reference_reduce, reference_subspace_lift)
 
 # ---------------------------------------------------------------------------
 # The elimination routines as they were before the fraction-free
 # Gauss-Jordan reduction: Bareiss echelon form with Fraction
-# back-substitution, Fraction elimination for the determinant, and the
-# complex determinant of the resultant code.
+# back-substitution, and Fraction elimination for the determinant.
 
 
 def reference_echelon(rows):
@@ -119,32 +117,6 @@ def reference_det(rows):
             for j in range(c, n):
                 m[i][j] -= f * m[c][j]
     return det
-
-
-def reference_resultant_det(rows, precision_bits):
-    bits = precision_bits + GUARD_BITS
-    m = reference_unwrap(rows, bits)
-    n = len(m)
-    with workprec(bits):
-        det = 1
-        for c in range(n):
-            best, best_abs = None, mpf(0)
-            for i in range(c, n):
-                if abs(m[i][c]) > best_abs:
-                    best, best_abs = i, abs(m[i][c])
-            if best is None or best_abs == 0:
-                return AppComplex(0, 0, precision_bits)
-            if best != c:
-                m[c], m[best] = m[best], m[c]
-                det = -det
-            det = det * m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] == 0:
-                    continue
-                fct = m[i][c] / m[c][c]
-                for j in range(c, n):
-                    m[i][j] -= fct * m[c][j]
-        return AppComplex.from_mpc(det, precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +276,6 @@ class TestRational:
         with pytest.raises(InvalidInputError,
                            match="determinant needs a square matrix"):
             rational_det([[1, 2, 3], [4, 5, 6]])
-        with pytest.raises(InvalidInputError,
-                           match="determinant needs a square matrix"):
-            complex_det([[AppComplex(1, 0, 64), 2]], 64)
 
     def test_solve_needs_one_rhs_entry_per_row(self):
         for rows, rhs in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 2]),
@@ -321,7 +290,7 @@ class TestRational:
 
 
 # ---------------------------------------------------------------------------
-# the complex determinant, raw tuple for raw tuple
+# the complex echelon form on hand-made cases, raw tuple for raw tuple
 
 
 def app(re, im, bits):
@@ -352,27 +321,23 @@ def raw(z):
     return (z.real._mpf_, z.imag._mpf_, z.precision_bits)
 
 
-class TestComplexDet:
+class TestComplexEchelonCases:
     @pytest.mark.parametrize("bits", [64, 256, 1088])
     @pytest.mark.parametrize("case", ["swaps", "zero pivot", "zero column",
                                       "singular", "permutation", "dense",
                                       "empty"])
-    def test_matches_the_old_elimination(self, bits, case):
+    def test_matches_the_mpc_echelon(self, bits, case):
         rows = complex_cases(bits)[case]
-        det = complex_det(rows, bits)
-        assert type(det) is AppComplex
-        assert raw(det) == raw(reference_resultant_det(rows, bits))
+        for tol in (0, tolerance(bits)):
+            assert_same_echelon(rows, bits, tol)
 
-    def test_swaps_are_counted(self):
-        rows = complex_cases(256)["swaps"]
-        assert complex_echelon(rows, 256, 0)[3] == -1
-        assert raw(complex_det(complex_cases(256)["permutation"], 256)) == raw(
-            AppComplex(-1, 0, 256))
-
-    def test_singular_is_exactly_zero(self):
-        for case in ("zero column", "singular"):
-            assert raw(complex_det(complex_cases(128)[case], 128)) == raw(
-                AppComplex(0, 0, 128))
+    def test_singular_loses_a_pivot(self):
+        # with no threshold, an exactly singular matrix still takes no
+        # pivot in a column that elimination zeroes
+        cases = complex_cases(128)
+        assert complex_echelon(cases["zero column"], 128, 0)[1] == [1]
+        assert complex_echelon(cases["singular"], 128, 0)[1] == [0, 2]
+        assert complex_echelon(cases["permutation"], 128, 0)[1] == [0, 1, 2]
 
 
 def test_dot_and_mat_vec():
@@ -384,9 +349,9 @@ def test_dot_and_mat_vec():
 
 # ---------------------------------------------------------------------------
 # the approximate elimination on raw tuples against the mpc-object routines
-# it replaced (tests/conftest.py), bit for bit: echelon rows, pivots, scale
-# and sign, the determinant, the kernel and the lift of `_subspace_lift`;
-# and `complex_solve_lstsq` against mpmath at twice the precision
+# it replaced (tests/conftest.py), bit for bit: echelon rows, pivots and
+# scale, the kernel and the lift of `_subspace_lift`; and
+# `complex_solve_lstsq` against mpmath at twice the precision
 
 
 @st.composite
@@ -452,11 +417,10 @@ def raw_app(values):
 
 
 def assert_same_echelon(rows, bits, tol):
-    ech, piv, scale, sign = complex_echelon(rows, bits, tol)
-    ref_ech, ref_piv, ref_scale, ref_sign = reference_complex_echelon(
-        rows, bits, tol)
+    ech, piv, scale = complex_echelon(rows, bits, tol)
+    ref_ech, ref_piv, ref_scale = reference_complex_echelon(rows, bits, tol)
     assert ech == [[z._mpc_ for z in row] for row in ref_ech]
-    assert (piv, scale, sign) == (ref_piv, ref_scale._mpf_, ref_sign)
+    assert (piv, scale) == (ref_piv, ref_scale._mpf_)
 
 
 # a zero column has no pivot, so its variable is set to exactly zero
@@ -477,10 +441,6 @@ class TestComplexElimination:
         assert [raw_app(v) for v in kernel] == [
             raw_app(v) for v in reference_complex_kernel(rows, bits,
                                                          tolerance(bits))]
-        k = min(len(rows), len(rows[0]))
-        square = [row[:k] for row in rows[:k]]
-        assert raw(complex_det(square, bits)) == raw(
-            reference_complex_det(square, bits))
         if kernel:
             n = len(rows[0])
             keep, A = _subspace_lift(n, kernel, bits)
@@ -519,11 +479,8 @@ class TestComplexElimination:
             h, g = wide(), wide()
             rows = [[h, h + e, 2], [g, g, app(1, -1, bits)], [1, 1 - e, e]]
             assert_same_echelon(rows, bits, tolerance(bits))
-            assert raw(complex_det(rows, bits)) == raw(
-                reference_complex_det(rows, bits))
             square = [row[:2] for row in rows[:2]]
-            assert raw(complex_det(square, bits)) == raw(
-                reference_complex_det(square, bits))
+            assert_same_echelon(square, bits, 0)
 
 
 # ---------------------------------------------------------------------------
